@@ -10,11 +10,17 @@
 //! probes). A conjunction of pushed filters intersects their key sets.
 //! Everything else falls back to `transformToRowRDD`-style full scans over
 //! the row batches.
+//!
+//! The same key set answers [`IndexedSource::prune`] at plan time: each key
+//! lives in exactly one hash partition, so a key-equality scan is planned
+//! over that partition alone. In a cached plan the literal is still an
+//! [`Expr::Param`] when pushdown is decided; a parameter of the key's type
+//! is claimed exactly like a literal, and is bound before any scan runs.
 
 use std::any::Any;
 use std::sync::Arc;
 
-use idf_engine::catalog::{check_append_rows, ChunkIter, Statistics, TableSource};
+use idf_engine::catalog::{check_append_rows, ChunkIter, ScanPruning, Statistics, TableSource};
 use idf_engine::chunk::Chunk;
 use idf_engine::error::{EngineError, Result};
 use idf_engine::expr::{BinaryOp, Expr};
@@ -61,6 +67,14 @@ impl IndexedSource {
         self.frozen.is_some()
     }
 
+    fn is_key_col(&self, e: &Expr) -> bool {
+        matches!(e, Expr::Column(c) if c.index == Some(self.table.key_col()))
+    }
+
+    fn key_type(&self) -> idf_engine::types::DataType {
+        self.table.schema().field(self.table.key_col()).data_type
+    }
+
     /// Extract the key literal of an equality filter on the indexed
     /// column, if the expression has that shape.
     ///
@@ -75,17 +89,15 @@ impl IndexedSource {
         else {
             return None;
         };
-        let key_dt = self.table.schema().field(self.table.key_col()).data_type;
-        let is_key_col =
-            |e: &Expr| matches!(e, Expr::Column(c) if c.index == Some(self.table.key_col()));
+        let key_dt = self.key_type();
         let literal_of = |e: &Expr| match e {
             Expr::Literal(v) if v.data_type() == Some(key_dt) => Some(v.clone()),
             _ => None,
         };
-        if is_key_col(left) {
+        if self.is_key_col(left) {
             return literal_of(right);
         }
-        if is_key_col(right) {
+        if self.is_key_col(right) {
             return literal_of(left);
         }
         None
@@ -109,10 +121,10 @@ impl IndexedSource {
         else {
             return None;
         };
-        if !matches!(&**expr, Expr::Column(c) if c.index == Some(self.table.key_col())) {
+        if !self.is_key_col(expr) {
             return None;
         }
-        let key_dt = self.table.schema().field(self.table.key_col()).data_type;
+        let key_dt = self.key_type();
         let mut keys: Vec<Value> = Vec::with_capacity(list.len());
         for entry in list {
             match entry {
@@ -134,6 +146,38 @@ impl IndexedSource {
             return Some(vec![k]);
         }
         self.key_in_list_literals(filter)
+    }
+
+    /// The keys a conjunction of pushed filters selects: the intersection
+    /// of their key sets. `None` when a filter has no pushable shape —
+    /// the pushdown rule only hands over filters this source claimed, so
+    /// that is a planner bug, not a case to scan around.
+    fn pushed_keys(&self, filters: &[Expr]) -> Option<Vec<Value>> {
+        let mut keys: Option<Vec<Value>> = None;
+        for f in filters {
+            let set = self.key_set_of(f)?;
+            keys = Some(match keys {
+                None => set,
+                Some(prev) => prev.into_iter().filter(|k| set.contains(k)).collect(),
+            });
+        }
+        Some(keys.unwrap_or_default())
+    }
+
+    /// Whether `filter` is a pushable shape once its [`Expr::Param`]
+    /// placeholders (of the key's type) are bound: a cached plan decides
+    /// pushdown before it knows the literal.
+    fn claims(&self, filter: &Expr) -> bool {
+        let key_dt = self.key_type();
+        let as_literals = filter.map_leaves(&|leaf| match leaf {
+            Expr::Param { data_type, .. } if *data_type == key_dt => {
+                // Any value of the key type stands in for the parameter;
+                // only the shape is being judged.
+                Expr::Literal(placeholder_of(key_dt))
+            }
+            other => other.clone(),
+        });
+        self.key_set_of(&as_literals).is_some()
     }
 
     fn partition_snapshot(&self, partition: usize) -> Result<PartitionView<'_>> {
@@ -170,24 +214,12 @@ impl IndexedSource {
         filters: &[Expr],
         query: Option<&QueryContext>,
     ) -> Result<ChunkIter> {
-        // Intersect the key sets of the pushed filters (they are ANDed);
-        // any filter we did not claim would not be here.
-        let mut keys: Option<Vec<Value>> = None;
-        for f in filters {
-            let Some(set) = self.key_set_of(f) else {
-                // Defensive: fall back to a full scan + let the engine
-                // re-filter (should not happen with the built-in rule).
-                return self.scan_ctx(partition, projection, query);
-            };
-            keys = Some(match keys {
-                None => set,
-                Some(prev) => prev.into_iter().filter(|k| set.contains(k)).collect(),
-            });
-        }
+        let keys = self.pushed_keys(filters).ok_or_else(|| {
+            EngineError::internal("indexed scan was handed a filter it did not claim")
+        })?;
         // Keep the keys that hash-route to THIS partition; the rest are
         // pruned — their home partitions answer for them.
         let local: Vec<Value> = keys
-            .unwrap_or_default()
             .into_iter()
             .filter(|k| self.table.partition_of(k) == partition)
             .collect();
@@ -239,7 +271,24 @@ impl TableSource for IndexedSource {
     }
 
     fn supports_filter_pushdown(&self, filter: &Expr) -> bool {
-        self.key_set_of(filter).is_some()
+        self.claims(filter)
+    }
+
+    fn prune(&self, filters: &[Expr]) -> Option<ScanPruning> {
+        if filters.is_empty() {
+            return None;
+        }
+        let keys = self.pushed_keys(filters)?;
+        let mut partitions: Vec<usize> = keys.iter().map(|k| self.table.partition_of(k)).collect();
+        partitions.sort_unstable();
+        partitions.dedup();
+        // Rows per key from the maintained counters (mean chain length).
+        let m = self.table.memory_stats();
+        let per_key = m.rows.div_ceil(m.index_entries.max(1));
+        Some(ScanPruning {
+            partitions,
+            rows: keys.len() * per_key,
+        })
     }
 
     fn scan_with_filters(
@@ -298,6 +347,19 @@ impl TableSource for IndexedSource {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+/// Some value of type `dt` (which one is irrelevant to the caller).
+fn placeholder_of(dt: idf_engine::types::DataType) -> Value {
+    use idf_engine::types::DataType;
+    match dt {
+        DataType::Boolean => Value::Boolean(false),
+        DataType::Int32 => Value::Int32(0),
+        DataType::Int64 => Value::Int64(0),
+        DataType::Float64 => Value::Float64(0.0),
+        DataType::Utf8 => Value::Utf8(String::new()),
+        DataType::Timestamp => Value::Timestamp(0),
     }
 }
 

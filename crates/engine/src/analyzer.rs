@@ -27,7 +27,7 @@ fn bind_columns(expr: &Expr, schema: &Schema) -> Result<Expr> {
                 index: Some(index),
             })
         }
-        Expr::Literal(v) => Expr::Literal(v.clone()),
+        Expr::Literal(_) | Expr::Param { .. } => expr.clone(),
         Expr::Binary { left, op, right } => Expr::Binary {
             left: Box::new(bind_columns(left, schema)?),
             op: *op,
@@ -294,6 +294,7 @@ pub fn expr_type(expr: &Expr, schema: &Schema) -> Result<DataType> {
             schema.field(idx).data_type
         }
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Boolean),
+        Expr::Param { data_type, .. } => *data_type,
         Expr::Binary { left, op, right } => {
             if op.is_comparison() || op.is_logic() {
                 DataType::Boolean
@@ -345,6 +346,8 @@ pub fn expr_nullable(expr: &Expr, schema: &Schema) -> bool {
     match expr {
         Expr::Column(c) => c.index.is_none_or(|i| schema.field(i).nullable),
         Expr::Literal(v) => v.is_null(),
+        // NULL literals are never parameterized.
+        Expr::Param { .. } => false,
         Expr::Binary { left, right, .. } => {
             expr_nullable(left, schema) || expr_nullable(right, schema)
         }

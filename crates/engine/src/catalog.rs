@@ -25,6 +25,18 @@ pub struct Statistics {
     pub byte_size: Option<usize>,
 }
 
+/// What a source promises, at plan time, about a scan with a given set
+/// of pushed filters (see [`TableSource::prune`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanPruning {
+    /// The only partitions that can produce rows, ascending: scanning
+    /// just these with the filters pushed returns exactly what scanning
+    /// every partition would.
+    pub partitions: Vec<usize>,
+    /// Estimated rows the filtered scan produces.
+    pub rows: usize,
+}
+
 /// A table that can be scanned partition-by-partition.
 ///
 /// This is the extension seam the Indexed DataFrame plugs into: its
@@ -59,6 +71,18 @@ pub trait TableSource: Send + Sync {
         _filters: &[Expr],
     ) -> Result<ChunkIter> {
         self.scan(partition, projection)
+    }
+
+    /// Plan-time partition pruning: which partitions a scan with `filters`
+    /// pushed can touch, and how many rows it is expected to produce. The
+    /// planner exposes only those partitions, so a key lookup plans as a
+    /// single-partition scan and needs no exchange above it. `None` (the
+    /// default, and the only answer for an empty `filters`) means every
+    /// partition and no bound. `filters` are a scan's pushed filters —
+    /// each one claimed by [`TableSource::supports_filter_pushdown`] —
+    /// after parameters are bound to literals.
+    fn prune(&self, _filters: &[Expr]) -> Option<ScanPruning> {
+        None
     }
 
     /// Scan one partition under a query lifecycle token. Sources that run
@@ -332,6 +356,9 @@ impl TableSource for AppendTable {
 #[derive(Default)]
 pub struct Catalog {
     tables: RwLock<HashMap<String, Arc<dyn TableSource>>>,
+    /// Bumped by every change that can invalidate a bound plan (see
+    /// [`Catalog::generation`]).
+    generation: std::sync::atomic::AtomicU64,
 }
 
 impl Catalog {
@@ -340,9 +367,29 @@ impl Catalog {
         Self::default()
     }
 
+    /// A counter that moves whenever a plan bound earlier may no longer
+    /// be valid: every registration, replacement or removal of a table
+    /// (materialized views register as tables), and every optimizer rule
+    /// or planning strategy the session adds. A plan bound after reading
+    /// generation `g` is current for as long as the counter still reads
+    /// `g`; the session plan cache is stamped with it.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// Advance [`Catalog::generation`]. Called *after* the change it
+    /// announces is visible, so a reader that sees the new generation
+    /// also sees the change.
+    pub(crate) fn bump_generation(&self) {
+        self.generation
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+
     /// Register (or replace) a table under `name`.
     pub fn register(&self, name: impl Into<String>, table: Arc<dyn TableSource>) {
-        self.tables.write().insert(name.into(), table);
+        let mut tables = self.tables.write();
+        tables.insert(name.into(), table);
+        self.bump_generation();
     }
 
     /// Register a table under `name` only if the name is free, atomically:
@@ -353,12 +400,14 @@ impl Catalog {
     /// [`Catalog::register`], which replaces).
     pub fn register_new(&self, name: impl Into<String>, table: Arc<dyn TableSource>) -> Result<()> {
         let name = name.into();
-        match self.tables.write().entry(name.clone()) {
+        let mut tables = self.tables.write();
+        match tables.entry(name.clone()) {
             std::collections::hash_map::Entry::Occupied(_) => {
                 Err(EngineError::TableAlreadyExists(name))
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(table);
+                self.bump_generation();
                 Ok(())
             }
         }
@@ -366,7 +415,12 @@ impl Catalog {
 
     /// Remove the table registered under `name`.
     pub fn deregister(&self, name: &str) -> Option<Arc<dyn TableSource>> {
-        self.tables.write().remove(name)
+        let mut tables = self.tables.write();
+        let removed = tables.remove(name);
+        if removed.is_some() {
+            self.bump_generation();
+        }
+        removed
     }
 
     /// Fetch the table registered under `name`.

@@ -29,6 +29,9 @@ pub struct DataFrame {
     /// Original SQL text when the frame came from `Session::sql` — used
     /// to label the slow-query log.
     sql: Option<Arc<str>>,
+    /// `plan` already optimized, when the SQL front end took it from the
+    /// session's plan cache.
+    optimized: Option<Arc<LogicalPlan>>,
 }
 
 impl DataFrame {
@@ -38,7 +41,28 @@ impl DataFrame {
             session,
             plan: Arc::new(plan),
             sql: None,
+            optimized: None,
         }
+    }
+
+    /// A frame over `plan` whose optimized form is already known (the
+    /// plan cache's hit path: collecting it skips the optimizer).
+    pub(crate) fn prepared(
+        session: Session,
+        plan: Arc<LogicalPlan>,
+        optimized: Arc<LogicalPlan>,
+    ) -> Self {
+        DataFrame {
+            session,
+            plan,
+            sql: None,
+            optimized: Some(optimized),
+        }
+    }
+
+    /// The analyzed plan, shared.
+    pub(crate) fn shared_plan(&self) -> &Arc<LogicalPlan> {
+        &self.plan
     }
 
     /// Attach the originating SQL text (used by the SQL front end so the
@@ -46,6 +70,12 @@ impl DataFrame {
     pub fn with_sql_text(mut self, sql: &str) -> Self {
         self.sql = Some(Arc::from(sql));
         self
+    }
+
+    /// The SQL text this frame was planned from, if it came from
+    /// `Session::sql`.
+    pub fn sql_text(&self) -> Option<&str> {
+        self.sql.as_deref()
     }
 
     /// Label identifying this query in the slow-query log: the SQL text
@@ -329,7 +359,7 @@ impl DataFrame {
         // timeout buys execution time (see `QueryContext` deadline
         // contract), not optimizer time.
         query.arm_deadline();
-        let ctx = TaskContext::with_query(self.session.config().clone(), Arc::clone(query));
+        let ctx = TaskContext::with_query(self.session.shared_config(), Arc::clone(query));
         self.track_query(query, || execute_collect(&exec, &ctx))
     }
 
@@ -352,7 +382,7 @@ impl DataFrame {
     ) -> Result<Vec<Vec<Chunk>>> {
         let exec = self.physical_plan()?;
         query.arm_deadline();
-        let ctx = TaskContext::with_query(self.session.config().clone(), Arc::clone(query));
+        let ctx = TaskContext::with_query(self.session.shared_config(), Arc::clone(query));
         self.track_query(query, || execute_collect_partitions(&exec, &ctx))
     }
 
@@ -412,13 +442,19 @@ impl DataFrame {
 
     /// The optimized logical plan.
     pub fn optimized_plan(&self) -> Result<LogicalPlan> {
-        self.session.optimizer().optimize(&self.plan)
+        match &self.optimized {
+            Some(optimized) => Ok(optimized.as_ref().clone()),
+            None => self.session.optimizer().optimize(&self.plan),
+        }
     }
 
     /// The physical plan.
     pub fn physical_plan(&self) -> Result<crate::physical::ExecPlanRef> {
-        let optimized = self.optimized_plan()?;
-        self.session.planner().create_plan(&optimized)
+        let planner = self.session.planner();
+        match &self.optimized {
+            Some(optimized) => planner.create_plan(optimized),
+            None => planner.create_plan(&self.optimized_plan()?),
+        }
     }
 
     /// Execute the query with per-operator instrumentation under a fresh
@@ -433,7 +469,7 @@ impl DataFrame {
         query.arm_deadline();
         let registry = Arc::new(MetricsRegistry::new());
         let ctx = TaskContext::with_query_metrics(
-            self.session.config().clone(),
+            self.session.shared_config(),
             Arc::clone(query),
             Arc::clone(&registry),
         );
@@ -456,7 +492,7 @@ impl DataFrame {
         query.arm_deadline();
         let registry = Arc::new(MetricsRegistry::new());
         let ctx = TaskContext::with_query_metrics(
-            self.session.config().clone(),
+            self.session.shared_config(),
             Arc::clone(&query),
             Arc::clone(&registry),
         );
@@ -513,6 +549,7 @@ impl DataFrame {
             plan: Arc::new(plan),
             // A derived frame is no longer the query the SQL text named.
             sql: None,
+            optimized: None,
         }
     }
 }

@@ -174,6 +174,17 @@ pub enum Expr {
     Column(ColumnRefExpr),
     /// Literal scalar.
     Literal(Value),
+    /// A typed placeholder for a literal of a cached plan
+    /// ([`crate::sql`]'s plan cache). Rules treat it as an opaque,
+    /// non-null, non-foldable constant of type `data_type`;
+    /// [`crate::logical::LogicalPlan::bind_params`] replaces it with the
+    /// statement's literal before physical planning.
+    Param {
+        /// Position in the statement's literal list.
+        slot: usize,
+        /// Type of every literal that may fill the slot.
+        data_type: DataType,
+    },
     /// `left op right`.
     Binary {
         /// Left operand.
@@ -238,6 +249,7 @@ impl Expr {
         match self {
             Expr::Column(c) => c.name.clone(),
             Expr::Literal(v) => v.to_string(),
+            Expr::Param { slot, .. } => format!("?{slot}"),
             Expr::Alias(_, name) => name.clone(),
             Expr::Binary { left, op, right } => {
                 format!("{} {op} {}", left.output_name(), right.output_name())
@@ -275,7 +287,7 @@ impl Expr {
     pub fn has_aggregate(&self) -> bool {
         match self {
             Expr::Aggregate { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) => false,
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param { .. } => false,
             Expr::Binary { left, right, .. } => left.has_aggregate() || right.has_aggregate(),
             Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => e.has_aggregate(),
             Expr::Cast { expr, .. } => expr.has_aggregate(),
@@ -288,80 +300,86 @@ impl Expr {
         }
     }
 
-    /// Collect the indices of all bound column references.
-    pub fn referenced_indices(&self, out: &mut Vec<usize>) {
+    /// Visit every leaf (column, literal, parameter) of the tree.
+    pub fn for_each_leaf(&self, f: &mut impl FnMut(&Expr)) {
         match self {
-            Expr::Column(c) => {
-                if let Some(i) = c.index {
-                    out.push(i);
-                }
-            }
-            Expr::Literal(_) => {}
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param { .. } => f(self),
             Expr::Binary { left, right, .. } => {
-                left.referenced_indices(out);
-                right.referenced_indices(out);
+                left.for_each_leaf(f);
+                right.for_each_leaf(f);
             }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => e.referenced_indices(out),
-            Expr::Cast { expr, .. } => expr.referenced_indices(out),
-            Expr::Alias(e, _) => e.referenced_indices(out),
+            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => e.for_each_leaf(f),
+            Expr::Cast { expr, .. } => expr.for_each_leaf(f),
+            Expr::Alias(e, _) => e.for_each_leaf(f),
             Expr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.referenced_indices(out);
+                    a.for_each_leaf(f);
                 }
             }
             Expr::Scalar { args, .. } => {
                 for a in args {
-                    a.referenced_indices(out);
+                    a.for_each_leaf(f);
                 }
             }
             Expr::InList { expr, list, .. } => {
-                expr.referenced_indices(out);
+                expr.for_each_leaf(f);
                 for e in list {
-                    e.referenced_indices(out);
+                    e.for_each_leaf(f);
                 }
             }
-            Expr::Like { expr, .. } => expr.referenced_indices(out),
+            Expr::Like { expr, .. } => expr.for_each_leaf(f),
         }
     }
 
-    /// Rewrite every bound column index through `f` (used when an
-    /// expression moves across operators during optimization).
-    pub fn map_column_indices(&self, f: &impl Fn(usize) -> usize) -> Expr {
+    /// Collect the indices of all bound column references.
+    pub fn referenced_indices(&self, out: &mut Vec<usize>) {
+        self.for_each_leaf(&mut |leaf| {
+            if let Expr::Column(ColumnRefExpr { index: Some(i), .. }) = leaf {
+                out.push(*i);
+            }
+        });
+    }
+
+    /// Whether the tree contains a [`Expr::Param`] placeholder.
+    pub fn has_param(&self) -> bool {
+        let mut found = false;
+        self.for_each_leaf(&mut |leaf| found |= matches!(leaf, Expr::Param { .. }));
+        found
+    }
+
+    /// Rebuild the tree with every leaf (column, literal, parameter)
+    /// replaced by `f(leaf)`.
+    pub fn map_leaves(&self, f: &impl Fn(&Expr) -> Expr) -> Expr {
         match self {
-            Expr::Column(c) => Expr::Column(ColumnRefExpr {
-                qualifier: c.qualifier.clone(),
-                name: c.name.clone(),
-                index: c.index.map(f),
-            }),
-            Expr::Literal(v) => Expr::Literal(v.clone()),
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param { .. } => f(self),
             Expr::Binary { left, op, right } => Expr::Binary {
-                left: Box::new(left.map_column_indices(f)),
+                left: Box::new(left.map_leaves(f)),
                 op: *op,
-                right: Box::new(right.map_column_indices(f)),
+                right: Box::new(right.map_leaves(f)),
             },
-            Expr::Not(e) => Expr::Not(Box::new(e.map_column_indices(f))),
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.map_column_indices(f))),
-            Expr::IsNotNull(e) => Expr::IsNotNull(Box::new(e.map_column_indices(f))),
+            Expr::Not(e) => Expr::Not(Box::new(e.map_leaves(f))),
+            Expr::IsNull(e) => Expr::IsNull(Box::new(e.map_leaves(f))),
+            Expr::IsNotNull(e) => Expr::IsNotNull(Box::new(e.map_leaves(f))),
             Expr::Cast { expr, to } => Expr::Cast {
-                expr: Box::new(expr.map_column_indices(f)),
+                expr: Box::new(expr.map_leaves(f)),
                 to: *to,
             },
-            Expr::Alias(e, n) => Expr::Alias(Box::new(e.map_column_indices(f)), n.clone()),
+            Expr::Alias(e, n) => Expr::Alias(Box::new(e.map_leaves(f)), n.clone()),
             Expr::Aggregate { func, arg } => Expr::Aggregate {
                 func: *func,
-                arg: arg.as_ref().map(|a| Box::new(a.map_column_indices(f))),
+                arg: arg.as_ref().map(|a| Box::new(a.map_leaves(f))),
             },
             Expr::Scalar { func, args } => Expr::Scalar {
                 func: *func,
-                args: args.iter().map(|a| a.map_column_indices(f)).collect(),
+                args: args.iter().map(|a| a.map_leaves(f)).collect(),
             },
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => Expr::InList {
-                expr: Box::new(expr.map_column_indices(f)),
-                list: list.iter().map(|e| e.map_column_indices(f)).collect(),
+                expr: Box::new(expr.map_leaves(f)),
+                list: list.iter().map(|e| e.map_leaves(f)).collect(),
                 negated: *negated,
             },
             Expr::Like {
@@ -369,11 +387,36 @@ impl Expr {
                 pattern,
                 negated,
             } => Expr::Like {
-                expr: Box::new(expr.map_column_indices(f)),
+                expr: Box::new(expr.map_leaves(f)),
                 pattern: pattern.clone(),
                 negated: *negated,
             },
         }
+    }
+
+    /// Rewrite every bound column index through `f` (used when an
+    /// expression moves across operators during optimization).
+    pub fn map_column_indices(&self, f: &impl Fn(usize) -> usize) -> Expr {
+        self.map_leaves(&|leaf| match leaf {
+            Expr::Column(c) => Expr::Column(ColumnRefExpr {
+                index: c.index.map(f),
+                ..c.clone()
+            }),
+            other => other.clone(),
+        })
+    }
+
+    /// Replace every [`Expr::Param`] with the literal in its slot of
+    /// `params`. A slot beyond `params` stays a placeholder, which physical
+    /// planning rejects.
+    pub fn bind_params(&self, params: &[Value]) -> Expr {
+        self.map_leaves(&|leaf| match leaf {
+            Expr::Param { slot, .. } => match params.get(*slot) {
+                Some(v) => Expr::Literal(v.clone()),
+                None => leaf.clone(),
+            },
+            other => other.clone(),
+        })
     }
 
     /// Split a conjunctive predicate into its AND-ed parts.
@@ -536,6 +579,7 @@ impl fmt::Display for Expr {
             Expr::Column(c) => write!(f, "{}", c.display_name()),
             Expr::Literal(Value::Utf8(s)) => write!(f, "'{s}'"),
             Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Param { slot, .. } => write!(f, "?{slot}"),
             Expr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),
             Expr::Not(e) => write!(f, "NOT {e}"),
             Expr::IsNull(e) => write!(f, "{e} IS NULL"),

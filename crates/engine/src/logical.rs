@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use crate::catalog::TableSource;
 use crate::expr::{Expr, SortExpr};
+use crate::optimizer::fold_expr;
 use crate::schema::SchemaRef;
 use crate::types::Value;
 
@@ -122,6 +123,12 @@ pub enum LogicalPlan {
     },
 }
 
+/// `input` with parameters bound, or `None` if it holds none.
+fn changed(input: &Arc<LogicalPlan>, params: &[Value]) -> Option<Arc<LogicalPlan>> {
+    let bound = input.bind_params(params);
+    (!Arc::ptr_eq(&bound, input)).then_some(bound)
+}
+
 impl LogicalPlan {
     /// The node's output schema.
     pub fn schema(&self) -> SchemaRef {
@@ -150,6 +157,132 @@ impl LogicalPlan {
             LogicalPlan::Join { left, right, .. } => vec![left, right],
             LogicalPlan::Union { inputs, .. } => inputs.iter().collect(),
         }
+    }
+
+    /// Replace the [`Expr::Param`] placeholders of a cached plan with the
+    /// literals in `params`. Parameters only ever sit in filter
+    /// predicates, join keys and pushed scan filters
+    /// ([`LogicalPlan::params_confined`]); subtrees without any are shared,
+    /// not copied. Each bound expression is constant-folded, so what a
+    /// parameter kept the optimizer from folding (`CAST(?0 AS BIGINT)`)
+    /// is not left to be evaluated per chunk.
+    pub fn bind_params(self: &Arc<Self>, params: &[Value]) -> Arc<LogicalPlan> {
+        if params.is_empty() {
+            return Arc::clone(self);
+        }
+        let bind = |e: &Expr| fold_expr(&e.bind_params(params));
+        let rebuilt = match self.as_ref() {
+            LogicalPlan::Values { .. } => return Arc::clone(self),
+            LogicalPlan::Scan {
+                table,
+                source,
+                schema,
+                projection,
+                filters,
+            } => {
+                if !filters.iter().any(Expr::has_param) {
+                    return Arc::clone(self);
+                }
+                LogicalPlan::Scan {
+                    table: table.clone(),
+                    source: Arc::clone(source),
+                    schema: Arc::clone(schema),
+                    projection: projection.clone(),
+                    filters: filters.iter().map(bind).collect(),
+                }
+            }
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: input.bind_params(params),
+                predicate: bind(predicate),
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type,
+                schema,
+            } => LogicalPlan::Join {
+                left: left.bind_params(params),
+                right: right.bind_params(params),
+                on: on.iter().map(|(l, r)| (bind(l), bind(r))).collect(),
+                join_type: *join_type,
+                schema: Arc::clone(schema),
+            },
+            // The remaining operators hold no parameters of their own:
+            // rebuild only when an input changed.
+            LogicalPlan::Projection {
+                input,
+                exprs,
+                schema,
+            } => match changed(input, params) {
+                None => return Arc::clone(self),
+                Some(input) => LogicalPlan::Projection {
+                    input,
+                    exprs: exprs.clone(),
+                    schema: Arc::clone(schema),
+                },
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_exprs,
+                agg_exprs,
+                schema,
+            } => match changed(input, params) {
+                None => return Arc::clone(self),
+                Some(input) => LogicalPlan::Aggregate {
+                    input,
+                    group_exprs: group_exprs.clone(),
+                    agg_exprs: agg_exprs.clone(),
+                    schema: Arc::clone(schema),
+                },
+            },
+            LogicalPlan::Sort { input, exprs } => match changed(input, params) {
+                None => return Arc::clone(self),
+                Some(input) => LogicalPlan::Sort {
+                    input,
+                    exprs: exprs.clone(),
+                },
+            },
+            LogicalPlan::Limit { input, n } => match changed(input, params) {
+                None => return Arc::clone(self),
+                Some(input) => LogicalPlan::Limit { input, n: *n },
+            },
+            LogicalPlan::Union { inputs, schema } => {
+                let bound: Vec<_> = inputs.iter().map(|i| i.bind_params(params)).collect();
+                if bound
+                    .iter()
+                    .zip(inputs)
+                    .all(|(new, old)| Arc::ptr_eq(new, old))
+                {
+                    return Arc::clone(self);
+                }
+                LogicalPlan::Union {
+                    inputs: bound,
+                    schema: Arc::clone(schema),
+                }
+            }
+        };
+        Arc::new(rebuilt)
+    }
+
+    /// Whether every [`Expr::Param`] of the plan sits where its value
+    /// cannot change a schema: in a filter predicate, a join key or a
+    /// pushed scan filter — never in a projected, grouped, aggregated or
+    /// sort expression (whose *text* names output columns). Plans that
+    /// fail this are not cached.
+    pub fn params_confined(&self) -> bool {
+        let clean = |exprs: &[Expr]| !exprs.iter().any(Expr::has_param);
+        let here = match self {
+            LogicalPlan::Projection { exprs, .. } => clean(exprs),
+            LogicalPlan::Aggregate {
+                group_exprs,
+                agg_exprs,
+                ..
+            } => clean(group_exprs) && clean(agg_exprs),
+            LogicalPlan::Sort { exprs, .. } => !exprs.iter().any(|s| s.expr.has_param()),
+            _ => true,
+        };
+        here && self.children().iter().all(|c| c.params_confined())
     }
 
     /// Operator name for display.

@@ -20,6 +20,7 @@ mod folding;
 mod pruning;
 mod pushdown;
 
+pub(crate) use folding::fold_expr;
 pub use folding::{ConstantFolding, SimplifyPredicates};
 pub use pruning::ProjectionPruning;
 pub use pushdown::PredicatePushdown;

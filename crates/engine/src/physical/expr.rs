@@ -44,6 +44,11 @@ pub fn create_physical_expr(expr: &Expr, schema: &Schema) -> Result<PhysicalExpr
             })
         }
         Expr::Literal(v) => Arc::new(LiteralExpr { value: v.clone() }),
+        Expr::Param { slot, .. } => {
+            return Err(EngineError::internal(format!(
+                "cannot compile unbound parameter ?{slot}"
+            )))
+        }
         Expr::Binary { left, op, right } => {
             let l = create_physical_expr(left, schema)?;
             let r = create_physical_expr(right, schema)?;

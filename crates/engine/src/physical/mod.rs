@@ -2,8 +2,10 @@
 //!
 //! The execution model is partition-parallel pull (Volcano per partition,
 //! vectorized over [`Chunk`]s): `execute(p)` returns an iterator of chunks
-//! for output partition `p`; the driver runs all output partitions on a
-//! thread pool. Pipeline breakers ([`ShuffleExec`], [`SortExec`],
+//! for output partition `p`; the driver ([`execute_collect_partitions`])
+//! runs the output partitions on one scoped thread each — or one after
+//! another on the calling thread when there is a single partition or the
+//! plan only reads a few pruned rows. Pipeline breakers ([`ShuffleExec`], [`SortExec`],
 //! [`HashAggregateExec`] and join build sides) materialize lazily and
 //! exactly once *per execution* behind [`ExecCache`]s, which is the
 //! single-process analogue of Spark's shuffle files and broadcast
@@ -60,8 +62,9 @@ use crate::types::Value;
 /// every pipeline stage.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
-    /// Engine configuration snapshot.
-    pub config: EngineConfig,
+    /// Engine configuration (shared with the session, not copied per
+    /// query).
+    pub config: Arc<EngineConfig>,
     /// When present, operators report per-operator metrics here
     /// (`EXPLAIN ANALYZE`).
     pub metrics: Option<Arc<MetricsRegistry>>,
@@ -81,14 +84,14 @@ static NEXT_EXECUTION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atom
 impl TaskContext {
     /// Context with the given configuration and an unbounded
     /// [`QueryContext`] (no deadline, no memory limits).
-    pub fn new(config: EngineConfig) -> Self {
+    pub fn new(config: impl Into<Arc<EngineConfig>>) -> Self {
         Self::with_query(config, QueryContext::unbounded())
     }
 
     /// Context bound to an existing query lifecycle token.
-    pub fn with_query(config: EngineConfig, query: Arc<QueryContext>) -> Self {
+    pub fn with_query(config: impl Into<Arc<EngineConfig>>, query: Arc<QueryContext>) -> Self {
         TaskContext {
-            config,
+            config: config.into(),
             metrics: None,
             query,
             execution_id: Self::fresh_execution_id(),
@@ -96,7 +99,10 @@ impl TaskContext {
     }
 
     /// Context that records per-operator metrics into `registry`.
-    pub fn with_metrics(config: EngineConfig, registry: Arc<MetricsRegistry>) -> Self {
+    pub fn with_metrics(
+        config: impl Into<Arc<EngineConfig>>,
+        registry: Arc<MetricsRegistry>,
+    ) -> Self {
         Self::with_query_metrics(config, QueryContext::unbounded(), registry)
     }
 
@@ -104,12 +110,12 @@ impl TaskContext {
     /// per-operator metrics into `registry` (`EXPLAIN ANALYZE` under
     /// cancellation/deadline/memory budgets).
     pub fn with_query_metrics(
-        config: EngineConfig,
+        config: impl Into<Arc<EngineConfig>>,
         query: Arc<QueryContext>,
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         TaskContext {
-            config,
+            config: config.into(),
             metrics: Some(registry),
             query,
             execution_id: Self::fresh_execution_id(),
@@ -263,6 +269,18 @@ pub trait ExecutionPlan: Send + Sync + fmt::Debug {
     fn detail(&self) -> String {
         String::new()
     }
+    /// The planner's estimate of the rows this subtree reads from its
+    /// leaves, when every leaf has one: a pruned index probe or literal
+    /// rows. `None` as soon as one leaf is an unbounded scan. The driver
+    /// uses it to decide whether fanning partitions out over threads can
+    /// pay for itself (see [`execute_collect_partitions`]).
+    fn bounded_input_rows(&self) -> Option<usize> {
+        let children = self.children();
+        if children.is_empty() {
+            return None;
+        }
+        children.iter().map(|c| c.bounded_input_rows()).sum()
+    }
 }
 
 /// Shared physical plan handle.
@@ -301,8 +319,14 @@ pub fn display_exec(plan: &dyn ExecutionPlan) -> String {
     s
 }
 
-/// Drain every output partition of `plan` in parallel and return the chunks
-/// per partition. This is the driver's "run the job" entry point.
+/// Drain every output partition of `plan` and return the chunks per
+/// partition. This is the driver's "run the job" entry point.
+///
+/// Partitions run on one scoped thread each, except when there is nothing
+/// to overlap: a single partition, or a plan whose leaves together read at
+/// most `broadcast_threshold_rows` rows ([`ExecutionPlan::bounded_input_rows`]
+/// — a key lookup, an indexed join over one). Those run one after another
+/// on the calling thread; spawning costs more than they do.
 ///
 /// Every partition task runs inside [`catch_panics`], so a panicking
 /// operator (or injected fault) surfaces as an [`EngineError::Internal`]
@@ -324,9 +348,15 @@ pub fn execute_collect_partitions(
             plan.execute(p, ctx)?.collect()
         })
     };
-    if n == 1 {
-        return Ok(vec![run_partition(0, ctx)?]);
+    let inline = n == 1
+        || plan
+            .bounded_input_rows()
+            .is_some_and(|rows| rows <= ctx.config.broadcast_threshold_rows);
+    if inline {
+        idf_obs::global().exec_inline.inc();
+        return (0..n).map(|p| run_partition(p, ctx)).collect();
     }
+    idf_obs::global().exec_threads_spawned.add(n as u64);
     let mut out: Vec<Result<Vec<Chunk>>> = Vec::with_capacity(n);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::catalog::{ChunkIter, TableSource};
+use crate::catalog::{ChunkIter, ScanPruning, TableSource};
 use crate::chunk::Chunk;
 use crate::error::Result;
 use crate::expr::Expr;
@@ -22,6 +22,37 @@ pub struct SourceScanExec {
     pub projection: Option<Vec<usize>>,
     /// Filters the source evaluates natively (e.g. index lookups).
     pub filters: Vec<Expr>,
+    /// What the source's [`TableSource::prune`] answered for `filters`.
+    pruning: Option<ScanPruning>,
+}
+
+impl SourceScanExec {
+    /// Scan `source`, exposing only the partitions its
+    /// [`TableSource::prune`] says `filters` can touch.
+    pub fn new(
+        table: String,
+        source: Arc<dyn TableSource>,
+        schema: SchemaRef,
+        projection: Option<Vec<usize>>,
+        filters: Vec<Expr>,
+    ) -> Self {
+        let mut pruning = source.prune(&filters);
+        if let Some(pruning) = &mut pruning {
+            // Operators above expect at least one partition; an
+            // unsatisfiable filter scans one and finds nothing.
+            if pruning.partitions.is_empty() {
+                pruning.partitions.push(0);
+            }
+        }
+        SourceScanExec {
+            table,
+            source,
+            schema,
+            projection,
+            filters,
+            pruning,
+        }
+    }
 }
 
 impl std::fmt::Debug for SourceScanExec {
@@ -40,7 +71,10 @@ impl ExecutionPlan for SourceScanExec {
     }
 
     fn output_partitions(&self) -> usize {
-        self.source.num_partitions()
+        match &self.pruning {
+            Some(pruning) => pruning.partitions.len(),
+            None => self.source.num_partitions(),
+        }
     }
 
     fn children(&self) -> Vec<Arc<dyn ExecutionPlan>> {
@@ -48,8 +82,12 @@ impl ExecutionPlan for SourceScanExec {
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+        let source_partition = match &self.pruning {
+            Some(pruning) => pruning.partitions[partition],
+            None => partition,
+        };
         let iter = self.source.scan_with_ctx(
-            partition,
+            source_partition,
             self.projection.as_deref(),
             &self.filters,
             ctx.query(),
@@ -66,7 +104,18 @@ impl ExecutionPlan for SourceScanExec {
             let fs: Vec<String> = self.filters.iter().map(|f| f.to_string()).collect();
             s.push_str(&format!(" pushed=[{}]", fs.join(", ")));
         }
+        if let Some(pruning) = &self.pruning {
+            s.push_str(&format!(
+                " partitions={}/{}",
+                pruning.partitions.len(),
+                self.source.num_partitions()
+            ));
+        }
         s
+    }
+
+    fn bounded_input_rows(&self) -> Option<usize> {
+        self.pruning.as_ref().map(|pruning| pruning.rows)
     }
 }
 
@@ -104,6 +153,10 @@ impl ExecutionPlan for ValuesExec {
     fn detail(&self) -> String {
         format!("{} rows", self.rows.len())
     }
+
+    fn bounded_input_rows(&self) -> Option<usize> {
+        Some(self.rows.len())
+    }
 }
 
 #[cfg(test)]
@@ -137,13 +190,13 @@ mod tests {
         .unwrap();
         let source =
             Arc::new(MemTable::from_chunk_partitioned(Arc::clone(&schema), chunk, 3).unwrap());
-        let plan: ExecPlanRef = Arc::new(SourceScanExec {
-            table: "t".into(),
+        let plan: ExecPlanRef = Arc::new(SourceScanExec::new(
+            "t".into(),
             source,
             schema,
-            projection: None,
-            filters: vec![],
-        });
+            None,
+            vec![],
+        ));
         assert_eq!(plan.output_partitions(), 3);
         let out = execute_collect(&plan, &TaskContext::default()).unwrap();
         assert_eq!(out.len(), 9);

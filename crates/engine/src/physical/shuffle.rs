@@ -196,13 +196,13 @@ mod tests {
         let source =
             Arc::new(MemTable::from_chunk_partitioned(Arc::clone(&schema), chunk, parts).unwrap());
         (
-            Arc::new(SourceScanExec {
-                table: "t".into(),
+            Arc::new(SourceScanExec::new(
+                "t".into(),
                 source,
-                schema: Arc::clone(&schema),
-                projection: None,
-                filters: vec![],
-            }),
+                Arc::clone(&schema),
+                None,
+                vec![],
+            )),
             schema,
         )
     }
@@ -287,13 +287,13 @@ mod tests {
             chunks: std::sync::Mutex::new(vec![Chunk::from_rows(&schema, &rows(0, 10)).unwrap()]),
             scans: std::sync::atomic::AtomicUsize::new(0),
         });
-        let input: ExecPlanRef = Arc::new(SourceScanExec {
-            table: "live".into(),
-            source: Arc::clone(&source) as _,
-            schema: Arc::clone(&schema),
-            projection: None,
-            filters: vec![],
-        });
+        let input: ExecPlanRef = Arc::new(SourceScanExec::new(
+            "live".into(),
+            Arc::clone(&source) as _,
+            Arc::clone(&schema),
+            None,
+            vec![],
+        ));
         let key = resolve_expr(&col("k"), &schema).unwrap();
         let plan: ExecPlanRef = Arc::new(ShuffleExec::new(
             input,
@@ -342,13 +342,13 @@ mod tests {
             chunks: std::sync::Mutex::new(vec![Chunk::from_rows(&schema, &rows(0, 5)).unwrap()]),
             scans: std::sync::atomic::AtomicUsize::new(0),
         });
-        let input: ExecPlanRef = Arc::new(SourceScanExec {
-            table: "live".into(),
-            source: Arc::clone(&source) as _,
-            schema: Arc::clone(&schema),
-            projection: None,
-            filters: vec![],
-        });
+        let input: ExecPlanRef = Arc::new(SourceScanExec::new(
+            "live".into(),
+            Arc::clone(&source) as _,
+            Arc::clone(&schema),
+            None,
+            vec![],
+        ));
         let plan: ExecPlanRef = Arc::new(CoalesceExec::new(input));
 
         assert_eq!(

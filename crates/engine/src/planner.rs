@@ -32,14 +32,20 @@ pub trait PhysicalStrategy: Send + Sync {
 
 /// Converts optimized logical plans into executable physical plans.
 pub struct Planner {
-    config: EngineConfig,
+    config: Arc<EngineConfig>,
     strategies: Vec<Arc<dyn PhysicalStrategy>>,
 }
 
 impl Planner {
     /// A planner with the given config and extension strategies.
-    pub fn new(config: EngineConfig, strategies: Vec<Arc<dyn PhysicalStrategy>>) -> Self {
-        Planner { config, strategies }
+    pub fn new(
+        config: impl Into<Arc<EngineConfig>>,
+        strategies: Vec<Arc<dyn PhysicalStrategy>>,
+    ) -> Self {
+        Planner {
+            config: config.into(),
+            strategies,
+        }
     }
 
     /// The engine configuration in force.
@@ -66,13 +72,13 @@ impl Planner {
                 schema,
                 projection,
                 filters,
-            } => Arc::new(SourceScanExec {
-                table: table.clone(),
-                source: Arc::clone(source),
-                schema: Arc::clone(schema),
-                projection: projection.clone(),
-                filters: filters.clone(),
-            }),
+            } => Arc::new(SourceScanExec::new(
+                table.clone(),
+                Arc::clone(source),
+                Arc::clone(schema),
+                projection.clone(),
+                filters.clone(),
+            )),
             LogicalPlan::Filter { input, predicate } => {
                 let child = self.create_plan(input)?;
                 let schema = input.schema();
@@ -343,7 +349,12 @@ impl Planner {
 /// Rough row-count estimate used by the broadcast decision.
 pub fn estimate_rows(plan: &LogicalPlan) -> Option<usize> {
     match plan {
-        LogicalPlan::Scan { source, .. } => source.statistics().row_count,
+        LogicalPlan::Scan {
+            source, filters, ..
+        } => match source.prune(filters) {
+            Some(pruning) => Some(pruning.rows),
+            None => source.statistics().row_count,
+        },
         LogicalPlan::Filter { input, .. } => estimate_rows(input),
         LogicalPlan::Projection { input, .. } | LogicalPlan::Sort { input, .. } => {
             estimate_rows(input)

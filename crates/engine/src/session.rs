@@ -15,6 +15,7 @@ use crate::optimizer::{Optimizer, OptimizerRule};
 use crate::planner::{PhysicalStrategy, Planner};
 use crate::query::{MemoryGovernor, QueryContext, QueryContextBuilder};
 use crate::schema::SchemaRef;
+use crate::sql::plan_cache::PlanCache;
 use crate::types::Value;
 
 /// Extension point a durability layer installs on a session so the engine
@@ -129,7 +130,10 @@ pub struct CompactRow {
 
 struct SessionState {
     catalog: Catalog,
-    config: EngineConfig,
+    config: Arc<EngineConfig>,
+    /// Optimized plans of recent `SELECT` shapes (see
+    /// [`crate::sql::plan_cache`]).
+    plan_cache: PlanCache,
     rules: RwLock<Vec<Arc<dyn OptimizerRule>>>,
     strategies: RwLock<Vec<Arc<dyn PhysicalStrategy>>>,
     /// Session-wide memory budget, present when
@@ -169,7 +173,8 @@ impl Session {
         Session {
             state: Arc::new(SessionState {
                 catalog: Catalog::new(),
-                config,
+                config: Arc::new(config),
+                plan_cache: PlanCache::default(),
                 rules: RwLock::new(Vec::new()),
                 strategies: RwLock::new(Vec::new()),
                 governor,
@@ -214,6 +219,21 @@ impl Session {
     /// The session configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.state.config
+    }
+
+    /// The session configuration, shared (what per-query contexts hold).
+    pub(crate) fn shared_config(&self) -> Arc<EngineConfig> {
+        Arc::clone(&self.state.config)
+    }
+
+    pub(crate) fn plan_cache(&self) -> &PlanCache {
+        &self.state.plan_cache
+    }
+
+    /// Plans resident in the session's plan cache (at most
+    /// [`crate::sql::PLAN_CACHE_CAPACITY`]).
+    pub fn plan_cache_len(&self) -> usize {
+        self.state.plan_cache.len()
     }
 
     /// The table catalog.
@@ -277,8 +297,14 @@ impl Session {
     ///
     /// This is the extension point libraries use — the analogue of
     /// injecting rules into Catalyst's `extraOptimizations`.
+    ///
+    /// Rules see the plans the plan cache keeps, in which a literal may
+    /// be an [`crate::expr::Expr::Param`]: treat it as an opaque non-null
+    /// constant of its `data_type` (see DESIGN.md, "Served read fast
+    /// path"). Registering a rule discards every cached plan.
     pub fn register_rule(&self, rule: Arc<dyn OptimizerRule>) {
         self.state.rules.write().push(rule);
+        self.state.catalog.bump_generation();
     }
 
     /// Register a physical planning strategy (consulted before built-ins).
@@ -293,6 +319,7 @@ impl Session {
             return;
         }
         strategies.push(strategy);
+        self.state.catalog.bump_generation();
     }
 
     /// Names of the registered strategies, in consultation order.
@@ -483,10 +510,7 @@ impl Session {
 
     /// The planner for this session (registered strategies first).
     pub fn planner(&self) -> Planner {
-        Planner::new(
-            self.state.config.clone(),
-            self.state.strategies.read().clone(),
-        )
+        Planner::new(self.shared_config(), self.state.strategies.read().clone())
     }
 }
 

@@ -192,6 +192,10 @@ pub fn to_expr(e: &SqlExpr) -> Result<Expr> {
         SqlExpr::Str(s) => Expr::Literal(Value::Utf8(s.clone())),
         SqlExpr::Bool(b) => Expr::Literal(Value::Boolean(*b)),
         SqlExpr::Null => Expr::Literal(Value::Null),
+        SqlExpr::Param { slot, data_type } => Expr::Param {
+            slot: *slot,
+            data_type: *data_type,
+        },
         SqlExpr::Binary { left, op, right } => Expr::Binary {
             left: Box::new(to_expr(left)?),
             op: *op,
@@ -330,7 +334,7 @@ fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
             }
         }
         Expr::Like { expr, .. } => collect_aggregates(expr, out),
-        Expr::Column(_) | Expr::Literal(_) => {}
+        Expr::Column(_) | Expr::Literal(_) | Expr::Param { .. } => {}
     }
 }
 

@@ -1,6 +1,7 @@
 //! SQL lexer.
 
 use crate::error::{EngineError, Result};
+use crate::types::DataType;
 
 /// A SQL token.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +45,14 @@ pub enum Token {
     Comma,
     /// `.`
     Dot,
+    /// A literal the plan cache lifted out of the statement (never
+    /// produced by [`lex`]; see [`crate::sql::plan_cache`]).
+    Param {
+        /// Position in the statement's literal list.
+        slot: usize,
+        /// The lifted literal's type.
+        data_type: DataType,
+    },
     /// End of input.
     Eof,
 }

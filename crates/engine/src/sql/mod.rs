@@ -9,9 +9,11 @@
 pub mod binder;
 pub mod lexer;
 pub mod parser;
+pub mod plan_cache;
 
 pub use binder::to_expr;
 pub use parser::{parse, parse_statement, SelectStmt, Statement};
+pub use plan_cache::PLAN_CACHE_CAPACITY;
 
 use std::sync::Arc;
 
@@ -19,29 +21,109 @@ use crate::dataframe::DataFrame;
 use crate::error::{EngineError, Result};
 use crate::schema::{Field, Schema};
 use crate::session::Session;
+use crate::sql::lexer::Token;
 use crate::sql::parser::SqlExpr;
+use crate::sql::plan_cache::{CachedPlan, Normalized};
 use crate::types::{DataType, Value};
+
+/// A `SELECT` through the session's plan cache: the frame for `tokens`
+/// and whether its plan was already cached.
+///
+/// A miss runs the ordinary pipeline — parse, bind, optimize — over the
+/// statement with its literals lifted into parameters, and (when `fill`)
+/// caches the result; hit or miss, the literals are then bound back into
+/// both plans. `None` when the parameterized statement does not parse or
+/// bind, or a parameter landed where its value matters to a schema: the
+/// caller then plans the statement as written, which also produces the
+/// error message for the statement as written.
+fn cached_select(
+    session: &Session,
+    tokens: &[Token],
+    normalized: Normalized,
+    fill: bool,
+) -> Option<(DataFrame, bool)> {
+    // Read before binding: a plan bound under generation `g` is only
+    // ever served while the catalog still reads `g`.
+    let generation = session.catalog().generation();
+    let cache = session.plan_cache();
+    let found = if fill {
+        cache.get(&normalized.key, generation)
+    } else {
+        cache.peek(&normalized.key, generation)
+    };
+    let hit = found.is_some();
+    let entry = match found {
+        Some(entry) => entry,
+        None => {
+            let statement = parser::parse_tokens(&normalized.parameterized(tokens)).ok()?;
+            let Statement::Select(stmt) = statement else {
+                return None;
+            };
+            let frame = binder::bind(session, &stmt).ok()?;
+            let optimized = frame.optimized_plan().ok()?;
+            if !(frame.logical_plan().params_confined() && optimized.params_confined()) {
+                return None;
+            }
+            let entry = Arc::new(CachedPlan {
+                analyzed: Arc::clone(frame.shared_plan()),
+                optimized: Arc::new(optimized),
+            });
+            if fill {
+                cache.insert(normalized.key, generation, Arc::clone(&entry));
+            }
+            entry
+        }
+    };
+    let params = &normalized.params;
+    let frame = DataFrame::prepared(
+        session.clone(),
+        entry.analyzed.bind_params(params),
+        entry.optimized.bind_params(params),
+    );
+    Some((frame, hit))
+}
 
 /// Parse `query` and bind it against `session`'s catalog.
 ///
+/// A `SELECT` goes through the session's plan cache (see
+/// [`plan_cache`]); every other statement, and a `SELECT` the cache
+/// cannot take, is planned as written.
+///
 /// `EXPLAIN <select>` returns a frame of plan text (one `plan` column,
-/// one row per line: logical → optimized → physical). `EXPLAIN ANALYZE
+/// one row per line: logical → optimized → physical, then whether the
+/// plan cache already held the statement's shape). `EXPLAIN ANALYZE
 /// <select>` *executes the query at planning time* and returns the
 /// physical tree annotated with actual per-operator rows/chunks/bytes/
 /// time.
 pub fn plan_sql(session: &Session, query: &str) -> Result<DataFrame> {
-    match parser::parse_statement(query)? {
+    let tokens = lexer::lex(query)?;
+    if let Some(normalized) = plan_cache::normalize(&tokens) {
+        if let Some((frame, _)) = cached_select(session, &tokens, normalized, true) {
+            return Ok(frame.with_sql_text(query));
+        }
+    }
+    match parser::parse_tokens(&tokens)? {
         Statement::Select(stmt) => Ok(binder::bind(session, &stmt)?.with_sql_text(query)),
         Statement::Explain {
             analyze,
             query: stmt,
         } => {
-            let df = binder::bind(session, &stmt)?;
-            let text = if analyze {
+            // Explain the plan `sql()` would run — the cached one when
+            // there is one — without filling the cache.
+            let select = &tokens[1 + usize::from(analyze)..];
+            let cached = plan_cache::normalize(select)
+                .and_then(|normalized| cached_select(session, select, normalized, false));
+            let (df, cache_status) = match cached {
+                Some((df, true)) => (df, "hit"),
+                Some((df, false)) => (df, "miss"),
+                None => (binder::bind(session, &stmt)?, "bypass"),
+            };
+            let mut text = if analyze {
                 df.explain_analyze()?
             } else {
                 df.explain()?
             };
+            text.push_str(&format!("plan cache: {cache_status}\n"));
             let schema = Arc::new(Schema::new(vec![Field::new("plan", DataType::Utf8)]));
             let rows: Vec<Vec<Value>> = text
                 .lines()

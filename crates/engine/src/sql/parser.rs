@@ -108,6 +108,13 @@ pub enum SqlExpr {
     Bool(bool),
     /// NULL literal.
     Null,
+    /// A literal lifted out of the statement by the plan cache.
+    Param {
+        /// Position in the statement's literal list.
+        slot: usize,
+        /// The lifted literal's type.
+        data_type: crate::types::DataType,
+    },
     /// Binary operation.
     Binary {
         /// Left operand.
@@ -280,7 +287,7 @@ pub enum Statement {
 pub fn parse(input: &str) -> Result<SelectStmt> {
     let tokens = lex(input)?;
     let mut p = Parser {
-        tokens,
+        tokens: &tokens,
         pos: 0,
         depth: 0,
     };
@@ -292,7 +299,15 @@ pub fn parse(input: &str) -> Result<SelectStmt> {
 /// Parse one top-level statement from `input`: a SELECT query,
 /// optionally prefixed by `EXPLAIN` or `EXPLAIN ANALYZE`.
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    let tokens = lex(input)?;
+    parse_tokens(&lex(input)?)
+}
+
+/// [`parse_statement`] over an already lexed statement; `tokens` must end
+/// with [`Token::Eof`].
+pub(crate) fn parse_tokens(tokens: &[Token]) -> Result<Statement> {
+    if tokens.last() != Some(&Token::Eof) {
+        return Err(EngineError::internal("token stream does not end in Eof"));
+    }
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -407,8 +422,8 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: &'a [Token],
     pos: usize,
     /// Current nesting depth of `parse_query`/`parse_expr` recursion —
     /// bounded so adversarial inputs (`((((…`) error instead of
@@ -416,7 +431,7 @@ struct Parser {
     depth: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -903,6 +918,7 @@ impl Parser {
             Token::Int(v) => Ok(SqlExpr::Int(v)),
             Token::Float(v) => Ok(SqlExpr::Float(v)),
             Token::Str(s) => Ok(SqlExpr::Str(s)),
+            Token::Param { slot, data_type } => Ok(SqlExpr::Param { slot, data_type }),
             Token::LParen => {
                 let e = self.parse_expr()?;
                 self.expect_token(Token::RParen)?;

@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 use idf_engine::config::EngineConfig;
 use idf_engine::prelude::*;
 
-/// Failpoints are process-global; tests that configure them serialize on
-/// this lock (and tolerate a poisoned lock — a failed sibling test must
-/// not cascade).
+/// Failpoints are process-global; every test here serializes on this
+/// lock — the ones that configure a site, and the ones that merely run a
+/// query and would otherwise evaluate a site a sibling has armed (and
+/// tolerates a poisoned lock — a failed sibling test must not cascade).
 static FAIL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn session_with(config: EngineConfig, rows: i64) -> Session {
@@ -34,6 +35,7 @@ fn session_with(config: EngineConfig, rows: i64) -> Session {
 
 #[test]
 fn pre_cancelled_query_returns_cancelled() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(EngineConfig::default(), 10_000);
     let df = s.sql("SELECT g, count(*) FROM t GROUP BY g").unwrap();
     let query = s.new_query();
@@ -43,6 +45,7 @@ fn pre_cancelled_query_returns_cancelled() {
 
 #[test]
 fn cancel_mid_query_bounded_latency() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(EngineConfig::default(), 400_000);
     let df = s
         .sql("SELECT a.g, count(*) FROM t a JOIN t b ON a.g = b.g GROUP BY a.g")
@@ -75,6 +78,7 @@ fn cancel_mid_query_bounded_latency() {
 
 #[test]
 fn expired_deadline_returns_deadline_exceeded() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(EngineConfig::default(), 10_000);
     let df = s.sql("SELECT g, sum(v) FROM t GROUP BY g").unwrap();
     let err = df.collect_timeout(Duration::ZERO).unwrap_err();
@@ -83,6 +87,7 @@ fn expired_deadline_returns_deadline_exceeded() {
 
 #[test]
 fn cancelled_query_leaves_session_usable() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(EngineConfig::default(), 10_000);
     let df = s.sql("SELECT g, count(*) FROM t GROUP BY g").unwrap();
     let query = s.new_query();
@@ -95,6 +100,7 @@ fn cancelled_query_leaves_session_usable() {
 
 #[test]
 fn over_budget_aggregation_is_resource_exhausted() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(
         EngineConfig {
             query_memory_limit: Some(32 * 1024),
@@ -123,6 +129,7 @@ fn over_budget_aggregation_is_resource_exhausted() {
 
 #[test]
 fn global_governor_is_released_after_failure() {
+    let _serial = FAIL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = session_with(
         EngineConfig {
             total_memory_limit: Some(48 * 1024),

@@ -23,8 +23,8 @@ pub const EXPLAIN: &str = "\
 Two checks over every `Ordering::` token in non-test code:\n\
 \n\
 1. `Ordering::Relaxed` is only allowed in the counters/metrics modules\n\
-   (`relaxed_ok_prefixes`: obs, bench, the physical-operator metrics\n\
-   file). Anywhere else each site needs\n\
+   (`relaxed_ok_prefixes`: obs, bench, the repo benchmark, the\n\
+   physical-operator metrics file). Anywhere else each site needs\n\
    `// idf-lint: allow(atomics-audit) -- why unordered is safe`\n\
    (e.g. a monotonic ID counter, or a single-writer length published\n\
    with a Release store elsewhere).\n\

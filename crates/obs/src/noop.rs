@@ -196,6 +196,18 @@ pub struct MetricsRegistry {
     /// Stub.
     pub query_peak_memory_bytes: Gauge,
     /// Stub.
+    pub plan_cache_hits: Counter,
+    /// Stub.
+    pub plan_cache_misses: Counter,
+    /// Stub.
+    pub plan_cache_evictions: Counter,
+    /// Stub.
+    pub plan_cache_invalidations: Counter,
+    /// Stub.
+    pub exec_inline: Counter,
+    /// Stub.
+    pub exec_threads_spawned: Counter,
+    /// Stub.
     pub wal_records: Counter,
     /// Stub.
     pub wal_bytes: Counter,
@@ -296,6 +308,12 @@ impl MetricsRegistry {
             queries_in_flight: Gauge,
             query_latency_ns: Histogram,
             query_peak_memory_bytes: Gauge,
+            plan_cache_hits: Counter,
+            plan_cache_misses: Counter,
+            plan_cache_evictions: Counter,
+            plan_cache_invalidations: Counter,
+            exec_inline: Counter,
+            exec_threads_spawned: Counter,
             wal_records: Counter,
             wal_bytes: Counter,
             wal_fsyncs: Counter,

@@ -146,6 +146,18 @@ pub struct MetricsRegistry {
     pub query_latency_ns: Histogram,
     /// High-water mark of per-query reserved memory, bytes.
     pub query_peak_memory_bytes: Gauge,
+    /// SELECTs answered from the session plan cache.
+    pub plan_cache_hits: Counter,
+    /// Cacheable SELECTs that had to be parsed, bound and optimized.
+    pub plan_cache_misses: Counter,
+    /// Cached plans displaced to stay within the cache's capacity.
+    pub plan_cache_evictions: Counter,
+    /// Cached plans dropped because the catalog or rule set changed.
+    pub plan_cache_invalidations: Counter,
+    /// Plan executions whose partitions ran on the calling thread.
+    pub exec_inline: Counter,
+    /// Partition tasks run on a spawned thread.
+    pub exec_threads_spawned: Counter,
 
     // Durability layer (WAL + checkpoints + recovery).
     /// WAL records appended (one per committed chunk).
@@ -266,6 +278,12 @@ impl MetricsRegistry {
         self.queries_in_flight.reset();
         self.query_latency_ns.reset();
         self.query_peak_memory_bytes.reset();
+        self.plan_cache_hits.reset();
+        self.plan_cache_misses.reset();
+        self.plan_cache_evictions.reset();
+        self.plan_cache_invalidations.reset();
+        self.exec_inline.reset();
+        self.exec_threads_spawned.reset();
         self.wal_records.reset();
         self.wal_bytes.reset();
         self.wal_fsyncs.reset();
@@ -398,6 +416,42 @@ impl MetricsRegistry {
             "idf_query_peak_memory_bytes",
             "High-water mark of per-query reserved memory.",
             &self.query_peak_memory_bytes,
+        );
+        write_counter(
+            &mut out,
+            "idf_plan_cache_hits_total",
+            "SELECTs answered from the session plan cache.",
+            &self.plan_cache_hits,
+        );
+        write_counter(
+            &mut out,
+            "idf_plan_cache_misses_total",
+            "Cacheable SELECTs that had to be parsed, bound and optimized.",
+            &self.plan_cache_misses,
+        );
+        write_counter(
+            &mut out,
+            "idf_plan_cache_evictions_total",
+            "Cached plans displaced to stay within the cache's capacity.",
+            &self.plan_cache_evictions,
+        );
+        write_counter(
+            &mut out,
+            "idf_plan_cache_invalidations_total",
+            "Cached plans dropped because the catalog or rule set changed.",
+            &self.plan_cache_invalidations,
+        );
+        write_counter(
+            &mut out,
+            "idf_exec_inline_total",
+            "Plan executions whose partitions ran on the calling thread.",
+            &self.exec_inline,
+        );
+        write_counter(
+            &mut out,
+            "idf_exec_threads_spawned_total",
+            "Partition tasks run on a spawned thread.",
+            &self.exec_threads_spawned,
         );
         write_counter(
             &mut out,

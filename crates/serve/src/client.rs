@@ -5,6 +5,7 @@
 //! Used by the abuse/e2e suites and the `harness serve` load generator;
 //! it is also the reference implementation for third-party clients.
 
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -46,7 +47,9 @@ pub struct QueryReply {
 
 /// A blocking connection to an `idf-serve` server.
 pub struct Client {
-    stream: TcpStream,
+    /// Reads are buffered (a short response is one `read`, not two per
+    /// frame); writes go straight to the socket underneath.
+    stream: BufReader<TcpStream>,
     tenant: String,
 }
 
@@ -59,7 +62,7 @@ impl Client {
             .set_nodelay(true)
             .map_err(|e| EngineError::exec(format!("client nodelay: {e}")))?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             tenant: tenant.into(),
         })
     }
@@ -67,6 +70,7 @@ impl Client {
     /// Bound every read; `None` blocks forever (the default).
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
         self.stream
+            .get_ref()
             .set_read_timeout(timeout)
             .map_err(|e| EngineError::exec(format!("client read timeout: {e}")))
     }
@@ -74,7 +78,7 @@ impl Client {
     /// Run one SQL statement and collect its full result.
     pub fn query(&mut self, sql: &str) -> std::result::Result<QueryReply, ClientError> {
         let body = wire::encode_query(&self.tenant, sql).map_err(ClientError::Transport)?;
-        wire::write_frame(&mut self.stream, &body).map_err(ClientError::Transport)?;
+        wire::write_frame(self.stream.get_mut(), &body).map_err(ClientError::Transport)?;
         let mut fields: Option<Vec<FieldDesc>> = None;
         let mut rows: Vec<Vec<Value>> = Vec::new();
         loop {
@@ -108,8 +112,8 @@ impl Client {
     /// Send raw bytes on the socket (abuse tests: torn frames, bad CRCs,
     /// hostile length prefixes).
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<()> {
-        use std::io::Write;
         self.stream
+            .get_mut()
             .write_all(bytes)
             .map_err(|e| EngineError::exec(format!("client raw write: {e}")))
     }

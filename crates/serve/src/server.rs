@@ -8,7 +8,13 @@
 //! executes queries. A connection reader blocks until its job's response
 //! has been written before reading the next frame, so responses on one
 //! connection never interleave, while the pool still bounds total
-//! concurrent execution across all connections.
+//! concurrent execution across all connections. The reader, the workers
+//! answering its jobs and the drain all share the connection's one
+//! socket handle.
+//!
+//! A result's `Schema`/`Rows*`/`End` frames are assembled into one buffer
+//! and written together (`write_result`): a short read answers in a
+//! single segment instead of three.
 //!
 //! # Admission control
 //!
@@ -40,14 +46,17 @@
 //! `idf_server_drain_ns` histogram.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use idf_engine::chunk::Chunk;
 use idf_engine::error::{catch_panics, EngineError, Result};
 use idf_engine::query::QueryContext;
+use idf_engine::schema::Schema;
 use idf_engine::session::Session;
 
 use crate::failpoints;
@@ -121,7 +130,7 @@ pub struct DrainReport {
 struct Job {
     tenant: String,
     sql: String,
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     done: Arc<Gate>,
 }
 
@@ -181,8 +190,8 @@ struct Shared {
     next_query_id: AtomicU64,
     /// Jobs queued or running (drain waits for this to reach zero).
     active_jobs: AtomicUsize,
-    /// Socket clone per live connection, for drain-time close.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The socket of every live connection, for drain-time close.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
     next_conn_id: AtomicU64,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -280,10 +289,10 @@ impl Server {
         let leftover: Vec<Job> = lock(&shared.queue).drain(..).collect();
         registry().server_queue_depth.set(0);
         for job in &leftover {
-            let mut stream = &job.stream;
-            let _ = write_response_frame(
-                &mut stream,
-                &wire::encode_error(ErrorCode::ShuttingDown, "server drained before execution"),
+            respond_reject(
+                &job.stream,
+                ErrorCode::ShuttingDown,
+                "server drained before execution",
             );
             release_tenant(shared, &job.tenant);
             shared.active_jobs.fetch_sub(1, Ordering::SeqCst);
@@ -344,9 +353,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             continue;
         }
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).insert(conn_id, clone);
-        }
+        let stream = Arc::new(stream);
+        lock(&shared.conns).insert(conn_id, Arc::clone(&stream));
         registry().server_connections_open.add(1);
         let shared_conn = Arc::clone(shared);
         let handle = std::thread::spawn(move || {
@@ -360,11 +368,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 
 /// Read and answer request frames until the peer closes (or breaks) the
 /// connection.
-fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
-    let mut reader = match stream.try_clone() {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
+fn serve_conn(shared: &Arc<Shared>, stream: Arc<TcpStream>, _conn_id: u64) {
+    let mut reader = BufReader::new(&*stream);
     loop {
         let body = match wire::read_frame(&mut reader, MAX_REQUEST_FRAME) {
             Ok(Some(body)) => body,
@@ -375,10 +380,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
                 // dead socket: answer (best-effort) and close — there is
                 // no way to resynchronize a byte stream mid-frame.
                 if matches!(err, EngineError::Corrupt(_)) {
-                    let _ = write_response_frame(
-                        &mut &stream,
-                        &wire::encode_error(ErrorCode::BadRequest, &err.to_string()),
-                    );
+                    respond_reject(&stream, ErrorCode::BadRequest, &err.to_string());
                 }
                 break;
             }
@@ -386,10 +388,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
         let request = match wire::decode_request(&body) {
             Ok(request) => request,
             Err(err) => {
-                let _ = write_response_frame(
-                    &mut &stream,
-                    &wire::encode_error(ErrorCode::BadRequest, &err.to_string()),
-                );
+                respond_reject(&stream, ErrorCode::BadRequest, &err.to_string());
                 break;
             }
         };
@@ -402,17 +401,13 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
             respond_reject(&stream, ErrorCode::ShuttingDown, "server is draining");
             continue;
         }
-        let writer = match stream.try_clone() {
-            Ok(writer) => writer,
-            Err(_) => break,
-        };
         let done = Gate::new();
         match submit(
             shared,
             Job {
                 tenant,
                 sql,
-                stream: writer,
+                stream: Arc::clone(&stream),
                 done: Arc::clone(&done),
             },
         ) {
@@ -544,16 +539,9 @@ fn serve_query(shared: &Arc<Shared>, job: &Job) {
     });
     lock(&shared.inflight).remove(&query_id);
     registry().server_in_flight.sub(1);
-    let mut writer = &job.stream;
+    let mut writer = &*job.stream;
     let sent = match outcome {
-        Ok((schema, chunk)) => (|| -> Result<()> {
-            let rows = chunk.to_rows();
-            write_response_frame(&mut writer, &wire::encode_schema(&schema))?;
-            for slice in rows.chunks(ROWS_PER_FRAME.max(1)) {
-                write_response_frame(&mut writer, &wire::encode_rows(schema.len(), slice))?;
-            }
-            write_response_frame(&mut writer, &wire::encode_end(rows.len() as u64))
-        })(),
+        Ok((schema, chunk)) => write_result(&mut writer, &schema, &chunk),
         Err(err) => {
             let code = ErrorCode::for_engine_error(&err);
             write_response_frame(&mut writer, &wire::encode_error(code, &err.to_string()))
@@ -592,10 +580,127 @@ fn respond_reject(mut stream: &TcpStream, code: ErrorCode, message: &str) {
     let _ = write_response_frame(&mut stream, &wire::encode_error(code, message));
 }
 
-/// Every response frame leaves through here: the `serve::write_frame`
-/// failpoint makes transport failure injectable at any point in a
-/// result stream.
-fn write_response_frame(stream: &mut &TcpStream, body: &[u8]) -> Result<()> {
+/// A single-frame response. Like every response frame it consults the
+/// `serve::write_frame` failpoint first, which makes transport failure
+/// injectable at any point in a response stream.
+fn write_response_frame(out: &mut impl Write, body: &[u8]) -> Result<()> {
     failpoints::check(failpoints::WRITE_FRAME)?;
-    wire::write_frame(stream, body)
+    wire::write_frame(out, body)
+}
+
+/// Framed response bytes assembled before they are written out. A short
+/// read's whole `Schema`/`Rows`/`End` stream is far below this and leaves
+/// in one write; a large result leaves in writes of about this size.
+const RESPONSE_FLUSH_BYTES: usize = 64 << 10;
+
+/// Write a successful result stream — `Schema`, `Rows*`, `End` — to `out`,
+/// batching the frames into as few writes as [`RESPONSE_FLUSH_BYTES`]
+/// allows. The `serve::write_frame` failpoint is consulted per frame, and
+/// an injected failure cuts the stream exactly at that frame's boundary:
+/// the frames assembled before it are still written.
+fn write_result(out: &mut impl Write, schema: &Schema, chunk: &Chunk) -> Result<()> {
+    let rows = chunk.to_rows();
+    let mut pending: Vec<u8> = Vec::new();
+    let mut flush = |pending: &mut Vec<u8>| -> Result<()> {
+        out.write_all(pending)
+            .map_err(|e| EngineError::exec(format!("wire write: {e}")))?;
+        pending.clear();
+        Ok(())
+    };
+    let bodies = std::iter::once(wire::encode_schema(schema))
+        .chain(
+            rows.chunks(ROWS_PER_FRAME)
+                .map(|slice| wire::encode_rows(schema.len(), slice)),
+        )
+        .chain(std::iter::once(wire::encode_end(rows.len() as u64)));
+    for body in bodies {
+        if let Err(injected) = failpoints::check(failpoints::WRITE_FRAME) {
+            let _ = flush(&mut pending);
+            return Err(injected);
+        }
+        wire::append_frame(&mut pending, &body)?;
+        if pending.len() >= RESPONSE_FLUSH_BYTES {
+            flush(&mut pending)?;
+        }
+    }
+    flush(&mut pending)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idf_engine::schema::Field;
+    use idf_engine::types::{DataType, Value};
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn result_of(rows: usize) -> (Schema, Chunk) {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("name", DataType::Utf8),
+        ]);
+        let values: Vec<Vec<Value>> = (0..rows as i64)
+            .map(|i| vec![Value::Int64(i), Value::Utf8(format!("row-{i}"))])
+            .collect();
+        let chunk = Chunk::from_rows(&std::sync::Arc::new(schema.clone()), &values).unwrap();
+        (schema, chunk)
+    }
+
+    /// The frames a byte stream carries, decoded.
+    fn frames_of(mut bytes: &[u8]) -> Vec<wire::Response> {
+        let mut frames = Vec::new();
+        while let Some(body) = wire::read_frame(&mut bytes, wire::MAX_RESPONSE_FRAME).unwrap() {
+            frames.push(wire::decode_response(&body).unwrap());
+        }
+        frames
+    }
+
+    #[test]
+    fn a_result_of_one_rows_frame_leaves_in_one_write() {
+        for rows in [0, 1, ROWS_PER_FRAME] {
+            let (schema, chunk) = result_of(rows);
+            let mut out = CountingWriter::default();
+            write_result(&mut out, &schema, &chunk).unwrap();
+            assert_eq!(out.writes, 1, "{rows} rows");
+            // The stream is byte for byte what frame-at-a-time writes give.
+            let mut expected = Vec::new();
+            wire::write_frame(&mut expected, &wire::encode_schema(&schema)).unwrap();
+            if rows > 0 {
+                let body = wire::encode_rows(schema.len(), &chunk.to_rows());
+                wire::write_frame(&mut expected, &body).unwrap();
+            }
+            wire::write_frame(&mut expected, &wire::encode_end(rows as u64)).unwrap();
+            assert_eq!(out.bytes, expected, "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn a_large_result_is_flushed_in_bounded_pieces() {
+        let (schema, chunk) = result_of(40 * ROWS_PER_FRAME);
+        let mut out = CountingWriter::default();
+        write_result(&mut out, &schema, &chunk).unwrap();
+        assert!(out.writes > 1, "one giant write");
+        assert!(out.writes < 40, "{} writes for 42 frames", out.writes);
+        let frames = frames_of(&out.bytes);
+        assert_eq!(frames.len(), 42);
+        assert!(matches!(frames[0], wire::Response::Schema(_)));
+        assert_eq!(frames[41], wire::Response::End(40 * ROWS_PER_FRAME as u64));
+    }
 }

@@ -364,6 +364,13 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
     Ok(())
 }
 
+/// Frame `body` and append it to `out`: the bytes [`write_frame`] would
+/// write, for a sender that assembles several frames into one write.
+pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) -> Result<()> {
+    out.extend_from_slice(&codec::frame(body)?);
+    Ok(())
+}
+
 /// Read one frame from `r`, verifying length cap and CRC.
 ///
 /// `Ok(None)` is a clean close (EOF on a frame boundary). Everything

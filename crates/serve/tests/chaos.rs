@@ -3,7 +3,9 @@
 //! (injected via the engine's `WORKER_START` delay site).
 //!
 //! Failpoints are process-global, so everything here runs inside one
-//! `#[test]` per concern and this file is its own test binary.
+//! `#[test]` per concern, this file is its own test binary, and the tests
+//! take [`serial`] — an armed `serve::write_frame` or `WORKER_START` delay
+//! otherwise hits whichever test's server evaluates the site next.
 
 #![cfg(feature = "failpoints")]
 
@@ -16,6 +18,13 @@ use idf_serve::{failpoints, Client, ClientError, ErrorCode, ServeConfig, Server}
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const BUDGET: usize = 64 << 20;
+
+/// One test at a time: they arm the same process-global sites.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn serve(config: ServeConfig) -> (Server, Session) {
     let engine_config = EngineConfig {
@@ -56,6 +65,7 @@ fn query_ok(server: &Server) {
 /// governor drained to zero.
 #[test]
 fn seeded_chaos_round_over_all_sites() {
+    let _serial = serial();
     let (server, session) = serve(ServeConfig::default());
     let mut rng = StdRng::seed_from_u64(0x5e7_1e57);
     for &site in failpoints::SITES {
@@ -92,6 +102,7 @@ fn seeded_chaos_round_over_all_sites() {
 /// different tenant is still admitted.
 #[test]
 fn tenant_quota_is_enforced_per_tenant() {
+    let _serial = serial();
     let (server, session) = serve(ServeConfig {
         tenant_max_in_flight: 1,
         ..ServeConfig::default()
@@ -127,6 +138,7 @@ fn tenant_quota_is_enforced_per_tenant() {
 /// The server-imposed deadline maps to a typed DeadlineExceeded frame.
 #[test]
 fn server_deadline_yields_typed_frame() {
+    let _serial = serial();
     let (server, session) = serve(ServeConfig {
         query_timeout: Some(Duration::from_millis(20)),
         ..ServeConfig::default()
@@ -151,6 +163,7 @@ fn server_deadline_yields_typed_frame() {
 /// the client sees a typed frame, never a partial stream.
 #[test]
 fn drain_finishes_or_cancels_in_flight_queries() {
+    let _serial = serial();
     // Generous deadline: the slow query finishes, nothing is cancelled.
     let (server, session) = serve(ServeConfig {
         drain_deadline: Duration::from_secs(10),

@@ -162,7 +162,8 @@ fn contains_func(expr: &SqlExpr) -> bool {
         | SqlExpr::Float(_)
         | SqlExpr::Str(_)
         | SqlExpr::Bool(_)
-        | SqlExpr::Null => false,
+        | SqlExpr::Null
+        | SqlExpr::Param { .. } => false,
         SqlExpr::Binary { left, right, .. } => contains_func(left) || contains_func(right),
         SqlExpr::Not(e) | SqlExpr::IsNull { expr: e, .. } | SqlExpr::Cast { expr: e, .. } => {
             contains_func(e)
