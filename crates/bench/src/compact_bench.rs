@@ -479,11 +479,6 @@ fn crash_leg(cfg: &CompactBenchConfig) -> Result<CrashOutcome> {
 
 /// Run the full compaction benchmark.
 pub fn run(cfg: &CompactBenchConfig) -> Result<CompactBenchReport> {
-    if !idf_compact::enabled() {
-        return Err(EngineError::exec(
-            "BENCH-compact needs the `compact` feature (compiled out)",
-        ));
-    }
     let session = Session::new();
     install_indexed_ddl(&session, IndexConfig::default());
     // Aggressive policy so steady-state cycles keep up with the

@@ -8,30 +8,21 @@
 //! answer — compaction is pure reorganization, so the worst legal
 //! outcome of a fault is that dead versions survive a little longer.
 
-use idf_engine::error::{EngineError, Result};
+pub use idf_engine::failpoints::check;
 
-/// Head of one policy survey cycle, before any table is examined: a
-/// fault here skips the whole cycle and the worker retries on the next
-/// tick.
-pub const COMPACT_SELECT: &str = "compact::select";
+idf_fail::sites! {
+    /// Head of one policy survey cycle, before any table is examined: a
+    /// fault here skips the whole cycle and the worker retries on the next
+    /// tick.
+    COMPACT_SELECT = "compact::select",
 
-/// Head of one table rewrite, before any batch is rebuilt: a fault here
-/// leaves the table byte-for-byte untouched.
-pub const COMPACT_REWRITE: &str = "compact::rewrite";
+    /// Head of one table rewrite, before any batch is rebuilt: a fault here
+    /// leaves the table byte-for-byte untouched.
+    COMPACT_REWRITE = "compact::rewrite",
 
-/// Inside the rewrite, just before a partition's rebuilt batches are
-/// swapped in: a fault here must abandon the rebuilt state and leave
-/// the previous batches fully authoritative (readers never observe a
-/// half-swapped table).
-pub const COMPACT_SWAP: &str = "compact::swap";
-
-/// Every registered compaction site, for chaos suites to iterate.
-pub const SITES: &[&str] = &[COMPACT_SELECT, COMPACT_REWRITE, COMPACT_SWAP];
-
-/// Evaluate the failpoint at `site`, mapping an injected fault into a
-/// typed execution error that names the site.
-#[inline]
-pub fn check(site: &str) -> Result<()> {
-    idf_fail::eval(site)
-        .map_err(|msg| EngineError::exec(format!("injected failure at {site}: {msg}")))
+    /// Inside the rewrite, just before a partition's rebuilt batches are
+    /// swapped in: a fault here must abandon the rebuilt state and leave
+    /// the previous batches fully authoritative (readers never observe a
+    /// half-swapped table).
+    COMPACT_SWAP = "compact::swap",
 }

@@ -19,15 +19,15 @@
 //!   them in snapshot-consistently — readers in flight keep their
 //!   pinned snapshots, and a reader that raced the swap observes
 //!   exactly the same visible rows either way.
-//! * **Manual trigger**: the crate installs an
-//!   [`idf_engine::session::CompactHook`], so SQL `COMPACT [table]`
+//! * **Manual trigger**: the [`Compactor`] installs as an
+//!   [`idf_engine::session::SessionExtension`], so SQL `COMPACT [table]`
 //!   (and [`idf_engine::session::Session::compact`]) rewrites
 //!   unconditionally, discovering indexed tables through the session
 //!   catalog.
 //!
-//! With the `compact` feature off the whole subsystem compiles down to
-//! an API-identical no-op ([`Compactor`] still exists, `COMPACT`
-//! returns zero rows), mirroring the `idf-obs`/`idf-fail` pattern.
+//! Nothing runs unless asked for: a session that never calls [`install`]
+//! has no `COMPACT`, and a compactor that is never
+//! [`Compactor::start`]-ed has no background thread.
 //!
 //! ```
 //! use idf_core::prelude::*;
@@ -49,20 +49,13 @@
 
 pub mod failpoints;
 
-#[cfg(feature = "compact")]
 mod worker;
-#[cfg(feature = "compact")]
 pub use worker::Compactor;
-
-#[cfg(not(feature = "compact"))]
-mod noop;
-#[cfg(not(feature = "compact"))]
-pub use noop::Compactor;
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use idf_engine::session::{CompactHook, Session};
+use idf_engine::session::{Session, SessionExtension};
 
 /// Crate-wide lock-acquisition order, enforced by idf-lint's
 /// `lock-order` rule: a lock may only be acquired while holding locks
@@ -81,11 +74,6 @@ pub const LOCK_ORDER: &[(&str, &str)] = &[
         "registered-table registry; snapshotted and released before any rewrite work",
     ),
 ];
-
-/// Whether the real compaction subsystem is compiled in.
-pub const fn enabled() -> bool {
-    cfg!(feature = "compact")
-}
 
 /// Tuning for the background compaction policy (see [`install`]).
 #[derive(Debug, Clone)]
@@ -128,6 +116,6 @@ impl Default for CompactConfig {
 /// [`Compactor::register`]-ed tables.
 pub fn install(session: &Session, config: CompactConfig) -> Arc<Compactor> {
     let compactor = Compactor::new(config);
-    session.set_compact_hook(Arc::clone(&compactor) as Arc<dyn CompactHook>);
+    session.install_extension(Arc::clone(&compactor) as Arc<dyn SessionExtension>);
     compactor
 }

@@ -1,7 +1,6 @@
-//! The real compaction subsystem (`compact` feature on): registry,
-//! policy survey, bounded background worker, and the SQL `COMPACT`
-//! hook. See the crate docs for the design; `noop.rs` mirrors this
-//! public surface when the feature is off.
+//! The compaction subsystem: registry, policy survey, bounded
+//! background worker, and the SQL `COMPACT` session extension. See the
+//! crate docs for the design.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -12,14 +11,15 @@ use std::time::Instant;
 use idf_core::partition::PartitionMemory;
 use idf_core::source::IndexedSource;
 use idf_core::table::IndexedTable;
-use idf_engine::error::{EngineError, Result};
-use idf_engine::session::{CompactHook, CompactRow, Session};
+use idf_engine::error::{catch_panics, EngineError, Result};
+use idf_engine::session::{CompactRow, Session, SessionExtension};
 
 use crate::failpoints;
 use crate::CompactConfig;
 
 /// Poison-tolerant lock: compaction state stays usable after a panicked
-/// holder (the panic is surfaced through the worker's failure counter).
+/// holder (the worker contains the panic and counts it as a failed
+/// cycle, see [`worker_entry`]).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -262,10 +262,14 @@ impl Compactor {
     }
 }
 
-impl CompactHook for Compactor {
+impl SessionExtension for Compactor {
+    fn name(&self) -> &str {
+        "compact"
+    }
+
     /// Manual trigger: rewrite unconditionally (no eligibility policy —
     /// the user asked), then refresh the survey gauges.
-    fn compact(&self, session: &Session, table: Option<&str>) -> Result<Vec<CompactRow>> {
+    fn compact(&self, session: &Session, table: Option<&str>) -> Result<Option<Vec<CompactRow>>> {
         let targets = self.resolve(session, table)?;
         let mut rows = Vec::with_capacity(targets.len());
         for (name, table) in &targets {
@@ -280,7 +284,7 @@ impl CompactHook for Compactor {
         }
         m.tombstones_live.set(tombstones);
         m.dead_rows_live.set(dead_rows);
-        Ok(rows)
+        Ok(Some(rows))
     }
 }
 
@@ -297,8 +301,10 @@ fn catalog_indexed(session: &Session, name: &str) -> Option<Arc<IndexedTable>> {
 
 /// Background worker: interruptible interval wait, then one survey
 /// cycle. Holds the compactor weakly so dropping every external handle
-/// winds the thread down at the next tick; an injected fault fails the
-/// cycle (counted) but never kills the worker.
+/// winds the thread down at the next tick. Neither an injected fault
+/// nor a panic inside the cycle kills the worker: both fail that cycle
+/// (counted in `compaction_failures`) and the loop goes on — a dead
+/// worker would leave `running` set, so `start()` could never revive it.
 fn worker_entry(me: Weak<Compactor>) {
     loop {
         let Some(compactor) = me.upgrade() else {
@@ -317,7 +323,15 @@ fn worker_entry(me: Weak<Compactor>) {
         if compactor.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let _ = compactor.run_once();
+        let contained = catch_panics(|| {
+            // `run_once` counts the failures it returns.
+            let _ = compactor.run_once();
+            Ok(())
+        });
+        if contained.is_err() {
+            // A panic unwound past that accounting.
+            idf_obs::global().compaction_failures.inc();
+        }
         compactor.cycles_done.fetch_add(1, Ordering::SeqCst);
     }
 }

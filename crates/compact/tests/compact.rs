@@ -3,8 +3,6 @@
 //! `failpoints` feature) fault injection at every registered site with
 //! answer-invariance audits after each failure.
 
-#![cfg(feature = "compact")]
-
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -352,6 +350,58 @@ mod chaos {
             idf_obs::global().compaction_failures.get() >= failures_before + 3,
             "each injected fault must be counted"
         );
+    }
+
+    /// Regression: nothing contained a panic inside a cycle, so it killed
+    /// the worker thread while `running` stayed set — `cycles()` froze and
+    /// `start()` could never revive the compactor. A panicking cycle is
+    /// now a failed cycle: counted, and the loop goes on.
+    #[test]
+    fn background_worker_outlives_a_panicking_cycle() {
+        let _guard = serial();
+        let session = Session::new();
+        install_indexed_ddl(&session, IndexConfig::default());
+        let compactor = install(
+            &session,
+            CompactConfig {
+                interval: Duration::from_millis(5),
+                min_dead_rows: 8,
+                min_dead_ratio: 0.1,
+                ..CompactConfig::default()
+            },
+        );
+        seed_table(&session, "t", 32);
+        sql(&session, "UPDATE t SET v = v + 1");
+        let table = table_handle(&session, "t");
+        compactor.register("t", Arc::clone(&table));
+
+        let failures_before = idf_obs::global().compaction_failures.get();
+        idf_fail::configure(fp::COMPACT_REWRITE, FailConfig::panic("injected").times(2));
+        compactor.start();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while table.memory_stats().dead_rows > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "worker died with the panic: {} cycles, {:?}",
+                compactor.cycles(),
+                table.memory_stats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        compactor.stop();
+        idf_fail::reset();
+
+        assert!(
+            compactor.cycles() >= 3,
+            "two panicking cycles, then the one that reclaimed"
+        );
+        if idf_obs::enabled() {
+            assert!(
+                idf_obs::global().compaction_failures.get() >= failures_before + 2,
+                "each panicking cycle must be counted"
+            );
+        }
     }
 
     /// `run_once` surfaces a select-site fault as a typed error without

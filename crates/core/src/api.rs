@@ -20,7 +20,7 @@ use idf_engine::dataframe::DataFrame;
 use idf_engine::error::{EngineError, Result};
 use idf_engine::logical::{JoinType, LogicalPlan};
 use idf_engine::schema::{Schema, SchemaRef};
-use idf_engine::session::{Session, TableFactory};
+use idf_engine::session::{Session, SessionExtension};
 use idf_engine::types::Value;
 
 use crate::config::IndexConfig;
@@ -243,7 +243,7 @@ impl std::fmt::Debug for IndexedDataFrame {
     }
 }
 
-/// [`TableFactory`] minting indexed tables for SQL `CREATE TABLE`: each
+/// [`SessionExtension`] minting indexed tables for SQL `CREATE TABLE`: each
 /// created table is an empty [`IndexedTable`] indexed on its first column,
 /// registered as a live [`IndexedSource`] so SQL `INSERT`s become indexed
 /// appends and key-equality lookups use the cTrie. Install with
@@ -265,10 +265,14 @@ impl Default for IndexedTableFactory {
     }
 }
 
-impl TableFactory for IndexedTableFactory {
-    fn create(&self, _name: &str, schema: SchemaRef) -> Result<Arc<dyn TableSource>> {
+impl SessionExtension for IndexedTableFactory {
+    fn name(&self) -> &str {
+        "indexed-ddl"
+    }
+
+    fn create_table(&self, _name: &str, schema: SchemaRef) -> Result<Option<Arc<dyn TableSource>>> {
         let table = Arc::new(IndexedTable::new(schema, 0, self.config.clone())?);
-        Ok(Arc::new(IndexedSource::live(table)))
+        Ok(Some(Arc::new(IndexedSource::live(table))))
     }
 }
 
@@ -278,5 +282,5 @@ impl TableFactory for IndexedTableFactory {
 /// run the paper's indexed path end to end.
 pub fn install_indexed_ddl(session: &Session, config: IndexConfig) {
     session.register_strategy(Arc::new(IndexedJoinStrategy));
-    session.set_table_factory(Arc::new(IndexedTableFactory::new(config)));
+    session.install_extension(Arc::new(IndexedTableFactory::new(config)));
 }

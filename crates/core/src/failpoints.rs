@@ -6,33 +6,24 @@
 //! (`tests/chaos.rs`) iterates [`SITES`] and asserts the snapshot
 //! consistency invariants hold with a fault at every one of them.
 
-use idf_engine::error::{EngineError, Result};
+pub use idf_engine::failpoints::check;
 
-/// A committed-row read from a row batch (`RowBatch::row_at`): hit by
-/// every point-lookup chain walk.
-pub const BATCH_READ: &str = "core::batch::read";
+idf_fail::sites! {
+    /// A committed-row read from a row batch (`RowBatch::row_at`): hit by
+    /// every point-lookup chain walk.
+    BATCH_READ = "core::batch::read",
 
-/// Entry of a partition probe (`PartitionSnapshot::lookup_chunk` /
-/// `lookup_chunk_multi`): hit once per probed partition.
-pub const PARTITION_PROBE: &str = "core::probe::partition";
+    /// Entry of a partition probe (`PartitionSnapshot::lookup_chunk` /
+    /// `lookup_chunk_multi`): hit once per probed partition.
+    PARTITION_PROBE = "core::probe::partition",
 
-/// Row encoding/validation, before any shared state is touched: phase 1
-/// of a chunk append and the start of a single-row append.
-pub const APPEND_ENCODE: &str = "core::append::encode";
+    /// Row encoding/validation, before any shared state is touched: phase 1
+    /// of a chunk append and the start of a single-row append.
+    APPEND_ENCODE = "core::append::encode",
 
-/// The append commit point: after every row of a chunk append has been
-/// validated and before the first row becomes visible (also checked at
-/// the head of a single-row append). A fault here must leave the table
-/// exactly as it was.
-pub const APPEND_PUBLISH: &str = "core::append::publish";
-
-/// Every registered storage-layer site, for chaos suites to iterate.
-pub const SITES: &[&str] = &[BATCH_READ, PARTITION_PROBE, APPEND_ENCODE, APPEND_PUBLISH];
-
-/// Evaluate the failpoint at `site`, mapping an injected error into a
-/// typed execution error that names the site.
-#[inline]
-pub fn check(site: &str) -> Result<()> {
-    idf_fail::eval(site)
-        .map_err(|msg| EngineError::exec(format!("injected failure at {site}: {msg}")))
+    /// The append commit point: after every row of a chunk append has been
+    /// validated and before the first row becomes visible (also checked at
+    /// the head of a single-row append). A fault here must leave the table
+    /// exactly as it was.
+    APPEND_PUBLISH = "core::append::publish",
 }

@@ -523,9 +523,12 @@ mod tests {
         table
             .append_row(&[Value::Int64(7), Value::Utf8("extra".into())])
             .unwrap();
+        // One trigger, consumed by the very next call: the site is
+        // process-global, and an open-ended fault would also fail the
+        // sibling unit tests writing their own snapshots in parallel.
         let _guard = idf_fail::FailGuard::new(
             crate::failpoints::CHECKPOINT_WRITE,
-            idf_fail::FailConfig::error("disk full"),
+            idf_fail::FailConfig::error("disk full").times(1),
         );
         let err =
             write_snapshot(&IO, dir.path(), 2, &table.snapshot(), table.config()).unwrap_err();

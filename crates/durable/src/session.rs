@@ -1,5 +1,5 @@
 //! The durable session: open-with-recovery, durable table creation, and
-//! the hooks behind `CHECKPOINT`, `SCRUB` and `resume_writes`.
+//! the session extension behind `CHECKPOINT`, `SCRUB` and `resume_writes`.
 //!
 //! A [`DurableSession`] wraps the regular engine [`Session`]. Opening one
 //! validates (creating if absent) `EngineConfig::data_dir`, then for every
@@ -33,7 +33,7 @@ use idf_engine::chunk::Chunk;
 use idf_engine::config::{DurabilityLevel, EngineConfig};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::schema::SchemaRef;
-use idf_engine::session::{DurabilityHook, ScrubRow, Session};
+use idf_engine::session::{ScrubRow, Session, SessionExtension};
 
 use parking_lot::Mutex;
 
@@ -53,8 +53,8 @@ struct DurableTable {
     dir: PathBuf,
 }
 
-/// Shared durable state; installed into the engine session as its
-/// [`DurabilityHook`], so `CHECKPOINT` / `SCRUB` / `resume_writes` (SQL
+/// Shared durable state; installed into the engine session as a
+/// [`SessionExtension`], so `CHECKPOINT` / `SCRUB` / `resume_writes` (SQL
 /// or programmatic) land here.
 struct DurableState {
     level: DurabilityLevel,
@@ -83,6 +83,18 @@ impl DurableState {
                 Ok(all)
             }
         }
+    }
+
+    /// Run `one` over every target `table` resolves to, in name order,
+    /// stopping at the first error.
+    fn for_targets<T>(
+        &self,
+        table: Option<&str>,
+        verb: &str,
+        mut one: impl FnMut(&str, &DurableTable) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let targets = self.targets(table, verb)?;
+        targets.iter().map(|(name, t)| one(name, t)).collect()
     }
 
     /// Snapshot phase of a checkpoint: pick the next id and write the
@@ -153,34 +165,28 @@ impl DurableState {
     }
 }
 
-impl DurabilityHook for DurableState {
-    fn checkpoint(&self, table: Option<&str>) -> Result<Vec<String>> {
-        let targets = self.targets(table, "CHECKPOINT")?;
-        let mut done = Vec::with_capacity(targets.len());
-        for (name, t) in &targets {
-            self.checkpoint_one(t)?;
-            done.push(name.clone());
-        }
-        Ok(done)
+impl SessionExtension for DurableState {
+    fn name(&self) -> &str {
+        "durable"
     }
 
-    fn scrub(&self, table: Option<&str>) -> Result<Vec<ScrubRow>> {
-        let targets = self.targets(table, "SCRUB")?;
-        let mut rows = Vec::new();
-        for (name, t) in &targets {
-            rows.extend(self.scrub_one(name, t)?);
-        }
-        Ok(rows)
+    fn checkpoint(&self, table: Option<&str>) -> Result<Option<Vec<String>>> {
+        let done = self.for_targets(table, "CHECKPOINT", |name, t| {
+            self.checkpoint_one(t).map(|()| name.to_string())
+        })?;
+        Ok(Some(done))
     }
 
-    fn resume_writes(&self, table: Option<&str>) -> Result<Vec<String>> {
-        let targets = self.targets(table, "resume_writes")?;
-        let mut done = Vec::with_capacity(targets.len());
-        for (name, t) in &targets {
-            self.resume_one(t)?;
-            done.push(name.clone());
-        }
-        Ok(done)
+    fn scrub(&self, table: Option<&str>) -> Result<Option<Vec<ScrubRow>>> {
+        let per_table = self.for_targets(table, "SCRUB", |name, t| self.scrub_one(name, t))?;
+        Ok(Some(per_table.into_iter().flatten().collect()))
+    }
+
+    fn resume_writes(&self, table: Option<&str>) -> Result<Option<Vec<String>>> {
+        let done = self.for_targets(table, "resume_writes", |name, t| {
+            self.resume_one(t).map(|()| name.to_string())
+        })?;
+        Ok(Some(done))
     }
 }
 
@@ -245,7 +251,7 @@ impl DurableSession {
                 .record(started.elapsed().as_nanos() as u64);
             m.recovery_replayed_records.add(replayed);
         }
-        session.set_durability_hook(Arc::clone(&state) as Arc<dyn DurabilityHook>);
+        session.install_extension(Arc::clone(&state) as Arc<dyn SessionExtension>);
         Ok(DurableSession {
             session,
             state,

@@ -1,7 +1,7 @@
 //! End-to-end durability observability: the WAL, checkpoint and recovery
 //! metrics must move under a real durable workload and show up in the
-//! Prometheus exposition. Runs only with the `obs` feature; the no-op
-//! half of the registry is covered by the workspace api-parity lint.
+//! Prometheus exposition. Runs only with the `obs` feature; the
+//! compiled-out build is covered by `idf-obs`'s own `both_builds` test.
 
 #![cfg(feature = "obs")]
 

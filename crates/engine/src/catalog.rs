@@ -253,10 +253,10 @@ pub fn check_append_rows(schema: &SchemaRef, rows: &[Vec<Value>]) -> Result<()> 
 }
 
 /// An appendable in-memory table: the engine's default backing for SQL
-/// `CREATE TABLE` when no [`crate::session::TableFactory`] is installed.
-/// Appends take a short write lock; scans clone the chunk list under a
-/// read lock, so readers in flight keep the rows they saw (appends are
-/// only ever additive).
+/// `CREATE TABLE` when no installed
+/// [`crate::session::SessionExtension`] mints one. Appends take a short
+/// write lock; scans clone the chunk list under a read lock, so readers
+/// in flight keep the rows they saw (appends are only ever additive).
 pub struct AppendTable {
     schema: SchemaRef,
     chunks: RwLock<Vec<Chunk>>,

@@ -7,18 +7,19 @@
 
 use crate::error::{EngineError, Result};
 
-/// Start of a shuffle exchange: triggered once per `ShuffleExec`
-/// materialization, before any input chunk is buffered.
-pub const SHUFFLE_EXCHANGE: &str = "engine::shuffle::exchange";
+idf_fail::sites! {
+    /// Start of a shuffle exchange: triggered once per `ShuffleExec`
+    /// materialization, before any input chunk is buffered.
+    SHUFFLE_EXCHANGE = "engine::shuffle::exchange",
 
-/// Start of a partition worker task inside `execute_collect_partitions`.
-pub const WORKER_START: &str = "engine::exec::worker";
-
-/// Every registered engine site, for chaos suites that iterate them.
-pub const SITES: &[&str] = &[SHUFFLE_EXCHANGE, WORKER_START];
+    /// Start of a partition worker task inside `execute_collect_partitions`.
+    WORKER_START = "engine::exec::worker",
+}
 
 /// Evaluate the failpoint at `site`, mapping an injected error into a
-/// typed [`EngineError::Execution`] that names the site.
+/// typed [`EngineError::Execution`] that names the site. The one
+/// definition every layer above the engine re-exports (the durability
+/// layer keeps its own, which maps to `EngineError::durability`).
 #[inline]
 pub fn check(site: &str) -> Result<()> {
     idf_fail::eval(site)

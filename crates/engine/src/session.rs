@@ -18,40 +18,96 @@ use crate::schema::SchemaRef;
 use crate::sql::plan_cache::PlanCache;
 use crate::types::Value;
 
-/// Extension point a durability layer installs on a session so the engine
-/// can dispatch `CHECKPOINT` statements (and `Session::checkpoint`) without
-/// depending on the layer itself — the storage crates sit *above* the
-/// engine in the dependency graph, so the engine only sees this trait.
-pub trait DurabilityHook: Send + Sync {
-    /// Checkpoint `table` (or every durable table when `None`); returns the
-    /// names of the tables checkpointed.
-    fn checkpoint(&self, table: Option<&str>) -> Result<Vec<String>>;
+/// The one seam through which the layers above the engine (which sit
+/// *above* it in the dependency graph, so the engine sees only this
+/// trait) execute the statements the engine does not own: `CHECKPOINT` /
+/// `SCRUB` / `resume_writes` (`idf-durable`), minting `CREATE TABLE`
+/// sources (`idf-core`), `CREATE/DROP/REFRESH MATERIALIZED VIEW`
+/// (`idf-views`) and `COMPACT` (`idf-compact`).
+///
+/// Every operation defaults to `Ok(None)` — "not mine". An extension
+/// overrides the ones it executes and returns `Ok(Some(answer))` or its
+/// error; the session asks its extensions in installation order and the
+/// first that does not pass answers the statement. Install with
+/// [`Session::install_extension`].
+///
+/// Methods that need the session take it by reference rather than the
+/// extension holding one: an extension that captured a `Session` clone
+/// would form an `Arc` cycle (session → extension → session) and never
+/// be dropped.
+pub trait SessionExtension: Send + Sync {
+    /// Stable identity: installing an extension whose name is already
+    /// present replaces the earlier one.
+    fn name(&self) -> &str;
+
+    /// Checkpoint `table` (or every durable table when `None`); returns
+    /// the names of the tables checkpointed.
+    fn checkpoint(&self, table: Option<&str>) -> Result<Option<Vec<String>>> {
+        let _ = table;
+        Ok(None)
+    }
 
     /// Verify the on-disk state of `table` (or every durable table when
     /// `None`): re-walk checkpoint snapshots and WAL segments checking
     /// CRCs, quarantine a corrupt snapshot and fall back to the previous
     /// valid generation. Returns one row per verified target.
-    fn scrub(&self, table: Option<&str>) -> Result<Vec<ScrubRow>> {
+    fn scrub(&self, table: Option<&str>) -> Result<Option<Vec<ScrubRow>>> {
         let _ = table;
-        Err(crate::error::EngineError::Unsupported(
-            "this durability layer does not support SCRUB".to_string(),
-        ))
+        Ok(None)
     }
 
     /// Re-arm the write path of `table` (or every durable table when
     /// `None`) after a read-only degradation: take a fresh checkpoint and
     /// rotate to a new WAL segment so appends are accepted again. Returns
     /// the names of the tables resumed.
-    fn resume_writes(&self, table: Option<&str>) -> Result<Vec<String>> {
+    fn resume_writes(&self, table: Option<&str>) -> Result<Option<Vec<String>>> {
         let _ = table;
-        Err(crate::error::EngineError::Unsupported(
-            "this durability layer does not support resume_writes".to_string(),
-        ))
+        Ok(None)
+    }
+
+    /// Build an empty, appendable table source with `schema` for a table
+    /// that will be registered under `name` (SQL `CREATE TABLE`).
+    fn create_table(&self, name: &str, schema: SchemaRef) -> Result<Option<Arc<dyn TableSource>>> {
+        let _ = (name, schema);
+        Ok(None)
+    }
+
+    /// Register a materialized view `name` defined by `query`, seed its
+    /// state at a consistent snapshot, and start incremental maintenance.
+    fn create_view(
+        &self,
+        session: &Session,
+        name: &str,
+        query: &crate::sql::SelectStmt,
+    ) -> Result<Option<()>> {
+        let _ = (session, name, query);
+        Ok(None)
+    }
+
+    /// Deregister view `name` and discard its materialized state.
+    fn drop_view(&self, session: &Session, name: &str) -> Result<Option<()>> {
+        let _ = (session, name);
+        Ok(None)
+    }
+
+    /// Recompute view `name` from scratch at a consistent snapshot of its
+    /// base tables.
+    fn refresh_view(&self, session: &Session, name: &str) -> Result<Option<()>> {
+        let _ = (session, name);
+        Ok(None)
+    }
+
+    /// Synchronously compact `table` (or every managed table when `None`):
+    /// drop row versions hidden below tombstones, shorten MVCC chains,
+    /// release the memory. Returns one row per compacted table.
+    fn compact(&self, session: &Session, table: Option<&str>) -> Result<Option<Vec<CompactRow>>> {
+        let _ = (session, table);
+        Ok(None)
     }
 }
 
 /// One scrub finding/verification row, as returned by
-/// [`DurabilityHook::scrub`] and surfaced by SQL `SCRUB [table]`.
+/// [`SessionExtension::scrub`] and surfaced by SQL `SCRUB [table]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubRow {
     /// The durable table the target belongs to.
@@ -64,60 +120,8 @@ pub struct ScrubRow {
     pub detail: String,
 }
 
-/// Extension point a storage layer installs so SQL `CREATE TABLE` (and
-/// [`Session::create_table`]) can mint that layer's table sources instead
-/// of the engine's plain [`crate::catalog::AppendTable`]. Same inversion
-/// as [`DurabilityHook`]: the Indexed DataFrame crates sit above the
-/// engine, so the engine only sees this trait.
-pub trait TableFactory: Send + Sync {
-    /// Build an empty, appendable table source with `schema` for a table
-    /// that will be registered under `name`.
-    fn create(&self, name: &str, schema: SchemaRef) -> Result<Arc<dyn TableSource>>;
-}
-
-/// Extension point the materialized-view subsystem (`idf-views`) installs
-/// so SQL `CREATE/DROP/REFRESH MATERIALIZED VIEW` can dispatch to it. Same
-/// inversion as [`DurabilityHook`]: the views crate sits above the engine,
-/// so the engine only sees this trait.
-///
-/// Methods take the session by reference rather than the hook holding one:
-/// a hook that captured a `Session` clone would form an `Arc` cycle
-/// (session → hook → session) and never be dropped.
-pub trait ViewsHook: Send + Sync {
-    /// Register a materialized view `name` defined by `query`, seed its
-    /// state at a consistent snapshot, and start incremental maintenance.
-    fn create_view(
-        &self,
-        session: &Session,
-        name: &str,
-        query: &crate::sql::SelectStmt,
-    ) -> Result<()>;
-
-    /// Deregister view `name` and discard its materialized state.
-    fn drop_view(&self, session: &Session, name: &str) -> Result<()>;
-
-    /// Recompute view `name` from scratch at a consistent snapshot of its
-    /// base tables.
-    fn refresh_view(&self, session: &Session, name: &str) -> Result<()>;
-}
-
-/// Extension point the compaction subsystem (`idf-compact`) installs so
-/// SQL `COMPACT [table]` (and [`Session::compact`]) can dispatch to it.
-/// Same inversion as [`DurabilityHook`]: the compaction crate sits above
-/// the engine, so the engine only sees this trait.
-///
-/// Methods take the session by reference rather than the hook holding one
-/// — a hook that captured a `Session` clone would form an `Arc` cycle
-/// (session → hook → session) and never be dropped.
-pub trait CompactHook: Send + Sync {
-    /// Synchronously compact `table` (or every managed table when `None`):
-    /// drop row versions hidden below tombstones, shorten MVCC chains,
-    /// release the memory. Returns one row per compacted table.
-    fn compact(&self, session: &Session, table: Option<&str>) -> Result<Vec<CompactRow>>;
-}
-
-/// One table's compaction outcome, as returned by [`CompactHook::compact`]
-/// and surfaced by SQL `COMPACT [table]`.
+/// One table's compaction outcome, as returned by
+/// [`SessionExtension::compact`] and surfaced by SQL `COMPACT [table]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactRow {
     /// The compacted table.
@@ -127,6 +131,11 @@ pub struct CompactRow {
     /// Stored bytes released.
     pub bytes_reclaimed: usize,
 }
+
+/// What an unclaimed statement's `Unsupported` error says it requires.
+const NEEDS_DURABLE: &str = "a durable session (no data_dir is configured)";
+const NEEDS_VIEWS: &str = "the views subsystem (idf-views)";
+const NEEDS_COMPACT: &str = "the compaction subsystem (idf-compact)";
 
 struct SessionState {
     catalog: Catalog,
@@ -139,14 +148,9 @@ struct SessionState {
     /// Session-wide memory budget, present when
     /// `EngineConfig::total_memory_limit` is set; shared by every query.
     governor: Option<Arc<MemoryGovernor>>,
-    /// Installed durability layer, if any (see [`DurabilityHook`]).
-    durability: RwLock<Option<Arc<dyn DurabilityHook>>>,
-    /// Installed DDL table factory, if any (see [`TableFactory`]).
-    table_factory: RwLock<Option<Arc<dyn TableFactory>>>,
-    /// Installed materialized-view subsystem, if any (see [`ViewsHook`]).
-    views: RwLock<Option<Arc<dyn ViewsHook>>>,
-    /// Installed compaction subsystem, if any (see [`CompactHook`]).
-    compact: RwLock<Option<Arc<dyn CompactHook>>>,
+    /// Installed extensions, in installation order (see
+    /// [`SessionExtension`]).
+    extensions: RwLock<Vec<Arc<dyn SessionExtension>>>,
 }
 
 /// A query session. Cheap to clone (shared state).
@@ -178,10 +182,7 @@ impl Session {
                 rules: RwLock::new(Vec::new()),
                 strategies: RwLock::new(Vec::new()),
                 governor,
-                durability: RwLock::new(None),
-                table_factory: RwLock::new(None),
-                views: RwLock::new(None),
-                compact: RwLock::new(None),
+                extensions: RwLock::new(Vec::new()),
             }),
         }
     }
@@ -261,22 +262,16 @@ impl Session {
         self.state.catalog.register_new(name, table)
     }
 
-    /// Install the factory SQL `CREATE TABLE` mints table sources with
-    /// (e.g. `idf-core`'s indexed tables); replaces any previous factory.
-    pub fn set_table_factory(&self, factory: Arc<dyn TableFactory>) {
-        *self.state.table_factory.write() = Some(factory);
-    }
-
     /// Create and atomically register an empty appendable table — the SQL
-    /// `CREATE TABLE` path. The source comes from the installed
-    /// [`TableFactory`], or the engine's [`crate::catalog::AppendTable`]
-    /// when none is installed. Errors with
-    /// [`crate::error::EngineError::TableAlreadyExists`] if `name` is
-    /// taken; a racing duplicate create never overwrites the winner.
+    /// `CREATE TABLE` path. The source comes from the first installed
+    /// extension that mints one ([`SessionExtension::create_table`]), or
+    /// is the engine's [`crate::catalog::AppendTable`] when none does.
+    /// Errors with [`crate::error::EngineError::TableAlreadyExists`] if
+    /// `name` is taken; a racing duplicate create never overwrites the
+    /// winner.
     pub fn create_table(&self, name: &str, schema: SchemaRef) -> Result<()> {
-        let factory = self.state.table_factory.read().clone();
-        let source: Arc<dyn TableSource> = match factory {
-            Some(f) => f.create(name, Arc::clone(&schema))?,
+        let source = match self.ask(|e| e.create_table(name, Arc::clone(&schema)))? {
+            Some(minted) => minted,
             None => Arc::new(crate::catalog::AppendTable::new(schema)),
         };
         self.state.catalog.register_new(name, source)
@@ -373,120 +368,102 @@ impl Session {
         crate::sql::plan_sql(self, query)
     }
 
-    /// Install the durability layer that `CHECKPOINT` dispatches to.
-    /// Called by `idf-durable` when a session is opened with a data
-    /// directory; replaces any previously installed hook.
-    pub fn set_durability_hook(&self, hook: Arc<dyn DurabilityHook>) {
-        *self.state.durability.write() = Some(hook);
+    /// Install `extension`: from then on the statements it claims
+    /// dispatch to it. Installing an extension whose
+    /// [`SessionExtension::name`] is already present replaces the earlier
+    /// one in place (so a layer can be re-installed with new settings);
+    /// otherwise it is consulted after those already installed.
+    pub fn install_extension(&self, extension: Arc<dyn SessionExtension>) {
+        let mut extensions = self.state.extensions.write();
+        match extensions.iter_mut().find(|e| e.name() == extension.name()) {
+            Some(slot) => *slot = extension,
+            None => extensions.push(extension),
+        }
     }
 
-    /// Checkpoint `table` (or every durable table when `None`) through the
-    /// installed [`DurabilityHook`]; returns the names of the tables
-    /// checkpointed. Errors with `Unsupported` when the session has no
-    /// durability layer attached.
+    /// Ask the installed extensions, in order, until one claims the
+    /// operation (or fails it). The slot is cloned out first so no session
+    /// lock is held while an extension runs (it may call back into the
+    /// session).
+    fn ask<T>(&self, op: impl Fn(&dyn SessionExtension) -> Result<Option<T>>) -> Result<Option<T>> {
+        let extensions = self.state.extensions.read().clone();
+        for extension in &extensions {
+            if let Some(answer) = op(extension.as_ref())? {
+                return Ok(Some(answer));
+            }
+        }
+        Ok(None)
+    }
+
+    /// [`Session::ask`] for a statement only an extension can execute:
+    /// unclaimed, it is a typed `Unsupported` naming the statement and
+    /// the layer (`needs`) that would execute it.
+    fn dispatch<T>(
+        &self,
+        statement: &str,
+        needs: &str,
+        op: impl Fn(&dyn SessionExtension) -> Result<Option<T>>,
+    ) -> Result<T> {
+        self.ask(op)?.ok_or_else(|| {
+            crate::error::EngineError::Unsupported(format!("{statement} requires {needs}"))
+        })
+    }
+
+    /// Checkpoint `table` (or every durable table when `None`); returns
+    /// the names of the tables checkpointed. `Unsupported` when the
+    /// session has no durability layer attached.
     pub fn checkpoint(&self, table: Option<&str>) -> Result<Vec<String>> {
-        let hook = self.state.durability.read().clone();
-        match hook {
-            Some(hook) => hook.checkpoint(table),
-            None => Err(crate::error::EngineError::Unsupported(
-                "CHECKPOINT requires a durable session (no data_dir is configured)".to_string(),
-            )),
-        }
+        self.dispatch("CHECKPOINT", NEEDS_DURABLE, |e| e.checkpoint(table))
     }
 
-    /// Scrub `table` (or every durable table when `None`) through the
-    /// installed [`DurabilityHook`]; returns one [`ScrubRow`] per
-    /// verified target. Errors with `Unsupported` when the session has no
-    /// durability layer attached.
+    /// Scrub `table` (or every durable table when `None`); returns one
+    /// [`ScrubRow`] per verified target. `Unsupported` when the session
+    /// has no durability layer attached.
     pub fn scrub(&self, table: Option<&str>) -> Result<Vec<ScrubRow>> {
-        let hook = self.state.durability.read().clone();
-        match hook {
-            Some(hook) => hook.scrub(table),
-            None => Err(crate::error::EngineError::Unsupported(
-                "SCRUB requires a durable session (no data_dir is configured)".to_string(),
-            )),
-        }
+        self.dispatch("SCRUB", NEEDS_DURABLE, |e| e.scrub(table))
     }
 
     /// Re-arm writes on `table` (or every durable table when `None`)
-    /// through the installed [`DurabilityHook`] after a read-only
-    /// degradation; returns the names of the tables resumed. Errors with
-    /// `Unsupported` when the session has no durability layer attached.
+    /// after a read-only degradation; returns the names of the tables
+    /// resumed. `Unsupported` when the session has no durability layer
+    /// attached.
     pub fn resume_writes(&self, table: Option<&str>) -> Result<Vec<String>> {
-        let hook = self.state.durability.read().clone();
-        match hook {
-            Some(hook) => hook.resume_writes(table),
-            None => Err(crate::error::EngineError::Unsupported(
-                "resume_writes requires a durable session (no data_dir is configured)".to_string(),
-            )),
-        }
+        self.dispatch("resume_writes", NEEDS_DURABLE, |e| e.resume_writes(table))
     }
 
-    /// Install the materialized-view subsystem that
-    /// `CREATE/DROP/REFRESH MATERIALIZED VIEW` dispatch to. Called by
-    /// `idf-views`; replaces any previously installed hook.
-    pub fn set_views_hook(&self, hook: Arc<dyn ViewsHook>) {
-        *self.state.views.write() = Some(hook);
-    }
-
-    /// Register a materialized view through the installed [`ViewsHook`].
-    /// Errors with `Unsupported` when no views subsystem is attached.
+    /// Register a materialized view. `Unsupported` when no views
+    /// subsystem is attached.
     pub fn create_materialized_view(
         &self,
         name: &str,
         query: &crate::sql::SelectStmt,
     ) -> Result<()> {
-        let hook = self.state.views.read().clone();
-        match hook {
-            Some(hook) => hook.create_view(self, name, query),
-            None => Err(crate::error::EngineError::Unsupported(
-                "CREATE MATERIALIZED VIEW requires the views subsystem (idf-views)".to_string(),
-            )),
-        }
+        self.dispatch("CREATE MATERIALIZED VIEW", NEEDS_VIEWS, |e| {
+            e.create_view(self, name, query)
+        })
     }
 
-    /// Drop a materialized view through the installed [`ViewsHook`].
-    /// Errors with `Unsupported` when no views subsystem is attached.
-    pub fn drop_materialized_view(&self, name: &str) -> Result<()> {
-        let hook = self.state.views.read().clone();
-        match hook {
-            Some(hook) => hook.drop_view(self, name),
-            None => Err(crate::error::EngineError::Unsupported(
-                "DROP MATERIALIZED VIEW requires the views subsystem (idf-views)".to_string(),
-            )),
-        }
-    }
-
-    /// Recompute a materialized view through the installed [`ViewsHook`].
-    /// Errors with `Unsupported` when no views subsystem is attached.
-    pub fn refresh_materialized_view(&self, name: &str) -> Result<()> {
-        let hook = self.state.views.read().clone();
-        match hook {
-            Some(hook) => hook.refresh_view(self, name),
-            None => Err(crate::error::EngineError::Unsupported(
-                "REFRESH MATERIALIZED VIEW requires the views subsystem (idf-views)".to_string(),
-            )),
-        }
-    }
-
-    /// Install the compaction subsystem that `COMPACT` dispatches to.
-    /// Called by `idf-compact`; replaces any previously installed hook.
-    pub fn set_compact_hook(&self, hook: Arc<dyn CompactHook>) {
-        *self.state.compact.write() = Some(hook);
-    }
-
-    /// Compact `table` (or every managed table when `None`) through the
-    /// installed [`CompactHook`]; returns one [`CompactRow`] per compacted
-    /// table. Errors with `Unsupported` when no compaction subsystem is
+    /// Drop a materialized view. `Unsupported` when no views subsystem is
     /// attached.
+    pub fn drop_materialized_view(&self, name: &str) -> Result<()> {
+        self.dispatch("DROP MATERIALIZED VIEW", NEEDS_VIEWS, |e| {
+            e.drop_view(self, name)
+        })
+    }
+
+    /// Recompute a materialized view. `Unsupported` when no views
+    /// subsystem is attached.
+    pub fn refresh_materialized_view(&self, name: &str) -> Result<()> {
+        self.dispatch("REFRESH MATERIALIZED VIEW", NEEDS_VIEWS, |e| {
+            e.refresh_view(self, name)
+        })
+    }
+
+    /// Compact `table` (or every managed table when `None`); returns one
+    /// [`CompactRow`] per compacted table. `Unsupported` when no
+    /// compaction subsystem is attached.
     pub fn compact(&self, table: Option<&str>) -> Result<Vec<CompactRow>> {
-        let hook = self.state.compact.read().clone();
-        match hook {
-            Some(hook) => hook.compact(self, table),
-            None => Err(crate::error::EngineError::Unsupported(
-                "COMPACT requires the compaction subsystem (idf-compact)".to_string(),
-            )),
-        }
+        self.dispatch("COMPACT", NEEDS_COMPACT, |e| e.compact(self, table))
     }
 
     /// The process-global metrics in Prometheus text exposition format:
@@ -573,25 +550,113 @@ mod tests {
         assert_eq!(out.value_at(1, 0), Value::Utf8("b".into()));
     }
 
+    /// Every statement only an extension can execute is, on a bare
+    /// session, a typed `Unsupported` that names the statement.
     #[test]
-    fn checkpoint_without_hook_is_unsupported() {
+    fn bare_session_rejects_extension_statements_by_name() {
         let s = Session::new();
-        let err = s.checkpoint(None).unwrap_err();
-        assert!(matches!(err, crate::error::EngineError::Unsupported(_)));
+        let query = match crate::sql::parse_statement("SELECT x FROM t").unwrap() {
+            crate::sql::Statement::Select(q) => q,
+            other => panic!("expected a SELECT, got {other:?}"),
+        };
+        let rejected = [
+            ("CHECKPOINT", s.checkpoint(None).err()),
+            ("SCRUB", s.scrub(None).err()),
+            ("resume_writes", s.resume_writes(Some("t")).err()),
+            (
+                "CREATE MATERIALIZED VIEW",
+                s.create_materialized_view("v", &query).err(),
+            ),
+            (
+                "DROP MATERIALIZED VIEW",
+                s.drop_materialized_view("v").err(),
+            ),
+            (
+                "REFRESH MATERIALIZED VIEW",
+                s.refresh_materialized_view("v").err(),
+            ),
+            ("COMPACT", s.compact(None).err()),
+        ];
+        for (statement, err) in rejected {
+            match err {
+                Some(crate::error::EngineError::Unsupported(msg)) => {
+                    assert!(msg.starts_with(statement), "{statement}: {msg}")
+                }
+                other => panic!("{statement}: expected Unsupported, got {other:?}"),
+            }
+        }
+        // The eighth operation has an engine-owned fallback instead:
+        // `create_table` without a minting extension is a plain table.
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
+        s.create_table("plain", schema).unwrap();
+        assert!(s.table("plain").is_ok());
+    }
+
+    /// Claims `CHECKPOINT` only, answering with its own tag.
+    struct Checkpointer(&'static str, &'static str);
+    impl SessionExtension for Checkpointer {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn checkpoint(&self, table: Option<&str>) -> Result<Option<Vec<String>>> {
+            Ok(Some(vec![format!("{}:{}", self.1, table.unwrap_or("all"))]))
+        }
+    }
+
+    /// Claims `CREATE TABLE` and `COMPACT`, counting the tables it mints.
+    struct Minter(std::sync::atomic::AtomicUsize);
+    impl SessionExtension for Minter {
+        fn name(&self) -> &str {
+            "minter"
+        }
+        fn create_table(
+            &self,
+            _name: &str,
+            schema: SchemaRef,
+        ) -> Result<Option<Arc<dyn TableSource>>> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(Some(Arc::new(crate::catalog::AppendTable::new(schema))))
+        }
+        fn compact(&self, _s: &Session, table: Option<&str>) -> Result<Option<Vec<CompactRow>>> {
+            Ok(Some(vec![CompactRow {
+                table: table.unwrap_or("all").to_string(),
+                rows_reclaimed: 0,
+                bytes_reclaimed: 0,
+            }]))
+        }
     }
 
     #[test]
-    fn checkpoint_dispatches_to_installed_hook() {
-        struct Recorder;
-        impl DurabilityHook for Recorder {
-            fn checkpoint(&self, table: Option<&str>) -> Result<Vec<String>> {
-                Ok(vec![table.unwrap_or("all").to_string()])
-            }
-        }
+    fn each_statement_reaches_the_extension_that_claims_it() {
         let s = Session::new();
-        s.set_durability_hook(Arc::new(Recorder));
-        assert_eq!(s.checkpoint(Some("t")).unwrap(), vec!["t".to_string()]);
-        assert_eq!(s.checkpoint(None).unwrap(), vec!["all".to_string()]);
+        let minter = Arc::new(Minter(std::sync::atomic::AtomicUsize::new(0)));
+        s.install_extension(Arc::clone(&minter) as Arc<dyn SessionExtension>);
+        s.install_extension(Arc::new(Checkpointer("durable", "a")));
+
+        assert_eq!(s.checkpoint(Some("t")).unwrap(), ["a:t"]);
+        assert_eq!(s.checkpoint(None).unwrap(), ["a:all"]);
+        assert_eq!(s.compact(Some("t")).unwrap()[0].table, "t");
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
+        s.create_table("t", schema).unwrap();
+        assert_eq!(minter.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // Neither claims SCRUB: still the typed rejection.
+        assert!(matches!(
+            s.scrub(None),
+            Err(crate::error::EngineError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn reinstalling_a_name_replaces_instead_of_stacking() {
+        let s = Session::new();
+        s.install_extension(Arc::new(Checkpointer("durable", "first")));
+        s.install_extension(Arc::new(Checkpointer("other", "other")));
+        // The first-installed extension answers…
+        assert_eq!(s.checkpoint(None).unwrap(), ["first:all"]);
+        // …and installing its name again takes over that slot, rather than
+        // queueing behind the two already installed.
+        s.install_extension(Arc::new(Checkpointer("durable", "second")));
+        assert_eq!(s.checkpoint(None).unwrap(), ["second:all"]);
     }
 
     #[test]
@@ -609,23 +674,6 @@ mod tests {
         assert!(s.table("t").is_err());
         let err = s.drop_table("t").unwrap_err();
         assert!(matches!(err, crate::error::EngineError::TableNotFound(_)));
-    }
-
-    #[test]
-    fn create_table_dispatches_to_installed_factory() {
-        struct Counting(std::sync::atomic::AtomicUsize);
-        impl TableFactory for Counting {
-            fn create(&self, _name: &str, schema: SchemaRef) -> Result<Arc<dyn TableSource>> {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Ok(Arc::new(crate::catalog::AppendTable::new(schema)))
-            }
-        }
-        let s = Session::new();
-        let factory = Arc::new(Counting(std::sync::atomic::AtomicUsize::new(0)));
-        s.set_table_factory(Arc::clone(&factory) as Arc<dyn TableFactory>);
-        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
-        s.create_table("t", schema).unwrap();
-        assert_eq!(factory.0.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     /// Regression: concurrent `CREATE TABLE` of the same name used to be

@@ -11,7 +11,7 @@ use idf_engine::logical::LogicalPlan;
 use idf_engine::optimizer::OptimizerRule;
 use idf_engine::physical::display_exec;
 use idf_engine::prelude::*;
-use idf_engine::session::ViewsHook;
+use idf_engine::session::SessionExtension;
 use idf_engine::sql::{binder, parse_statement, SelectStmt, Statement, PLAN_CACHE_CAPACITY};
 use idf_snb::queries::{self, QueryParams};
 use idf_snb::{generate, SnbConfig};
@@ -338,26 +338,32 @@ fn drop_and_recreate_with_another_schema_invalidates() {
 /// name (which is how `idf-views` plans reads of a view too).
 struct TableViews;
 
-impl ViewsHook for TableViews {
-    fn create_view(&self, session: &Session, name: &str, _query: &SelectStmt) -> Result<()> {
+impl SessionExtension for TableViews {
+    fn name(&self) -> &str {
+        "table-views"
+    }
+
+    fn create_view(
+        &self,
+        session: &Session,
+        name: &str,
+        _query: &SelectStmt,
+    ) -> Result<Option<()>> {
         let schema = int_schema(&["id", "total"]);
         let chunk = Chunk::from_rows(&schema, &[vec![Value::Int64(1), Value::Int64(42)]])?;
-        session.register_table_new(name, Arc::new(MemTable::from_chunk(schema, chunk)))
+        session.register_table_new(name, Arc::new(MemTable::from_chunk(schema, chunk)))?;
+        Ok(Some(()))
     }
 
-    fn drop_view(&self, session: &Session, name: &str) -> Result<()> {
-        session.drop_table(name)
-    }
-
-    fn refresh_view(&self, _session: &Session, _name: &str) -> Result<()> {
-        Ok(())
+    fn drop_view(&self, session: &Session, name: &str) -> Result<Option<()>> {
+        session.drop_table(name).map(Some)
     }
 }
 
 #[test]
 fn creating_and_dropping_a_materialized_view_invalidates() {
     let session = kv_session();
-    session.set_views_hook(Arc::new(TableViews));
+    session.install_extension(Arc::new(TableViews));
     let read = "SELECT total FROM v WHERE id = 1";
     assert!(session.sql(read).is_err());
     session.sql("SELECT name FROM t WHERE id = 1").unwrap();

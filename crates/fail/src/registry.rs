@@ -1,12 +1,9 @@
-//! The real failpoint registry (`failpoints` feature enabled).
-//!
-//! Keep this file's public surface in lockstep with `noop.rs` — the
-//! `idf-lint` `api-parity` rule diffs the two and fails the build when a
-//! `pub fn` exists in one half only.
+//! The failpoint registry. Types and signatures have one definition;
+//! the `failpoints` feature gates only the registry state and the bodies
+//! of [`configure`], [`remove`], [`reset`], [`hit_count`] and [`eval`].
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+#[cfg(feature = "failpoints")]
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// What a triggered failpoint does.
@@ -22,6 +19,7 @@ pub enum FailAction {
 
 /// Per-site trigger configuration: an action plus optional `skip` /
 /// `times` counters for deterministic "fail the Nth call" schedules.
+/// With `failpoints` off it is accepted and never consulted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailConfig {
     action: FailAction,
@@ -67,98 +65,129 @@ impl FailConfig {
     }
 }
 
-struct SiteState {
-    config: FailConfig,
-    hits: u64,
-}
+/// The registry state; absent when `failpoints` is off.
+#[cfg(feature = "failpoints")]
+mod state {
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Number of configured sites; `0` means every `eval` takes the
-/// one-atomic-load fast path.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+    pub(super) struct SiteState {
+        pub(super) config: super::FailConfig,
+        pub(super) hits: u64,
+    }
 
-fn registry() -> &'static Mutex<HashMap<String, SiteState>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
+    /// Number of configured sites; `0` means every `eval` takes the
+    /// one-atomic-load fast path.
+    pub(super) static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-fn lock() -> std::sync::MutexGuard<'static, HashMap<String, SiteState>> {
-    // The registry mutex is only ever held for map bookkeeping (actions
-    // run outside the lock), so a panic mid-update cannot corrupt it.
-    registry().lock().unwrap_or_else(PoisonError::into_inner)
+    pub(super) fn lock() -> MutexGuard<'static, HashMap<String, SiteState>> {
+        static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
+        // The registry mutex is only ever held for map bookkeeping (actions
+        // run outside the lock), so a panic mid-update cannot corrupt it.
+        REGISTRY
+            .get_or_init(|| Mutex::new(HashMap::new()))
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Configure `site` to trigger per `config`, replacing any previous
-/// configuration for the same site.
+/// configuration for the same site (discarded with `failpoints` off).
 pub fn configure(site: impl Into<String>, config: FailConfig) {
-    let mut map = lock();
-    if map
-        .insert(site.into(), SiteState { config, hits: 0 })
-        .is_none()
+    #[cfg(feature = "failpoints")]
     {
-        ACTIVE.fetch_add(1, Ordering::Release);
+        let mut map = state::lock();
+        let fresh = state::SiteState { config, hits: 0 };
+        if map.insert(site.into(), fresh).is_none() {
+            state::ACTIVE.fetch_add(1, Ordering::Release);
+        }
     }
 }
 
-/// Remove the configuration for `site`. Returns `true` if it existed.
+/// Remove the configuration for `site`. Returns `true` if it existed
+/// (always `false` with `failpoints` off).
 pub fn remove(site: &str) -> bool {
-    let mut map = lock();
-    if map.remove(site).is_some() {
-        ACTIVE.fetch_sub(1, Ordering::Release);
-        true
-    } else {
-        false
+    #[cfg(feature = "failpoints")]
+    {
+        let mut map = state::lock();
+        if map.remove(site).is_some() {
+            state::ACTIVE.fetch_sub(1, Ordering::Release);
+            return true;
+        }
     }
+    false
 }
 
 /// Remove every configured site.
 pub fn reset() {
-    let mut map = lock();
-    let n = map.len();
-    map.clear();
-    ACTIVE.fetch_sub(n, Ordering::Release);
+    #[cfg(feature = "failpoints")]
+    {
+        let mut map = state::lock();
+        let n = map.len();
+        map.clear();
+        state::ACTIVE.fetch_sub(n, Ordering::Release);
+    }
 }
 
 /// Number of evaluations of `site` so far (including non-triggering
-/// ones), or `None` if the site is not configured.
+/// ones), or `None` if the site is not configured (always `None` with
+/// `failpoints` off).
 pub fn hit_count(site: &str) -> Option<u64> {
-    lock().get(site).map(|s| s.hits)
+    #[cfg(feature = "failpoints")]
+    {
+        state::lock().get(site).map(|s| s.hits)
+    }
+    #[cfg(not(feature = "failpoints"))]
+    {
+        None
+    }
 }
 
 /// Evaluate the failpoint named `site`.
 ///
 /// Returns `Ok(())` unless a test configured the site to trigger, in
 /// which case the configured action runs: `Error` returns the message
-/// as `Err`, `Panic` panics, `Delay` sleeps then returns `Ok(())`.
+/// as `Err`, `Panic` panics, `Delay` sleeps then returns `Ok(())`. With
+/// `failpoints` off this is an inlined `Ok(())`.
+#[cfg_attr(not(feature = "failpoints"), inline(always))]
 pub fn eval(site: &str) -> Result<(), String> {
-    if ACTIVE.load(Ordering::Acquire) == 0 {
-        return Ok(());
-    }
-    let action = {
-        let mut map = lock();
-        let Some(state) = map.get_mut(site) else {
+    #[cfg(feature = "failpoints")]
+    {
+        if state::ACTIVE.load(Ordering::Acquire) == 0 {
             return Ok(());
+        }
+        let action = {
+            let mut map = state::lock();
+            let Some(state) = map.get_mut(site) else {
+                return Ok(());
+            };
+            state.hits += 1;
+            if state.config.skip > 0 {
+                state.config.skip -= 1;
+                return Ok(());
+            }
+            match state.config.times {
+                Some(0) => return Ok(()),
+                Some(ref mut n) => *n -= 1,
+                None => {}
+            }
+            state.config.action.clone()
         };
-        state.hits += 1;
-        if state.config.skip > 0 {
-            state.config.skip -= 1;
-            return Ok(());
+        // Run the action outside the registry lock so a panicking or
+        // sleeping site never blocks other sites.
+        match action {
+            FailAction::Error(msg) => Err(msg),
+            FailAction::Panic(msg) => panic!("failpoint {site}: {msg}"),
+            FailAction::Delay(d) => {
+                std::thread::sleep(d);
+                Ok(())
+            }
         }
-        match state.config.times {
-            Some(0) => return Ok(()),
-            Some(ref mut n) => *n -= 1,
-            None => {}
-        }
-        state.config.action.clone()
-    };
-    // Run the action outside the registry lock so a panicking or
-    // sleeping site never blocks other sites.
-    match action {
-        FailAction::Error(msg) => Err(msg),
-        FailAction::Panic(msg) => panic!("failpoint {site}: {msg}"),
-        FailAction::Delay(d) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
+    }
+    #[cfg(not(feature = "failpoints"))]
+    {
+        Ok(())
     }
 }
 

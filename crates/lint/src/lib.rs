@@ -2,10 +2,10 @@
 //!
 //! PRs 1–3 introduced correctness-by-convention rules that nothing
 //! machine-checked: every `unsafe` site must justify itself, hot paths
-//! must not panic, probe-path clock reads must be `Sampler`-gated, the
-//! `idf-obs`/`idf-fail` no-op mirrors must stay API-identical, failpoint
-//! names must stay registered, and every physical operator must route its
-//! output through `TaskContext::instrument`. This crate enforces those as
+//! must not panic, probe-path clock reads must be `Sampler`-gated,
+//! failpoint names must stay unique and referenced by const, and every
+//! physical operator must route its output through
+//! `TaskContext::instrument`. This crate enforces those as
 //! named, suppressable rules over a hand-rolled token stream (the
 //! workspace builds offline, so `syn` is unavailable — see [`lexer`]).
 //!
@@ -324,18 +324,6 @@ pub trait Rule {
     fn check(&self, files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Finding>);
 }
 
-/// An API-parity pair: a set of "real" files whose public surface must be
-/// mirrored exactly by a set of no-op "mirror" files.
-#[derive(Debug, Clone)]
-pub struct ParityPair {
-    /// Display name for findings (e.g. `idf-obs`).
-    pub name: &'static str,
-    /// Workspace-relative paths of the real implementation files.
-    pub real: Vec<&'static str>,
-    /// Workspace-relative paths of the mirror files.
-    pub mirror: Vec<&'static str>,
-}
-
 /// Scopes and site lists consumed by the rules.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
@@ -347,13 +335,9 @@ pub struct LintConfig {
     pub index_check_files: Vec<&'static str>,
     /// Path prefixes where raw clock reads are flagged (rule `raw-clock`).
     pub clock_prefixes: Vec<&'static str>,
-    /// Real/mirror file pairs (rule `api-parity`).
-    pub parity_pairs: Vec<ParityPair>,
-    /// Files holding failpoint name consts + `SITES` tables (rule
-    /// `failpoint-registry`).
-    pub failpoint_registries: Vec<&'static str>,
     /// Path prefix of the failpoint crate itself (its internals may pass
-    /// raw strings to `eval`).
+    /// raw strings to `eval`, and its `sites!` examples declare no real
+    /// site).
     pub fail_crate_prefix: &'static str,
     /// Path prefix of the physical operators (rule `instrument-routing`).
     pub physical_prefix: &'static str,
@@ -384,36 +368,6 @@ impl LintConfig {
             ],
             index_check_files: vec!["crates/core/src/batch.rs", "crates/core/src/layout.rs"],
             clock_prefixes: vec!["crates/core/src/", "crates/ctrie/src/"],
-            parity_pairs: vec![
-                ParityPair {
-                    name: "idf-obs",
-                    real: vec![
-                        "crates/obs/src/counter.rs",
-                        "crates/obs/src/histogram.rs",
-                        "crates/obs/src/registry.rs",
-                        "crates/obs/src/sampler.rs",
-                    ],
-                    mirror: vec!["crates/obs/src/noop.rs"],
-                },
-                ParityPair {
-                    name: "idf-fail",
-                    real: vec!["crates/fail/src/registry.rs"],
-                    mirror: vec!["crates/fail/src/noop.rs"],
-                },
-                ParityPair {
-                    name: "idf-compact",
-                    real: vec!["crates/compact/src/worker.rs"],
-                    mirror: vec!["crates/compact/src/noop.rs"],
-                },
-            ],
-            failpoint_registries: vec![
-                "crates/core/src/failpoints.rs",
-                "crates/durable/src/failpoints.rs",
-                "crates/engine/src/failpoints.rs",
-                "crates/serve/src/failpoints.rs",
-                "crates/views/src/failpoints.rs",
-                "crates/compact/src/failpoints.rs",
-            ],
             fail_crate_prefix: "crates/fail/",
             physical_prefix: "crates/engine/src/physical/",
             blocking_lock_prefixes: vec![
@@ -444,7 +398,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(rules::safety_comment::SafetyComment),
         Box::new(rules::hot_path_panic::HotPathPanic),
         Box::new(rules::raw_clock::RawClock),
-        Box::new(rules::api_parity::ApiParity),
         Box::new(rules::failpoint_registry::FailpointRegistry),
         Box::new(rules::instrument_routing::InstrumentRouting),
         Box::new(rules::lock_order::LockOrder),
@@ -550,9 +503,9 @@ mod tests {
 
     #[test]
     fn attribute_flavored_suppression_parses() {
-        let lexed = lexer::lex("// idf_lint::allow(api-parity)\nfn f() {}\n");
+        let lexed = lexer::lex("// idf_lint::allow(raw-clock)\nfn f() {}\n");
         let s = Suppressions::parse(&lexed);
-        assert!(s.covers("api-parity", 2));
+        assert!(s.covers("raw-clock", 2));
     }
 
     #[test]

@@ -1,26 +1,21 @@
-//! Rule `failpoint-registry`: every failpoint site name is declared as a
-//! named const, registered exactly once in its file's `SITES` table, and
-//! call sites never pass raw string literals.
+//! Rule `failpoint-registry`: failpoint site names stay unique across
+//! the workspace, and call sites never pass raw string literals.
 //!
-//! The chaos suite iterates `SITES` and asserts the snapshot invariants
-//! hold with a fault injected at every registered site — a site that is
-//! declared but not registered silently escapes chaos coverage, and a raw
-//! `eval("...")` literal can drift from the const without any compiler
-//! help. Concretely, per registry file (`crates/{core,engine}/src/
-//! failpoints.rs`):
+//! Each crate declares its sites once with `idf_fail::sites!` in its
+//! `failpoints.rs`; the macro emits the named consts and the `SITES`
+//! table the chaos suites iterate from the same rows, so "declared ⇔
+//! registered" holds by construction and is not checked here. What the
+//! compiler cannot see, this rule checks:
 //!
-//! 1. every `pub const NAME: &str = "..."` appears exactly once in that
-//!    file's `pub const SITES: &[&str] = &[...]` table;
-//! 2. every entry of `SITES` resolves to a declared const;
-//! 3. no two consts (across all registry files, i.e. spanning every
-//!    crate's SITES table) share a string value **or a const name** —
-//!    chaos tooling and grep address sites by both;
-//! 4. outside the `idf-fail` crate, the registry files themselves, and
-//!    test code, `eval(...)`/`check(...)` never takes a string literal —
-//!    sites must be referenced by const.
+//! 1. no two rows (across every crate's `sites!` declaration) share a
+//!    string value **or a const name** — chaos tooling and grep address
+//!    sites by both;
+//! 2. outside the `idf-fail` crate and test code, `eval(...)`/`check(...)`
+//!    never takes a string literal — a raw name can drift from its const
+//!    without any compiler help.
 
 use crate::{Finding, LintConfig, Rule, SourceFile, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// See module docs.
 pub struct FailpointRegistry;
@@ -29,15 +24,23 @@ const ID: &str = "failpoint-registry";
 
 /// `--explain` text; DESIGN.md §8 carries the same contract.
 pub const EXPLAIN: &str = "\
-Each failpoint registry (crates/*/src/failpoints.rs) declares site-name\n\
-consts and a SITES table the chaos suites iterate. The rule checks,\n\
-per file: every const appears exactly once in SITES, and every SITES\n\
-entry resolves to a local const. Across ALL registries (spanning every\n\
-crate's SITES table): no two consts share a string value or a const\n\
-name — chaos tooling addresses sites by both, and a collision silently\n\
-halves coverage. Call sites outside the fail crate and tests must pass\n\
-consts, never raw string literals. Suppress a deliberate exception\n\
-with `// idf-lint: allow(failpoint-registry) -- why`.";
+Each crate declares its failpoint sites once, as `NAME = \"crate::site\"`\n\
+rows of an `idf_fail::sites!` invocation (crates/*/src/failpoints.rs);\n\
+the macro emits the consts and the SITES table the chaos suites iterate,\n\
+so a declared site is registered by construction. The rule checks what\n\
+the compiler cannot see. Across ALL declarations: no two rows share a\n\
+string value or a const name — chaos tooling addresses sites by both,\n\
+and a collision silently halves coverage. Call sites outside the fail\n\
+crate and tests must pass consts, never raw string literals. Suppress a\n\
+deliberate exception with `// idf-lint: allow(failpoint-registry) -- why`.";
+
+/// One `NAME = "value"` row of a `sites!` declaration.
+struct Site<'a> {
+    name: &'a str,
+    value: &'a str,
+    file: &'a str,
+    line: u32,
+}
 
 impl Rule for FailpointRegistry {
     fn id(&self) -> &'static str {
@@ -45,7 +48,7 @@ impl Rule for FailpointRegistry {
     }
 
     fn describe(&self) -> &'static str {
-        "failpoint consts registered exactly once in SITES; no raw string literals at call sites"
+        "failpoint site names and values unique across crates; no raw string literals at call sites"
     }
 
     fn explain(&self) -> &'static str {
@@ -53,154 +56,94 @@ impl Rule for FailpointRegistry {
     }
 
     fn check(&self, files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Finding>) {
-        // (name, value, file, line) of every declared site const, across
-        // all registry files — the cross-crate SITES inventory.
-        let mut all_decls: Vec<(String, String, String, u32)> = Vec::new();
-        for sf in files {
-            if cfg.failpoint_registries.iter().any(|p| *p == sf.path) {
-                check_registry(sf, &mut all_decls, out);
+        let shipped =
+            |sf: &&SourceFile| !sf.path.starts_with(cfg.fail_crate_prefix) && !sf.is_test_path();
+        // The cross-crate site inventory, in file order.
+        let mut sites: Vec<Site<'_>> = Vec::new();
+        for sf in files.iter().filter(shipped) {
+            declared_sites(sf, &mut sites);
+        }
+        let mut by_value: BTreeMap<&str, &Site<'_>> = BTreeMap::new();
+        let mut by_name: BTreeMap<&str, &Site<'_>> = BTreeMap::new();
+        for site in &sites {
+            if let Some(first) = by_value.get(site.value) {
+                out.push(Finding {
+                    rule: ID,
+                    file: site.file.to_string(),
+                    line: site.line,
+                    message: format!(
+                        "duplicate failpoint name \"{}\" (first declared in {}:{})",
+                        site.value, first.file, first.line
+                    ),
+                });
+            } else {
+                by_value.insert(site.value, site);
+            }
+            // `failpoints::X` in two crates is legal Rust but ambiguous
+            // to grep and chaos tooling.
+            if let Some(first) = by_name.get(site.name) {
+                out.push(Finding {
+                    rule: ID,
+                    file: site.file.to_string(),
+                    line: site.line,
+                    message: format!(
+                        "site const name {} is declared more than once (also {}:{}); \
+                         const names must be unique across all sites! declarations",
+                        site.name, first.file, first.line
+                    ),
+                });
+            } else {
+                by_name.insert(site.name, site);
             }
         }
-        // Cross-registry duplicate string values.
-        let mut by_value: BTreeMap<&str, Vec<&(String, String, String, u32)>> = BTreeMap::new();
-        for d in &all_decls {
-            by_value.entry(d.1.as_str()).or_default().push(d);
-        }
-        for (value, decls) in by_value {
-            if decls.len() > 1 {
-                for d in &decls[1..] {
-                    out.push(Finding {
-                        rule: ID,
-                        file: d.2.clone(),
-                        line: d.3,
-                        message: format!(
-                            "duplicate failpoint name \"{}\" (first declared in {}:{})",
-                            value, decls[0].2, decls[0].3
-                        ),
-                    });
-                }
-            }
-        }
-        // Cross-registry duplicate const *names*: `failpoints::X` in two
-        // crates is legal Rust but ambiguous to grep and chaos tooling.
-        let mut by_name: BTreeMap<&str, Vec<&(String, String, String, u32)>> = BTreeMap::new();
-        for d in &all_decls {
-            by_name.entry(d.0.as_str()).or_default().push(d);
-        }
-        for (name, decls) in by_name {
-            let distinct_files = decls.iter().map(|d| d.2.as_str()).collect::<BTreeSet<_>>();
-            if distinct_files.len() > 1 {
-                for d in &decls[1..] {
-                    out.push(Finding {
-                        rule: ID,
-                        file: d.2.clone(),
-                        line: d.3,
-                        message: format!(
-                            "site const name {name} is declared in multiple registries \
-                             (also {}:{}); const names must be unique across all SITES tables",
-                            decls[0].2, decls[0].3
-                        ),
-                    });
-                }
-            }
-        }
-        // Raw literal call sites.
-        for sf in files {
-            let exempt = sf.path.starts_with(cfg.fail_crate_prefix)
-                || cfg.failpoint_registries.iter().any(|p| *p == sf.path)
-                || sf.is_test_path();
-            if exempt {
-                continue;
-            }
+        for sf in files.iter().filter(shipped) {
             check_call_sites(sf, out);
         }
     }
 }
 
-/// Validate one registry file and collect its const declarations as
-/// `(name, value, file, line)`.
-fn check_registry(
-    sf: &SourceFile,
-    decls: &mut Vec<(String, String, String, u32)>,
-    out: &mut Vec<Finding>,
-) {
+/// Collect the `NAME = "value"` rows of every `sites! { … }` invocation
+/// in `sf` (outside test regions).
+fn declared_sites<'a>(sf: &'a SourceFile, out: &mut Vec<Site<'a>>) {
     let toks = &sf.lexed.toks;
-    let n = toks.len();
-    // name -> (value, line)
-    let mut consts: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    let mut sites: Vec<(String, u32)> = Vec::new();
-    let mut sites_line: Option<u32> = None;
+    let is = |i: usize, text: &str| toks.get(i).is_some_and(|t| t.text == text);
     let mut i = 0usize;
-    while i < n {
-        // `const NAME : … = …` — visibility does not matter for the
-        // registry contract.
-        if toks[i].kind == TokKind::Ident && toks[i].text == "const" {
-            let Some(name_tok) = toks.get(i + 1) else {
-                break;
-            };
-            if name_tok.kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            let name = name_tok.text.clone();
-            let line = name_tok.line;
-            // Scan to `=`, then classify the initializer.
-            let mut j = i + 2;
-            while j < n && toks[j].text != "=" && toks[j].text != ";" {
-                j += 1;
-            }
-            if name == "SITES" {
-                sites_line = Some(line);
-                // Collect idents of the `&[A, B, …]` initializer.
-                while j < n && toks[j].text != ";" {
-                    if toks[j].kind == TokKind::Ident {
-                        sites.push((toks[j].text.clone(), toks[j].line));
-                    }
-                    j += 1;
-                }
-            } else if let Some(val) = toks.get(j + 1).filter(|v| v.kind == TokKind::Str) {
-                consts.insert(name, (val.text.clone(), line));
-            }
-            i = j;
+    while i < toks.len() {
+        let opens = toks[i].kind == TokKind::Ident
+            && toks[i].text == "sites"
+            && is(i + 1, "!")
+            && !sf.test_mask[i];
+        i += 1;
+        if !opens {
             continue;
         }
+        // Rows run to the delimiter that closes the invocation; a row's
+        // doc comments are not tokens, so each is `Ident = Str`.
+        let mut depth = 0usize;
         i += 1;
-    }
-    if sites_line.is_none() && !consts.is_empty() {
-        out.push(Finding {
-            rule: ID,
-            file: sf.path.clone(),
-            line: 1,
-            message: "registry file declares site consts but no SITES table".to_string(),
-        });
-        // Still record declarations for the duplicate checks.
-        for (name, (value, line)) in &consts {
-            decls.push((name.clone(), value.clone(), sf.path.clone(), *line));
-        }
-        return;
-    }
-    for (name, (value, line)) in &consts {
-        let count = sites.iter().filter(|(s, _)| s == name).count();
-        if count != 1 {
-            out.push(Finding {
-                rule: ID,
-                file: sf.path.clone(),
-                line: *line,
-                message: format!(
-                    "site const {name} (\"{value}\") appears {count} times in SITES (want exactly 1)"
-                ),
-            });
-        }
-        decls.push((name.clone(), value.clone(), sf.path.clone(), *line));
-    }
-    for (entry, line) in &sites {
-        if !consts.contains_key(entry) {
-            out.push(Finding {
-                rule: ID,
-                file: sf.path.clone(),
-                line: *line,
-                message: format!("SITES entry {entry} is not a site const declared in this file"),
-            });
+        while i < toks.len() {
+            match toks[i].text.as_str() {
+                "{" | "(" | "[" if toks[i].kind == TokKind::Punct => depth += 1,
+                "}" | ")" | "]" if toks[i].kind == TokKind::Punct => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            if toks[i].kind == TokKind::Ident
+                && is(i + 1, "=")
+                && toks.get(i + 2).is_some_and(|v| v.kind == TokKind::Str)
+            {
+                out.push(Site {
+                    name: &toks[i].text,
+                    value: &toks[i + 2].text,
+                    file: &sf.path,
+                    line: toks[i].line,
+                });
+            }
+            i += 1;
         }
     }
 }
@@ -250,58 +193,52 @@ mod tests {
             .collect()
     }
 
-    const GOOD: &str = "pub const A: &str = \"core::a\";\npub const B: &str = \"core::b\";\npub const SITES: &[&str] = &[A, B];\n";
+    const GOOD: &str =
+        "idf_fail::sites! {\n    /// Doc.\n    A = \"core::a\",\n    B = \"core::b\",\n}\n";
 
     #[test]
-    fn well_formed_registry_passes() {
-        assert!(run(&[("crates/core/src/failpoints.rs", GOOD)]).is_empty());
-    }
-
-    #[test]
-    fn unregistered_const_is_flagged() {
-        let src = "pub const A: &str = \"core::a\";\npub const B: &str = \"core::b\";\npub const SITES: &[&str] = &[A];\n";
-        let f = run(&[("crates/core/src/failpoints.rs", src)]);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains('B'));
-    }
-
-    #[test]
-    fn double_registration_is_flagged() {
-        let src = "pub const A: &str = \"core::a\";\npub const SITES: &[&str] = &[A, A];\n";
-        let f = run(&[("crates/core/src/failpoints.rs", src)]);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("2 times"));
-    }
-
-    #[test]
-    fn unknown_sites_entry_is_flagged() {
-        let src = "pub const A: &str = \"core::a\";\npub const SITES: &[&str] = &[A, GHOST];\n";
-        let f = run(&[("crates/core/src/failpoints.rs", src)]);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("GHOST"));
+    fn well_formed_declarations_pass() {
+        let other = "idf_fail::sites! { X = \"engine::x\" }\n";
+        assert!(run(&[
+            ("crates/core/src/failpoints.rs", GOOD),
+            ("crates/engine/src/failpoints.rs", other),
+        ])
+        .is_empty());
     }
 
     #[test]
     fn duplicate_values_across_files_are_flagged() {
-        let other = "pub const X: &str = \"core::a\";\npub const SITES: &[&str] = &[X];\n";
+        let other = "idf_fail::sites! { X = \"core::a\" }\n";
         let f = run(&[
             ("crates/core/src/failpoints.rs", GOOD),
             ("crates/engine/src/failpoints.rs", other),
         ]);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("duplicate"));
+        assert_eq!(f[0].file, "crates/engine/src/failpoints.rs");
     }
 
     #[test]
-    fn duplicate_const_names_across_registries_are_flagged() {
-        let other = "pub const A: &str = \"engine::a\";\npub const SITES: &[&str] = &[A];\n";
+    fn duplicate_const_names_across_declarations_are_flagged() {
+        let other = "idf_fail::sites! { A = \"engine::a\" }\n";
         let f = run(&[
             ("crates/core/src/failpoints.rs", GOOD),
             ("crates/engine/src/failpoints.rs", other),
         ]);
         assert_eq!(f.len(), 1, "{f:#?}");
-        assert!(f[0].message.contains("multiple registries"));
+        assert!(f[0].message.contains("more than once"));
         assert_eq!(f[0].file, "crates/engine/src/failpoints.rs");
+    }
+
+    #[test]
+    fn the_fail_crate_and_tests_declare_no_real_sites() {
+        let example = "idf_fail::sites! { A = \"core::a\" }\n";
+        assert!(run(&[
+            ("crates/core/src/failpoints.rs", GOOD),
+            ("crates/fail/src/lib.rs", example),
+            ("crates/core/tests/chaos.rs", example),
+        ])
+        .is_empty());
     }
 
     #[test]

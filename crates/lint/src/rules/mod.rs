@@ -1,7 +1,6 @@
 //! The rule set. Each module exports one [`crate::Rule`] implementation;
 //! the inventory lives in [`crate::all_rules`].
 
-pub mod api_parity;
 pub mod atomics_audit;
 pub mod blocking_under_lock;
 pub mod condvar_discipline;

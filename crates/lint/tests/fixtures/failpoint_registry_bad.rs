@@ -1,6 +1,11 @@
-// Fixture: `ORPHAN` is declared but never registered in SITES.
+// Fixture: `REPROBE` reuses the string of `PROBE`, and a call site
+// passes a raw site name instead of a const.
 
-pub const PROBE: &str = "fx::probe";
-pub const ORPHAN: &str = "fx::orphan";
+idf_fail::sites! {
+    PROBE = "fx::probe",
+    REPROBE = "fx::probe",
+}
 
-pub const SITES: &[&str] = &[PROBE];
+fn read() -> Result<(), String> {
+    idf_fail::eval("fx::probe")
+}

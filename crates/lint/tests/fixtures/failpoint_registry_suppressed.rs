@@ -1,7 +1,12 @@
-// Fixture: the same orphan const, silenced with an inline allow.
+// Fixture: the same two violations, each silenced with an inline allow.
 
-pub const PROBE: &str = "fx::probe";
-// idf-lint: allow(failpoint-registry) -- fixture: staged site, registered next PR
-pub const ORPHAN: &str = "fx::orphan";
+idf_fail::sites! {
+    PROBE = "fx::probe",
+    // idf-lint: allow(failpoint-registry) -- fixture: alias kept for one release
+    REPROBE = "fx::probe",
+}
 
-pub const SITES: &[&str] = &[PROBE];
+fn read() -> Result<(), String> {
+    // idf-lint: allow(failpoint-registry) -- fixture: bootstrap path predates the const
+    idf_fail::eval("fx::probe")
+}

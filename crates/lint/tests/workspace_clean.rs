@@ -46,7 +46,6 @@ fn rule_inventory_is_complete() {
             "safety-comment",
             "hot-path-panic",
             "raw-clock",
-            "api-parity",
             "failpoint-registry",
             "instrument-routing",
             "lock-order",

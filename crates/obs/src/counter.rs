@@ -10,7 +10,6 @@ const SHARDS: usize = 16;
 /// One cache line per shard so writers on different cores never
 /// false-share.
 #[repr(align(64))]
-#[derive(Default)]
 struct Shard(AtomicU64);
 
 /// Index of the calling thread's shard: threads are assigned slots
@@ -35,16 +34,19 @@ fn shard_index() -> usize {
 
 /// Monotonically increasing counter, sharded across cache-padded atomics
 /// so hot-path increments from many threads stay uncontended. Totals are
-/// exact: `get()` sums all shards.
-#[derive(Default)]
+/// exact: `get()` sums all shards. Zero-sized with `obs` off.
 pub struct Counter {
+    #[cfg(feature = "obs")]
     shards: [Shard; SHARDS],
 }
 
 impl Counter {
     /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Counter {
+            #[cfg(feature = "obs")]
+            shards: [const { Shard(AtomicU64::new(0)) }; SHARDS],
+        }
     }
 
     /// Add one.
@@ -56,20 +58,29 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
+        #[cfg(feature = "obs")]
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Exact total across all shards.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        #[cfg(feature = "obs")]
+        {
+            self.shards
+                .iter()
+                .map(|s| s.0.load(Ordering::Relaxed))
+                .sum()
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            0
+        }
     }
 
     /// Reset to zero (test support; racing writers may land on either
     /// side of the reset).
     pub fn reset(&self) {
+        #[cfg(feature = "obs")]
         for s in &self.shards {
             s.0.store(0, Ordering::Relaxed);
         }
@@ -83,44 +94,59 @@ impl std::fmt::Debug for Counter {
 }
 
 /// Signed level gauge (single atomic — gauges are not hot-path).
-#[derive(Default)]
+/// Zero-sized with `obs` off.
 pub struct Gauge {
+    #[cfg(feature = "obs")]
     value: AtomicI64,
 }
 
 impl Gauge {
     /// New gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Gauge {
+            #[cfg(feature = "obs")]
+            value: AtomicI64::new(0),
+        }
     }
 
     /// Set the current level.
     #[inline]
     pub fn set(&self, v: i64) {
+        #[cfg(feature = "obs")]
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Add `n` to the level.
     #[inline]
     pub fn add(&self, n: i64) {
+        #[cfg(feature = "obs")]
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtract `n` from the level.
     #[inline]
     pub fn sub(&self, n: i64) {
+        #[cfg(feature = "obs")]
         self.value.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Raise the level to `v` if `v` is higher (high-water mark).
     #[inline]
     pub fn set_max(&self, v: i64) {
+        #[cfg(feature = "obs")]
         self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current level.
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        #[cfg(feature = "obs")]
+        {
+            self.value.load(Ordering::Relaxed)
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            0
+        }
     }
 
     /// Reset to zero (test support).
@@ -135,7 +161,7 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
 

@@ -15,19 +15,12 @@ pub(crate) const BUCKETS: usize = 64;
 /// cumulative scan over the 64 buckets and return the *upper bound* of
 /// the bucket containing the requested rank, which makes readouts
 /// monotone in `p` by construction (a higher rank can only land in the
-/// same or a later bucket).
+/// same or a later bucket). Zero-sized with `obs` off.
 pub struct Histogram {
+    #[cfg(feature = "obs")]
     buckets: [AtomicU64; BUCKETS],
+    #[cfg(feature = "obs")]
     sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Bucket index for a sample: its bit length, capped at the top bucket.
@@ -48,36 +41,46 @@ pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
 
 impl Histogram {
     /// New empty histogram.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Histogram {
+            #[cfg(feature = "obs")]
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            #[cfg(feature = "obs")]
+            sum: AtomicU64::new(0),
+        }
     }
 
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        #[cfg(feature = "obs")]
+        {
+            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+            self.sum.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        #[cfg(feature = "obs")]
+        {
+            self.sum.load(Ordering::Relaxed)
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            0
+        }
     }
 
     /// Value at percentile `p` (0–100): the upper bound of the bucket
     /// containing the sample of that rank. Returns 0 when empty.
     pub fn percentile(&self, p: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        percentile_of(&counts, p)
+        percentile_of(&self.bucket_counts(), p)
     }
 
     /// Consistent one-pass readout of count/sum/p50/p95/p99. The bucket
@@ -85,11 +88,7 @@ impl Histogram {
     /// the same view and are always mutually monotone even while writers
     /// race.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.bucket_counts();
         HistogramSnapshot {
             count: counts.iter().sum(),
             sum: self.sum(),
@@ -99,18 +98,28 @@ impl Histogram {
         }
     }
 
-    /// Per-bucket counts (for exposition). Index `i` = bucket `i`.
+    /// Per-bucket counts, loaded once. Index `i` = bucket `i`.
     pub(crate) fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+        #[cfg(feature = "obs")]
+        {
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            [0; BUCKETS]
+        }
     }
 
     /// Reset to empty (test support; racing writers may land on either
     /// side of the reset).
     pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        #[cfg(feature = "obs")]
+        {
+            for b in &self.buckets {
+                b.store(0, Ordering::Relaxed);
+            }
+            self.sum.store(0, Ordering::Relaxed);
         }
-        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -143,7 +152,7 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
 

@@ -8,10 +8,11 @@
 //! instance of each engine metric and renders them all as Prometheus
 //! text exposition.
 //!
-//! Everything is behind the default-on `obs` feature. With the feature
-//! disabled (`--no-default-features`) the same API exists but every
-//! method is an inlined no-op and every readout returns zero — callers
-//! never need `#[cfg]` guards, mirroring the `idf-fail` crate.
+//! Everything is behind the default-on `obs` feature. Each type has one
+//! definition; the feature gates only its storage and method bodies, so
+//! with it disabled (`--no-default-features`) the same API exists but
+//! the primitives are zero-sized, every mutator is an empty inlined body
+//! and every readout returns zero — callers never need `#[cfg]` guards.
 //!
 //! # Example
 //!
@@ -27,6 +28,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// With `obs` off the gated bodies leave their parameters, imports and
+// helpers unused by construction.
+#![cfg_attr(
+    not(feature = "obs"),
+    allow(unused_variables, unused_imports, dead_code)
+)]
 
 /// `true` when the `obs` feature is compiled in. Callers may use this to
 /// skip *argument computation* (e.g. reading a clock) that would
@@ -86,29 +93,32 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-#[cfg(feature = "obs")]
 mod counter;
-#[cfg(feature = "obs")]
 mod histogram;
-#[cfg(feature = "obs")]
 mod registry;
-#[cfg(feature = "obs")]
 mod sampler;
 
-#[cfg(feature = "obs")]
 pub use counter::{Counter, Gauge};
-#[cfg(feature = "obs")]
 pub use histogram::Histogram;
-#[cfg(feature = "obs")]
 pub use registry::{global, MetricsRegistry, SlowQueryLog, SLOW_LOG_CAPACITY, SLOW_LOG_LABEL_MAX};
-#[cfg(feature = "obs")]
 pub use sampler::{Sampler, SAMPLE_PERIOD};
 
-#[cfg(not(feature = "obs"))]
-mod noop;
-
-#[cfg(not(feature = "obs"))]
-pub use noop::{
-    global, Counter, Gauge, Histogram, MetricsRegistry, Sampler, SlowQueryLog, SAMPLE_PERIOD,
-    SLOW_LOG_CAPACITY, SLOW_LOG_LABEL_MAX,
-};
+/// `Default` is `new()` for every metric type (`new` is `const`, so the
+/// global registry can be a plain `static`).
+macro_rules! default_is_new {
+    ($($ty:ty),+) => {$(
+        impl Default for $ty {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+    )+};
+}
+default_is_new!(
+    Counter,
+    Gauge,
+    Histogram,
+    Sampler,
+    SlowQueryLog,
+    MetricsRegistry
+);

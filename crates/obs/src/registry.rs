@@ -2,11 +2,12 @@
 //! text exposition.
 
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::histogram::{bucket_upper_bound, BUCKETS};
-use crate::{Counter, Gauge, Histogram, QueryOutcome, SlowQueryEntry};
+use crate::{Counter, Gauge, Histogram, QueryOutcome, Sampler, SlowQueryEntry};
 
 /// Maximum entries retained by the slow-query log; older entries are
 /// evicted FIFO.
@@ -38,8 +39,7 @@ fn bounded_label(label: String) -> String {
 /// critical section (a deque rotate) and is only reached for queries
 /// that already blew the slowness threshold, so it is never on a hot
 /// path and can never deadlock against metric reads (counters and
-/// histograms are lock-free).
-#[derive(Default)]
+/// histograms are lock-free). With `obs` off `push` retains nothing.
 pub struct SlowQueryLog {
     entries: Mutex<VecDeque<SlowQueryEntry>>,
     next_seq: AtomicU64,
@@ -47,8 +47,11 @@ pub struct SlowQueryLog {
 
 impl SlowQueryLog {
     /// New empty log.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        SlowQueryLog {
+            entries: Mutex::new(VecDeque::new()),
+            next_seq: AtomicU64::new(0),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<SlowQueryEntry>> {
@@ -59,6 +62,9 @@ impl SlowQueryLog {
     /// are truncated to [`SLOW_LOG_LABEL_MAX`] bytes with a `…` marker so
     /// oversized SQL text cannot pin megabytes per ring slot.
     pub fn push(&self, label: impl Into<String>, elapsed_ns: u64, outcome: QueryOutcome) {
+        if !crate::enabled() {
+            return;
+        }
         let entry = SlowQueryEntry {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             label: bounded_label(label.into()),
@@ -99,641 +105,333 @@ impl std::fmt::Debug for SlowQueryLog {
     }
 }
 
-/// The engine's metric inventory. One process-global instance lives
-/// behind [`global`]; tests may build private instances.
-///
-/// Every field is individually lock-free (the slow log uses a short
-/// mutex but sits off the hot path), so storage and operator code may
-/// hit these from arbitrary threads.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
+/// How one metric kind renders in Prometheus text exposition.
+trait Expose {
+    /// The `# TYPE` keyword.
+    const TYPE: &'static str;
+    /// Append the sample lines for a metric called `name`.
+    fn samples(&self, out: &mut String, name: &str);
+}
+
+impl Expose for Counter {
+    const TYPE: &'static str = "counter";
+    fn samples(&self, out: &mut String, name: &str) {
+        let _ = writeln!(out, "{name} {}", self.get());
+    }
+}
+
+impl Expose for Gauge {
+    const TYPE: &'static str = "gauge";
+    fn samples(&self, out: &mut String, name: &str) {
+        let _ = writeln!(out, "{name} {}", self.get());
+    }
+}
+
+/// The slow-query log is exposed as a gauge of its retained entries.
+impl Expose for SlowQueryLog {
+    const TYPE: &'static str = "gauge";
+    fn samples(&self, out: &mut String, name: &str) {
+        let _ = writeln!(out, "{name} {}", self.len());
+    }
+}
+
+impl Expose for Histogram {
+    const TYPE: &'static str = "histogram";
+    fn samples(&self, out: &mut String, name: &str) {
+        let mut cumulative = 0u64;
+        for (i, &c) in self.bucket_counts().iter().enumerate() {
+            // Skip empty leading/inner buckets to keep the exposition
+            // readable; cumulative counts stay correct because `cumulative`
+            // carries across skipped buckets.
+            cumulative += c;
+            if c == 0 {
+                continue;
+            }
+            if i == BUCKETS - 1 {
+                // Top bucket is only reachable via +Inf below.
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                bucket_upper_bound(i)
+            );
+        }
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_sum {}", self.sum());
+        let _ = writeln!(out, "{name}_count {cumulative}");
+    }
+}
+
+fn expose<M: Expose>(out: &mut String, name: &str, help: &str, metric: &M) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {}", M::TYPE);
+    metric.samples(out, name);
+}
+
+/// Declares the metric inventory: one row per metric, in exposition
+/// order — `Kind field = "prometheus_name", "help text";` under the
+/// field's doc comment. The struct field, its initializer, its `reset()`
+/// and its `# HELP`/`# TYPE`/sample lines are all generated from the
+/// row, so adding a metric is a one-row change.
+macro_rules! metrics {
+    ($( $(#[$doc:meta])* $kind:ident $field:ident = $name:literal, $help:literal; )+) => {
+        /// The engine's metric inventory. One process-global instance lives
+        /// behind [`global`]; tests may build private instances.
+        ///
+        /// Every field is individually lock-free (the slow log uses a short
+        /// mutex but sits off the hot path), so storage and operator code may
+        /// hit these from arbitrary threads.
+        #[derive(Debug)]
+        pub struct MetricsRegistry {
+            $( $(#[$doc])* pub $field: $kind, )+
+            /// Gates the clock reads behind [`Self::snapshot_age_ns`].
+            pub probe_sampler: Sampler,
+            /// Ring buffer of queries slower than the session threshold.
+            pub slow_queries: SlowQueryLog,
+        }
+
+        impl MetricsRegistry {
+            /// New registry with all metrics at zero.
+            pub const fn new() -> Self {
+                MetricsRegistry {
+                    $( $field: $kind::new(), )+
+                    probe_sampler: Sampler::new(),
+                    slow_queries: SlowQueryLog::new(),
+                }
+            }
+
+            /// Reset every metric to zero (test support). Racing writers may
+            /// land on either side of the reset; callers serialize.
+            pub fn reset(&self) {
+                $( self.$field.reset(); )+
+                self.probe_sampler.reset();
+                self.slow_queries.reset();
+            }
+
+            /// Render every metric in Prometheus text exposition format
+            /// (`# TYPE` lines, `_bucket{le=...}` cumulative histograms).
+            /// Empty with `obs` off.
+            pub fn prometheus(&self) -> String {
+                if !crate::enabled() {
+                    return String::new();
+                }
+                let mut out = String::with_capacity(4096);
+                $( expose(&mut out, $name, $help, &self.$field); )+
+                expose(
+                    &mut out,
+                    "idf_slow_query_log_entries",
+                    "Entries retained in the slow-query log.",
+                    &self.slow_queries,
+                );
+                out
+            }
+        }
+    };
+}
+
+metrics! {
     // Storage layer.
     /// Rows published by `append_chunk` across all tables.
-    pub append_rows: Counter,
+    Counter append_rows = "idf_storage_append_rows_total",
+        "Rows published by append_chunk.";
     /// Encoded payload bytes published by `append_chunk`.
-    pub append_bytes: Counter,
+    Counter append_bytes = "idf_storage_append_bytes_total",
+        "Encoded payload bytes published by append_chunk.";
     /// Row batches sealed (rolled over) by appends.
-    pub batch_seals: Counter,
+    Counter batch_seals = "idf_storage_batch_seals_total",
+        "Row batches sealed by append rollover.";
     /// Immutable partition snapshots taken.
-    pub snapshots_taken: Counter,
+    Counter snapshots_taken = "idf_storage_snapshots_total",
+        "Immutable partition snapshots taken.";
     /// Age of a partition snapshot at probe time, nanoseconds.
     /// Sampled 1-in-[`crate::SAMPLE_PERIOD`] by [`Self::probe_sampler`]
     /// so the probe hot path pays no clock read on unsampled events.
-    pub snapshot_age_ns: Histogram,
-    /// Gates the clock reads behind [`Self::snapshot_age_ns`].
-    pub probe_sampler: crate::Sampler,
+    Histogram snapshot_age_ns = "idf_storage_snapshot_age_ns",
+        "Snapshot age at probe time, nanoseconds.";
 
     // Index probe path.
     /// cTrie probes that found the key.
-    pub probe_hits: Counter,
+    Counter probe_hits = "idf_index_probe_hits_total",
+        "Index probes that found the key.";
     /// cTrie probes that missed.
-    pub probe_misses: Counter,
+    Counter probe_misses = "idf_index_probe_misses_total",
+        "Index probes that missed.";
     /// Version-chain rows walked per successful probe.
-    pub chain_walk: Histogram,
+    Histogram chain_walk = "idf_index_chain_walk_length",
+        "Version-chain rows walked per successful probe.";
 
     // Query lifecycle (session layer).
     /// Queries that began executing.
-    pub queries_started: Counter,
+    Counter queries_started = "idf_query_started_total",
+        "Queries that began executing.";
     /// Queries that ran to completion.
-    pub queries_finished: Counter,
+    Counter queries_finished = "idf_query_finished_total",
+        "Queries that ran to completion.";
     /// Queries stopped by cancellation or deadline.
-    pub queries_cancelled: Counter,
+    Counter queries_cancelled = "idf_query_cancelled_total",
+        "Queries stopped by cancellation or deadline.";
     /// Queries stopped by any other error.
-    pub queries_failed: Counter,
+    Counter queries_failed = "idf_query_failed_total",
+        "Queries stopped by any other error.";
     /// Queries currently executing.
-    pub queries_in_flight: Gauge,
+    Gauge queries_in_flight = "idf_query_in_flight",
+        "Queries currently executing.";
     /// End-to-end query latency, nanoseconds.
-    pub query_latency_ns: Histogram,
+    Histogram query_latency_ns = "idf_query_latency_ns",
+        "End-to-end query latency, nanoseconds.";
     /// High-water mark of per-query reserved memory, bytes.
-    pub query_peak_memory_bytes: Gauge,
+    Gauge query_peak_memory_bytes = "idf_query_peak_memory_bytes",
+        "High-water mark of per-query reserved memory.";
     /// SELECTs answered from the session plan cache.
-    pub plan_cache_hits: Counter,
+    Counter plan_cache_hits = "idf_plan_cache_hits_total",
+        "SELECTs answered from the session plan cache.";
     /// Cacheable SELECTs that had to be parsed, bound and optimized.
-    pub plan_cache_misses: Counter,
+    Counter plan_cache_misses = "idf_plan_cache_misses_total",
+        "Cacheable SELECTs that had to be parsed, bound and optimized.";
     /// Cached plans displaced to stay within the cache's capacity.
-    pub plan_cache_evictions: Counter,
+    Counter plan_cache_evictions = "idf_plan_cache_evictions_total",
+        "Cached plans displaced to stay within the cache's capacity.";
     /// Cached plans dropped because the catalog or rule set changed.
-    pub plan_cache_invalidations: Counter,
+    Counter plan_cache_invalidations = "idf_plan_cache_invalidations_total",
+        "Cached plans dropped because the catalog or rule set changed.";
     /// Plan executions whose partitions ran on the calling thread.
-    pub exec_inline: Counter,
+    Counter exec_inline = "idf_exec_inline_total",
+        "Plan executions whose partitions ran on the calling thread.";
     /// Partition tasks run on a spawned thread.
-    pub exec_threads_spawned: Counter,
+    Counter exec_threads_spawned = "idf_exec_threads_spawned_total",
+        "Partition tasks run on a spawned thread.";
 
     // Durability layer (WAL + checkpoints + recovery).
     /// WAL records appended (one per committed chunk).
-    pub wal_records: Counter,
+    Counter wal_records = "idf_wal_records_total",
+        "WAL records appended (one per committed chunk).";
     /// WAL bytes appended (framed record bytes, header included).
-    pub wal_bytes: Counter,
+    Counter wal_bytes = "idf_wal_bytes_total",
+        "WAL bytes appended, framing included.";
     /// fsync calls issued by the group-commit writer.
-    pub wal_fsyncs: Counter,
+    Counter wal_fsyncs = "idf_wal_fsyncs_total",
+        "fsync calls issued by the group-commit writer.";
     /// Records coalesced into each group-commit flush.
-    pub wal_group_commit_batch: Histogram,
+    Histogram wal_group_commit_batch = "idf_wal_group_commit_batch",
+        "Records coalesced into each group-commit flush.";
     /// Wall-clock time to write one table checkpoint, nanoseconds.
-    pub checkpoint_duration_ns: Histogram,
+    Histogram checkpoint_duration_ns = "idf_checkpoint_duration_ns",
+        "Time to write one table checkpoint, nanoseconds.";
     /// Wall-clock time to recover one table on open, nanoseconds.
-    pub recovery_duration_ns: Histogram,
+    Histogram recovery_duration_ns = "idf_recovery_duration_ns",
+        "Time to recover one table on open, nanoseconds.";
     /// WAL records replayed during recovery.
-    pub recovery_replayed_records: Counter,
+    Counter recovery_replayed_records = "idf_recovery_replayed_records_total",
+        "WAL records replayed during recovery.";
     /// WAL healthy→degraded (read-only) transitions.
-    pub wal_degraded_transitions: Counter,
+    Counter wal_degraded_transitions = "idf_wal_degraded_transitions_total",
+        "WAL healthy-to-degraded (read-only) transitions.";
     /// Appends rejected because the WAL was degraded read-only.
-    pub wal_readonly_rejections: Counter,
+    Counter wal_readonly_rejections = "idf_wal_readonly_rejections_total",
+        "Appends rejected because the WAL was degraded read-only.";
     /// Successful `resume_writes` re-arms of a degraded WAL.
-    pub wal_resumes: Counter,
+    Counter wal_resumes = "idf_wal_resumes_total",
+        "Successful resume_writes re-arms of a degraded WAL.";
     /// Scrub passes completed (per table target).
-    pub scrub_runs: Counter,
+    Counter scrub_runs = "idf_scrub_runs_total",
+        "Scrub passes completed (per table target).";
     /// Corruption findings reported by scrub.
-    pub scrub_corruptions: Counter,
+    Counter scrub_corruptions = "idf_scrub_corruptions_total",
+        "Corruption findings reported by scrub.";
 
     // Service layer (idf-serve).
     /// Client connections accepted since start.
-    pub server_connections_total: Counter,
+    Counter server_connections_total = "idf_server_connections_total",
+        "Client connections accepted since start.";
     /// Client connections currently open.
-    pub server_connections_open: Gauge,
+    Gauge server_connections_open = "idf_server_connections_open",
+        "Client connections currently open.";
     /// Queries admitted and currently executing on server workers.
-    pub server_in_flight: Gauge,
+    Gauge server_in_flight = "idf_server_in_flight",
+        "Queries admitted and currently executing on server workers.";
     /// Admitted queries waiting for a free worker.
-    pub server_queue_depth: Gauge,
+    Gauge server_queue_depth = "idf_server_queue_depth",
+        "Admitted queries waiting for a free worker.";
     /// Queries rejected with `ServerBusy` (admission queue full).
-    pub server_rejected_busy: Counter,
+    Counter server_rejected_busy = "idf_server_rejected_busy_total",
+        "Queries rejected with ServerBusy (admission queue full).";
     /// Queries rejected with `QuotaExceeded` (per-tenant limits).
-    pub server_rejected_quota: Counter,
+    Counter server_rejected_quota = "idf_server_rejected_quota_total",
+        "Queries rejected with QuotaExceeded (per-tenant limits).";
     /// Wall-clock time of each graceful drain, nanoseconds.
-    pub server_drain_ns: Histogram,
+    Histogram server_drain_ns = "idf_server_drain_ns",
+        "Wall-clock time of each graceful drain, nanoseconds.";
 
     // Materialized views (idf-views).
     /// Materialized views currently registered.
-    pub views_registered: Gauge,
+    Gauge views_registered = "idf_views_registered",
+        "Materialized views currently registered.";
     /// Committed deltas applied to a view (one count per view per delta).
-    pub view_deltas_applied: Counter,
+    Counter view_deltas_applied = "idf_views_deltas_applied_total",
+        "Committed deltas applied to a view (one count per view per delta).";
     /// Commit-to-applied latency of each delta application, nanoseconds.
-    pub view_maintenance_lag_ns: Histogram,
+    Histogram view_maintenance_lag_ns = "idf_views_maintenance_lag_ns",
+        "Commit-to-applied latency of each delta application, nanoseconds.";
     /// Wall-clock time of each full view recompute (REFRESH), nanoseconds.
-    pub view_refresh_ns: Histogram,
+    Histogram view_refresh_ns = "idf_views_refresh_duration_ns",
+        "Wall-clock time of each full view recompute (REFRESH), nanoseconds.";
 
     // DML (UPDATE/DELETE as versioned appends).
     /// UPDATE statements executed.
-    pub dml_updates: Counter,
+    Counter dml_updates = "idf_dml_updates_total",
+        "UPDATE statements executed.";
     /// DELETE statements executed.
-    pub dml_deletes: Counter,
+    Counter dml_deletes = "idf_dml_deletes_total",
+        "DELETE statements executed.";
     /// Rows matched (affected) by UPDATE/DELETE statements.
-    pub dml_rows_affected: Counter,
+    Counter dml_rows_affected = "idf_dml_rows_affected_total",
+        "Rows matched (affected) by UPDATE/DELETE statements.";
     /// Row versions a DML statement hid below a tombstone (the dead
     /// versions a later compaction reclaims).
-    pub superseded_versions: Counter,
+    Counter superseded_versions = "idf_dml_superseded_versions_total",
+        "Row versions hidden below a tombstone by DML.";
 
     // Background compaction (idf-compact).
     /// Live tombstone rows across compactor-surveyed tables.
-    pub tombstones_live: Gauge,
+    Gauge tombstones_live = "idf_compaction_tombstones_live",
+        "Live tombstone rows across compactor-surveyed tables.";
     /// Dead (reclaimable) row versions across compactor-surveyed tables.
-    pub dead_rows_live: Gauge,
+    Gauge dead_rows_live = "idf_compaction_dead_rows_live",
+        "Dead (reclaimable) row versions across compactor-surveyed tables.";
     /// Table rewrites completed by the compactor.
-    pub compaction_runs: Counter,
+    Counter compaction_runs = "idf_compaction_runs_total",
+        "Table rewrites completed by the compactor.";
     /// Compaction attempts that failed (fault injection, swap refusal).
-    pub compaction_failures: Counter,
+    Counter compaction_failures = "idf_compaction_failures_total",
+        "Compaction attempts that failed.";
     /// Row batches replaced by compaction rewrites.
-    pub compaction_batches_rewritten: Counter,
+    Counter compaction_batches_rewritten = "idf_compaction_batches_rewritten_total",
+        "Row batches replaced by compaction rewrites.";
     /// Dead row versions dropped by compaction.
-    pub compaction_rows_reclaimed: Counter,
+    Counter compaction_rows_reclaimed = "idf_compaction_rows_reclaimed_total",
+        "Dead row versions dropped by compaction.";
     /// Stored bytes released by compaction.
-    pub compaction_bytes_reclaimed: Counter,
+    Counter compaction_bytes_reclaimed = "idf_compaction_bytes_reclaimed_total",
+        "Stored bytes released by compaction.";
     /// Wall-clock time of one table compaction, nanoseconds.
-    pub compaction_duration_ns: Histogram,
+    Histogram compaction_duration_ns = "idf_compaction_duration_ns",
+        "Wall-clock time of one table compaction, nanoseconds.";
     /// Mean stored rows per key right after each compaction — the chain
     /// length a post-compaction probe walks.
-    pub post_compaction_chain_walk: Histogram,
-
-    /// Ring buffer of queries slower than the session threshold.
-    pub slow_queries: SlowQueryLog,
+    Histogram post_compaction_chain_walk = "idf_compaction_chain_walk_length",
+        "Mean stored rows per key right after each compaction.";
 }
 
-impl MetricsRegistry {
-    /// New registry with all metrics at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The process-global registry all engine layers report into.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
-    /// Reset every metric to zero (test support). Racing writers may
-    /// land on either side of the reset; callers serialize.
-    pub fn reset(&self) {
-        self.append_rows.reset();
-        self.append_bytes.reset();
-        self.batch_seals.reset();
-        self.snapshots_taken.reset();
-        self.snapshot_age_ns.reset();
-        self.probe_sampler.reset();
-        self.probe_hits.reset();
-        self.probe_misses.reset();
-        self.chain_walk.reset();
-        self.queries_started.reset();
-        self.queries_finished.reset();
-        self.queries_cancelled.reset();
-        self.queries_failed.reset();
-        self.queries_in_flight.reset();
-        self.query_latency_ns.reset();
-        self.query_peak_memory_bytes.reset();
-        self.plan_cache_hits.reset();
-        self.plan_cache_misses.reset();
-        self.plan_cache_evictions.reset();
-        self.plan_cache_invalidations.reset();
-        self.exec_inline.reset();
-        self.exec_threads_spawned.reset();
-        self.wal_records.reset();
-        self.wal_bytes.reset();
-        self.wal_fsyncs.reset();
-        self.wal_group_commit_batch.reset();
-        self.checkpoint_duration_ns.reset();
-        self.recovery_duration_ns.reset();
-        self.recovery_replayed_records.reset();
-        self.wal_degraded_transitions.reset();
-        self.wal_readonly_rejections.reset();
-        self.wal_resumes.reset();
-        self.scrub_runs.reset();
-        self.scrub_corruptions.reset();
-        self.server_connections_total.reset();
-        self.server_connections_open.reset();
-        self.server_in_flight.reset();
-        self.server_queue_depth.reset();
-        self.server_rejected_busy.reset();
-        self.server_rejected_quota.reset();
-        self.server_drain_ns.reset();
-        self.views_registered.reset();
-        self.view_deltas_applied.reset();
-        self.view_maintenance_lag_ns.reset();
-        self.view_refresh_ns.reset();
-        self.dml_updates.reset();
-        self.dml_deletes.reset();
-        self.dml_rows_affected.reset();
-        self.superseded_versions.reset();
-        self.tombstones_live.reset();
-        self.dead_rows_live.reset();
-        self.compaction_runs.reset();
-        self.compaction_failures.reset();
-        self.compaction_batches_rewritten.reset();
-        self.compaction_rows_reclaimed.reset();
-        self.compaction_bytes_reclaimed.reset();
-        self.compaction_duration_ns.reset();
-        self.post_compaction_chain_walk.reset();
-        self.slow_queries.reset();
-    }
-
-    /// Render every metric in Prometheus text exposition format
-    /// (`# TYPE` lines, `_bucket{le=...}` cumulative histograms).
-    pub fn prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        write_counter(
-            &mut out,
-            "idf_storage_append_rows_total",
-            "Rows published by append_chunk.",
-            &self.append_rows,
-        );
-        write_counter(
-            &mut out,
-            "idf_storage_append_bytes_total",
-            "Encoded payload bytes published by append_chunk.",
-            &self.append_bytes,
-        );
-        write_counter(
-            &mut out,
-            "idf_storage_batch_seals_total",
-            "Row batches sealed by append rollover.",
-            &self.batch_seals,
-        );
-        write_counter(
-            &mut out,
-            "idf_storage_snapshots_total",
-            "Immutable partition snapshots taken.",
-            &self.snapshots_taken,
-        );
-        write_histogram(
-            &mut out,
-            "idf_storage_snapshot_age_ns",
-            "Snapshot age at probe time, nanoseconds.",
-            &self.snapshot_age_ns,
-        );
-        write_counter(
-            &mut out,
-            "idf_index_probe_hits_total",
-            "Index probes that found the key.",
-            &self.probe_hits,
-        );
-        write_counter(
-            &mut out,
-            "idf_index_probe_misses_total",
-            "Index probes that missed.",
-            &self.probe_misses,
-        );
-        write_histogram(
-            &mut out,
-            "idf_index_chain_walk_length",
-            "Version-chain rows walked per successful probe.",
-            &self.chain_walk,
-        );
-        write_counter(
-            &mut out,
-            "idf_query_started_total",
-            "Queries that began executing.",
-            &self.queries_started,
-        );
-        write_counter(
-            &mut out,
-            "idf_query_finished_total",
-            "Queries that ran to completion.",
-            &self.queries_finished,
-        );
-        write_counter(
-            &mut out,
-            "idf_query_cancelled_total",
-            "Queries stopped by cancellation or deadline.",
-            &self.queries_cancelled,
-        );
-        write_counter(
-            &mut out,
-            "idf_query_failed_total",
-            "Queries stopped by any other error.",
-            &self.queries_failed,
-        );
-        write_gauge(
-            &mut out,
-            "idf_query_in_flight",
-            "Queries currently executing.",
-            &self.queries_in_flight,
-        );
-        write_histogram(
-            &mut out,
-            "idf_query_latency_ns",
-            "End-to-end query latency, nanoseconds.",
-            &self.query_latency_ns,
-        );
-        write_gauge(
-            &mut out,
-            "idf_query_peak_memory_bytes",
-            "High-water mark of per-query reserved memory.",
-            &self.query_peak_memory_bytes,
-        );
-        write_counter(
-            &mut out,
-            "idf_plan_cache_hits_total",
-            "SELECTs answered from the session plan cache.",
-            &self.plan_cache_hits,
-        );
-        write_counter(
-            &mut out,
-            "idf_plan_cache_misses_total",
-            "Cacheable SELECTs that had to be parsed, bound and optimized.",
-            &self.plan_cache_misses,
-        );
-        write_counter(
-            &mut out,
-            "idf_plan_cache_evictions_total",
-            "Cached plans displaced to stay within the cache's capacity.",
-            &self.plan_cache_evictions,
-        );
-        write_counter(
-            &mut out,
-            "idf_plan_cache_invalidations_total",
-            "Cached plans dropped because the catalog or rule set changed.",
-            &self.plan_cache_invalidations,
-        );
-        write_counter(
-            &mut out,
-            "idf_exec_inline_total",
-            "Plan executions whose partitions ran on the calling thread.",
-            &self.exec_inline,
-        );
-        write_counter(
-            &mut out,
-            "idf_exec_threads_spawned_total",
-            "Partition tasks run on a spawned thread.",
-            &self.exec_threads_spawned,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_records_total",
-            "WAL records appended (one per committed chunk).",
-            &self.wal_records,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_bytes_total",
-            "WAL bytes appended, framing included.",
-            &self.wal_bytes,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_fsyncs_total",
-            "fsync calls issued by the group-commit writer.",
-            &self.wal_fsyncs,
-        );
-        write_histogram(
-            &mut out,
-            "idf_wal_group_commit_batch",
-            "Records coalesced into each group-commit flush.",
-            &self.wal_group_commit_batch,
-        );
-        write_histogram(
-            &mut out,
-            "idf_checkpoint_duration_ns",
-            "Time to write one table checkpoint, nanoseconds.",
-            &self.checkpoint_duration_ns,
-        );
-        write_histogram(
-            &mut out,
-            "idf_recovery_duration_ns",
-            "Time to recover one table on open, nanoseconds.",
-            &self.recovery_duration_ns,
-        );
-        write_counter(
-            &mut out,
-            "idf_recovery_replayed_records_total",
-            "WAL records replayed during recovery.",
-            &self.recovery_replayed_records,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_degraded_transitions_total",
-            "WAL healthy-to-degraded (read-only) transitions.",
-            &self.wal_degraded_transitions,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_readonly_rejections_total",
-            "Appends rejected because the WAL was degraded read-only.",
-            &self.wal_readonly_rejections,
-        );
-        write_counter(
-            &mut out,
-            "idf_wal_resumes_total",
-            "Successful resume_writes re-arms of a degraded WAL.",
-            &self.wal_resumes,
-        );
-        write_counter(
-            &mut out,
-            "idf_scrub_runs_total",
-            "Scrub passes completed (per table target).",
-            &self.scrub_runs,
-        );
-        write_counter(
-            &mut out,
-            "idf_scrub_corruptions_total",
-            "Corruption findings reported by scrub.",
-            &self.scrub_corruptions,
-        );
-        write_counter(
-            &mut out,
-            "idf_server_connections_total",
-            "Client connections accepted since start.",
-            &self.server_connections_total,
-        );
-        write_gauge(
-            &mut out,
-            "idf_server_connections_open",
-            "Client connections currently open.",
-            &self.server_connections_open,
-        );
-        write_gauge(
-            &mut out,
-            "idf_server_in_flight",
-            "Queries admitted and currently executing on server workers.",
-            &self.server_in_flight,
-        );
-        write_gauge(
-            &mut out,
-            "idf_server_queue_depth",
-            "Admitted queries waiting for a free worker.",
-            &self.server_queue_depth,
-        );
-        write_counter(
-            &mut out,
-            "idf_server_rejected_busy_total",
-            "Queries rejected with ServerBusy (admission queue full).",
-            &self.server_rejected_busy,
-        );
-        write_counter(
-            &mut out,
-            "idf_server_rejected_quota_total",
-            "Queries rejected with QuotaExceeded (per-tenant limits).",
-            &self.server_rejected_quota,
-        );
-        write_histogram(
-            &mut out,
-            "idf_server_drain_ns",
-            "Wall-clock time of each graceful drain, nanoseconds.",
-            &self.server_drain_ns,
-        );
-        write_gauge(
-            &mut out,
-            "idf_views_registered",
-            "Materialized views currently registered.",
-            &self.views_registered,
-        );
-        write_counter(
-            &mut out,
-            "idf_views_deltas_applied_total",
-            "Committed deltas applied to a view (one count per view per delta).",
-            &self.view_deltas_applied,
-        );
-        write_histogram(
-            &mut out,
-            "idf_views_maintenance_lag_ns",
-            "Commit-to-applied latency of each delta application, nanoseconds.",
-            &self.view_maintenance_lag_ns,
-        );
-        write_histogram(
-            &mut out,
-            "idf_views_refresh_duration_ns",
-            "Wall-clock time of each full view recompute (REFRESH), nanoseconds.",
-            &self.view_refresh_ns,
-        );
-        write_counter(
-            &mut out,
-            "idf_dml_updates_total",
-            "UPDATE statements executed.",
-            &self.dml_updates,
-        );
-        write_counter(
-            &mut out,
-            "idf_dml_deletes_total",
-            "DELETE statements executed.",
-            &self.dml_deletes,
-        );
-        write_counter(
-            &mut out,
-            "idf_dml_rows_affected_total",
-            "Rows matched (affected) by UPDATE/DELETE statements.",
-            &self.dml_rows_affected,
-        );
-        write_counter(
-            &mut out,
-            "idf_dml_superseded_versions_total",
-            "Row versions hidden below a tombstone by DML.",
-            &self.superseded_versions,
-        );
-        write_gauge(
-            &mut out,
-            "idf_compaction_tombstones_live",
-            "Live tombstone rows across compactor-surveyed tables.",
-            &self.tombstones_live,
-        );
-        write_gauge(
-            &mut out,
-            "idf_compaction_dead_rows_live",
-            "Dead (reclaimable) row versions across compactor-surveyed tables.",
-            &self.dead_rows_live,
-        );
-        write_counter(
-            &mut out,
-            "idf_compaction_runs_total",
-            "Table rewrites completed by the compactor.",
-            &self.compaction_runs,
-        );
-        write_counter(
-            &mut out,
-            "idf_compaction_failures_total",
-            "Compaction attempts that failed.",
-            &self.compaction_failures,
-        );
-        write_counter(
-            &mut out,
-            "idf_compaction_batches_rewritten_total",
-            "Row batches replaced by compaction rewrites.",
-            &self.compaction_batches_rewritten,
-        );
-        write_counter(
-            &mut out,
-            "idf_compaction_rows_reclaimed_total",
-            "Dead row versions dropped by compaction.",
-            &self.compaction_rows_reclaimed,
-        );
-        write_counter(
-            &mut out,
-            "idf_compaction_bytes_reclaimed_total",
-            "Stored bytes released by compaction.",
-            &self.compaction_bytes_reclaimed,
-        );
-        write_histogram(
-            &mut out,
-            "idf_compaction_duration_ns",
-            "Wall-clock time of one table compaction, nanoseconds.",
-            &self.compaction_duration_ns,
-        );
-        write_histogram(
-            &mut out,
-            "idf_compaction_chain_walk_length",
-            "Mean stored rows per key right after each compaction.",
-            &self.post_compaction_chain_walk,
-        );
-        write_gauge_value(
-            &mut out,
-            "idf_slow_query_log_entries",
-            "Entries retained in the slow-query log.",
-            self.slow_queries.len() as i64,
-        );
-        out
-    }
-}
-
-/// The process-global registry (free-function alias for
-/// [`MetricsRegistry::global`], the form hot paths call).
+/// The process-global registry all engine layers report into. A plain
+/// `static`, so hot paths reach a metric with no initialization check.
 #[inline]
 pub fn global() -> &'static MetricsRegistry {
-    MetricsRegistry::global()
+    static GLOBAL: MetricsRegistry = MetricsRegistry::new();
+    &GLOBAL
 }
 
-fn write_counter(out: &mut String, name: &str, help: &str, c: &Counter) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {}", c.get());
-}
-
-fn write_gauge(out: &mut String, name: &str, help: &str, g: &Gauge) {
-    write_gauge_value(out, name, help, g.get());
-}
-
-fn write_gauge_value(out: &mut String, name: &str, help: &str, v: i64) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {v}");
-}
-
-fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let counts = h.bucket_counts();
-    let mut cumulative = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        // Skip empty leading/inner buckets to keep the exposition
-        // readable; cumulative counts stay correct because `cumulative`
-        // carries across skipped buckets.
-        cumulative += c;
-        if c == 0 {
-            continue;
-        }
-        if i == BUCKETS - 1 {
-            // Top bucket is only reachable via +Inf below.
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{le=\"{}\"}} {cumulative}",
-            bucket_upper_bound(i)
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(out, "{name}_sum {}", h.sum());
-    let _ = writeln!(out, "{name}_count {cumulative}");
-}
-
-#[cfg(test)]
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
 
@@ -781,64 +479,21 @@ mod tests {
         assert!(log.entries()[2].label.ends_with('…'));
     }
 
+    /// Names, help strings, types and ordering are pinned byte-for-byte
+    /// by `tests/golden.rs`; this checks the line grammar on live values.
     #[test]
     fn prometheus_exposition_shape() {
         let m = MetricsRegistry::new();
         m.append_rows.add(7);
-        m.probe_hits.add(3);
-        m.probe_misses.inc();
         m.chain_walk.record(1);
         m.chain_walk.record(5);
         m.queries_in_flight.set(2);
+        m.slow_queries.push("q", 1, QueryOutcome::Finished);
         let text = m.prometheus();
-        assert!(text.contains("# TYPE idf_storage_append_rows_total counter"));
         assert!(text.contains("idf_storage_append_rows_total 7"));
-        assert!(text.contains("idf_index_probe_hits_total 3"));
-        assert!(text.contains("idf_index_probe_misses_total 1"));
-        assert!(text.contains("# TYPE idf_index_chain_walk_length histogram"));
-        assert!(text.contains("idf_index_chain_walk_length_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("idf_index_chain_walk_length_sum 6"));
-        assert!(text.contains("idf_index_chain_walk_length_count 2"));
         assert!(text.contains("idf_query_in_flight 2"));
-        m.wal_records.add(4);
-        m.wal_fsyncs.inc();
-        m.wal_group_commit_batch.record(4);
-        m.server_connections_total.add(6);
-        m.server_connections_open.set(2);
-        m.server_queue_depth.set(1);
-        m.server_rejected_busy.inc();
-        m.server_drain_ns.record(1_000);
-        let text = m.prometheus();
-        assert!(text.contains("idf_wal_records_total 4"));
-        assert!(text.contains("idf_wal_fsyncs_total 1"));
-        assert!(text.contains("# TYPE idf_wal_group_commit_batch histogram"));
-        assert!(text.contains("# TYPE idf_recovery_replayed_records_total counter"));
-        assert!(text.contains("idf_server_connections_total 6"));
-        assert!(text.contains("idf_server_connections_open 2"));
-        assert!(text.contains("idf_server_queue_depth 1"));
-        assert!(text.contains("idf_server_rejected_busy_total 1"));
-        assert!(text.contains("# TYPE idf_server_drain_ns histogram"));
-        m.dml_updates.inc();
-        m.dml_deletes.add(2);
-        m.dml_rows_affected.add(3);
-        m.superseded_versions.add(3);
-        m.tombstones_live.set(5);
-        m.compaction_runs.inc();
-        m.compaction_batches_rewritten.add(4);
-        m.compaction_rows_reclaimed.add(9);
-        m.compaction_duration_ns.record(2_000);
-        m.post_compaction_chain_walk.record(1);
-        let text = m.prometheus();
-        assert!(text.contains("idf_dml_updates_total 1"));
-        assert!(text.contains("idf_dml_deletes_total 2"));
-        assert!(text.contains("idf_dml_rows_affected_total 3"));
-        assert!(text.contains("idf_dml_superseded_versions_total 3"));
-        assert!(text.contains("idf_compaction_tombstones_live 5"));
-        assert!(text.contains("idf_compaction_runs_total 1"));
-        assert!(text.contains("idf_compaction_batches_rewritten_total 4"));
-        assert!(text.contains("idf_compaction_rows_reclaimed_total 9"));
-        assert!(text.contains("# TYPE idf_compaction_duration_ns histogram"));
-        assert!(text.contains("# TYPE idf_compaction_chain_walk_length histogram"));
+        assert!(text.contains("idf_slow_query_log_entries 1"));
         // Every line is a comment or `name[{labels}] value`.
         for line in text.lines() {
             assert!(

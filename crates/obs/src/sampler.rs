@@ -18,8 +18,12 @@ const _: () = assert!(SAMPLE_PERIOD.is_power_of_two());
 /// every event and only pay for `Instant::now()` on the sampled ones.
 /// The first tick always samples, so short-lived tests and processes
 /// still observe at least one data point.
-#[derive(Debug, Default)]
+///
+/// With `obs` off it is zero-sized and never samples, so the clock reads
+/// it gates compile out.
+#[derive(Debug)]
 pub struct Sampler {
+    #[cfg(feature = "obs")]
     ticks: AtomicU64,
 }
 
@@ -27,6 +31,7 @@ impl Sampler {
     /// New sampler; its first `tick()` returns `true`.
     pub const fn new() -> Self {
         Sampler {
+            #[cfg(feature = "obs")]
             ticks: AtomicU64::new(0),
         }
     }
@@ -34,16 +39,24 @@ impl Sampler {
     /// `true` when this event should carry expensive telemetry.
     #[inline]
     pub fn tick(&self) -> bool {
-        self.ticks.fetch_add(1, Ordering::Relaxed) & (SAMPLE_PERIOD - 1) == 0
+        #[cfg(feature = "obs")]
+        {
+            self.ticks.fetch_add(1, Ordering::Relaxed) & (SAMPLE_PERIOD - 1) == 0
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            false
+        }
     }
 
     /// Rewind to the always-sampling first tick (test support).
     pub fn reset(&self) {
+        #[cfg(feature = "obs")]
         self.ticks.store(0, Ordering::Relaxed);
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
 

@@ -7,26 +7,17 @@
 //! round iterates the table asserting that a fault at any site leaves the
 //! server serving and the memory governor drained back to zero.
 
-use idf_engine::error::{EngineError, Result};
+pub use idf_engine::failpoints::check;
 
-/// A freshly accepted connection, before its reader thread is spawned: a
-/// fault here drops the connection on the floor — the client sees EOF,
-/// the server keeps accepting.
-pub const ACCEPT: &str = "serve::accept";
+idf_fail::sites! {
+    /// A freshly accepted connection, before its reader thread is spawned: a
+    /// fault here drops the connection on the floor — the client sees EOF,
+    /// the server keeps accepting.
+    ACCEPT = "serve::accept",
 
-/// Head of every response-frame write: a fault here abandons the rest of
-/// the response stream and closes the connection, exactly as a transport
-/// failure would — in-flight accounting and governor bytes must still
-/// unwind to zero.
-pub const WRITE_FRAME: &str = "serve::write_frame";
-
-/// Every registered service-layer site, for chaos suites to iterate.
-pub const SITES: &[&str] = &[ACCEPT, WRITE_FRAME];
-
-/// Evaluate the failpoint at `site`, mapping an injected fault into a
-/// typed execution error that names the site.
-#[inline]
-pub fn check(site: &str) -> Result<()> {
-    idf_fail::eval(site)
-        .map_err(|msg| EngineError::exec(format!("injected failure at {site}: {msg}")))
+    /// Head of every response-frame write: a fault here abandons the rest of
+    /// the response stream and closes the connection, exactly as a transport
+    /// failure would — in-flight accounting and governor bytes must still
+    /// unwind to zero.
+    WRITE_FRAME = "serve::write_frame",
 }

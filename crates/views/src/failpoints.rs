@@ -7,25 +7,16 @@
 //! a fault at any site never loses or double-applies a delta — view
 //! contents stay equal to re-running the defining query.
 
-use idf_engine::error::{EngineError, Result};
+pub use idf_engine::failpoints::check;
 
-/// Head of one delta application to one view, *before* any view state is
-/// mutated: a fault here is retried by the maintenance loop, so an
-/// injected storm delays convergence but never corrupts the view.
-pub const MAINTAIN_APPLY: &str = "views::maintain::apply";
+idf_fail::sites! {
+    /// Head of one delta application to one view, *before* any view state is
+    /// mutated: a fault here is retried by the maintenance loop, so an
+    /// injected storm delays convergence but never corrupts the view.
+    MAINTAIN_APPLY = "views::maintain::apply",
 
-/// Head of a full `REFRESH MATERIALIZED VIEW` recompute, *before* the
-/// rebuilt state is swapped in: a fault here fails the statement with a
-/// typed error and leaves the previous materialized state untouched.
-pub const REFRESH: &str = "views::refresh";
-
-/// Every registered view-layer site, for chaos suites to iterate.
-pub const SITES: &[&str] = &[MAINTAIN_APPLY, REFRESH];
-
-/// Evaluate the failpoint at `site`, mapping an injected fault into a
-/// typed execution error that names the site.
-#[inline]
-pub fn check(site: &str) -> Result<()> {
-    idf_fail::eval(site)
-        .map_err(|msg| EngineError::exec(format!("injected failure at {site}: {msg}")))
+    /// Head of a full `REFRESH MATERIALIZED VIEW` recompute, *before* the
+    /// rebuilt state is swapped in: a fault here fails the statement with a
+    /// typed error and leaves the previous materialized state untouched.
+    REFRESH = "views::refresh",
 }

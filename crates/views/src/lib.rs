@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use idf_engine::error::Result;
-use idf_engine::session::{Session, ViewsHook};
+use idf_engine::session::{Session, SessionExtension};
 use idf_engine::sql::SelectStmt;
 
 /// When delta application runs relative to the append that produced it
@@ -99,7 +99,7 @@ impl Default for ViewsConfig {
 }
 
 /// The installed views subsystem. Returned by [`install`]; the session
-/// holds it through its hook slot, so it lives as long as the session
+/// holds it as an installed extension, so it lives as long as the session
 /// (or any user clone). Dropping the last handle shuts the maintenance
 /// worker down and degrades the append-path taps to no-ops.
 pub struct ViewsSystem {
@@ -147,17 +147,21 @@ impl Drop for ViewsSystem {
     }
 }
 
-impl ViewsHook for ViewsSystem {
-    fn create_view(&self, session: &Session, name: &str, query: &SelectStmt) -> Result<()> {
-        self.shared.create_view(session, name, query)
+impl SessionExtension for ViewsSystem {
+    fn name(&self) -> &str {
+        "views"
     }
 
-    fn drop_view(&self, session: &Session, name: &str) -> Result<()> {
-        self.shared.drop_view(session, name)
+    fn create_view(&self, session: &Session, name: &str, query: &SelectStmt) -> Result<Option<()>> {
+        self.shared.create_view(session, name, query).map(Some)
     }
 
-    fn refresh_view(&self, session: &Session, name: &str) -> Result<()> {
-        self.shared.refresh_view(session, name)
+    fn drop_view(&self, session: &Session, name: &str) -> Result<Option<()>> {
+        self.shared.drop_view(session, name).map(Some)
+    }
+
+    fn refresh_view(&self, session: &Session, name: &str) -> Result<Option<()>> {
+        self.shared.refresh_view(session, name).map(Some)
     }
 }
 
@@ -166,6 +170,6 @@ impl ViewsHook for ViewsSystem {
 /// appends to base tables with views are captured as maintenance deltas.
 pub fn install(session: &Session, config: ViewsConfig) -> Arc<ViewsSystem> {
     let system = ViewsSystem::start(config);
-    session.set_views_hook(Arc::clone(&system) as Arc<dyn ViewsHook>);
+    session.install_extension(Arc::clone(&system) as Arc<dyn SessionExtension>);
     system
 }

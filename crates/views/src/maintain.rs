@@ -351,7 +351,8 @@ struct ViewEntry {
     stale: AtomicBool,
 }
 
-/// State shared by the hook, the taps, and the maintenance worker.
+/// State shared by the session extension, the taps, and the maintenance
+/// worker.
 pub(crate) struct Shared {
     config: ViewsConfig,
     /// Handed to taps so they can reach the queue without a cycle.
