@@ -46,14 +46,47 @@ const KIND_TOMBSTONE_BIT: u16 = 0x8000;
 /// Low bits of `stored_len`: the true stored byte count.
 const STORED_LEN_MASK: u16 = 0x7FFF;
 
-/// Checked fixed-width read of `W` header bytes at `at` — a corrupt or
-/// truncated header surfaces as a typed error, never a slice panic.
+/// One stored row as a read sees it: `(stored_size, prev, kind, payload)`.
+pub type StoredRow<'a> = (usize, RowPtr, RowKind, &'a [u8]);
+
+/// Decode the stored row that starts at `offset` of `committed` (a
+/// committed prefix, possibly cut at a snapshot watermark): length word →
+/// kind bit → payload range, with one bounds validation covering header
+/// and payload. A corrupt or truncated row surfaces as a typed error,
+/// never a slice panic.
 #[inline]
-fn header_bytes<const W: usize>(head: &[u8], at: usize) -> Result<[u8; W]> {
-    at.checked_add(W)
-        .and_then(|end| head.get(at..end))
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| EngineError::internal(format!("row header truncated at byte {at}")))
+fn parse_row(committed: &[u8], offset: usize) -> Result<StoredRow<'_>> {
+    let rest = committed.get(offset..).unwrap_or_default();
+    let Some((head, _)) = rest.split_first_chunk::<ROW_HEADER>() else {
+        return Err(bad_row(offset, ROW_HEADER, committed.len()));
+    };
+    let [len_lo, len_hi, prev @ ..] = *head;
+    let len_word = u16::from_le_bytes([len_lo, len_hi]);
+    let stored = usize::from(len_word & STORED_LEN_MASK);
+    // `None` both when the row runs past the committed bytes and when it
+    // declares fewer bytes than its own header (an empty range start > end).
+    let Some(payload) = rest.get(ROW_HEADER..stored) else {
+        return Err(bad_row(offset, stored, committed.len()));
+    };
+    let kind = if len_word & KIND_TOMBSTONE_BIT != 0 {
+        RowKind::Tombstone
+    } else {
+        RowKind::Data
+    };
+    let prev = RowPtr::from_raw(u64::from_le_bytes(prev));
+    Ok((stored, prev, kind, payload))
+}
+
+#[cold]
+fn bad_row(offset: usize, stored: usize, committed: usize) -> EngineError {
+    if stored < ROW_HEADER {
+        return EngineError::internal(format!(
+            "row at {offset} declares {stored} stored bytes, below the {ROW_HEADER}-byte header"
+        ));
+    }
+    EngineError::internal(format!(
+        "read [{offset}, +{stored}) beyond committed {committed}"
+    ))
 }
 
 /// One append-only binary row batch.
@@ -184,30 +217,6 @@ impl RowBatch {
         Some(offset)
     }
 
-    /// Read the committed bytes `[offset, offset + size)`.
-    ///
-    /// # Errors
-    /// Returns an internal error if the range is not fully committed —
-    /// a corrupt pointer must surface as a query error, not a panic that
-    /// poisons the whole process.
-    pub fn read(&self, offset: usize, size: usize) -> Result<&[u8]> {
-        let committed = self.len();
-        let end = offset
-            .checked_add(size)
-            .ok_or_else(|| EngineError::internal(format!("read [{offset}, +{size}) overflows")))?;
-        if end > committed {
-            return Err(EngineError::internal(format!(
-                "read [{offset}, {end}) beyond committed {committed}"
-            )));
-        }
-        // SAFETY: the committed prefix is immutable.
-        let committed_slice =
-            unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const u8, committed) };
-        committed_slice
-            .get(offset..end)
-            .ok_or_else(|| EngineError::internal(format!("read [{offset}, {end}) out of bounds")))
-    }
-
     /// Decode the stored row at `offset`: `(stored_size, prev, payload)`.
     ///
     /// # Errors
@@ -218,55 +227,45 @@ impl RowBatch {
     }
 
     /// Decode the stored row at `offset` with its kind:
-    /// `(stored_size, prev, kind, payload)`.
+    /// `(stored_size, prev, kind, payload)` — the random-access read of a
+    /// chain walk.
     ///
     /// # Errors
-    /// Fails when `offset` does not point at a committed, well-formed row.
-    pub fn row_at_full(&self, offset: usize) -> Result<(usize, RowPtr, RowKind, &[u8])> {
+    /// Fails when `offset` does not point at a committed, well-formed row —
+    /// a corrupt pointer must surface as a query error, not a panic that
+    /// poisons the whole process.
+    pub fn row_at_full(&self, offset: usize) -> Result<StoredRow<'_>> {
         crate::failpoints::check(crate::failpoints::BATCH_READ)?;
-        let head = self.read(offset, ROW_HEADER)?;
-        let len_word = u16::from_le_bytes(header_bytes::<2>(head, 0)?);
-        let kind = if len_word & KIND_TOMBSTONE_BIT != 0 {
-            RowKind::Tombstone
-        } else {
-            RowKind::Data
-        };
-        let stored = (len_word & STORED_LEN_MASK) as usize;
-        if stored < ROW_HEADER {
-            return Err(EngineError::internal(format!(
-                "row at {offset} declares {stored} stored bytes, below the {ROW_HEADER}-byte header"
-            )));
-        }
-        let prev = RowPtr::from_raw(u64::from_le_bytes(header_bytes::<8>(head, 2)?));
-        let row = self.read(offset, stored)?;
-        let payload = row.get(ROW_HEADER..).ok_or_else(|| {
-            EngineError::internal(format!("row at {offset} shorter than its header"))
+        parse_row(self.committed_bytes(), offset)
+    }
+
+    /// Iterate rows sequentially up to `watermark` committed bytes (a
+    /// snapshot boundary): yields `(offset, prev, kind, payload)` for data
+    /// rows **and** tombstones alike.
+    ///
+    /// # Errors
+    /// Fails when `watermark` lies beyond the committed bytes.
+    pub fn iter_rows(&self, watermark: usize) -> Result<RowBatchIter<'_>> {
+        self.iter_rows_from(0, watermark)
+    }
+
+    /// [`RowBatch::iter_rows`] resumed at `offset`, which must be a row
+    /// boundary an earlier walk of this batch stopped at (see
+    /// [`RowBatchIter::offset`]). The committed slice is taken once here;
+    /// the walk itself touches no atomics.
+    ///
+    /// # Errors
+    /// Fails when `watermark` lies beyond the committed bytes.
+    pub fn iter_rows_from(&self, offset: usize, watermark: usize) -> Result<RowBatchIter<'_>> {
+        crate::failpoints::check(crate::failpoints::BATCH_READ)?;
+        let committed = self.committed_bytes();
+        let visible = committed.get(..watermark).ok_or_else(|| {
+            EngineError::internal(format!(
+                "watermark {watermark} beyond committed {}",
+                committed.len()
+            ))
         })?;
-        Ok((stored, prev, kind, payload))
-    }
-
-    /// Iterate rows sequentially up to `watermark` committed bytes
-    /// (a snapshot boundary): yields `(offset, prev, payload)` for data
-    /// rows **and** tombstones alike (callers that care use
-    /// [`RowBatch::iter_rows_full`]).
-    pub fn iter_rows(&self, watermark: usize) -> RowBatchIter<'_> {
-        debug_assert!(watermark <= self.len());
-        RowBatchIter {
-            batch: self,
-            offset: 0,
-            watermark,
-        }
-    }
-
-    /// Like [`RowBatch::iter_rows`] but yields each row's [`RowKind`]:
-    /// `(offset, prev, kind, payload)`.
-    pub fn iter_rows_full(&self, watermark: usize) -> RowBatchFullIter<'_> {
-        debug_assert!(watermark <= self.len());
-        RowBatchFullIter {
-            batch: self,
-            offset: 0,
-            watermark,
-        }
+        Ok(RowBatchIter { visible, offset })
     }
 }
 
@@ -276,50 +275,31 @@ impl std::fmt::Debug for RowBatch {
     }
 }
 
-/// Sequential row iterator over one batch (see [`RowBatch::iter_rows`]).
+/// Sequential row iterator over one batch (see [`RowBatch::iter_rows`]):
+/// one tight header walk over the committed slice.
 pub struct RowBatchIter<'a> {
-    batch: &'a RowBatch,
+    /// The committed bytes below the snapshot watermark.
+    visible: &'a [u8],
     offset: usize,
-    watermark: usize,
 }
 
-impl<'a> Iterator for RowBatchIter<'a> {
-    type Item = Result<(usize, RowPtr, &'a [u8])>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.offset >= self.watermark {
-            return None;
-        }
-        match self.batch.row_at(self.offset) {
-            Ok((stored, prev, payload)) => {
-                let offset = self.offset;
-                self.offset += stored;
-                Some(Ok((offset, prev, payload)))
-            }
-            Err(e) => {
-                // Fuse: a malformed row makes every later offset suspect.
-                self.offset = self.watermark;
-                Some(Err(e))
-            }
-        }
+impl RowBatchIter<'_> {
+    /// Byte offset of the next row — where [`RowBatch::iter_rows_from`]
+    /// resumes a walk that stopped early.
+    pub fn offset(&self) -> usize {
+        self.offset
     }
 }
 
-/// Kind-aware sequential row iterator (see [`RowBatch::iter_rows_full`]).
-pub struct RowBatchFullIter<'a> {
-    batch: &'a RowBatch,
-    offset: usize,
-    watermark: usize,
-}
-
-impl<'a> Iterator for RowBatchFullIter<'a> {
+impl<'a> Iterator for RowBatchIter<'a> {
     type Item = Result<(usize, RowPtr, RowKind, &'a [u8])>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.offset >= self.watermark {
+        if self.offset >= self.visible.len() {
             return None;
         }
-        match self.batch.row_at_full(self.offset) {
+        match parse_row(self.visible, self.offset) {
             Ok((stored, prev, kind, payload)) => {
                 let offset = self.offset;
                 self.offset += stored;
@@ -327,7 +307,7 @@ impl<'a> Iterator for RowBatchFullIter<'a> {
             }
             Err(e) => {
                 // Fuse: a malformed row makes every later offset suspect.
-                self.offset = self.watermark;
+                self.offset = self.visible.len();
                 Some(Err(e))
             }
         }
@@ -397,23 +377,32 @@ mod tests {
         }
         let watermark = b.len();
         b.append_row(RowPtr::NULL, &[99; 3]).unwrap();
-        let rows: Vec<_> = b.iter_rows(watermark).collect::<Result<_>>().unwrap();
-        assert_eq!(rows.len(), 10, "row past the watermark is invisible");
-        for (i, (_, _, payload)) in rows.iter().enumerate() {
-            assert_eq!(*payload, [i as u8; 3]);
+        let mut it = b.iter_rows(watermark).unwrap();
+        let rows: Vec<_> = it.by_ref().take(4).collect::<Result<_>>().unwrap();
+        // A walk that stopped early resumes at the offset it reports.
+        let rest: Vec<_> = b
+            .iter_rows_from(it.offset(), watermark)
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
+        assert_eq!(rest.len(), 6, "row past the watermark is invisible");
+        for (i, (_, _, kind, payload)) in rows.iter().chain(&rest).enumerate() {
+            assert_eq!((*kind, *payload), (RowKind::Data, &[i as u8; 3][..]));
         }
+        assert!(b.iter_rows(b.capacity()).is_err(), "watermark is checked");
     }
 
     #[test]
     fn read_past_watermark_is_an_error_not_a_panic() {
         let b = RowBatch::with_capacity(64);
         b.append_row(RowPtr::NULL, b"x").unwrap();
-        let err = b.read(0, 64).unwrap_err();
-        assert!(err.to_string().contains("beyond committed"), "got: {err}");
         let err = b.row_at(48).unwrap_err();
         assert!(err.to_string().contains("beyond committed"), "got: {err}");
+        // A header that straddles the committed boundary.
+        let err = b.row_at(2).unwrap_err();
+        assert!(err.to_string().contains("beyond committed"), "got: {err}");
         // Offsets near usize::MAX must not wrap around the bounds check.
-        assert!(b.read(usize::MAX, 2).is_err());
+        assert!(b.row_at(usize::MAX).is_err());
         // Committed reads still succeed afterwards.
         assert_eq!(b.row_at(0).unwrap().2, b"x");
     }
@@ -436,7 +425,7 @@ mod tests {
             std::ptr::copy_nonoverlapping(RowPtr::NULL.raw().to_le_bytes().as_ptr(), dst.add(2), 8);
         }
         b.len.store(off + ROW_HEADER, Ordering::Release);
-        let mut it = b.iter_rows(b.len());
+        let mut it = b.iter_rows(b.len()).unwrap();
         assert!(it.next().unwrap().is_ok(), "first row is fine");
         assert!(it.next().unwrap().is_err(), "forged row surfaces an error");
         assert!(it.next().is_none(), "iterator is fused after the error");
@@ -470,7 +459,8 @@ mod tests {
         assert_eq!(restored.row_at_full(off2).unwrap().2, RowKind::Tombstone);
         // Kind-aware iteration sees both rows with their kinds.
         let kinds: Vec<RowKind> = restored
-            .iter_rows_full(restored.len())
+            .iter_rows(restored.len())
+            .unwrap()
             .map(|r| r.unwrap().2)
             .collect();
         assert_eq!(kinds, vec![RowKind::Data, RowKind::Tombstone]);
@@ -489,11 +479,11 @@ mod tests {
             std::thread::spawn(move || {
                 let mut max_seen = 0;
                 for _ in 0..300 {
-                    let n = b.iter_rows(b.len()).count();
+                    let n = b.iter_rows(b.len()).unwrap().count();
                     assert!(n >= max_seen, "committed rows must not vanish");
                     max_seen = n;
-                    for row in b.iter_rows(b.len()) {
-                        let (_, _, payload) = row.unwrap();
+                    for row in b.iter_rows(b.len()).unwrap() {
+                        let (_, _, _, payload) = row.unwrap();
                         assert_eq!(payload.len(), 8);
                         let v = u64::from_le_bytes(payload.try_into().unwrap());
                         assert!(v < 20_000);

@@ -9,8 +9,10 @@
 pub use idf_engine::failpoints::check;
 
 idf_fail::sites! {
-    /// A committed-row read from a row batch (`RowBatch::row_at`): hit by
-    /// every point-lookup chain walk.
+    /// A read of committed rows from a row batch: hit once per row on
+    /// chain walks (`RowBatch::row_at_full`, every point lookup) and once
+    /// per opened walk on scans (`RowBatch::iter_rows_from`: one per batch
+    /// per produced chunk).
     BATCH_READ = "core::batch::read",
 
     /// Entry of a partition probe (`PartitionSnapshot::lookup_chunk` /

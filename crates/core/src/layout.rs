@@ -11,7 +11,7 @@
 //! `(var_offset: u32, byte_len: u32)` for strings, with the var section
 //! appended after the fixed slots.
 
-use idf_engine::column::{Column, ColumnBuilder};
+use idf_engine::column::{push_validity, Column, PrimVec, StrVec};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::schema::SchemaRef;
 use idf_engine::types::{DataType, Value};
@@ -73,6 +73,12 @@ impl RowLayout {
         self.null_bytes + self.schema.len() * 8
     }
 
+    /// Bytes of the smallest payload this layout encodes: the null bitmap
+    /// plus the fixed section, with an empty var section.
+    pub fn min_payload_len(&self) -> usize {
+        self.var_start()
+    }
+
     /// Encode one row (appending to `out`, which the caller clears).
     /// Values must match the schema's types (or be `Null`).
     pub fn encode(&self, values: &[Value], out: &mut Vec<u8>) -> Result<()> {
@@ -123,11 +129,13 @@ impl RowLayout {
     }
 
     #[inline]
-    fn is_null(&self, payload: &[u8], col: usize) -> Result<bool> {
-        let byte = payload
-            .get(col / 8)
-            .ok_or_else(|| corrupt("null bitmap truncated"))?;
-        Ok(byte & (1 << (col % 8)) != 0)
+    fn column_at(&self, col: usize) -> ColumnAt {
+        ColumnAt {
+            null_byte: col / 8,
+            null_mask: 1 << (col % 8),
+            slot: self.fixed_offset(col),
+            var_start: self.var_start(),
+        }
     }
 
     /// Decode one column of an encoded payload.
@@ -136,10 +144,11 @@ impl RowLayout {
     /// Fails when the payload does not match this layout (truncated,
     /// out-of-range var pointer, or invalid UTF-8) — a typed `corrupt row payload` error.
     pub fn decode_column(&self, payload: &[u8], col: usize) -> Result<Value> {
-        if self.is_null(payload, col)? {
+        let at = self.column_at(col);
+        if at.is_null(payload)? {
             return Ok(Value::Null);
         }
-        let slot = self.fixed_offset(col);
+        let slot = at.slot;
         Ok(match self.schema.field(col).data_type {
             DataType::Boolean => {
                 let [b] = fixed::<1>(payload, slot)?;
@@ -149,25 +158,8 @@ impl RowLayout {
             DataType::Int64 => Value::Int64(i64::from_le_bytes(fixed(payload, slot)?)),
             DataType::Timestamp => Value::Timestamp(i64::from_le_bytes(fixed(payload, slot)?)),
             DataType::Float64 => Value::Float64(f64::from_le_bytes(fixed(payload, slot)?)),
-            DataType::Utf8 => Value::Utf8(self.decode_str(payload, slot)?.to_owned()),
+            DataType::Utf8 => Value::Utf8(at.utf8(payload)?.to_owned()),
         })
-    }
-
-    #[inline]
-    fn decode_str<'a>(&self, payload: &'a [u8], slot: usize) -> Result<&'a str> {
-        let var_off = u32::from_le_bytes(fixed(payload, slot)?) as usize;
-        let len = u32::from_le_bytes(fixed(payload, slot + 4)?) as usize;
-        let start = self
-            .var_start()
-            .checked_add(var_off)
-            .ok_or_else(|| corrupt("var offset overflows"))?;
-        let end = start
-            .checked_add(len)
-            .ok_or_else(|| corrupt("var length overflows"))?;
-        let bytes = payload
-            .get(start..end)
-            .ok_or_else(|| corrupt("var section out of bounds"))?;
-        std::str::from_utf8(bytes).map_err(|_| corrupt("string column is not valid utf8"))
     }
 
     /// Decode an entire row.
@@ -180,143 +172,173 @@ impl RowLayout {
             .collect()
     }
 
-    /// Decode one column across many payloads into a column vector —
-    /// the vectorized gather used by the indexed join's output
-    /// materialization.
+    /// Decode one column across many payloads into a column vector.
+    ///
     /// # Errors
     /// Fails when any payload does not match this layout.
     pub fn decode_column_batch(&self, payloads: &[&[u8]], col: usize) -> Result<Column> {
-        use idf_engine::column::{PrimVec, StrVec};
-        let slot = self.fixed_offset(col);
-        let n = payloads.len();
-        macro_rules! prim {
-            ($ty:ty, $variant:ident) => {{
-                let mut values: Vec<$ty> = Vec::with_capacity(n);
-                let mut validity: Option<idf_engine::bitmap::Bitmap> = None;
-                for (i, p) in payloads.iter().enumerate() {
-                    if self.is_null(p, col)? {
-                        values.push(Default::default());
-                        validity
-                            .get_or_insert_with(|| {
-                                let mut b = idf_engine::bitmap::Bitmap::zeros(n);
-                                for j in 0..i {
-                                    b.set(j, true);
-                                }
-                                b
-                            })
-                            .set(i, false);
-                    } else {
-                        values.push(<$ty>::from_le_bytes(fixed(p, slot)?));
-                        if let Some(b) = &mut validity {
-                            b.set(i, true);
-                        }
-                    }
-                }
-                Column::$variant(PrimVec { values, validity })
-            }};
-        }
-        Ok(match self.schema.field(col).data_type {
-            DataType::Int32 => prim!(i32, Int32),
-            DataType::Int64 => prim!(i64, Int64),
-            DataType::Timestamp => prim!(i64, Timestamp),
-            DataType::Float64 => prim!(f64, Float64),
-            DataType::Boolean => {
-                let mut values = Vec::with_capacity(n);
-                let mut nulls = Vec::new();
-                for (i, p) in payloads.iter().enumerate() {
-                    if self.is_null(p, col)? {
-                        values.push(false);
-                        nulls.push(i);
-                    } else {
-                        let [b] = fixed::<1>(p, slot)?;
-                        values.push(b != 0);
-                    }
-                }
-                let validity = (!nulls.is_empty()).then(|| {
-                    let mut b = idf_engine::bitmap::Bitmap::ones(n);
-                    for i in nulls {
-                        b.set(i, false);
-                    }
-                    b
-                });
-                Column::Boolean(PrimVec { values, validity })
-            }
-            DataType::Utf8 => {
-                let mut v = StrVec::new();
-                for p in payloads {
-                    if self.is_null(p, col)? {
-                        v.push(None);
-                    } else {
-                        v.push(Some(self.decode_str(p, slot)?));
-                    }
-                }
-                Column::Utf8(v)
-            }
-        })
+        let mut decoder = self.column_decoder(col, payloads.len());
+        decoder.extend(payloads)?;
+        Ok(decoder.finish())
     }
 
-    /// Append the projected columns of a payload into per-column builders
-    /// (`cols[i]` is the source column for `builders[i]`). The row-major
-    /// walk here is exactly why projections over the Indexed DataFrame are
-    /// slower than over the columnar cache (paper, Figure 2).
-    ///
-    /// Decodes straight into the typed builders — no scalar boxing — since
-    /// this is the hot path of every `transformToRowRDD`-style fallback
-    /// scan.
-    pub fn decode_into(
-        &self,
-        payload: &[u8],
-        cols: &[usize],
-        builders: &mut [ColumnBuilder],
-    ) -> Result<()> {
-        debug_assert_eq!(cols.len(), builders.len());
-        for (b, &col) in builders.iter_mut().zip(cols) {
-            let valid = !self.is_null(payload, col)?;
-            let slot = self.fixed_offset(col);
-            match b {
-                ColumnBuilder::Boolean(v) => {
-                    let val = if valid {
-                        let [b] = fixed::<1>(payload, slot)?;
-                        Some(b != 0)
-                    } else {
-                        None
-                    };
-                    v.push(val);
-                }
-                ColumnBuilder::Int32(v) => {
-                    let val = if valid {
-                        Some(i32::from_le_bytes(fixed(payload, slot)?))
-                    } else {
-                        None
-                    };
-                    v.push(val);
-                }
-                ColumnBuilder::Int64(v) | ColumnBuilder::Timestamp(v) => {
-                    let val = if valid {
-                        Some(i64::from_le_bytes(fixed(payload, slot)?))
-                    } else {
-                        None
-                    };
-                    v.push(val);
-                }
-                ColumnBuilder::Float64(v) => {
-                    let val = if valid {
-                        Some(f64::from_le_bytes(fixed(payload, slot)?))
-                    } else {
-                        None
-                    };
-                    v.push(val);
-                }
-                ColumnBuilder::Utf8(v) => {
-                    if valid {
-                        v.push(Some(self.decode_str(payload, slot)?));
-                    } else {
-                        v.push(None);
-                    }
-                }
+    /// A typed decoder for column `col`, pre-sized for `capacity` rows.
+    pub fn column_decoder(&self, col: usize, capacity: usize) -> ColumnDecoder {
+        let out = match self.schema.field(col).data_type {
+            DataType::Boolean => Column::Boolean(prim_with_capacity(capacity)),
+            DataType::Int32 => Column::Int32(prim_with_capacity(capacity)),
+            DataType::Int64 => Column::Int64(prim_with_capacity(capacity)),
+            DataType::Float64 => Column::Float64(prim_with_capacity(capacity)),
+            DataType::Timestamp => Column::Timestamp(prim_with_capacity(capacity)),
+            DataType::Utf8 => {
+                let mut offsets = Vec::with_capacity(capacity + 1);
+                offsets.push(0);
+                Column::Utf8(StrVec {
+                    offsets,
+                    bytes: Vec::new(),
+                    validity: None,
+                })
             }
+        };
+        ColumnDecoder {
+            at: self.column_at(col),
+            out,
+        }
+    }
+}
+
+fn prim_with_capacity<T>(capacity: usize) -> PrimVec<T> {
+    PrimVec {
+        values: Vec::with_capacity(capacity),
+        validity: None,
+    }
+}
+
+/// Where one column lives inside every payload of a layout.
+#[derive(Debug, Clone, Copy)]
+struct ColumnAt {
+    null_byte: usize,
+    null_mask: u8,
+    slot: usize,
+    var_start: usize,
+}
+
+impl ColumnAt {
+    #[inline]
+    fn is_null(&self, payload: &[u8]) -> Result<bool> {
+        let byte = payload
+            .get(self.null_byte)
+            .ok_or_else(|| corrupt("null bitmap truncated"))?;
+        Ok(byte & self.null_mask != 0)
+    }
+
+    /// The bytes of this (non-NULL) string column in the var section.
+    #[inline]
+    fn str_bytes<'a>(&self, payload: &'a [u8]) -> Result<&'a [u8]> {
+        let var_off = u32::from_le_bytes(fixed(payload, self.slot)?) as usize;
+        let len = u32::from_le_bytes(fixed(payload, self.slot + 4)?) as usize;
+        let start = self
+            .var_start
+            .checked_add(var_off)
+            .ok_or_else(|| corrupt("var offset overflows"))?;
+        let end = start
+            .checked_add(len)
+            .ok_or_else(|| corrupt("var length overflows"))?;
+        payload
+            .get(start..end)
+            .ok_or_else(|| corrupt("var section out of bounds"))
+    }
+
+    #[inline]
+    fn utf8<'a>(&self, payload: &'a [u8]) -> Result<&'a str> {
+        std::str::from_utf8(self.str_bytes(payload)?)
+            .map_err(|_| corrupt("string column is not valid utf8"))
+    }
+
+    /// Fixed-width kernel: one checked slot read per row; a NULL row
+    /// stores `T::default()` and (lazily) a cleared validity bit.
+    #[inline]
+    fn extend_fixed<T: Copy + Default, const W: usize>(
+        &self,
+        v: &mut PrimVec<T>,
+        payloads: &[&[u8]],
+        from: impl Fn([u8; W]) -> T,
+    ) -> Result<()> {
+        v.values.reserve(payloads.len());
+        for p in payloads {
+            let bytes = fixed::<W>(p, self.slot)?;
+            let null = self.is_null(p)?;
+            push_validity(&mut v.validity, v.values.len(), !null);
+            v.values.push(if null { T::default() } else { from(bytes) });
         }
         Ok(())
+    }
+
+    /// String kernel: copy every value's bytes, then validate the block's
+    /// bytes as UTF-8 once. A valid whole whose every value starts on a
+    /// character boundary is valid value by value.
+    fn extend_utf8(&self, v: &mut StrVec, payloads: &[&[u8]]) -> Result<()> {
+        let first_row = v.len();
+        let first_byte = v.bytes.len();
+        v.offsets.reserve(payloads.len());
+        for p in payloads {
+            let null = self.is_null(p)?;
+            if !null {
+                v.bytes.extend_from_slice(self.str_bytes(p)?);
+            }
+            let rows = v.len();
+            push_validity(&mut v.validity, rows, !null);
+            v.offsets.push(v.bytes.len() as u32);
+        }
+        let not_utf8 = || corrupt("string column is not valid utf8");
+        let added = v.bytes.get(first_byte..).unwrap_or_default();
+        let added = std::str::from_utf8(added).map_err(|_| not_utf8())?;
+        let starts = v.offsets.get(first_row..).unwrap_or_default();
+        if starts
+            .iter()
+            .all(|&o| added.is_char_boundary(o as usize - first_byte))
+        {
+            Ok(())
+        } else {
+            Err(not_utf8())
+        }
+    }
+}
+
+/// The one column kernel of the row format: decodes a column of many
+/// payloads in a typed loop, straight into the final vector — values into
+/// a pre-sized `Vec<T>`, validity created on the first NULL. Full scans
+/// feed it block by block; chain lookups and the indexed join's output
+/// gather feed it once per result.
+#[derive(Debug)]
+pub struct ColumnDecoder {
+    at: ColumnAt,
+    out: Column,
+}
+
+impl ColumnDecoder {
+    /// Append this column's value of every payload, in order.
+    ///
+    /// # Errors
+    /// Fails when a payload does not match the layout (truncated,
+    /// out-of-range var pointer, or invalid UTF-8) — a typed
+    /// `corrupt row payload` error.
+    pub fn extend(&mut self, payloads: &[&[u8]]) -> Result<()> {
+        let at = self.at;
+        match &mut self.out {
+            Column::Boolean(v) => at.extend_fixed(v, payloads, |[b]: [u8; 1]| b != 0),
+            Column::Int32(v) => at.extend_fixed(v, payloads, i32::from_le_bytes),
+            Column::Int64(v) | Column::Timestamp(v) => {
+                at.extend_fixed(v, payloads, i64::from_le_bytes)
+            }
+            Column::Float64(v) => at.extend_fixed(v, payloads, f64::from_le_bytes),
+            Column::Utf8(v) => at.extend_utf8(v, payloads),
+        }
+    }
+
+    /// The decoded column.
+    pub fn finish(self) -> Column {
+        self.out
     }
 }
 
@@ -416,9 +438,8 @@ mod tests {
         assert!(l.decode_column(&bad_utf8, 1).is_err());
         // Other columns of a partly corrupt row still decode.
         assert_eq!(l.decode_column(&bad_utf8, 0).unwrap(), Value::Int64(1));
-        // decode_into surfaces the same errors.
-        let mut builders = vec![ColumnBuilder::new(DataType::Utf8)];
-        assert!(l.decode_into(&evil, &[1], &mut builders).is_err());
+        assert!(l.decode_column_batch(&[&bad_utf8], 1).is_err());
+        assert!(l.decode_column_batch(&[&buf[..3]], 0).is_err());
     }
 
     #[test]
@@ -438,11 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_builders_projects() {
+    fn column_decoder_matches_row_at_a_time_decode() {
         let l = layout();
-        let mut buf = Vec::new();
-        l.encode(
-            &[
+        let rows = [
+            vec![
                 Value::Int64(7),
                 Value::Utf8("x".into()),
                 Value::Float64(1.0),
@@ -450,18 +470,37 @@ mod tests {
                 Value::Int32(3),
                 Value::Timestamp(9),
             ],
-            &mut buf,
-        )
-        .unwrap();
-        let mut builders = vec![
-            ColumnBuilder::new(DataType::Utf8),
-            ColumnBuilder::new(DataType::Int64),
+            vec![Value::Null; 6],
+            vec![
+                Value::Int64(-1),
+                Value::Utf8("héllo→wörld".into()),
+                Value::Null,
+                Value::Boolean(true),
+                Value::Null,
+                Value::Timestamp(i64::MIN),
+            ],
         ];
-        l.decode_into(&buf, &[1, 0], &mut builders).unwrap();
-        let name_col = builders.remove(0).finish();
-        assert_eq!(name_col.value_at(0), Value::Utf8("x".into()));
-        let id_col = builders.remove(0).finish();
-        assert_eq!(id_col.value_at(0), Value::Int64(7));
+        let bufs: Vec<Vec<u8>> = rows
+            .iter()
+            .map(|r| {
+                let mut b = Vec::new();
+                l.encode(r, &mut b).unwrap();
+                b
+            })
+            .collect();
+        let payloads: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+        for col in 0..6 {
+            // Fed whole and fed one block at a time, same column.
+            let whole = l.decode_column_batch(&payloads, col).unwrap();
+            let mut blocks = l.column_decoder(col, 0);
+            for p in &payloads {
+                blocks.extend(&[p]).unwrap();
+            }
+            assert_eq!(blocks.finish(), whole);
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(whole.value_at(i), row[col], "col {col} row {i}");
+            }
+        }
     }
 
     #[test]

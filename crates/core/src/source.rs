@@ -191,17 +191,20 @@ impl IndexedSource {
 
     /// Full scan of one partition, optionally under a query lifecycle
     /// context (cancellation checks and memory charging per emitted chunk).
+    /// Chunks are decoded as the consumer pulls them.
     fn scan_ctx(
         &self,
         partition: usize,
         projection: Option<&[usize]>,
-        query: Option<&QueryContext>,
+        query: Option<&Arc<QueryContext>>,
     ) -> Result<ChunkIter> {
         let view = self.partition_snapshot(partition)?;
-        let chunks =
-            view.get()
-                .scan_chunks_ctx(projection, self.table.config().scan_chunk_rows, query)?;
-        Ok(Box::new(chunks.into_iter().map(Ok)))
+        let chunks = view.get().scan(
+            projection,
+            self.table.config().scan_chunk_rows,
+            query.cloned(),
+        )?;
+        Ok(Box::new(chunks))
     }
 
     /// Filtered scan of one partition under an optional lifecycle context:
@@ -310,7 +313,7 @@ impl TableSource for IndexedSource {
         if filters.is_empty() {
             self.scan_ctx(partition, projection, Some(query))
         } else {
-            self.scan_with_filters_ctx(partition, projection, filters, Some(query))
+            self.scan_with_filters_ctx(partition, projection, filters, Some(query.as_ref()))
         }
     }
 

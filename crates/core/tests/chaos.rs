@@ -391,3 +391,74 @@ fn chaos_round(seed: u64, rounds: usize) {
     );
     audit(&t, &expected);
 }
+
+/// Compaction keeps one tombstone sentinel per fully deleted key. A scan
+/// used to take "any tombstone stored" as its cue to walk every chain, so
+/// one DELETE left a table on that path forever, compacted or not. The
+/// scan is now one sequential walk whatever the table has seen: counted
+/// here through `BATCH_READ`, which a chain walk hits once per row and a
+/// scan once per batch walk it opens.
+#[test]
+fn a_compacted_table_scans_sequentially_again() {
+    let _serial = serial();
+    let table = IndexedTable::new(
+        schema(),
+        0,
+        IndexConfig {
+            num_partitions: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    table
+        .append_chunk(&chunk((0..40).map(|i| (i % 20, i))))
+        .unwrap();
+    table.append_row(&[Value::Null, Value::Int64(-1)]).unwrap();
+    // Delete key 7 down to its last row, then compact.
+    let victims: Vec<Vec<Value>> = table
+        .snapshot()
+        .lookup_chunk(&Value::Int64(7), None)
+        .unwrap()
+        .to_rows();
+    assert_eq!(table.apply_dml(&victims, &[]).unwrap(), 2);
+    table.compact().unwrap();
+    let stats = table.memory_stats();
+    assert_eq!((stats.tombstones, stats.dead_rows), (1, 0), "{stats:?}");
+
+    // The oracle: every surviving key's chain decoded row by row, plus
+    // the NULL-key row no chain holds.
+    let snap = table.snapshot();
+    let part = &snap.partitions()[0];
+    let mut expected = vec![vec![Value::Null, Value::Int64(-1)]];
+    for k in 0..20 {
+        for payload in part.lookup_payloads(&Value::Int64(k)) {
+            expected.push(part.decode_row(payload.unwrap()).unwrap());
+        }
+    }
+    assert_eq!(expected.len(), 39);
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
+
+    let reads = FailGuard::new(fp::BATCH_READ, FailConfig::delay(0));
+    let scanned: Vec<Vec<Value>> = part
+        .scan_chunks(None, 1024)
+        .unwrap()
+        .iter()
+        .flat_map(Chunk::to_rows)
+        .collect();
+    assert_eq!(
+        idf_fail::hit_count(reads.site()),
+        Some(1),
+        "one batch, one walk"
+    );
+    assert_eq!(part.row_count(), 39);
+    assert_eq!(
+        idf_fail::hit_count(reads.site()),
+        Some(2),
+        "row_count walks once more"
+    );
+    drop(reads);
+    assert_eq!(sorted(scanned), sorted(expected));
+}

@@ -29,13 +29,12 @@ impl Bitmap {
 
     /// Build from a boolean slice.
     pub fn from_bools(bools: &[bool]) -> Self {
-        let mut b = Bitmap::zeros(bools.len());
-        for (i, &v) in bools.iter().enumerate() {
-            if v {
-                b.set(i, true);
-            }
-        }
-        b
+        bools.iter().copied().collect()
+    }
+
+    /// The bits as booleans, in order.
+    pub fn to_bools(&self) -> Vec<bool> {
+        (0..self.len).map(|i| self.get(i)).collect()
     }
 
     fn clear_trailing(&mut self) {
@@ -167,6 +166,30 @@ impl Bitmap {
     }
 }
 
+/// Packs the bits a word at a time — how comparison kernels produce
+/// their result without an intermediate `Vec<bool>`.
+impl FromIterator<bool> for Bitmap {
+    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut words = Vec::with_capacity(iter.size_hint().0.div_ceil(64));
+        let (mut word, mut filled, mut len) = (0u64, 0u32, 0usize);
+        for bit in iter {
+            word |= u64::from(bit) << filled;
+            filled += 1;
+            if filled == 64 {
+                words.push(word);
+                len += 64;
+                (word, filled) = (0, 0);
+            }
+        }
+        if filled > 0 {
+            words.push(word);
+            len += filled as usize;
+        }
+        Bitmap { words, len }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +222,19 @@ mod tests {
         }
         assert_eq!(b.len(), 200);
         assert_eq!(b.count_ones(), (0..200).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn collects_bits_across_word_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 128, 200] {
+            let bools: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 7 == 0).collect();
+            let b = Bitmap::from_bools(&bools);
+            assert_eq!(b.len(), len);
+            assert_eq!(b.to_bools(), bools);
+            assert_eq!(b.count_ones(), bools.iter().filter(|&&v| v).count());
+            // The tail stays clean, so `not` and `count_ones` stay exact.
+            assert_eq!(b.not().count_ones(), len - b.count_ones());
+        }
     }
 
     #[test]

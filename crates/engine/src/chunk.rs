@@ -86,11 +86,18 @@ impl Chunk {
         self.columns.iter().map(|c| c.value_at(row)).collect()
     }
 
-    /// Keep rows where `mask` is set.
+    /// Keep rows where `mask` is set. Nothing is gathered when the mask
+    /// keeps every row or the chunk has no columns.
     pub fn filter(&self, mask: &Bitmap) -> Result<Chunk> {
         debug_assert_eq!(mask.len(), self.len);
-        let indices = mask.set_indices();
-        self.take(&indices)
+        let kept = mask.count_ones();
+        if kept == self.len {
+            return Ok(self.clone());
+        }
+        if self.columns.is_empty() {
+            return Ok(Chunk::new_empty_columns(kept));
+        }
+        self.take(&mask.set_indices())
     }
 
     /// Gather rows at `indices`.
@@ -242,6 +249,31 @@ mod tests {
         let l = c.limit(2).unwrap();
         assert_eq!(l.len(), 2);
         assert_eq!(c.limit(100).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn filter_shortcuts_match_the_gather() {
+        let c = sample_chunk();
+        // All rows kept: the very same column allocations come back.
+        let all = c.filter(&Bitmap::ones(3)).unwrap();
+        assert!(Arc::ptr_eq(all.column(0), c.column(0)));
+        assert_eq!(all.to_rows(), c.to_rows());
+        // No row kept: empty, but still typed like the input.
+        let none = c.filter(&Bitmap::zeros(3)).unwrap();
+        assert_eq!((none.len(), none.num_columns()), (0, 2));
+        assert_eq!(none.column(1).data_type(), DataType::Utf8);
+        // No columns: only the count survives.
+        let counted = Chunk::new_empty_columns(3)
+            .filter(&Bitmap::from_bools(&[true, false, true]))
+            .unwrap();
+        assert_eq!((counted.len(), counted.num_columns()), (2, 0));
+        assert_eq!(
+            Chunk::new_empty_columns(0)
+                .filter(&Bitmap::zeros(0))
+                .unwrap()
+                .len(),
+            0
+        );
     }
 
     #[test]

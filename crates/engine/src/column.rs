@@ -52,25 +52,7 @@ impl<T: Copy + Default> PrimVec<T> {
 
     /// Vector from optional values.
     pub fn from_options(values: Vec<Option<T>>) -> Self {
-        let mut validity = Bitmap::zeros(values.len());
-        let mut out = Vec::with_capacity(values.len());
-        let mut any_null = false;
-        for (i, v) in values.into_iter().enumerate() {
-            match v {
-                Some(v) => {
-                    validity.set(i, true);
-                    out.push(v);
-                }
-                None => {
-                    any_null = true;
-                    out.push(T::default());
-                }
-            }
-        }
-        PrimVec {
-            values: out,
-            validity: if any_null { Some(validity) } else { None },
-        }
+        values.into_iter().collect()
     }
 
     /// Number of slots.
@@ -120,6 +102,33 @@ impl<T: Copy + Default> PrimVec<T> {
     }
 }
 
+/// Record whether the row about to become row `rows` of a vector is
+/// valid. The bitmap is created (all valid so far) by the first null, so
+/// vectors without nulls never carry one.
+#[inline]
+pub fn push_validity(validity: &mut Option<Bitmap>, rows: usize, valid: bool) {
+    if !valid || validity.is_some() {
+        validity
+            .get_or_insert_with(|| Bitmap::ones(rows))
+            .push(valid);
+    }
+}
+
+/// Collects values straight into the vector, `None` as a null slot; the
+/// validity bitmap appears with the first null.
+impl<T: Copy + Default> FromIterator<Option<T>> for PrimVec<T> {
+    fn from_iter<I: IntoIterator<Item = Option<T>>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut values = Vec::with_capacity(iter.size_hint().0);
+        let mut validity: Option<Bitmap> = None;
+        for v in iter {
+            push_validity(&mut validity, values.len(), v.is_some());
+            values.push(v.unwrap_or_default());
+        }
+        PrimVec { values, validity }
+    }
+}
+
 /// Strings stored as a contiguous byte buffer plus offsets.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StrVec {
@@ -161,22 +170,12 @@ impl StrVec {
 
     /// Append a value (null when `None`).
     pub fn push(&mut self, value: Option<&str>) {
-        let i = self.len();
-        match value {
-            Some(s) => {
-                self.bytes.extend_from_slice(s.as_bytes());
-                self.offsets.push(self.bytes.len() as u32);
-                if let Some(b) = &mut self.validity {
-                    b.push(true);
-                    debug_assert_eq!(b.len(), i + 1);
-                }
-            }
-            None => {
-                self.offsets.push(self.bytes.len() as u32);
-                let validity = self.validity.get_or_insert_with(|| Bitmap::ones(i));
-                validity.push(false);
-            }
+        let rows = self.len();
+        push_validity(&mut self.validity, rows, value.is_some());
+        if let Some(s) = value {
+            self.bytes.extend_from_slice(s.as_bytes());
         }
+        self.offsets.push(self.bytes.len() as u32);
     }
 
     /// Number of slots.
@@ -254,16 +253,20 @@ impl Column {
         self.len() == 0
     }
 
+    /// The validity bitmap; `None` means every row is valid.
+    pub fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Column::Boolean(v) => v.validity.as_ref(),
+            Column::Int32(v) => v.validity.as_ref(),
+            Column::Int64(v) | Column::Timestamp(v) => v.validity.as_ref(),
+            Column::Float64(v) => v.validity.as_ref(),
+            Column::Utf8(v) => v.validity.as_ref(),
+        }
+    }
+
     /// Whether row `i` is valid (non-null).
     pub fn is_valid(&self, i: usize) -> bool {
-        match self {
-            Column::Boolean(v) => v.is_valid(i),
-            Column::Int32(v) => v.is_valid(i),
-            Column::Int64(v) => v.is_valid(i),
-            Column::Float64(v) => v.is_valid(i),
-            Column::Utf8(v) => v.is_valid(i),
-            Column::Timestamp(v) => v.is_valid(i),
-        }
+        self.validity().is_none_or(|b| b.get(i))
     }
 
     /// The value at row `i` as a scalar.

@@ -23,6 +23,31 @@ pub trait PhysicalExpr: Send + Sync + fmt::Debug {
     fn data_type(&self) -> DataType;
     /// Evaluate over a chunk, producing one column of `chunk.len()` rows.
     fn evaluate(&self, chunk: &Chunk) -> Result<ColumnRef>;
+
+    /// The value of a constant expression (a literal, or a plan-cache
+    /// parameter once bound): binary kernels take it as a scalar operand
+    /// instead of evaluating it into a `chunk.len()`-row column.
+    fn literal(&self) -> Option<&Value> {
+        None
+    }
+
+    /// Evaluate a boolean expression straight into a selection mask: bit
+    /// `i` is set when row `i` is TRUE (NULL and FALSE both clear it, per
+    /// SQL filter semantics).
+    fn evaluate_mask(&self, chunk: &Chunk) -> Result<Bitmap> {
+        let c = self.evaluate(chunk)?;
+        let Column::Boolean(v) = c.as_ref() else {
+            return Err(EngineError::type_err(format!(
+                "filter predicate must be BOOLEAN, got {}",
+                c.data_type()
+            )));
+        };
+        let truth = Bitmap::from_bools(&v.values);
+        Ok(match &v.validity {
+            Some(valid) => truth.and(valid),
+            None => truth,
+        })
+    }
 }
 
 /// Shared physical expression handle.
@@ -175,6 +200,10 @@ impl PhysicalExpr for LiteralExpr {
             chunk.len(),
         )?))
     }
+
+    fn literal(&self) -> Option<&Value> {
+        Some(&self.value)
+    }
 }
 
 #[derive(Debug)]
@@ -191,15 +220,77 @@ impl PhysicalExpr for BinaryExpr {
     }
 
     fn evaluate(&self, chunk: &Chunk) -> Result<ColumnRef> {
-        let l = self.left.evaluate(chunk)?;
-        let r = self.right.evaluate(chunk)?;
         if self.op.is_logic() {
+            let l = self.left.evaluate(chunk)?;
+            let r = self.right.evaluate(chunk)?;
             return kernels::logic(&l, self.op, &r);
         }
+        let (l, r) = self.operands(chunk)?;
         if self.op.is_comparison() {
-            return kernels::compare(&l, self.op, &r);
+            let (truth, validity) = kernels::compare(l.operand(), self.op, r.operand())?;
+            return Ok(Arc::new(Column::Boolean(PrimVec {
+                values: truth.to_bools(),
+                validity,
+            })));
         }
-        kernels::arithmetic(&l, self.op, &r)
+        kernels::arithmetic(l.operand(), self.op, r.operand())
+    }
+
+    fn evaluate_mask(&self, chunk: &Chunk) -> Result<Bitmap> {
+        match self.op {
+            // A conjunction is TRUE exactly where both sides are, a
+            // disjunction where either is: Kleene logic on the masks.
+            BinaryOp::And => Ok(self
+                .left
+                .evaluate_mask(chunk)?
+                .and(&self.right.evaluate_mask(chunk)?)),
+            BinaryOp::Or => Ok(self
+                .left
+                .evaluate_mask(chunk)?
+                .or(&self.right.evaluate_mask(chunk)?)),
+            op if op.is_comparison() => {
+                let (l, r) = self.operands(chunk)?;
+                let (truth, validity) = kernels::compare(l.operand(), op, r.operand())?;
+                Ok(match validity {
+                    Some(valid) => truth.and(&valid),
+                    None => truth,
+                })
+            }
+            _ => Err(EngineError::type_err(format!(
+                "filter predicate must be BOOLEAN, got {}",
+                self.dt
+            ))),
+        }
+    }
+}
+
+/// One evaluated side of a comparison or arithmetic expression.
+enum Evaluated<'e> {
+    Column(ColumnRef),
+    Scalar(&'e Value),
+}
+
+impl Evaluated<'_> {
+    fn operand(&self) -> kernels::Operand<'_> {
+        match self {
+            Evaluated::Column(c) => kernels::Operand::Column(c),
+            Evaluated::Scalar(v) => kernels::Operand::Scalar(v),
+        }
+    }
+}
+
+impl BinaryExpr {
+    /// Both sides evaluated, constants left as scalars. The kernels size
+    /// their result from a column, so of two constants (which the
+    /// optimizer normally folds away) the left one is expanded.
+    fn operands(&self, chunk: &Chunk) -> Result<(Evaluated<'_>, Evaluated<'_>)> {
+        let side = |e: &PhysicalExprRef| e.evaluate(chunk).map(Evaluated::Column);
+        Ok(match (self.left.literal(), self.right.literal()) {
+            (None, None) => (side(&self.left)?, side(&self.right)?),
+            (None, Some(r)) => (side(&self.left)?, Evaluated::Scalar(r)),
+            (Some(l), None) => (Evaluated::Scalar(l), side(&self.right)?),
+            (Some(_), Some(r)) => (side(&self.left)?, Evaluated::Scalar(r)),
+        })
     }
 }
 
@@ -469,31 +560,17 @@ impl PhysicalExpr for LikeExpr {
 /// Evaluate a boolean predicate over a chunk into a selection bitmap
 /// (nulls select nothing, per SQL filter semantics).
 pub fn evaluate_predicate(expr: &dyn PhysicalExpr, chunk: &Chunk) -> Result<Bitmap> {
-    let c = expr.evaluate(chunk)?;
-    let Column::Boolean(v) = c.as_ref() else {
-        return Err(EngineError::type_err(format!(
-            "filter predicate must be BOOLEAN, got {}",
-            c.data_type()
-        )));
-    };
-    let mut mask = Bitmap::zeros(v.len());
-    for i in 0..v.len() {
-        if v.is_valid(i) && v.values[i] {
-            mask.set(i, true);
-        }
-    }
-    Ok(mask)
+    expr.evaluate_mask(chunk)
 }
 
 /// Vectorized kernels.
 pub(crate) mod kernels {
     use super::*;
 
-    fn merged_validity(l: &Option<Bitmap>, r: &Option<Bitmap>, len: usize) -> Option<Bitmap> {
+    fn merged_validity(l: Option<&Bitmap>, r: Option<&Bitmap>, len: usize) -> Option<Bitmap> {
         match (l, r) {
             (None, None) => None,
-            (Some(a), None) => Some(a.clone()),
-            (None, Some(b)) => Some(b.clone()),
+            (Some(a), None) | (None, Some(a)) => Some(a.clone()),
             (Some(a), Some(b)) => Some(a.and(b)),
         }
         .inspect(|b| {
@@ -543,149 +620,210 @@ pub(crate) mod kernels {
         })))
     }
 
-    fn cmp_outcome<T: PartialOrd>(a: T, op: BinaryOp, b: T) -> bool {
+    /// One operand of a binary kernel: a column, or one value standing
+    /// for every row (a literal is never expanded into a column).
+    #[derive(Debug, Clone, Copy)]
+    pub enum Operand<'a> {
+        /// A value per row.
+        Column(&'a Column),
+        /// The same value on every row.
+        Scalar(&'a Value),
+    }
+
+    impl Operand<'_> {
+        fn type_name(&self) -> String {
+            match self {
+                Operand::Column(c) => c.data_type().to_string(),
+                Operand::Scalar(v) => v
+                    .data_type()
+                    .map_or_else(|| "NULL".to_string(), |dt| dt.to_string()),
+            }
+        }
+
+        fn is_null_scalar(&self) -> bool {
+            matches!(self, Operand::Scalar(Value::Null))
+        }
+    }
+
+    /// Rows of the result (the length of whichever operand is a column)
+    /// and its validity: null where either side is, all null beside a
+    /// NULL scalar.
+    fn shape(l: Operand<'_>, r: Operand<'_>) -> Result<(usize, Option<Bitmap>)> {
+        let (len, validity) = match (l, r) {
+            (Operand::Column(a), Operand::Column(b)) => {
+                if a.len() != b.len() {
+                    return Err(EngineError::internal(
+                        "binary kernel over mismatched lengths",
+                    ));
+                }
+                (
+                    a.len(),
+                    merged_validity(a.validity(), b.validity(), a.len()),
+                )
+            }
+            (Operand::Column(c), Operand::Scalar(_)) | (Operand::Scalar(_), Operand::Column(c)) => {
+                (c.len(), c.validity().cloned())
+            }
+            (Operand::Scalar(_), Operand::Scalar(_)) => {
+                return Err(EngineError::internal(
+                    "binary kernel needs a column operand to size its result",
+                ))
+            }
+        };
+        if l.is_null_scalar() || r.is_null_scalar() {
+            return Ok((len, Some(Bitmap::zeros(len))));
+        }
+        Ok((len, validity))
+    }
+
+    /// The two operands of a typed kernel, at least one a column.
+    enum Sides<'a, T> {
+        Columns(&'a [T], &'a [T]),
+        ScalarRight(&'a [T], T),
+        ScalarLeft(T, &'a [T]),
+    }
+
+    impl<T: Copy> Sides<'_, T> {
+        /// `f(left, right)` of every row, collected. Each operand shape
+        /// gets its own loop; a scalar stays in a register.
+        fn zip_with<R, C: FromIterator<R>>(self, f: impl Fn(T, T) -> R) -> C {
+            match self {
+                Sides::Columns(a, b) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+                Sides::ScalarRight(a, y) => a.iter().map(|&x| f(x, y)).collect(),
+                Sides::ScalarLeft(x, b) => b.iter().map(|&y| f(x, y)).collect(),
+            }
+        }
+    }
+
+    /// The operands as [`Sides`] of one column/value variant, if both are.
+    macro_rules! sides {
+        ($l:expr, $r:expr, $variant:ident) => {
+            match ($l, $r) {
+                (Operand::Column(Column::$variant(a)), Operand::Column(Column::$variant(b))) => {
+                    Some(Sides::Columns(a.values.as_slice(), b.values.as_slice()))
+                }
+                (Operand::Column(Column::$variant(a)), Operand::Scalar(Value::$variant(y))) => {
+                    Some(Sides::ScalarRight(a.values.as_slice(), *y))
+                }
+                (Operand::Scalar(Value::$variant(x)), Operand::Column(Column::$variant(b))) => {
+                    Some(Sides::ScalarLeft(*x, b.values.as_slice()))
+                }
+                _ => None,
+            }
+        };
+    }
+
+    /// Comparison outcomes packed straight into mask words.
+    fn compare_sides<T: Copy + PartialOrd>(sides: Sides<'_, T>, op: BinaryOp) -> Bitmap {
         match op {
-            BinaryOp::Eq => a == b,
-            BinaryOp::NotEq => a != b,
-            BinaryOp::Lt => a < b,
-            BinaryOp::LtEq => a <= b,
-            BinaryOp::Gt => a > b,
-            BinaryOp::GtEq => a >= b,
-            // idf-lint: allow(hot-path-panic) -- comparison() dispatches only comparison ops here
+            BinaryOp::Eq => sides.zip_with(|x, y| x == y),
+            BinaryOp::NotEq => sides.zip_with(|x, y| x != y),
+            BinaryOp::Lt => sides.zip_with(|x, y| x < y),
+            BinaryOp::LtEq => sides.zip_with(|x, y| x <= y),
+            BinaryOp::Gt => sides.zip_with(|x, y| x > y),
+            BinaryOp::GtEq => sides.zip_with(|x, y| x >= y),
+            // idf-lint: allow(hot-path-panic) -- callers dispatch only comparison ops here
             _ => unreachable!("comparison kernel on non-comparison op"),
         }
     }
 
-    fn compare_prim<T: Copy + PartialOrd + Default>(
-        a: &PrimVec<T>,
-        op: BinaryOp,
-        b: &PrimVec<T>,
-    ) -> Column {
-        let len = a.len();
-        let values: Vec<bool> = (0..len)
-            .map(|i| cmp_outcome(a.values[i], op, b.values[i]))
-            .collect();
-        Column::Boolean(PrimVec {
-            values,
-            validity: merged_validity(&a.validity, &b.validity, len),
-        })
+    /// Every value of a string column (NULL slots read as empty).
+    fn strs(v: &StrVec) -> Vec<&str> {
+        (0..v.len()).map(|i| v.get(i).unwrap_or("")).collect()
     }
 
-    /// Comparison over same-typed columns; null if either side is null.
-    pub fn compare(l: &Column, op: BinaryOp, r: &Column) -> Result<ColumnRef> {
-        if l.len() != r.len() {
-            return Err(EngineError::internal("comparison over mismatched lengths"));
+    /// Comparison over same-typed operands: the truth bit of every row
+    /// plus the result's validity (null where either side is null).
+    pub fn compare(
+        l: Operand<'_>,
+        op: BinaryOp,
+        r: Operand<'_>,
+    ) -> Result<(Bitmap, Option<Bitmap>)> {
+        let (len, validity) = shape(l, r)?;
+        if l.is_null_scalar() || r.is_null_scalar() {
+            return Ok((Bitmap::zeros(len), validity));
         }
-        let out = match (l, r) {
-            (Column::Int32(a), Column::Int32(b)) => compare_prim(a, op, b),
-            (Column::Int64(a), Column::Int64(b)) => compare_prim(a, op, b),
-            (Column::Timestamp(a), Column::Timestamp(b)) => compare_prim(a, op, b),
-            (Column::Float64(a), Column::Float64(b)) => compare_prim(a, op, b),
-            (Column::Boolean(a), Column::Boolean(b)) => {
-                let len = a.len();
-                let values: Vec<bool> = (0..len)
-                    .map(|i| cmp_outcome(a.values[i], op, b.values[i]))
-                    .collect();
-                Column::Boolean(PrimVec {
-                    values,
-                    validity: merged_validity(&a.validity, &b.validity, len),
-                })
-            }
-            (Column::Utf8(a), Column::Utf8(b)) => {
-                let len = a.len();
-                let mut values = Vec::with_capacity(len);
-                for i in 0..len {
-                    let (x, y) = (a.get(i).unwrap_or(""), b.get(i).unwrap_or(""));
-                    values.push(cmp_outcome(x, op, y));
+        let truth = if let Some(s) = sides!(l, r, Int32) {
+            compare_sides(s, op)
+        } else if let Some(s) = sides!(l, r, Int64) {
+            compare_sides(s, op)
+        } else if let Some(s) = sides!(l, r, Timestamp) {
+            compare_sides(s, op)
+        } else if let Some(s) = sides!(l, r, Float64) {
+            compare_sides(s, op)
+        } else if let Some(s) = sides!(l, r, Boolean) {
+            compare_sides(s, op)
+        } else {
+            match (l, r) {
+                (Operand::Column(Column::Utf8(a)), Operand::Column(Column::Utf8(b))) => {
+                    compare_sides(Sides::Columns(&strs(a), &strs(b)), op)
                 }
-                let av = a.validity.clone();
-                let bv = b.validity.clone();
-                Column::Boolean(PrimVec {
-                    values,
-                    validity: merged_validity(&av, &bv, len),
-                })
-            }
-            (a, b) => {
-                return Err(EngineError::type_err(format!(
-                    "cannot compare {} with {}",
-                    a.data_type(),
-                    b.data_type()
-                )))
+                (Operand::Column(Column::Utf8(a)), Operand::Scalar(Value::Utf8(y))) => {
+                    compare_sides(Sides::ScalarRight(&strs(a), y.as_str()), op)
+                }
+                (Operand::Scalar(Value::Utf8(x)), Operand::Column(Column::Utf8(b))) => {
+                    compare_sides(Sides::ScalarLeft(x.as_str(), &strs(b)), op)
+                }
+                _ => {
+                    return Err(EngineError::type_err(format!(
+                        "cannot compare {} with {}",
+                        l.type_name(),
+                        r.type_name()
+                    )))
+                }
             }
         };
-        Ok(Arc::new(out))
+        Ok((truth, validity))
     }
 
+    /// Checked integer arithmetic: overflow and division by zero are null.
     macro_rules! arith_int {
-        ($a:expr, $op:expr, $b:expr, $variant:ident) => {{
-            let len = $a.len();
-            let mut values = Vec::with_capacity(len);
-            let mut validity = match merged_validity(&$a.validity, &$b.validity, len) {
-                Some(v) => v,
-                None => Bitmap::ones(len),
+        ($sides:expr, $op:expr, $validity:expr, $len:expr) => {{
+            let out: PrimVec<_> = match $op {
+                BinaryOp::Plus => $sides.zip_with(|x, y| x.checked_add(y)),
+                BinaryOp::Minus => $sides.zip_with(|x, y| x.checked_sub(y)),
+                BinaryOp::Multiply => $sides.zip_with(|x, y| x.checked_mul(y)),
+                BinaryOp::Divide => $sides.zip_with(|x, y| x.checked_div(y)),
+                BinaryOp::Modulo => $sides.zip_with(|x, y| x.checked_rem(y)),
+                // idf-lint: allow(hot-path-panic) -- arithmetic() dispatches only arithmetic ops here
+                _ => unreachable!("arithmetic kernel on non-arithmetic op"),
             };
-            for i in 0..len {
-                let (x, y) = ($a.values[i], $b.values[i]);
-                let out = match $op {
-                    BinaryOp::Plus => x.checked_add(y),
-                    BinaryOp::Minus => x.checked_sub(y),
-                    BinaryOp::Multiply => x.checked_mul(y),
-                    BinaryOp::Divide => x.checked_div(y),
-                    BinaryOp::Modulo => x.checked_rem(y),
-                    // idf-lint: allow(hot-path-panic) -- arithmetic() dispatches only arithmetic ops here
-                    _ => unreachable!("arithmetic kernel on non-arithmetic op"),
-                };
-                match out {
-                    Some(v) => values.push(v),
-                    None => {
-                        values.push(Default::default());
-                        validity.set(i, false);
-                    }
-                }
+            PrimVec {
+                values: out.values,
+                validity: merged_validity(out.validity.as_ref(), $validity.as_ref(), $len),
             }
-            Column::$variant(PrimVec {
-                values,
-                validity: Some(validity),
-            })
         }};
     }
 
-    /// Arithmetic over same-typed numeric columns.
-    pub fn arithmetic(l: &Column, op: BinaryOp, r: &Column) -> Result<ColumnRef> {
-        if l.len() != r.len() {
-            return Err(EngineError::internal("arithmetic over mismatched lengths"));
+    /// Arithmetic over same-typed numeric operands.
+    pub fn arithmetic(l: Operand<'_>, op: BinaryOp, r: Operand<'_>) -> Result<ColumnRef> {
+        let (len, validity) = shape(l, r)?;
+        if let (Operand::Column(c), Operand::Scalar(Value::Null))
+        | (Operand::Scalar(Value::Null), Operand::Column(c)) = (l, r)
+        {
+            return Ok(Arc::new(Column::repeat(c.data_type(), &Value::Null, len)?));
         }
-        let out = match (l, r) {
-            (Column::Int32(a), Column::Int32(b)) => arith_int!(a, op, b, Int32),
-            (Column::Int64(a), Column::Int64(b)) => arith_int!(a, op, b, Int64),
-            (Column::Float64(a), Column::Float64(b)) => {
-                let len = a.len();
-                let values: Vec<f64> = (0..len)
-                    .map(|i| {
-                        let (x, y) = (a.values[i], b.values[i]);
-                        match op {
-                            BinaryOp::Plus => x + y,
-                            BinaryOp::Minus => x - y,
-                            BinaryOp::Multiply => x * y,
-                            BinaryOp::Divide => x / y,
-                            BinaryOp::Modulo => x % y,
-                            // idf-lint: allow(hot-path-panic) -- arithmetic() dispatches only arithmetic ops here
-                            _ => unreachable!("arithmetic kernel on non-arithmetic op"),
-                        }
-                    })
-                    .collect();
-                Column::Float64(PrimVec {
-                    values,
-                    validity: merged_validity(&a.validity, &b.validity, len),
-                })
-            }
-            (a, b) => {
-                return Err(EngineError::type_err(format!(
-                    "cannot apply {op} to {} and {}",
-                    a.data_type(),
-                    b.data_type()
-                )))
-            }
+        let out = if let Some(s) = sides!(l, r, Int32) {
+            Column::Int32(arith_int!(s, op, validity, len))
+        } else if let Some(s) = sides!(l, r, Int64) {
+            Column::Int64(arith_int!(s, op, validity, len))
+        } else if let Some(s) = sides!(l, r, Float64) {
+            let values: Vec<f64> = match op {
+                BinaryOp::Plus => s.zip_with(|x, y| x + y),
+                BinaryOp::Minus => s.zip_with(|x, y| x - y),
+                BinaryOp::Multiply => s.zip_with(|x, y| x * y),
+                BinaryOp::Divide => s.zip_with(|x, y| x / y),
+                BinaryOp::Modulo => s.zip_with(|x, y| x % y),
+                // idf-lint: allow(hot-path-panic) -- arithmetic() dispatches only arithmetic ops here
+                _ => unreachable!("arithmetic kernel on non-arithmetic op"),
+            };
+            Column::Float64(PrimVec { values, validity })
+        } else {
+            return Err(EngineError::type_err(format!(
+                "cannot apply {op} to {} and {}",
+                l.type_name(),
+                r.type_name()
+            )));
         };
         Ok(Arc::new(out))
     }
@@ -888,6 +1026,203 @@ mod tests {
         let out = e.evaluate(&c).unwrap();
         assert_eq!(out.value_at(0), Value::Boolean(false));
         assert_eq!(out.value_at(1), Value::Boolean(true));
+    }
+
+    /// Columns of every kernel type holding NULLs and the values where
+    /// comparison and checked arithmetic change behaviour.
+    fn edge_columns() -> Vec<Column> {
+        let opt = |vals: &[Option<i64>]| -> PrimVec<i64> { vals.iter().copied().collect() };
+        let ints = [
+            Some(i64::MIN),
+            Some(-1),
+            None,
+            Some(0),
+            Some(1),
+            Some(i64::MAX),
+        ];
+        vec![
+            Column::Int64(opt(&ints)),
+            Column::Timestamp(opt(&ints)),
+            Column::Int32(
+                [
+                    Some(i32::MIN),
+                    Some(-1),
+                    None,
+                    Some(0),
+                    Some(1),
+                    Some(i32::MAX),
+                ]
+                .into_iter()
+                .collect(),
+            ),
+            Column::Float64(
+                [
+                    Some(f64::NEG_INFINITY),
+                    Some(-0.0),
+                    None,
+                    Some(f64::NAN),
+                    Some(1.5),
+                    Some(f64::MAX),
+                ]
+                .into_iter()
+                .collect(),
+            ),
+            Column::Boolean([Some(true), None, Some(false)].into_iter().collect()),
+            Column::Utf8(StrVec::from_options(&[
+                Some(""),
+                None,
+                Some("a"),
+                Some("é"),
+                Some("ab"),
+            ])),
+        ]
+    }
+
+    /// Scalars to hold against a column: each of its own values, and NULL.
+    fn edge_scalars(c: &Column) -> Vec<Value> {
+        let mut scalars: Vec<Value> = (0..c.len()).map(|i| c.value_at(i)).collect();
+        scalars.push(Value::Null);
+        scalars
+    }
+
+    fn rows(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value_at(i)).collect()
+    }
+
+    #[test]
+    fn scalar_operands_equal_the_expanded_column() {
+        use kernels::Operand::{Column as Col, Scalar};
+        let comparisons = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ];
+        let arithmetic = [
+            BinaryOp::Plus,
+            BinaryOp::Minus,
+            BinaryOp::Multiply,
+            BinaryOp::Divide,
+            BinaryOp::Modulo,
+        ];
+        for c in edge_columns() {
+            for v in edge_scalars(&c) {
+                // What the kernels saw before literals stayed scalars.
+                let expanded = Column::repeat(c.data_type(), &v, c.len()).unwrap();
+                for op in comparisons {
+                    let what = format!("{} {op} {v:?}", c.data_type());
+                    let column = |(truth, validity): (Bitmap, Option<Bitmap>)| {
+                        rows(&Column::Boolean(PrimVec {
+                            values: truth.to_bools(),
+                            validity,
+                        }))
+                    };
+                    assert_eq!(
+                        column(kernels::compare(Col(&c), op, Scalar(&v)).unwrap()),
+                        column(kernels::compare(Col(&c), op, Col(&expanded)).unwrap()),
+                        "col {what}"
+                    );
+                    assert_eq!(
+                        column(kernels::compare(Scalar(&v), op, Col(&c)).unwrap()),
+                        column(kernels::compare(Col(&expanded), op, Col(&c)).unwrap()),
+                        "lit-first {what}"
+                    );
+                }
+                if c.data_type().numeric_rank().is_none() {
+                    continue;
+                }
+                for op in arithmetic {
+                    let what = format!("{} {op} {v:?}", c.data_type());
+                    // Debug text: NaN results must compare equal to themselves.
+                    let text = |c: ColumnRef| format!("{:?}", rows(&c));
+                    assert_eq!(
+                        text(kernels::arithmetic(Col(&c), op, Scalar(&v)).unwrap()),
+                        text(kernels::arithmetic(Col(&c), op, Col(&expanded)).unwrap()),
+                        "col {what}"
+                    );
+                    assert_eq!(
+                        text(kernels::arithmetic(Scalar(&v), op, Col(&c)).unwrap()),
+                        text(kernels::arithmetic(Col(&expanded), op, Col(&c)).unwrap()),
+                        "lit-first {what}"
+                    );
+                }
+            }
+        }
+        // Two scalars leave the kernels nothing to size the result by.
+        let one = Value::Int64(1);
+        assert!(kernels::compare(Scalar(&one), BinaryOp::Eq, Scalar(&one)).is_err());
+    }
+
+    /// The selection mask, built one bit at a time from the evaluated
+    /// boolean column — what `evaluate_predicate` used to do.
+    fn bit_by_bit_mask(e: &dyn PhysicalExpr, chunk: &Chunk) -> Bitmap {
+        let c = e.evaluate(chunk).unwrap();
+        let mut mask = Bitmap::zeros(c.len());
+        for i in 0..c.len() {
+            if c.value_at(i) == Value::Boolean(true) {
+                mask.set(i, true);
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn direct_masks_equal_the_bit_by_bit_mask() {
+        // A deterministic scatter of values and NULLs over more than one
+        // mask word, so word boundaries and the tail are both crossed.
+        let s = Arc::new(schema());
+        let rows: Vec<Vec<Value>> = (0..150i64)
+            .map(|i| {
+                let null = |k: i64| (i * 7 + k) % 5 == 0;
+                vec![
+                    if null(0) {
+                        Value::Null
+                    } else {
+                        Value::Int64(i % 9 - 4)
+                    },
+                    if null(1) {
+                        Value::Null
+                    } else {
+                        Value::Int64(i % 4)
+                    },
+                    if null(2) {
+                        Value::Null
+                    } else {
+                        Value::Utf8(format!("s{}", i % 3))
+                    },
+                    if null(3) {
+                        Value::Null
+                    } else {
+                        Value::Float64(i as f64 / 2.0)
+                    },
+                ]
+            })
+            .collect();
+        let c = Chunk::from_rows(&s, &rows).unwrap();
+        let predicates = [
+            col("a").gt(lit(0i64)),
+            lit(0i64).gt(col("a")),
+            col("a").lt_eq(col("b")),
+            col("s").eq(lit("s1")),
+            col("f").gt_eq(lit(30.0)),
+            col("a").gt(lit(0i64)).and(col("b").not_eq(lit(2i64))),
+            col("a").gt(lit(0i64)).or(col("s").lt(lit("s1"))),
+            col("a").gt(lit(0i64)).or(col("b").lt(lit(1i64))).not(),
+            col("b").is_null().or(col("a").add(lit(1i64)).eq(col("b"))),
+        ];
+        for p in predicates {
+            let e = compile(&p);
+            assert_eq!(
+                evaluate_predicate(e.as_ref(), &c).unwrap(),
+                bit_by_bit_mask(e.as_ref(), &c),
+                "{p}"
+            );
+        }
+        // A non-boolean predicate is a typed error on both mask paths.
+        assert!(evaluate_predicate(compile(&col("a")).as_ref(), &c).is_err());
+        assert!(evaluate_predicate(compile(&col("a").add(lit(1i64))).as_ref(), &c).is_err());
     }
 
     #[test]

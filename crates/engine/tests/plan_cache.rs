@@ -237,6 +237,49 @@ fn a_cached_plan_is_reused_for_other_literals() {
     assert_eq!(session.plan_cache_len(), 5);
 }
 
+/// A bound parameter reaches the comparison and arithmetic kernels as a
+/// scalar operand, on either side of the operator: the hit must equal the
+/// statement planned as written, for literals at the edges of `BIGINT`
+/// (overflow and division by zero become NULL on both paths).
+#[test]
+fn parameters_on_either_side_of_an_operator_match_the_uncached_answer() {
+    let session = kv_session();
+    let shapes: [fn(i64) -> String; 6] = [
+        |x| format!("SELECT id FROM t WHERE id > {x}"),
+        |x| format!("SELECT id FROM t WHERE {x} >= id"),
+        |x| format!("SELECT id FROM t WHERE {x} - age <= id AND id <> {x}"),
+        |x| format!("SELECT id + {x}, {x} - id, id * {x} FROM t"),
+        |x| format!("SELECT id FROM t WHERE id % {x} = 0 OR {x} / id > 1"),
+        |x| format!("SELECT count(*) FROM t WHERE age + {x} > 21"),
+    ];
+    let literals = [-7, 0, 1, 3, 21, i64::MAX];
+    for shape in shapes {
+        for x in literals {
+            let sql = shape(x);
+            let cold = outcome_of(uncached(&session, &sql));
+            assert_ne!(cold, Outcome::Failed, "{sql}");
+            // A miss that fills the cache (or a hit on an earlier
+            // literal's plan), then certainly a hit.
+            for pass in ["first", "hit"] {
+                assert_eq!(outcome_of(session.sql(&sql)), cold, "{pass}: {sql}");
+            }
+        }
+    }
+    // And against the data itself: ids run from -5 to 9.
+    for (sql, ids) in [
+        ("SELECT id FROM t WHERE id > 6", vec![7, 8, 9]),
+        ("SELECT id FROM t WHERE -4 >= id", vec![-5, -4]),
+    ] {
+        let rows = ids.into_iter().map(|i| vec![Value::Int64(i)]).collect();
+        let names = vec!["id".to_string()];
+        assert_eq!(
+            outcome_of(session.sql(sql)),
+            Outcome::Rows(names, rows),
+            "{sql}"
+        );
+    }
+}
+
 #[test]
 fn explain_reports_the_cache_without_filling_it() {
     let session = kv_session();
