@@ -27,9 +27,9 @@ use crate::table::IndexedTable;
 /// How the probe side reaches the index partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
-    /// Probe rows were hash-shuffled to the index's partitioning; each
-    /// partition probes locally.
-    Shuffled,
+    /// Probe rows are hash-partitioned like the index — moved there by an
+    /// exchange, or already there — and each partition probes locally.
+    Partitioned,
     /// The whole probe side is broadcast to every index partition; foreign
     /// keys simply miss (each key lives in exactly one partition, so no
     /// duplicates arise).
@@ -42,7 +42,7 @@ pub struct IndexedJoinExec {
     pub table: Arc<IndexedTable>,
     /// Columns of the indexed side to emit (scan projection), `None` = all.
     pub indexed_projection: Option<Vec<usize>>,
-    /// The probe side (shuffled or not, per `mode`).
+    /// The probe side (partitioned like the index or not, per `mode`).
     pub probe: ExecPlanRef,
     /// Key expression over the probe schema.
     pub probe_key: PhysicalExprRef,
@@ -85,7 +85,7 @@ impl IndexedJoinExec {
 
     fn probe_chunks(&self, partition: usize, ctx: &TaskContext) -> Result<Vec<Chunk>> {
         match self.mode {
-            ProbeMode::Shuffled => self.probe.execute(partition, ctx)?.collect(),
+            ProbeMode::Partitioned => self.probe.execute(partition, ctx)?.collect(),
             ProbeMode::Broadcast => {
                 let all = self.broadcast.get_or_try_init(ctx, || {
                     let parts = idf_engine::physical::execute_collect_partitions(&self.probe, ctx)?;
@@ -174,28 +174,30 @@ impl ExecutionPlan for IndexedJoinExec {
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        if self.mode == ProbeMode::Shuffled
+        if self.mode == ProbeMode::Partitioned
             && self.probe.output_partitions() != self.table.num_partitions()
         {
             return Err(EngineError::internal(
-                "shuffled probe side must match the index partitioning (strategy bug)",
+                "partitioned probe side must match the index partitioning (strategy bug)",
             ));
         }
         let indexed_cols: Vec<usize> = match &self.indexed_projection {
             Some(p) => p.clone(),
             None => (0..self.table.schema().len()).collect(),
         };
-        let snapshot = self.table.partition(partition).snapshot();
-        let mut out = Vec::new();
-        for chunk in self.probe_chunks(partition, ctx)? {
-            ctx.check_cancelled()?;
-            if let Some(joined) = self.join_chunk(&snapshot, &chunk, &indexed_cols)? {
-                out.push(joined);
+        // The probe is the operator's work; running it under the context
+        // puts its time in EXPLAIN ANALYZE and checks the lifecycle first.
+        let out = ctx.instrument_blocking(self, || {
+            let snapshot = self.table.partition(partition).snapshot();
+            let mut out = Vec::new();
+            for chunk in self.probe_chunks(partition, ctx)? {
+                ctx.check_cancelled()?;
+                if let Some(joined) = self.join_chunk(&snapshot, &chunk, &indexed_cols)? {
+                    out.push(joined);
+                }
             }
-        }
-        // Route through the context like every other operator so the join
-        // shows up in EXPLAIN ANALYZE and respects per-chunk lifecycle
-        // checks downstream.
+            Ok(out)
+        })?;
         Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
     }
 

@@ -834,8 +834,10 @@ impl PartitionSnapshot {
     /// partition yields one empty chunk.
     ///
     /// Under a query lifecycle token, cancellation/deadline is checked at
-    /// every chunk boundary and each produced chunk is billed to the
-    /// query's memory budget.
+    /// every chunk boundary and the chunk in flight is billed to the
+    /// query's memory budget: charged when produced, returned when the next
+    /// is asked for. A consumer that keeps chunks (an exchange, a sort, a
+    /// join build) bills what it keeps.
     ///
     /// # Errors
     /// Fails up front when the rows hidden below tombstones cannot be
@@ -858,6 +860,7 @@ impl PartitionSnapshot {
             cols: self.projected_cols(projection)?,
             chunk_rows: chunk_rows.max(1),
             query,
+            billed: 0,
             kill,
             batch: 0,
             offset: 0,
@@ -1049,6 +1052,8 @@ pub struct ScanIter {
     cols: Vec<usize>,
     chunk_rows: usize,
     query: Option<Arc<QueryContext>>,
+    /// Bytes of the last chunk handed out, still charged to `query`.
+    billed: usize,
     kill: KillSet,
     /// Where the walk resumes.
     batch: usize,
@@ -1072,6 +1077,7 @@ impl ScanIter {
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         if let Some(q) = &self.query {
             q.check()?;
+            q.release_memory(std::mem::take(&mut self.billed));
         }
         let capacity = self.chunk_rows.min(self.rows_left_at_most());
         let mut decoders: Vec<ColumnDecoder> = self
@@ -1125,8 +1131,17 @@ impl ScanIter {
         };
         if let Some(q) = &self.query {
             q.charge_memory(chunk.byte_size())?;
+            self.billed = chunk.byte_size();
         }
         Ok(Some(chunk))
+    }
+}
+
+impl Drop for ScanIter {
+    fn drop(&mut self) {
+        if let Some(q) = &self.query {
+            q.release_memory(self.billed);
+        }
     }
 }
 

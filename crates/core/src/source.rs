@@ -277,6 +277,12 @@ impl TableSource for IndexedSource {
         self.claims(filter)
     }
 
+    fn hash_partitioned_by(&self) -> Option<usize> {
+        // Appends and DML route every row image by `partition_of` its own
+        // key; a frozen snapshot keeps the table's partitions.
+        Some(self.table.key_col())
+    }
+
     fn prune(&self, filters: &[Expr]) -> Option<ScanPruning> {
         if filters.is_empty() {
             return None;

@@ -14,8 +14,8 @@
 //! * **Equi-joins** are claimed here: a `Join` whose left or right input is
 //!   a scan of an [`IndexedSource`] keyed on the join column becomes an
 //!   [`IndexedJoinExec`] — the indexed relation is always the build side,
-//!   the probe side is shuffled to the index's partitioning (or broadcast
-//!   when small, per the paper's fallback).
+//!   the probe side is brought to the index's partitioning by the planner's
+//!   one exchange rule (or broadcast when small, per the paper's fallback).
 //! * Everything else returns `None` and falls back to vanilla planning.
 
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use idf_engine::error::Result;
 use idf_engine::expr::Expr;
 use idf_engine::logical::{JoinType, LogicalPlan};
-use idf_engine::physical::{create_physical_expr, ExecPlanRef, ShuffleExec};
+use idf_engine::physical::{create_physical_expr, ExecPlanRef};
 use idf_engine::planner::{estimate_rows, PhysicalStrategy, Planner};
 
 use crate::join_exec::{IndexedJoinExec, ProbeMode};
@@ -125,17 +125,16 @@ impl PhysicalStrategy for IndexedJoinStrategy {
             .is_some_and(|n| n <= planner.config().broadcast_threshold_rows);
         let (probe_exec, mode) = if broadcast {
             (probe_exec, ProbeMode::Broadcast)
-        } else if table.num_partitions() == 1 && probe_exec.output_partitions() == 1 {
-            // Trivially co-partitioned: a single-partition probe against a
-            // single-partition index needs no exchange.
-            (probe_exec, ProbeMode::Shuffled)
         } else {
-            let shuffled: ExecPlanRef = Arc::new(ShuffleExec::new(
+            // Probe rows must sit in the index partition their key routes
+            // to; a probe side already placed that way (the other table
+            // indexed on the join key, equally many partitions) stays put.
+            let placed = planner.ensure_partitioned(
                 probe_exec,
-                vec![Arc::clone(&probe_key_expr)],
-                table.num_partitions(),
-            ));
-            (shuffled, ProbeMode::Shuffled)
+                std::slice::from_ref(&probe_key_expr),
+                Some(table.num_partitions()),
+            );
+            (placed, ProbeMode::Partitioned)
         };
         Ok(Some(Arc::new(IndexedJoinExec::new(
             table,

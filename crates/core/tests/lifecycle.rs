@@ -106,8 +106,9 @@ fn over_budget_scan_aggregation_is_resource_exhausted() {
     });
     let idf = indexed_table(&session, 100_000);
     idf.register("t");
-    // The full scan charges every produced chunk: ~2.4 MB of row data
-    // against a 64 KiB budget.
+    // The full scan charges the chunk in flight (8192 rows x 2 columns,
+    // 128 KiB) and the partial aggregate its 500-group table, against a
+    // 64 KiB budget.
     let err = session
         .sql("SELECT grp, count(*), sum(v) FROM t GROUP BY grp")
         .unwrap()

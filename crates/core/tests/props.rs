@@ -549,18 +549,23 @@ mod scan_differential {
         assert_eq!(err, idf_engine::error::EngineError::Cancelled);
         assert!(scan.next().is_none(), "a failed scan is fused");
 
-        // Each chunk is billed as it is produced: 100 rows x 16 bytes.
-        let query = QueryContext::builder().memory_limit(4000).build();
-        let results: Vec<_> = snap.scan(None, 100, Some(query)).expect("scan").collect();
-        assert_eq!(
-            results.len(),
-            3,
-            "two chunks fit, the third trips the budget"
-        );
-        assert!(results[0].is_ok() && results[1].is_ok());
+        // The chunk in flight is billed — 100 rows x 16 bytes — and handed
+        // back when the next is pulled: ten chunks pass a two-chunk budget.
+        let query = QueryContext::builder().memory_limit(3200).build();
+        let results: Vec<_> = snap
+            .scan(None, 100, Some(Arc::clone(&query)))
+            .expect("scan")
+            .collect();
+        assert_eq!(results.len(), 10);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(query.memory_peak(), 1600);
+        assert_eq!(query.memory_used(), 0, "a finished scan holds nothing");
+        // A chunk that does not fit trips the budget as it is produced.
+        let query = QueryContext::builder().memory_limit(1000).build();
+        let first = snap.scan(None, 100, Some(query)).expect("scan").next();
         assert!(matches!(
-            results[2],
-            Err(idf_engine::error::EngineError::ResourceExhausted(_))
+            first,
+            Some(Err(idf_engine::error::EngineError::ResourceExhausted(_)))
         ));
 
         // A deadline that has already passed stops the first chunk.

@@ -155,15 +155,6 @@ impl Bitmap {
         }
         b
     }
-
-    /// Concatenate two bitmaps.
-    pub fn concat(&self, other: &Bitmap) -> Bitmap {
-        let mut b = self.clone();
-        for i in 0..other.len {
-            b.push(other.get(i));
-        }
-        b
-    }
 }
 
 /// Packs the bits a word at a time — how comparison kernels produce
@@ -253,10 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn take_and_concat() {
+    fn take_gathers_bits() {
         let a = Bitmap::from_bools(&[true, false, true]);
         assert_eq!(a.take(&[2, 1]).set_indices(), vec![0]);
-        let b = Bitmap::from_bools(&[false, true]);
-        assert_eq!(a.concat(&b).set_indices(), vec![0, 2, 4]);
     }
 }

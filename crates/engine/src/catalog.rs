@@ -85,6 +85,15 @@ pub trait TableSource: Send + Sync {
         None
     }
 
+    /// The column this source is hash-partitioned by, if any: `Some(c)`
+    /// promises that partition `p` holds exactly the rows with
+    /// `hash_values(&[row[c]]) % num_partitions() == p` (the function
+    /// [`crate::physical::hash_values`], which exchanges also use), so the
+    /// planner can aggregate or join on `c` without moving a row.
+    fn hash_partitioned_by(&self) -> Option<usize> {
+        None
+    }
+
     /// Scan one partition under a query lifecycle token. Sources that run
     /// long per-partition work (index probes, large decodes) should
     /// override this to check `query` for cancellation between units of

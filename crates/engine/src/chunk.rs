@@ -144,11 +144,8 @@ impl Chunk {
         }
         let mut columns = Vec::with_capacity(first.num_columns());
         for ci in 0..first.num_columns() {
-            let mut acc = (*first.columns[ci]).clone();
-            for chunk in &chunks[1..] {
-                acc = acc.concat(&chunk.columns[ci])?;
-            }
-            columns.push(Arc::new(acc));
+            let parts: Vec<&Column> = chunks.iter().map(|c| c.columns[ci].as_ref()).collect();
+            columns.push(Arc::new(Column::concat(&parts)?));
         }
         let len = chunks.iter().map(Chunk::len).sum();
         if columns.is_empty() {

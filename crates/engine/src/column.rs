@@ -87,19 +87,29 @@ impl<T: Copy + Default> PrimVec<T> {
         PrimVec { values, validity }
     }
 
-    fn concat(&self, other: &Self) -> Self {
-        let mut values = self.values.clone();
-        values.extend_from_slice(&other.values);
-        let validity = match (&self.validity, &other.validity) {
-            (None, None) => None,
-            (a, b) => {
-                let left = a.clone().unwrap_or_else(|| Bitmap::ones(self.len()));
-                let right = b.clone().unwrap_or_else(|| Bitmap::ones(other.len()));
-                Some(left.concat(&right))
-            }
-        };
+    fn concat(parts: &[&Self]) -> Self {
+        let mut values = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for p in parts {
+            values.extend_from_slice(&p.values);
+        }
+        let validity = concat_validity(parts.iter().map(|p| (p.validity.as_ref(), p.len())));
         PrimVec { values, validity }
     }
+}
+
+/// The validity of vectors laid end to end, each given as its bitmap (if
+/// any) and length; `None` when none of them has a null.
+fn concat_validity<'a>(
+    parts: impl Iterator<Item = (Option<&'a Bitmap>, usize)> + Clone,
+) -> Option<Bitmap> {
+    if parts.clone().all(|(validity, _)| validity.is_none()) {
+        return None;
+    }
+    Some(
+        parts
+            .flat_map(|(validity, len)| (0..len).map(move |i| validity.is_none_or(|b| b.get(i))))
+            .collect(),
+    )
 }
 
 /// Record whether the row about to become row `rows` of a vector is
@@ -214,12 +224,21 @@ impl StrVec {
         out
     }
 
-    fn concat(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        for i in 0..other.len() {
-            out.push(other.get(i));
+    fn concat(parts: &[&Self]) -> Self {
+        let mut offsets = Vec::with_capacity(1 + parts.iter().map(|p| p.len()).sum::<usize>());
+        let mut bytes = Vec::with_capacity(parts.iter().map(|p| p.bytes.len()).sum());
+        offsets.push(0);
+        for p in parts {
+            let base = bytes.len() as u32;
+            offsets.extend(p.offsets[1..].iter().map(|&o| base + o));
+            bytes.extend_from_slice(&p.bytes);
         }
-        out
+        let validity = concat_validity(parts.iter().map(|p| (p.validity.as_ref(), p.len())));
+        StrVec {
+            offsets,
+            bytes,
+            validity,
+        }
     }
 }
 
@@ -329,21 +348,45 @@ impl Column {
         self.take(&mask.set_indices())
     }
 
-    /// Concatenate with another column of the same type.
-    pub fn concat(&self, other: &Column) -> Result<Column> {
-        match (self, other) {
-            (Column::Boolean(a), Column::Boolean(b)) => Ok(Column::Boolean(a.concat(b))),
-            (Column::Int32(a), Column::Int32(b)) => Ok(Column::Int32(a.concat(b))),
-            (Column::Int64(a), Column::Int64(b)) => Ok(Column::Int64(a.concat(b))),
-            (Column::Float64(a), Column::Float64(b)) => Ok(Column::Float64(a.concat(b))),
-            (Column::Utf8(a), Column::Utf8(b)) => Ok(Column::Utf8(a.concat(b))),
-            (Column::Timestamp(a), Column::Timestamp(b)) => Ok(Column::Timestamp(a.concat(b))),
-            (a, b) => Err(EngineError::type_err(format!(
-                "cannot concat {} with {}",
-                a.data_type(),
-                b.data_type()
-            ))),
+    /// Lay columns of one type end to end, copying each value once.
+    pub fn concat(parts: &[&Column]) -> Result<Column> {
+        /// The vectors inside `parts`, if every part is the `$variant`.
+        macro_rules! all {
+            ($variant:ident) => {
+                parts
+                    .iter()
+                    .map(|p| match p {
+                        Column::$variant(v) => Some(v),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()
+            };
         }
+        let mismatch = || {
+            let types: Vec<String> = parts.iter().map(|p| p.data_type().to_string()).collect();
+            EngineError::type_err(format!("cannot concat {}", types.join(" with ")))
+        };
+        Ok(match parts.first() {
+            None => return Err(EngineError::internal("concat of zero columns")),
+            Some(Column::Boolean(_)) => {
+                Column::Boolean(PrimVec::concat(&all!(Boolean).ok_or_else(mismatch)?))
+            }
+            Some(Column::Int32(_)) => {
+                Column::Int32(PrimVec::concat(&all!(Int32).ok_or_else(mismatch)?))
+            }
+            Some(Column::Int64(_)) => {
+                Column::Int64(PrimVec::concat(&all!(Int64).ok_or_else(mismatch)?))
+            }
+            Some(Column::Float64(_)) => {
+                Column::Float64(PrimVec::concat(&all!(Float64).ok_or_else(mismatch)?))
+            }
+            Some(Column::Utf8(_)) => {
+                Column::Utf8(StrVec::concat(&all!(Utf8).ok_or_else(mismatch)?))
+            }
+            Some(Column::Timestamp(_)) => {
+                Column::Timestamp(PrimVec::concat(&all!(Timestamp).ok_or_else(mismatch)?))
+            }
+        })
     }
 
     /// Approximate heap size in bytes (used for broadcast decisions and the
@@ -505,9 +548,9 @@ mod tests {
     fn column_concat_type_mismatch() {
         let a = Column::Int64(PrimVec::from_values(vec![1]));
         let b = Column::Utf8(StrVec::from_strs(&["x"]));
-        assert!(a.concat(&b).is_err());
+        assert!(Column::concat(&[&a, &b]).is_err());
         let c = Column::Int64(PrimVec::from_values(vec![2, 3]));
-        let ab = a.concat(&c).unwrap();
+        let ab = Column::concat(&[&a, &c]).unwrap();
         assert_eq!(ab.len(), 3);
         assert_eq!(ab.value_at(2), Value::Int64(3));
     }
@@ -546,7 +589,7 @@ mod tests {
     fn concat_mixed_validity() {
         let a = Column::Int64(PrimVec::from_values(vec![1, 2]));
         let b = Column::Int64(PrimVec::from_options(vec![None, Some(4)]));
-        let c = a.concat(&b).unwrap();
+        let c = Column::concat(&[&a, &b]).unwrap();
         assert!(c.is_valid(0) && c.is_valid(1) && !c.is_valid(2) && c.is_valid(3));
     }
 }

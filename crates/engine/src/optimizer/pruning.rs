@@ -89,12 +89,14 @@ impl OptimizerRule for ProjectionPruning {
     }
 }
 
-/// Merge a bare-column projection straight into the scan underneath it:
-/// `Projection[cols](Scan)` becomes `Scan[projection=cols]` carrying the
-/// projection's (possibly re-qualified) schema. This keeps aliased scans —
-/// which the DataFrame/SQL `alias` wraps in identity projections —
-/// recognizable to custom planning strategies such as the Indexed
-/// DataFrame's, and removes one operator from the pipeline.
+/// Merge a bare-column projection into the scan underneath it, through any
+/// filters in between: `Projection[cols](Filter*(Scan))` becomes
+/// `Filter*(Scan[projection=cols])` carrying the projection's (possibly
+/// re-qualified) schema. A table alias is such a projection — the
+/// DataFrame/SQL `alias` wraps the scan in an identity one — so this keeps
+/// aliased scans recognizable to custom planning strategies such as the
+/// Indexed DataFrame's, lets the consumer above narrow an aliased, filtered
+/// scan like an un-aliased one, and removes one operator from the pipeline.
 fn collapse_column_projection(plan: &LogicalPlan) -> Option<LogicalPlan> {
     let LogicalPlan::Projection {
         input,
@@ -104,38 +106,65 @@ fn collapse_column_projection(plan: &LogicalPlan) -> Option<LogicalPlan> {
     else {
         return None;
     };
-    let LogicalPlan::Scan {
-        table,
-        source,
-        projection,
-        filters,
-        ..
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    let mut scan_cols = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        // Only bare columns (an alias changes the output name, which the
-        // provided schema already reflects, so it is fine to unwrap).
-        let inner = match e {
-            Expr::Alias(i, _) => i.as_ref(),
+    // Only bare columns (an alias changes the output name, which the
+    // provided schema already reflects, so it is fine to unwrap).
+    let cols: Vec<usize> = exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Alias(inner, _) => inner.as_ref(),
             other => other,
-        };
-        let Expr::Column(c) = inner else { return None };
-        let out_idx = c.index?;
-        scan_cols.push(match projection {
-            Some(p) => *p.get(out_idx)?,
-            None => out_idx,
-        });
+        })
+        .map(|e| match e {
+            Expr::Column(c) => c.index,
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    sink_columns(input, &cols, schema)
+}
+
+/// `plan` (a Filter* chain over a Scan) emitting its columns `cols`, in
+/// that order, under `schema`. `None` when a filter reads a column the
+/// projection drops.
+fn sink_columns(
+    plan: &LogicalPlan,
+    cols: &[usize],
+    schema: &crate::schema::SchemaRef,
+) -> Option<LogicalPlan> {
+    match plan {
+        LogicalPlan::Scan {
+            table,
+            source,
+            projection,
+            filters,
+            ..
+        } => Some(LogicalPlan::Scan {
+            table: table.clone(),
+            source: Arc::clone(source),
+            schema: Arc::clone(schema),
+            projection: Some(
+                cols.iter()
+                    .map(|&c| match projection {
+                        Some(p) => p.get(c).copied(),
+                        None => Some(c),
+                    })
+                    .collect::<Option<_>>()?,
+            ),
+            filters: filters.clone(),
+        }),
+        LogicalPlan::Filter { input, predicate } => {
+            let mut refs = Vec::new();
+            predicate.referenced_indices(&mut refs);
+            let position = |i: usize| cols.iter().position(|&c| c == i);
+            if refs.iter().any(|&i| position(i).is_none()) {
+                return None;
+            }
+            Some(LogicalPlan::Filter {
+                input: Arc::new(sink_columns(input, cols, schema)?),
+                predicate: predicate.map_column_indices(&|i| position(i).unwrap_or(i)),
+            })
+        }
+        _ => None,
     }
-    Some(LogicalPlan::Scan {
-        table: table.clone(),
-        source: Arc::clone(source),
-        schema: Arc::clone(schema),
-        projection: Some(scan_cols),
-        filters: filters.clone(),
-    })
 }
 
 fn exprs_refs(exprs: &[Expr]) -> BTreeSet<usize> {

@@ -31,6 +31,13 @@ pub trait PhysicalExpr: Send + Sync + fmt::Debug {
         None
     }
 
+    /// The input column a bare column reference reads: the planner matches
+    /// these against [`Partitioning`](crate::physical::Partitioning)
+    /// columns, and only these — a computed key hashes differently.
+    fn column_index(&self) -> Option<usize> {
+        None
+    }
+
     /// Evaluate a boolean expression straight into a selection mask: bit
     /// `i` is set when row `i` is TRUE (NULL and FALSE both clear it, per
     /// SQL filter semantics).
@@ -179,6 +186,10 @@ impl PhysicalExpr for ColumnExpr {
 
     fn evaluate(&self, chunk: &Chunk) -> Result<ColumnRef> {
         Ok(Arc::clone(chunk.column(self.index)))
+    }
+
+    fn column_index(&self) -> Option<usize> {
+        Some(self.index)
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::catalog::ChunkIter;
 use crate::error::Result;
 use crate::physical::expr::evaluate_predicate;
-use crate::physical::{ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
+use crate::physical::{ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext};
 use crate::schema::SchemaRef;
 
 /// Keeps rows whose predicate evaluates to `true` (nulls drop, per SQL).
@@ -34,6 +34,10 @@ impl ExecutionPlan for FilterExec {
 
     fn children(&self) -> Vec<ExecPlanRef> {
         vec![Arc::clone(&self.input)]
+    }
+
+    fn output_partitioning(&self) -> Partitioning {
+        self.input.output_partitioning()
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {

@@ -236,42 +236,49 @@ impl ExecutionPlan for HashJoinExec {
                 "hash join children must share partition counts (planner bug)",
             ));
         }
-        let build_keys: Vec<PhysicalExprRef> = self.on.iter().map(|(l, _)| Arc::clone(l)).collect();
-        let probe_keys: Vec<PhysicalExprRef> = self.on.iter().map(|(_, r)| Arc::clone(r)).collect();
-        // Build phase: drain the left partition.
-        let build_chunks: Vec<Chunk> = self.left.execute(partition, ctx)?.collect::<Result<_>>()?;
-        let build = BuildTable::build(build_chunks, &build_keys)?;
-        ctx.charge_memory(build.approx_bytes())?;
-        let mut matched = vec![false; build.chunk.len()];
-        let track = !matches!(self.join_type, JoinType::Inner);
-        // Probe phase.
-        let mut out: Vec<Chunk> = Vec::new();
-        for chunk in self.right.execute(partition, ctx)? {
-            let chunk = chunk?;
-            let (b_rows, p_rows) = probe_matches(
-                &build,
-                &chunk,
-                &probe_keys,
-                track.then_some(matched.as_mut_slice()),
-            )?;
-            if matches!(self.join_type, JoinType::Inner | JoinType::Left) && !b_rows.is_empty() {
-                out.push(gather_joined(
-                    &build.chunk,
-                    &b_rows,
+        let out = ctx.instrument_blocking(self, || {
+            let build_keys: Vec<PhysicalExprRef> =
+                self.on.iter().map(|(l, _)| Arc::clone(l)).collect();
+            let probe_keys: Vec<PhysicalExprRef> =
+                self.on.iter().map(|(_, r)| Arc::clone(r)).collect();
+            // Build phase: drain the left partition.
+            let build_chunks: Vec<Chunk> =
+                self.left.execute(partition, ctx)?.collect::<Result<_>>()?;
+            let build = BuildTable::build(build_chunks, &build_keys)?;
+            ctx.charge_memory(build.approx_bytes())?;
+            let mut matched = vec![false; build.chunk.len()];
+            let track = !matches!(self.join_type, JoinType::Inner);
+            // Probe phase.
+            let mut out: Vec<Chunk> = Vec::new();
+            for chunk in self.right.execute(partition, ctx)? {
+                let chunk = chunk?;
+                let (b_rows, p_rows) = probe_matches(
+                    &build,
                     &chunk,
-                    &p_rows,
-                    &self.schema,
-                )?);
+                    &probe_keys,
+                    track.then_some(matched.as_mut_slice()),
+                )?;
+                if matches!(self.join_type, JoinType::Inner | JoinType::Left) && !b_rows.is_empty()
+                {
+                    out.push(gather_joined(
+                        &build.chunk,
+                        &b_rows,
+                        &chunk,
+                        &p_rows,
+                        &self.schema,
+                    )?);
+                }
             }
-        }
-        finish_preserved(
-            self.join_type,
-            &build,
-            &matched,
-            &self.right.schema(),
-            &self.schema,
-            &mut out,
-        )?;
+            finish_preserved(
+                self.join_type,
+                &build,
+                &matched,
+                &self.right.schema(),
+                &self.schema,
+                &mut out,
+            )?;
+            Ok(out)
+        })?;
         Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
     }
 
@@ -324,21 +331,25 @@ impl BroadcastHashJoinExec {
         }
     }
 
+    /// The broadcast table: built by the first partition to ask, awaited
+    /// by the others — either way time this partition spends in the join.
     fn broadcast_side(&self, ctx: &TaskContext) -> Result<Arc<BuildTable>> {
-        self.broadcast
-            .get_or_init(|| {
-                let chunks: Vec<Chunk> =
-                    crate::physical::execute_collect_partitions(&self.right, ctx)?
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                let keys: Vec<PhysicalExprRef> =
-                    self.on.iter().map(|(_, r)| Arc::clone(r)).collect();
-                let build = BuildTable::build(chunks, &keys)?;
-                ctx.charge_memory(build.approx_bytes())?;
-                Ok(Arc::new(build))
-            })
-            .clone()
+        ctx.instrument_blocking(self, || {
+            self.broadcast
+                .get_or_init(|| {
+                    let chunks: Vec<Chunk> =
+                        crate::physical::execute_collect_partitions(&self.right, ctx)?
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                    let keys: Vec<PhysicalExprRef> =
+                        self.on.iter().map(|(_, r)| Arc::clone(r)).collect();
+                    let build = BuildTable::build(chunks, &keys)?;
+                    ctx.charge_memory(build.approx_bytes())?;
+                    Ok(Arc::new(build))
+                })
+                .clone()
+        })
     }
 }
 
@@ -361,65 +372,69 @@ impl ExecutionPlan for BroadcastHashJoinExec {
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let build = self.broadcast_side(ctx)?;
-        let left_keys: Vec<PhysicalExprRef> = self.on.iter().map(|(l, _)| Arc::clone(l)).collect();
-        let mut out: Vec<Chunk> = Vec::new();
-        for chunk in self.left.execute(partition, ctx)? {
-            let chunk = chunk?;
-            // Probe the broadcast table with streamed-side keys; here the
-            // *streamed* side is preserved, so roles flip relative to
-            // HashJoinExec: matches give (broadcast_row, stream_row).
-            let (b_rows, s_rows) = probe_matches(&build, &chunk, &left_keys, None)?;
-            match self.join_type {
-                JoinType::Inner => {
-                    if !s_rows.is_empty() {
-                        out.push(gather_joined(
-                            &chunk,
-                            &s_rows,
-                            &build.chunk,
-                            &b_rows,
-                            &self.schema,
-                        )?);
+        let out = ctx.instrument_blocking(self, || {
+            let left_keys: Vec<PhysicalExprRef> =
+                self.on.iter().map(|(l, _)| Arc::clone(l)).collect();
+            let mut out: Vec<Chunk> = Vec::new();
+            for chunk in self.left.execute(partition, ctx)? {
+                let chunk = chunk?;
+                // Probe the broadcast table with streamed-side keys; here the
+                // *streamed* side is preserved, so roles flip relative to
+                // HashJoinExec: matches give (broadcast_row, stream_row).
+                let (b_rows, s_rows) = probe_matches(&build, &chunk, &left_keys, None)?;
+                match self.join_type {
+                    JoinType::Inner => {
+                        if !s_rows.is_empty() {
+                            out.push(gather_joined(
+                                &chunk,
+                                &s_rows,
+                                &build.chunk,
+                                &b_rows,
+                                &self.schema,
+                            )?);
+                        }
                     }
-                }
-                JoinType::Left => {
-                    if !s_rows.is_empty() {
-                        out.push(gather_joined(
-                            &chunk,
-                            &s_rows,
-                            &build.chunk,
-                            &b_rows,
-                            &self.schema,
-                        )?);
+                    JoinType::Left => {
+                        if !s_rows.is_empty() {
+                            out.push(gather_joined(
+                                &chunk,
+                                &s_rows,
+                                &build.chunk,
+                                &b_rows,
+                                &self.schema,
+                            )?);
+                        }
+                        let mut matched = vec![false; chunk.len()];
+                        for &s in &s_rows {
+                            matched[s as usize] = true;
+                        }
+                        let unmatched: Vec<u32> = (0..chunk.len() as u32)
+                            .filter(|&i| !matched[i as usize])
+                            .collect();
+                        if !unmatched.is_empty() {
+                            out.push(gather_left_outer(
+                                &chunk,
+                                &unmatched,
+                                &self.right.schema(),
+                                &self.schema,
+                            )?);
+                        }
                     }
-                    let mut matched = vec![false; chunk.len()];
-                    for &s in &s_rows {
-                        matched[s as usize] = true;
+                    JoinType::Semi | JoinType::Anti => {
+                        let mut matched = vec![false; chunk.len()];
+                        for &s in &s_rows {
+                            matched[s as usize] = true;
+                        }
+                        let want = matches!(self.join_type, JoinType::Semi);
+                        let rows: Vec<u32> = (0..chunk.len() as u32)
+                            .filter(|&i| matched[i as usize] == want)
+                            .collect();
+                        out.push(chunk.take(&rows)?);
                     }
-                    let unmatched: Vec<u32> = (0..chunk.len() as u32)
-                        .filter(|&i| !matched[i as usize])
-                        .collect();
-                    if !unmatched.is_empty() {
-                        out.push(gather_left_outer(
-                            &chunk,
-                            &unmatched,
-                            &self.right.schema(),
-                            &self.schema,
-                        )?);
-                    }
-                }
-                JoinType::Semi | JoinType::Anti => {
-                    let mut matched = vec![false; chunk.len()];
-                    for &s in &s_rows {
-                        matched[s as usize] = true;
-                    }
-                    let want = matches!(self.join_type, JoinType::Semi);
-                    let rows: Vec<u32> = (0..chunk.len() as u32)
-                        .filter(|&i| matched[i as usize] == want)
-                        .collect();
-                    out.push(chunk.take(&rows)?);
                 }
             }
-        }
+            Ok(out)
+        })?;
         Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
     }
 

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::catalog::ChunkIter;
 use crate::error::Result;
-use crate::physical::{ExecPlanRef, ExecutionPlan, TaskContext};
+use crate::physical::{ExecPlanRef, ExecutionPlan, Partitioning, TaskContext};
 use crate::schema::SchemaRef;
 
 /// Emit at most `n` rows (global when the input has one partition — the
@@ -32,6 +32,10 @@ impl ExecutionPlan for LimitExec {
 
     fn children(&self) -> Vec<ExecPlanRef> {
         vec![Arc::clone(&self.input)]
+    }
+
+    fn output_partitioning(&self) -> Partitioning {
+        self.input.output_partitioning()
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {

@@ -2,10 +2,14 @@
 //!
 //! When a [`TaskContext`](crate::physical::TaskContext) carries a
 //! [`MetricsRegistry`], every operator wraps its output iterator with a
-//! probe that counts produced rows/chunks and accumulates wall time spent
-//! *inside* the operator's iterator (time-to-next-chunk), aggregated across
-//! partitions. With no registry attached the instrumentation is skipped
-//! entirely.
+//! probe that counts produced rows/chunks and accumulates the operator's
+//! *self* time: wall time inside its iterator and inside its blocking work
+//! ([`TaskContext::instrument_blocking`](crate::physical::TaskContext::instrument_blocking)),
+//! minus the part spent in instrumented children on the same thread, summed
+//! across partitions. Single-threaded, the operators' times add up to the
+//! execution time; an exchange that fans its input out over threads counts
+//! the wait as its own. With no registry attached the instrumentation is
+//! skipped entirely.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,10 +29,30 @@ pub struct OperatorMetrics {
     pub chunks: AtomicU64,
     /// Estimated bytes of produced chunks.
     pub bytes: AtomicU64,
-    /// Nanoseconds spent producing them (summed across partitions).
+    /// Nanoseconds of self time (summed across partitions).
     pub elapsed_ns: AtomicU64,
     /// Partition executions.
     pub invocations: AtomicU64,
+}
+
+thread_local! {
+    /// Time instrumented operators nested inside the span being timed on
+    /// this thread have already claimed.
+    static CLAIMED_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Run `work`, adding to `metrics` the time it took less what operators
+/// timed inside it claimed for themselves.
+pub(crate) fn timed<T>(metrics: &OperatorMetrics, work: impl FnOnce() -> T) -> T {
+    let outer = CLAIMED_NS.replace(0);
+    let start = Instant::now();
+    let out = work();
+    let total = start.elapsed().as_nanos() as u64;
+    let inner = CLAIMED_NS.replace(outer + total);
+    metrics
+        .elapsed_ns
+        .fetch_add(total.saturating_sub(inner), Ordering::Relaxed);
+    out
 }
 
 /// Point-in-time snapshot of one operator's counters.
@@ -42,7 +66,7 @@ pub struct OperatorStats {
     pub chunks: u64,
     /// Estimated bytes of produced chunks.
     pub bytes: u64,
-    /// Nanoseconds spent producing them (summed across partitions).
+    /// Nanoseconds of self time (summed across partitions).
     pub elapsed_ns: u64,
     /// Partition executions.
     pub invocations: u64,
@@ -173,11 +197,7 @@ impl Iterator for InstrumentedIter {
     type Item = crate::error::Result<crate::chunk::Chunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let start = Instant::now();
-        let item = self.inner.next();
-        self.metrics
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let item = timed(&self.metrics, || self.inner.next());
         if let Some(Ok(chunk)) = &item {
             self.metrics
                 .rows

@@ -11,6 +11,12 @@
 //! single-process analogue of Spark's shuffle files and broadcast
 //! variables (re-keyed per job so re-running a plan over a live, updatable
 //! source sees fresh data).
+//!
+//! Every operator reports how its output is partitioned
+//! ([`ExecutionPlan::output_partitioning`]); the planner places an exchange
+//! only where an operator's requirement is not already met (see
+//! `Planner::ensure_partitioned`), so a `GROUP BY` or join on the column a
+//! source is hash-partitioned by runs where the rows already are.
 
 mod aggregate;
 pub mod expr;
@@ -24,7 +30,7 @@ mod shuffle;
 pub mod sort;
 mod union;
 
-pub use aggregate::{AggregateSpec, HashAggregateExec};
+pub use aggregate::{AggMode, AggregateSpec, HashAggregateExec};
 pub use expr::{create_physical_expr, evaluate_predicate, PhysicalExpr, PhysicalExprRef};
 pub use filter::FilterExec;
 pub use join::{BroadcastHashJoinExec, HashJoinExec};
@@ -41,6 +47,7 @@ use std::sync::Arc;
 
 pub use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
+use crate::column::{Column, ColumnRef};
 use crate::config::EngineConfig;
 use crate::error::{catch_panics, Result};
 use crate::query::QueryContext;
@@ -164,6 +171,22 @@ impl TaskContext {
             None => iter,
         }
     }
+
+    /// Run a pipeline breaker's blocking work (draining its input,
+    /// building a table, sorting) as part of `plan`: the lifecycle check
+    /// runs before the work starts, and under `EXPLAIN ANALYZE` the time is
+    /// attributed to the operator like the time spent in its iterator.
+    pub fn instrument_blocking<T>(
+        &self,
+        plan: &dyn ExecutionPlan,
+        work: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        self.query.check()?;
+        match &self.metrics {
+            Some(registry) => metrics::timed(&registry.operator(&operator_key(plan)), work),
+            None => work(),
+        }
+    }
 }
 
 /// Iterator adapter that checks the query lifecycle before yielding each
@@ -252,6 +275,44 @@ impl<T: Clone> ExecCache<T> {
     }
 }
 
+/// How an operator's output rows are spread over its output partitions —
+/// the plan property that lets an operator needing co-located keys skip
+/// the exchange when its input already has them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Partitioning {
+    /// A row is in output partition `hash_values(row[columns]) % n`, with
+    /// `n` the operator's partition count (the function [`ShuffleExec`] and
+    /// the Indexed DataFrame both partition by).
+    Hash {
+        /// Output column indices, in hash order.
+        columns: Vec<usize>,
+        /// Number of partitions.
+        n: usize,
+    },
+    /// No placement guarantee.
+    Unknown,
+}
+
+impl Partitioning {
+    /// The same placement seen through a projection of the columns:
+    /// `position(c)` is where input column `c` lands in the output, `None`
+    /// when it does not survive — and then neither does the guarantee.
+    pub fn project(&self, position: impl Fn(usize) -> Option<usize>) -> Partitioning {
+        let Partitioning::Hash { columns, n } = self else {
+            return Partitioning::Unknown;
+        };
+        match columns.iter().map(|&c| position(c)).collect() {
+            Some(columns) => Partitioning::Hash { columns, n: *n },
+            None => Partitioning::Unknown,
+        }
+    }
+}
+
+/// Where input column `c` appears as a bare column reference in `exprs`.
+pub(crate) fn position_of_column(exprs: &[PhysicalExprRef], c: usize) -> Option<usize> {
+    exprs.iter().position(|e| e.column_index() == Some(c))
+}
+
 /// An executable operator.
 pub trait ExecutionPlan: Send + Sync + fmt::Debug {
     /// Operator name for `EXPLAIN` output.
@@ -262,6 +323,12 @@ pub trait ExecutionPlan: Send + Sync + fmt::Debug {
     fn output_partitions(&self) -> usize;
     /// Child operators.
     fn children(&self) -> Vec<Arc<dyn ExecutionPlan>>;
+    /// How the output rows are placed across the output partitions.
+    /// Operators that keep every row in its input partition pass their
+    /// child's answer through (mapped to their own column positions).
+    fn output_partitioning(&self) -> Partitioning {
+        Partitioning::Unknown
+    }
     /// Produce output partition `partition`.
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter>;
     /// One-line detail string appended to [`ExecutionPlan::name`] in
@@ -406,20 +473,106 @@ pub fn hash_value(v: &Value) -> u64 {
 
 /// Combined hash of a composite key.
 pub fn hash_values(vs: &[Value]) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    let mut acc = idf_hash::OFFSET;
     for v in vs {
         acc = idf_hash::mix64(acc ^ hash_value(v));
     }
     acc
 }
 
+/// [`hash_values`] of every row of `columns`, computed on the typed
+/// vectors: no scalar is boxed and no key `Vec` is built per row. Bit for
+/// bit the scalar function — the Indexed DataFrame routes rows to
+/// partitions with that one, and a shuffle must agree with it.
+pub fn hash_columns(columns: &[ColumnRef], rows: usize) -> Vec<u64> {
+    use idf_hash::{hash_bool, hash_str, hash_word, mix64, NULL_HASH};
+    /// Fold one column's per-row value hash into the running row hashes.
+    fn fold<T: Copy>(
+        acc: &mut [u64],
+        values: &[T],
+        validity: Option<&crate::bitmap::Bitmap>,
+        hash: impl Fn(T) -> u64,
+    ) {
+        match validity {
+            None => {
+                for (a, &v) in acc.iter_mut().zip(values) {
+                    *a = mix64(*a ^ hash(v));
+                }
+            }
+            Some(valid) => {
+                for (i, (a, &v)) in acc.iter_mut().zip(values).enumerate() {
+                    *a = mix64(*a ^ if valid.get(i) { hash(v) } else { NULL_HASH });
+                }
+            }
+        }
+    }
+    // Tags are `Value`'s discriminants, which its `Hash` impl writes first.
+    let mut acc = vec![idf_hash::OFFSET; rows];
+    for column in columns {
+        let valid = column.validity();
+        match column.as_ref() {
+            Column::Boolean(v) => fold(&mut acc, &v.values, valid, hash_bool),
+            Column::Int32(v) => fold(&mut acc, &v.values, valid, |x| {
+                hash_word(2, u64::from(x as u32))
+            }),
+            Column::Int64(v) => fold(&mut acc, &v.values, valid, |x| hash_word(3, x as u64)),
+            Column::Float64(v) => fold(&mut acc, &v.values, valid, |x| hash_word(4, x.to_bits())),
+            Column::Timestamp(v) => fold(&mut acc, &v.values, valid, |x| hash_word(6, x as u64)),
+            Column::Utf8(v) => {
+                for (i, a) in acc.iter_mut().enumerate() {
+                    *a = mix64(*a ^ v.get(i).map_or(NULL_HASH, hash_str));
+                }
+            }
+        }
+    }
+    acc
+}
+
+pub(crate) use idf_hash::mix64;
+
 /// Minimal local Fx-style hasher so the engine does not depend on
 /// `idf-ctrie` (which depends on nothing here; the dependency must stay
 /// one-way for the workspace layering).
 mod idf_hash {
+    /// FNV-1a offset basis: the hasher's initial state.
+    pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// What [`FxHasher`] yields for `Value`'s `Hash` impl, spelled out per
+    /// shape so column kernels can compute it without a `Value`: the
+    /// discriminant as one word, then the payload.
+    const fn tagged(tag: u64) -> u64 {
+        mix64(OFFSET ^ tag)
+    }
+
+    /// `hash_value(&Value::Null)`.
+    pub const NULL_HASH: u64 = mix64(tagged(0));
+
+    /// `hash_value` of a variant whose payload hashes as one 64-bit word.
+    #[inline]
+    pub fn hash_word(tag: u64, word: u64) -> u64 {
+        mix64(mix64(tagged(tag) ^ word))
+    }
+
+    /// `hash_value(&Value::Boolean(b))` (a bool hashes as one byte).
+    #[inline]
+    pub fn hash_bool(b: bool) -> u64 {
+        mix64((tagged(1) ^ u64::from(b)).wrapping_mul(PRIME))
+    }
+
+    /// `hash_value(&Value::Utf8(s))` (a str hashes as its bytes, then 0xff).
+    #[inline]
+    pub fn hash_str(s: &str) -> u64 {
+        let mut state = tagged(5);
+        for &b in s.as_bytes() {
+            state = (state ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        mix64((state ^ 0xff).wrapping_mul(PRIME))
+    }
+
     /// splitmix64 finalizer.
     #[inline]
-    pub fn mix64(mut z: u64) -> u64 {
+    pub const fn mix64(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -434,9 +587,7 @@ mod idf_hash {
 
     impl Default for FxHasher {
         fn default() -> Self {
-            FxHasher {
-                state: 0xcbf2_9ce4_8422_2325,
-            }
+            FxHasher { state: OFFSET }
         }
     }
 
@@ -449,7 +600,7 @@ mod idf_hash {
         #[inline]
         fn write(&mut self, bytes: &[u8]) {
             for &b in bytes {
-                self.state = (self.state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                self.state = (self.state ^ u64::from(b)).wrapping_mul(PRIME);
             }
         }
 

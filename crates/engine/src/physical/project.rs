@@ -5,7 +5,9 @@ use std::sync::Arc;
 use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
 use crate::error::Result;
-use crate::physical::{ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
+use crate::physical::{
+    position_of_column, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext,
+};
 use crate::schema::SchemaRef;
 
 /// Computes one output column per expression.
@@ -36,6 +38,12 @@ impl ExecutionPlan for ProjectionExec {
 
     fn children(&self) -> Vec<ExecPlanRef> {
         vec![Arc::clone(&self.input)]
+    }
+
+    fn output_partitioning(&self) -> Partitioning {
+        self.input
+            .output_partitioning()
+            .project(|c| position_of_column(&self.exprs, c))
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {

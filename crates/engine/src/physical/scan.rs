@@ -6,7 +6,7 @@ use crate::catalog::{ChunkIter, ScanPruning, TableSource};
 use crate::chunk::Chunk;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::physical::{ExecutionPlan, TaskContext};
+use crate::physical::{ExecutionPlan, Partitioning, TaskContext};
 use crate::schema::SchemaRef;
 use crate::types::Value;
 
@@ -79,6 +79,23 @@ impl ExecutionPlan for SourceScanExec {
 
     fn children(&self) -> Vec<Arc<dyn ExecutionPlan>> {
         vec![]
+    }
+
+    fn output_partitioning(&self) -> Partitioning {
+        // A pruned scan renumbers the partitions it keeps, so row placement
+        // no longer follows the hash (pruned to one, it satisfies any
+        // requirement anyway).
+        let (None, Some(key)) = (&self.pruning, self.source.hash_partitioned_by()) else {
+            return Partitioning::Unknown;
+        };
+        Partitioning::Hash {
+            columns: vec![key],
+            n: self.source.num_partitions(),
+        }
+        .project(|c| match &self.projection {
+            Some(projection) => projection.iter().position(|&p| p == c),
+            None => Some(c),
+        })
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {

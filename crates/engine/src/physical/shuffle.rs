@@ -6,8 +6,11 @@
 //! key hash; every output partition of the same execution then reads its
 //! bucket, while a later execution of the same plan recomputes (the input
 //! may be a live, updatable source). The Indexed DataFrame's hash partitioning on the
-//! indexed key uses the same [`hash_values`] function, which is what makes
-//! its indexed joins co-partitioned with shuffled probe sides.
+//! indexed key uses the same [`hash_values`](crate::physical::hash_values)
+//! function, so a scan of it reports the partitioning a shuffle on that
+//! key would produce — and the planner, which places an exchange only
+//! where [`ExecutionPlan::output_partitioning`] does not already satisfy
+//! the consumer, leaves it out.
 
 use std::sync::Arc;
 
@@ -15,7 +18,7 @@ use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
 use crate::error::Result;
 use crate::physical::{
-    hash_values, ExecCache, ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext,
+    hash_columns, ExecCache, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext,
 };
 use crate::schema::SchemaRef;
 
@@ -54,26 +57,22 @@ impl ShuffleExec {
             .map(|k| k.evaluate(chunk))
             .collect::<Result<Vec<_>>>()?;
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut key = Vec::with_capacity(key_cols.len());
-        for row in 0..chunk.len() {
-            key.clear();
-            for c in &key_cols {
-                key.push(c.value_at(row));
-            }
-            let b = (hash_values(&key) % n as u64) as usize;
-            buckets[b].push(row as u32);
+        for (row, hash) in hash_columns(&key_cols, chunk.len()).into_iter().enumerate() {
+            buckets[(hash % n as u64) as usize].push(row as u32);
         }
         Ok(buckets)
     }
 
+    /// The bucketed input: built by the first partition to ask, awaited by
+    /// the others — either way time this partition spends in the exchange.
     fn materialize(&self, ctx: &TaskContext) -> Result<Arc<Vec<Vec<Chunk>>>> {
-        self.state.get_or_try_init(ctx, || {
-            crate::failpoints::check(crate::failpoints::SHUFFLE_EXCHANGE)?;
-            let n = self.num_partitions;
-            let inputs = crate::physical::execute_collect_partitions(&self.input, ctx)?;
-            let mut out: Vec<Vec<Chunk>> = vec![Vec::new(); n];
-            for chunks in inputs {
-                for chunk in chunks {
+        ctx.instrument_blocking(self, || {
+            self.state.get_or_try_init(ctx, || {
+                crate::failpoints::check(crate::failpoints::SHUFFLE_EXCHANGE)?;
+                let n = self.num_partitions;
+                let inputs = crate::physical::execute_collect_partitions(&self.input, ctx)?;
+                let mut out: Vec<Vec<Chunk>> = vec![Vec::new(); n];
+                for chunk in inputs.into_iter().flatten() {
                     if chunk.is_empty() {
                         continue;
                     }
@@ -87,8 +86,8 @@ impl ShuffleExec {
                         }
                     }
                 }
-            }
-            Ok(Arc::new(out))
+                Ok(Arc::new(out))
+            })
         })
     }
 }
@@ -108,6 +107,17 @@ impl ExecutionPlan for ShuffleExec {
 
     fn children(&self) -> Vec<ExecPlanRef> {
         vec![Arc::clone(&self.input)]
+    }
+
+    fn output_partitioning(&self) -> Partitioning {
+        match self.keys.iter().map(|k| k.column_index()).collect() {
+            Some(columns) => Partitioning::Hash {
+                columns,
+                n: self.num_partitions,
+            },
+            // A computed key is not a column a consumer could name.
+            None => Partitioning::Unknown,
+        }
     }
 
     fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
@@ -162,11 +172,13 @@ impl ExecutionPlan for CoalesceExec {
     }
 
     fn execute(&self, _partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        let chunks = self.state.get_or_try_init(ctx, || {
-            let parts = crate::physical::execute_collect_partitions(&self.input, ctx)?;
-            let chunks: Vec<Chunk> = parts.into_iter().flatten().collect();
-            ctx.charge_memory(chunks.iter().map(Chunk::byte_size).sum())?;
-            Ok(Arc::new(chunks))
+        let chunks = ctx.instrument_blocking(self, || {
+            self.state.get_or_try_init(ctx, || {
+                let parts = crate::physical::execute_collect_partitions(&self.input, ctx)?;
+                let chunks: Vec<Chunk> = parts.into_iter().flatten().collect();
+                ctx.charge_memory(chunks.iter().map(Chunk::byte_size).sum())?;
+                Ok(Arc::new(chunks))
+            })
         })?;
         Ok(ctx.instrument(self, Box::new(chunks.as_ref().clone().into_iter().map(Ok))))
     }

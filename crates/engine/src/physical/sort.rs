@@ -51,43 +51,42 @@ impl ExecutionPlan for SortExec {
                 "SortExec requires a single input partition (planner bug)",
             ));
         }
-        let chunks: Vec<Chunk> = self.input.execute(partition, ctx)?.collect::<Result<_>>()?;
-        let chunk = if chunks.is_empty() {
-            Chunk::empty(&self.schema())
-        } else {
-            Chunk::concat(&chunks)?
-        };
-        if chunk.is_empty() {
-            return Ok(ctx.instrument(self, Box::new(std::iter::once(Ok(chunk)))));
-        }
-        // The whole input is buffered for sorting; bill it (plus the
-        // index vec) to the query's memory budget before the O(n log n)
-        // work starts.
-        ctx.charge_memory(chunk.byte_size() + chunk.len() * 4)?;
-        ctx.check_cancelled()?;
-        // Evaluate all keys once, then sort row indices.
-        let key_cols = self
-            .keys
-            .iter()
-            .map(|k| k.expr.evaluate(&chunk))
-            .collect::<Result<Vec<_>>>()?;
-        let mut indices: Vec<u32> = (0..chunk.len() as u32).collect();
-        indices.sort_by(|&a, &b| {
-            for (k, col) in self.keys.iter().zip(&key_cols) {
-                let va = col.value_at(a as usize);
-                let vb = col.value_at(b as usize);
-                let ord = va.cmp(&vb);
-                let ord = if k.ascending { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
+        let sorted = ctx.instrument_blocking(self, || {
+            let chunks: Vec<Chunk> = self.input.execute(partition, ctx)?.collect::<Result<_>>()?;
+            if chunks.is_empty() {
+                return Ok(Chunk::empty(&self.schema()));
             }
-            std::cmp::Ordering::Equal
-        });
-        if let Some(n) = self.fetch {
-            indices.truncate(n);
-        }
-        Ok(ctx.instrument(self, Box::new(std::iter::once(chunk.take(&indices)))))
+            let chunk = Chunk::concat(&chunks)?;
+            // The whole input is buffered for sorting; bill it (plus the
+            // index vec) to the query's memory budget before the O(n log n)
+            // work starts.
+            ctx.charge_memory(chunk.byte_size() + chunk.len() * 4)?;
+            ctx.check_cancelled()?;
+            // Evaluate all keys once, then sort row indices.
+            let key_cols = self
+                .keys
+                .iter()
+                .map(|k| k.expr.evaluate(&chunk))
+                .collect::<Result<Vec<_>>>()?;
+            let mut indices: Vec<u32> = (0..chunk.len() as u32).collect();
+            indices.sort_by(|&a, &b| {
+                for (k, col) in self.keys.iter().zip(&key_cols) {
+                    let va = col.value_at(a as usize);
+                    let vb = col.value_at(b as usize);
+                    let ord = va.cmp(&vb);
+                    let ord = if k.ascending { ord } else { ord.reverse() };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            if let Some(n) = self.fetch {
+                indices.truncate(n);
+            }
+            chunk.take(&indices)
+        })?;
+        Ok(ctx.instrument(self, Box::new(std::iter::once(Ok(sorted)))))
     }
 
     fn detail(&self) -> String {

@@ -15,10 +15,11 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::logical::{JoinType, LogicalPlan};
+use crate::physical::expr::column_expr;
 use crate::physical::{
-    create_physical_expr, AggregateSpec, BroadcastHashJoinExec, CoalesceExec, ExecPlanRef,
-    FilterExec, HashAggregateExec, HashJoinExec, LimitExec, ProjectionExec, ShuffleExec,
-    SourceScanExec, UnionExec, ValuesExec,
+    create_physical_expr, AggMode, AggregateSpec, BroadcastHashJoinExec, CoalesceExec, ExecPlanRef,
+    FilterExec, HashAggregateExec, HashJoinExec, LimitExec, Partitioning, PhysicalExprRef,
+    ProjectionExec, ShuffleExec, SourceScanExec, UnionExec, ValuesExec,
 };
 use crate::physical::{PhysicalSortKey, SortExec};
 
@@ -113,32 +114,40 @@ impl Planner {
                 schema,
             } => {
                 let in_schema = input.schema();
-                let mut child = self.create_plan(input)?;
+                let child = self.create_plan(input)?;
                 let group: Vec<_> = group_exprs
                     .iter()
                     .map(|e| create_physical_expr(e, &in_schema))
                     .collect::<Result<_>>()?;
-                if child.output_partitions() > 1 {
-                    child = if group.is_empty() {
-                        Arc::new(CoalesceExec::new(child))
-                    } else {
-                        Arc::new(ShuffleExec::new(
-                            child,
-                            group.clone(),
-                            self.config.target_partitions,
-                        ))
-                    };
-                }
                 let aggs = agg_exprs
                     .iter()
                     .map(|e| self.compile_aggregate(e, input))
                     .collect::<Result<Vec<_>>>()?;
-                Arc::new(HashAggregateExec {
-                    input: child,
-                    group_exprs: group,
-                    aggs,
-                    schema: Arc::clone(schema),
-                })
+                let aggregate = |input, mode, group| -> ExecPlanRef {
+                    Arc::new(HashAggregateExec::new(
+                        input,
+                        mode,
+                        group,
+                        aggs.clone(),
+                        Arc::clone(schema),
+                    ))
+                };
+                if self.is_partitioned(&child, &group, None) {
+                    // Equal keys already share a partition: aggregate where
+                    // the rows are.
+                    aggregate(child, AggMode::Single, group)
+                } else {
+                    // Aggregate below the exchange and merge above it, so it
+                    // moves one row per group and partition, not the input.
+                    let partial = aggregate(child, AggMode::Partial, group.clone());
+                    let merged_group: Vec<_> = group
+                        .iter()
+                        .enumerate()
+                        .map(|(i, e)| column_expr(i, e.data_type()))
+                        .collect();
+                    let exchanged = self.ensure_partitioned(partial, &merged_group, None);
+                    aggregate(exchanged, AggMode::Final, merged_group)
+                }
             }
             LogicalPlan::Sort { input, exprs } => {
                 let child = self.single_partition(self.create_plan(input)?);
@@ -289,24 +298,29 @@ impl Planner {
                 display: vec!["<reorder after broadcast-left swap>".to_string()],
             }));
         }
-        let n = self.config.target_partitions;
         let left_keys: Vec<_> = keys.iter().map(|(l, _)| Arc::clone(l)).collect();
         let right_keys: Vec<_> = keys.iter().map(|(_, r)| Arc::clone(r)).collect();
-        // Trivially co-partitioned single-partition children need no
-        // exchange.
-        let co_partitioned =
-            n == 1 && left_exec.output_partitions() == 1 && right_exec.output_partitions() == 1;
-        let (shuffled_left, shuffled_right): (ExecPlanRef, ExecPlanRef) = if co_partitioned {
-            (left_exec, right_exec)
-        } else {
-            (
-                Arc::new(ShuffleExec::new(left_exec, left_keys, n)),
-                Arc::new(ShuffleExec::new(right_exec, right_keys, n)),
-            )
+        // Both sides must be hash-partitioned on their keys the same number
+        // of ways. A side that already is (a source partitioned by the join
+        // key) sets that number and stays put — unless the key types differ,
+        // which hash differently, or it has a single partition, which would
+        // drag the whole join onto one thread.
+        let same_types = keys.iter().all(|(l, r)| l.data_type() == r.data_type());
+        let placed = |side: &ExecPlanRef, keys: &[PhysicalExprRef]| match side.output_partitioning()
+        {
+            Partitioning::Hash { n, .. }
+                if n > 1 && same_types && self.is_partitioned(side, keys, Some(n)) =>
+            {
+                Some(n)
+            }
+            _ => None,
         };
+        let n = placed(&left_exec, &left_keys)
+            .or_else(|| placed(&right_exec, &right_keys))
+            .unwrap_or(self.config.target_partitions);
         Ok(Arc::new(HashJoinExec {
-            left: shuffled_left,
-            right: shuffled_right,
+            left: self.ensure_partitioned(left_exec, &left_keys, Some(n)),
+            right: self.ensure_partitioned(right_exec, &right_keys, Some(n)),
             on: keys,
             join_type: *join_type,
             schema: Arc::clone(schema),
@@ -342,6 +356,58 @@ impl Planner {
             Arc::new(CoalesceExec::new(plan))
         } else {
             plan
+        }
+    }
+
+    /// Whether `plan`'s output already meets a consumer's placement
+    /// requirement on `keys`. With `n == None` the requirement is that rows
+    /// with equal keys share a partition (an aggregate's): a single
+    /// partition does, and so does hash partitioning on any subset of the
+    /// keys. With `Some(n)` it is that a row sits in partition
+    /// `hash_values(keys) % n` (a join side's): the partitioning must be on
+    /// exactly these keys, `n` ways. Only bare column references match —
+    /// `CAST(k AS …)` hashes differently from `k`.
+    pub fn is_partitioned(
+        &self,
+        plan: &ExecPlanRef,
+        keys: &[PhysicalExprRef],
+        n: Option<usize>,
+    ) -> bool {
+        if plan.output_partitions() == 1 {
+            return n.is_none_or(|n| n == 1);
+        }
+        let Partitioning::Hash { columns, n: have } = plan.output_partitioning() else {
+            return false;
+        };
+        let key_columns = keys.iter().map(|k| k.column_index());
+        match n {
+            None => columns
+                .iter()
+                .all(|&c| key_columns.clone().any(|k| k == Some(c))),
+            Some(n) => have == n && key_columns.eq(columns.into_iter().map(Some)),
+        }
+    }
+
+    /// The one place exchanges are planned: `plan` itself when it already
+    /// meets the requirement (see [`Planner::is_partitioned`]), otherwise
+    /// `plan` under a coalesce (no keys) or a hash shuffle on `keys` into
+    /// `n` partitions (`target_partitions` when the consumer does not care).
+    pub fn ensure_partitioned(
+        &self,
+        plan: ExecPlanRef,
+        keys: &[PhysicalExprRef],
+        n: Option<usize>,
+    ) -> ExecPlanRef {
+        if self.is_partitioned(&plan, keys, n) {
+            plan
+        } else if keys.is_empty() {
+            self.single_partition(plan)
+        } else {
+            Arc::new(ShuffleExec::new(
+                plan,
+                keys.to_vec(),
+                n.unwrap_or(self.config.target_partitions),
+            ))
         }
     }
 }
@@ -533,22 +599,203 @@ mod tests {
         assert!(exec.detail().contains("fetch 5"));
     }
 
-    #[test]
-    fn grouped_aggregate_gets_shuffle() {
-        let s = scan_with_rows(100);
-        let g = resolve_expr(&col("k"), &s.schema()).unwrap();
-        let plan = LogicalPlan::Aggregate {
-            input: Arc::new(s),
+    fn count_by_k(input: LogicalPlan) -> LogicalPlan {
+        let g = resolve_expr(&col("k"), &input.schema()).unwrap();
+        let k = input.schema().field(0).clone();
+        LogicalPlan::Aggregate {
+            input: Arc::new(input),
             group_exprs: vec![g],
             agg_exprs: vec![crate::expr::count_star()],
             schema: Arc::new(Schema::new(vec![
-                Field::new("k", DataType::Int64),
+                k,
                 Field::new("count(*)", DataType::Int64),
             ])),
-        };
-        let exec = planner().create_plan(&plan).unwrap();
+        }
+    }
+
+    #[test]
+    fn grouped_aggregate_over_unplaced_input_is_partial_shuffle_final() {
+        let exec = planner()
+            .create_plan(&count_by_k(scan_with_rows(100)))
+            .unwrap();
         let shown = display_exec(exec.as_ref());
-        assert!(shown.contains("Shuffle"), "{shown}");
+        let ops: Vec<&str> = shown.lines().map(str::trim).collect();
+        assert!(ops[0].starts_with("HashAggregate: final"), "{shown}");
+        assert!(ops[1].starts_with("Shuffle"), "{shown}");
+        assert!(ops[2].starts_with("HashAggregate: partial"), "{shown}");
+        assert!(ops[3].starts_with("SourceScan"), "{shown}");
+        let out = crate::physical::execute_collect(&exec, &TaskContext::default()).unwrap();
+        assert_eq!(out.len(), 100);
+    }
+
+    /// A `MemTable` whose rows really are hash-partitioned on column 0,
+    /// and that says so.
+    struct HashedTable(MemTable);
+
+    impl crate::catalog::TableSource for HashedTable {
+        fn schema(&self) -> crate::schema::SchemaRef {
+            self.0.schema()
+        }
+        fn num_partitions(&self) -> usize {
+            self.0.num_partitions()
+        }
+        fn scan(
+            &self,
+            partition: usize,
+            projection: Option<&[usize]>,
+        ) -> Result<crate::catalog::ChunkIter> {
+            self.0.scan(partition, projection)
+        }
+        fn hash_partitioned_by(&self) -> Option<usize> {
+            Some(0)
+        }
+        fn statistics(&self) -> crate::catalog::Statistics {
+            self.0.statistics()
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// `rows` keys `0..rows` of type `dt` (plus a payload column `v`),
+    /// hash-partitioned `n` ways on the key.
+    fn hashed_scan(dt: DataType, rows: i64, n: usize) -> LogicalPlan {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", dt),
+            Field::new("v", DataType::Int64),
+        ]));
+        let mut parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
+        for i in 0..rows {
+            let k = match dt {
+                DataType::Int32 => Value::Int32(i as i32),
+                _ => Value::Int64(i),
+            };
+            let p = (crate::physical::hash_values(std::slice::from_ref(&k)) % n as u64) as usize;
+            parts[p].push(vec![k, Value::Int64(i % 5)]);
+        }
+        let chunks = parts
+            .iter()
+            .map(|rows| vec![Chunk::from_rows(&schema, rows).unwrap()])
+            .collect();
+        LogicalPlan::Scan {
+            table: "h".into(),
+            source: Arc::new(HashedTable(MemTable::new(Arc::clone(&schema), chunks))),
+            schema,
+            projection: None,
+            filters: vec![],
+        }
+    }
+
+    #[test]
+    fn aggregate_on_the_partition_column_is_one_phase_with_no_exchange() {
+        // 3 partitions against 2 target partitions: placement decides.
+        let p = Planner::new(
+            EngineConfig {
+                target_partitions: 2,
+                ..Default::default()
+            },
+            vec![],
+        );
+        let exec = p
+            .create_plan(&count_by_k(hashed_scan(DataType::Int64, 90, 3)))
+            .unwrap();
+        let shown = display_exec(exec.as_ref());
+        assert!(shown.starts_with("HashAggregate: 1 group keys"), "{shown}");
+        assert!(
+            !shown.contains("Shuffle") && !shown.contains("partial"),
+            "{shown}"
+        );
+        assert_eq!(exec.output_partitions(), 3);
+        let out = crate::physical::execute_collect(&exec, &TaskContext::default()).unwrap();
+        assert_eq!(out.len(), 90);
+        assert!((0..90).all(|r| out.value_at(1, r) == Value::Int64(1)));
+    }
+
+    #[test]
+    fn partitioning_follows_the_column_through_filter_projection_and_limit() {
+        let scan = hashed_scan(DataType::Int64, 30, 3);
+        let schema = scan.schema();
+        let pred = resolve_expr(&col("v").gt(lit(1i64)), &schema).unwrap();
+        let filtered = LogicalPlan::Filter {
+            input: Arc::new(scan),
+            predicate: pred,
+        };
+        let project = |names: &[&str]| {
+            let exprs: Vec<_> = names
+                .iter()
+                .map(|n| resolve_expr(&col(n), &schema).unwrap())
+                .collect();
+            let fields = exprs
+                .iter()
+                .map(|e| crate::analyzer::expr_to_field(e, &schema).unwrap())
+                .collect();
+            LogicalPlan::Limit {
+                input: Arc::new(LogicalPlan::Projection {
+                    input: Arc::new(filtered.clone()),
+                    exprs,
+                    schema: Arc::new(Schema::new(fields)),
+                }),
+                n: 1000,
+            }
+        };
+        // LIMIT plans Limit(Coalesce(Limit(..))): look under the coalesce.
+        let placed = |plan: &LogicalPlan| {
+            let exec = planner().create_plan(plan).unwrap();
+            let under = exec.children()[0].children()[0].output_partitioning();
+            (under, exec.output_partitioning())
+        };
+        let (kept, coalesced) = placed(&project(&["v", "k"]));
+        assert_eq!(
+            kept,
+            Partitioning::Hash {
+                columns: vec![1],
+                n: 3
+            }
+        );
+        assert_eq!(coalesced, Partitioning::Unknown);
+        let (dropped, _) = placed(&project(&["v"]));
+        assert_eq!(dropped, Partitioning::Unknown, "key projected away");
+    }
+
+    fn join_on_k(l: LogicalPlan, r: LogicalPlan) -> LogicalPlan {
+        let schema = Arc::new(l.schema().join(&r.schema()));
+        let lk = resolve_expr(&col("k"), &l.schema()).unwrap();
+        let rk = resolve_expr(&col("k"), &r.schema()).unwrap();
+        LogicalPlan::Join {
+            left: Arc::new(l),
+            right: Arc::new(r),
+            on: vec![(lk, rk)],
+            join_type: JoinType::Inner,
+            schema,
+        }
+    }
+
+    #[test]
+    fn join_sides_already_placed_on_the_keys_get_no_exchange() {
+        let shuffles = |l, r| {
+            let exec = planner().create_plan(&join_on_k(l, r)).unwrap();
+            assert_eq!(exec.name(), "HashJoin");
+            let out = crate::physical::execute_collect(&exec, &TaskContext::default()).unwrap();
+            assert_eq!(out.len(), 400, "every key matches once");
+            let shown = display_exec(exec.as_ref());
+            (shown.matches("Shuffle").count(), shown)
+        };
+        let i64s = |n| hashed_scan(DataType::Int64, 400, n);
+        // Same keys, same count: the rows already are where the join needs them.
+        assert_eq!(shuffles(i64s(3), i64s(3)).0, 0);
+        // Unequal counts: one side moves to the other's partitioning.
+        let (n, shown) = shuffles(i64s(3), i64s(5));
+        assert_eq!(n, 1, "{shown}");
+        assert!(shown.contains("Shuffle: hash, 3 partitions"), "{shown}");
+        // One side placed, the other not.
+        assert_eq!(shuffles(i64s(3), scan_with_rows(400)).0, 1);
+        // Int32 against Int64 hashes differently: both sides move (and,
+        // compared as typed values, nothing matches).
+        let exec = planner()
+            .create_plan(&join_on_k(hashed_scan(DataType::Int32, 400, 3), i64s(3)))
+            .unwrap();
+        let shown = display_exec(exec.as_ref());
+        assert_eq!(shown.matches("Shuffle").count(), 2, "{shown}");
     }
 
     #[test]

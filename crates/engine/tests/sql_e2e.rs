@@ -403,6 +403,103 @@ fn explain_analyze_reports_operator_metrics() {
     assert!(report.contains("Filter"), "{report}");
 }
 
+/// Regression: `instrument` used to time only `next()` on the returned
+/// iterator, so a pipeline breaker's work — done inside `execute()` —
+/// belonged to nobody (`HashAggregate time=0.001ms` on a 30 ms statement).
+#[test]
+fn explain_analyze_attributes_blocking_work_to_its_operator() {
+    let s = Session::new();
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("g", DataType::Int64),
+        Field::new("v", DataType::Int64),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..100_000i64)
+        .map(|i| vec![Value::Int64(i % 5000), Value::Int64(i)])
+        .collect();
+    let chunk = Chunk::from_rows(&schema, &rows).unwrap();
+    // One partition: one thread, so self times add up to the wall time.
+    s.register_table("t", Arc::new(MemTable::from_chunk(schema, chunk)));
+    let df = s
+        .sql("SELECT g, count(*), sum(v), max(v) FROM t GROUP BY g")
+        .unwrap();
+    let start = std::time::Instant::now();
+    let (out, _plan, registry) = df.collect_instrumented(&s.new_query()).unwrap();
+    let exec_ns = start.elapsed().as_nanos() as u64;
+    assert_eq!(out.len(), 5000);
+    let report = registry.report();
+    let aggregate = report
+        .iter()
+        .find(|op| op.key.starts_with("HashAggregate"))
+        .expect("aggregate ran");
+    assert!(
+        aggregate.elapsed_ns * 2 > exec_ns,
+        "HashAggregate {} ns of {exec_ns} ns:\n{}",
+        aggregate.elapsed_ns,
+        registry.render()
+    );
+    let attributed: u64 = report.iter().map(|op| op.elapsed_ns).sum();
+    assert!(
+        attributed <= exec_ns && attributed * 5 >= exec_ns * 4,
+        "operators account for {attributed} ns of {exec_ns} ns:\n{}",
+        registry.render()
+    );
+}
+
+/// The width of every `SourceScan` in a statement's physical plan, in plan
+/// order: the length of its `projection=[..]` list, or `None` for a scan
+/// that decodes every column.
+fn scan_widths(s: &Session, sql: &str) -> Vec<Option<usize>> {
+    let plan = s.sql(sql).unwrap().explain().unwrap();
+    let physical = &plan[plan.find("== Physical ==").unwrap()..];
+    physical
+        .lines()
+        .filter(|l| l.trim_start().starts_with("SourceScan"))
+        .map(|l| {
+            let list = l.split_once("projection=[")?.1.split_once(']')?.0;
+            Some(list.split(',').filter(|c| !c.trim().is_empty()).count())
+        })
+        .collect()
+}
+
+/// Regression: a table alias on a single-table query wraps the scan in an
+/// identity projection; with a filter between the two, projection pruning
+/// stopped there and the scan decoded every column.
+#[test]
+fn table_alias_does_not_defeat_projection_pushdown() {
+    let s = session();
+    for (aliased, plain, widths) in [
+        (
+            "SELECT count(*) FROM person p WHERE p.age = 30",
+            "SELECT count(*) FROM person WHERE age = 30",
+            vec![Some(1)],
+        ),
+        (
+            "SELECT p.city, max(p.age) FROM person p WHERE p.id > 10 GROUP BY p.city",
+            "SELECT city, max(age) FROM person WHERE id > 10 GROUP BY city",
+            vec![Some(3)],
+        ),
+        (
+            "SELECT p.city, count(*) FROM person p GROUP BY p.city",
+            "SELECT city, count(*) FROM person GROUP BY city",
+            vec![Some(1)],
+        ),
+        (
+            "SELECT p.name FROM person p JOIN knows k ON k.src = p.id WHERE k.since > 2010",
+            "SELECT name FROM person JOIN knows ON src = id WHERE since > 2010",
+            vec![Some(2), Some(2)],
+        ),
+    ] {
+        assert_eq!(scan_widths(&s, aliased), widths, "{aliased}");
+        assert_eq!(scan_widths(&s, plain), widths, "{plain}");
+        let rows = |sql: &str| {
+            let mut rows = s.sql(sql).unwrap().collect().unwrap().to_rows();
+            rows.sort();
+            rows
+        };
+        assert_eq!(rows(aliased), rows(plain), "{aliased}");
+    }
+}
+
 #[test]
 fn ddl_insert_select_roundtrip() {
     let s = session();
