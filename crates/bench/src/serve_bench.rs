@@ -29,7 +29,8 @@ pub struct ServeBenchConfig {
     pub step_secs: f64,
     /// Distinct keys preloaded into the shared table.
     pub n_keys: usize,
-    /// Query-executing worker threads in the server pool.
+    /// Server execution slots: statements running at once
+    /// (`ServeConfig::workers`).
     pub workers: usize,
 }
 
@@ -120,7 +121,7 @@ impl crate::json::ToJson for ClassStats {
 pub struct ServeReport {
     /// Preloaded distinct keys in the shared table.
     pub keys: usize,
-    /// Server worker threads.
+    /// Server execution slots (statements running at once).
     pub workers: usize,
     /// Seconds per sweep step.
     pub step_secs: f64,
@@ -409,7 +410,7 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeReport> {
 pub fn render(report: &ServeReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "BENCH-serve: {} keys, {} server workers, {:.1}s per step\n",
+        "BENCH-serve: {} keys, {} execution slots, {:.1}s per step\n",
         report.keys, report.workers, report.step_secs
     ));
     out.push_str("clients |  queries |      qps |  p50 µs |  p99 µs | p999 µs | rejects\n");

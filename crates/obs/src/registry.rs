@@ -347,12 +347,12 @@ metrics! {
     /// Client connections currently open.
     Gauge server_connections_open = "idf_server_connections_open",
         "Client connections currently open.";
-    /// Queries admitted and currently executing on server workers.
+    /// Queries admitted and currently executing, each on its connection's thread.
     Gauge server_in_flight = "idf_server_in_flight",
-        "Queries admitted and currently executing on server workers.";
-    /// Admitted queries waiting for a free worker.
+        "Queries admitted and currently executing, each on its connection's thread.";
+    /// Admitted queries waiting for a free execution slot.
     Gauge server_queue_depth = "idf_server_queue_depth",
-        "Admitted queries waiting for a free worker.";
+        "Admitted queries waiting for a free execution slot.";
     /// Queries rejected with `ServerBusy` (admission queue full).
     Counter server_rejected_busy = "idf_server_rejected_busy_total",
         "Queries rejected with ServerBusy (admission queue full).";

@@ -215,3 +215,117 @@ fn drain_finishes_or_cancels_in_flight_queries() {
     }
     assert_governor_zero(&session);
 }
+
+/// The tests in which a statement waits for an execution slot. They
+/// synchronize on the server's gauges, so they need the `obs` feature.
+#[cfg(feature = "obs")]
+mod slots {
+    use super::*;
+
+    /// Poll a process-global gauge until it reads `want`.
+    fn await_gauge(name: &str, gauge: &idf_obs::Gauge, want: i64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge.get() != want {
+            assert!(
+                Instant::now() < deadline,
+                "{name} is {}, expected {want}",
+                gauge.get()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// One client running the slow `SELECT * FROM kv` on its own thread; the
+    /// join yields the outcome and when it arrived.
+    type SlowQuery = std::thread::JoinHandle<(Result<idf_serve::QueryReply, ClientError>, Instant)>;
+
+    fn slow_query(addr: std::net::SocketAddr, tenant: &'static str) -> SlowQuery {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, tenant).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let outcome = client.query("SELECT * FROM kv");
+            (outcome, Instant::now())
+        })
+    }
+
+    fn error_code(outcome: Result<idf_serve::QueryReply, ClientError>) -> ErrorCode {
+        match outcome {
+            Err(ClientError::Server(frame)) => frame.code,
+            other => panic!("expected a typed error frame, got {other:?}"),
+        }
+    }
+
+    /// One slot, one waiting place: A runs, B waits its turn, C is refused
+    /// with a typed ServerBusy, and B is served after A.
+    #[test]
+    fn queue_bound_runs_one_parks_one_and_refuses_the_third() {
+        let _serial = serial();
+        let metrics = idf_obs::global();
+        let (server, session) = serve(ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServeConfig::default()
+        });
+        let addr = server.local_addr();
+        let _slow = FailGuard::new(idf_engine::failpoints::WORKER_START, FailConfig::delay(300));
+        let a = slow_query(addr, "a");
+        await_gauge("idf_server_in_flight", &metrics.server_in_flight, 1);
+        let b = slow_query(addr, "b");
+        await_gauge("idf_server_queue_depth", &metrics.server_queue_depth, 1);
+        assert_eq!(metrics.server_in_flight.get(), 1, "B must not be running");
+        let busy_before = metrics.server_rejected_busy.get();
+        let mut c = Client::connect(addr, "c").unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(
+            error_code(c.query("SELECT * FROM kv")),
+            ErrorCode::ServerBusy
+        );
+        assert_eq!(metrics.server_rejected_busy.get(), busy_before + 1);
+        let (a_reply, a_at) = a.join().unwrap();
+        let (b_reply, b_at) = b.join().unwrap();
+        assert_eq!(a_reply.unwrap().rows.len(), 3);
+        assert_eq!(b_reply.unwrap().rows.len(), 3);
+        assert!(a_at < b_at, "the waiter was answered before the runner");
+        await_gauge("idf_server_in_flight", &metrics.server_in_flight, 0);
+        await_gauge("idf_server_queue_depth", &metrics.server_queue_depth, 0);
+        // The refused connection is still usable once a slot is free.
+        assert_eq!(c.query("SELECT * FROM kv").unwrap().rows.len(), 3);
+        assert_governor_zero(&session);
+        let report = server.shutdown();
+        assert_eq!((report.cancelled, report.flushed), (0, 0), "{report:?}");
+    }
+
+    /// Drain past its deadline with one statement running and one waiting:
+    /// the runner is cancelled, the waiter answers ShuttingDown without ever
+    /// running, and shutdown joins every connection thread.
+    #[test]
+    fn drain_cancels_the_runner_and_flushes_the_waiter() {
+        let _serial = serial();
+        let metrics = idf_obs::global();
+        let open_before = metrics.server_connections_open.get();
+        let (server, session) = serve(ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            drain_deadline: Duration::from_millis(30),
+            ..ServeConfig::default()
+        });
+        let addr = server.local_addr();
+        let _slow = FailGuard::new(idf_engine::failpoints::WORKER_START, FailConfig::delay(500));
+        let a = slow_query(addr, "a");
+        await_gauge("idf_server_in_flight", &metrics.server_in_flight, 1);
+        let b = slow_query(addr, "b");
+        await_gauge("idf_server_queue_depth", &metrics.server_queue_depth, 1);
+        let report = server.shutdown();
+        assert_eq!((report.cancelled, report.flushed), (1, 1), "{report:?}");
+        // Connection threads count themselves out as they exit, so a joined
+        // server leaves the gauge where it found it.
+        assert_eq!(metrics.server_connections_open.get(), open_before);
+        assert_eq!(metrics.server_in_flight.get(), 0);
+        assert_eq!(metrics.server_queue_depth.get(), 0);
+        assert_eq!(error_code(a.join().unwrap().0), ErrorCode::Cancelled);
+        assert_eq!(error_code(b.join().unwrap().0), ErrorCode::ShuttingDown);
+        assert_governor_zero(&session);
+    }
+}
