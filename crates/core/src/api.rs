@@ -33,7 +33,9 @@ use crate::table::IndexedTable;
 ///
 /// Cheap to clone: clones share the same underlying [`IndexedTable`], so an
 /// `append_rows` through any handle is visible to all (readers in flight
-/// keep their consistent snapshots — multi-version concurrency).
+/// keep their consistent snapshots — multi-version concurrency). A table
+/// built with more than one index hands out one frame per index
+/// ([`Self::index`]): the same rows, probed through that index.
 #[derive(Clone)]
 pub struct IndexedDataFrame {
     session: Session,
@@ -93,6 +95,19 @@ impl IndexedDataFrame {
     /// The underlying table.
     pub fn table(&self) -> &Arc<IndexedTable> {
         &self.table
+    }
+
+    /// The frame over the same rows probed through the table's index on
+    /// `column` (see [`IndexedTable::index`]).
+    ///
+    /// # Errors
+    /// Fails when the table has no such column or no index on it.
+    pub fn index(&self, column: &str) -> Result<IndexedDataFrame> {
+        let col = self.table.schema().index_of(None, column)?;
+        Ok(IndexedDataFrame {
+            session: self.session.clone(),
+            table: Arc::new(self.table.index(col)?),
+        })
     }
 
     /// The session.
@@ -231,7 +246,8 @@ impl IndexedDataFrame {
         self.table.row_count()
     }
 
-    /// Memory accounting.
+    /// Memory accounting of this frame's index (see
+    /// [`IndexedTable::memory_stats`]).
     pub fn memory_stats(&self) -> PartitionMemory {
         self.table.memory_stats()
     }

@@ -15,12 +15,16 @@
 //! Stored row format:
 //!
 //! ```text
-//! | stored_len: u16 | prev_ptr: u64 | payload ... |
+//! | stored_len: u16 | prev₀: u64 | prev₁: u64 … | payload ... |
 //! ```
 //!
-//! `prev_ptr` is the backward pointer: a packed [`RowPtr`] to the previous
+//! `prev₀` is the backward pointer: a packed [`RowPtr`] to the previous
 //! row with the same key (the per-key linked list of the paper), carrying
-//! that row's stored size. `stored_len` makes full scans self-delimiting.
+//! that row's stored size. A table with more than one index threads one
+//! more chain per extra index, each through its own `prev` word (its
+//! *link*); a batch knows how many links its rows carry, and a
+//! single-index table's rows are exactly `| stored_len | prev | payload |`.
+//! `stored_len` makes full scans self-delimiting.
 //!
 //! The top bit of `stored_len` is the **row-kind flag**: set for a
 //! tombstone ([`RowKind::Tombstone`]), clear for a data row. A stored row
@@ -37,8 +41,15 @@ use idf_engine::error::{EngineError, Result};
 use crate::pointer::RowPtr;
 use crate::sink::RowKind;
 
-/// Bytes of per-row framing: u16 stored length + u64 backward pointer.
-pub const ROW_HEADER: usize = 2 + 8;
+/// Bytes of per-row framing for a row carrying `links` backward pointers:
+/// the u16 stored length plus one u64 per link.
+pub const fn row_header(links: usize) -> usize {
+    2 + 8 * links
+}
+
+/// Bytes of per-row framing of a single-index table: u16 stored length +
+/// u64 backward pointer.
+pub const ROW_HEADER: usize = row_header(1);
 
 /// Bit 15 of `stored_len`: set when the stored row is a tombstone.
 const KIND_TOMBSTONE_BIT: u16 = 0x8000;
@@ -49,24 +60,28 @@ const STORED_LEN_MASK: u16 = 0x7FFF;
 /// One stored row as a read sees it: `(stored_size, prev, kind, payload)`.
 pub type StoredRow<'a> = (usize, RowPtr, RowKind, &'a [u8]);
 
+/// One row as a sequential walk yields it: `(offset, prev, kind, payload)`.
+pub type WalkedRow<'a> = (usize, RowPtr, RowKind, &'a [u8]);
+
 /// Decode the stored row that starts at `offset` of `committed` (a
-/// committed prefix, possibly cut at a snapshot watermark): length word →
-/// kind bit → payload range, with one bounds validation covering header
-/// and payload. A corrupt or truncated row surfaces as a typed error,
-/// never a slice panic.
+/// committed prefix, possibly cut at a snapshot watermark) whose rows carry
+/// `header` bytes of framing: length word → kind bit → payload range, with
+/// one bounds validation covering header and payload. A corrupt or
+/// truncated row surfaces as a typed error, never a slice panic. The
+/// returned pointer is the row's first link.
 #[inline]
-fn parse_row(committed: &[u8], offset: usize) -> Result<StoredRow<'_>> {
+fn parse_row(committed: &[u8], offset: usize, header: usize) -> Result<StoredRow<'_>> {
     let rest = committed.get(offset..).unwrap_or_default();
     let Some((head, _)) = rest.split_first_chunk::<ROW_HEADER>() else {
-        return Err(bad_row(offset, ROW_HEADER, committed.len()));
+        return Err(bad_row(offset, header, header, committed.len()));
     };
     let [len_lo, len_hi, prev @ ..] = *head;
     let len_word = u16::from_le_bytes([len_lo, len_hi]);
     let stored = usize::from(len_word & STORED_LEN_MASK);
     // `None` both when the row runs past the committed bytes and when it
     // declares fewer bytes than its own header (an empty range start > end).
-    let Some(payload) = rest.get(ROW_HEADER..stored) else {
-        return Err(bad_row(offset, stored, committed.len()));
+    let Some(payload) = rest.get(header..stored) else {
+        return Err(bad_row(offset, stored, header, committed.len()));
     };
     let kind = if len_word & KIND_TOMBSTONE_BIT != 0 {
         RowKind::Tombstone
@@ -78,10 +93,10 @@ fn parse_row(committed: &[u8], offset: usize) -> Result<StoredRow<'_>> {
 }
 
 #[cold]
-fn bad_row(offset: usize, stored: usize, committed: usize) -> EngineError {
-    if stored < ROW_HEADER {
+fn bad_row(offset: usize, stored: usize, header: usize, committed: usize) -> EngineError {
+    if stored < header {
         return EngineError::internal(format!(
-            "row at {offset} declares {stored} stored bytes, below the {ROW_HEADER}-byte header"
+            "row at {offset} declares {stored} stored bytes, below the {header}-byte header"
         ));
     }
     EngineError::internal(format!(
@@ -94,6 +109,9 @@ pub struct RowBatch {
     buf: Box<[UnsafeCell<u8>]>,
     /// Committed byte count; bytes below this are immutable.
     len: AtomicUsize,
+    /// Framing bytes of every row in this batch: [`row_header`] of the
+    /// number of links its rows carry.
+    header: usize,
 }
 
 // SAFETY: sending a batch moves the whole buffer; bytes below `len` are
@@ -106,18 +124,26 @@ unsafe impl Send for RowBatch {}
 unsafe impl Sync for RowBatch {}
 
 impl RowBatch {
-    /// Allocate a batch of fixed `capacity` bytes.
+    /// Allocate a batch of fixed `capacity` bytes for single-link rows.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_links(capacity, 1)
+    }
+
+    /// Allocate a batch of fixed `capacity` bytes whose rows carry `links`
+    /// backward pointers (one per index of the table).
+    pub fn with_links(capacity: usize, links: usize) -> Self {
+        debug_assert!(links >= 1, "a row carries at least its primary link");
         let mut v = Vec::with_capacity(capacity);
         v.resize_with(capacity, || UnsafeCell::new(0));
         RowBatch {
             buf: v.into_boxed_slice(),
             len: AtomicUsize::new(0),
+            header: row_header(links.max(1)),
         }
     }
 
-    /// Rebuild a batch from `data`, the committed bytes of a checkpointed
-    /// batch, inside a fresh `capacity`-byte allocation. The restored
+    /// Rebuild a single-link batch from `data`, the committed bytes of a
+    /// checkpointed batch, inside a fresh `capacity`-byte allocation. The restored
     /// committed prefix is immutable exactly as if the rows had been
     /// appended live, so the partition's single writer may keep appending
     /// after `data.len()`.
@@ -138,7 +164,13 @@ impl RowBatch {
         Ok(RowBatch {
             buf: v.into_boxed_slice(),
             len: AtomicUsize::new(data.len()),
+            header: ROW_HEADER,
         })
+    }
+
+    /// Framing bytes of every row in this batch.
+    pub fn header(&self) -> usize {
+        self.header
     }
 
     /// The committed prefix as a byte slice (checkpoint serialization).
@@ -175,19 +207,22 @@ impl RowBatch {
     /// the partition's append lock).
     #[cfg_attr(not(test), allow(dead_code))] // the kind-aware sibling took over production use
     pub(crate) fn append_row(&self, prev: RowPtr, payload: &[u8]) -> Option<usize> {
-        self.append_row_kind(prev, payload, RowKind::Data)
+        self.append_row_kind(&[prev], payload, RowKind::Data)
     }
 
-    /// Append one stored row of the given [`RowKind`]; returns its byte
-    /// offset, or `None` if the batch is full. See [`RowBatch::append_row`]
-    /// for the single-writer contract.
+    /// Append one stored row of the given [`RowKind`] whose links are
+    /// `prevs` (primary first; a link `prevs` does not name is null);
+    /// returns its byte offset, or `None` if the batch is full. See
+    /// [`RowBatch::append_row`] for the single-writer contract.
     pub(crate) fn append_row_kind(
         &self,
-        prev: RowPtr,
+        prevs: &[RowPtr],
         payload: &[u8],
         kind: RowKind,
     ) -> Option<usize> {
-        let stored = ROW_HEADER + payload.len();
+        let links = (self.header - 2) / 8;
+        debug_assert_eq!(prevs.len(), links, "one backward pointer per link");
+        let stored = self.header + payload.len();
         debug_assert!(
             stored <= STORED_LEN_MASK as usize,
             "stored row of {stored} bytes collides with the kind flag"
@@ -208,9 +243,12 @@ impl RowBatch {
             let dst = base.add(offset);
             let len_bytes = len_word.to_le_bytes();
             std::ptr::copy_nonoverlapping(len_bytes.as_ptr(), dst, 2);
-            let prev_bytes = prev.raw().to_le_bytes();
-            std::ptr::copy_nonoverlapping(prev_bytes.as_ptr(), dst.add(2), 8);
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), dst.add(ROW_HEADER), payload.len());
+            for link in 0..links {
+                let prev = prevs.get(link).copied().unwrap_or(RowPtr::NULL);
+                let prev_bytes = prev.raw().to_le_bytes();
+                std::ptr::copy_nonoverlapping(prev_bytes.as_ptr(), dst.add(2 + 8 * link), 8);
+            }
+            std::ptr::copy_nonoverlapping(payload.as_ptr(), dst.add(self.header), payload.len());
         }
         // Publish: readers that see the new watermark also see the bytes.
         self.len.store(offset + stored, Ordering::Release);
@@ -236,7 +274,34 @@ impl RowBatch {
     /// poisons the whole process.
     pub fn row_at_full(&self, offset: usize) -> Result<StoredRow<'_>> {
         crate::failpoints::check(crate::failpoints::BATCH_READ)?;
-        parse_row(self.committed_bytes(), offset)
+        parse_row(self.committed_bytes(), offset, self.header)
+    }
+
+    /// Decode the stored row at `offset` as a walk along link `link` sees
+    /// it: `(that link's prev, payload)` — the random-access read of a
+    /// secondary-index chain walk.
+    ///
+    /// # Errors
+    /// Fails when `offset` does not point at a committed, well-formed row
+    /// or the batch's rows carry no such link.
+    pub fn row_at_link(&self, offset: usize, link: usize) -> Result<(RowPtr, &[u8])> {
+        crate::failpoints::check(crate::failpoints::BATCH_READ)?;
+        let committed = self.committed_bytes();
+        let (_, _, _, payload) = parse_row(committed, offset, self.header)?;
+        let at = 2 + 8 * link;
+        // The parse validated the whole header, so only a link the rows do
+        // not carry can miss here.
+        let word = committed
+            .get(offset + at..offset + at + 8)
+            .filter(|_| at < self.header)
+            .and_then(|w| <[u8; 8]>::try_from(w).ok())
+            .ok_or_else(|| {
+                EngineError::internal(format!(
+                    "link {link} of a row with a {}-byte header",
+                    self.header
+                ))
+            })?;
+        Ok((RowPtr::from_raw(u64::from_le_bytes(word)), payload))
     }
 
     /// Iterate rows sequentially up to `watermark` committed bytes (a
@@ -265,7 +330,11 @@ impl RowBatch {
                 committed.len()
             ))
         })?;
-        Ok(RowBatchIter { visible, offset })
+        Ok(RowBatchIter {
+            visible,
+            offset,
+            header: self.header,
+        })
     }
 }
 
@@ -281,25 +350,30 @@ pub struct RowBatchIter<'a> {
     /// The committed bytes below the snapshot watermark.
     visible: &'a [u8],
     offset: usize,
+    /// Framing bytes per row (see [`RowBatch::header`]).
+    header: usize,
 }
 
-impl RowBatchIter<'_> {
+impl<'a> RowBatchIter<'a> {
     /// Byte offset of the next row — where [`RowBatch::iter_rows_from`]
     /// resumes a walk that stopped early.
     pub fn offset(&self) -> usize {
         self.offset
     }
-}
 
-impl<'a> Iterator for RowBatchIter<'a> {
-    type Item = Result<(usize, RowPtr, RowKind, &'a [u8])>;
-
+    /// The next row. `SINGLE_LINK` parses with the one-link header fixed at
+    /// compile time — the scan of a single-index table then runs the loop
+    /// it ran before rows could carry more links, which a header read from
+    /// the iterator measurably slows (a zero-column scan of 233 716 `knows`
+    /// rows took 1.40 ms instead of 0.90 ms on a 2-vCPU VM). Only valid
+    /// when the batch's rows carry one link.
     #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
+    pub(crate) fn step<const SINGLE_LINK: bool>(&mut self) -> Option<Result<WalkedRow<'a>>> {
         if self.offset >= self.visible.len() {
             return None;
         }
-        match parse_row(self.visible, self.offset) {
+        let header = if SINGLE_LINK { ROW_HEADER } else { self.header };
+        match parse_row(self.visible, self.offset, header) {
             Ok((stored, prev, kind, payload)) => {
                 let offset = self.offset;
                 self.offset += stored;
@@ -311,6 +385,15 @@ impl<'a> Iterator for RowBatchIter<'a> {
                 Some(Err(e))
             }
         }
+    }
+}
+
+impl<'a> Iterator for RowBatchIter<'a> {
+    type Item = Result<WalkedRow<'a>>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.step::<false>()
     }
 }
 
@@ -437,7 +520,7 @@ mod tests {
         let off1 = b.append_row(RowPtr::NULL, b"live").unwrap();
         let off2 = b
             .append_row_kind(
-                RowPtr::new(0, off1, ROW_HEADER + 4),
+                &[RowPtr::new(0, off1, ROW_HEADER + 4)],
                 b"dead",
                 RowKind::Tombstone,
             )
@@ -464,6 +547,39 @@ mod tests {
             .map(|r| r.unwrap().2)
             .collect();
         assert_eq!(kinds, vec![RowKind::Data, RowKind::Tombstone]);
+    }
+
+    #[test]
+    fn multi_link_rows_carry_one_prev_per_link() {
+        let b = RowBatch::with_links(1024, 3);
+        assert_eq!(b.header(), row_header(3));
+        let first = b
+            .append_row_kind(&[RowPtr::NULL; 3], b"one", RowKind::Data)
+            .unwrap();
+        let p = RowPtr::new(0, first, b.header() + 3);
+        let q = RowPtr::new(5, 64, 40);
+        let off = b
+            .append_row_kind(&[p, RowPtr::NULL, q], b"two!", RowKind::Data)
+            .unwrap();
+        let (stored, prev, kind, payload) = b.row_at_full(off).unwrap();
+        assert_eq!(
+            (stored, prev, kind, payload),
+            (row_header(3) + 4, p, RowKind::Data, &b"two!"[..])
+        );
+        assert_eq!(b.row_at_link(off, 0).unwrap(), (p, &b"two!"[..]));
+        assert_eq!(b.row_at_link(off, 1).unwrap(), (RowPtr::NULL, &b"two!"[..]));
+        assert_eq!(b.row_at_link(off, 2).unwrap(), (q, &b"two!"[..]));
+        let err = b.row_at_link(off, 3).unwrap_err();
+        assert!(err.to_string().contains("link 3"), "got: {err}");
+        let payloads: Vec<&[u8]> = b
+            .iter_rows(b.len())
+            .unwrap()
+            .map(|r| r.unwrap().3)
+            .collect();
+        assert_eq!(payloads, vec![&b"one"[..], &b"two!"[..]]);
+        // A single-link batch has exactly the historical framing.
+        assert_eq!(RowBatch::with_capacity(64).header(), ROW_HEADER);
+        assert_eq!(ROW_HEADER, 10);
     }
 
     #[test]

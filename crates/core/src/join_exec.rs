@@ -31,8 +31,8 @@ pub enum ProbeMode {
     /// exchange, or already there — and each partition probes locally.
     Partitioned,
     /// The whole probe side is broadcast to every index partition; foreign
-    /// keys simply miss (each key lives in exactly one partition, so no
-    /// duplicates arise).
+    /// keys simply miss (each indexed row lives in exactly one partition,
+    /// so no duplicates arise — through a secondary index too).
     Broadcast,
 }
 
@@ -188,7 +188,7 @@ impl ExecutionPlan for IndexedJoinExec {
         // The probe is the operator's work; running it under the context
         // puts its time in EXPLAIN ANALYZE and checks the lifecycle first.
         let out = ctx.instrument_blocking(self, || {
-            let snapshot = self.table.partition(partition).snapshot();
+            let snapshot = self.table.partition_snapshot(partition);
             let mut out = Vec::new();
             for chunk in self.probe_chunks(partition, ctx)? {
                 ctx.check_cancelled()?;

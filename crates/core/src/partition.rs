@@ -16,7 +16,18 @@
 //! consistent prefix: every pointer in the snapshot refers to fully
 //! published bytes, and chains never dangle. This is the paper's
 //! "multi-version concurrency".
+//!
+//! A partition may carry more than one index over the same rows: one cTrie
+//! per index, and one backward pointer per index in every row header (see
+//! [`crate::batch`]). Index 0 is the *primary*: rows are routed by its
+//! column, and tombstones and DML live on its chains only. A row is written
+//! once and published to every index inside one odd/even `generation`
+//! window, so a snapshot finds it through all of its indexes or through
+//! none. A walk of another index follows that index's own link and, while
+//! the snapshot hides dead versions, keeps only the rows still visible on
+//! their primary chain.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,19 +39,47 @@ use idf_engine::schema::SchemaRef;
 use idf_engine::types::Value;
 use parking_lot::{Mutex, RwLock};
 
-use crate::batch::{RowBatch, ROW_HEADER};
+use crate::batch::{row_header, RowBatch};
 use crate::config::IndexConfig;
 use crate::layout::{ColumnDecoder, RowLayout};
 use crate::pointer::RowPtr;
 use crate::sink::RowKind;
 
+/// Most indexes one table can carry (each costs every row 8 header bytes).
+pub const MAX_INDEXES: usize = 8;
+
+/// One index of a partition.
+struct PartitionIndex {
+    /// The indexed column.
+    col: usize,
+    /// key → packed pointer to the *latest* row with that key.
+    trie: CTrie<Value, u64>,
+    /// Distinct keys in `trie`. Maintained here because `CTrie::len()` is
+    /// an O(n) traversal, and this count feeds planner statistics on every
+    /// query: a single writer appends (under `append_lock`) and only
+    /// compaction removes keys, so a counter bumped on first-insert and
+    /// reset by compaction stays exact.
+    keys: AtomicUsize,
+}
+
+impl PartitionIndex {
+    fn new(col: usize) -> Self {
+        PartitionIndex {
+            col,
+            trie: CTrie::new(),
+            keys: AtomicUsize::new(0),
+        }
+    }
+}
+
 /// A single hash partition of an Indexed DataFrame.
 pub struct IndexedPartition {
     layout: RowLayout,
-    key_col: usize,
     config: IndexConfig,
-    /// key → packed pointer to the *latest* row with that key.
-    index: CTrie<Value, u64>,
+    /// The partition's indexes, primary first.
+    indexes: Vec<PartitionIndex>,
+    /// Framing bytes per stored row: one link per index.
+    header: usize,
     batches: RwLock<Vec<Arc<RowBatch>>>,
     /// Serializes writers ("Spark transformations within a partition are
     /// sequentially executed on a single core" — paper, §2). Guards the
@@ -48,11 +87,6 @@ pub struct IndexedPartition {
     /// steady-state append path performs no allocation.
     append_lock: Mutex<Vec<u8>>,
     row_count: AtomicUsize,
-    /// Distinct indexed keys. Maintained here because `CTrie::len()` is an
-    /// O(n) traversal, and this count feeds planner statistics on every
-    /// query: a single writer appends (under `append_lock`), keys are
-    /// never removed, so a counter bumped on first-insert stays exact.
-    key_count: AtomicUsize,
     /// Tombstone rows currently stored in the batches. Written only under
     /// `append_lock`; compaction recomputes it.
     tombstones: AtomicUsize,
@@ -65,29 +99,42 @@ pub struct IndexedPartition {
     /// a batch/index swap is in progress. [`Self::snapshot`] retries until
     /// it reads the same even value on both sides of its two reads, so a
     /// snapshot can never pair a pre-swap index with post-swap batches.
+    /// With more than one index, every append publishes inside such a
+    /// window too.
     generation: AtomicU64,
 }
 
 impl IndexedPartition {
     /// An empty partition indexing `schema[key_col]`.
     pub fn new(schema: SchemaRef, key_col: usize, config: IndexConfig) -> Self {
+        Self::with_indexes(schema, &[key_col], config)
+    }
+
+    /// An empty partition indexing each of `key_cols` (primary first, at
+    /// most [`MAX_INDEXES`], checked by the table).
+    pub fn with_indexes(schema: SchemaRef, key_cols: &[usize], config: IndexConfig) -> Self {
         debug_assert!(config.validate().is_ok());
+        debug_assert!((1..=MAX_INDEXES).contains(&key_cols.len()));
         IndexedPartition {
             layout: RowLayout::new(schema),
-            key_col,
             config,
-            index: CTrie::new(),
+            indexes: key_cols.iter().map(|&c| PartitionIndex::new(c)).collect(),
+            header: row_header(key_cols.len()),
             batches: RwLock::new(Vec::new()),
             append_lock: Mutex::new(Vec::new()),
             row_count: AtomicUsize::new(0),
-            key_count: AtomicUsize::new(0),
             tombstones: AtomicUsize::new(0),
             dead_rows: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// Rebuild a partition from checkpointed state: restored row batches
+    fn primary(&self) -> &PartitionIndex {
+        // `with_indexes`/`restore` always build at least the primary.
+        &self.indexes[0]
+    }
+
+    /// Rebuild a single-index partition from checkpointed state: restored row batches
     /// plus the dumped `key → packed pointer` index entries, bulk-loaded
     /// into a fresh cTrie (one epoch pin for the whole load — far cheaper
     /// than replaying every append). The partition is immediately
@@ -129,18 +176,17 @@ impl IndexedPartition {
         let watermarks: Vec<usize> = batches.iter().map(|b| b.len()).collect();
         let hidden = HiddenRows::find(&batches, &watermarks)?;
         let (tombstones, dead_rows) = (hidden.tombstones, hidden.kill.keys.len());
-        let keys = index_entries.len();
-        let index = CTrie::new();
-        index.from_entries(index_entries);
+        let index = PartitionIndex::new(key_col);
+        index.keys.store(index_entries.len(), Ordering::Release);
+        index.trie.from_entries(index_entries);
         Ok(IndexedPartition {
             layout,
-            key_col,
             config,
-            index,
+            indexes: vec![index],
+            header: row_header(1),
             batches: RwLock::new(batches),
             append_lock: Mutex::new(Vec::new()),
             row_count: AtomicUsize::new(row_count),
-            key_count: AtomicUsize::new(keys),
             tombstones: AtomicUsize::new(tombstones),
             dead_rows: AtomicUsize::new(dead_rows),
             generation: AtomicU64::new(0),
@@ -152,9 +198,17 @@ impl IndexedPartition {
         self.layout.schema()
     }
 
-    /// Index column position.
+    /// Primary index column position.
     pub fn key_col(&self) -> usize {
-        self.key_col
+        self.primary().col
+    }
+
+    /// Distinct keys of index `index` (0 = primary) — the maintained
+    /// counter, not an O(n) trie walk.
+    pub fn key_count(&self, index: usize) -> usize {
+        self.indexes
+            .get(index)
+            .map_or(0, |ix| ix.keys.load(Ordering::Acquire))
     }
 
     /// Rows appended so far.
@@ -173,14 +227,8 @@ impl IndexedPartition {
         let mut payload = self.append_lock.lock();
         payload.clear();
         self.layout.encode(values, &mut payload)?;
-        let stored = ROW_HEADER + payload.len();
-        if stored > self.config.max_row_size {
-            return Err(EngineError::RowTooLarge {
-                size: stored,
-                max: self.config.max_row_size,
-            });
-        }
-        self.publish_locked(&values[self.key_col], &payload)
+        self.check_row_size(&payload)?;
+        self.publish_locked(&values[self.key_col()], &payload)
     }
 
     /// Encode + validate one row without touching any shared state,
@@ -191,14 +239,19 @@ impl IndexedPartition {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
         let mut payload = Vec::new();
         self.layout.encode(values, &mut payload)?;
-        let stored = ROW_HEADER + payload.len();
+        self.check_row_size(&payload)?;
+        Ok(payload)
+    }
+
+    fn check_row_size(&self, payload: &[u8]) -> Result<()> {
+        let stored = self.header + payload.len();
         if stored > self.config.max_row_size {
             return Err(EngineError::RowTooLarge {
                 size: stored,
                 max: self.config.max_row_size,
             });
         }
-        Ok(payload)
+        Ok(())
     }
 
     /// Decode one encoded payload (as produced by [`Self::encode_row`])
@@ -212,7 +265,7 @@ impl IndexedPartition {
     }
 
     /// Append a row pre-encoded by [`Self::encode_row`] (phase 2 of a
-    /// chunk append). `key` must be the row's `key_col` value.
+    /// chunk append). `key` must be the row's primary key.
     pub fn append_encoded(&self, key: &Value, payload: &[u8]) -> Result<()> {
         let _writer = self.append_lock.lock();
         self.publish_locked(key, payload)
@@ -233,12 +286,13 @@ impl IndexedPartition {
         self.append_lock.lock()
     }
 
-    /// Decode the visible rows of `key`'s chain, latest first, against
-    /// the live partition. The caller holds the append lock (via
+    /// Decode the visible rows of `key`'s primary chain, latest first,
+    /// against the live partition. The caller holds the append lock (via
     /// [`Self::lock_appends`]), so the view is stable.
     pub(crate) fn visible_rows_locked(&self, key: &Value) -> Result<Vec<Vec<Value>>> {
         let head = self
-            .index
+            .primary()
+            .trie
             .lookup(key)
             .map(RowPtr::from_raw)
             .unwrap_or(RowPtr::NULL);
@@ -262,11 +316,14 @@ impl IndexedPartition {
         self.publish_locked_kind(key, payload, RowKind::Data)
     }
 
-    /// Kind-aware publish (steps 1–3). The caller holds `append_lock`.
+    /// Kind-aware publish (steps 1–3) of a row whose primary key is `key`.
+    /// The caller holds `append_lock`.
     ///
     /// Publishing a tombstone makes every older row of `key`'s chain
     /// invisible: the tombstone becomes the chain head and readers stop
-    /// there. The dead-version counter grows by the rows it hides.
+    /// there. The dead-version counter grows by the rows it hides. A
+    /// tombstone joins no other index's chain; a data row joins every
+    /// index whose column it holds a non-NULL value in.
     pub(crate) fn publish_locked_kind(
         &self,
         key: &Value,
@@ -279,36 +336,73 @@ impl IndexedPartition {
                 "tombstones require a non-NULL key (NULL-key rows are not DML-addressable)",
             ));
         }
-        let stored = ROW_HEADER + payload.len();
-        // 1. current chain head becomes the new row's backward pointer.
+        let stored = self.header + payload.len();
+        // 1. every chain's current head becomes the new row's backward
+        // pointer on that chain; further indexes read their key from the
+        // payload (no allocation with one index).
         let prev_raw = if key.is_null() {
             None
         } else {
-            self.index.lookup(key)
+            self.primary().trie.lookup(key)
         };
-        let prev = prev_raw.map(RowPtr::from_raw).unwrap_or(RowPtr::NULL);
+        let mut prevs = [RowPtr::NULL; MAX_INDEXES];
+        prevs[0] = prev_raw.map(RowPtr::from_raw).unwrap_or(RowPtr::NULL);
+        let secondary = self.secondary_keys(payload, kind)?;
+        for (link, k) in &secondary {
+            prevs[*link] = self.indexes[*link]
+                .trie
+                .lookup(k)
+                .map(RowPtr::from_raw)
+                .unwrap_or(RowPtr::NULL);
+        }
         // 2. write + publish the row bytes.
-        let (batch_idx, offset) = self.write_row_kind(prev, payload, kind)?;
+        let (batch_idx, offset) =
+            self.write_row_kind(&prevs[..self.indexes.len()], payload, kind)?;
         let ptr = RowPtr::new(batch_idx, offset, stored);
-        // 3. point the index at the new head.
+        // The rows a tombstone hides (stopping at any older tombstone:
+        // those below it were already counted dead).
+        let hidden = if kind == RowKind::Tombstone {
+            let batches = self.batches.read();
+            visible_chain_len(&batches, prevs[0])
+        } else {
+            0
+        };
+        // 3. point every index at the new head. With more than one index
+        // the inserts and the counters a snapshot reads go inside one
+        // odd/even generation window, so a snapshot sees the row in all of
+        // its indexes or in none (and a walk's visibility check never
+        // trusts a stale dead-row count).
+        let window = self.indexes.len() > 1;
+        if window {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
         if !key.is_null() {
-            let old = self.index.insert(key.clone(), ptr.raw());
+            let old = self.primary().trie.insert(key.clone(), ptr.raw());
             debug_assert_eq!(old, prev_raw, "single-writer invariant violated");
             if prev_raw.is_none() {
-                self.key_count.fetch_add(1, Ordering::AcqRel);
+                self.primary().keys.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        for (link, k) in secondary {
+            let ix = &self.indexes[link];
+            let old = ix.trie.insert(k, ptr.raw());
+            debug_assert_eq!(
+                old.map_or(RowPtr::NULL, RowPtr::from_raw),
+                prevs[link],
+                "single-writer invariant violated"
+            );
+            if prevs[link].is_null() {
+                ix.keys.fetch_add(1, Ordering::AcqRel);
             }
         }
         if kind == RowKind::Tombstone {
-            // The rows this tombstone just hid (stopping at any older
-            // tombstone: those below it were already counted dead).
-            let hidden = {
-                let batches = self.batches.read();
-                visible_chain_len(&batches, prev)
-            };
             self.tombstones.fetch_add(1, Ordering::AcqRel);
             self.dead_rows.fetch_add(hidden, Ordering::AcqRel);
         }
         self.row_count.fetch_add(1, Ordering::AcqRel);
+        if window {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
         let m = idf_obs::global();
         m.append_rows.inc();
         m.append_bytes.add(stored as u64);
@@ -318,7 +412,7 @@ impl IndexedPartition {
     /// Write into the open batch, rolling over to a fresh batch when full.
     fn write_row_kind(
         &self,
-        prev: RowPtr,
+        prevs: &[RowPtr],
         payload: &[u8],
         kind: RowKind,
     ) -> Result<(usize, usize)> {
@@ -326,7 +420,7 @@ impl IndexedPartition {
         {
             let batches = self.batches.read();
             if let Some(last) = batches.last() {
-                if let Some(offset) = last.append_row_kind(prev, payload, kind) {
+                if let Some(offset) = last.append_row_kind(prevs, payload, kind) {
                     return Ok((batches.len() - 1, offset));
                 }
             }
@@ -336,13 +430,13 @@ impl IndexedPartition {
         if batches.len() >= crate::pointer::MAX_BATCHES {
             return Err(EngineError::exec("partition exceeded 2^31 row batches"));
         }
-        let batch = Arc::new(RowBatch::with_capacity(self.config.batch_size));
-        let offset = batch.append_row_kind(prev, payload, kind).ok_or(
+        let batch = Arc::new(self.new_batch());
+        let offset = batch.append_row_kind(prevs, payload, kind).ok_or(
             // Only reachable if a row outgrows a whole batch, which
             // `IndexConfig::validate` (max_row_size <= batch_size) rules
             // out for vetted configs.
             EngineError::RowTooLarge {
-                size: ROW_HEADER + payload.len(),
+                size: self.header + payload.len(),
                 max: self.config.batch_size,
             },
         )?;
@@ -351,23 +445,74 @@ impl IndexedPartition {
         Ok((batches.len() - 1, offset))
     }
 
+    /// The keys a stored row joins the indexes after the primary with:
+    /// `(link, key)` per non-NULL key of a data row. A tombstone joins
+    /// none; with one index there are none (and nothing is allocated).
+    fn secondary_keys(&self, payload: &[u8], kind: RowKind) -> Result<Vec<(usize, Value)>> {
+        if kind == RowKind::Tombstone {
+            return Ok(Vec::new());
+        }
+        let mut keys = Vec::new();
+        for (link, ix) in self.indexes.iter().enumerate().skip(1) {
+            let key = self.layout.decode_column(payload, ix.col)?;
+            if !key.is_null() {
+                keys.push((link, key));
+            }
+        }
+        Ok(keys)
+    }
+
+    fn new_batch(&self) -> RowBatch {
+        RowBatch::with_links(self.config.batch_size, self.indexes.len())
+    }
+
     /// Take a consistent point-in-time read view (O(1), non-blocking on
     /// the append path; spins only while a compaction swap — a handful of
-    /// pointer writes — is mid-flight).
+    /// pointer writes — or a multi-index publish is mid-flight). Its
+    /// lookups probe the primary index.
     pub fn snapshot(&self) -> PartitionSnapshot {
-        // Order matters twice over: within one attempt the index is
+        self.snapshot_of(0, false)
+    }
+
+    /// [`Self::snapshot`] whose lookups probe index `index` (0 = primary).
+    /// The view holds the primary index and the probed one.
+    pub fn snapshot_for(&self, index: usize) -> PartitionSnapshot {
+        self.snapshot_of(index, false)
+    }
+
+    /// [`Self::snapshot`] holding every index of the partition, for a
+    /// reader that probes more than one through the same view
+    /// ([`PartitionSnapshot::lookup_payloads_in`]).
+    pub fn snapshot_all(&self) -> PartitionSnapshot {
+        self.snapshot_of(0, true)
+    }
+
+    fn snapshot_of(&self, probe: usize, all: bool) -> PartitionSnapshot {
+        debug_assert!(probe < self.indexes.len(), "no index {probe}");
+        // Order matters twice over: within one attempt the indexes are
         // snapshotted first, then the watermarks, so every pointer in the
-        // index view lands below its watermark; and the generation is read
+        // index views lands below its watermark; and the generation is read
         // on both sides so an attempt that interleaved with a compaction
-        // swap (which replaces batches AND republishes the index) is
-        // thrown away instead of pairing old pointers with new batches.
-        let (index, batches, watermarks, dead_rows) = loop {
+        // swap (which replaces batches AND republishes the indexes) or a
+        // multi-index publish is thrown away instead of pairing old
+        // pointers with new batches or one index's state with another's.
+        // Each trie snapshot costs a root CAS and a few allocations, so a
+        // view takes only the tries it may read.
+        let (primary, secondary, batches, watermarks, dead_rows) = loop {
             let g1 = self.generation.load(Ordering::Acquire);
             if g1 & 1 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let index = self.index.read_only_snapshot();
+            let primary = self.primary().trie.read_only_snapshot();
+            let secondary: Vec<(usize, CTrie<Value, u64>)> = self
+                .indexes
+                .iter()
+                .enumerate()
+                .skip(1)
+                .filter(|&(i, _)| all || i == probe)
+                .map(|(i, ix)| (i, ix.trie.read_only_snapshot()))
+                .collect();
             let batches: Vec<Arc<RowBatch>> = self.batches.read().clone();
             let watermarks: Vec<usize> = batches.iter().map(|b| b.len()).collect();
             // Read after the watermarks: a watermark that covers anything
@@ -376,15 +521,19 @@ impl IndexedPartition {
             // length), so zero here means the view hides nothing.
             let dead_rows = self.dead_rows.load(Ordering::Acquire);
             if self.generation.load(Ordering::Acquire) == g1 {
-                break (index, batches, watermarks, dead_rows);
+                break (primary, secondary, batches, watermarks, dead_rows);
             }
         };
         let m = idf_obs::global();
         m.snapshots_taken.inc();
         PartitionSnapshot {
             layout: self.layout.clone(),
-            key_col: self.key_col,
-            index,
+            primary_col: self.key_col(),
+            probe,
+            key_col: self.indexes.get(probe).map_or(self.key_col(), |ix| ix.col),
+            header: self.header,
+            primary,
+            secondary,
             batches,
             watermarks,
             dead_rows,
@@ -410,9 +559,12 @@ impl IndexedPartition {
 
     /// Rewrite this partition's batches, dropping every dead version
     /// (rows below a tombstone, superseded tombstones) and re-linking each
-    /// surviving chain contiguously — the chain shortens to its visible
-    /// length. Fully deleted keys keep a single tombstone *sentinel* so
-    /// the key count and restore-time pointer validation stay exact.
+    /// surviving primary chain contiguously — the chain shortens to its
+    /// visible length. Fully deleted keys keep a single tombstone
+    /// *sentinel* so the key count and restore-time pointer validation stay
+    /// exact. Every other index is re-threaded over the rewritten rows in
+    /// the order they land (so its chains stay latest-first within each
+    /// primary key), and loses the keys no surviving row holds.
     ///
     /// Runs under the append lock (writers block, readers do not): the
     /// rewrite builds fresh batches and a fresh pointer set on the side,
@@ -446,33 +598,15 @@ impl IndexedPartition {
         if self.tombstones.load(Ordering::Acquire) == 0 {
             return Ok(stats_noop);
         }
-        let old_index = self.index.read_only_snapshot();
-        let mut new_batches: Vec<Arc<RowBatch>> = Vec::new();
+        let old_index = self.primary().trie.read_only_snapshot();
+        let mut rewrite = Rewrite {
+            partition: self,
+            batches: Vec::new(),
+            heads: vec![HashMap::new(); self.indexes.len() - 1],
+        };
         let mut new_entries: Vec<(Value, u64)> = Vec::new();
         let mut rows_after = 0usize;
         let mut tombstones_after = 0usize;
-        let append = |new_batches: &mut Vec<Arc<RowBatch>>,
-                      prev: RowPtr,
-                      payload: &[u8],
-                      kind: RowKind|
-         -> Result<RowPtr> {
-            let stored = ROW_HEADER + payload.len();
-            if let Some(last) = new_batches.last() {
-                if let Some(off) = last.append_row_kind(prev, payload, kind) {
-                    return Ok(RowPtr::new(new_batches.len() - 1, off, stored));
-                }
-            }
-            let batch = Arc::new(RowBatch::with_capacity(self.config.batch_size));
-            let off =
-                batch
-                    .append_row_kind(prev, payload, kind)
-                    .ok_or(EngineError::RowTooLarge {
-                        size: stored,
-                        max: self.config.batch_size,
-                    })?;
-            new_batches.push(batch);
-            Ok(RowPtr::new(new_batches.len() - 1, off, stored))
-        };
         for (key, raw) in old_index.iter() {
             // Collect the visible chain (latest first); a head tombstone
             // means the key is fully deleted and keeps a sentinel.
@@ -494,40 +628,65 @@ impl IndexedPartition {
             // reads back in the same latest-first order.
             let mut head = RowPtr::NULL;
             for payload in visible.iter().rev() {
-                head = append(&mut new_batches, head, payload, RowKind::Data)?;
+                head = rewrite.append(head, payload, RowKind::Data)?;
                 rows_after += 1;
             }
             if let Some(payload) = sentinel {
-                head = append(&mut new_batches, RowPtr::NULL, payload, RowKind::Tombstone)?;
+                head = rewrite.append(RowPtr::NULL, payload, RowKind::Tombstone)?;
                 rows_after += 1;
                 tombstones_after += 1;
             }
             debug_assert!(!head.is_null(), "indexed key lost its chain in compaction");
             new_entries.push((key, head.raw()));
         }
-        // NULL-key rows live outside every chain and are never deleted;
-        // carry them over with a physical pass.
+        // NULL-key rows live outside every primary chain and are never
+        // deleted; carry them over with a physical pass.
         for b in &batches_before {
             for row in b.iter_rows(b.len())? {
                 let (_, _, kind, payload) = row?;
                 if kind == RowKind::Data
-                    && self.layout.decode_column(payload, self.key_col)?.is_null()
+                    && self
+                        .layout
+                        .decode_column(payload, self.key_col())?
+                        .is_null()
                 {
-                    append(&mut new_batches, RowPtr::NULL, payload, RowKind::Data)?;
+                    rewrite.append(RowPtr::NULL, payload, RowKind::Data)?;
                     rows_after += 1;
                 }
             }
         }
+        // Keys of the other indexes that no surviving row holds any more.
+        let stale: Vec<Vec<Value>> = self.indexes[1..]
+            .iter()
+            .zip(&rewrite.heads)
+            .map(|(ix, heads)| {
+                ix.trie
+                    .read_only_snapshot()
+                    .iter()
+                    .filter(|(k, _)| !heads.contains_key(k))
+                    .map(|(k, _)| k)
+                    .collect()
+            })
+            .collect();
         pre_swap()?;
         // Swap inside the generation gate: an odd value parks snapshot
         // attempts, and an attempt that straddled the window retries.
         // Everything in here is infallible, so the gate always closes.
         self.generation.fetch_add(1, Ordering::AcqRel);
-        let bytes_after: usize = new_batches.iter().map(|b| b.len()).sum();
-        let batches_after = new_batches.len();
-        *self.batches.write() = new_batches;
+        let bytes_after: usize = rewrite.batches.iter().map(|b| b.len()).sum();
+        let batches_after = rewrite.batches.len();
+        *self.batches.write() = rewrite.batches;
         for (key, raw) in new_entries {
-            self.index.insert(key, raw);
+            self.primary().trie.insert(key, raw);
+        }
+        for ((ix, heads), stale) in self.indexes[1..].iter().zip(rewrite.heads).zip(stale) {
+            for key in &stale {
+                ix.trie.remove(key);
+            }
+            ix.keys.store(heads.len(), Ordering::Release);
+            for (key, ptr) in heads {
+                ix.trie.insert(key, ptr.raw());
+            }
         }
         self.row_count.store(rows_after, Ordering::Release);
         self.tombstones.store(tombstones_after, Ordering::Release);
@@ -543,7 +702,8 @@ impl IndexedPartition {
         })
     }
 
-    /// Memory accounting for the paper's "low memory overhead" claim.
+    /// Memory accounting for the paper's "low memory overhead" claim;
+    /// `index_entries` counts the primary index.
     pub fn memory_stats(&self) -> PartitionMemory {
         let batches = self.batches.read();
         let data_bytes = batches.iter().map(|b| b.len()).sum();
@@ -551,14 +711,64 @@ impl IndexedPartition {
         PartitionMemory {
             data_bytes,
             reserved_bytes,
-            // The maintained counter, NOT `index.len()`: these stats feed
+            // The maintained counter, NOT `trie.len()`: these stats feed
             // planner row estimates on every query, and the trie's own
             // `len()` is a full O(n) traversal.
-            index_entries: self.key_count.load(Ordering::Acquire),
+            index_entries: self.key_count(0),
             rows: self.row_count(),
             tombstones: self.tombstones.load(Ordering::Acquire),
             dead_rows: self.dead_rows.load(Ordering::Acquire),
         }
+    }
+}
+
+/// The side batches a compaction writes, with every chain after the
+/// primary re-threaded as the surviving rows land.
+struct Rewrite<'a> {
+    partition: &'a IndexedPartition,
+    batches: Vec<Arc<RowBatch>>,
+    /// Per index after the primary: each key's latest rewritten row.
+    heads: Vec<HashMap<Value, RowPtr>>,
+}
+
+impl Rewrite<'_> {
+    /// Append one surviving row whose primary link is `prev`; a data row
+    /// also joins the chain of every other index it holds a key for.
+    fn append(&mut self, prev: RowPtr, payload: &[u8], kind: RowKind) -> Result<RowPtr> {
+        let p = self.partition;
+        let mut prevs = [RowPtr::NULL; MAX_INDEXES];
+        prevs[0] = prev;
+        let keys = p.secondary_keys(payload, kind)?;
+        for (link, key) in &keys {
+            prevs[*link] = self.heads[link - 1]
+                .get(key)
+                .copied()
+                .unwrap_or(RowPtr::NULL);
+        }
+        let prevs = &prevs[..p.indexes.len()];
+        let stored = p.header + payload.len();
+        let ptr = match self
+            .batches
+            .last()
+            .and_then(|b| b.append_row_kind(prevs, payload, kind))
+        {
+            Some(off) => RowPtr::new(self.batches.len() - 1, off, stored),
+            None => {
+                let batch = Arc::new(p.new_batch());
+                let off = batch.append_row_kind(prevs, payload, kind).ok_or(
+                    EngineError::RowTooLarge {
+                        size: stored,
+                        max: p.config.batch_size,
+                    },
+                )?;
+                self.batches.push(batch);
+                RowPtr::new(self.batches.len() - 1, off, stored)
+            }
+        };
+        for (link, key) in keys {
+            self.heads[link - 1].insert(key, ptr);
+        }
+        Ok(ptr)
     }
 }
 
@@ -574,7 +784,7 @@ impl std::fmt::Debug for IndexedPartition {
 }
 
 /// Memory accounting numbers for one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionMemory {
     /// Committed row bytes.
     pub data_bytes: usize,
@@ -588,6 +798,16 @@ pub struct PartitionMemory {
     pub tombstones: usize,
     /// Rows hidden below tombstones (reclaimable by compaction).
     pub dead_rows: usize,
+}
+
+impl PartitionMemory {
+    /// Rows a scan returns: stored rows less tombstones and the versions
+    /// they hide.
+    pub fn visible_rows(&self) -> usize {
+        self.rows
+            .saturating_sub(self.tombstones)
+            .saturating_sub(self.dead_rows)
+    }
 }
 
 /// What one partition compaction did (see [`IndexedPartition::compact`]).
@@ -646,11 +866,19 @@ fn visible_chain_len(batches: &[Arc<RowBatch>], head: RowPtr) -> usize {
     n
 }
 
-/// A frozen, consistent view of a partition.
+/// A frozen, consistent view of a partition and every one of its indexes;
+/// its lookups probe one of them (see [`IndexedPartition::snapshot_for`]).
 pub struct PartitionSnapshot {
     layout: RowLayout,
+    primary_col: usize,
+    /// The index lookups probe (0 = primary) and its column.
+    probe: usize,
     key_col: usize,
-    index: CTrie<Value, u64>,
+    /// Framing bytes per stored row.
+    header: usize,
+    primary: CTrie<Value, u64>,
+    /// The indexes after the primary this view holds, by position.
+    secondary: Vec<(usize, CTrie<Value, u64>)>,
     batches: Vec<Arc<RowBatch>>,
     watermarks: Vec<usize>,
     /// Rows hidden below tombstones at snapshot time. While zero, scans
@@ -690,18 +918,24 @@ impl PartitionSnapshot {
         chunks.map_while(|c| c.ok()).map(|c| c.len()).sum()
     }
 
-    /// Follow the backward-pointer chain for `key`, latest row first,
-    /// yielding decoded payload slices.
+    /// Follow the backward-pointer chain for `key` in the probed index,
+    /// latest row first, yielding decoded payload slices.
     ///
     /// The probe goes through the cTrie's borrowed-key entry point: no
     /// `Value` is cloned and no heap allocation happens on this path.
     pub fn lookup_payloads(&self, key: &Value) -> ChainIter<'_> {
-        let head = if key.is_null() {
-            RowPtr::NULL
-        } else {
-            self.index
+        self.lookup_payloads_in(self.probe, key)
+    }
+
+    /// [`Self::lookup_payloads`] through index `index` (0 = primary) of
+    /// this same view; an index the view does not hold (see
+    /// [`IndexedPartition::snapshot_all`]) finds nothing.
+    pub fn lookup_payloads_in(&self, index: usize, key: &Value) -> ChainIter<'_> {
+        let head = match self.trie(index) {
+            Some(trie) if !key.is_null() => trie
                 .lookup_with_borrowed(key, |raw| RowPtr::from_raw(*raw))
-                .unwrap_or(RowPtr::NULL)
+                .unwrap_or(RowPtr::NULL),
+            _ => RowPtr::NULL,
         };
         if idf_obs::enabled() && !key.is_null() {
             let m = idf_obs::global();
@@ -715,9 +949,34 @@ impl PartitionSnapshot {
         ChainIter {
             snapshot: self,
             next: head,
+            link: index,
             hit: !head.is_null(),
             walked: 0,
         }
+    }
+
+    /// Whether the row at `ptr` with `payload` is still visible on its
+    /// primary chain: no tombstone lies between the chain head and it.
+    /// Only rows a secondary walk reaches while the view hides dead
+    /// versions are asked.
+    fn visible_on_primary(&self, ptr: RowPtr, payload: &[u8]) -> Result<bool> {
+        let key = self.layout.decode_column(payload, self.primary_col)?;
+        if key.is_null() {
+            // Outside every primary chain, so never deleted.
+            return Ok(true);
+        }
+        let mut next = self
+            .primary
+            .lookup_with_borrowed(&key, |raw| RowPtr::from_raw(*raw))
+            .unwrap_or(RowPtr::NULL);
+        while !next.is_null() && next != ptr {
+            let (_, prev, kind, _) = chain_row(&self.batches, next)?;
+            if kind == RowKind::Tombstone {
+                return Ok(false);
+            }
+            next = prev;
+        }
+        Ok(next == ptr)
     }
 
     /// Record how stale the probed snapshot is. Only snapshots the
@@ -858,6 +1117,7 @@ impl PartitionSnapshot {
             batches: self.batches.clone(),
             watermarks: self.watermarks.clone(),
             cols: self.projected_cols(projection)?,
+            header: self.header,
             chunk_rows: chunk_rows.max(1),
             query,
             billed: 0,
@@ -906,14 +1166,30 @@ impl PartitionSnapshot {
         self.layout.decode_column_batch(payloads, col)
     }
 
-    /// The index column position.
+    /// The probed index's column position.
     pub fn key_col(&self) -> usize {
         self.key_col
     }
 
-    /// Distinct keys in the snapshot's index.
+    /// Distinct keys in the probed index (an O(n) walk of its trie).
     pub fn key_count(&self) -> usize {
-        self.index.len()
+        self.key_count_in(self.probe)
+    }
+
+    /// Distinct keys in index `index` (0 = primary) of this view (an O(n)
+    /// walk of its trie; 0 for an index the view does not hold).
+    pub fn key_count_in(&self, index: usize) -> usize {
+        self.trie(index).map_or(0, CTrie::len)
+    }
+
+    fn trie(&self, index: usize) -> Option<&CTrie<Value, u64>> {
+        match index {
+            0 => Some(&self.primary),
+            i => self
+                .secondary
+                .iter()
+                .find_map(|(j, trie)| (*j == i).then_some(trie)),
+        }
     }
 
     /// The snapshot's row batches as `(capacity, committed_prefix)` pairs
@@ -928,10 +1204,10 @@ impl PartitionSnapshot {
             .collect()
     }
 
-    /// The snapshot's index as `(key, packed pointer)` pairs for
+    /// The snapshot's primary index as `(key, packed pointer)` pairs for
     /// checkpoint serialization; restored via [`IndexedPartition::restore`].
     pub fn export_index(&self) -> Vec<(Value, u64)> {
-        self.index.iter().collect()
+        self.primary.iter().collect()
     }
 }
 
@@ -1023,16 +1299,26 @@ impl KillSet {
     }
 }
 
-/// The stored row a chain pointer names.
-fn chain_row(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<crate::batch::StoredRow<'_>> {
-    let batch = batches.get(ptr.batch()).ok_or_else(|| {
+/// The batch a chain pointer names.
+fn batch_of(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<&RowBatch> {
+    batches.get(ptr.batch()).map(|b| &**b).ok_or_else(|| {
         EngineError::internal(format!(
             "chain pointer names batch {} of {}",
             ptr.batch(),
             batches.len()
         ))
-    })?;
-    batch.row_at_full(ptr.offset())
+    })
+}
+
+/// The stored row a chain pointer names.
+fn chain_row(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<crate::batch::StoredRow<'_>> {
+    batch_of(batches, ptr)?.row_at_full(ptr.offset())
+}
+
+/// The stored row a chain pointer names, as a walk along `link` reads it:
+/// `(that link's prev, payload)`.
+fn chain_link(batches: &[Arc<RowBatch>], ptr: RowPtr, link: usize) -> Result<(RowPtr, &[u8])> {
+    batch_of(batches, ptr)?.row_at_link(ptr.offset(), link)
 }
 
 enum ScanState {
@@ -1050,6 +1336,8 @@ pub struct ScanIter {
     batches: Vec<Arc<RowBatch>>,
     watermarks: Vec<usize>,
     cols: Vec<usize>,
+    /// Framing bytes per stored row.
+    header: usize,
     chunk_rows: usize,
     query: Option<Arc<QueryContext>>,
     /// Bytes of the last chunk handed out, still charged to `query`.
@@ -1071,10 +1359,13 @@ impl ScanIter {
             .skip(self.batch)
             .sum::<usize>()
             .saturating_sub(self.offset);
-        bytes / (ROW_HEADER + self.layout.min_payload_len())
+        bytes / (self.header + self.layout.min_payload_len())
     }
 
-    fn next_chunk(&mut self) -> Result<Option<Chunk>> {
+    /// The next chunk. `SINGLE_LINK` is whether the partition's rows carry
+    /// one link: the walk then parses them with that header fixed at
+    /// compile time (see [`RowBatchIter::step`]).
+    fn next_chunk<const SINGLE_LINK: bool>(&mut self) -> Result<Option<Chunk>> {
         if let Some(q) = &self.query {
             q.check()?;
             q.release_memory(std::mem::take(&mut self.billed));
@@ -1095,7 +1386,7 @@ impl ScanIter {
                 break;
             };
             let mut walk = batch.iter_rows_from(self.offset, watermark)?;
-            for row in walk.by_ref() {
+            while let Some(row) = walk.step::<SINGLE_LINK>() {
                 let (offset, _, kind, payload) = row?;
                 if kind == RowKind::Tombstone || self.kill.hides(physical_key(self.batch, offset)) {
                     continue;
@@ -1152,7 +1443,11 @@ impl Iterator for ScanIter {
         if matches!(self.state, ScanState::Done) {
             return None;
         }
-        let chunk = self.next_chunk();
+        let chunk = if self.header == crate::batch::ROW_HEADER {
+            self.next_chunk::<true>()
+        } else {
+            self.next_chunk::<false>()
+        };
         self.state = match &chunk {
             Ok(Some(_)) => ScanState::Running,
             // Fused: after an error every later position is suspect.
@@ -1170,6 +1465,8 @@ impl Iterator for ScanIter {
 pub struct ChainIter<'a> {
     snapshot: &'a PartitionSnapshot,
     next: RowPtr,
+    /// The index whose link the walk follows (0 = primary).
+    link: usize,
     /// Whether the probe found a head (misses are not chain walks).
     hit: bool,
     /// Rows yielded so far.
@@ -1180,6 +1477,9 @@ impl<'a> Iterator for ChainIter<'a> {
     type Item = Result<&'a [u8]>;
 
     fn next(&mut self) -> Option<Result<&'a [u8]>> {
+        if self.link != 0 {
+            return self.next_secondary();
+        }
         if self.next.is_null() {
             return None;
         }
@@ -1206,6 +1506,34 @@ impl<'a> Iterator for ChainIter<'a> {
                 Some(Err(e))
             }
         }
+    }
+}
+
+impl<'a> ChainIter<'a> {
+    /// One step of a walk along a secondary link. Tombstones never join
+    /// these chains; while the view hides dead versions, a row counts only
+    /// if its primary chain still shows it.
+    fn next_secondary(&mut self) -> Option<Result<&'a [u8]>> {
+        let snapshot = self.snapshot;
+        while !self.next.is_null() {
+            let ptr = self.next;
+            let step = chain_link(&snapshot.batches, ptr, self.link).and_then(|(prev, payload)| {
+                self.next = prev;
+                self.walked += 1;
+                let visible =
+                    snapshot.dead_rows == 0 || snapshot.visible_on_primary(ptr, payload)?;
+                Ok(visible.then_some(payload))
+            });
+            match step {
+                Ok(Some(payload)) => return Some(Ok(payload)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.next = RowPtr::NULL;
+                    return Some(Err(e));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -1272,7 +1600,11 @@ mod tests {
             .unwrap();
         let m = p.memory_stats();
         assert_eq!(m.index_entries, 50);
-        assert_eq!(m.index_entries, p.index.len(), "counter drifted from trie");
+        assert_eq!(
+            m.index_entries,
+            p.primary().trie.len(),
+            "counter drifted from trie"
+        );
         assert_eq!(m.rows, 101);
 
         // Restore seeds the counter from the dumped entries (the same
@@ -1633,7 +1965,7 @@ mod tests {
         let m = p.memory_stats();
         assert_eq!(m.rows, 100);
         assert_eq!(m.index_entries, 100);
-        assert!(m.data_bytes > 100 * ROW_HEADER);
+        assert!(m.data_bytes > 100 * crate::batch::ROW_HEADER);
         assert!(m.reserved_bytes >= m.data_bytes);
     }
 }

@@ -11,11 +11,15 @@
 //! Everything else falls back to `transformToRowRDD`-style full scans over
 //! the row batches.
 //!
-//! The same key set answers [`IndexedSource::prune`] at plan time: each key
-//! lives in exactly one hash partition, so a key-equality scan is planned
-//! over that partition alone. In a cached plan the literal is still an
-//! [`Expr::Param`] when pushdown is decided; a parameter of the key's type
-//! is claimed exactly like a literal, and is bound before any scan runs.
+//! The same key set answers [`IndexedSource::prune`] at plan time: through
+//! the primary index each key lives in exactly one hash partition, so a
+//! key-equality scan is planned over that partition alone; through any
+//! other index of the table (a handle from [`IndexedTable::index`]) a key's
+//! rows may sit in every partition, so the probe fans out to all of them —
+//! still one cTrie lookup per partition, not a scan. In a cached plan the
+//! literal is still an [`Expr::Param`] when pushdown is decided; a
+//! parameter of the key's type is claimed exactly like a literal, and is
+//! bound before any scan runs.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -184,7 +188,7 @@ impl IndexedSource {
         match &self.frozen {
             Some(snap) => Ok(PartitionView::Frozen(snap, partition)),
             None => Ok(PartitionView::Live(
-                self.table.partition(partition).snapshot(),
+                self.table.partition_snapshot(partition),
             )),
         }
     }
@@ -220,11 +224,12 @@ impl IndexedSource {
         let keys = self.pushed_keys(filters).ok_or_else(|| {
             EngineError::internal("indexed scan was handed a filter it did not claim")
         })?;
-        // Keep the keys that hash-route to THIS partition; the rest are
-        // pruned — their home partitions answer for them.
+        // Through the primary index, keep the keys that hash-route to THIS
+        // partition; the rest are pruned — their home partitions answer
+        // for them. Any other index's keys are not routed.
         let local: Vec<Value> = keys
             .into_iter()
-            .filter(|k| self.table.partition_of(k) == partition)
+            .filter(|k| !self.table.is_primary() || self.table.partition_of(k) == partition)
             .collect();
         let view = self.partition_snapshot(partition)?;
         let chunk = match local.as_slice() {
@@ -279,7 +284,12 @@ impl TableSource for IndexedSource {
 
     fn hash_partitioned_by(&self) -> Option<usize> {
         // Appends and DML route every row image by `partition_of` its own
-        // key; a frozen snapshot keeps the table's partitions.
+        // primary key, whichever index this handle probes; a frozen
+        // snapshot keeps the table's partitions.
+        Some(self.table.primary_col())
+    }
+
+    fn indexed_by(&self) -> Option<usize> {
         Some(self.table.key_col())
     }
 
@@ -288,12 +298,17 @@ impl TableSource for IndexedSource {
             return None;
         }
         let keys = self.pushed_keys(filters)?;
-        let mut partitions: Vec<usize> = keys.iter().map(|k| self.table.partition_of(k)).collect();
+        let mut partitions: Vec<usize> = if !self.table.is_primary() && !keys.is_empty() {
+            (0..self.table.num_partitions()).collect()
+        } else {
+            keys.iter().map(|k| self.table.partition_of(k)).collect()
+        };
         partitions.sort_unstable();
         partitions.dedup();
-        // Rows per key from the maintained counters (mean chain length).
+        // Rows per key from the maintained counters: the visible rows over
+        // the probed index's keys (its mean visible chain).
         let m = self.table.memory_stats();
-        let per_key = m.rows.div_ceil(m.index_entries.max(1));
+        let per_key = m.visible_rows().div_ceil(m.index_entries.max(1));
         Some(ScanPruning {
             partitions,
             rows: keys.len() * per_key,
@@ -324,9 +339,9 @@ impl TableSource for IndexedSource {
     }
 
     fn statistics(&self) -> Statistics {
-        let m = self.table.memory_stats();
+        let m = self.table.store_stats();
         Statistics {
-            row_count: Some(m.rows),
+            row_count: Some(m.visible_rows()),
             byte_size: Some(m.data_bytes),
         }
     }
@@ -595,5 +610,59 @@ mod tests {
     fn statistics_report_rows() {
         let s = IndexedSource::live(table());
         assert_eq!(s.statistics().row_count, Some(100));
+    }
+
+    /// Plan-time estimates count only the rows a scan would return: after
+    /// half of one key's chain is deleted (a tombstone, the dead chain
+    /// below it and the re-appended survivors all stay stored until a
+    /// compaction), the bound is the visible mean chain — and through a
+    /// secondary index, the visible rows over that index's own keys, on
+    /// every partition.
+    #[test]
+    fn estimates_count_visible_rows_through_every_index() {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("g", DataType::Int64),
+        ]));
+        let rows: Vec<Vec<Value>> = (0..100)
+            .map(|i| vec![Value::Int64(i % 10), Value::Int64(i % 4)])
+            .collect();
+        let cfg = IndexConfig {
+            num_partitions: 4,
+            ..Default::default()
+        };
+        let table = IndexedTable::with_indexes(Arc::clone(&schema), 0, &[1], cfg).unwrap();
+        table
+            .append_chunk(&Chunk::from_rows(&schema, &rows).unwrap())
+            .unwrap();
+        let half_of_key_3: Vec<Vec<Value>> = [3i64, 13, 23, 33, 43]
+            .iter()
+            .map(|&i| vec![Value::Int64(i % 10), Value::Int64(i % 4)])
+            .collect();
+        assert_eq!(table.apply_dml(&half_of_key_3, &[]).unwrap(), 5);
+        let m = table.memory_stats();
+        assert_eq!((m.rows, m.tombstones, m.dead_rows), (106, 1, 10));
+        assert_eq!(m.visible_rows(), 95);
+
+        let by_k = IndexedSource::live(Arc::new(table.index(0).unwrap()));
+        let pruned = by_k.prune(&[bound_key_eq(3)]).unwrap();
+        assert_eq!(pruned.rows, 10, "95 visible rows over 10 keys");
+        assert_eq!(pruned.partitions.len(), 1);
+        assert_eq!(by_k.statistics().row_count, Some(95));
+
+        let by_g = IndexedSource::live(Arc::new(table.index(1).unwrap()));
+        let entries = by_g.table().memory_stats().index_entries;
+        let pruned = by_g.prune(&[bound_col("g", 1).eq(lit(2i64))]).unwrap();
+        assert_eq!(pruned.rows, 95usize.div_ceil(entries));
+        assert_eq!(
+            pruned.partitions,
+            vec![0, 1, 2, 3],
+            "a secondary probe fans out"
+        );
+        assert_eq!(by_g.statistics().row_count, Some(95));
+        let none = by_g
+            .prune(&[bound_col("g", 1).in_list(Vec::new())])
+            .unwrap();
+        assert_eq!((none.partitions.len(), none.rows), (0, 0));
     }
 }

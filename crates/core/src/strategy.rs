@@ -16,6 +16,8 @@
 //!   [`IndexedJoinExec`] — the indexed relation is always the build side,
 //!   the probe side is brought to the index's partitioning by the planner's
 //!   one exchange rule (or broadcast when small, per the paper's fallback).
+//!   An index other than the table's primary is not partitioned by its
+//!   key, so its probe side is always broadcast.
 //! * Everything else returns `None` and falls back to vanilla planning.
 
 use std::sync::Arc;
@@ -120,9 +122,11 @@ impl PhysicalStrategy for IndexedJoinStrategy {
         let probe_exec = planner.create_plan(probe_plan)?;
         let probe_key_expr = create_physical_expr(probe_key, &probe_schema)?;
         let table = Arc::clone(side.source.table());
-        // Broadcast small probe sides instead of shuffling (paper, §2).
-        let broadcast = estimate_rows(probe_plan)
-            .is_some_and(|n| n <= planner.config().broadcast_threshold_rows);
+        // Broadcast small probe sides instead of shuffling (paper, §2), and
+        // every probe side of a secondary index: its keys do not route.
+        let broadcast = !table.is_primary()
+            || estimate_rows(probe_plan)
+                .is_some_and(|n| n <= planner.config().broadcast_threshold_rows);
         let (probe_exec, mode) = if broadcast {
             (probe_exec, ProbeMode::Broadcast)
         } else {

@@ -21,13 +21,27 @@ use idf_engine::types::Value;
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::IndexConfig;
-use crate::partition::{CompactStats, IndexedPartition, PartitionMemory, PartitionSnapshot};
+use crate::partition::{
+    CompactStats, IndexedPartition, PartitionMemory, PartitionSnapshot, MAX_INDEXES,
+};
 use crate::sink::{AppendSink, RowKind, SinkStatus};
 
-/// A partitioned, updatable, indexed, in-memory table.
+/// A partitioned, updatable, indexed, in-memory table — as a *handle*: one
+/// store of rows (hash-partitioned by the primary index's column) plus
+/// which of the store's indexes this handle probes. Every handle of a
+/// store appends, deletes and compacts the same rows; only lookups, key
+/// pushdown and per-index accounting depend on the handle.
 pub struct IndexedTable {
+    store: Arc<Store>,
+    /// The index this handle probes (0 = primary).
+    index: usize,
+}
+
+/// The rows and indexes every handle of one table shares.
+struct Store {
     schema: SchemaRef,
-    key_col: usize,
+    /// The indexed columns, primary first.
+    key_cols: Vec<usize>,
     config: IndexConfig,
     partitions: Vec<Arc<IndexedPartition>>,
     /// Durability hook; appends log through it when present (see
@@ -46,15 +60,15 @@ pub struct IndexedTable {
 /// RAII scope for one append's commit window: entered at the commit
 /// point (just before the sink is consulted), left once the rows are
 /// published to memory — on every path, including commit-point aborts.
-struct CommitWindowScope<'a>(&'a IndexedTable);
+struct CommitWindowScope<'a>(&'a Store);
 
 impl<'a> CommitWindowScope<'a> {
-    fn enter(table: &'a IndexedTable) -> Self {
-        table
+    fn enter(store: &'a Store) -> Self {
+        store
             .commit_window
             // idf-lint: allow(atomics-audit) -- SeqCst pairs the window counter with the tap-gate flag across two atomics; a closed gate must observe every in-window append
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        CommitWindowScope(table)
+        CommitWindowScope(store)
     }
 }
 
@@ -68,39 +82,82 @@ impl Drop for CommitWindowScope<'_> {
 }
 
 impl IndexedTable {
+    /// The primary handle of a new store over `partitions`.
+    fn over(
+        schema: SchemaRef,
+        key_cols: Vec<usize>,
+        config: IndexConfig,
+        partitions: Vec<Arc<IndexedPartition>>,
+    ) -> Self {
+        IndexedTable {
+            store: Arc::new(Store {
+                schema,
+                key_cols,
+                config,
+                partitions,
+                sink: RwLock::new(None),
+                commit_window: std::sync::atomic::AtomicUsize::new(0),
+                dml_lock: Mutex::new(()),
+            }),
+            index: 0,
+        }
+    }
+
     /// An empty table indexing `schema[key_col]`.
     pub fn new(schema: SchemaRef, key_col: usize, config: IndexConfig) -> Result<Self> {
+        Self::with_indexes(schema, key_col, &[], config)
+    }
+
+    /// An empty table whose rows are hash-partitioned by, and indexed on,
+    /// `schema[primary_col]`, with one more index per column of
+    /// `secondary_cols` over the same rows. The returned handle probes the
+    /// primary index; [`Self::index`] hands out the others. A row is stored
+    /// once whatever the number of indexes; each index after the first
+    /// adds one 8-byte backward pointer to every row.
+    pub fn with_indexes(
+        schema: SchemaRef,
+        primary_col: usize,
+        secondary_cols: &[usize],
+        config: IndexConfig,
+    ) -> Result<Self> {
         config.validate().map_err(EngineError::Plan)?;
-        if key_col >= schema.len() {
+        let key_cols: Vec<usize> = std::iter::once(primary_col)
+            .chain(secondary_cols.iter().copied())
+            .collect();
+        if let Some(&c) = key_cols.iter().find(|&&c| c >= schema.len()) {
             return Err(EngineError::plan(format!(
-                "index column {key_col} out of range for schema of width {}",
+                "index column {c} out of range for schema of width {}",
                 schema.len()
+            )));
+        }
+        if key_cols.len() > MAX_INDEXES {
+            return Err(EngineError::plan(format!(
+                "{} indexes requested; a table carries at most {MAX_INDEXES}",
+                key_cols.len()
+            )));
+        }
+        if (1..key_cols.len()).any(|i| key_cols[..i].contains(&key_cols[i])) {
+            return Err(EngineError::plan(format!(
+                "a column is indexed twice in {key_cols:?}"
             )));
         }
         let partitions = (0..config.num_partitions)
             .map(|_| {
-                Arc::new(IndexedPartition::new(
+                Arc::new(IndexedPartition::with_indexes(
                     Arc::clone(&schema),
-                    key_col,
+                    &key_cols,
                     config.clone(),
                 ))
             })
             .collect();
-        Ok(IndexedTable {
-            schema,
-            key_col,
-            config,
-            partitions,
-            sink: RwLock::new(None),
-            commit_window: std::sync::atomic::AtomicUsize::new(0),
-            dml_lock: Mutex::new(()),
-        })
+        Ok(Self::over(schema, key_cols, config, partitions))
     }
 
-    /// Rebuild a table around partitions restored from a checkpoint (see
-    /// [`IndexedPartition::restore`]). The partition count must match the
-    /// configured hash fan-out — keys would otherwise route to the wrong
-    /// partition and every probe after recovery would silently miss.
+    /// Rebuild a single-index table around partitions restored from a
+    /// checkpoint (see [`IndexedPartition::restore`]). The partition count
+    /// must match the configured hash fan-out — keys would otherwise route
+    /// to the wrong partition and every probe after recovery would
+    /// silently miss.
     pub fn from_restored_partitions(
         schema: SchemaRef,
         key_col: usize,
@@ -121,22 +178,53 @@ impl IndexedTable {
                 config.num_partitions
             )));
         }
+        Ok(Self::over(schema, vec![key_col], config, partitions))
+    }
+
+    /// The handle of this table's index on column `col`: the same rows,
+    /// probed through that index.
+    ///
+    /// # Errors
+    /// Fails when the table carries no index on `col`.
+    pub fn index(&self, col: usize) -> Result<IndexedTable> {
+        let index = self
+            .store
+            .key_cols
+            .iter()
+            .position(|&c| c == col)
+            .ok_or_else(|| {
+                EngineError::plan(format!(
+                    "no index on column {col}; indexed columns are {:?}",
+                    self.store.key_cols
+                ))
+            })?;
         Ok(IndexedTable {
-            schema,
-            key_col,
-            config,
-            partitions,
-            sink: RwLock::new(None),
-            commit_window: std::sync::atomic::AtomicUsize::new(0),
-            dml_lock: Mutex::new(()),
+            store: Arc::clone(&self.store),
+            index,
         })
+    }
+
+    /// The indexed columns, primary first.
+    pub fn index_cols(&self) -> &[usize] {
+        &self.store.key_cols
+    }
+
+    /// Whether this handle probes the primary index — the one rows are
+    /// hash-partitioned by, so a key lives in exactly one partition.
+    pub fn is_primary(&self) -> bool {
+        self.index == 0
+    }
+
+    /// The column rows are hash-partitioned by (the primary index's).
+    pub fn primary_col(&self) -> usize {
+        self.store.key_cols[0]
     }
 
     /// Install (or replace) the append sink all later appends log through.
     /// The durable session installs it *after* WAL replay, so replayed
     /// appends are not re-logged.
     pub fn set_append_sink(&self, sink: Arc<dyn AppendSink>) {
-        *self.sink.write() = Some(sink);
+        *self.store.sink.write() = Some(sink);
     }
 
     /// Add `sink` *alongside* any already-installed sink instead of
@@ -147,7 +235,7 @@ impl IndexedTable {
     /// The views subsystem uses this to tap committed chunks for
     /// incremental maintenance without disturbing durability.
     pub fn add_append_sink(&self, sink: Arc<dyn AppendSink>) {
-        let mut slot = self.sink.write();
+        let mut slot = self.store.sink.write();
         *slot = Some(match slot.take() {
             None => sink,
             Some(existing) => Arc::new(crate::sink::FanoutSink::new(vec![existing, sink])),
@@ -159,7 +247,7 @@ impl IndexedTable {
     /// [`SinkStatus::ReadOnly`] with the cause; reads, snapshots and
     /// checkpoints are unaffected. A table with no sink is writable.
     pub fn write_status(&self) -> SinkStatus {
-        match self.sink.read().as_ref() {
+        match self.store.sink.read().as_ref() {
             Some(sink) => sink.status(),
             None => SinkStatus::Writable,
         }
@@ -172,7 +260,7 @@ impl IndexedTable {
     /// # Errors
     /// Fails on a payload that does not match the table's row layout.
     pub fn decode_payload(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        match self.partitions.first() {
+        match self.store.partitions.first() {
             Some(p) => p.decode_payload(payload),
             None => Err(EngineError::internal("table has no partitions")),
         }
@@ -194,55 +282,61 @@ impl IndexedTable {
 
     /// The table schema.
     pub fn schema(&self) -> SchemaRef {
-        Arc::clone(&self.schema)
+        Arc::clone(&self.store.schema)
     }
 
-    /// The indexed column position.
+    /// The column this handle's index keys.
     pub fn key_col(&self) -> usize {
-        self.key_col
+        self.store.key_cols[self.index]
     }
 
     /// The configuration.
     pub fn config(&self) -> &IndexConfig {
-        &self.config
+        &self.store.config
     }
 
     /// Number of hash partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
+        self.store.partitions.len()
     }
 
-    /// The partition a key routes to.
+    /// The partition a primary key routes to.
     pub fn partition_of(&self, key: &Value) -> usize {
-        (hash_values(std::slice::from_ref(key)) % self.partitions.len() as u64) as usize
+        (hash_values(std::slice::from_ref(key)) % self.store.partitions.len() as u64) as usize
     }
 
-    /// Partition handle (for the scan source and joins).
+    /// Partition handle.
     pub fn partition(&self, i: usize) -> &Arc<IndexedPartition> {
-        &self.partitions[i]
+        &self.store.partitions[i]
+    }
+
+    /// A snapshot of partition `i` whose lookups probe this handle's index
+    /// (for the scan source and joins).
+    pub fn partition_snapshot(&self, i: usize) -> PartitionSnapshot {
+        self.store.partitions[i].snapshot_for(self.index)
     }
 
     /// Append one row.
     pub fn append_row(&self, values: &[Value]) -> Result<()> {
-        if values.len() != self.schema.len() {
+        if values.len() != self.store.schema.len() {
             return Err(EngineError::internal(format!(
                 "row width {} vs schema width {}",
                 values.len(),
-                self.schema.len()
+                self.store.schema.len()
             )));
         }
-        let p = self.partition_of(&values[self.key_col]);
-        let _window = CommitWindowScope::enter(self);
-        let sink = self.sink.read().clone();
+        let p = self.partition_of(&values[self.primary_col()]);
+        let _window = CommitWindowScope::enter(&self.store);
+        let sink = self.store.sink.read().clone();
         match sink {
             // No durability attached: the original zero-extra-work path.
-            None => self.partitions[p].append_row(values),
+            None => self.store.partitions[p].append_row(values),
             // Durable path: validate/encode first, log, then publish —
             // same ordering contract as `append_chunk`.
             Some(sink) => {
-                let payload = self.partitions[p].encode_row(values)?;
+                let payload = self.store.partitions[p].encode_row(values)?;
                 let _guard = sink.begin_commit(&[payload.as_slice()])?;
-                self.partitions[p].append_encoded(&values[self.key_col], &payload)
+                self.store.partitions[p].append_encoded(&values[self.primary_col()], &payload)
             }
         }
     }
@@ -255,8 +349,10 @@ impl IndexedTable {
     /// earlier commit has published and a base-table read is a consistent
     /// seed point.
     pub fn commit_window(&self) -> usize {
-        // idf-lint: allow(atomics-audit) -- SeqCst read pairs with enter/exit so a closed gate never misses a parked append
-        self.commit_window.load(std::sync::atomic::Ordering::SeqCst)
+        self.store
+            .commit_window
+            // idf-lint: allow(atomics-audit) -- SeqCst read pairs with enter/exit so a closed gate never misses a parked append
+            .load(std::sync::atomic::Ordering::SeqCst)
     }
 
     /// Append every row of `chunk`, routing by key hash. Rows for distinct
@@ -270,16 +366,16 @@ impl IndexedTable {
     /// as it was. Phase 2 publish failures are partition-local by design —
     /// the same per-partition atomicity the snapshot contract documents.
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        if chunk.num_columns() != self.schema.len() {
+        if chunk.num_columns() != self.store.schema.len() {
             return Err(EngineError::type_err(format!(
                 "appended data has {} columns, table has {}",
                 chunk.num_columns(),
-                self.schema.len()
+                self.store.schema.len()
             )));
         }
-        let n = self.partitions.len();
+        let n = self.store.partitions.len();
         // Route rows.
-        let key_col = chunk.column(self.key_col);
+        let key_col = chunk.column(self.primary_col());
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
         for row in 0..chunk.len() {
             let key = key_col.value_at(row);
@@ -297,10 +393,10 @@ impl IndexedTable {
         // Phase 1: encode + validate every partition's rows in parallel,
         // touching no shared state.
         type Encoded = Vec<(Value, Vec<u8>)>;
-        let key_col_idx = self.key_col;
+        let key_col_idx = self.primary_col();
         let encode_bucket = |p: usize, rows: &[u32]| -> Result<(usize, Encoded)> {
             catch_panics(|| {
-                let partition = &self.partitions[p];
+                let partition = &self.store.partitions[p];
                 let sub = chunk.take(rows)?;
                 let mut encoded = Vec::with_capacity(sub.len());
                 for r in 0..sub.len() {
@@ -326,14 +422,14 @@ impl IndexedTable {
             results.into_iter().collect::<Result<_>>()?
         };
         // Commit point: past here rows start becoming visible.
-        let _window = CommitWindowScope::enter(self);
+        let _window = CommitWindowScope::enter(&self.store);
         crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
         // Log the whole validated chunk before anything becomes visible;
         // an abort at the commit point above leaves the WAL untouched, so
         // a failed append is never resurrected by recovery. The guard is
         // held through phase 2 so a checkpoint cannot truncate the WAL
         // under a commit that is logged but not yet published.
-        let sink = self.sink.read().clone();
+        let sink = self.store.sink.read().clone();
         let _guard = match &sink {
             Some(sink) => {
                 let rows: Vec<&[u8]> = encoded
@@ -347,7 +443,7 @@ impl IndexedTable {
         // Phase 2: publish per-partition, in parallel.
         let publish_bucket = |p: usize, encoded: &[(Value, Vec<u8>)]| -> Result<()> {
             catch_panics(|| {
-                let partition = &self.partitions[p];
+                let partition = &self.store.partitions[p];
                 for (key, payload) in encoded {
                     partition.append_encoded(key, payload)?;
                 }
@@ -373,16 +469,22 @@ impl IndexedTable {
         Ok(())
     }
 
-    /// Point lookup across the table (single-partition by hash routing).
+    /// Point lookup across the table: one partition through the primary
+    /// index (hash routing), every partition through any other.
     pub fn lookup_chunk(&self, key: &Value, projection: Option<&[usize]>) -> Result<Chunk> {
         if key.is_null() {
-            let cols = projection.map_or(self.schema.len(), <[usize]>::len);
+            let cols = projection.map_or(self.store.schema.len(), <[usize]>::len);
             let proj: Vec<usize> =
                 projection.map_or_else(|| (0..cols).collect(), <[usize]>::to_vec);
-            return Ok(Chunk::empty(&Arc::new(self.schema.project(&proj))));
+            return Ok(Chunk::empty(&Arc::new(self.store.schema.project(&proj))));
+        }
+        if !self.is_primary() {
+            return self.snapshot().lookup_chunk(key, projection);
         }
         let p = self.partition_of(key);
-        self.partitions[p].snapshot().lookup_chunk(key, projection)
+        self.store.partitions[p]
+            .snapshot()
+            .lookup_chunk(key, projection)
     }
 
     /// Batched point lookup: every key probed against **one** table-wide
@@ -398,33 +500,44 @@ impl IndexedTable {
 
     /// Total rows.
     pub fn row_count(&self) -> usize {
-        self.partitions.iter().map(|p| p.row_count()).sum()
+        self.store.partitions.iter().map(|p| p.row_count()).sum()
     }
 
-    /// Consistent snapshot of every partition.
+    /// Consistent snapshot of every partition, probing this handle's
+    /// index.
     pub fn snapshot(&self) -> TableSnapshot {
         TableSnapshot {
-            schema: Arc::clone(&self.schema),
-            key_col: self.key_col,
-            partitions: self.partitions.iter().map(|p| p.snapshot()).collect(),
+            schema: Arc::clone(&self.store.schema),
+            key_col: self.key_col(),
+            primary: self.is_primary(),
+            partitions: (0..self.num_partitions())
+                .map(|p| self.partition_snapshot(p))
+                .collect(),
         }
     }
 
-    /// Aggregated memory accounting.
+    /// Aggregated memory accounting of this handle: the primary handle
+    /// reports every committed row byte (every index's backward pointers
+    /// included), any other handle none — the rows are counted once per
+    /// table — and each handle its own index's entries. Row, tombstone and
+    /// dead-row counts describe the shared rows on every handle.
     pub fn memory_stats(&self) -> PartitionMemory {
-        let mut total = PartitionMemory {
-            data_bytes: 0,
-            reserved_bytes: 0,
-            index_entries: 0,
-            rows: 0,
-            tombstones: 0,
-            dead_rows: 0,
-        };
-        for p in &self.partitions {
+        let mut total = self.store_stats();
+        if !self.is_primary() {
+            total.data_bytes = 0;
+            total.reserved_bytes = 0;
+        }
+        total
+    }
+
+    /// [`Self::memory_stats`] with the store's bytes on every handle.
+    pub(crate) fn store_stats(&self) -> PartitionMemory {
+        let mut total = PartitionMemory::default();
+        for p in &self.store.partitions {
             let m = p.memory_stats();
             total.data_bytes += m.data_bytes;
             total.reserved_bytes += m.reserved_bytes;
-            total.index_entries += m.index_entries;
+            total.index_entries += p.key_count(self.index);
             total.rows += m.rows;
             total.tombstones += m.tombstones;
             total.dead_rows += m.dead_rows;
@@ -456,16 +569,16 @@ impl IndexedTable {
     /// it simply does not count toward rows-affected.
     pub fn apply_dml(&self, deletes: &[Vec<Value>], inserts: &[Vec<Value>]) -> Result<usize> {
         for row in deletes.iter().chain(inserts.iter()) {
-            if row.len() != self.schema.len() {
+            if row.len() != self.store.schema.len() {
                 return Err(EngineError::internal(format!(
                     "DML row width {} vs schema width {}",
                     row.len(),
-                    self.schema.len()
+                    self.store.schema.len()
                 )));
             }
         }
         for row in deletes {
-            if row[self.key_col].is_null() {
+            if row[self.primary_col()].is_null() {
                 return Err(EngineError::exec(
                     "DML cannot address rows whose index key is NULL",
                 ));
@@ -474,12 +587,12 @@ impl IndexedTable {
         if deletes.is_empty() && inserts.is_empty() {
             return Ok(0);
         }
-        let n = self.partitions.len();
+        let n = self.store.partitions.len();
         // Group deletes per partition, per key (first-occurrence order so
         // the commit is deterministic for a given statement).
         let mut del_groups: Vec<Vec<(Value, Vec<Vec<Value>>)>> = vec![Vec::new(); n];
         for row in deletes {
-            let key = &row[self.key_col];
+            let key = &row[self.primary_col()];
             let p = self.partition_of(key);
             match del_groups[p].iter_mut().find(|(k, _)| k == key) {
                 Some((_, rows)) => rows.push(row.clone()),
@@ -488,10 +601,10 @@ impl IndexedTable {
         }
         let mut ins_groups: Vec<Vec<&Vec<Value>>> = vec![Vec::new(); n];
         for row in inserts {
-            ins_groups[self.partition_of(&row[self.key_col])].push(row);
+            ins_groups[self.partition_of(&row[self.primary_col()])].push(row);
         }
         // One statement at a time; see the field doc on `dml_lock`.
-        let _stmt = self.dml_lock.lock();
+        let _stmt = self.store.dml_lock.lock();
         // Block writers on every touched partition for the whole
         // read-compute-publish cycle so the survivor set cannot go stale
         // between computing it and republishing it. Readers are never
@@ -501,7 +614,7 @@ impl IndexedTable {
             .collect();
         let _locks: Vec<_> = touched
             .iter()
-            .map(|&p| self.partitions[p].lock_appends())
+            .map(|&p| self.store.partitions[p].lock_appends())
             .collect();
         // Phase 1: with the chains frozen, compute survivors and encode
         // every payload. Nothing shared is touched; an error here leaves
@@ -509,7 +622,7 @@ impl IndexedTable {
         let mut rows_affected = 0usize;
         let mut ops: Vec<Vec<(Value, Vec<u8>, RowKind)>> = vec![Vec::new(); n];
         for &p in &touched {
-            let partition = &self.partitions[p];
+            let partition = &self.store.partitions[p];
             for (key, rows) in &del_groups[p] {
                 let visible = partition.visible_rows_locked(key)?;
                 let mut pending: Vec<&Vec<Value>> = rows.iter().collect();
@@ -531,8 +644,8 @@ impl IndexedTable {
                     continue;
                 }
                 rows_affected += matched;
-                let mut tomb_vals = vec![Value::Null; self.schema.len()];
-                tomb_vals[self.key_col] = key.clone();
+                let mut tomb_vals = vec![Value::Null; self.store.schema.len()];
+                tomb_vals[self.primary_col()] = key.clone();
                 let tomb = partition.encode_row(&tomb_vals)?;
                 ops[p].push((key.clone(), tomb, RowKind::Tombstone));
                 for v in survivors.iter().rev() {
@@ -541,7 +654,7 @@ impl IndexedTable {
             }
             for row in &ins_groups[p] {
                 let payload = partition.encode_row(row)?;
-                ops[p].push((row[self.key_col].clone(), payload, RowKind::Data));
+                ops[p].push((row[self.primary_col()].clone(), payload, RowKind::Data));
             }
         }
         if ops.iter().all(Vec::is_empty) {
@@ -550,9 +663,9 @@ impl IndexedTable {
         // Commit point: log the whole statement as ONE kind-tagged record,
         // then publish under the already-held append locks. An abort at
         // the failpoint leaves neither memory nor WAL touched.
-        let _window = CommitWindowScope::enter(self);
+        let _window = CommitWindowScope::enter(&self.store);
         crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
-        let sink = self.sink.read().clone();
+        let sink = self.store.sink.read().clone();
         let _guard = match &sink {
             Some(sink) => {
                 let mut rows: Vec<&[u8]> = Vec::new();
@@ -570,7 +683,7 @@ impl IndexedTable {
         // Phase 2: publish, partitions in ascending order, each
         // partition's ops in statement order.
         for &p in &touched {
-            let partition = &self.partitions[p];
+            let partition = &self.store.partitions[p];
             for (key, payload, kind) in &ops[p] {
                 partition.publish_locked_kind(key, payload, *kind)?;
             }
@@ -593,9 +706,9 @@ impl IndexedTable {
         }
         for (payload, kind) in payloads.iter().zip(kinds) {
             let values = self.decode_payload(payload)?;
-            let key = &values[self.key_col];
+            let key = &values[self.primary_col()];
             let p = self.partition_of(key);
-            self.partitions[p].append_encoded_kind(key, payload, *kind)?;
+            self.store.partitions[p].append_encoded_kind(key, payload, *kind)?;
         }
         Ok(())
     }
@@ -616,7 +729,7 @@ impl IndexedTable {
     /// partition swap is individually atomic).
     pub fn compact_with(&self, pre_swap: &dyn Fn() -> Result<()>) -> Result<CompactStats> {
         let mut total = CompactStats::default();
-        for p in &self.partitions {
+        for p in &self.store.partitions {
             total.merge(&p.compact(pre_swap)?);
         }
         Ok(total)
@@ -640,8 +753,8 @@ impl std::fmt::Debug for IndexedTable {
         write!(
             f,
             "IndexedTable(key={}, partitions={}, rows={})",
-            self.schema.field(self.key_col).name,
-            self.partitions.len(),
+            self.store.schema.field(self.key_col()).name,
+            self.store.partitions.len(),
             self.row_count()
         )
     }
@@ -663,9 +776,15 @@ impl std::fmt::Debug for IndexedTable {
 /// versioned RDD block. Appends routed to a single partition (every row of
 /// one key, since routing hashes the key) are therefore always observed
 /// atomically; only *cross-partition* batches can be observed partially.
+///
+/// Lookups probe the index of the handle that took the snapshot: one
+/// partition per key through the primary index, every partition through
+/// any other (its keys are not routed).
 pub struct TableSnapshot {
     schema: SchemaRef,
     key_col: usize,
+    /// Whether lookups probe the primary index.
+    primary: bool,
     partitions: Vec<PartitionSnapshot>,
 }
 
@@ -675,7 +794,7 @@ impl TableSnapshot {
         Arc::clone(&self.schema)
     }
 
-    /// The indexed column position.
+    /// The probed index's column position.
     pub fn key_col(&self) -> usize {
         self.key_col
     }
@@ -687,6 +806,14 @@ impl TableSnapshot {
 
     /// Point lookup within the snapshot.
     pub fn lookup_chunk(&self, key: &Value, projection: Option<&[usize]>) -> Result<Chunk> {
+        if !self.primary {
+            let chunks = self
+                .partitions
+                .iter()
+                .map(|p| p.lookup_chunk(key, projection))
+                .collect::<Result<Vec<_>>>()?;
+            return Chunk::concat(&chunks);
+        }
         let p = (hash_values(std::slice::from_ref(key)) % self.partitions.len() as u64) as usize;
         self.partitions[p].lookup_chunk(key, projection)
     }
@@ -695,8 +822,9 @@ impl TableSnapshot {
     /// return all matching rows as a single chunk.
     ///
     /// Keys are deduplicated (and NULLs dropped — a NULL never equals any
-    /// indexed key), grouped by their hash partition, and the involved
-    /// partitions are probed **in parallel**, each sharing one set of
+    /// indexed key), grouped by their hash partition (every partition
+    /// takes every key through an index other than the primary), and the
+    /// involved partitions are probed **in parallel**, each sharing one set of
     /// column builders across all of its keys. Row order: grouped by
     /// partition in partition order; within a partition, keys in
     /// first-occurrence order, each key's chain latest-first. Callers that
@@ -723,8 +851,12 @@ impl TableSnapshot {
             if key.is_null() || !seen.insert(key) {
                 continue;
             }
-            let p = (hash_values(std::slice::from_ref(key)) % n as u64) as usize;
-            buckets[p].push(key);
+            if self.primary {
+                let p = (hash_values(std::slice::from_ref(key)) % n as u64) as usize;
+                buckets[p].push(key);
+            } else {
+                buckets.iter_mut().for_each(|b| b.push(key));
+            }
         }
         let involved: Vec<(usize, Vec<Value>)> = buckets
             .into_iter()

@@ -94,6 +94,12 @@ pub trait TableSource: Send + Sync {
         None
     }
 
+    /// The column whose index answers this source's pushed filters, if
+    /// any — named in `EXPLAIN` beside the filters it probes for.
+    fn indexed_by(&self) -> Option<usize> {
+        None
+    }
+
     /// Scan one partition under a query lifecycle token. Sources that run
     /// long per-partition work (index probes, large decodes) should
     /// override this to check `query` for cancellation between units of

@@ -118,6 +118,9 @@ impl ExecutionPlan for SourceScanExec {
             s.push_str(&format!(" projection={p:?}"));
         }
         if !self.filters.is_empty() {
+            if let Some(c) = self.source.indexed_by() {
+                s.push_str(&format!(" index={}", self.source.schema().field(c).name));
+            }
             let fs: Vec<String> = self.filters.iter().map(|f| f.to_string()).collect();
             s.push_str(&format!(" pushed=[{}]", fs.join(", ")));
         }
