@@ -4,11 +4,9 @@
 //! ```text
 //! harness fig2    [--scale S] [--runs N]     Figure 2 operator comparison
 //! harness fig3    [--scale S] [--runs N]     Figure 3 SNB short reads
-//! harness complex [--scale S] [--runs N]     CQ1-CQ3 complex reads (supplementary)
 //! harness speedup [--runs N]                 §5 "up to 8×" scale sweep
 //! harness memory  [--scale S]                ABL-MEM memory overhead
-//! harness lookup  [--scale S]                BENCH-lookup point-lookup path (writes BENCH_lookup.json)
-//! harness recovery [--scale S]               BENCH-recovery durability costs (writes BENCH_recovery.json)
+//! harness recovery [--scale S]               BENCH-recovery cold open: checkpoint vs WAL replay (writes BENCH_recovery.json)
 //! harness serve   [--scale S] [--clients N] [--secs S]
 //!                                            BENCH-serve wire-protocol load (writes BENCH_serve.json)
 //! harness views   [--scale S]                BENCH-views materialized views on the update stream (writes BENCH_views.json)
@@ -16,11 +14,13 @@
 //! harness all     [--scale S] [--runs N]     everything above
 //! ```
 //!
-//! Use `--release` for meaningful numbers.
+//! Point-lookup latency and commit latency are gated by the repo
+//! benchmark (`benchmark/`), not here. Use `--release` for meaningful
+//! numbers.
 
 use idf_bench::workload::Workload;
 use idf_bench::{
-    compact_bench, fig2, fig3, lookup, memory, recovery, render_comparisons, serve_bench, speedup,
+    compact_bench, fig2, fig3, memory, recovery, render_comparisons, serve_bench, speedup,
     views_bench,
 };
 
@@ -82,7 +82,7 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: harness [fig2|fig3|complex|speedup|memory|lookup|recovery|serve|views|compact|all] \
+        "usage: harness [fig2|fig3|speedup|memory|recovery|serve|views|compact|all] \
          [--scale S] [--runs N] [--clients N] [--secs S] [--json]"
     );
     std::process::exit(2);
@@ -148,28 +148,6 @@ fn main() {
                     );
                 }
             }
-            "complex" => {
-                eprintln!(
-                    "# COMPLEX: building scale {} dataset (both modes)...",
-                    args.scale
-                );
-                let w = Workload::new(args.scale)?;
-                let rows = fig3::run_complex(&w, args.runs, 8)?;
-                if args.json {
-                    println!("{}", idf_bench::json::to_string_pretty(&rows));
-                } else {
-                    println!(
-                        "{}",
-                        render_comparisons(
-                            &format!(
-                                "COMPLEX: LDBC-IC-style reads CQ1-CQ3 (scale {},                                  8 bindings per query)",
-                                args.scale
-                            ),
-                            &rows
-                        )
-                    );
-                }
-            }
             "speedup" => {
                 eprintln!("# CLAIM-8X: sweeping scales...");
                 let scales = [0.5, 1.0, 2.0, 4.0, 8.0];
@@ -178,23 +156,6 @@ fn main() {
                     println!("{}", idf_bench::json::to_string_pretty(&points));
                 } else {
                     println!("{}", speedup::render(&points));
-                }
-            }
-            "lookup" => {
-                eprintln!(
-                    "# BENCH-lookup: building {} rows...",
-                    ((args.scale * 125_000.0) as usize).max(1_000) * 4
-                );
-                let report = lookup::run(&lookup::LookupConfig::for_scale(args.scale))?;
-                let json = idf_bench::json::to_string_pretty(&report);
-                std::fs::write("BENCH_lookup.json", format!("{json}\n")).map_err(|e| {
-                    idf_engine::error::EngineError::exec(format!("writing BENCH_lookup.json: {e}"))
-                })?;
-                eprintln!("# wrote BENCH_lookup.json");
-                if args.json {
-                    println!("{json}");
-                } else {
-                    println!("{}", lookup::render(&report));
                 }
             }
             "recovery" => {
@@ -284,8 +245,7 @@ fn main() {
     };
     let commands: Vec<String> = match args.command.as_str() {
         "all" => [
-            "fig2", "fig3", "complex", "speedup", "memory", "lookup", "recovery", "serve", "views",
-            "compact",
+            "fig2", "fig3", "speedup", "memory", "recovery", "serve", "views", "compact",
         ]
         .into_iter()
         .map(String::from)

@@ -14,10 +14,15 @@
 //! cargo run --release -p idf-bench --bin obs_overhead --no-default-features --features failpoints
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use idf_bench::lookup::build_table;
-use idf_engine::types::Value;
+use idf_core::prelude::*;
+use idf_engine::chunk::Chunk;
+use idf_engine::error::Result;
+use idf_engine::prelude::Session;
+use idf_engine::schema::{Field, Schema};
+use idf_engine::types::{DataType, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,6 +31,29 @@ const VERSIONS: usize = 4;
 const WARMUP: usize = 20_000;
 const PROBES: usize = 200_000;
 const ROUNDS: usize = 9;
+
+/// The probe table: `(k Int64, v Int64)` indexed on `k`, `versions`
+/// chained rows per key.
+fn build_table(n_keys: usize, versions: usize) -> Result<IndexedDataFrame> {
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("v", DataType::Int64),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..versions as i64)
+        .flat_map(|ver| {
+            (0..n_keys as i64)
+                .map(move |k| vec![Value::Int64(k), Value::Int64(ver * n_keys as i64 + k)])
+        })
+        .collect();
+    let chunk = Chunk::from_rows(&schema, &rows)?;
+    let table = Arc::new(IndexedTable::from_chunk(
+        schema,
+        0,
+        IndexConfig::default(),
+        &chunk,
+    )?);
+    Ok(IndexedDataFrame::from_table(Session::new(), table))
+}
 
 fn main() {
     let idf = build_table(KEYS, VERSIONS).expect("building the probe table");

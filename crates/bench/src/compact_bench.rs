@@ -30,6 +30,8 @@ use idf_engine::error::{EngineError, Result};
 use idf_engine::prelude::Session;
 use idf_engine::types::Value;
 
+use crate::percentile_us;
+
 /// When set, the process is a crash-leg child: it churns a durable
 /// store, then loops `COMPACT` until SIGKILLed (see [`crash_child_entry`]).
 pub const CRASH_DIR_ENV: &str = "IDF_COMPACT_BENCH_CHILD";
@@ -319,14 +321,6 @@ fn probe_ns(table: &IndexedTable, keys: usize, probes: usize) -> Result<Vec<u64>
     Ok(ns)
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)] as f64 / 1e3
-}
-
 fn write_atomic(dir: &Path, name: &str, value: &str) {
     let tmp = dir.join(format!("{name}.tmp"));
     let dst = dir.join(name);
@@ -581,19 +575,19 @@ pub fn run(cfg: &CompactBenchConfig) -> Result<CompactBenchReport> {
         mem_growth_no_compact: mem_last as f64 / mem_first.max(1) as f64,
         chain_p99_pre,
         chain_p99_post,
-        lookup_pre_p99_us: percentile_us(&pre_ns, 99.0),
+        lookup_pre_p99_us: percentile_us(&pre_ns, 0.99),
         compact_ms,
         rows_reclaimed,
         bytes_reclaimed,
         mem_after_compact_bytes: mem_after_compact,
-        lookup_p50_us: percentile_us(&post_ns, 50.0),
-        lookup_p99_us: percentile_us(&post_ns, 99.0),
+        lookup_p50_us: percentile_us(&post_ns, 0.5),
+        lookup_p99_us: percentile_us(&post_ns, 0.99),
         steady_rounds: cfg.steady_rounds,
         steady_mem_first_bytes: steady_first,
         steady_mem_last_bytes: steady_last,
         steady_mem_growth: steady_last as f64 / steady_first.max(1) as f64,
-        steady_lookup_p50_us: percentile_us(&during_ns, 50.0),
-        steady_lookup_p99_us: percentile_us(&during_ns, 99.0),
+        steady_lookup_p50_us: percentile_us(&during_ns, 0.5),
+        steady_lookup_p99_us: percentile_us(&during_ns, 0.99),
         background_cycles,
         background_runs,
         obs_enabled: idf_obs::enabled(),

@@ -65,59 +65,9 @@ pub fn run(w: &Workload, runs: usize, param_count: usize) -> Result<Vec<Comparis
     Ok(out)
 }
 
-/// The three LDBC-IC-style complex reads (CQ1–CQ3): the multi-hop
-/// traversals the demo's dashboard also runs, exercising *chained* indexed
-/// joins. Not part of the paper's Figure 3 — reported by
-/// `harness complex` as supplementary evidence.
-pub fn run_complex(w: &Workload, runs: usize, param_count: usize) -> Result<Vec<Comparison>> {
-    use idf_snb::{cq1, cq2, cq3};
-    type QueryFn =
-        fn(&idf_engine::prelude::Session, &QueryParams) -> Result<idf_engine::dataframe::DataFrame>;
-    let queries: [(&str, QueryFn); 3] = [("CQ1", cq1), ("CQ2", cq2), ("CQ3", cq3)];
-    let bindings = params(w, param_count);
-    let mut out = Vec::new();
-    for (label, q) in queries {
-        let indexed: Vec<_> = bindings
-            .iter()
-            .map(|p| q(&w.indexed, p))
-            .collect::<Result<_>>()?;
-        let vanilla: Vec<_> = bindings
-            .iter()
-            .map(|p| q(&w.vanilla, p))
-            .collect::<Result<_>>()?;
-        let rows_indexed: usize = indexed.iter().map(|df| df.count()).sum::<Result<usize>>()?;
-        let rows_vanilla: usize = vanilla.iter().map(|df| df.count()).sum::<Result<usize>>()?;
-        assert_eq!(rows_indexed, rows_vanilla, "{label} diverged");
-        let indexed_ms = median_ms(runs, || {
-            for df in &indexed {
-                df.collect().expect("indexed CQ failed");
-            }
-        });
-        let vanilla_ms = median_ms(runs, || {
-            for df in &vanilla {
-                df.collect().expect("vanilla CQ failed");
-            }
-        });
-        out.push(Comparison {
-            label: label.to_string(),
-            indexed_ms,
-            vanilla_ms,
-            rows: rows_indexed,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn complex_reads_run_and_agree() {
-        let w = Workload::new(0.05).unwrap();
-        let rows = run_complex(&w, 1, 2).unwrap();
-        assert_eq!(rows.len(), 3);
-    }
 
     #[test]
     fn all_short_reads_run_and_agree() {

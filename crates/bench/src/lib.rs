@@ -5,11 +5,9 @@
 //! * [`fig2`] — Figure 2: SQL operators, Indexed DataFrame vs vanilla.
 //! * [`fig3`] — Figure 3: SNB simple reads SQ1–SQ7, both modes.
 //! * [`speedup`] — the §5 "up to 8× speed-ups" claim, swept over scale.
-//! * [`lookup`] — BENCH-lookup: the point-lookup hot path (single-key
-//!   p50/p99, batched probe throughput, lookup-under-append).
 //! * [`memory`] — ABL-MEM: memory overhead of the indexed representation.
-//! * [`recovery`] — BENCH-recovery: WAL append throughput per durability
-//!   level, group-commit latency, checkpoint-restore vs full-WAL-replay.
+//! * [`recovery`] — BENCH-recovery: cold open from a checkpoint vs a
+//!   full WAL replay.
 //! * [`serve_bench`] — BENCH-serve: closed-loop wire-protocol load
 //!   (p50/p99/p999 latency and saturation throughput vs client count).
 //! * [`compact_bench`] — BENCH-compact: DML churn + background
@@ -31,7 +29,6 @@ pub mod compact_bench;
 pub mod fig2;
 pub mod fig3;
 pub mod json;
-pub mod lookup;
 pub mod memory;
 pub mod meta;
 pub mod recovery;
@@ -55,6 +52,17 @@ pub fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut times: Vec<f64> = (0..runs.max(1)).map(|_| time_ms(&mut f).0).collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// The `q`-quantile (a fraction: `0.5` is the median, `0.99` the p99) of
+/// ascending nanosecond samples, in µs; 0 for no samples. The rank is
+/// `q · (n − 1)` rounded to the nearest sample.
+pub fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
+    let Some(last) = sorted_ns.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let rank = ((last as f64 * q).round() as usize).min(last);
+    sorted_ns[rank] as f64 / 1e3
 }
 
 /// A labelled (indexed vs vanilla) measurement.
@@ -127,6 +135,17 @@ mod tests {
         });
         assert!(m >= 0.0);
         assert_eq!(calls, 6, "5 runs + warmup");
+    }
+
+    #[test]
+    fn percentile_takes_a_fraction() {
+        assert_eq!(percentile_us(&[], 0.5), 0.0);
+        let ns: Vec<u64> = (1..=101).map(|i| i * 1_000).collect();
+        assert_eq!(percentile_us(&ns, 0.0), 1.0);
+        assert_eq!(percentile_us(&ns, 1.0), 101.0);
+        assert_eq!(percentile_us(&ns, 0.5), 51.0);
+        assert_eq!(percentile_us(&ns, 0.99), 100.0);
+        assert_eq!(percentile_us(&[7_000], 0.99), 7.0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! **BENCH-recovery** — the durability layer's cost/benefit envelope:
-//! WAL append throughput at each [`DurabilityLevel`], group-commit
-//! latency under concurrent committers (p50/p99 plus the measured
-//! fsync-coalescing factor), and recovery time restoring from a
-//! checkpoint versus replaying the full WAL. The numbers land in
-//! `BENCH_recovery.json` via `harness recovery`.
+//! **BENCH-recovery** — what a checkpoint buys at cold open: the time to
+//! reopen a store by replaying its whole WAL versus restoring the same
+//! rows from a checkpoint. The numbers land in `BENCH_recovery.json` via
+//! `harness recovery`. Commit latency and fsync coalescing under load are
+//! the repo benchmark's `served-mixed` workload (`durable.commit_us`,
+//! `durable.commits_per_fsync`).
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use idf_core::config::IndexConfig;
@@ -24,12 +23,6 @@ pub struct RecoveryConfig {
     pub rows: usize,
     /// Rows per appended chunk in the recovery corpus.
     pub chunk_rows: usize,
-    /// Single-row appends timed per durability level.
-    pub appends_per_level: usize,
-    /// Concurrent committers in the group-commit measurement.
-    pub writers: usize,
-    /// Appends per committer in the group-commit measurement.
-    pub appends_per_writer: usize,
 }
 
 impl RecoveryConfig {
@@ -38,9 +31,6 @@ impl RecoveryConfig {
         RecoveryConfig {
             rows: ((scale * 500_000.0) as usize).max(20_000),
             chunk_rows: 10_000,
-            appends_per_level: 1_500,
-            writers: 8,
-            appends_per_writer: 150,
         }
     }
 }
@@ -49,21 +39,6 @@ impl RecoveryConfig {
 /// payload).
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
-    /// Single-row append throughput with durability off (the baseline).
-    pub none_rows_per_sec: f64,
-    /// Single-row append throughput at `Async` (logged, not awaited).
-    pub async_rows_per_sec: f64,
-    /// Single-row append throughput at `Sync` (fsync before ack).
-    pub sync_rows_per_sec: f64,
-    /// Concurrent committers in the group-commit measurement.
-    pub writers: usize,
-    /// `Sync` commit latency median under concurrency (µs).
-    pub group_commit_p50_us: f64,
-    /// `Sync` commit latency 99th percentile under concurrency (µs).
-    pub group_commit_p99_us: f64,
-    /// Commits per fsync observed in the concurrent phase (1.0 means no
-    /// coalescing; requires `obs`, 0.0 otherwise).
-    pub commits_per_fsync: f64,
     /// Rows in the recovery corpus.
     pub rows: usize,
     /// Cold-open time replaying the whole corpus from the WAL (ms).
@@ -82,13 +57,6 @@ impl crate::json::ToJson for RecoveryReport {
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
         Json::obj([
-            ("none_rows_per_sec", Json::Num(self.none_rows_per_sec)),
-            ("async_rows_per_sec", Json::Num(self.async_rows_per_sec)),
-            ("sync_rows_per_sec", Json::Num(self.sync_rows_per_sec)),
-            ("writers", Json::Int(self.writers as i64)),
-            ("group_commit_p50_us", Json::Num(self.group_commit_p50_us)),
-            ("group_commit_p99_us", Json::Num(self.group_commit_p99_us)),
-            ("commits_per_fsync", Json::Num(self.commits_per_fsync)),
             ("rows", Json::Int(self.rows as i64)),
             ("replay_open_ms", Json::Num(self.replay_open_ms)),
             ("checkpoint_open_ms", Json::Num(self.checkpoint_open_ms)),
@@ -106,93 +74,26 @@ fn schema() -> SchemaRef {
     ]))
 }
 
-fn engine_config(dir: &std::path::Path, level: DurabilityLevel) -> EngineConfig {
-    EngineConfig {
+fn open(dir: &std::path::Path) -> Result<DurableSession> {
+    DurableSession::open(EngineConfig {
         data_dir: Some(dir.to_path_buf()),
-        durability: level,
+        durability: DurabilityLevel::Async,
         ..EngineConfig::default()
-    }
-}
-
-fn create(sess: &DurableSession) -> Result<idf_core::api::IndexedDataFrame> {
-    sess.create_table("t", schema(), 0, IndexConfig::default())
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)] as f64 / 1e3
-}
-
-/// Timed single-row appends against a fresh store at `level`.
-fn append_throughput(level: DurabilityLevel, appends: usize) -> Result<f64> {
-    let dir = TempDir::new("bench-wal-level");
-    let sess = DurableSession::open(engine_config(dir.path(), level))?;
-    let df = create(&sess)?;
-    let start = Instant::now();
-    for i in 0..appends as i64 {
-        df.append_row(&[Value::Int64(i), Value::Int64(i)])?;
-    }
-    Ok(appends as f64 / start.elapsed().as_secs_f64())
-}
-
-/// `Sync` commit latencies under `writers` concurrent committers, plus
-/// the commits-per-fsync coalescing factor.
-fn group_commit(writers: usize, appends_per_writer: usize) -> Result<(Vec<u64>, f64)> {
-    let dir = TempDir::new("bench-group");
-    let sess = DurableSession::open(engine_config(dir.path(), DurabilityLevel::Sync))?;
-    let df = create(&sess)?;
-    let fsyncs0 = idf_obs::global().wal_fsyncs.get();
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| -> Result<()> {
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let df = df.clone();
-                let latencies = &latencies;
-                s.spawn(move || -> Result<()> {
-                    let mut local = Vec::with_capacity(appends_per_writer);
-                    for i in 0..appends_per_writer {
-                        let v = (w * appends_per_writer + i) as i64;
-                        let start = Instant::now();
-                        df.append_row(&[Value::Int64(v), Value::Int64(v)])?;
-                        local.push(start.elapsed().as_nanos() as u64);
-                    }
-                    latencies.lock().unwrap().extend(local);
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("group-commit writer panicked")?;
-        }
-        Ok(())
-    })?;
-    let commits = (writers * appends_per_writer) as f64;
-    let fsyncs = idf_obs::global().wal_fsyncs.get() - fsyncs0;
-    let commits_per_fsync = if idf_obs::enabled() && fsyncs > 0 {
-        commits / fsyncs as f64
-    } else {
-        0.0
-    };
-    let mut ns = latencies.into_inner().unwrap();
-    ns.sort_unstable();
-    Ok((ns, commits_per_fsync))
+    })
 }
 
 /// Build the recovery corpus at `Async` (clean drop flushes the queue),
 /// then time a cold open against the pure-WAL store and the checkpointed
 /// store.
-fn recovery_times(rows: usize, chunk_rows: usize) -> Result<(f64, f64)> {
+pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryReport> {
     let dir = TempDir::new("bench-recovery");
     {
-        let sess = DurableSession::open(engine_config(dir.path(), DurabilityLevel::Async))?;
-        let df = create(&sess)?;
+        let sess = open(dir.path())?;
+        let df = sess.create_table("t", schema(), 0, IndexConfig::default())?;
         let schema = schema();
         let mut v = 0i64;
-        while (v as usize) < rows {
-            let n = chunk_rows.min(rows - v as usize);
+        while (v as usize) < cfg.rows {
+            let n = cfg.chunk_rows.min(cfg.rows - v as usize);
             let batch: Vec<Vec<Value>> = (v..v + n as i64)
                 .map(|i| vec![Value::Int64(i % 100_000), Value::Int64(i)])
                 .collect();
@@ -202,33 +103,16 @@ fn recovery_times(rows: usize, chunk_rows: usize) -> Result<(f64, f64)> {
         }
     }
     let start = Instant::now();
-    let sess = DurableSession::open(engine_config(dir.path(), DurabilityLevel::Async))?;
+    let sess = open(dir.path())?;
     let replay_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(sess.dataframe("t")?.row_count(), rows);
+    assert_eq!(sess.dataframe("t")?.row_count(), cfg.rows);
     sess.checkpoint(Some("t"))?;
     drop(sess);
     let start = Instant::now();
-    let sess = DurableSession::open(engine_config(dir.path(), DurabilityLevel::Async))?;
+    let sess = open(dir.path())?;
     let checkpoint_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(sess.dataframe("t")?.row_count(), rows);
-    Ok((replay_ms, checkpoint_ms))
-}
-
-/// Run the full recovery benchmark.
-pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryReport> {
-    let none = append_throughput(DurabilityLevel::None, cfg.appends_per_level)?;
-    let asynch = append_throughput(DurabilityLevel::Async, cfg.appends_per_level)?;
-    let sync = append_throughput(DurabilityLevel::Sync, cfg.appends_per_level)?;
-    let (group_ns, commits_per_fsync) = group_commit(cfg.writers, cfg.appends_per_writer)?;
-    let (replay_ms, checkpoint_ms) = recovery_times(cfg.rows, cfg.chunk_rows)?;
+    assert_eq!(sess.dataframe("t")?.row_count(), cfg.rows);
     Ok(RecoveryReport {
-        none_rows_per_sec: none,
-        async_rows_per_sec: asynch,
-        sync_rows_per_sec: sync,
-        writers: cfg.writers,
-        group_commit_p50_us: percentile_us(&group_ns, 50.0),
-        group_commit_p99_us: percentile_us(&group_ns, 99.0),
-        commits_per_fsync,
         rows: cfg.rows,
         replay_open_ms: replay_ms,
         checkpoint_open_ms: checkpoint_ms,
@@ -241,21 +125,9 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryReport> {
 /// Human-readable rendering of a [`RecoveryReport`].
 pub fn render(r: &RecoveryReport) -> String {
     format!(
-        "BENCH-recovery (corpus {} rows, {} writers)\n\
-         wal append rows/s     none {:>10.0} | async {:>10.0} | sync {:>10.0}\n\
-         sync commit latency   p50 {:.1} us | p99 {:.1} us | {:.1} commits/fsync\n\
+        "BENCH-recovery (corpus {} rows)\n\
          cold open             replay {:.1} ms | checkpoint {:.1} ms | speedup {:.1}x",
-        r.rows,
-        r.writers,
-        r.none_rows_per_sec,
-        r.async_rows_per_sec,
-        r.sync_rows_per_sec,
-        r.group_commit_p50_us,
-        r.group_commit_p99_us,
-        r.commits_per_fsync,
-        r.replay_open_ms,
-        r.checkpoint_open_ms,
-        r.checkpoint_speedup
+        r.rows, r.replay_open_ms, r.checkpoint_open_ms, r.checkpoint_speedup
     )
 }
 
@@ -268,17 +140,11 @@ mod tests {
         let cfg = RecoveryConfig {
             rows: 2_000,
             chunk_rows: 500,
-            appends_per_level: 50,
-            writers: 4,
-            appends_per_writer: 10,
         };
         let r = run(&cfg).unwrap();
-        assert!(r.none_rows_per_sec > 0.0);
-        assert!(r.async_rows_per_sec > 0.0);
-        assert!(r.sync_rows_per_sec > 0.0);
         assert!(r.replay_open_ms > 0.0 && r.checkpoint_open_ms > 0.0);
         let json = crate::json::to_string_pretty(&r);
-        for key in ["sync_rows_per_sec", "checkpoint_speedup", "rows"] {
+        for key in ["checkpoint_speedup", "replay_open_ms", "rows"] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
     }

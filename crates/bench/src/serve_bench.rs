@@ -20,6 +20,10 @@ use idf_serve::{Client, ClientError, ErrorCode, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+// Percentiles come from raw samples: the 64-bucket obs histogram is too
+// coarse for p999.
+use crate::percentile_us;
+
 /// Workload shape for one service-layer load run.
 #[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
@@ -161,16 +165,6 @@ impl crate::json::ToJson for ServeReport {
     }
 }
 
-/// Latency percentile over raw nanosecond samples (the 64-bucket obs
-/// histogram is too coarse for p999, so the bench keeps every sample).
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1_000.0
-}
-
 const CLASS_LOOKUP: usize = 0;
 const CLASS_APPEND: usize = 1;
 const CLASS_JOIN: usize = 2;
@@ -270,6 +264,21 @@ fn client_loop(
     tally
 }
 
+/// The client counts the sweep runs, ascending and capped at `max`: one
+/// client, a quarter of `max` (at least two), and `max`. Contention shape
+/// changes with client count; the saturation point is the best qps
+/// across the sweep.
+fn client_sweep(max: usize) -> Vec<usize> {
+    let max = max.max(1);
+    let mut sweep: Vec<usize> = [1, (max / 4).max(2), max]
+        .into_iter()
+        .map(|c| c.min(max))
+        .collect();
+    sweep.sort_unstable();
+    sweep.dedup();
+    sweep
+}
+
 /// Build the shared state, run the client sweep, drain, and report.
 pub fn run(config: &ServeBenchConfig) -> Result<ServeReport> {
     let engine_config = EngineConfig {
@@ -316,10 +325,7 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeReport> {
     let server = Server::bind(session.clone(), "127.0.0.1:0", serve_config)?;
     let addr = server.local_addr();
 
-    // Client sweep: contention shape changes with client count; the
-    // saturation point is the best qps across the sweep.
-    let mut sweep: Vec<usize> = vec![1, (config.max_clients / 4).max(2), config.max_clients];
-    sweep.dedup();
+    let sweep = client_sweep(config.max_clients);
     let mut steps = Vec::with_capacity(sweep.len());
     for &clients in &sweep {
         eprintln!(
@@ -437,6 +443,14 @@ pub fn render(report: &ServeReport) -> String {
 mod tests {
     use idf_core::prelude::*;
     use idf_engine::prelude::Session;
+
+    #[test]
+    fn client_sweep_ascends_and_stays_within_the_cap() {
+        assert_eq!(super::client_sweep(1), vec![1]);
+        assert_eq!(super::client_sweep(2), vec![1, 2]);
+        assert_eq!(super::client_sweep(4), vec![1, 2, 4]);
+        assert_eq!(super::client_sweep(32), vec![1, 8, 32]);
+    }
 
     #[test]
     fn workload_join_planned_through_the_index() {

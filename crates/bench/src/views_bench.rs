@@ -151,14 +151,6 @@ const VIEWS: &[(&str, &str, &str)] = &[
     ),
 ];
 
-fn median_us(mut samples: Vec<u64>) -> f64 {
-    samples.sort_unstable();
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2] as f64 / 1e3
-}
-
 /// Median wall time of `runs` executions of `query`, in µs.
 fn timed(session: &Session, query: &str, runs: usize) -> Result<f64> {
     let mut samples = Vec::with_capacity(runs);
@@ -168,7 +160,8 @@ fn timed(session: &Session, query: &str, runs: usize) -> Result<f64> {
         samples.push(t0.elapsed().as_nanos() as u64);
         std::hint::black_box(chunk.len());
     }
-    Ok(median_us(samples))
+    samples.sort_unstable();
+    Ok(crate::percentile_us(&samples, 0.5))
 }
 
 /// Run the views benchmark.
@@ -213,6 +206,7 @@ pub fn run(cfg: &ViewsBenchConfig) -> Result<ViewsBenchReport> {
                 .collect()?;
             refresh_ns.push(t0.elapsed().as_nanos() as u64);
         }
+        refresh_ns.sort_unstable();
         comparisons.push(ViewComparison {
             name: name.to_string(),
             kind,
@@ -224,7 +218,7 @@ pub fn run(cfg: &ViewsBenchConfig) -> Result<ViewsBenchReport> {
             } else {
                 0.0
             },
-            refresh_us: median_us(refresh_ns),
+            refresh_us: crate::percentile_us(&refresh_ns, 0.5),
         });
     }
     let best_speedup = comparisons.iter().map(|c| c.speedup).fold(0.0, f64::max);

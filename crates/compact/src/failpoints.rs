@@ -1,12 +1,8 @@
-//! Named fault-injection sites in the compaction subsystem.
-//!
-//! Same contract as the storage-, durability-, engine-, service- and
-//! view-layer registries (`crates/core/src/failpoints.rs`, …): each
-//! constant names an `idf_fail::eval` site, every constant is registered
-//! exactly once in [`SITES`], and the compaction chaos suite iterates
-//! the table asserting that a fault at any site never changes any query
-//! answer — compaction is pure reorganization, so the worst legal
-//! outcome of a fault is that dead versions survive a little longer.
+//! Fault-injection sites of the compaction subsystem (see
+//! `idf_fail::sites!`). The compaction chaos suite asserts that a fault
+//! at any of them never changes a query answer: compaction is pure
+//! reorganization, so the worst legal outcome of a fault is that dead
+//! versions survive a little longer.
 
 pub use idf_engine::failpoints::check;
 

@@ -57,24 +57,6 @@ use std::time::Duration;
 
 use idf_engine::session::{Session, SessionExtension};
 
-/// Crate-wide lock-acquisition order, enforced by idf-lint's
-/// `lock-order` rule: a lock may only be acquired while holding locks
-/// that appear strictly earlier in this list.
-pub const LOCK_ORDER: &[(&str, &str)] = &[
-    (
-        "worker",
-        "background worker handle slot; held only to store the freshly spawned handle and to take it for the join (the join itself runs with no guard live)",
-    ),
-    (
-        "wake",
-        "worker wakeup mutex; held only across the timed wait and the shutdown notify",
-    ),
-    (
-        "tables",
-        "registered-table registry; snapshotted and released before any rewrite work",
-    ),
-];
-
 /// Tuning for the background compaction policy (see [`install`]).
 #[derive(Debug, Clone)]
 pub struct CompactConfig {

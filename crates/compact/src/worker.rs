@@ -28,6 +28,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (the background worker has no session to discover tables through);
 /// the SQL `COMPACT` path additionally discovers indexed tables from
 /// the session catalog, so DDL-created tables need no registration.
+///
+/// Lock order: `worker` → `wake` → `tables`.
 pub struct Compactor {
     config: CompactConfig,
     /// Registered tables the background policy surveys.

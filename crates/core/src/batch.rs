@@ -33,6 +33,19 @@
 //! lets checkpoints (raw committed bytes) round-trip row kinds
 //! bit-for-bit with no format change.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -227,7 +240,8 @@ impl RowBatch {
             stored <= STORED_LEN_MASK as usize,
             "stored row of {stored} bytes collides with the kind flag"
         );
-        // idf-lint: allow(atomics-audit) -- single writer re-reads its own store (append lock held); readers see it via the Release publish below
+        // Relaxed: the single writer re-reads its own store (append lock held); readers see it
+        // via the Release publish below.
         let offset = self.len.load(Ordering::Relaxed);
         if offset + stored > self.capacity() {
             return None;

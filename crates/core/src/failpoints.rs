@@ -1,10 +1,6 @@
-//! Named fault-injection sites in the Indexed DataFrame's storage layer.
-//!
-//! Each constant names a site where `idf_fail::eval` is called; tests
-//! configure sites via `idf_fail::FailGuard` to return errors, panic, or
-//! delay, exercising read/append failure paths. The chaos suite
-//! (`tests/chaos.rs`) iterates [`SITES`] and asserts the snapshot
-//! consistency invariants hold with a fault at every one of them.
+//! Fault-injection sites of the storage layer (see `idf_fail::sites!`).
+//! The chaos suite (`tests/chaos.rs`) asserts the snapshot consistency
+//! invariants with a fault at every one of them.
 
 pub use idf_engine::failpoints::check;
 

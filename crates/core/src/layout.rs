@@ -11,6 +11,19 @@
 //! `(var_offset: u32, byte_len: u32)` for strings, with the var section
 //! appended after the fixed slots.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use idf_engine::column::{push_validity, Column, PrimVec, StrVec};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::schema::SchemaRef;
@@ -47,7 +60,7 @@ fn fixed<const W: usize>(payload: &[u8], at: usize) -> Result<[u8; W]> {
 /// a miss is a programmer error in the offset arithmetic.
 #[inline]
 fn put(out: &mut [u8], at: usize, bytes: &[u8]) {
-    // idf-lint: allow(hot-path-panic) -- indexing a buffer encode just resized
+    #[allow(clippy::indexing_slicing)] // indexing a buffer encode just resized
     out[at..at + bytes.len()].copy_from_slice(bytes);
 }
 
@@ -95,9 +108,9 @@ impl RowLayout {
         // a miss is a programmer error in the offset arithmetic, not
         // data-dependent, so plain indexing is in-contract here (the
         // decode half is where bytes are untrusted).
+        #[allow(clippy::indexing_slicing)] // bitmap byte sized by the resize above
         for (col, v) in values.iter().enumerate() {
             if v.is_null() {
-                // idf-lint: allow(hot-path-panic) -- bitmap byte sized by the resize above
                 out[base + col / 8] |= 1 << (col % 8);
                 continue;
             }

@@ -50,31 +50,6 @@
 
 #![deny(missing_docs)]
 
-/// Crate-wide lock-acquisition order, enforced by idf-lint's
-/// `lock-order` rule: a lock may only be acquired while holding locks
-/// that appear strictly earlier in this list. The DML path exercises
-/// the full chain: `apply_dml` serializes statements on `dml_lock`,
-/// freezes every touched partition's `append_lock`, logs the statement
-/// through the `sink`, and publishes into `batches`.
-pub const LOCK_ORDER: &[(&str, &str)] = &[
-    (
-        "dml_lock",
-        "table-level DML statement serialization; taken first so two UPDATE/DELETE statements never interleave their read-compute-publish cycles",
-    ),
-    (
-        "append_lock",
-        "per-partition writer exclusion; taken under dml_lock (ascending partition order) and held across the commit and publish phases",
-    ),
-    (
-        "sink",
-        "durability sink slot; read under the held append locks so the WAL record and the in-memory publish form one atomic commit window",
-    ),
-    (
-        "batches",
-        "per-partition batch list; innermost — publishing a row appends under the partition's own append_lock",
-    ),
-];
-
 pub mod api;
 pub mod batch;
 pub mod config;

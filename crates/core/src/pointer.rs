@@ -22,6 +22,18 @@
 //! The all-zero word is the null pointer: no real row has size 0 (every
 //! stored row carries at least its header).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 /// Bits for the batch number.
 pub const BATCH_BITS: u32 = 31;
 /// Bits for the in-batch offset.

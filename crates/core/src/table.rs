@@ -9,6 +9,18 @@
 //! ([`idf_engine::physical::hash_values`]), which is what co-partitions a
 //! shuffled probe side with the index during indexed joins.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::Arc;
 
 use idf_engine::chunk::Chunk;
@@ -38,6 +50,9 @@ pub struct IndexedTable {
 }
 
 /// The rows and indexes every handle of one table shares.
+///
+/// Lock order: `dml_lock` → each touched partition's `append_lock`
+/// (ascending) → `sink` → that partition's `batches`.
 struct Store {
     schema: SchemaRef,
     /// The indexed columns, primary first.
@@ -66,7 +81,8 @@ impl<'a> CommitWindowScope<'a> {
     fn enter(store: &'a Store) -> Self {
         store
             .commit_window
-            // idf-lint: allow(atomics-audit) -- SeqCst pairs the window counter with the tap-gate flag across two atomics; a closed gate must observe every in-window append
+            // SeqCst: pairs the window counter with the tap-gate flag across two atomics; a
+            // closed gate must observe every in-window append.
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         CommitWindowScope(store)
     }
@@ -76,7 +92,7 @@ impl Drop for CommitWindowScope<'_> {
     fn drop(&mut self) {
         self.0
             .commit_window
-            // idf-lint: allow(atomics-audit) -- SeqCst exit pairs with the SeqCst enter; see commit_window()
+            // SeqCst: pairs with the SeqCst enter; see commit_window().
             .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
     }
 }
@@ -351,7 +367,7 @@ impl IndexedTable {
     pub fn commit_window(&self) -> usize {
         self.store
             .commit_window
-            // idf-lint: allow(atomics-audit) -- SeqCst read pairs with enter/exit so a closed gate never misses a parked append
+            // SeqCst: pairs with enter/exit so a closed gate never misses a parked append.
             .load(std::sync::atomic::Ordering::SeqCst)
     }
 

@@ -20,7 +20,6 @@ pub(crate) struct Gen(u64);
 impl Gen {
     /// Mint a fresh, never-before-seen generation.
     pub(crate) fn fresh() -> Self {
-        // idf-lint: allow(atomics-audit) -- ID minting: atomicity alone guarantees uniqueness, no ordering needed
         Gen(NEXT_GEN.fetch_add(1, Ordering::Relaxed))
     }
 }

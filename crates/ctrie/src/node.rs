@@ -146,7 +146,7 @@ impl<K, V> INode<K, V> {
     /// Create an I-node whose cell takes ownership of `main`'s count.
     pub(crate) fn new(main: Arc<MainNode<K, V>>, gen: Gen) -> Self {
         let cell = Atomic::null();
-        // idf-lint: allow(atomics-audit) -- the cell is unpublished here; the parent's Release CAS publishes it
+        // Relaxed: the cell is unpublished here; the parent's Release CAS publishes it.
         cell.store(arc_into_shared(main), Ordering::Relaxed);
         INode { gen, main: cell }
     }
@@ -159,7 +159,6 @@ impl<K, V> Drop for INode<K, V> {
         unsafe {
             let p = self
                 .main
-                // idf-lint: allow(atomics-audit) -- Drop holds &mut self: exclusive access, nothing to order against
                 .load(Ordering::Relaxed, crossbeam_epoch::unprotected());
             if !p.is_null() {
                 drop(Arc::from_raw(p.as_raw()));
@@ -322,7 +321,6 @@ impl<K, V> Drop for MainNode<K, V> {
         unsafe {
             let p = self
                 .prev
-                // idf-lint: allow(atomics-audit) -- Drop holds &mut self: exclusive access, nothing to order against
                 .load(Ordering::Relaxed, crossbeam_epoch::unprotected());
             if !p.is_null() {
                 drop(Arc::from_raw(p.with_tag(0).as_raw()));

@@ -17,7 +17,8 @@
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
-// idf-lint: allow(atomics-audit) -- root RDCSS protocol: the CAS, the descriptor commit flag and snapshot reads need one total order
+// SeqCst throughout: the root RDCSS protocol (the CAS, the descriptor commit flag and snapshot
+// reads) needs one total order.
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -740,7 +741,8 @@ where
                         }
                         Branch::S(sn) => {
                             if sn.hash == hash && sn.key.borrow() == key {
-                                // idf-lint: allow(hot-path-panic) -- lookup_with invariant: the projection is taken once per call
+                                // lookup_with invariant: the projection is taken once per call
+                                #[allow(clippy::expect_used)]
                                 let func = f.take().expect("projection applied twice");
                                 return Op::Done(Some(func(&sn.value)));
                             }
@@ -752,7 +754,8 @@ where
                     if self.read_only {
                         // Snapshots never clean; answer straight from the tomb.
                         if sn.hash == hash && sn.key.borrow() == key {
-                            // idf-lint: allow(hot-path-panic) -- lookup_with invariant: the projection is taken once per call
+                            // lookup_with invariant: the projection is taken once per call
+                            #[allow(clippy::expect_used)]
                             let func = f.take().expect("projection applied twice");
                             return Op::Done(Some(func(&sn.value)));
                         }
@@ -765,7 +768,8 @@ where
                 }
                 MainKind::L(ln) => {
                     let r = ln.get(key).map(|sn| {
-                        // idf-lint: allow(hot-path-panic) -- lookup_with invariant: the projection is taken once per call
+                        // lookup_with invariant: the projection is taken once per call
+                        #[allow(clippy::expect_used)]
                         let func = f.take().expect("projection applied twice");
                         func(&sn.value)
                     });

@@ -1,11 +1,6 @@
-//! Named fault-injection sites in the durability layer.
-//!
-//! Same contract as the storage-layer registry
-//! (`crates/core/src/failpoints.rs`): each constant names an
-//! `idf_fail::eval` site, every constant is registered exactly once in
-//! [`SITES`], and the crash-consistency chaos suite iterates the table
-//! asserting that a fault at any site leaves a reopened table equal to a
-//! prefix of the committed appends.
+//! Fault-injection sites of the durability layer (see `idf_fail::sites!`).
+//! The crash-consistency chaos suite asserts that a fault at any of them
+//! leaves a reopened table equal to a prefix of the committed appends.
 
 use idf_engine::error::{EngineError, Result};
 

@@ -60,7 +60,6 @@ impl TempDir {
     /// bootstrap, where failing loudly is the right call.
     pub fn new(prefix: &str) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        // idf-lint: allow(atomics-audit) -- unique temp-dir suffix: atomicity alone suffices
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("idf-{prefix}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&path).expect("create temp dir");

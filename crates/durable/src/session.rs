@@ -938,64 +938,4 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
     }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn degraded_table_serves_reads_and_resume_writes_rearms() {
-        let dir = TempDir::new("sess-degrade");
-        let sess = DurableSession::open(cfg(dir.path(), DurabilityLevel::Sync)).unwrap();
-        let df = sess
-            .create_table("t", people_schema(), 0, small_index())
-            .unwrap();
-        for i in 0..20i64 {
-            df.append_row(&[Value::Int64(i), Value::Utf8(format!("p{i}"))])
-                .unwrap();
-        }
-        // One injected fsync failure degrades the WAL...
-        {
-            let _guard = idf_fail::FailGuard::new(
-                crate::failpoints::WAL_FSYNC,
-                idf_fail::FailConfig::error("disk died").times(1),
-            );
-            let err = df
-                .append_row(&[Value::Int64(20), Value::Utf8("doomed".into())])
-                .unwrap_err();
-            assert!(matches!(err, EngineError::ReadOnly(_)), "{err:?}");
-        }
-        // ...stickily: appends keep failing typed, reads keep serving.
-        let err = df
-            .append_row(&[Value::Int64(21), Value::Utf8("also-doomed".into())])
-            .unwrap_err();
-        assert!(matches!(err, EngineError::ReadOnly(_)), "{err:?}");
-        assert!(matches!(
-            sess.write_status("t").unwrap(),
-            SinkStatus::ReadOnly(_)
-        ));
-        assert_eq!(df.table().row_count(), 20);
-        assert_eq!(df.get_rows(7i64).unwrap().collect().unwrap().len(), 1);
-        let out = sess
-            .sql("SELECT COUNT(*) FROM t")
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(out.to_rows()[0][0], Value::Int64(20));
-        // Checkpoint refuses while degraded; resume_writes re-arms.
-        let err = sess.checkpoint(Some("t")).unwrap_err();
-        assert!(matches!(err, EngineError::ReadOnly(_)), "{err:?}");
-        assert_eq!(
-            sess.resume_writes(Some("t")).unwrap(),
-            vec!["t".to_string()]
-        );
-        assert_eq!(sess.write_status("t").unwrap(), SinkStatus::Writable);
-        df.append_row(&[Value::Int64(22), Value::Utf8("revived".into())])
-            .unwrap();
-        drop(df);
-        drop(sess);
-        // The re-anchored store recovers everything acknowledged.
-        let sess = DurableSession::open(cfg(dir.path(), DurabilityLevel::Sync)).unwrap();
-        let df = sess.dataframe("t").unwrap();
-        assert_eq!(df.table().row_count(), 21);
-        assert_eq!(df.get_rows(22i64).unwrap().collect().unwrap().len(), 1);
-        assert_eq!(df.get_rows(20i64).unwrap().collect().unwrap().len(), 0);
-    }
 }

@@ -55,28 +55,6 @@ use crate::codec::{
 };
 use crate::io::{AppendFile, StorageIo};
 
-/// Crate-wide lock-acquisition order, enforced by idf-lint's
-/// `lock-order` rule: a lock may only be acquired while holding locks
-/// that appear strictly earlier in this list.
-pub const LOCK_ORDER: &[(&str, &str)] = &[
-    (
-        "writer",
-        "writer-thread handle; taken first on heal/shutdown, before any shared state",
-    ),
-    (
-        "file",
-        "live segment handle; held for a whole group-commit batch, never while parked on state",
-    ),
-    (
-        "path",
-        "segment path cell; nested inside file only during the rotation swap",
-    ),
-    (
-        "state",
-        "innermost hub (queue, horizons, degraded flag); any path may end here",
-    ),
-];
-
 /// Body sentinel distinguishing a DML record from a plain append. A
 /// plain record starts with its row count, and `MAX_WAL_FRAME` caps any
 /// real count far below this, so the value can never be a legal count —
@@ -253,6 +231,8 @@ fn spawn_writer(inner: &Arc<WalInner>) -> Result<std::thread::JoinHandle<()>> {
 
 /// The per-table write-ahead log. Owns the group-commit writer thread;
 /// dropping the log drains the queue and joins the writer.
+///
+/// Lock order: `writer` → `file` → `path` → `state`.
 pub struct TableWal {
     inner: Arc<WalInner>,
     writer: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -422,7 +402,6 @@ impl TableWal {
                     self.inner.fail()
                 };
                 drop(st);
-                // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
                 self.inner.done.notify_all();
                 return Err(err);
             }
@@ -452,7 +431,6 @@ impl TableWal {
             if st.shutdown {
                 st.gate_closed = false;
                 drop(st);
-                // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
                 self.inner.done.notify_all();
                 return Err(self.inner.fail());
             }
@@ -461,7 +439,6 @@ impl TableWal {
                     let err = st.read_only_error();
                     st.gate_closed = false;
                     drop(st);
-                    // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
                     self.inner.done.notify_all();
                     return Err(err);
                 }
@@ -480,7 +457,6 @@ impl TableWal {
         let mut st = lock(&self.inner.state);
         st.gate_closed = false;
         drop(st);
-        // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
         self.inner.done.notify_all();
     }
 
@@ -642,7 +618,8 @@ impl TableWal {
         if respawn {
             let mut w = lock(&self.writer);
             if let Some(h) = w.take() {
-                // idf-lint: allow(blocking-under-lock) -- writer already exited (writer_exited set); join only reaps the thread, and 'writer' must stay held to serialize respawn
+                // The writer already exited (`writer_exited`): the join only reaps it, and
+                // `writer` stays held to serialize the respawn.
                 let _ = h.join();
             }
             match spawn_writer(&self.inner) {
@@ -686,12 +663,9 @@ impl Drop for TableWal {
             let mut st = lock(&self.inner.state);
             st.shutdown = true;
         }
-        // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
         self.inner.work.notify_all();
-        // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
         self.inner.done.notify_all();
         if let Some(h) = lock(&self.writer).take() {
-            // idf-lint: allow(blocking-under-lock) -- shutdown: work/done were notified above so the writer exits on its next wake; nothing else takes 'writer' during drop
             let _ = h.join();
         }
     }
@@ -716,7 +690,6 @@ impl Drop for WalTicket {
         let mut st = lock(&self.inner.state);
         st.in_flight -= 1;
         drop(st);
-        // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
         self.inner.done.notify_all();
     }
 }
@@ -734,7 +707,6 @@ fn writer_loop(inner: &Arc<WalInner>) {
                 if st.shutdown {
                     st.writer_exited = true;
                     drop(st);
-                    // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
                     inner.done.notify_all();
                     return;
                 }
@@ -751,11 +723,11 @@ fn writer_loop(inner: &Arc<WalInner>) {
             crate::failpoints::check(crate::failpoints::WAL_FSYNC)?;
             let mut file = lock(&inner.file);
             for (_, framed) in &batch {
-                // idf-lint: allow(blocking-under-lock) -- group-commit drain: one write+fsync per batch under 'file' is the design; committers park on 'state', never on 'file'
+                // Group commit: one write + fsync per batch under `file`; committers park on
+                // `state`, never on `file`.
                 file.write_all(framed)
                     .map_err(|e| EngineError::durability(format!("WAL write: {e}")))?;
             }
-            // idf-lint: allow(blocking-under-lock) -- group-commit drain: the single fsync under 'file' is the batch's durability point; committers park on 'state'
             file.sync_data()
                 .map_err(|e| EngineError::durability(format!("WAL fsync: {e}")))
         }))
@@ -788,13 +760,11 @@ fn writer_loop(inner: &Arc<WalInner>) {
                 st.queue.clear();
                 st.writer_exited = true;
                 drop(st);
-                // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
                 inner.done.notify_all();
                 return;
             }
         }
         drop(st);
-        // idf-lint: allow(condvar-discipline) -- predicate was updated under 'state' before release; notifying after unlock spares waiters a futile wake-then-block
         inner.done.notify_all();
     }
 }
@@ -819,7 +789,6 @@ impl WalSink {
 
     /// Records logged through this sink.
     pub fn records_logged(&self) -> u64 {
-        // idf-lint: allow(atomics-audit) -- monotonic stats counter; nothing else is published through it
         self.records.load(Ordering::Relaxed)
     }
 }
@@ -827,7 +796,6 @@ impl WalSink {
 impl AppendSink for WalSink {
     fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>> {
         let ticket = self.wal.begin_commit(rows)?;
-        // idf-lint: allow(atomics-audit) -- monotonic stats counter; nothing else is published through it
         self.records.fetch_add(1, Ordering::Relaxed);
         Ok(Box::new(ticket))
     }
@@ -838,7 +806,6 @@ impl AppendSink for WalSink {
         kinds: &[RowKind],
     ) -> Result<Box<dyn CommitGuard>> {
         let ticket = self.wal.begin_commit_kinds(rows, kinds)?;
-        // idf-lint: allow(atomics-audit) -- monotonic stats counter; nothing else is published through it
         self.records.fetch_add(1, Ordering::Relaxed);
         Ok(Box::new(ticket))
     }
@@ -1070,181 +1037,6 @@ mod tests {
         commit(&wal, &payloads(2));
         drop(wal);
         let (_, records) = open(&path, DurabilityLevel::Sync);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].rows, payloads(2));
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_fsync_failure_degrades_to_typed_read_only() {
-        let dir = TempDir::new("wal-fsync-fault");
-        let path = dir.path().join("wal.log");
-        let (wal, _) = open(&path, DurabilityLevel::Sync);
-        commit(&wal, &payloads(1));
-        {
-            let _guard = idf_fail::FailGuard::new(
-                crate::failpoints::WAL_FSYNC,
-                idf_fail::FailConfig::error("disk gone"),
-            );
-            let row = b"doomed".as_slice();
-            let err = wal.begin_commit(&[row]).unwrap_err();
-            assert!(err.to_string().contains("injected"), "{err}");
-            assert!(
-                matches!(err, EngineError::ReadOnly(_)),
-                "degraded append must be typed ReadOnly, got {err:?}"
-            );
-            // Sticky: even without the failpoint the WAL stays degraded.
-        }
-        let row = b"still-doomed".as_slice();
-        let err = wal.begin_commit(&[row]).unwrap_err();
-        assert!(matches!(err, EngineError::ReadOnly(_)), "{err:?}");
-        assert!(wal.degraded_reason().is_some());
-        drop(wal);
-        // Reopen recovers the pre-fault prefix.
-        let (_, records) = open(&path, DurabilityLevel::Sync);
-        assert_eq!(records.len(), 1);
-    }
-
-    /// A *transient* flush failure (here: a failpoint armed for exactly
-    /// one hit) must not let frames queued behind the failing batch reach
-    /// disk on a later writer iteration — their commits observed the
-    /// degraded state and were reported failed, so flushing them would
-    /// resurrect refused appends on recovery.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn transient_fsync_failure_never_flushes_queued_commits() {
-        let dir = TempDir::new("wal-transient");
-        let path = dir.path().join("wal.log");
-        let (wal, _) = open(&path, DurabilityLevel::Async);
-        let _guard = idf_fail::FailGuard::new(
-            crate::failpoints::WAL_FSYNC,
-            idf_fail::FailConfig::error("transient disk error").times(1),
-        );
-        // Async commits are acknowledged once staged; pile several up so
-        // some are queued behind the batch that hits the (single-shot)
-        // fault.
-        for i in 0..16 {
-            let row = format!("async-{i}").into_bytes();
-            if wal.begin_commit(&[row.as_slice()]).is_err() {
-                break; // degradation already surfaced
-            }
-        }
-        // Wait for the writer to hit the fault and degrade the log.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let row = b"probe".as_slice();
-            if wal.begin_commit(&[row]).is_err() {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "WAL never became degraded"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(wal);
-        // The fault fired exactly once, so every later iteration *could*
-        // have written — the fix is that there is no later iteration.
-        let (_, records) = open(&path, DurabilityLevel::Async);
-        assert!(
-            records.is_empty(),
-            "{} refused commits were flushed after the transient fault",
-            records.len()
-        );
-    }
-
-    /// Regression (shutdown ordering): a `Sync` committer whose frame is
-    /// still queued when the log is dropped must resolve deterministically
-    /// — the drop drain flushes the frame, so the committer is
-    /// acknowledged and the record is on disk. Before the fix the waiter
-    /// bailed as soon as it saw `shutdown`, reporting failure for a
-    /// commit the drain then made durable.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn drop_during_pending_sync_commit_resolves_deterministically() {
-        let dir = TempDir::new("wal-drop-pending");
-        let path = dir.path().join("wal.log");
-        for round in 0..8 {
-            let p = dir.path().join(format!("wal-{round}.log"));
-            let (wal, _) = TableWal::open(osio(), &p, DurabilityLevel::Sync).unwrap();
-            let wal = Arc::new(wal);
-            // Slow the flush so the drop lands while the commit is
-            // pending.
-            let guard = idf_fail::FailGuard::new(
-                crate::failpoints::WAL_FSYNC,
-                idf_fail::FailConfig::delay(15),
-            );
-            let committer = {
-                let wal = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    let row = b"pending".as_slice();
-                    wal.begin_commit(&[row]).map(|_t| ())
-                })
-            };
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            drop(wal); // shutdown + drain + join
-            let outcome = committer.join().unwrap();
-            drop(guard);
-            let (_, records) = TableWal::open(osio(), &p, DurabilityLevel::Sync).unwrap();
-            match outcome {
-                Ok(()) => assert_eq!(
-                    records.len(),
-                    1,
-                    "round {round}: acknowledged commit missing from disk"
-                ),
-                Err(e) => {
-                    // Only acceptable if the record truly is absent.
-                    assert_eq!(
-                        records.len(),
-                        0,
-                        "round {round}: commit reported failed ({e}) but is durable"
-                    );
-                }
-            }
-        }
-        let _ = path;
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn rearm_recovers_a_degraded_log() {
-        let dir = TempDir::new("wal-rearm");
-        let path = dir.path().join("wal-1.log");
-        let next = dir.path().join("wal-2.log");
-        let (wal, _) = open(&path, DurabilityLevel::Sync);
-        commit(&wal, &payloads(1));
-        {
-            let _guard = idf_fail::FailGuard::new(
-                crate::failpoints::WAL_FSYNC,
-                idf_fail::FailConfig::error("disk gone").times(1),
-            );
-            assert!(wal.begin_commit(&[b"doomed".as_slice()]).is_err());
-        }
-        assert!(wal.degraded_reason().is_some());
-        // Checkpoint refuses: the log is read-only.
-        let err = wal
-            .quiesce_and_rotate::<()>(|| unreachable!("must not run"), |_| Ok(()))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::ReadOnly(_)), "{err:?}");
-        // A rearm whose publish phase fails leaves the log degraded.
-        let stillborn = dir.path().join("wal-stillborn.log");
-        let err = wal
-            .rearm(
-                || Ok(((), stillborn.clone())),
-                |_| Err(EngineError::durability("flip failed")),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("flip failed"));
-        assert!(
-            wal.degraded_reason().is_some(),
-            "failed rearm must stay degraded"
-        );
-        // Re-arm rotates to a fresh segment and accepts commits again.
-        wal.rearm(|| Ok(((), next.clone())), |_| Ok(())).unwrap();
-        assert!(wal.degraded_reason().is_none());
-        commit(&wal, &payloads(2));
-        drop(wal);
-        let (_, records) = open(&next, DurabilityLevel::Sync);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].rows, payloads(2));
     }

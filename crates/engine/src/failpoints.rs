@@ -1,9 +1,5 @@
-//! Named fault-injection sites in the engine's physical layer.
-//!
-//! Each constant names a site where `idf_fail::eval` is called; tests
-//! configure sites via `idf_fail::FailGuard` to return errors, panic, or
-//! delay. See the workspace `idf-fail` crate and the "Robustness" section
-//! of DESIGN.md for the full catalogue.
+//! Fault-injection sites of the engine's physical layer (see
+//! `idf_fail::sites!`).
 
 use crate::error::{EngineError, Result};
 

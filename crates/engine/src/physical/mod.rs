@@ -18,6 +18,18 @@
 //! `Planner::ensure_partitioned`), so a `GROUP BY` or join on the column a
 //! source is hash-partitioned by runs where the rows already are.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod aggregate;
 pub mod expr;
 mod filter;
@@ -149,7 +161,6 @@ impl TaskContext {
     }
 
     fn fresh_execution_id() -> u64 {
-        // idf-lint: allow(atomics-audit) -- execution-id minting: uniqueness only, no ordering needed
         NEXT_EXECUTION_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 

@@ -24,9 +24,9 @@
 //! total bytes a query may materialize, which is an upper bound on its
 //! true peak residency.
 
-// idf-lint: allow-file(atomics-audit) -- memory accounting is approximate
-// by design: independent RMW counters; nothing else is published through
-// them, so Relaxed cannot reorder anything that matters.
+// Memory accounting is approximate by design: its counters are
+// independent RMWs and nothing else is published through them, so
+// Relaxed cannot reorder anything that matters.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};

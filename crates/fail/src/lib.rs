@@ -50,6 +50,9 @@ pub use registry::{configure, eval, hit_count, remove, reset, FailAction, FailCo
 /// site under its doc comment. Emits a `pub const NAME: &str` per row and
 /// a `SITES` table of all of them from the same tokens, so a declared
 /// site is registered by construction and adding one is a one-row change.
+/// Tests arm a site through [`FailGuard`] (error, panic or delay), and a
+/// crate's chaos suite iterates its `SITES`, asserting that the crate's
+/// invariant holds with a fault at every one of them.
 ///
 /// ```
 /// mod failpoints {

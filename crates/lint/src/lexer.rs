@@ -5,11 +5,11 @@
 //! lexical grammar for invariant checking to be reliable:
 //!
 //! * line (`//`) and nested block (`/* */`) comments are captured
-//!   separately from code tokens, so rules can match `SAFETY:` blocks and
-//!   suppression comments without string literals confusing them;
+//!   separately from code tokens, so rules can match suppression
+//!   comments without string literals confusing them;
 //! * cooked, raw (`r#"…"#`), byte, and byte-raw string literals, char
-//!   literals, and lifetimes are recognized, so an `unsafe` inside a
-//!   string never registers as a keyword;
+//!   literals, and lifetimes are recognized, so an `eval` inside a
+//!   string never registers as an identifier;
 //! * every token carries its 1-based source line for findings.
 //!
 //! It deliberately does **not** build a syntax tree: rules operate on the
@@ -63,15 +63,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// Comments in source order.
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// All comments that cover `line`.
-    pub fn comments_on(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments
-            .iter()
-            .filter(move |c| c.line_start <= line && line <= c.line_end)
-    }
 }
 
 fn is_ident_start(c: char) -> bool {

@@ -1,13 +1,12 @@
 //! `idf-lint`: the workspace invariant checker.
 //!
-//! PRs 1–3 introduced correctness-by-convention rules that nothing
-//! machine-checked: every `unsafe` site must justify itself, hot paths
-//! must not panic, probe-path clock reads must be `Sampler`-gated,
-//! failpoint names must stay unique and referenced by const, and every
-//! physical operator must route its output through
-//! `TaskContext::instrument`. This crate enforces those as
-//! named, suppressable rules over a hand-rolled token stream (the
-//! workspace builds offline, so `syn` is unavailable — see [`lexer`]).
+//! It holds only the checks that rustc, clippy and the test suites do
+//! not make: probe-path clock reads must be `Sampler`-gated, failpoint
+//! site names must stay unique across crates and be referenced by
+//! const, and every physical operator must route its output through
+//! `TaskContext::instrument`. The checks are named, suppressable rules
+//! over a hand-rolled token stream (the workspace builds offline, so
+//! `syn` is unavailable — see [`lexer`]).
 //!
 //! Suppression syntax (inside any comment):
 //!
@@ -22,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod lexer;
 pub mod rules;
 
@@ -34,7 +32,7 @@ use std::path::Path;
 /// One lint finding, pointing at `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `safety-comment`).
+    /// Stable rule identifier (e.g. `raw-clock`).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,
@@ -207,13 +205,6 @@ impl SourceFile {
         self.line_tokens.get(&line).map_or(&[], Vec::as_slice)
     }
 
-    /// True when any comment covering `line` contains `needle`.
-    pub fn comment_on_line_contains(&self, line: u32, needle: &str) -> bool {
-        self.lexed
-            .comments_on(line)
-            .any(|c| c.text.contains(needle))
-    }
-
     /// True when this path is a test source (integration tests, benches,
     /// examples) as opposed to shipped library code.
     pub fn is_test_path(&self) -> bool {
@@ -324,15 +315,9 @@ pub trait Rule {
     fn check(&self, files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Finding>);
 }
 
-/// Scopes and site lists consumed by the rules.
+/// Scopes consumed by the rules.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Path prefixes whose non-test code must not panic (rule
-    /// `hot-path-panic`).
-    pub hot_path_prefixes: Vec<&'static str>,
-    /// Files (within the hot-path scope) where panicking slice indexing
-    /// is also flagged — the binary row decode paths.
-    pub index_check_files: Vec<&'static str>,
     /// Path prefixes where raw clock reads are flagged (rule `raw-clock`).
     pub clock_prefixes: Vec<&'static str>,
     /// Path prefix of the failpoint crate itself (its internals may pass
@@ -341,53 +326,15 @@ pub struct LintConfig {
     pub fail_crate_prefix: &'static str,
     /// Path prefix of the physical operators (rule `instrument-routing`).
     pub physical_prefix: &'static str,
-    /// Crate `src/` prefixes whose lock guards must not span blocking
-    /// calls (rule `blocking-under-lock`) — the serving hot paths.
-    pub blocking_lock_prefixes: Vec<&'static str>,
-    /// Prefixes where `Ordering::Relaxed` is acceptable without a
-    /// per-site justification (rule `atomics-audit`) — counters and
-    /// metrics modules whose loads never justify other reads.
-    pub relaxed_ok_prefixes: Vec<&'static str>,
-    /// `(file, enum)` pairs whose discriminants are wire-protocol codes
-    /// (rule `wire-error-codes`).
-    pub wire_enums: Vec<(&'static str, &'static str)>,
 }
 
 impl LintConfig {
     /// The scopes for this workspace.
     pub fn workspace_default() -> Self {
         Self {
-            hot_path_prefixes: vec![
-                "crates/ctrie/src/",
-                "crates/core/src/batch.rs",
-                "crates/core/src/layout.rs",
-                "crates/core/src/partition.rs",
-                "crates/core/src/pointer.rs",
-                "crates/core/src/table.rs",
-                "crates/engine/src/physical/",
-            ],
-            index_check_files: vec!["crates/core/src/batch.rs", "crates/core/src/layout.rs"],
             clock_prefixes: vec!["crates/core/src/", "crates/ctrie/src/"],
             fail_crate_prefix: "crates/fail/",
             physical_prefix: "crates/engine/src/physical/",
-            blocking_lock_prefixes: vec![
-                "crates/ctrie/src/",
-                "crates/core/src/",
-                "crates/serve/src/",
-                "crates/durable/src/",
-                "crates/views/src/",
-                "crates/compact/src/",
-            ],
-            relaxed_ok_prefixes: vec![
-                "crates/obs/src/",
-                "crates/bench/src/",
-                // The repo benchmark: tallies of a measurement harness,
-                // like crates/bench (and not editable by a change that
-                // claims a gain).
-                "benchmark/src/",
-                "crates/engine/src/physical/metrics.rs",
-            ],
-            wire_enums: vec![("crates/serve/src/wire.rs", "ErrorCode")],
         }
     }
 }
@@ -395,16 +342,9 @@ impl LintConfig {
 /// All rules, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(rules::safety_comment::SafetyComment),
-        Box::new(rules::hot_path_panic::HotPathPanic),
         Box::new(rules::raw_clock::RawClock),
         Box::new(rules::failpoint_registry::FailpointRegistry),
         Box::new(rules::instrument_routing::InstrumentRouting),
-        Box::new(rules::lock_order::LockOrder),
-        Box::new(rules::blocking_under_lock::BlockingUnderLock),
-        Box::new(rules::condvar_discipline::CondvarDiscipline),
-        Box::new(rules::atomics_audit::AtomicsAudit),
-        Box::new(rules::wire_error_codes::WireErrorCodes),
     ]
 }
 
@@ -490,15 +430,15 @@ mod tests {
     #[test]
     fn suppression_directives_parse() {
         let lexed = lexer::lex(
-            "// idf-lint: allow(hot-path-panic, raw-clock) -- why\nlet x = 1;\n\
-             // idf-lint: allow-file(safety-comment)\n",
+            "// idf-lint: allow(failpoint-registry, raw-clock) -- why\nlet x = 1;\n\
+             // idf-lint: allow-file(instrument-routing)\n",
         );
         let s = Suppressions::parse(&lexed);
-        assert!(s.covers("hot-path-panic", 1));
-        assert!(s.covers("hot-path-panic", 2));
-        assert!(!s.covers("hot-path-panic", 3));
+        assert!(s.covers("failpoint-registry", 1));
+        assert!(s.covers("failpoint-registry", 2));
+        assert!(!s.covers("failpoint-registry", 3));
         assert!(s.covers("raw-clock", 2));
-        assert!(s.covers("safety-comment", 999));
+        assert!(s.covers("instrument-routing", 999));
     }
 
     #[test]
@@ -539,14 +479,14 @@ mod tests {
     #[test]
     fn finding_json_escapes() {
         let f = Finding {
-            rule: "safety-comment",
+            rule: "raw-clock",
             file: "a\"b.rs".into(),
             line: 3,
             message: "x\ny".into(),
         };
         assert_eq!(
             f.to_json(),
-            "{\"rule\":\"safety-comment\",\"file\":\"a\\\"b.rs\",\"line\":3,\"message\":\"x\\ny\"}"
+            "{\"rule\":\"raw-clock\",\"file\":\"a\\\"b.rs\",\"line\":3,\"message\":\"x\\ny\"}"
         );
     }
 }

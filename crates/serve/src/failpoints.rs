@@ -1,11 +1,6 @@
-//! Named fault-injection sites in the service layer.
-//!
-//! Same contract as the storage- and durability-layer registries
-//! (`crates/core/src/failpoints.rs`, `crates/durable/src/failpoints.rs`):
-//! each constant names an `idf_fail::eval` site, every constant is
-//! registered exactly once in [`SITES`], and the wire abuse suite's chaos
-//! round iterates the table asserting that a fault at any site leaves the
-//! server serving and the memory governor drained back to zero.
+//! Fault-injection sites of the service layer (see `idf_fail::sites!`).
+//! The wire abuse suite's chaos round asserts that a fault at any of them
+//! leaves the server serving and the memory governor drained to zero.
 
 pub use idf_engine::failpoints::check;
 

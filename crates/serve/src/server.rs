@@ -67,15 +67,6 @@ use idf_engine::session::Session;
 use crate::failpoints;
 use crate::wire::{self, ErrorCode, Request, MAX_REQUEST_FRAME, ROWS_PER_FRAME};
 
-/// Crate-wide lock-acquisition order, enforced by idf-lint's
-/// `lock-order` rule: a lock may only be acquired while holding locks
-/// that appear strictly earlier in this list. No lock in this crate is
-/// taken while another is held: one entry, no edge.
-pub const LOCK_ORDER: &[(&str, &str)] = &[(
-    "admission",
-    "tenant counts, slots and the drain flush flag; quota check, depth check and taking a slot are one atomic step under it",
-)];
-
 /// Service-layer tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -243,6 +234,7 @@ struct Conn {
     running: Mutex<Option<Arc<QueryContext>>>,
 }
 
+/// Lock order: none. No lock in this crate is taken while another is held.
 struct Shared {
     session: Session,
     config: ServeConfig,

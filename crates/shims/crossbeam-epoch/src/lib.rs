@@ -275,7 +275,6 @@ impl<T> Atomic<T> {
 
 impl<T> fmt::Debug for Atomic<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // idf-lint: allow(atomics-audit) -- Debug formatting of the raw pointer; diagnostic only
         write!(f, "Atomic({:#x})", self.data.load(Ordering::Relaxed))
     }
 }

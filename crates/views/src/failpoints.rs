@@ -1,11 +1,7 @@
-//! Named fault-injection sites in the view-maintenance layer.
-//!
-//! Same contract as the storage-, durability- and service-layer
-//! registries (`crates/core/src/failpoints.rs`, …): each constant names
-//! an `idf_fail::eval` site, every constant is registered exactly once in
-//! [`SITES`], and the view chaos suite iterates the table asserting that
-//! a fault at any site never loses or double-applies a delta — view
-//! contents stay equal to re-running the defining query.
+//! Fault-injection sites of the view-maintenance layer (see
+//! `idf_fail::sites!`). The view chaos suite asserts that a fault at any
+//! of them never loses or double-applies a delta: view contents stay
+//! equal to re-running the defining query.
 
 pub use idf_engine::failpoints::check;
 

@@ -55,8 +55,6 @@ pub mod state;
 mod def;
 mod maintain;
 
-pub use maintain::LOCK_ORDER;
-
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -58,40 +58,6 @@ use idf_engine::session::Session;
 use idf_engine::sql::{binder, SelectStmt};
 use idf_engine::types::{DataType, Value};
 
-/// Crate-wide lock-acquisition order, enforced by idf-lint's
-/// `lock-order` rule: a lock may only be acquired while holding locks
-/// that appear strictly earlier in this list.
-pub const LOCK_ORDER: &[(&str, &str)] = &[
-    (
-        "apply_lock",
-        "DDL/apply serialization; the outermost lock of every view operation",
-    ),
-    (
-        "views",
-        "view registry; read under apply_lock by DDL, on its own by readers",
-    ),
-    (
-        "maint",
-        "per-view maintenance state; taken by recompute while DDL holds apply_lock",
-    ),
-    (
-        "queue",
-        "delta queue; drained under apply_lock, on its own by enqueue/pop",
-    ),
-    (
-        "taps",
-        "tap registry; consulted while wiring gates under apply_lock",
-    ),
-    (
-        "gate",
-        "per-tap capture gate; closed under apply_lock during DDL",
-    ),
-    (
-        "arrangements",
-        "shared arrangement registry; swept last, after maint decides reuse",
-    ),
-];
-
 use crate::def::{classify, AccKind, AggDef, OutCol, ViewKind};
 use crate::state::ViewSource;
 use crate::{failpoints, MaintenanceMode, ViewsConfig};
@@ -261,7 +227,7 @@ impl Drop for TapGuard {
             let mut gate = lock(&self.tap.gate);
             gate.inflight -= 1;
         }
-        // idf-lint: allow(condvar-discipline) -- inflight was decremented under 'gate' in the scope above; notify-after-unlock
+        // Notify after unlock: `inflight` was decremented under `gate` above.
         self.tap.cv.notify_all();
         if self.shared.config.mode == MaintenanceMode::Sync {
             // Non-blocking drain: if DDL (or another drainer) holds the
@@ -353,6 +319,9 @@ struct ViewEntry {
 
 /// State shared by the session extension, the taps, and the maintenance
 /// worker.
+///
+/// Lock order: `apply_lock` → `views` → `maint` → `queue` → `taps` →
+/// `gate` → `arrangements`.
 pub(crate) struct Shared {
     config: ViewsConfig,
     /// Handed to taps so they can reach the queue without a cycle.
@@ -397,9 +366,9 @@ impl Shared {
 
     /// Wake every parked thread so shutdown can proceed.
     pub(crate) fn notify_shutdown(&self) {
-        // idf-lint: allow(condvar-discipline) -- shutdown is a SeqCst flag; every waiter re-checks it inside its wait loop
+        // No lock needed: `shutdown` is a SeqCst flag that every waiter
+        // re-checks inside its wait loop.
         self.queue_cv.notify_all();
-        // idf-lint: allow(condvar-discipline) -- shutdown is a SeqCst flag; every waiter re-checks it inside its wait loop
         self.space_cv.notify_all();
         for tap in lock(&self.taps).values() {
             tap.cv.notify_all();
@@ -434,7 +403,6 @@ impl Shared {
         }
         q.push_back(delta);
         drop(q);
-        // idf-lint: allow(condvar-discipline) -- queue length changed under 'queue' (dropped above); notify-after-unlock
         self.queue_cv.notify_all();
     }
 
@@ -442,7 +410,6 @@ impl Shared {
     fn pop(&self) -> Option<Delta> {
         let delta = lock(&self.queue).pop_front();
         if delta.is_some() {
-            // idf-lint: allow(condvar-discipline) -- pop_front ran under the temporary 'queue' guard above; notify-after-unlock
             self.space_cv.notify_all();
         }
         delta
@@ -784,7 +751,8 @@ impl Shared {
         let bases = kind_bases(&kind);
         let taps = self.ensure_taps(&bases);
         let closer = GateCloser::close(&taps);
-        // idf-lint: allow(blocking-under-lock) -- DDL-only: gates are closed so the drain spin is short and bounded; 'apply_lock' must stay held to keep DDL serialized
+        // Quiesce under `apply_lock`: DDL must stay serialized, and with the gates closed the
+        // drain spin is short and bounded.
         self.quiesce(&taps);
         let (source, maint) = match self.seed(session, stmt, &kind, &out_schema) {
             Ok(seeded) => seeded,
@@ -870,7 +838,8 @@ impl Shared {
         let bases = kind_bases(&entry.kind);
         let taps = self.ensure_taps(&bases);
         let closer = GateCloser::close(&taps);
-        // idf-lint: allow(blocking-under-lock) -- DDL-only: gates are closed so the drain spin is short and bounded; 'apply_lock' must stay held to keep DDL serialized
+        // Quiesce under `apply_lock`: DDL must stay serialized, and with the gates closed the
+        // drain spin is short and bounded.
         self.quiesce(&taps);
         let started = idf_obs::enabled().then(Instant::now);
         failpoints::check(failpoints::REFRESH)?;
@@ -1074,7 +1043,6 @@ impl Drop for GateCloser<'_> {
     fn drop(&mut self) {
         for tap in self.taps {
             lock(&tap.gate).closed = false;
-            // idf-lint: allow(condvar-discipline) -- gate.closed was cleared under the temporary 'gate' guard above; notify-after-unlock
             tap.cv.notify_all();
         }
     }
