@@ -468,17 +468,28 @@ mod tests {
         session
             .sql("INSERT INTO tags VALUES (1, 'hot'), (2, 'cold')")
             .unwrap();
-        let plan = session
+        let df = session
             .sql(
                 "SELECT e.v, t.tag FROM events e JOIN tags t \
                  ON e.id = t.event_id WHERE e.id = 1",
             )
-            .unwrap()
-            .explain()
             .unwrap();
-        assert!(
-            plan.contains("IndexedJoin"),
-            "join missed the index:\n{plan}"
+        let plan = df.explain().unwrap();
+        // `e.id = 1` also binds the partner key, so both sides are one
+        // index probe each and no side is scanned.
+        for probe in [
+            "index=id pushed=[(e.id = 1)] partitions=1/",
+            "index=event_id pushed=[(t.event_id = 1)] partitions=1/",
+        ] {
+            assert!(plan.contains(probe), "join missed the index:\n{plan}");
+        }
+        let rows = df.collect().unwrap().to_rows();
+        assert_eq!(
+            rows,
+            vec![vec![
+                idf_engine::types::Value::Int64(10),
+                idf_engine::types::Value::Utf8("hot".into())
+            ]]
         );
     }
 }

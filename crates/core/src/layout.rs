@@ -26,6 +26,7 @@
 
 use idf_engine::column::{push_validity, Column, PrimVec, StrVec};
 use idf_engine::error::{EngineError, Result};
+use idf_engine::expr::BinaryOp;
 use idf_engine::schema::SchemaRef;
 use idf_engine::types::{DataType, Value};
 
@@ -218,6 +219,142 @@ impl RowLayout {
             out,
         }
     }
+
+    /// `column op value` as a predicate over encoded payloads, for an
+    /// Int32, Int64 or Timestamp column (an Int32 slot compares widened, as
+    /// `CAST(col AS BIGINT)` would) and a comparison `op`; `None` for any
+    /// other column type or operator.
+    pub fn slot_predicate(&self, col: usize, op: BinaryOp, value: i64) -> Option<SlotPredicate> {
+        let width = match self.schema.fields.get(col)?.data_type {
+            DataType::Int32 => SlotWidth::Four,
+            DataType::Int64 | DataType::Timestamp => SlotWidth::Eight,
+            _ => return None,
+        };
+        let op = match op {
+            BinaryOp::Eq => CmpOp::Eq,
+            BinaryOp::NotEq => CmpOp::NotEq,
+            BinaryOp::Lt => CmpOp::Lt,
+            BinaryOp::LtEq => CmpOp::LtEq,
+            BinaryOp::Gt => CmpOp::Gt,
+            BinaryOp::GtEq => CmpOp::GtEq,
+            _ => return None,
+        };
+        Some(SlotPredicate {
+            at: self.column_at(col),
+            width,
+            op,
+            value,
+        })
+    }
+}
+
+/// Rows one predicate mask covers: bit `i` of a [`RowMask`] is row `i` of
+/// a block.
+pub const MASK_ROWS: usize = 8;
+
+/// One bit per row of a block of at most [`MASK_ROWS`] payloads.
+pub type RowMask = u8;
+
+#[derive(Debug, Clone, Copy)]
+enum SlotWidth {
+    Four,
+    Eight,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CmpOp {
+    Eq,
+    NotEq,
+    Lt,
+    LtEq,
+    Gt,
+    GtEq,
+}
+
+/// A comparison of one fixed-width integer column against a constant,
+/// evaluated on the encoded payloads themselves (see
+/// [`RowLayout::slot_predicate`]). A NULL slot never passes, as a NULL
+/// comparison outcome never passes a filter.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotPredicate {
+    at: ColumnAt,
+    width: SlotWidth,
+    op: CmpOp,
+    value: i64,
+}
+
+impl SlotPredicate {
+    /// The passing rows of `block` (at most [`MASK_ROWS`] payloads) as a
+    /// mask. Branch-free per row: the outcome of every row is computed and
+    /// OR-ed in, so a predicate that passes about half of randomly ordered
+    /// rows costs no mispredictions.
+    ///
+    /// # Errors
+    /// Fails when a payload is too short for its slot or null bitmap — a
+    /// typed `corrupt row payload` error.
+    #[inline]
+    pub fn mask(&self, block: &[&[u8]]) -> Result<RowMask> {
+        debug_assert!(block.len() <= MASK_ROWS);
+        let c = self.value;
+        match self.op {
+            CmpOp::Eq => self.mask_by(block, |v| v == c),
+            CmpOp::NotEq => self.mask_by(block, |v| v != c),
+            CmpOp::Lt => self.mask_by(block, |v| v < c),
+            CmpOp::LtEq => self.mask_by(block, |v| v <= c),
+            CmpOp::Gt => self.mask_by(block, |v| v > c),
+            CmpOp::GtEq => self.mask_by(block, |v| v >= c),
+        }
+    }
+
+    #[inline]
+    fn mask_by(&self, block: &[&[u8]], pass: impl Fn(i64) -> bool) -> Result<RowMask> {
+        let at = self.at;
+        let mut mask: RowMask = 0;
+        for (i, p) in block.iter().enumerate() {
+            let v = match self.width {
+                SlotWidth::Four => i64::from(i32::from_le_bytes(fixed(p, at.slot)?)),
+                SlotWidth::Eight => i64::from_le_bytes(fixed(p, at.slot)?),
+            };
+            // The slot lies past the null bitmap, so its read proved the
+            // bitmap byte is there too.
+            let valid = p.get(at.null_byte).is_some_and(|b| b & at.null_mask == 0);
+            mask |= RowMask::from(pass(v) & valid) << i;
+        }
+        Ok(mask)
+    }
+}
+
+/// The rows of `block` (at most [`MASK_ROWS`] payloads) that pass every
+/// one of `preds`.
+///
+/// # Errors
+/// Fails when a payload does not match the layout.
+#[inline]
+pub fn block_mask(preds: &[SlotPredicate], block: &[&[u8]]) -> Result<RowMask> {
+    let rows = block.len().min(MASK_ROWS);
+    let mut mask = RowMask::try_from((1u16 << rows) - 1).unwrap_or(RowMask::MAX);
+    for p in preds {
+        mask &= p.mask(block)?;
+    }
+    Ok(mask)
+}
+
+/// Keep the rows of `block` whose bit is set in `mask`, in order. One
+/// unconditional copy per row and an index that advances by the row's
+/// bit: no branch on the outcome.
+#[inline]
+pub fn compact_block(block: &mut Vec<&[u8]>, mask: RowMask) {
+    let mut kept = 0usize;
+    for i in 0..block.len().min(MASK_ROWS) {
+        // `kept <= i`: both positions are in bounds.
+        if let Some(row) = block.get(i).copied() {
+            if let Some(slot) = block.get_mut(kept) {
+                *slot = row;
+            }
+        }
+        kept += usize::from((mask >> i) & 1);
+    }
+    block.truncate(kept);
 }
 
 fn prim_with_capacity<T>(capacity: usize) -> PrimVec<T> {

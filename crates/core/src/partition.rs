@@ -53,7 +53,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::batch::{row_header, RowBatch};
 use crate::config::IndexConfig;
-use crate::layout::{ColumnDecoder, RowLayout};
+use crate::layout::{
+    block_mask, compact_block, ColumnDecoder, RowLayout, SlotPredicate, MASK_ROWS,
+};
 use crate::pointer::RowPtr;
 use crate::sink::RowKind;
 
@@ -1023,28 +1025,36 @@ impl PartitionSnapshot {
         keys: &[Value],
         projection: Option<&[usize]>,
     ) -> Result<Chunk> {
-        self.lookup_chunk_multi_ctx(keys, projection, None)
+        self.lookup_chunk_multi_ctx(keys, projection, &[], None)
     }
 
     /// [`Self::lookup_chunk_multi`] under a query lifecycle token:
     /// cancellation/deadline is checked between key probes and the result
-    /// chunk is billed to the query's memory budget.
+    /// chunk is billed to the query's memory budget. Only the chain rows
+    /// that pass every one of `preds` are decoded (see
+    /// [`Self::scan_where`]).
     pub fn lookup_chunk_multi_ctx(
         &self,
         keys: &[Value],
         projection: Option<&[usize]>,
+        preds: &[SlotPredicate],
         query: Option<&QueryContext>,
     ) -> Result<Chunk> {
         crate::failpoints::check(crate::failpoints::PARTITION_PROBE)?;
         let mut payloads: Vec<&[u8]> = Vec::new();
+        let mut block: Vec<&[u8]> = Vec::with_capacity(MASK_ROWS);
         for key in keys {
             if let Some(q) = query {
                 q.check()?;
             }
             for payload in self.lookup_payloads(key) {
-                payloads.push(payload?);
+                block.push(payload?);
+                if block.len() == MASK_ROWS {
+                    keep_passing(preds, &mut block, &mut payloads)?;
+                }
             }
         }
+        keep_passing(preds, &mut block, &mut payloads)?;
         let chunk = self.decode_chunk(&payloads, projection)?;
         if let Some(q) = query {
             q.charge_memory(chunk.byte_size())?;
@@ -1119,6 +1129,28 @@ impl PartitionSnapshot {
         chunk_rows: usize,
         query: Option<Arc<QueryContext>>,
     ) -> Result<ScanIter> {
+        self.scan_where(projection, &[], chunk_rows, query)
+    }
+
+    /// [`Self::scan`] of only the rows that pass every one of `preds`.
+    ///
+    /// The walk gathers the visible rows [`MASK_ROWS`] at a time, builds
+    /// one bit mask per predicate from the rows' own slots, and hands just
+    /// the rows that pass to the column decoders; a scan with no projected
+    /// column decodes nothing. Chunks still hold at most `chunk_rows` rows,
+    /// and because a selective predicate may walk far between two chunks,
+    /// the query is also checked every `COUNT_CHUNK_ROWS` walked rows.
+    ///
+    /// # Errors
+    /// As [`Self::scan`]; a payload too short for a predicate's slot fails
+    /// from the iterator with the layout's typed error.
+    pub fn scan_where(
+        &self,
+        projection: Option<&[usize]>,
+        preds: &[SlotPredicate],
+        chunk_rows: usize,
+        query: Option<Arc<QueryContext>>,
+    ) -> Result<ScanIter> {
         let kill = if self.dead_rows == 0 {
             KillSet::default()
         } else {
@@ -1129,6 +1161,7 @@ impl PartitionSnapshot {
             batches: self.batches.clone(),
             watermarks: self.watermarks.clone(),
             cols: self.projected_cols(projection)?,
+            preds: preds.to_vec(),
             header: self.header,
             chunk_rows: chunk_rows.max(1),
             query,
@@ -1239,6 +1272,65 @@ const COUNT_CHUNK_ROWS: usize = 8192;
 /// pass over memory the walk has already left.
 const DECODE_BLOCK_ROWS: usize = 8;
 
+// A decode block is also the block one predicate mask covers.
+const _: () = assert!(DECODE_BLOCK_ROWS <= MASK_ROWS);
+
+/// Count `rows` more walked rows, and check `query` once every
+/// [`COUNT_CHUNK_ROWS`] of them: a walk that keeps few rows can go far
+/// between two chunk boundaries. Visible rows are counted a block at a
+/// time, so the hot path pays one compare per block.
+#[inline]
+fn count_walked(unchecked: &mut usize, rows: usize, query: Option<&QueryContext>) -> Result<()> {
+    *unchecked += rows;
+    if *unchecked >= COUNT_CHUNK_ROWS {
+        *unchecked = 0;
+        if let Some(q) = query {
+            q.check()?;
+        }
+    }
+    Ok(())
+}
+
+/// Run `block`'s rows that pass every one of `preds` through `decoders`,
+/// leaving `block` empty; returns how many passed. Without a decoder (a
+/// zero-column scan) the passing rows are only counted.
+#[inline]
+fn decode_passing(
+    preds: &[SlotPredicate],
+    block: &mut Vec<&[u8]>,
+    decoders: &mut [ColumnDecoder],
+) -> Result<usize> {
+    if !preds.is_empty() {
+        let mask = block_mask(preds, block)?;
+        if decoders.is_empty() {
+            block.clear();
+            return Ok(mask.count_ones() as usize);
+        }
+        compact_block(block, mask);
+    }
+    for d in decoders.iter_mut() {
+        d.extend(block)?;
+    }
+    let rows = block.len();
+    block.clear();
+    Ok(rows)
+}
+
+/// Move `block`'s rows that pass every one of `preds` to `out`, leaving
+/// `block` empty.
+fn keep_passing<'a>(
+    preds: &[SlotPredicate],
+    block: &mut Vec<&'a [u8]>,
+    out: &mut Vec<&'a [u8]>,
+) -> Result<()> {
+    if !preds.is_empty() {
+        let mask = block_mask(preds, block)?;
+        compact_block(block, mask);
+    }
+    out.append(block);
+    Ok(())
+}
+
 /// Position of a row inside a snapshot, ordered as the scan walks.
 fn physical_key(batch: usize, offset: usize) -> u64 {
     ((batch as u64) << 32) | offset as u64
@@ -1348,6 +1440,8 @@ pub struct ScanIter {
     batches: Vec<Arc<RowBatch>>,
     watermarks: Vec<usize>,
     cols: Vec<usize>,
+    /// Only rows that pass all of these are returned.
+    preds: Vec<SlotPredicate>,
     /// Framing bytes per stored row.
     header: usize,
     chunk_rows: usize,
@@ -1388,8 +1482,13 @@ impl ScanIter {
             .iter()
             .map(|&c| self.layout.column_decoder(c, capacity))
             .collect();
+        // Visible rows waiting for the predicates. Never more than the
+        // chunk still has room for, so every row of a block that passes
+        // fits, and the walk resumes right after the last row gathered.
         let mut block: Vec<&[u8]> = Vec::with_capacity(DECODE_BLOCK_ROWS);
+        let mut room = DECODE_BLOCK_ROWS.min(self.chunk_rows);
         let mut rows = 0usize;
+        let mut unchecked = 0usize;
         while rows < self.chunk_rows && self.batch < self.batches.len() {
             let (Some(batch), Some(&watermark)) = (
                 self.batches.get(self.batch),
@@ -1401,15 +1500,14 @@ impl ScanIter {
             while let Some(row) = walk.step::<SINGLE_LINK>() {
                 let (offset, _, kind, payload) = row?;
                 if kind == RowKind::Tombstone || self.kill.hides(physical_key(self.batch, offset)) {
+                    count_walked(&mut unchecked, 1, self.query.as_deref())?;
                     continue;
                 }
                 block.push(payload);
-                rows += 1;
-                if block.len() == DECODE_BLOCK_ROWS || rows == self.chunk_rows {
-                    for d in &mut decoders {
-                        d.extend(&block)?;
-                    }
-                    block.clear();
+                if block.len() == room {
+                    count_walked(&mut unchecked, room, self.query.as_deref())?;
+                    rows += decode_passing(&self.preds, &mut block, &mut decoders)?;
+                    room = DECODE_BLOCK_ROWS.min(self.chunk_rows - rows);
                     if rows == self.chunk_rows {
                         break;
                     }
@@ -1421,9 +1519,7 @@ impl ScanIter {
                 self.offset = 0;
             }
         }
-        for d in &mut decoders {
-            d.extend(&block)?;
-        }
+        rows += decode_passing(&self.preds, &mut block, &mut decoders)?;
         if rows == 0 && !matches!(self.state, ScanState::Fresh) {
             return Ok(None);
         }

@@ -9,7 +9,10 @@
 //! (paper: *"Equality filter"* indexed operator, extended to multi-key
 //! probes). A conjunction of pushed filters intersects their key sets.
 //! Everything else falls back to `transformToRowRDD`-style full scans over
-//! the row batches.
+//! the row batches — and an integer or timestamp comparison with a
+//! constant ([`IndexedSource::walk_predicate`]) is claimed too and
+//! evaluated inside that walk (or on a probe's chain rows), on the row
+//! bytes, before anything is decoded.
 //!
 //! The same key set answers [`IndexedSource::prune`] at plan time: through
 //! the primary index each key lives in exactly one hash partition, so a
@@ -18,8 +21,8 @@
 //! rows may sit in every partition, so the probe fans out to all of them —
 //! still one cTrie lookup per partition, not a scan. In a cached plan the
 //! literal is still an [`Expr::Param`] when pushdown is decided; a
-//! parameter of the key's type is claimed exactly like a literal, and is
-//! bound before any scan runs.
+//! parameter is claimed exactly like a literal of its type, and is bound
+//! before any scan runs. Walk predicates prune nothing.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -30,8 +33,9 @@ use idf_engine::error::{EngineError, Result};
 use idf_engine::expr::{BinaryOp, Expr};
 use idf_engine::query::QueryContext;
 use idf_engine::schema::SchemaRef;
-use idf_engine::types::Value;
+use idf_engine::types::{DataType, Value};
 
+use crate::layout::{RowLayout, SlotPredicate};
 use crate::table::{IndexedTable, TableSnapshot};
 
 /// Scan source over an indexed table: either *live* (each partition scan
@@ -75,7 +79,7 @@ impl IndexedSource {
         matches!(e, Expr::Column(c) if c.index == Some(self.table.key_col()))
     }
 
-    fn key_type(&self) -> idf_engine::types::DataType {
+    fn key_type(&self) -> DataType {
         self.table.schema().field(self.table.key_col()).data_type
     }
 
@@ -152,36 +156,95 @@ impl IndexedSource {
         self.key_in_list_literals(filter)
     }
 
-    /// The keys a conjunction of pushed filters selects: the intersection
-    /// of their key sets. `None` when a filter has no pushable shape —
-    /// the pushdown rule only hands over filters this source claimed, so
-    /// that is a planner bug, not a case to scan around.
-    fn pushed_keys(&self, filters: &[Expr]) -> Option<Vec<Value>> {
-        let mut keys: Option<Vec<Value>> = None;
-        for f in filters {
-            let set = self.key_set_of(f)?;
-            keys = Some(match keys {
-                None => set,
-                Some(prev) => prev.into_iter().filter(|k| set.contains(k)).collect(),
-            });
+    /// A comparison the scan evaluates on the row bytes as it walks them:
+    /// `col op c` or `c op col`, with `op` one of `= <> < <= > >=`, `col`
+    /// an Int32, Int64 or Timestamp column (bare, or as the
+    /// `CAST(col AS BIGINT)` the analyzer wraps around an Int32 or a
+    /// timestamp compared with an integer), and `c` a non-null literal of
+    /// the operand's type. An equality on the key is an index probe
+    /// instead (see [`Self::key_equality_literal`]).
+    pub fn walk_predicate(&self, filter: &Expr) -> Option<SlotPredicate> {
+        let Expr::Binary { left, op, right } = filter else {
+            return None;
+        };
+        let (operand, constant, op) = match self.slot_operand(left) {
+            Some(operand) => (operand, right, *op),
+            None => (self.slot_operand(right)?, left, flipped(*op)?),
+        };
+        let (col, operand_type) = operand;
+        let value = match constant.as_ref() {
+            Expr::Literal(v) if v.data_type() == Some(operand_type) => v.as_i64()?,
+            _ => return None,
+        };
+        RowLayout::new(self.table.schema()).slot_predicate(col, op, value)
+    }
+
+    /// The column a comparison operand reads and the operand's type: a
+    /// bare column, or `CAST(col AS BIGINT)` of an integer or timestamp
+    /// column (the same slot, widened or reinterpreted exactly).
+    fn slot_operand(&self, e: &Expr) -> Option<(usize, DataType)> {
+        let column = |e: &Expr| match e {
+            Expr::Column(c) => {
+                let col = c.index?;
+                Some((col, self.table.schema().fields.get(col)?.data_type))
+            }
+            _ => None,
+        };
+        match e {
+            Expr::Cast {
+                expr,
+                to: DataType::Int64,
+            } => match column(expr)? {
+                (col, DataType::Int32 | DataType::Int64 | DataType::Timestamp) => {
+                    Some((col, DataType::Int64))
+                }
+                _ => None,
+            },
+            e => column(e),
         }
-        Some(keys.unwrap_or_default())
+    }
+
+    /// The keys the key filters among `filters` select: the intersection
+    /// of their key sets (`Some(vec![])` when it is empty: no row can
+    /// match). `None` when no filter is a key filter — the scan is then
+    /// not restricted to any key.
+    fn pushed_keys(&self, filters: &[Expr]) -> Option<Vec<Value>> {
+        filters
+            .iter()
+            .filter_map(|f| self.key_set_of(f))
+            .reduce(intersect)
+    }
+
+    /// Sort pushed filters into the key set the index answers (see
+    /// [`Self::pushed_keys`]) and the predicates the walk evaluates. The
+    /// pushdown rule only hands over filters this source claimed, so an
+    /// unclaimed one is a planner bug, not a case to scan around.
+    fn split(&self, filters: &[Expr]) -> Result<(Option<Vec<Value>>, Vec<SlotPredicate>)> {
+        let mut keys: Option<Vec<Value>> = None;
+        let mut preds = Vec::new();
+        for f in filters {
+            match self.key_set_of(f) {
+                Some(set) => {
+                    keys = Some(match keys.take() {
+                        None => set,
+                        Some(prev) => intersect(prev, set),
+                    })
+                }
+                None => preds.push(self.walk_predicate(f).ok_or_else(|| {
+                    EngineError::internal("indexed scan was handed a filter it did not claim")
+                })?),
+            }
+        }
+        Ok((keys, preds))
     }
 
     /// Whether `filter` is a pushable shape once its [`Expr::Param`]
-    /// placeholders (of the key's type) are bound: a cached plan decides
-    /// pushdown before it knows the literal.
+    /// placeholders are bound: a cached plan decides pushdown before it
+    /// knows the literal, and a parameter is claimed exactly like a
+    /// literal of its type.
     fn claims(&self, filter: &Expr) -> bool {
-        let key_dt = self.key_type();
-        let as_literals = filter.map_leaves(&|leaf| match leaf {
-            Expr::Param { data_type, .. } if *data_type == key_dt => {
-                // Any value of the key type stands in for the parameter;
-                // only the shape is being judged.
-                Expr::Literal(placeholder_of(key_dt))
-            }
-            other => other.clone(),
-        });
-        self.key_set_of(&as_literals).is_some()
+        let as_literals = with_placeholders(filter);
+        self.key_set_of(&as_literals).is_some() || self.walk_predicate(&as_literals).is_some()
     }
 
     fn partition_snapshot(&self, partition: usize) -> Result<PartitionView<'_>> {
@@ -193,37 +256,30 @@ impl IndexedSource {
         }
     }
 
-    /// Full scan of one partition, optionally under a query lifecycle
-    /// context (cancellation checks and memory charging per emitted chunk).
-    /// Chunks are decoded as the consumer pulls them.
-    fn scan_ctx(
-        &self,
-        partition: usize,
-        projection: Option<&[usize]>,
-        query: Option<&Arc<QueryContext>>,
-    ) -> Result<ChunkIter> {
-        let view = self.partition_snapshot(partition)?;
-        let chunks = view.get().scan(
-            projection,
-            self.table.config().scan_chunk_rows,
-            query.cloned(),
-        )?;
-        Ok(Box::new(chunks))
-    }
-
-    /// Filtered scan of one partition under an optional lifecycle context:
-    /// pushed key filters become index probes that honour cancellation and
-    /// charge their result chunks against the query's memory budget.
-    fn scan_with_filters_ctx(
+    /// Scan of one partition with pushed `filters`, optionally under a
+    /// query lifecycle context. Key filters become index probes that honour
+    /// cancellation and charge their result chunks against the query's
+    /// memory budget; without one, the partition is walked lazily, chunk by
+    /// chunk as the consumer pulls them. Either way only the rows that pass
+    /// the walk predicates are decoded.
+    fn scan_filtered(
         &self,
         partition: usize,
         projection: Option<&[usize]>,
         filters: &[Expr],
-        query: Option<&QueryContext>,
+        query: Option<&Arc<QueryContext>>,
     ) -> Result<ChunkIter> {
-        let keys = self.pushed_keys(filters).ok_or_else(|| {
-            EngineError::internal("indexed scan was handed a filter it did not claim")
-        })?;
+        let (keys, preds) = self.split(filters)?;
+        let view = self.partition_snapshot(partition)?;
+        let Some(keys) = keys else {
+            let chunks = view.get().scan_where(
+                projection,
+                &preds,
+                self.table.config().scan_chunk_rows,
+                query.cloned(),
+            )?;
+            return Ok(Box::new(chunks));
+        };
         // Through the primary index, keep the keys that hash-route to THIS
         // partition; the rest are pruned — their home partitions answer
         // for them. Any other index's keys are not routed.
@@ -231,24 +287,55 @@ impl IndexedSource {
             .into_iter()
             .filter(|k| !self.table.is_primary() || self.table.partition_of(k) == partition)
             .collect();
-        let view = self.partition_snapshot(partition)?;
-        let chunk = match local.as_slice() {
+        let chunk = match (local.as_slice(), preds.is_empty()) {
             // Empty intersection (or no local keys): nothing here.
-            [] => Chunk::empty(&project_schema(&self.table.schema(), projection)),
+            ([], _) => Chunk::empty(&project_schema(&self.table.schema(), projection)),
             // Index lookup instead of a scan; the result is billed to the
             // query (the multi-key path bills inside the probe).
-            [key] => {
+            ([key], true) => {
                 let chunk = view.get().lookup_chunk(key, projection)?;
                 if let Some(q) = query {
                     q.charge_memory(chunk.byte_size())?;
                 }
                 chunk
             }
-            // Multi-key probe sharing one set of column builders.
-            many => view.get().lookup_chunk_multi_ctx(many, projection, query)?,
+            // Several keys, or rows to filter: one set of column builders.
+            (keys, _) => view.get().lookup_chunk_multi_ctx(
+                keys,
+                projection,
+                &preds,
+                query.map(Arc::as_ref),
+            )?,
         };
         Ok(Box::new(std::iter::once(Ok(chunk))))
     }
+}
+
+/// The keys of `keys` that `set` also holds.
+fn intersect(keys: Vec<Value>, set: Vec<Value>) -> Vec<Value> {
+    keys.into_iter().filter(|k| set.contains(k)).collect()
+}
+
+/// `filter` with every [`Expr::Param`] replaced by some non-null value of
+/// its type (which one is irrelevant: only the shape is being judged).
+fn with_placeholders(filter: &Expr) -> Expr {
+    filter.map_leaves(&|leaf| match leaf {
+        Expr::Param { data_type, .. } => Expr::Literal(placeholder_of(*data_type)),
+        other => other.clone(),
+    })
+}
+
+/// `op` with its operands swapped (`c < col` is `col > c`), for a
+/// comparison.
+fn flipped(op: BinaryOp) -> Option<BinaryOp> {
+    Some(match op {
+        BinaryOp::Eq | BinaryOp::NotEq => op,
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        _ => return None,
+    })
 }
 
 enum PartitionView<'a> {
@@ -275,11 +362,15 @@ impl TableSource for IndexedSource {
     }
 
     fn scan(&self, partition: usize, projection: Option<&[usize]>) -> Result<ChunkIter> {
-        self.scan_ctx(partition, projection, None)
+        self.scan_filtered(partition, projection, &[], None)
     }
 
     fn supports_filter_pushdown(&self, filter: &Expr) -> bool {
         self.claims(filter)
+    }
+
+    fn probes_index(&self, filter: &Expr) -> bool {
+        self.key_set_of(&with_placeholders(filter)).is_some()
     }
 
     fn hash_partitioned_by(&self) -> Option<usize> {
@@ -294,9 +385,7 @@ impl TableSource for IndexedSource {
     }
 
     fn prune(&self, filters: &[Expr]) -> Option<ScanPruning> {
-        if filters.is_empty() {
-            return None;
-        }
+        // Walk predicates prune nothing: only a key filter names partitions.
         let keys = self.pushed_keys(filters)?;
         let mut partitions: Vec<usize> = if !self.table.is_primary() && !keys.is_empty() {
             (0..self.table.num_partitions()).collect()
@@ -321,7 +410,7 @@ impl TableSource for IndexedSource {
         projection: Option<&[usize]>,
         filters: &[Expr],
     ) -> Result<ChunkIter> {
-        self.scan_with_filters_ctx(partition, projection, filters, None)
+        self.scan_filtered(partition, projection, filters, None)
     }
 
     fn scan_with_ctx(
@@ -331,11 +420,7 @@ impl TableSource for IndexedSource {
         filters: &[Expr],
         query: &Arc<QueryContext>,
     ) -> Result<ChunkIter> {
-        if filters.is_empty() {
-            self.scan_ctx(partition, projection, Some(query))
-        } else {
-            self.scan_with_filters_ctx(partition, projection, filters, Some(query.as_ref()))
-        }
+        self.scan_filtered(partition, projection, filters, Some(query))
     }
 
     fn statistics(&self) -> Statistics {
@@ -374,9 +459,8 @@ impl TableSource for IndexedSource {
     }
 }
 
-/// Some value of type `dt` (which one is irrelevant to the caller).
-fn placeholder_of(dt: idf_engine::types::DataType) -> Value {
-    use idf_engine::types::DataType;
+/// Some non-null value of type `dt` (which one is irrelevant to the caller).
+fn placeholder_of(dt: DataType) -> Value {
     match dt {
         DataType::Boolean => Value::Boolean(false),
         DataType::Int32 => Value::Int32(0),
@@ -457,18 +541,138 @@ mod tests {
             cr.index = Some(1);
         }
         assert!(!s.supports_filter_pushdown(&v.eq(lit("x"))));
-        // non-equality
+        // non-equality: not a probe, but the walk evaluates it
         let mut c = col("k");
         if let Expr::Column(cr) = &mut c {
             cr.index = Some(0);
         }
-        assert!(!s.supports_filter_pushdown(&c.gt(lit(3i64))));
+        let range = c.gt(lit(3i64));
+        assert!(s.supports_filter_pushdown(&range));
+        assert!(!s.probes_index(&range));
+        assert!(s.probes_index(&bound_key_eq(3)));
         // mismatched literal type
         let mut c = col("k");
         if let Expr::Column(cr) = &mut c {
             cr.index = Some(0);
         }
         assert!(!s.supports_filter_pushdown(&c.eq(lit("three"))));
+    }
+
+    /// A table with every claimed type and a few it leaves to `Filter`.
+    fn typed_table() -> Arc<IndexedTable> {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("i", DataType::Int32),
+            Field::new("ts", DataType::Timestamp),
+            Field::new("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+        ]));
+        let rows: Vec<Vec<Value>> = (0..100)
+            .map(|i| {
+                vec![
+                    Value::Int64(i % 10),
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int32(i as i32)
+                    },
+                    Value::Timestamp(1000 + i),
+                    Value::Float64(i as f64),
+                    Value::Utf8(format!("v{i}")),
+                ]
+            })
+            .collect();
+        let chunk = Chunk::from_rows(&schema, &rows).unwrap();
+        let cfg = IndexConfig {
+            num_partitions: 4,
+            ..Default::default()
+        };
+        Arc::new(IndexedTable::from_chunk(schema, 0, cfg, &chunk).unwrap())
+    }
+
+    fn count(s: &IndexedSource, filters: &[Expr]) -> usize {
+        (0..s.num_partitions())
+            .flat_map(|p| s.scan_with_filters(p, Some(&[]), filters).unwrap())
+            .map(|c| c.unwrap().len())
+            .sum()
+    }
+
+    #[test]
+    fn claims_integer_comparisons_for_the_walk() {
+        let s = IndexedSource::live(typed_table());
+        let param = |dt| Expr::Param {
+            slot: 0,
+            data_type: dt,
+        };
+        let ts_as_int = || bound_col("ts", 2).cast(DataType::Int64);
+        for claimed in [
+            bound_col("i", 1).lt_eq(lit(5i32)),
+            lit(5i32).lt(bound_col("i", 1)),
+            bound_col("ts", 2).not_eq(Expr::Literal(Value::Timestamp(1003))),
+            ts_as_int().gt(lit(1050i64)),
+            ts_as_int().gt(param(DataType::Int64)),
+            bound_col("i", 1).cast(DataType::Int64).gt_eq(lit(3i64)),
+            bound_col("k", 0).not_eq(param(DataType::Int64)),
+        ] {
+            assert!(s.supports_filter_pushdown(&claimed), "{claimed}");
+            assert!(!s.probes_index(&claimed), "{claimed}");
+        }
+        for left in [
+            // Floats, strings and booleans stay with `Filter`.
+            bound_col("f", 3).gt(lit(1.5)),
+            bound_col("s", 4).eq(lit("v3")),
+            // A constant of another type, NULL, or no constant at all.
+            bound_col("i", 1).lt(lit(5i64)),
+            ts_as_int().gt(param(DataType::Int32)),
+            bound_col("i", 1).lt(Expr::Literal(Value::Null)),
+            bound_col("i", 1).lt(bound_col("k", 0)),
+            // Arithmetic is not a slot.
+            bound_col("k", 0).add(lit(1i64)).gt(lit(3i64)),
+        ] {
+            assert!(!s.supports_filter_pushdown(&left), "{left}");
+        }
+    }
+
+    #[test]
+    fn walk_predicates_filter_scans_and_probes() {
+        let s = IndexedSource::live(typed_table());
+        // i = 1..99 minus the NULL multiples of 7; a NULL never passes.
+        let small = bound_col("i", 1).lt(lit(20i32));
+        assert_eq!(count(&s, std::slice::from_ref(&small)), 19 - 2);
+        assert_eq!(count(&s, &[lit(20i32).gt_eq(bound_col("i", 1))]), 21 - 3);
+        let late = bound_col("ts", 2).cast(DataType::Int64).gt(lit(1089i64));
+        assert_eq!(count(&s, std::slice::from_ref(&late)), 10);
+        assert_eq!(count(&s, &[small.clone(), late.clone()]), 0);
+        // Key probe plus walk predicate: key 3 holds i = 3, 13, …, 93.
+        assert_eq!(count(&s, &[bound_key_eq(3), small]), 2);
+        assert_eq!(count(&s, &[bound_key_in(&[3, 9]), late]), 2);
+        // Projected rows are the passing ones.
+        let rows: Vec<Value> = (0..s.num_partitions())
+            .flat_map(|p| {
+                s.scan_with_filters(p, Some(&[1]), &[bound_col("i", 1).gt(lit(95i32))])
+                    .unwrap()
+            })
+            .flat_map(|c| c.unwrap().to_rows())
+            .flatten()
+            .collect();
+        let mut rows: Vec<i64> = rows.iter().filter_map(Value::as_i64).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![96, 97, 99]);
+    }
+
+    /// Only key filters restrict which keys a scan reads: a filter list
+    /// with no key filter must neither prune partitions nor be read as
+    /// the empty key set ("no rows").
+    #[test]
+    fn walk_only_filters_never_mean_no_keys() {
+        let s = IndexedSource::live(typed_table());
+        let all = bound_col("i", 1).gt(lit(-1i32));
+        assert_eq!(s.pushed_keys(std::slice::from_ref(&all)), None);
+        assert!(s.prune(std::slice::from_ref(&all)).is_none());
+        assert_eq!(count(&s, std::slice::from_ref(&all)), 100 - 15);
+        let pruned = s.prune(&[all, bound_key_eq(3)]).unwrap();
+        assert_eq!(pruned.partitions.len(), 1);
+        assert_eq!(s.pushed_keys(&[bound_key_in(&[])]), Some(vec![]));
     }
 
     #[test]

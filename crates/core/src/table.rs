@@ -881,7 +881,7 @@ impl TableSnapshot {
             .map(|(p, keys)| (p, keys.into_iter().cloned().collect()))
             .collect();
         let probe = |p: usize, keys: &[Value]| -> Result<Chunk> {
-            catch_panics(|| self.partitions[p].lookup_chunk_multi_ctx(keys, projection, query))
+            catch_panics(|| self.partitions[p].lookup_chunk_multi_ctx(keys, projection, &[], query))
         };
         let chunks: Vec<Chunk> = match involved.len() {
             0 => {

@@ -1,20 +1,24 @@
-//! Query lifecycle hardening over the indexed storage layer: the
-//! acceptance scenarios of the robustness PR. A heavy query on a
-//! million-row indexed table is cancellable mid-execution with bounded
+//! Query lifecycle hardening over the indexed storage layer. A heavy query
+//! on a million-row indexed table is cancellable mid-execution with bounded
 //! latency while concurrent point lookups on the same session keep
-//! answering; an over-budget aggregation dies with a typed
+//! answering; a scan whose predicate passes nothing still stops in the
+//! middle of its walk; an over-budget aggregation dies with a typed
 //! `ResourceExhausted` without disturbing its neighbours; oversized rows
 //! are rejected as typed errors at every API layer with no partial
 //! visibility.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use idf_core::prelude::*;
+use idf_engine::catalog::{ChunkIter, TableSource};
 use idf_engine::config::EngineConfig;
-use idf_engine::error::EngineError;
+use idf_engine::error::{EngineError, Result};
+use idf_engine::expr::{col, lit, Expr};
 use idf_engine::prelude::*;
+use idf_engine::query::QueryContext;
+use idf_fail::{FailConfig, FailGuard};
 
 fn schema() -> SchemaRef {
     Arc::new(Schema::new(vec![
@@ -24,36 +28,107 @@ fn schema() -> SchemaRef {
     ]))
 }
 
-fn indexed_table(session: &Session, rows: i64) -> IndexedDataFrame {
+fn rows(rows: i64) -> Chunk {
     let data: Vec<Vec<Value>> = (0..rows)
         .map(|i| vec![Value::Int64(i), Value::Int64(i % 500), Value::Int64(i * 7)])
         .collect();
-    let chunk = Chunk::from_rows(&schema(), &data).unwrap();
-    let df = session.dataframe_from_chunk(schema(), chunk);
+    Chunk::from_rows(&schema(), &data).unwrap()
+}
+
+fn indexed_table(session: &Session, rows: i64) -> IndexedDataFrame {
+    let df = session.dataframe_from_chunk(schema(), self::rows(rows));
     let idf = df.create_index("id").unwrap();
     idf.cache();
     idf
 }
 
+/// Tests here build million-row tables and one arms a failpoint, which is
+/// process-wide: they run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A table's source whose partition scans each hand out their first chunk
+/// and then hold until `query` is cancelled: the query is provably in
+/// flight when the cancel lands, however fast the machine runs it.
+struct HeldAfterFirstChunk {
+    inner: Arc<dyn TableSource>,
+    query: Arc<QueryContext>,
+    in_flight: Mutex<mpsc::Sender<()>>,
+}
+
+impl TableSource for HeldAfterFirstChunk {
+    fn schema(&self) -> SchemaRef {
+        self.inner.schema()
+    }
+
+    fn num_partitions(&self) -> usize {
+        self.inner.num_partitions()
+    }
+
+    fn scan(&self, partition: usize, projection: Option<&[usize]>) -> Result<ChunkIter> {
+        self.inner.scan(partition, projection)
+    }
+
+    fn scan_with_ctx(
+        &self,
+        partition: usize,
+        projection: Option<&[usize]>,
+        filters: &[Expr],
+        query: &Arc<QueryContext>,
+    ) -> Result<ChunkIter> {
+        let mut chunks = self
+            .inner
+            .scan_with_ctx(partition, projection, filters, query)?;
+        let held = Arc::clone(&self.query);
+        let in_flight = self.in_flight.lock().unwrap().clone();
+        let mut first = true;
+        Ok(Box::new(std::iter::from_fn(move || {
+            if !std::mem::take(&mut first) {
+                let _ = in_flight.send(());
+                while !held.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            chunks.next()
+        })))
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
 #[test]
 fn heavy_query_cancels_while_lookups_proceed() {
+    let _serial = serial();
     let session = Session::new();
     let idf = indexed_table(&session, 1_000_000);
-    idf.register("big");
-    // A full-scan aggregation over the million rows: plenty of chunk
-    // boundaries for the cooperative cancellation check to fire at.
+    // A full-scan aggregation over the million rows, held in flight after
+    // each partition's first chunk until the cancel arrives.
+    let query = session.new_query();
+    let (in_flight_tx, in_flight) = mpsc::channel();
+    session.register_table(
+        "big",
+        Arc::new(HeldAfterFirstChunk {
+            inner: Arc::new(IndexedSource::live(Arc::clone(idf.table()))),
+            query: Arc::clone(&query),
+            in_flight: Mutex::new(in_flight_tx),
+        }),
+    );
     let heavy = session
         .sql("SELECT grp, count(*), sum(v) FROM big GROUP BY grp")
         .unwrap();
-    let query = session.new_query();
     let stop_lookups = Arc::new(AtomicBool::new(false));
+    let lookups_done = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|s| {
         // Concurrent point lookups on the same session, racing the
         // cancelled query the whole time.
         let reader = {
             let idf = idf.clone();
-            let stop = Arc::clone(&stop_lookups);
+            let (stop, done) = (Arc::clone(&stop_lookups), Arc::clone(&lookups_done));
             s.spawn(move || {
                 let mut lookups = 0usize;
                 while !stop.load(Ordering::Relaxed) {
@@ -61,14 +136,20 @@ fn heavy_query_cancels_while_lookups_proceed() {
                     let chunk = idf.get_rows_chunk(key).unwrap();
                     assert_eq!(chunk.len(), 1, "key {key}");
                     lookups += 1;
+                    done.store(lookups, Ordering::Relaxed);
                 }
                 lookups
             })
         };
+        // Cancel once the query is mid-flight and a lookup has got through
+        // beside it.
         let canceller = {
-            let query = Arc::clone(&query);
+            let (query, done) = (Arc::clone(&query), Arc::clone(&lookups_done));
             s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
+                in_flight.recv().unwrap();
+                while done.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
                 query.cancel();
                 Instant::now()
             })
@@ -82,7 +163,7 @@ fn heavy_query_cancels_while_lookups_proceed() {
         assert_eq!(
             result.unwrap_err(),
             EngineError::Cancelled,
-            "1M-row aggregation must not finish within 50ms in a test build"
+            "an aggregation cancelled mid-flight must end Cancelled"
         );
         let latency = returned_at.saturating_duration_since(cancelled_at);
         assert!(latency < Duration::from_secs(2), "cancel took {latency:?}");
@@ -90,6 +171,7 @@ fn heavy_query_cancels_while_lookups_proceed() {
     });
 
     // The same session still answers the same (un-cancelled) query shape.
+    idf.register("big");
     let out = session
         .sql("SELECT grp, count(*) FROM big GROUP BY grp LIMIT 5")
         .unwrap()
@@ -98,8 +180,61 @@ fn heavy_query_cancels_while_lookups_proceed() {
     assert_eq!(out.len(), 5);
 }
 
+/// A predicate no row passes keeps the scan walking a whole partition
+/// without producing a chunk, so the walk itself checks the query every
+/// `COUNT_CHUNK_ROWS` rows. The stop is the query's deadline (the same
+/// `QueryContext::check` a cancel trips), and a failpoint delay on the
+/// walk's second batch makes it certain the deadline passes mid-walk: the
+/// walk must stop in that batch, not run on to the partition's end.
+#[test]
+fn never_true_walk_stops_mid_partition() {
+    let _serial = serial();
+    // The million rows in two partitions (whatever the core count), so a
+    // partition spans several row batches.
+    let config = IndexConfig {
+        num_partitions: 2,
+        ..IndexConfig::default()
+    };
+    let table = Arc::new(IndexedTable::from_chunk(schema(), 0, config, &rows(1_000_000)).unwrap());
+    let snap = table.snapshot();
+    let part = &snap.partitions()[0];
+    assert!(
+        part.export_batches().len() >= 3,
+        "the walk needs a batch after the delayed one"
+    );
+    let mut v = col("v");
+    if let Expr::Column(c) = &mut v {
+        c.index = Some(2);
+    }
+    let source = IndexedSource::live(Arc::clone(&table));
+    let never = source.walk_predicate(&v.lt(lit(0i64))).unwrap();
+
+    let site = idf_core::failpoints::BATCH_READ;
+    let _slow = FailGuard::new(site, FailConfig::delay(100).skip(1).times(1));
+    if idf_fail::hit_count(site).is_none() {
+        return; // failpoints compiled out: nothing can hold the walk
+    }
+    let query = QueryContext::builder()
+        .timeout(Duration::from_millis(50))
+        .build();
+    let started = Instant::now();
+    let mut walk = part
+        .scan_where(Some(&[]), &[never], usize::MAX, Some(query))
+        .unwrap();
+    let err = walk.next().expect("one item").unwrap_err();
+    assert_eq!(err, EngineError::DeadlineExceeded);
+    assert_eq!(
+        idf_fail::hit_count(site),
+        Some(2),
+        "the walk opened a batch past the one it overran its deadline in"
+    );
+    assert!(started.elapsed() < Duration::from_secs(2));
+    assert!(walk.next().is_none(), "a stopped walk is fused");
+}
+
 #[test]
 fn over_budget_scan_aggregation_is_resource_exhausted() {
+    let _serial = serial();
     let session = Session::with_config(EngineConfig {
         query_memory_limit: Some(64 * 1024),
         ..Default::default()
@@ -131,6 +266,7 @@ fn over_budget_scan_aggregation_is_resource_exhausted() {
 
 #[test]
 fn oversized_row_is_typed_error_with_no_partial_visibility() {
+    let _serial = serial();
     let session = Session::new();
     let idf = indexed_table(&session, 1_000);
     let before = idf.row_count();

@@ -185,9 +185,15 @@ mod scan_differential {
     use std::sync::mpsc;
 
     use idf_core::batch::{RowBatch, ROW_HEADER};
+    use idf_core::layout::SlotPredicate;
     use idf_core::partition::PartitionSnapshot;
     use idf_core::sink::RowKind;
+    use idf_core::source::IndexedSource;
     use idf_core::table::IndexedTable;
+    use idf_engine::catalog::TableSource;
+    use idf_engine::chunk::Chunk;
+    use idf_engine::expr::{BinaryOp, ColumnRefExpr, Expr};
+    use idf_engine::physical::{create_physical_expr, evaluate_predicate};
     use idf_engine::query::QueryContext;
 
     type Row = Vec<Value>;
@@ -252,7 +258,21 @@ mod scan_differential {
         projection: Option<&[usize]>,
         chunk_rows: usize,
     ) -> Vec<Row> {
-        let chunks = snap.scan_chunks(projection, chunk_rows).expect("scan");
+        scan_rows_where(snap, projection, &[], chunk_rows)
+    }
+
+    /// [`scan_rows`] of the rows that pass `preds`.
+    fn scan_rows_where(
+        snap: &PartitionSnapshot,
+        projection: Option<&[usize]>,
+        preds: &[SlotPredicate],
+        chunk_rows: usize,
+    ) -> Vec<Row> {
+        let chunks: Vec<Chunk> = snap
+            .scan_where(projection, preds, chunk_rows, None)
+            .expect("scan")
+            .collect::<idf_engine::error::Result<_>>()
+            .expect("scan");
         assert!(!chunks.is_empty(), "even an empty partition yields a chunk");
         let width = projection.map_or(snap.schema().len(), <[usize]>::len);
         let mut rows = Vec::new();
@@ -368,27 +388,7 @@ mod scan_differential {
             assert_eq!(physical_rows(part, &layout), model, "{}", what("oracle"));
             check_scans(&mut rng, part, &model, true, &what("fresh"));
 
-            // UPDATE/DELETE on a few keys: some of a key's rows go (each
-            // delete row removes one stored copy), sometimes a new image
-            // arrives in the same statement.
-            for _ in 0..rng.gen_range(1..4usize) {
-                let key = Value::Int64(rng.gen_range(0..12i64));
-                let (hit, rest): (Vec<Row>, Vec<Row>) =
-                    model.into_iter().partition(|r| r[0] == key);
-                let (victims, survivors): (Vec<Row>, Vec<Row>) =
-                    hit.into_iter().partition(|_| rng.gen_bool(0.7));
-                let mut images = Vec::new();
-                if rng.gen_bool(0.5) {
-                    let mut image = random_keyed_row(&mut rng, &schema, &layout);
-                    image[0] = key.clone();
-                    images.push(image);
-                }
-                let affected = table.apply_dml(&victims, &images).expect("dml");
-                assert_eq!(affected, victims.len(), "{}", what("rows affected"));
-                model = rest;
-                model.extend(survivors);
-                model.extend(images);
-            }
+            model = random_dml(&mut rng, &table, model, &layout, &what("rows affected"));
             saw_hidden_rows |= table.memory_stats().dead_rows > 0;
             let snap = table.snapshot();
             let part = &snap.partitions()[0];
@@ -408,6 +408,304 @@ mod scan_differential {
             saw_hidden_rows,
             "no seed left a row hidden below a tombstone"
         );
+    }
+
+    /// UPDATE/DELETE on a few keys: some of a key's rows go (each delete
+    /// row removes one stored copy), sometimes a new image arrives in the
+    /// same statement. Returns the model after the statements.
+    fn random_dml(
+        rng: &mut StdRng,
+        table: &IndexedTable,
+        mut model: Vec<Row>,
+        layout: &RowLayout,
+        what: &str,
+    ) -> Vec<Row> {
+        let schema = Arc::clone(layout.schema());
+        for _ in 0..rng.gen_range(1..4usize) {
+            let key = Value::Int64(rng.gen_range(0..12i64));
+            let (hit, rest): (Vec<Row>, Vec<Row>) = model.into_iter().partition(|r| r[0] == key);
+            let (victims, survivors): (Vec<Row>, Vec<Row>) =
+                hit.into_iter().partition(|_| rng.gen_bool(0.7));
+            let mut images = Vec::new();
+            if rng.gen_bool(0.5) {
+                let mut image = random_keyed_row(rng, &schema, layout);
+                image[0] = key.clone();
+                images.push(image);
+            }
+            let affected = table.apply_dml(&victims, &images).expect("dml");
+            assert_eq!(affected, victims.len(), "{what}");
+            model = rest;
+            model.extend(survivors);
+            model.extend(images);
+        }
+        model
+    }
+
+    // -----------------------------------------------------------------
+    // Walk predicates: what the scan's per-block masks keep against a
+    // `Filter` above the scan — the same rows filtered by `physical::expr`.
+    // -----------------------------------------------------------------
+
+    /// Seeds of the walk-predicate differential; `IDF_SCAN_DIFF_SEEDS`
+    /// widens the sweep.
+    fn walk_seeds() -> std::ops::Range<u64> {
+        let n = std::env::var("IDF_SCAN_DIFF_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16);
+        0..n
+    }
+
+    fn bound(schema: &Schema, col: usize) -> Expr {
+        Expr::Column(ColumnRefExpr {
+            qualifier: None,
+            name: schema.field(col).name.clone(),
+            index: Some(col),
+        })
+    }
+
+    /// A random comparison of the shapes the scan claims: an Int32, Int64
+    /// or Timestamp column, bare or as `CAST(col AS BIGINT)`, against a
+    /// constant of the operand's type — mostly one of the column's own
+    /// values, so `=` and the boundaries of `<=`/`>=` hit — with a random
+    /// operator, in either operand order.
+    fn random_walk_filter(rng: &mut StdRng, schema: &Schema, rows: &[Row]) -> Expr {
+        let claimed: Vec<usize> = (0..schema.len())
+            .filter(|&c| {
+                matches!(
+                    schema.field(c).data_type,
+                    DataType::Int32 | DataType::Int64 | DataType::Timestamp
+                )
+            })
+            .collect();
+        let c = claimed[rng.gen_range(0..claimed.len())];
+        let dt = schema.field(c).data_type;
+        let mut value = Value::Null;
+        if !rows.is_empty() && rng.gen_bool(0.7) {
+            value = rows[rng.gen_range(0..rows.len())][c].clone();
+        }
+        while value.is_null() {
+            value = random_value(rng, dt);
+        }
+        let (operand, constant) = if rng.gen_bool(0.4) {
+            let widened = Value::Int64(value.as_i64().expect("an integer column"));
+            (bound(schema, c).cast(DataType::Int64), widened)
+        } else {
+            (bound(schema, c), value)
+        };
+        let ops = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ];
+        let op = ops[rng.gen_range(0..ops.len())];
+        let (left, right) = if rng.gen_bool(0.5) {
+            (operand, Expr::Literal(constant))
+        } else {
+            (Expr::Literal(constant), operand)
+        };
+        Expr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        }
+    }
+
+    /// A key filter the index answers: `k = v` or `k IN (…)`, now and then
+    /// with a NULL entry or a key no row has.
+    fn random_key_filter(rng: &mut StdRng, schema: &Schema) -> Expr {
+        let key = |rng: &mut StdRng| Expr::Literal(Value::Int64(rng.gen_range(0..14i64)));
+        if rng.gen_bool(0.5) {
+            return bound(schema, 0).eq(key(rng));
+        }
+        let mut list: Vec<Expr> = (0..rng.gen_range(0..4usize)).map(|_| key(rng)).collect();
+        if rng.gen_bool(0.2) {
+            list.push(Expr::Literal(Value::Null));
+        }
+        bound(schema, 0).in_list(list)
+    }
+
+    fn shown(filters: &[Expr]) -> String {
+        filters
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(" AND ")
+    }
+
+    /// The oracle: `rows` through a `Filter` on each of `filters`, the
+    /// predicate compiled and evaluated by `physical::expr`.
+    fn filtered(schema: &Arc<Schema>, rows: &[Row], filters: &[Expr]) -> Vec<Row> {
+        let mut chunk = Chunk::from_rows(schema, rows).expect("chunk");
+        for f in filters {
+            let predicate = create_physical_expr(f, schema).expect("compile");
+            let mask = evaluate_predicate(predicate.as_ref(), &chunk).expect("evaluate");
+            chunk = chunk.filter(&mask).expect("filter");
+        }
+        chunk.to_rows()
+    }
+
+    /// Every partition of `table` scanned with random walk predicates,
+    /// under every projection and chunk size, against the oracle over
+    /// `expected` — row for row when `in_order`.
+    fn check_walks(
+        rng: &mut StdRng,
+        table: &Arc<IndexedTable>,
+        expected: &[Row],
+        in_order: bool,
+        what: &str,
+    ) {
+        let schema = table.schema();
+        let source = IndexedSource::live(Arc::clone(table));
+        let snap = table.snapshot();
+        for _ in 0..3 {
+            let filters: Vec<Expr> = (0..rng.gen_range(1..4usize))
+                .map(|_| random_walk_filter(rng, &schema, expected))
+                .collect();
+            let preds: Vec<SlotPredicate> = filters
+                .iter()
+                .map(|f| {
+                    source
+                        .walk_predicate(f)
+                        .unwrap_or_else(|| panic!("{what}: {f} is not claimed"))
+                })
+                .collect();
+            let passing = filtered(&schema, expected, &filters);
+            for projection in random_projections(rng, schema.len()) {
+                let want = project(&passing, projection.as_deref());
+                for chunk_rows in chunk_sizes(rng, want.len()) {
+                    let got: Vec<Row> = snap
+                        .partitions()
+                        .iter()
+                        .flat_map(|p| scan_rows_where(p, projection.as_deref(), &preds, chunk_rows))
+                        .collect();
+                    let ctx = format!(
+                        "{what}, WHERE {}, projection {projection:?}, chunk_rows {chunk_rows}",
+                        shown(&filters)
+                    );
+                    if in_order {
+                        assert_eq!(got, want, "{ctx}");
+                    } else {
+                        assert_eq!(multiset(&got), multiset(&want), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `source` asked the way the planner asks it: random walk predicates,
+    /// with or without a key filter, over the partitions its `prune`
+    /// leaves; the answer is held to the oracle over `expected`.
+    fn check_source(rng: &mut StdRng, source: &IndexedSource, expected: &[Row], what: &str) {
+        let schema = source.schema();
+        for _ in 0..4 {
+            let mut filters: Vec<Expr> = (0..rng.gen_range(0..3usize))
+                .map(|_| random_walk_filter(rng, &schema, expected))
+                .collect();
+            if rng.gen_bool(0.5) {
+                let at = rng.gen_range(0..filters.len() + 1);
+                filters.insert(at, random_key_filter(rng, &schema));
+            }
+            for f in &filters {
+                assert!(source.supports_filter_pushdown(f), "{what}: {f} unclaimed");
+            }
+            let projection = random_projections(rng, schema.len()).swap_remove(rng.gen_range(0..6));
+            let partitions: Vec<usize> = match source.prune(&filters) {
+                Some(pruned) => pruned.partitions,
+                None => (0..source.num_partitions()).collect(),
+            };
+            let mut got = Vec::new();
+            for p in partitions {
+                for chunk in source
+                    .scan_with_filters(p, projection.as_deref(), &filters)
+                    .expect("scan")
+                {
+                    got.extend(chunk.expect("chunk").to_rows());
+                }
+            }
+            let want = project(
+                &filtered(&schema, expected, &filters),
+                projection.as_deref(),
+            );
+            assert_eq!(
+                multiset(&got),
+                multiset(&want),
+                "{what}, WHERE {}, projection {projection:?}",
+                shown(&filters)
+            );
+        }
+    }
+
+    #[test]
+    fn walk_predicates_match_a_filter_above_the_scan() {
+        for seed in walk_seeds() {
+            let mut rng = StdRng::seed_from_u64(0x3a1c_0000 + seed);
+            let schema = random_schema(&mut rng);
+            let layout = RowLayout::new(Arc::clone(&schema));
+            let partitions = rng.gen_range(1..4usize);
+            let sizes = [1, rng.gen_range(2..9), rng.gen_range(9..100), 8192];
+            let chunk_rows = sizes[rng.gen_range(0..sizes.len())];
+            let cfg = IndexConfig {
+                num_partitions: partitions,
+                scan_chunk_rows: chunk_rows,
+                ..config()
+            };
+            let table = Arc::new(IndexedTable::new(Arc::clone(&schema), 0, cfg).expect("table"));
+            let what = |stage: &str| {
+                format!("seed {seed} ({partitions} partitions, chunk_rows {chunk_rows}), {stage}")
+            };
+
+            let mut model: Vec<Row> = (0..rng.gen_range(0..300usize))
+                .map(|_| random_keyed_row(&mut rng, &schema, &layout))
+                .collect();
+            for row in &model {
+                table.append_row(row).expect("append");
+            }
+            let fresh = model.clone();
+            let frozen = IndexedSource::frozen(Arc::clone(&table));
+            check_walks(&mut rng, &table, &model, partitions == 1, &what("fresh"));
+            check_source(
+                &mut rng,
+                &IndexedSource::live(Arc::clone(&table)),
+                &model,
+                &what("fresh, live"),
+            );
+            check_source(&mut rng, &frozen, &fresh, &what("fresh, frozen"));
+
+            model = random_dml(&mut rng, &table, model, &layout, &what("rows affected"));
+            for _ in 0..rng.gen_range(0..40usize) {
+                let row = random_keyed_row(&mut rng, &schema, &layout);
+                table.append_row(&row).expect("append");
+                model.push(row);
+            }
+            check_walks(&mut rng, &table, &model, false, &what("after DML"));
+            check_source(
+                &mut rng,
+                &IndexedSource::live(Arc::clone(&table)),
+                &model,
+                &what("after DML, live"),
+            );
+            check_source(
+                &mut rng,
+                &IndexedSource::frozen(Arc::clone(&table)),
+                &model,
+                &what("after DML, frozen"),
+            );
+            check_source(&mut rng, &frozen, &fresh, &what("frozen before DML"));
+
+            table.compact().expect("compact");
+            check_walks(&mut rng, &table, &model, false, &what("after compaction"));
+            check_source(
+                &mut rng,
+                &IndexedSource::live(Arc::clone(&table)),
+                &model,
+                &what("after compaction, live"),
+            );
+            check_source(&mut rng, &frozen, &fresh, &what("frozen before compaction"));
+        }
     }
 
     #[test]

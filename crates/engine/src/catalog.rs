@@ -100,6 +100,13 @@ pub trait TableSource: Send + Sync {
         None
     }
 
+    /// Whether a pushed `filter` is answered by probing the index (`true`,
+    /// the default) or evaluated on the rows the scan reads. `EXPLAIN`
+    /// prints the first kind as `pushed=[…]` and the second as `where=[…]`.
+    fn probes_index(&self, _filter: &Expr) -> bool {
+        true
+    }
+
     /// Scan one partition under a query lifecycle token. Sources that run
     /// long per-partition work (index probes, large decodes) should
     /// override this to check `query` for cancellation between units of

@@ -4,7 +4,8 @@ use crate::error::Result;
 use crate::expr::{BinaryOp, Expr};
 use crate::logical::LogicalPlan;
 use crate::optimizer::{map_children, OptimizerRule};
-use crate::types::Value;
+use crate::schema::Schema;
+use crate::types::{DataType, Value};
 
 /// Evaluates literal-only subtrees at plan time.
 pub struct ConstantFolding;
@@ -15,7 +16,7 @@ impl OptimizerRule for ConstantFolding {
     }
 
     fn optimize(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
-        rewrite_exprs(plan, &fold_expr)
+        rewrite_exprs(plan, &|e, schema| fold_typed(e, Some(schema)))
     }
 }
 
@@ -46,53 +47,83 @@ impl OptimizerRule for SimplifyPredicates {
     }
 }
 
-/// Apply `f` to every expression in the plan, bottom-up through children.
-fn rewrite_exprs(plan: &LogicalPlan, f: &impl Fn(&Expr) -> Expr) -> Result<LogicalPlan> {
+/// Apply `f` to every expression in the plan, bottom-up through children,
+/// with the schema the expression is evaluated against.
+fn rewrite_exprs(plan: &LogicalPlan, f: &impl Fn(&Expr, &Schema) -> Expr) -> Result<LogicalPlan> {
     let plan = map_children(plan, &mut |c| rewrite_exprs(c, f))?;
     Ok(match plan {
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            predicate: f(&predicate, &input.schema()),
             input,
-            predicate: f(&predicate),
         },
         LogicalPlan::Projection {
             input,
             exprs,
             schema,
-        } => LogicalPlan::Projection {
-            input,
-            exprs: exprs.iter().map(f).collect(),
-            schema,
-        },
+        } => {
+            let input_schema = input.schema();
+            LogicalPlan::Projection {
+                exprs: exprs.iter().map(|e| f(e, &input_schema)).collect(),
+                input,
+                schema,
+            }
+        }
         LogicalPlan::Join {
             left,
             right,
             on,
             join_type,
             schema,
-        } => LogicalPlan::Join {
-            left,
-            right,
-            on: on.iter().map(|(l, r)| (f(l), f(r))).collect(),
-            join_type,
-            schema,
-        },
+        } => {
+            let (ls, rs) = (left.schema(), right.schema());
+            LogicalPlan::Join {
+                on: on.iter().map(|(l, r)| (f(l, &ls), f(r, &rs))).collect(),
+                left,
+                right,
+                join_type,
+                schema,
+            }
+        }
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             agg_exprs,
             schema,
-        } => LogicalPlan::Aggregate {
-            input,
-            group_exprs: group_exprs.iter().map(f).collect(),
-            agg_exprs: agg_exprs.iter().map(f).collect(),
-            schema,
-        },
+        } => {
+            let input_schema = input.schema();
+            LogicalPlan::Aggregate {
+                group_exprs: group_exprs.iter().map(|e| f(e, &input_schema)).collect(),
+                agg_exprs: agg_exprs.iter().map(|e| f(e, &input_schema)).collect(),
+                input,
+                schema,
+            }
+        }
         other => other,
     })
 }
 
 /// Fold literal subtrees of one expression.
 pub(crate) fn fold_expr(expr: &Expr) -> Expr {
+    fold_typed(expr, None)
+}
+
+/// The type `e` is known to have without evaluating it: a literal's, a
+/// parameter's, a cast's target, or — given the schema it is evaluated
+/// against — a bound column's.
+fn known_type(e: &Expr, schema: Option<&Schema>) -> Option<DataType> {
+    match e {
+        Expr::Literal(v) => v.data_type(),
+        Expr::Param { data_type, .. } => Some(*data_type),
+        Expr::Cast { to, .. } => Some(*to),
+        Expr::Column(c) => Some(schema?.fields.get(c.index?)?.data_type),
+        _ => None,
+    }
+}
+
+/// [`fold_expr`], also dropping casts of columns to their own type when
+/// `schema` is the one `expr` is evaluated against.
+fn fold_typed(expr: &Expr, schema: Option<&Schema>) -> Expr {
+    let fold_expr = |e: &Expr| fold_typed(e, schema);
     match expr {
         Expr::Binary { left, op, right } => {
             let l = fold_expr(left);
@@ -147,6 +178,12 @@ pub(crate) fn fold_expr(expr: &Expr) -> Expr {
         }
         Expr::Cast { expr: inner, to } => {
             let e = fold_expr(inner);
+            // A cast to the type the operand already has is the operand:
+            // this is what lets `CAST(?0 AS BIGINT)` of a BIGINT parameter
+            // reach pushdown as the bare parameter.
+            if known_type(&e, schema) == Some(*to) {
+                return e;
+            }
             if let Expr::Literal(v) = &e {
                 if let Some(c) = v.cast(*to) {
                     return Expr::Literal(c);
@@ -358,6 +395,40 @@ mod tests {
         assert_eq!(e, lit(5i64));
         assert_eq!(fold_expr(&lit(5i64).is_null()), lit(false));
         assert_eq!(fold_expr(&Expr::Literal(Value::Null).is_null()), lit(true));
+    }
+
+    #[test]
+    fn folds_a_cast_to_the_operands_own_type() {
+        let param = |dt| Expr::Param {
+            slot: 0,
+            data_type: dt,
+        };
+        // A cached range filter: `CAST(ts AS BIGINT) > CAST(?0 AS BIGINT)`
+        // with a BIGINT parameter keeps only the cast that converts.
+        let ts = || col("ts").cast(DataType::Int64);
+        let cached = ts().gt(param(DataType::Int64).cast(DataType::Int64));
+        assert_eq!(fold_expr(&cached), ts().gt(param(DataType::Int64)));
+        // A cast that converts stays, and nested same-type casts collapse.
+        let widened = param(DataType::Int32).cast(DataType::Int64);
+        assert_eq!(fold_expr(&widened), widened);
+        assert_eq!(fold_expr(&ts().cast(DataType::Int64)), ts());
+        // A column needs its schema to be known: the rule supplies it.
+        let schema = Schema::new(vec![
+            crate::schema::Field::new("a", DataType::Int64),
+            crate::schema::Field::new("ts", DataType::Timestamp),
+        ]);
+        let bound = |name: &str, index| {
+            let mut c = col(name);
+            if let Expr::Column(cr) = &mut c {
+                cr.index = Some(index);
+            }
+            c
+        };
+        let same = bound("a", 0).cast(DataType::Int64);
+        assert_eq!(fold_expr(&same), same, "no schema, no column type");
+        assert_eq!(fold_typed(&same, Some(&schema)), bound("a", 0));
+        let converting = bound("ts", 1).cast(DataType::Int64);
+        assert_eq!(fold_typed(&converting, Some(&schema)), converting);
     }
 
     #[test]

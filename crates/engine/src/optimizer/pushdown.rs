@@ -6,13 +6,19 @@
 //! table sources that support native filter evaluation — which is how an
 //! equality predicate over an Indexed DataFrame column becomes a cTrie
 //! lookup instead of a scan.
+//!
+//! An inner equi-join also carries a key equality across: with
+//! `ON a.k = b.k`, a filter `a.k = c` means every joined `b` row has
+//! `b.k = c`, so that conjunct is pushed into `b`'s side as well.
 
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::expr::Expr;
+use crate::expr::{BinaryOp, Expr};
 use crate::logical::{JoinType, LogicalPlan};
 use crate::optimizer::{map_children, OptimizerRule};
+use crate::schema::Schema;
+use crate::types::DataType;
 
 /// The pushdown rule.
 pub struct PredicatePushdown;
@@ -154,6 +160,15 @@ fn try_push(plan: LogicalPlan, conjuncts: Vec<Expr>) -> (LogicalPlan, Vec<Expr>)
                     rest.push(c);
                 }
             }
+            if matches!(join_type, JoinType::Inner) {
+                let (left_schema, right_schema) = (left.schema(), right.schema());
+                let flipped: Vec<(Expr, Expr)> =
+                    on.iter().map(|(l, r)| (r.clone(), l.clone())).collect();
+                let to_right_extra = across_keys(&to_left, &on, &left_schema, &right_schema);
+                let to_left_extra = across_keys(&to_right, &flipped, &right_schema, &left_schema);
+                add_new(&mut to_right, to_right_extra);
+                add_new(&mut to_left, to_left_extra);
+            }
             let new_left = push_into(left.as_ref().clone(), to_left);
             let new_right = push_into(right.as_ref().clone(), to_right);
             (
@@ -234,6 +249,77 @@ fn try_push(plan: LogicalPlan, conjuncts: Vec<Expr>) -> (LogicalPlan, Vec<Expr>)
     }
 }
 
+/// What `conjuncts` on one side of an inner equi-join say about the other
+/// side: `a = c` on a key column `a` whose partner key `b` (a bare column
+/// of the same type) must then equal `a`, gives `b = c`. Only a non-null
+/// literal or a parameter `c` of that type carries over. Floats do not:
+/// their join and their `=` disagree on what equals `-0.0` and NaN.
+fn across_keys(conjuncts: &[Expr], on: &[(Expr, Expr)], from: &Schema, to: &Schema) -> Vec<Expr> {
+    let mut out = Vec::new();
+    for c in conjuncts {
+        let Expr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } = c
+        else {
+            continue;
+        };
+        let (key, constant) = match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(k), v) | (v, Expr::Column(k)) if is_constant(v) => (k, v),
+            _ => continue,
+        };
+        for (a, b) in on {
+            let (Expr::Column(a), Expr::Column(b)) = (a, b) else {
+                continue;
+            };
+            let (Some(ai), Some(bi)) = (a.index, b.index) else {
+                continue;
+            };
+            let dt = from.field(ai).data_type;
+            if a.index != key.index
+                || to.field(bi).data_type != dt
+                || dt == DataType::Float64
+                || constant_type(constant) != Some(dt)
+            {
+                continue;
+            }
+            out.push(Expr::Column(b.clone()).eq(constant.clone()));
+        }
+    }
+    out
+}
+
+fn is_constant(e: &Expr) -> bool {
+    matches!(e, Expr::Param { .. }) || matches!(e, Expr::Literal(v) if !v.is_null())
+}
+
+fn constant_type(e: &Expr) -> Option<DataType> {
+    match e {
+        Expr::Literal(v) => v.data_type(),
+        Expr::Param { data_type, .. } => Some(*data_type),
+        _ => None,
+    }
+}
+
+/// Append the equalities of `extra` that `conjuncts` does not hold yet,
+/// in either operand order.
+fn add_new(conjuncts: &mut Vec<Expr>, extra: Vec<Expr>) {
+    for c in extra {
+        let Expr::Binary { left, op, right } = &c else {
+            continue;
+        };
+        let mirrored = Expr::Binary {
+            left: right.clone(),
+            op: *op,
+            right: left.clone(),
+        };
+        if !conjuncts.contains(&c) && !conjuncts.contains(&mirrored) {
+            conjuncts.push(c);
+        }
+    }
+}
+
 fn unalias(e: &Expr) -> &Expr {
     match e {
         Expr::Alias(inner, _) => unalias(inner),
@@ -249,7 +335,7 @@ mod tests {
     use crate::chunk::Chunk;
     use crate::expr::{col, lit};
     use crate::schema::{Field, Schema};
-    use crate::types::DataType;
+    use crate::types::{DataType, Value};
 
     fn scan() -> LogicalPlan {
         let schema = Arc::new(Schema::new(vec![
@@ -374,6 +460,126 @@ mod tests {
             matches!(out, LogicalPlan::Filter { .. }),
             "must stay above left join"
         );
+    }
+
+    fn bound_at(name: &str, index: usize) -> Expr {
+        let mut c = col(name);
+        if let Expr::Column(cr) = &mut c {
+            cr.index = Some(index);
+        }
+        c
+    }
+
+    /// The conjuncts the optimized join leaves on its (left, right) inputs.
+    fn side_filters(out: &LogicalPlan) -> (Vec<Expr>, Vec<Expr>) {
+        let LogicalPlan::Join { left, right, .. } = out else {
+            panic!("expected bare Join, got {out:?}")
+        };
+        let conjuncts = |p: &LogicalPlan| match p {
+            LogicalPlan::Filter { predicate, .. } => {
+                predicate.split_conjunction().into_iter().cloned().collect()
+            }
+            _ => Vec::new(),
+        };
+        (conjuncts(left), conjuncts(right))
+    }
+
+    /// `t1 ⋈ t2 ON t1.a = t2.b` (inner unless told otherwise) under
+    /// `predicate`, over the join's output columns a, b, a', b'.
+    fn filtered_join(join_type: JoinType, predicate: Expr) -> LogicalPlan {
+        let (l, r) = (scan(), scan());
+        let schema = Arc::new(l.schema().join(&r.schema()));
+        LogicalPlan::Filter {
+            input: Arc::new(LogicalPlan::Join {
+                left: Arc::new(l),
+                right: Arc::new(r),
+                on: vec![(bound_at("a", 0), bound_at("b", 1))],
+                join_type,
+                schema,
+            }),
+            predicate,
+        }
+    }
+
+    #[test]
+    fn a_key_equality_crosses_an_inner_join() {
+        let param = Expr::Param {
+            slot: 0,
+            data_type: DataType::Int64,
+        };
+        // Left key to right key, a parameter as well as a literal, and the
+        // constant on either side of `=`.
+        let out = PredicatePushdown
+            .optimize(&filtered_join(
+                JoinType::Inner,
+                bound_at("a", 0).eq(param.clone()),
+            ))
+            .unwrap();
+        let (left, right) = side_filters(&out);
+        assert_eq!(left, vec![bound_at("a", 0).eq(param)]);
+        assert_eq!(
+            right,
+            vec![bound_at("b", 1).eq(Expr::Param {
+                slot: 0,
+                data_type: DataType::Int64,
+            })]
+        );
+        // Right key to left key; a conjunct already there is not repeated.
+        let predicate = lit(7i64)
+            .eq(bound_at("b", 3))
+            .and(bound_at("a", 0).eq(lit(7i64)));
+        let out = PredicatePushdown
+            .optimize(&filtered_join(JoinType::Inner, predicate))
+            .unwrap();
+        let (left, right) = side_filters(&out);
+        assert_eq!(left, vec![bound_at("a", 0).eq(lit(7i64))]);
+        assert_eq!(right, vec![lit(7i64).eq(bound_at("b", 1))]);
+    }
+
+    #[test]
+    fn only_constant_equalities_on_keys_of_inner_joins_cross() {
+        for (join_type, predicate) in [
+            // An outer join: the other side's rows may be unmatched.
+            (JoinType::Left, bound_at("a", 0).eq(lit(7i64))),
+            // Not a key, not an equality, not a constant, a NULL.
+            (JoinType::Inner, bound_at("b", 1).eq(lit(7i64))),
+            (JoinType::Inner, bound_at("a", 0).gt(lit(7i64))),
+            (JoinType::Inner, bound_at("a", 0).eq(bound_at("b", 1))),
+            (
+                JoinType::Inner,
+                bound_at("a", 0).eq(Expr::Literal(Value::Null)),
+            ),
+        ] {
+            let out = PredicatePushdown
+                .optimize(&filtered_join(join_type, predicate.clone()))
+                .unwrap();
+            if let LogicalPlan::Join { right, .. } = &out {
+                assert!(
+                    !matches!(right.as_ref(), LogicalPlan::Filter { .. }),
+                    "{predicate} crossed: {out:?}"
+                );
+            }
+        }
+        // Float keys do not carry equality across: the join and `=` differ
+        // on -0.0 and NaN.
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Float64)]));
+        let float_scan = || LogicalPlan::Values {
+            schema: Arc::clone(&schema),
+            rows: vec![],
+        };
+        let plan = LogicalPlan::Filter {
+            input: Arc::new(LogicalPlan::Join {
+                left: Arc::new(float_scan()),
+                right: Arc::new(float_scan()),
+                on: vec![(bound_at("x", 0), bound_at("x", 0))],
+                join_type: JoinType::Inner,
+                schema: Arc::new(schema.join(&schema)),
+            }),
+            predicate: bound_at("x", 0).eq(lit(0.0)),
+        };
+        let out = PredicatePushdown.optimize(&plan).unwrap();
+        let (_, right) = side_filters(&out);
+        assert!(right.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub struct SourceScanExec {
     pub schema: SchemaRef,
     /// Projected column indices into the source schema.
     pub projection: Option<Vec<usize>>,
-    /// Filters the source evaluates natively (e.g. index lookups).
+    /// Filters the source evaluates natively: index probes, or predicates
+    /// it applies to the rows it reads.
     pub filters: Vec<Expr>,
     /// What the source's [`TableSource::prune`] answered for `filters`.
     pruning: Option<ScanPruning>,
@@ -117,12 +118,24 @@ impl ExecutionPlan for SourceScanExec {
         if let Some(p) = &self.projection {
             s.push_str(&format!(" projection={p:?}"));
         }
-        if !self.filters.is_empty() {
+        let (probed, walked): (Vec<&Expr>, Vec<&Expr>) = self
+            .filters
+            .iter()
+            .partition(|f| self.source.probes_index(f));
+        let list = |fs: &[&Expr]| {
+            fs.iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        if !probed.is_empty() {
             if let Some(c) = self.source.indexed_by() {
                 s.push_str(&format!(" index={}", self.source.schema().field(c).name));
             }
-            let fs: Vec<String> = self.filters.iter().map(|f| f.to_string()).collect();
-            s.push_str(&format!(" pushed=[{}]", fs.join(", ")));
+            s.push_str(&format!(" pushed=[{}]", list(&probed)));
+        }
+        if !walked.is_empty() {
+            s.push_str(&format!(" where=[{}]", list(&walked)));
         }
         if let Some(pruning) = &self.pruning {
             s.push_str(&format!(

@@ -769,3 +769,178 @@ fn dml_through_one_message_name_is_seen_through_all_three() {
     }
     assert!(rows_of(&indexed, &sq2("message_by_reply", author)).is_empty());
 }
+
+/// Comparisons the indexed scan evaluates in its walk, and key equalities
+/// carried across a join, against a vanilla twin: SQ5-shaped joins from
+/// either side and under every `message` name, range filters with each
+/// operator and both operand orders, before and after DML. `EXPLAIN` shows
+/// the predicate in the scan (`where=[…]`) and no `Filter` above it, and a
+/// cached statement answers a second literal correctly from the plan it
+/// cached for the first.
+#[test]
+fn walk_predicates_and_derived_key_equalities_match_vanilla() {
+    let data = idf_snb::generate(idf_snb::SnbConfig::with_scale(0.05)).unwrap();
+    let indexed = Session::new();
+    idf_snb::register_indexed(&indexed, &data).unwrap();
+    let vanilla = Session::new();
+    idf_snb::register_vanilla(&vanilla, &data).unwrap();
+    for (name, chunk, schema) in [
+        ("message", &data.message, idf_snb::gen::message_schema()),
+        ("knows", &data.knows, idf_snb::gen::knows_schema()),
+    ] {
+        let table = Arc::new(AppendTable::new(schema));
+        table.append_rows(&chunk.to_rows()).unwrap();
+        let aliases: &[&str] = if name == "message" {
+            &["message", "message_by_creator", "message_by_reply"]
+        } else {
+            &["knows"]
+        };
+        for alias in aliases {
+            vanilla.register_table(*alias, Arc::clone(&table) as Arc<dyn TableSource>);
+        }
+    }
+    let sorted = |s: &Session, sql: &str| {
+        let mut rows: Vec<String> = s
+            .sql(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .collect()
+            .unwrap()
+            .to_rows()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    let explain = |sql: &str| {
+        let out = indexed
+            .sql(&format!("EXPLAIN {sql}"))
+            .unwrap()
+            .collect()
+            .unwrap();
+        (0..out.len())
+            .map(|r| out.value_at(0, r).to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+
+    let forums: Vec<i64> = data
+        .message
+        .to_rows()
+        .iter()
+        .filter_map(|r| r[5].as_i64())
+        .take(3)
+        .chain([-1])
+        .collect();
+    let dates: Vec<i64> = data
+        .knows
+        .to_rows()
+        .iter()
+        .filter_map(|r| r[2].as_i64())
+        .step_by(97)
+        .take(3)
+        .collect();
+    let queries = || {
+        let mut q = Vec::new();
+        for &f in &forums {
+            for t in ["message", "message_by_creator", "message_by_reply"] {
+                q.push(format!(
+                    "SELECT f.title, f.moderator_id, count(*) AS messages \
+                     FROM forum f JOIN {t} m ON m.forum_id = f.id WHERE f.id = {f} \
+                     GROUP BY f.title, f.moderator_id"
+                ));
+            }
+            q.push(format!(
+                "SELECT m.id, f.title FROM message m JOIN forum f ON f.id = m.forum_id \
+                 WHERE m.forum_id = {f}"
+            ));
+            q.push(format!(
+                "SELECT m.id, m.creation_date FROM forum f JOIN message m \
+                 ON m.forum_id = f.id WHERE {f} = f.id AND m.length > 40"
+            ));
+        }
+        for &d in &dates {
+            for op in ["=", "<>", "<", "<=", ">", ">="] {
+                q.push(format!(
+                    "SELECT count(*) FROM knows WHERE creation_date {op} {d}"
+                ));
+                q.push(format!(
+                    "SELECT person1_id, person2_id FROM knows WHERE {d} {op} creation_date \
+                     AND person1_id < 40"
+                ));
+            }
+        }
+        q
+    };
+    let agree = |stage: &str| {
+        for sql in queries() {
+            assert_eq!(
+                sorted(&indexed, &sql),
+                sorted(&vanilla, &sql),
+                "{stage}: {sql}"
+            );
+        }
+    };
+    agree("fresh");
+
+    // The plans: the range filter runs in the walk of a zero-column scan,
+    // and SQ5's forum key becomes a `message` walk predicate.
+    let range = format!(
+        "SELECT count(*) FROM knows WHERE creation_date > {}",
+        dates[0]
+    );
+    let plan = explain(&range);
+    let physical = plan.split("== Physical ==").nth(1).unwrap();
+    assert!(
+        physical.contains(&format!(
+            "SourceScan: knows projection=[] where=[(CAST(creation_date AS INT64) > {})]",
+            dates[0]
+        )) && !physical.contains("Filter"),
+        "{plan}"
+    );
+    let sq5 = format!(
+        "SELECT f.title, f.moderator_id, count(*) AS messages \
+         FROM forum f JOIN message m ON m.forum_id = f.id WHERE f.id = {} \
+         GROUP BY f.title, f.moderator_id",
+        forums[0]
+    );
+    let plan = explain(&sq5);
+    assert!(
+        plan.contains(&format!("where=[(m.forum_id = {})]", forums[0]))
+            && !plan.contains("pushed=[(m.forum_id"),
+        "{plan}"
+    );
+
+    // A cached statement: the second literal reuses the first's plan.
+    for (template, values) in [
+        ("SELECT count(*) FROM knows WHERE creation_date > ", &dates),
+        (
+            "SELECT count(*) FROM forum f JOIN message m ON m.forum_id = f.id WHERE f.id = ",
+            &forums,
+        ),
+    ] {
+        for v in values.iter().take(2) {
+            let sql = format!("{template}{v}");
+            assert_eq!(sorted(&indexed, &sql), sorted(&vanilla, &sql), "{sql}");
+        }
+        let text = explain(&format!("{template}{}", values[1]));
+        assert!(text.ends_with("plan cache: hit"), "{text}");
+        assert!(text.contains(&format!("{})]", values[1])), "{text}");
+    }
+
+    // DML: deleted and updated rows leave the walk exactly as they leave
+    // the vanilla table.
+    for s in [&indexed, &vanilla] {
+        s.sql(&format!(
+            "DELETE FROM knows WHERE creation_date < {}",
+            dates[1]
+        ))
+        .unwrap();
+        s.sql(&format!(
+            "UPDATE message SET forum_id = {} WHERE forum_id = {}",
+            forums[1], forums[0]
+        ))
+        .unwrap();
+    }
+    agree("after DML");
+}
