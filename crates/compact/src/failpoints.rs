@@ -10,15 +10,15 @@ idf_fail::sites! {
     /// Head of one policy survey cycle, before any table is examined: a
     /// fault here skips the whole cycle and the worker retries on the next
     /// tick.
-    COMPACT_SELECT = "compact::select",
+    COMPACT_SELECT,
 
     /// Head of one table rewrite, before any batch is rebuilt: a fault here
     /// leaves the table byte-for-byte untouched.
-    COMPACT_REWRITE = "compact::rewrite",
+    COMPACT_REWRITE,
 
     /// Inside the rewrite, just before a partition's rebuilt batches are
     /// swapped in: a fault here must abandon the rebuilt state and leave
     /// the previous batches fully authoritative (readers never observe a
     /// half-swapped table).
-    COMPACT_SWAP = "compact::swap",
+    COMPACT_SWAP,
 }

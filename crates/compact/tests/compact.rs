@@ -263,9 +263,14 @@ mod chaos {
 
     #[test]
     fn registered_sites_cover_select_rewrite_swap() {
+        let names: Vec<&str> = fp::SITES.iter().map(|s| s.name()).collect();
         assert_eq!(
-            fp::SITES,
-            ["compact::select", "compact::rewrite", "compact::swap"]
+            names,
+            [
+                "idf_compact::failpoints::COMPACT_SELECT",
+                "idf_compact::failpoints::COMPACT_REWRITE",
+                "idf_compact::failpoints::COMPACT_SWAP"
+            ]
         );
     }
 

@@ -9,19 +9,19 @@ idf_fail::sites! {
     /// chain walks (`RowBatch::row_at_full`, every point lookup) and once
     /// per opened walk on scans (`RowBatch::iter_rows_from`: one per batch
     /// per produced chunk).
-    BATCH_READ = "core::batch::read",
+    BATCH_READ,
 
     /// Entry of a partition probe (`PartitionSnapshot::lookup_chunk` /
     /// `lookup_chunk_multi`): hit once per probed partition.
-    PARTITION_PROBE = "core::probe::partition",
+    PARTITION_PROBE,
 
     /// Row encoding/validation, before any shared state is touched: phase 1
     /// of a chunk append and the start of a single-row append.
-    APPEND_ENCODE = "core::append::encode",
+    APPEND_ENCODE,
 
     /// The append commit point: after every row of a chunk append has been
     /// validated and before the first row becomes visible (also checked at
     /// the head of a single-row append). A fault here must leave the table
     /// exactly as it was.
-    APPEND_PUBLISH = "core::append::publish",
+    APPEND_PUBLISH,
 }

@@ -85,7 +85,9 @@ impl IndexedJoinExec {
 
     fn probe_chunks(&self, partition: usize, ctx: &TaskContext) -> Result<Vec<Chunk>> {
         match self.mode {
-            ProbeMode::Partitioned => self.probe.execute(partition, ctx)?.collect(),
+            ProbeMode::Partitioned => {
+                idf_engine::physical::execute(self.probe.as_ref(), partition, ctx)?.collect()
+            }
             ProbeMode::Broadcast => {
                 let all = self.broadcast.get_or_try_init(ctx, || {
                     let parts = idf_engine::physical::execute_collect_partitions(&self.probe, ctx)?;
@@ -173,7 +175,7 @@ impl ExecutionPlan for IndexedJoinExec {
         vec![Arc::clone(&self.probe)]
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         if self.mode == ProbeMode::Partitioned
             && self.probe.output_partitions() != self.table.num_partitions()
         {
@@ -198,7 +200,7 @@ impl ExecutionPlan for IndexedJoinExec {
             }
             Ok(out)
         })?;
-        Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
+        Ok(Box::new(out.into_iter().map(Ok)))
     }
 
     fn detail(&self) -> String {

@@ -555,6 +555,7 @@ impl IndexedPartition {
             // so only sampled snapshots carry a timestamp; the rest skip
             // both `Instant::now()` here and `elapsed()` at probe time.
             #[cfg(feature = "obs")]
+            #[allow(clippy::disallowed_methods)] // gated by tick
             created_at: m.probe_sampler.tick().then(std::time::Instant::now),
         }
     }

@@ -94,8 +94,8 @@ fn run_op(f: impl FnOnce() -> idf_engine::error::Result<()>) -> Result<(), Strin
 /// count matches the per-key success counters.
 fn audit(table: &IndexedTable, expected: &[u64]) {
     assert!(
-        idf_fail::hit_count("nonexistent").is_none(),
-        "sanity: registry reachable"
+        fp::SITES.iter().all(|&s| idf_fail::hit_count(s).is_none()),
+        "sanity: every fault cleared before the audit"
     );
     let snap = table.snapshot();
     let mut total = 0usize;

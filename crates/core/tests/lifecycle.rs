@@ -7,6 +7,9 @@
 //! are rejected as typed errors at every API layer with no partial
 //! visibility.
 
+// Tests time their subject; the clock gate is for the storage paths.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};

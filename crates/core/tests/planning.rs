@@ -360,3 +360,72 @@ fn aligned_aggregates_survive_dml_compaction_and_a_concurrent_appender() {
         .unwrap();
     check("after the appender");
 }
+
+/// Every operator reaches `EXPLAIN ANALYZE` with its actuals: plans
+/// covering all thirteen shipped operators (`DataFrame::union` and the
+/// indexed join among them) run instrumented, and no node of any
+/// annotated tree reads `[not executed]`. A parent that opened a child
+/// without `physical::execute` would leave that child unannotated here.
+#[test]
+fn every_operator_reports_actuals_under_explain_analyze() {
+    let (session, _) = setup(3);
+    let small = session.create_dataframe(
+        knows_schema(),
+        (0..5)
+            .map(|i| vec![Value::Int64(i), Value::Int64(i), Value::Int64(i)])
+            .collect(),
+    );
+    let plain = session.table("knows_plain").unwrap();
+    let frames = vec![
+        // Filter, Projection, HashAggregate (partial/final), Shuffle,
+        // Coalesce, Sort.
+        session.sql(
+            "SELECT person2_id, count(*) AS n FROM knows_plain WHERE weight + 1 > 3 \
+             GROUP BY person2_id ORDER BY n DESC, person2_id",
+        ),
+        // Limit over a multi-partition scan: pre-limit, Coalesce, Limit.
+        session.sql("SELECT person1_id + 1 AS p FROM knows_plain LIMIT 7"),
+        // Two large vanilla sides: shuffled HashJoin.
+        session.sql(
+            "SELECT a.weight, b.weight FROM knows_plain a LEFT JOIN knows_plain b \
+             ON a.person1_id = b.person2_id WHERE a.person1_id < 3",
+        ),
+        // Small literal right side: BroadcastHashJoin over Values.
+        plain.join(&small, vec![("weight", "person1_id")], JoinType::Inner),
+        // The index answers the join.
+        session.sql(
+            "SELECT a.weight, b.person2_id FROM knows a JOIN knows_plain b \
+             ON a.person1_id = b.person2_id",
+        ),
+        // Union of an indexed scan and literal rows.
+        session.table("knows").unwrap().union(&small),
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for df in frames {
+        let df = df.unwrap();
+        let (_, exec, registry) = df.collect_instrumented(&session.new_query()).unwrap();
+        let annotated = registry.render_annotated(exec.as_ref());
+        assert!(!annotated.contains("[not executed]"), "{annotated}");
+        let mut stack = vec![exec];
+        while let Some(node) = stack.pop() {
+            seen.insert(node.name());
+            stack.extend(node.children());
+        }
+    }
+    let all = [
+        "BroadcastHashJoin",
+        "Coalesce",
+        "Filter",
+        "HashAggregate",
+        "HashJoin",
+        "IndexedJoin",
+        "Limit",
+        "Projection",
+        "Shuffle",
+        "Sort",
+        "SourceScan",
+        "Union",
+        "Values",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}

@@ -6,10 +6,10 @@ use crate::error::{EngineError, Result};
 idf_fail::sites! {
     /// Start of a shuffle exchange: triggered once per `ShuffleExec`
     /// materialization, before any input chunk is buffered.
-    SHUFFLE_EXCHANGE = "engine::shuffle::exchange",
+    SHUFFLE_EXCHANGE,
 
     /// Start of a partition worker task inside `execute_collect_partitions`.
-    WORKER_START = "engine::exec::worker",
+    WORKER_START,
 }
 
 /// Evaluate the failpoint at `site`, mapping an injected error into a
@@ -17,7 +17,7 @@ idf_fail::sites! {
 /// definition every layer above the engine re-exports (the durability
 /// layer keeps its own, which maps to `EngineError::durability`).
 #[inline]
-pub fn check(site: &str) -> Result<()> {
+pub fn check(site: idf_fail::Site) -> Result<()> {
     idf_fail::eval(site)
         .map_err(|msg| EngineError::exec(format!("injected failure at {site}: {msg}")))
 }

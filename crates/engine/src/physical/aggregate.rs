@@ -30,7 +30,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::AggFunc;
 use crate::physical::expr::column_expr;
 use crate::physical::{
-    mix64, position_of_column, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef,
+    execute, mix64, position_of_column, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef,
     TaskContext,
 };
 use crate::schema::{Field, Schema, SchemaRef};
@@ -798,7 +798,7 @@ impl HashAggregateExec {
         let mut grouper = Grouper::new(self.group_exprs.iter().map(|e| e.data_type()).collect());
         let mut accs: Vec<Acc> = self.slots.iter().map(Acc::new).collect();
         let mut billed = 0usize;
-        for chunk in self.input.execute(partition, ctx)? {
+        for chunk in execute(self.input.as_ref(), partition, ctx)? {
             let chunk = chunk?;
             if chunk.is_empty() {
                 continue;
@@ -876,9 +876,9 @@ impl ExecutionPlan for HashAggregateExec {
             .project(|c| position_of_column(&self.group_exprs, c))
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let out = ctx.instrument_blocking(self, || self.aggregate(partition, ctx))?;
-        Ok(ctx.instrument(self, Box::new(std::iter::once(Ok(out)))))
+        Ok(Box::new(std::iter::once(Ok(out))))
     }
 
     fn detail(&self) -> String {

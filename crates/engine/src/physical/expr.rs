@@ -787,24 +787,76 @@ pub(crate) mod kernels {
         Ok((truth, validity))
     }
 
+    /// The integer widths of checked arithmetic: overflow and division by
+    /// zero are `None`.
+    trait CheckedInt: Copy + Default {
+        fn checked_add(self, rhs: Self) -> Option<Self>;
+        fn checked_sub(self, rhs: Self) -> Option<Self>;
+        fn checked_mul(self, rhs: Self) -> Option<Self>;
+        fn checked_div(self, rhs: Self) -> Option<Self>;
+        fn checked_rem(self, rhs: Self) -> Option<Self>;
+    }
+
+    impl CheckedInt for i32 {
+        fn checked_add(self, rhs: Self) -> Option<Self> {
+            i32::checked_add(self, rhs)
+        }
+        fn checked_sub(self, rhs: Self) -> Option<Self> {
+            i32::checked_sub(self, rhs)
+        }
+        fn checked_mul(self, rhs: Self) -> Option<Self> {
+            i32::checked_mul(self, rhs)
+        }
+        fn checked_div(self, rhs: Self) -> Option<Self> {
+            i32::checked_div(self, rhs)
+        }
+        fn checked_rem(self, rhs: Self) -> Option<Self> {
+            i32::checked_rem(self, rhs)
+        }
+    }
+
+    impl CheckedInt for i64 {
+        fn checked_add(self, rhs: Self) -> Option<Self> {
+            i64::checked_add(self, rhs)
+        }
+        fn checked_sub(self, rhs: Self) -> Option<Self> {
+            i64::checked_sub(self, rhs)
+        }
+        fn checked_mul(self, rhs: Self) -> Option<Self> {
+            i64::checked_mul(self, rhs)
+        }
+        fn checked_div(self, rhs: Self) -> Option<Self> {
+            i64::checked_div(self, rhs)
+        }
+        fn checked_rem(self, rhs: Self) -> Option<Self> {
+            i64::checked_rem(self, rhs)
+        }
+    }
+
+    /// The error for an op the arithmetic kernels do not implement.
+    fn not_arithmetic(op: BinaryOp) -> EngineError {
+        EngineError::internal(format!("arithmetic kernel on non-arithmetic op {op}"))
+    }
+
     /// Checked integer arithmetic: overflow and division by zero are null.
-    macro_rules! arith_int {
-        ($sides:expr, $op:expr, $validity:expr, $len:expr) => {{
-            let out: PrimVec<_> = match $op {
-                BinaryOp::Plus => $sides.zip_with(|x, y| x.checked_add(y)),
-                BinaryOp::Minus => $sides.zip_with(|x, y| x.checked_sub(y)),
-                BinaryOp::Multiply => $sides.zip_with(|x, y| x.checked_mul(y)),
-                BinaryOp::Divide => $sides.zip_with(|x, y| x.checked_div(y)),
-                BinaryOp::Modulo => $sides.zip_with(|x, y| x.checked_rem(y)),
-                // arithmetic() dispatches only arithmetic ops here. Clippy does
-                // not lint inside local macro bodies, so nothing checks this arm.
-                _ => unreachable!("arithmetic kernel on non-arithmetic op"),
-            };
-            PrimVec {
-                values: out.values,
-                validity: merged_validity(out.validity.as_ref(), $validity.as_ref(), $len),
-            }
-        }};
+    fn arith_int<T: CheckedInt>(
+        sides: Sides<'_, T>,
+        op: BinaryOp,
+        validity: Option<Bitmap>,
+        len: usize,
+    ) -> Result<PrimVec<T>> {
+        let out: PrimVec<T> = match op {
+            BinaryOp::Plus => sides.zip_with(T::checked_add),
+            BinaryOp::Minus => sides.zip_with(T::checked_sub),
+            BinaryOp::Multiply => sides.zip_with(T::checked_mul),
+            BinaryOp::Divide => sides.zip_with(T::checked_div),
+            BinaryOp::Modulo => sides.zip_with(T::checked_rem),
+            _ => return Err(not_arithmetic(op)),
+        };
+        Ok(PrimVec {
+            values: out.values,
+            validity: merged_validity(out.validity.as_ref(), validity.as_ref(), len),
+        })
     }
 
     /// Arithmetic over same-typed numeric operands.
@@ -816,9 +868,9 @@ pub(crate) mod kernels {
             return Ok(Arc::new(Column::repeat(c.data_type(), &Value::Null, len)?));
         }
         let out = if let Some(s) = sides!(l, r, Int32) {
-            Column::Int32(arith_int!(s, op, validity, len))
+            Column::Int32(arith_int(s, op, validity, len)?)
         } else if let Some(s) = sides!(l, r, Int64) {
-            Column::Int64(arith_int!(s, op, validity, len))
+            Column::Int64(arith_int(s, op, validity, len)?)
         } else if let Some(s) = sides!(l, r, Float64) {
             let values: Vec<f64> = match op {
                 BinaryOp::Plus => s.zip_with(|x, y| x + y),
@@ -826,8 +878,7 @@ pub(crate) mod kernels {
                 BinaryOp::Multiply => s.zip_with(|x, y| x * y),
                 BinaryOp::Divide => s.zip_with(|x, y| x / y),
                 BinaryOp::Modulo => s.zip_with(|x, y| x % y),
-                #[allow(clippy::unreachable)] // arithmetic() dispatches only arithmetic ops here
-                _ => unreachable!("arithmetic kernel on non-arithmetic op"),
+                _ => return Err(not_arithmetic(op)),
             };
             Column::Float64(PrimVec { values, validity })
         } else {
@@ -1165,6 +1216,31 @@ mod tests {
         // Two scalars leave the kernels nothing to size the result by.
         let one = Value::Int64(1);
         assert!(kernels::compare(Scalar(&one), BinaryOp::Eq, Scalar(&one)).is_err());
+    }
+
+    /// A comparison op handed to the arithmetic kernel is a typed internal
+    /// error in both the integer and the float arm, not a panic.
+    #[test]
+    fn arithmetic_kernel_rejects_non_arithmetic_ops() {
+        use kernels::Operand::{Column as Col, Scalar};
+        for (c, v) in [
+            (
+                Column::Int32(vec![Some(1)].into_iter().collect()),
+                Value::Int32(2),
+            ),
+            (
+                Column::Int64(vec![Some(1)].into_iter().collect()),
+                Value::Int64(2),
+            ),
+            (
+                Column::Float64(vec![Some(1.0)].into_iter().collect()),
+                Value::Float64(2.0),
+            ),
+        ] {
+            let err = kernels::arithmetic(Col(&c), BinaryOp::Lt, Scalar(&v)).unwrap_err();
+            assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
+            assert!(err.to_string().contains("non-arithmetic op"), "{err}");
+        }
     }
 
     /// The selection mask, built one bit at a time from the evaluated

@@ -5,7 +5,9 @@ use std::sync::Arc;
 use crate::catalog::ChunkIter;
 use crate::error::Result;
 use crate::physical::expr::evaluate_predicate;
-use crate::physical::{ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext};
+use crate::physical::{
+    execute, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext,
+};
 use crate::schema::SchemaRef;
 
 /// Keeps rows whose predicate evaluates to `true` (nulls drop, per SQL).
@@ -40,15 +42,14 @@ impl ExecutionPlan for FilterExec {
         self.input.output_partitioning()
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        let input = self.input.execute(partition, ctx)?;
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+        let input = execute(self.input.as_ref(), partition, ctx)?;
         let predicate = Arc::clone(&self.predicate);
-        let iter: ChunkIter = Box::new(input.map(move |chunk| {
+        Ok(Box::new(input.map(move |chunk| {
             let chunk = chunk?;
             let mask = evaluate_predicate(predicate.as_ref(), &chunk)?;
             chunk.filter(&mask)
-        }));
-        Ok(ctx.instrument(self, iter))
+        })))
     }
 
     fn detail(&self) -> String {

@@ -19,7 +19,7 @@ use crate::chunk::Chunk;
 use crate::column::Column;
 use crate::error::{EngineError, Result};
 use crate::logical::JoinType;
-use crate::physical::{ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
+use crate::physical::{execute, ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
 use crate::schema::SchemaRef;
 use crate::types::Value;
 
@@ -230,7 +230,7 @@ impl ExecutionPlan for HashJoinExec {
         vec![Arc::clone(&self.left), Arc::clone(&self.right)]
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         if self.left.output_partitions() != self.right.output_partitions() {
             return Err(EngineError::internal(
                 "hash join children must share partition counts (planner bug)",
@@ -243,14 +243,14 @@ impl ExecutionPlan for HashJoinExec {
                 self.on.iter().map(|(_, r)| Arc::clone(r)).collect();
             // Build phase: drain the left partition.
             let build_chunks: Vec<Chunk> =
-                self.left.execute(partition, ctx)?.collect::<Result<_>>()?;
+                execute(self.left.as_ref(), partition, ctx)?.collect::<Result<_>>()?;
             let build = BuildTable::build(build_chunks, &build_keys)?;
             ctx.charge_memory(build.approx_bytes())?;
             let mut matched = vec![false; build.chunk.len()];
             let track = !matches!(self.join_type, JoinType::Inner);
             // Probe phase.
             let mut out: Vec<Chunk> = Vec::new();
-            for chunk in self.right.execute(partition, ctx)? {
+            for chunk in execute(self.right.as_ref(), partition, ctx)? {
                 let chunk = chunk?;
                 let (b_rows, p_rows) = probe_matches(
                     &build,
@@ -279,7 +279,7 @@ impl ExecutionPlan for HashJoinExec {
             )?;
             Ok(out)
         })?;
-        Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
+        Ok(Box::new(out.into_iter().map(Ok)))
     }
 
     fn detail(&self) -> String {
@@ -370,13 +370,13 @@ impl ExecutionPlan for BroadcastHashJoinExec {
         vec![Arc::clone(&self.left), Arc::clone(&self.right)]
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let build = self.broadcast_side(ctx)?;
         let out = ctx.instrument_blocking(self, || {
             let left_keys: Vec<PhysicalExprRef> =
                 self.on.iter().map(|(l, _)| Arc::clone(l)).collect();
             let mut out: Vec<Chunk> = Vec::new();
-            for chunk in self.left.execute(partition, ctx)? {
+            for chunk in execute(self.left.as_ref(), partition, ctx)? {
                 let chunk = chunk?;
                 // Probe the broadcast table with streamed-side keys; here the
                 // *streamed* side is preserved, so roles flip relative to
@@ -435,7 +435,7 @@ impl ExecutionPlan for BroadcastHashJoinExec {
             }
             Ok(out)
         })?;
-        Ok(ctx.instrument(self, Box::new(out.into_iter().map(Ok))))
+        Ok(Box::new(out.into_iter().map(Ok)))
     }
 
     fn detail(&self) -> String {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::catalog::ChunkIter;
 use crate::error::Result;
-use crate::physical::{ExecPlanRef, ExecutionPlan, Partitioning, TaskContext};
+use crate::physical::{execute, ExecPlanRef, ExecutionPlan, Partitioning, TaskContext};
 use crate::schema::SchemaRef;
 
 /// Emit at most `n` rows (global when the input has one partition — the
@@ -38,10 +38,10 @@ impl ExecutionPlan for LimitExec {
         self.input.output_partitioning()
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        let input = self.input.execute(partition, ctx)?;
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+        let input = execute(self.input.as_ref(), partition, ctx)?;
         let mut remaining = self.n;
-        let iter: ChunkIter = Box::new(input.map_while(move |chunk| {
+        Ok(Box::new(input.map_while(move |chunk| {
             if remaining == 0 {
                 return None;
             }
@@ -52,8 +52,7 @@ impl ExecutionPlan for LimitExec {
             let take = chunk.len().min(remaining);
             remaining -= take;
             Some(chunk.limit(take))
-        }));
-        Ok(ctx.instrument(self, iter))
+        })))
     }
 
     fn detail(&self) -> String {

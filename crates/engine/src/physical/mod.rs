@@ -1,8 +1,8 @@
 //! Physical query plans: executable, partitioned operators.
 //!
 //! The execution model is partition-parallel pull (Volcano per partition,
-//! vectorized over [`Chunk`]s): `execute(p)` returns an iterator of chunks
-//! for output partition `p`; the driver ([`execute_collect_partitions`])
+//! vectorized over [`Chunk`]s): [`execute`]`(plan, p)` returns an iterator
+//! of chunks for output partition `p`; the driver ([`execute_collect_partitions`])
 //! runs the output partitions on one scoped thread each — or one after
 //! another on the calling thread when there is a single partition or the
 //! plan only reads a few pruned rows. Pipeline breakers ([`ShuffleExec`], [`SortExec`],
@@ -75,10 +75,10 @@ use crate::types::Value;
 /// in an [`ExecCache`] are valid for.
 ///
 /// The context also carries the query's [`QueryContext`] (cancellation
-/// token, deadline, memory account); [`TaskContext::instrument`] wraps
-/// every operator's output iterator with a per-chunk lifecycle check, so
-/// cancellation and deadlines take effect within one chunk of work at
-/// every pipeline stage.
+/// token, deadline, memory account); [`execute`] wraps every operator's
+/// output iterator with a per-chunk lifecycle check, so cancellation and
+/// deadlines take effect within one chunk of work at every pipeline
+/// stage.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
     /// Engine configuration (shared with the session, not copied per
@@ -148,8 +148,8 @@ impl TaskContext {
     }
 
     /// Return the typed stop error if the query was cancelled or is past
-    /// its deadline. Long-running loops that do not go through
-    /// [`TaskContext::instrument`] call this directly.
+    /// its deadline. Long-running loops inside one chunk of work call this
+    /// directly.
     pub fn check_cancelled(&self) -> Result<()> {
         self.query.check()
     }
@@ -168,19 +168,6 @@ impl TaskContext {
     /// clones, unique per constructed context).
     pub fn execution_id(&self) -> u64 {
         self.execution_id
-    }
-
-    /// Wrap `iter` with the query's per-chunk lifecycle check
-    /// (cancellation + deadline) and, when a metrics registry is present,
-    /// attribute its output to `plan`. Operators call this on their
-    /// result, which is what bounds cancellation latency to one chunk per
-    /// pipeline stage.
-    pub fn instrument(&self, plan: &dyn ExecutionPlan, iter: ChunkIter) -> ChunkIter {
-        let iter = guard_lifecycle(Arc::clone(&self.query), iter);
-        match &self.metrics {
-            Some(registry) => metrics::instrument(registry.operator(&operator_key(plan)), iter),
-            None => iter,
-        }
     }
 
     /// Run a pipeline breaker's blocking work (draining its input,
@@ -340,8 +327,10 @@ pub trait ExecutionPlan: Send + Sync + fmt::Debug {
     fn output_partitioning(&self) -> Partitioning {
         Partitioning::Unknown
     }
-    /// Produce output partition `partition`.
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter>;
+    /// The operator's own iterator over output partition `partition`.
+    /// Nothing calls this but [`execute`], which wraps the result; an
+    /// operator reads its children through [`execute`] too.
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter>;
     /// One-line detail string appended to [`ExecutionPlan::name`] in
     /// `EXPLAIN` output.
     fn detail(&self) -> String {
@@ -363,6 +352,20 @@ pub trait ExecutionPlan: Send + Sync + fmt::Debug {
 
 /// Shared physical plan handle.
 pub type ExecPlanRef = Arc<dyn ExecutionPlan>;
+
+/// Produce output partition `partition` of `plan`: [`ExecutionPlan::open`]
+/// it, then wrap the iterator with the query's per-chunk lifecycle check
+/// (cancellation + deadline) and, when a metrics registry is present,
+/// attribute its output to `plan`. Every operator's output passes through
+/// here, which is what bounds cancellation latency to one chunk per
+/// pipeline stage and gives every node of `EXPLAIN ANALYZE` its actuals.
+pub fn execute(plan: &dyn ExecutionPlan, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    let iter = guard_lifecycle(Arc::clone(&ctx.query), plan.open(partition, ctx)?);
+    Ok(match &ctx.metrics {
+        Some(registry) => metrics::instrument(registry.operator(&operator_key(plan)), iter),
+        None => iter,
+    })
+}
 
 /// The key operator metrics are recorded and looked up under:
 /// `"{name}: {detail}"`, or just the name when there is no detail.
@@ -423,7 +426,7 @@ pub fn execute_collect_partitions(
     let run_partition = |p: usize, ctx: &TaskContext| -> Result<Vec<Chunk>> {
         catch_panics(|| {
             crate::failpoints::check(crate::failpoints::WORKER_START)?;
-            plan.execute(p, ctx)?.collect()
+            execute(plan.as_ref(), p, ctx)?.collect()
         })
     };
     let inline = n == 1

@@ -6,7 +6,8 @@ use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
 use crate::error::Result;
 use crate::physical::{
-    position_of_column, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef, TaskContext,
+    execute, position_of_column, ExecPlanRef, ExecutionPlan, Partitioning, PhysicalExprRef,
+    TaskContext,
 };
 use crate::schema::SchemaRef;
 
@@ -46,10 +47,10 @@ impl ExecutionPlan for ProjectionExec {
             .project(|c| position_of_column(&self.exprs, c))
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        let input = self.input.execute(partition, ctx)?;
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+        let input = execute(self.input.as_ref(), partition, ctx)?;
         let exprs = self.exprs.clone();
-        let iter: ChunkIter = Box::new(input.map(move |chunk| {
+        Ok(Box::new(input.map(move |chunk| {
             let chunk = chunk?;
             if exprs.is_empty() {
                 // COUNT(*)-style projections: carry the row count only.
@@ -60,8 +61,7 @@ impl ExecutionPlan for ProjectionExec {
                 .map(|e| e.evaluate(&chunk))
                 .collect::<Result<Vec<_>>>()?;
             Chunk::new(columns)
-        }));
-        Ok(ctx.instrument(self, iter))
+        })))
     }
 
     fn detail(&self) -> String {

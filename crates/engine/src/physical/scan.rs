@@ -99,18 +99,17 @@ impl ExecutionPlan for SourceScanExec {
         })
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let source_partition = match &self.pruning {
             Some(pruning) => pruning.partitions[partition],
             None => partition,
         };
-        let iter = self.source.scan_with_ctx(
+        self.source.scan_with_ctx(
             source_partition,
             self.projection.as_deref(),
             &self.filters,
             ctx.query(),
-        )?;
-        Ok(ctx.instrument(self, iter))
+        )
     }
 
     fn detail(&self) -> String {
@@ -178,9 +177,9 @@ impl ExecutionPlan for ValuesExec {
         vec![]
     }
 
-    fn execute(&self, _partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, _partition: usize, _ctx: &TaskContext) -> Result<ChunkIter> {
         let chunk = Chunk::from_rows(&self.schema, &self.rows)?;
-        Ok(ctx.instrument(self, Box::new(std::iter::once(Ok(chunk)))))
+        Ok(Box::new(std::iter::once(Ok(chunk))))
     }
 
     fn detail(&self) -> String {

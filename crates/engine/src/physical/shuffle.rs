@@ -120,10 +120,10 @@ impl ExecutionPlan for ShuffleExec {
         }
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let buckets = self.materialize(ctx)?;
         let chunks = buckets[partition].clone();
-        Ok(ctx.instrument(self, Box::new(chunks.into_iter().map(Ok))))
+        Ok(Box::new(chunks.into_iter().map(Ok)))
     }
 
     fn detail(&self) -> String {
@@ -171,7 +171,7 @@ impl ExecutionPlan for CoalesceExec {
         vec![Arc::clone(&self.input)]
     }
 
-    fn execute(&self, _partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, _partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let chunks = ctx.instrument_blocking(self, || {
             self.state.get_or_try_init(ctx, || {
                 let parts = crate::physical::execute_collect_partitions(&self.input, ctx)?;
@@ -180,7 +180,7 @@ impl ExecutionPlan for CoalesceExec {
                 Ok(Arc::new(chunks))
             })
         })?;
-        Ok(ctx.instrument(self, Box::new(chunks.as_ref().clone().into_iter().map(Ok))))
+        Ok(Box::new(chunks.as_ref().clone().into_iter().map(Ok)))
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
 use crate::error::{EngineError, Result};
-use crate::physical::{ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
+use crate::physical::{execute, ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
 use crate::schema::SchemaRef;
 
 /// One physical sort key.
@@ -45,14 +45,15 @@ impl ExecutionPlan for SortExec {
         vec![Arc::clone(&self.input)]
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         if self.input.output_partitions() != 1 {
             return Err(EngineError::internal(
                 "SortExec requires a single input partition (planner bug)",
             ));
         }
         let sorted = ctx.instrument_blocking(self, || {
-            let chunks: Vec<Chunk> = self.input.execute(partition, ctx)?.collect::<Result<_>>()?;
+            let chunks: Vec<Chunk> =
+                execute(self.input.as_ref(), partition, ctx)?.collect::<Result<_>>()?;
             if chunks.is_empty() {
                 return Ok(Chunk::empty(&self.schema()));
             }
@@ -86,7 +87,7 @@ impl ExecutionPlan for SortExec {
             }
             chunk.take(&indices)
         })?;
-        Ok(ctx.instrument(self, Box::new(std::iter::once(Ok(sorted)))))
+        Ok(Box::new(std::iter::once(Ok(sorted))))
     }
 
     fn detail(&self) -> String {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::catalog::ChunkIter;
 use crate::error::{EngineError, Result};
-use crate::physical::{ExecPlanRef, ExecutionPlan, TaskContext};
+use crate::physical::{execute, ExecPlanRef, ExecutionPlan, TaskContext};
 use crate::schema::SchemaRef;
 
 /// Concatenates the partitions of all inputs: output partition `p` maps
@@ -34,12 +34,12 @@ impl ExecutionPlan for UnionExec {
         self.inputs.clone()
     }
 
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
         let mut p = partition;
         for input in &self.inputs {
             let n = input.output_partitions();
             if p < n {
-                return input.execute(p, ctx);
+                return execute(input.as_ref(), p, ctx);
             }
             p -= n;
         }

@@ -3,7 +3,7 @@
 //!
 //! A [`QueryContext`] is an `Arc`-shared token attached to one logical
 //! query. Execution code checks it at chunk granularity (every operator's
-//! output iterator is wrapped by `TaskContext::instrument`) and charges it
+//! output iterator is wrapped by `physical::execute`) and charges it
 //! for every buffer it materializes, so:
 //!
 //! - [`QueryContext::cancel`] from any thread stops the query within a

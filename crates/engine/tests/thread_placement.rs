@@ -10,7 +10,7 @@ use std::thread::ThreadId;
 use idf_engine::catalog::{ChunkIter, ScanPruning};
 use idf_engine::expr::BinaryOp;
 use idf_engine::physical::{
-    execute_collect_partitions, CoalesceExec, ExecPlanRef, ExecutionPlan, TaskContext,
+    execute, execute_collect_partitions, CoalesceExec, ExecPlanRef, ExecutionPlan, TaskContext,
 };
 use idf_engine::prelude::*;
 
@@ -225,8 +225,8 @@ impl ExecutionPlan for PairOfLookups {
     fn children(&self) -> Vec<ExecPlanRef> {
         self.0.clone()
     }
-    fn execute(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
-        self.0[partition].execute(0, ctx)
+    fn open(&self, partition: usize, ctx: &TaskContext) -> Result<ChunkIter> {
+        execute(self.0[partition].as_ref(), 0, ctx)
     }
 }
 

@@ -6,6 +6,8 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use crate::Site;
+
 /// What a triggered failpoint does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailAction {
@@ -81,8 +83,8 @@ mod state {
     /// one-atomic-load fast path.
     pub(super) static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-    pub(super) fn lock() -> MutexGuard<'static, HashMap<String, SiteState>> {
-        static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
+    pub(super) fn lock() -> MutexGuard<'static, HashMap<crate::Site, SiteState>> {
+        static REGISTRY: OnceLock<Mutex<HashMap<crate::Site, SiteState>>> = OnceLock::new();
         // The registry mutex is only ever held for map bookkeeping (actions
         // run outside the lock), so a panic mid-update cannot corrupt it.
         REGISTRY
@@ -94,12 +96,12 @@ mod state {
 
 /// Configure `site` to trigger per `config`, replacing any previous
 /// configuration for the same site (discarded with `failpoints` off).
-pub fn configure(site: impl Into<String>, config: FailConfig) {
+pub fn configure(site: Site, config: FailConfig) {
     #[cfg(feature = "failpoints")]
     {
         let mut map = state::lock();
         let fresh = state::SiteState { config, hits: 0 };
-        if map.insert(site.into(), fresh).is_none() {
+        if map.insert(site, fresh).is_none() {
             state::ACTIVE.fetch_add(1, Ordering::Release);
         }
     }
@@ -107,11 +109,11 @@ pub fn configure(site: impl Into<String>, config: FailConfig) {
 
 /// Remove the configuration for `site`. Returns `true` if it existed
 /// (always `false` with `failpoints` off).
-pub fn remove(site: &str) -> bool {
+pub fn remove(site: Site) -> bool {
     #[cfg(feature = "failpoints")]
     {
         let mut map = state::lock();
-        if map.remove(site).is_some() {
+        if map.remove(&site).is_some() {
             state::ACTIVE.fetch_sub(1, Ordering::Release);
             return true;
         }
@@ -133,10 +135,10 @@ pub fn reset() {
 /// Number of evaluations of `site` so far (including non-triggering
 /// ones), or `None` if the site is not configured (always `None` with
 /// `failpoints` off).
-pub fn hit_count(site: &str) -> Option<u64> {
+pub fn hit_count(site: Site) -> Option<u64> {
     #[cfg(feature = "failpoints")]
     {
-        state::lock().get(site).map(|s| s.hits)
+        state::lock().get(&site).map(|s| s.hits)
     }
     #[cfg(not(feature = "failpoints"))]
     {
@@ -150,8 +152,14 @@ pub fn hit_count(site: &str) -> Option<u64> {
 /// which case the configured action runs: `Error` returns the message
 /// as `Err`, `Panic` panics, `Delay` sleeps then returns `Ok(())`. With
 /// `failpoints` off this is an inlined `Ok(())`.
+///
+/// Only a declared [`Site`] is accepted; a bare name does not compile:
+///
+/// ```compile_fail,E0308
+/// idf_fail::eval("store::read_block").ok();
+/// ```
 #[cfg_attr(not(feature = "failpoints"), inline(always))]
-pub fn eval(site: &str) -> Result<(), String> {
+pub fn eval(site: Site) -> Result<(), String> {
     #[cfg(feature = "failpoints")]
     {
         if state::ACTIVE.load(Ordering::Acquire) == 0 {
@@ -159,7 +167,7 @@ pub fn eval(site: &str) -> Result<(), String> {
         }
         let action = {
             let mut map = state::lock();
-            let Some(state) = map.get_mut(site) else {
+            let Some(state) = map.get_mut(&site) else {
                 return Ok(());
             };
             state.hits += 1;
@@ -195,26 +203,25 @@ pub fn eval(site: &str) -> Result<(), String> {
 /// on drop, so a failing test cannot leak configuration into others.
 #[derive(Debug)]
 pub struct FailGuard {
-    site: String,
+    site: Site,
 }
 
 impl FailGuard {
     /// Configure `site` with `config`; the configuration is removed
     /// when the returned guard drops.
-    pub fn new(site: impl Into<String>, config: FailConfig) -> Self {
-        let site = site.into();
-        configure(site.clone(), config);
+    pub fn new(site: Site, config: FailConfig) -> Self {
+        configure(site, config);
         Self { site }
     }
 
     /// The site this guard controls.
-    pub fn site(&self) -> &str {
-        &self.site
+    pub fn site(&self) -> Site {
+        self.site
     }
 }
 
 impl Drop for FailGuard {
     fn drop(&mut self) {
-        remove(&self.site);
+        remove(self.site);
     }
 }

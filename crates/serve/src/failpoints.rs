@@ -8,11 +8,11 @@ idf_fail::sites! {
     /// A freshly accepted connection, before its reader thread is spawned: a
     /// fault here drops the connection on the floor — the client sees EOF,
     /// the server keeps accepting.
-    ACCEPT = "serve::accept",
+    ACCEPT,
 
     /// Head of every response-frame write: a fault here abandons the rest of
     /// the response stream and closes the connection, exactly as a transport
     /// failure would — in-flight accounting and governor bytes must still
     /// unwind to zero.
-    WRITE_FRAME = "serve::write_frame",
+    WRITE_FRAME,
 }

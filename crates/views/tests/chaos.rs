@@ -103,7 +103,14 @@ fn heal_and_audit(session: &Session, views: &ViewsSystem, defs: &[(&str, &str)])
 
 #[test]
 fn registered_sites_cover_apply_and_refresh() {
-    assert_eq!(fp::SITES, ["views::maintain::apply", "views::refresh"]);
+    let names: Vec<&str> = fp::SITES.iter().map(|s| s.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "idf_views::failpoints::MAINTAIN_APPLY",
+            "idf_views::failpoints::REFRESH"
+        ]
+    );
 }
 
 /// The core storm: bounded error/panic/delay faults at the apply site

@@ -399,36 +399,6 @@ fn view_over_plain_table_is_rejected() {
     assert!(err.to_string().contains("live indexed table"), "{err}");
 }
 
-#[cfg(feature = "obs")]
-#[test]
-fn view_metrics_reach_the_prometheus_exposition() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
-    idf_obs::global().reset();
-    sql(&session, "CREATE TABLE o (k BIGINT, v BIGINT)");
-    sql(
-        &session,
-        "CREATE MATERIALIZED VIEW ov AS SELECT k, sum(v) FROM o GROUP BY k",
-    );
-    sql(&session, "INSERT INTO o VALUES (1, 1), (2, 2)");
-    sql(&session, "INSERT INTO o VALUES (1, 3)");
-    sql(&session, "REFRESH MATERIALIZED VIEW ov");
-    let text = session.metrics_text();
-    assert!(
-        text.contains("idf_views_registered 1"),
-        "gauge missing: {text}"
-    );
-    assert!(text.contains("# TYPE idf_views_deltas_applied_total counter"));
-    assert!(text.contains("# TYPE idf_views_maintenance_lag_ns histogram"));
-    assert!(text.contains("# TYPE idf_views_refresh_duration_ns histogram"));
-    assert!(idf_obs::global().view_deltas_applied.get() >= 2);
-    assert!(idf_obs::global().view_refresh_ns.count() >= 1);
-    sql(&session, "DROP MATERIALIZED VIEW ov");
-    assert!(
-        session.metrics_text().contains("idf_views_registered 0"),
-        "gauge must drop back to zero"
-    );
-}
-
 #[test]
 fn dml_on_base_marks_views_stale_and_refresh_recovers() {
     let (session, views) = setup(MaintenanceMode::Sync);
