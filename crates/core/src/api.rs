@@ -189,9 +189,9 @@ impl IndexedDataFrame {
 
     /// Batched `getRows`: all rows bound to *any* of `keys` as one
     /// DataFrame. Every key is probed against a single table snapshot, the
-    /// key set is deduplicated, and distinct hash partitions are probed in
-    /// parallel — substantially faster than looping [`Self::get_rows`]
-    /// when the keys spread over several partitions.
+    /// key set is deduplicated, and each involved hash partition is probed
+    /// once, on the calling thread, for all of its keys — cheaper than
+    /// looping [`Self::get_rows`], which takes a snapshot per key.
     pub fn get_rows_batch(&self, keys: &[Value]) -> Result<DataFrame> {
         let chunk = self.get_rows_chunk_batch(keys)?;
         Ok(self

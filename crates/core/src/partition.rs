@@ -5,25 +5,33 @@
 //! stores the tabular data, and (3) a set of backward pointers, which are
 //! used to crawl the partition for rows that are indexed on the same key."*
 //!
-//! Append protocol (single writer per partition, concurrent readers):
+//! Append protocol (single writer per partition, concurrent readers). One
+//! publish call takes a slice of rows in which each key's rows are
+//! adjacent — a *run*; a chunk append sorts a partition's rows by key to
+//! make them so, and a single-row append is a run of one:
 //!
-//! 1. read the key's current head pointer from the cTrie;
-//! 2. write the row into a batch with that pointer as its backward link
-//!    (publishing via the batch watermark);
-//! 3. point the cTrie at the new row.
+//! 1. read the run's key's current head pointer from the cTrie, once;
+//! 2. write the run's rows into a batch, each with the row before it as
+//!    its backward link and the first with the head from step 1
+//!    (publishing each via the batch watermark);
+//! 3. once every run is written, point the cTrie at each run's last row.
 //!
 //! A reader that snapshots the cTrie (O(1), non-blocking) therefore sees a
 //! consistent prefix: every pointer in the snapshot refers to fully
 //! published bytes, and chains never dangle. This is the paper's
-//! "multi-version concurrency".
+//! "multi-version concurrency". A run is one stretch of consecutive rows,
+//! so a later probe of its key reads neighbouring bytes, not one row per
+//! cache miss.
 //!
 //! A partition may carry more than one index over the same rows: one cTrie
 //! per index, and one backward pointer per index in every row header (see
 //! [`crate::batch`]). Index 0 is the *primary*: rows are routed by its
 //! column, and tombstones and DML live on its chains only. A row is written
-//! once and published to every index inside one odd/even `generation`
-//! window, so a snapshot finds it through all of its indexes or through
-//! none. A walk of another index follows that index's own link and, while
+//! once; another index links it to the call's previous row with the same
+//! key in that column (found through a call-local map), and step 3 points
+//! every index at its heads inside one odd/even `generation` window, so a
+//! snapshot finds a row through all of its indexes or through none. A walk
+//! of another index follows that index's own link and, while
 //! the snapshot hides dead versions, keeps only the rows still visible on
 //! their primary chain.
 
@@ -39,6 +47,7 @@
     )
 )]
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -242,13 +251,13 @@ impl IndexedPartition {
         payload.clear();
         self.layout.encode(values, &mut payload)?;
         self.check_row_size(&payload)?;
-        self.publish_locked(&values[self.key_col()], &payload)
+        self.publish_locked(&[(&values[self.key_col()], payload.as_slice(), RowKind::Data)])
     }
 
     /// Encode + validate one row without touching any shared state,
-    /// returning the payload bytes for a later [`Self::append_encoded`].
-    /// This is phase 1 of the two-phase (validate-all-then-publish)
-    /// chunk-append protocol in [`crate::table::IndexedTable`].
+    /// returning the payload bytes for a later publish. This is phase 1 of
+    /// the two-phase (validate-all-then-publish) chunk-append protocol in
+    /// [`crate::table::IndexedTable`].
     pub fn encode_row(&self, values: &[Value]) -> Result<Vec<u8>> {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
         let mut payload = Vec::new();
@@ -278,19 +287,26 @@ impl IndexedPartition {
         self.layout.decode_row(payload)
     }
 
-    /// Append a row pre-encoded by [`Self::encode_row`] (phase 2 of a
-    /// chunk append). `key` must be the row's primary key.
-    pub fn append_encoded(&self, key: &Value, payload: &[u8]) -> Result<()> {
+    /// Append rows pre-encoded by [`Self::encode_row`], in order, under one
+    /// hold of the writer lock: phase 2 of a chunk append (a partition's
+    /// rows sorted by key), and a single-row append through a sink or a
+    /// DML replay (one row each). Each row is `(primary key, payload,
+    /// kind)`, and rows sharing a primary key must be adjacent: each key's
+    /// rows form one run (see the module docs). The bytes written are those a row-at-a-time
+    /// append of the same rows in the same order writes.
+    ///
+    /// # Errors
+    /// [`crate::failpoints::APPEND_PUBLISH`] is checked before each row; a
+    /// NULL-key tombstone, an oversized row or a full partition fail that
+    /// row. On any error, and on a panic before it unwinds on, the rows
+    /// already written are still linked into every index, so the
+    /// partition holds a fully indexed prefix of `rows`.
+    pub(crate) fn append_encoded<K: Borrow<Value>, P: AsRef<[u8]>>(
+        &self,
+        rows: &[(K, P, RowKind)],
+    ) -> Result<()> {
         let _writer = self.append_lock.lock();
-        self.publish_locked(key, payload)
-    }
-
-    /// Append a pre-encoded row of the given [`RowKind`] — the DML replay
-    /// path, which re-applies logged tombstones and re-appended versions
-    /// in their original commit order.
-    pub fn append_encoded_kind(&self, key: &Value, payload: &[u8], kind: RowKind) -> Result<()> {
-        let _writer = self.append_lock.lock();
-        self.publish_locked_kind(key, payload, kind)
+        self.publish_locked(rows)
     }
 
     /// Take this partition's writer lock. The DML commit protocol holds
@@ -324,23 +340,50 @@ impl IndexedPartition {
         Ok(out)
     }
 
-    /// Steps 1–3 of the append protocol. The caller holds `append_lock`
-    /// (single writer per partition); `payload` is validated.
-    pub(crate) fn publish_locked(&self, key: &Value, payload: &[u8]) -> Result<()> {
-        self.publish_locked_kind(key, payload, RowKind::Data)
+    /// [`Self::append_encoded`] for a caller that already holds
+    /// `append_lock` (single writer per partition): steps 1–3 of the
+    /// append protocol. A row's primary link is the row before it when
+    /// that row has the same key, and the trie's head only when the key
+    /// starts a run. Another index links a row to the call's previous row
+    /// with the same key in its column through a call-local map, which
+    /// allocates only at its first key. Step 3 then inserts each key's
+    /// last row once per index — one trie lookup and one insert per
+    /// distinct key.
+    ///
+    /// Publishing a tombstone makes every older row of its key's chain
+    /// invisible: the tombstone becomes the chain head and readers stop
+    /// there. The tombstone and dead-version counters grow as soon as it
+    /// is written, before any later row, so a snapshot whose watermarks
+    /// cover a row after it also sees the rows it hides counted (see
+    /// [`Self::snapshot_for`]). A tombstone joins no other index's chain;
+    /// a data row joins every index whose column it holds a non-NULL value
+    /// in.
+    ///
+    /// # Errors
+    /// As [`Self::append_encoded`].
+    pub(crate) fn publish_locked<K: Borrow<Value>, P: AsRef<[u8]>>(
+        &self,
+        rows: &[(K, P, RowKind)],
+    ) -> Result<()> {
+        debug_assert!(keys_adjacent(rows), "a publish call's keys must form runs");
+        let mut heads = Heads::new(self.indexes.len());
+        // Rows already written are linked before an error returns and
+        // before a panic (a failpoint, a bug) unwinds on, so no published
+        // row is left outside its indexes.
+        let written = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rows.iter().try_for_each(|(key, payload, kind)| {
+                self.write_linked(&mut heads, key.borrow(), payload.as_ref(), *kind)
+            })
+        }));
+        self.link(heads);
+        written.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
-    /// Kind-aware publish (steps 1–3) of a row whose primary key is `key`.
-    /// The caller holds `append_lock`.
-    ///
-    /// Publishing a tombstone makes every older row of `key`'s chain
-    /// invisible: the tombstone becomes the chain head and readers stop
-    /// there. The dead-version counter grows by the rows it hides. A
-    /// tombstone joins no other index's chain; a data row joins every
-    /// index whose column it holds a non-NULL value in.
-    pub(crate) fn publish_locked_kind(
+    /// Steps 1 and 2 for one row: its prev on every index, then its bytes.
+    fn write_linked<'r>(
         &self,
-        key: &Value,
+        heads: &mut Heads<'r>,
+        key: &'r Value,
         payload: &[u8],
         kind: RowKind,
     ) -> Result<()> {
@@ -350,77 +393,109 @@ impl IndexedPartition {
                 "tombstones require a non-NULL key (NULL-key rows are not DML-addressable)",
             ));
         }
-        let stored = self.header + payload.len();
-        // 1. every chain's current head becomes the new row's backward
-        // pointer on that chain; further indexes read their key from the
-        // payload (no allocation with one index).
-        let prev_raw = if key.is_null() {
-            None
-        } else {
-            self.primary().trie.lookup(key)
-        };
+        // 1. Each chain's prev: the call's previous row with the same key,
+        // else the trie's head (`was`, remembered for step 3).
         let mut prevs = [RowPtr::NULL; MAX_INDEXES];
-        prevs[0] = prev_raw.map(RowPtr::from_raw).unwrap_or(RowPtr::NULL);
+        let mut was = [RowPtr::NULL; MAX_INDEXES];
+        let run_head = heads
+            .run
+            .filter(|(k, _)| *k == key && !key.is_null())
+            .map(|(_, head)| head.ptr);
+        match run_head {
+            Some(ptr) => prevs[0] = ptr,
+            None if !key.is_null() => {
+                was[0] = self.head_in(0, key);
+                prevs[0] = was[0];
+            }
+            None => {}
+        }
         let secondary = self.secondary_keys(payload, kind)?;
         for (link, k) in &secondary {
-            prevs[*link] = self.indexes[*link]
-                .trie
-                .lookup(k)
-                .map(RowPtr::from_raw)
-                .unwrap_or(RowPtr::NULL);
+            prevs[*link] = match heads.latest(*link, k) {
+                Some(ptr) => ptr,
+                None => {
+                    was[*link] = self.head_in(*link, k);
+                    was[*link]
+                }
+            };
         }
-        // 2. write + publish the row bytes.
+        // 2. Write + publish the row bytes.
+        let stored = self.header + payload.len();
         let (batch_idx, offset) =
             self.write_row_kind(&prevs[..self.indexes.len()], payload, kind)?;
         let ptr = RowPtr::new(batch_idx, offset, stored);
-        // The rows a tombstone hides (stopping at any older tombstone:
-        // those below it were already counted dead).
-        let hidden = if kind == RowKind::Tombstone {
-            let batches = self.batches.read();
-            visible_chain_len(&batches, prevs[0])
-        } else {
-            0
-        };
-        // 3. point every index at the new head. With more than one index
-        // the inserts and the counters a snapshot reads go inside one
-        // odd/even generation window, so a snapshot sees the row in all of
-        // its indexes or in none (and a walk's visibility check never
-        // trusts a stale dead-row count).
+        if kind == RowKind::Tombstone {
+            // The rows it hides, stopping at any older tombstone: those
+            // below it were already counted dead.
+            let hidden = visible_chain_len(&self.batches.read(), prevs[0]);
+            self.tombstones.fetch_add(1, Ordering::AcqRel);
+            self.dead_rows.fetch_add(hidden, Ordering::AcqRel);
+        }
+        heads.rows += 1;
+        heads.bytes += stored;
+        if run_head.is_some() {
+            if let Some((_, head)) = &mut heads.run {
+                head.ptr = ptr;
+            }
+        } else if !key.is_null() {
+            if let Some(done) = heads.run.replace((key, Head { ptr, was: was[0] })) {
+                heads.runs.push(done);
+            }
+        }
+        for (link, k) in secondary {
+            heads.advance(link, k, ptr, was[link]);
+        }
+        Ok(())
+    }
+
+    /// `key`'s head pointer in index `link` (NULL when absent).
+    fn head_in(&self, link: usize, key: &Value) -> RowPtr {
+        self.indexes[link]
+            .trie
+            .lookup(key)
+            .map_or(RowPtr::NULL, RowPtr::from_raw)
+    }
+
+    /// Step 3: point every index at the heads one call wrote, and count its
+    /// rows. With more than one index the inserts go inside one odd/even
+    /// generation window, so a snapshot sees the call's rows in all of
+    /// their indexes or in none.
+    fn link(&self, heads: Heads<'_>) {
+        if heads.rows == 0 {
+            return;
+        }
         let window = self.indexes.len() > 1;
         if window {
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
-        if !key.is_null() {
-            let old = self.primary().trie.insert(key.clone(), ptr.raw());
-            debug_assert_eq!(old, prev_raw, "single-writer invariant violated");
-            if prev_raw.is_none() {
-                self.primary().keys.fetch_add(1, Ordering::AcqRel);
+        for (key, head) in heads.runs.into_iter().chain(heads.run) {
+            self.link_key(0, key.clone(), head);
+        }
+        for (i, map) in heads.secondary.into_iter().enumerate() {
+            for (key, head) in map {
+                self.link_key(i + 1, key, head);
             }
         }
-        for (link, k) in secondary {
-            let ix = &self.indexes[link];
-            let old = ix.trie.insert(k, ptr.raw());
-            debug_assert_eq!(
-                old.map_or(RowPtr::NULL, RowPtr::from_raw),
-                prevs[link],
-                "single-writer invariant violated"
-            );
-            if prevs[link].is_null() {
-                ix.keys.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-        if kind == RowKind::Tombstone {
-            self.tombstones.fetch_add(1, Ordering::AcqRel);
-            self.dead_rows.fetch_add(hidden, Ordering::AcqRel);
-        }
-        self.row_count.fetch_add(1, Ordering::AcqRel);
+        self.row_count.fetch_add(heads.rows, Ordering::AcqRel);
         if window {
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
         let m = idf_obs::global();
-        m.append_rows.inc();
-        m.append_bytes.add(stored as u64);
-        Ok(())
+        m.append_rows.add(heads.rows as u64);
+        m.append_bytes.add(heads.bytes as u64);
+    }
+
+    fn link_key(&self, link: usize, key: Value, head: Head) {
+        let ix = &self.indexes[link];
+        let old = ix.trie.insert(key, head.ptr.raw());
+        debug_assert_eq!(
+            old.map_or(RowPtr::NULL, RowPtr::from_raw),
+            head.was,
+            "single-writer invariant violated"
+        );
+        if head.was.is_null() {
+            ix.keys.fetch_add(1, Ordering::AcqRel);
+        }
     }
 
     /// Write into the open batch, rolling over to a fresh batch when full.
@@ -785,6 +860,73 @@ impl Rewrite<'_> {
         }
         Ok(ptr)
     }
+}
+
+/// Where one publish call has taken a key's chain on one index.
+#[derive(Clone, Copy)]
+struct Head {
+    /// The call's latest row with the key.
+    ptr: RowPtr,
+    /// The trie's head for the key before the call (NULL for a new key).
+    was: RowPtr,
+}
+
+/// The heads one publish call has written, waiting for step 3.
+struct Heads<'r> {
+    /// The primary key of the run being written.
+    run: Option<(&'r Value, Head)>,
+    /// Runs already written.
+    runs: Vec<(&'r Value, Head)>,
+    /// Per index after the primary, each key's head: that index's keys
+    /// need not come in runs. Empty with one index, and a map allocates
+    /// only at its first key.
+    secondary: Vec<HashMap<Value, Head>>,
+    /// Rows and stored bytes written.
+    rows: usize,
+    bytes: usize,
+}
+
+impl Heads<'_> {
+    fn new(indexes: usize) -> Self {
+        Heads {
+            run: None,
+            runs: Vec::new(),
+            secondary: (1..indexes).map(|_| HashMap::new()).collect(),
+            rows: 0,
+            bytes: 0,
+        }
+    }
+
+    /// The call's latest row with `key` on index `link` (> 0), if any.
+    fn latest(&self, link: usize, key: &Value) -> Option<RowPtr> {
+        self.secondary.get(link - 1)?.get(key).map(|h| h.ptr)
+    }
+
+    /// Make `ptr` the call's latest row with `key` on index `link` (> 0);
+    /// `was` is the trie's head, read for the key's first row.
+    fn advance(&mut self, link: usize, key: Value, ptr: RowPtr, was: RowPtr) {
+        if let Some(map) = self.secondary.get_mut(link - 1) {
+            map.entry(key)
+                .and_modify(|h| h.ptr = ptr)
+                .or_insert(Head { ptr, was });
+        }
+    }
+}
+
+/// Whether the non-NULL primary keys of `rows` form runs: no key comes
+/// back after another has followed it.
+fn keys_adjacent<K: Borrow<Value>, P>(rows: &[(K, P, RowKind)]) -> bool {
+    let mut done: std::collections::HashSet<&Value> = std::collections::HashSet::new();
+    let mut run: Option<&Value> = None;
+    for key in rows.iter().map(|r| r.0.borrow()).filter(|k| !k.is_null()) {
+        if run != Some(key) {
+            if !done.insert(key) {
+                return false;
+            }
+            run = Some(key);
+        }
+    }
+    true
 }
 
 impl std::fmt::Debug for IndexedPartition {
@@ -1877,7 +2019,7 @@ mod tests {
         p.append_row(&row(2, "other")).unwrap();
         let before = p.snapshot();
         let tomb = tombstone_payload(&p, 1);
-        p.append_encoded_kind(&Value::Int64(1), &tomb, RowKind::Tombstone)
+        p.append_encoded(&[(Value::Int64(1), &tomb, RowKind::Tombstone)])
             .unwrap();
         // A snapshot taken before the delete still sees both versions.
         assert_eq!(before.lookup_count(&Value::Int64(1)).unwrap(), 2);
@@ -1907,7 +2049,7 @@ mod tests {
             .encode_row(&[Value::Null, Value::Utf8("x".into())])
             .unwrap();
         let err = p
-            .append_encoded_kind(&Value::Null, &payload, RowKind::Tombstone)
+            .append_encoded(&[(Value::Null, &payload, RowKind::Tombstone)])
             .unwrap_err();
         assert!(err.to_string().contains("NULL"), "got: {err}");
         assert_eq!(p.row_count(), 0);
@@ -1930,7 +2072,7 @@ mod tests {
         for round in 0..5 {
             for k in 0..10 {
                 let tomb = tombstone_payload(&p, k);
-                p.append_encoded_kind(&Value::Int64(k), &tomb, RowKind::Tombstone)
+                p.append_encoded(&[(Value::Int64(k), &tomb, RowKind::Tombstone)])
                     .unwrap();
                 p.append_row(&row(k, &format!("r{round}"))).unwrap();
             }
@@ -1938,7 +2080,7 @@ mod tests {
         // … and fully delete keys 15..20.
         for k in 15..20 {
             let tomb = tombstone_payload(&p, k);
-            p.append_encoded_kind(&Value::Int64(k), &tomb, RowKind::Tombstone)
+            p.append_encoded(&[(Value::Int64(k), &tomb, RowKind::Tombstone)])
                 .unwrap();
         }
         let before = p.snapshot();
@@ -2008,7 +2150,7 @@ mod tests {
         let p = partition();
         p.append_row(&row(1, "a")).unwrap();
         let tomb = tombstone_payload(&p, 1);
-        p.append_encoded_kind(&Value::Int64(1), &tomb, RowKind::Tombstone)
+        p.append_encoded(&[(Value::Int64(1), &tomb, RowKind::Tombstone)])
             .unwrap();
         let err = p
             .compact(&|| Err(EngineError::exec("injected swap fault")))
@@ -2050,7 +2192,7 @@ mod tests {
         for round in 0..10 {
             for k in 0..50 {
                 let tomb = tombstone_payload(&p, k);
-                p.append_encoded_kind(&Value::Int64(k), &tomb, RowKind::Tombstone)
+                p.append_encoded(&[(Value::Int64(k), &tomb, RowKind::Tombstone)])
                     .unwrap();
                 p.append_row(&row(k, &format!("r{round}"))).unwrap();
             }
@@ -2063,6 +2205,65 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.row_count(), 100);
         assert_eq!(p.memory_stats().dead_rows, 0);
+    }
+
+    /// A chunk append stores each key's rows as one run: walking a
+    /// partition's bytes in order, every row's primary prev is the row
+    /// just before it — in the same batch, or the previous batch's last
+    /// row after a rollover — unless it starts its key's run, which on a
+    /// fresh table links to nothing. Keys ascend, and each key's chain
+    /// reads back in input order, latest first.
+    #[test]
+    fn a_chunk_append_links_each_key_as_one_run() {
+        use idf_engine::chunk::Chunk;
+        let cfg = IndexConfig {
+            batch_size: 512,
+            max_row_size: 200,
+            num_partitions: 2,
+            ..Default::default()
+        };
+        // Interleaved keys, as in any input not already sorted.
+        let rows: Vec<Vec<Value>> = (0..600).map(|i| row(i % 37, &format!("v{i}"))).collect();
+        let chunk = Chunk::from_rows(&schema(), &rows).unwrap();
+        let table = crate::table::IndexedTable::from_chunk(schema(), 0, cfg, &chunk).unwrap();
+        let (mut rollovers, mut linked) = (0, 0);
+        for i in 0..table.num_partitions() {
+            let s = table.partition(i).snapshot();
+            let mut before: Option<(RowPtr, Value)> = None;
+            for (b, batch) in s.batches.iter().enumerate() {
+                for walked in batch.iter_rows(s.watermarks[b]).unwrap() {
+                    let (offset, prev, _, payload) = walked.unwrap();
+                    let key = s.decode_value(payload, 0).unwrap();
+                    let here = RowPtr::new(b, offset, crate::batch::ROW_HEADER + payload.len());
+                    match &before {
+                        Some((ptr, k)) if *k == key => {
+                            assert_eq!(prev, *ptr, "row {here:?} of key {key:?}");
+                            linked += 1;
+                            rollovers += usize::from(ptr.batch() != b);
+                        }
+                        other => {
+                            assert!(prev.is_null(), "run start {here:?} links to {prev:?}");
+                            if let Some((_, k)) = other {
+                                assert!(*k < key, "keys ascend: {k:?} then {key:?}");
+                            }
+                        }
+                    }
+                    before = Some((here, key));
+                }
+            }
+        }
+        assert_eq!(linked, 600 - 37, "every row but a run's first links back");
+        assert!(rollovers > 0, "a run crossed a batch rollover");
+        for k in [0i64, 18, 36] {
+            let c = table.lookup_chunk(&Value::Int64(k), None).unwrap();
+            let got: Vec<Value> = (0..c.len()).map(|r| c.value_at(1, r)).collect();
+            let want: Vec<Value> = (0..600)
+                .rev()
+                .filter(|i| i % 37 == k)
+                .map(|i| Value::Utf8(format!("v{i}")))
+                .collect();
+            assert_eq!(got, want, "key {k}: input order, latest first");
+        }
     }
 
     #[test]

@@ -284,7 +284,8 @@ impl IndexedTable {
 
     /// Build from an existing chunk (index creation): rows are routed to
     /// their hash partitions and inserted in parallel, one task per
-    /// partition (appends within a partition stay sequential).
+    /// partition, each partition's rows as key runs in key order (see
+    /// [`Self::append_chunk`]).
     pub fn from_chunk(
         schema: SchemaRef,
         key_col: usize,
@@ -352,7 +353,11 @@ impl IndexedTable {
             Some(sink) => {
                 let payload = self.store.partitions[p].encode_row(values)?;
                 let _guard = sink.begin_commit(&[payload.as_slice()])?;
-                self.store.partitions[p].append_encoded(&values[self.primary_col()], &payload)
+                self.store.partitions[p].append_encoded(&[(
+                    &values[self.primary_col()],
+                    payload.as_slice(),
+                    RowKind::Data,
+                )])
             }
         }
     }
@@ -372,15 +377,24 @@ impl IndexedTable {
     }
 
     /// Append every row of `chunk`, routing by key hash. Rows for distinct
-    /// partitions are inserted in parallel.
+    /// partitions are encoded and published in parallel, one task per
+    /// partition.
+    ///
+    /// Each partition's rows are stored in primary-key order, rows of one
+    /// key in their order in `chunk`: every key's chain reads back as a
+    /// row-at-a-time append of `chunk` would leave it, but its new rows sit
+    /// in one run of consecutive bytes, linked with one trie lookup and one
+    /// insert per key and index (see [`crate::partition`]).
     ///
     /// The append is two-phase so a failure never publishes a partial
-    /// batch: phase 1 encodes and validates every row (oversized rows,
-    /// encoding faults) without touching any shared state; only once every
-    /// partition's rows have validated does phase 2 publish them. A worker
-    /// that errors or panics in phase 1 therefore leaves the table exactly
-    /// as it was. Phase 2 publish failures are partition-local by design —
-    /// the same per-partition atomicity the snapshot contract documents.
+    /// batch: phase 1 orders, encodes and validates every row (oversized
+    /// rows, encoding faults) without touching any shared state; only once
+    /// every partition's rows have validated does phase 2 publish them. A
+    /// worker that errors or panics in phase 1 therefore leaves the table
+    /// exactly as it was. Phase 2 publish failures, errors and panics alike,
+    /// are partition-local by design — the same per-partition atomicity the
+    /// snapshot contract documents — and leave that partition a fully
+    /// indexed prefix of its ordered rows.
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
         if chunk.num_columns() != self.store.schema.len() {
             return Err(EngineError::type_err(format!(
@@ -390,48 +404,52 @@ impl IndexedTable {
             )));
         }
         let n = self.store.partitions.len();
-        // Route rows.
+        // Route rows, keeping each row's key for the ordering below.
         let key_col = chunk.column(self.primary_col());
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut buckets: Vec<Vec<(Value, u32)>> = vec![Vec::new(); n];
         for row in 0..chunk.len() {
             let key = key_col.value_at(row);
             let p = (hash_values(std::slice::from_ref(&key)) % n as u64) as usize;
-            buckets[p].push(row as u32);
+            buckets[p].push((key, row as u32));
         }
-        let involved: Vec<(usize, &Vec<u32>)> = buckets
-            .iter()
+        let involved: Vec<(usize, Vec<(Value, u32)>)> = buckets
+            .into_iter()
             .enumerate()
             .filter(|(_, rows)| !rows.is_empty())
             .collect();
         if involved.is_empty() {
             return Ok(());
         }
-        // Phase 1: encode + validate every partition's rows in parallel,
-        // touching no shared state.
-        type Encoded = Vec<(Value, Vec<u8>)>;
-        let key_col_idx = self.primary_col();
-        let encode_bucket = |p: usize, rows: &[u32]| -> Result<(usize, Encoded)> {
+        // Phase 1: order, encode + validate every partition's rows in
+        // parallel, touching no shared state. A key column holds one type,
+        // so `Value`'s order puts equal keys next to each other, and the
+        // row index keeps each key's rows in input order.
+        type Encoded = Vec<(Value, Vec<u8>, RowKind)>;
+        let encode_bucket = |p: usize, mut rows: Vec<(Value, u32)>| -> Result<(usize, Encoded)> {
             catch_panics(|| {
                 let partition = &self.store.partitions[p];
-                let sub = chunk.take(rows)?;
+                rows.sort_unstable();
+                let order: Vec<u32> = rows.iter().map(|&(_, r)| r).collect();
+                let sub = chunk.take(&order)?;
                 let mut encoded = Vec::with_capacity(sub.len());
-                for r in 0..sub.len() {
-                    let values = sub.row_values(r);
-                    let payload = partition.encode_row(&values)?;
-                    encoded.push((values[key_col_idx].clone(), payload));
+                for (r, (key, _)) in rows.into_iter().enumerate() {
+                    let payload = partition.encode_row(&sub.row_values(r))?;
+                    encoded.push((key, payload, RowKind::Data));
                 }
                 Ok((p, encoded))
             })
         };
         let encoded: Vec<(usize, Encoded)> = if involved.len() == 1 {
-            let (p, rows) = involved[0];
-            vec![encode_bucket(p, rows)?]
+            involved
+                .into_iter()
+                .map(|(p, rows)| encode_bucket(p, rows))
+                .collect::<Result<_>>()?
         } else {
             let results: Vec<Result<(usize, Encoded)>> = std::thread::scope(|s| {
                 let encode = &encode_bucket;
                 let handles: Vec<_> = involved
-                    .iter()
-                    .map(|&(p, rows)| s.spawn(move || encode(p, rows)))
+                    .into_iter()
+                    .map(|(p, rows)| s.spawn(move || encode(p, rows)))
                     .collect();
                 handles.into_iter().map(join_isolated).collect()
             });
@@ -450,21 +468,15 @@ impl IndexedTable {
             Some(sink) => {
                 let rows: Vec<&[u8]> = encoded
                     .iter()
-                    .flat_map(|(_, rows)| rows.iter().map(|(_, payload)| payload.as_slice()))
+                    .flat_map(|(_, rows)| rows.iter().map(|(_, payload, _)| payload.as_slice()))
                     .collect();
                 Some(sink.begin_commit(&rows)?)
             }
             None => None,
         };
-        // Phase 2: publish per-partition, in parallel.
-        let publish_bucket = |p: usize, encoded: &[(Value, Vec<u8>)]| -> Result<()> {
-            catch_panics(|| {
-                let partition = &self.store.partitions[p];
-                for (key, payload) in encoded {
-                    partition.append_encoded(key, payload)?;
-                }
-                Ok(())
-            })
+        // Phase 2: publish per-partition, in parallel, one call each.
+        let publish_bucket = |p: usize, encoded: &Encoded| -> Result<()> {
+            catch_panics(|| self.store.partitions[p].append_encoded(encoded))
         };
         if encoded.len() == 1 {
             let (p, rows) = &encoded[0];
@@ -700,8 +712,8 @@ impl IndexedTable {
         // partition's ops in statement order.
         for &p in &touched {
             let partition = &self.store.partitions[p];
-            for (key, payload, kind) in &ops[p] {
-                partition.publish_locked_kind(key, payload, *kind)?;
+            for op in &ops[p] {
+                partition.publish_locked(std::slice::from_ref(op))?;
             }
         }
         Ok(rows_affected)
@@ -724,7 +736,7 @@ impl IndexedTable {
             let values = self.decode_payload(payload)?;
             let key = &values[self.primary_col()];
             let p = self.partition_of(key);
-            self.store.partitions[p].append_encoded_kind(key, payload, *kind)?;
+            self.store.partitions[p].append_encoded(&[(key, payload, *kind)])?;
         }
         Ok(())
     }
@@ -840,19 +852,22 @@ impl TableSnapshot {
     /// Keys are deduplicated (and NULLs dropped — a NULL never equals any
     /// indexed key), grouped by their hash partition (every partition
     /// takes every key through an index other than the primary), and the
-    /// involved partitions are probed **in parallel**, each sharing one set of
-    /// column builders across all of its keys. Row order: grouped by
-    /// partition in partition order; within a partition, keys in
-    /// first-occurrence order, each key's chain latest-first. Callers that
-    /// need a specific order sort the resulting chunk.
+    /// involved partitions are probed one after another on the calling
+    /// thread, each sharing one set of column builders across all of its
+    /// keys. A batch's chains are short walks over key runs (see
+    /// [`IndexedTable::append_chunk`]), cheaper than starting a thread per
+    /// partition. Row order: grouped by partition in partition order;
+    /// within a partition, keys in first-occurrence order, each key's
+    /// chain latest-first. Callers that need a specific order sort the
+    /// resulting chunk.
     pub fn lookup_batch(&self, keys: &[Value], projection: Option<&[usize]>) -> Result<Chunk> {
         self.lookup_batch_ctx(keys, projection, None)
     }
 
     /// [`lookup_batch`](Self::lookup_batch) with query lifecycle hooks:
     /// per-key cancellation/deadline checks and result-memory charging
-    /// against `query` when one is supplied. Partition probes are
-    /// panic-isolated — a worker that dies surfaces as an engine error.
+    /// against `query` when one is supplied. Each partition probe is
+    /// panic-isolated — a probe that panics surfaces as an engine error.
     pub fn lookup_batch_ctx(
         &self,
         keys: &[Value],
@@ -880,32 +895,19 @@ impl TableSnapshot {
             .filter(|(_, keys)| !keys.is_empty())
             .map(|(p, keys)| (p, keys.into_iter().cloned().collect()))
             .collect();
-        let probe = |p: usize, keys: &[Value]| -> Result<Chunk> {
-            catch_panics(|| self.partitions[p].lookup_chunk_multi_ctx(keys, projection, &[], query))
-        };
-        let chunks: Vec<Chunk> = match involved.len() {
-            0 => {
-                let proj: Vec<usize> =
-                    projection.map_or_else(|| (0..self.schema.len()).collect(), <[usize]>::to_vec);
-                return Ok(Chunk::empty(&Arc::new(self.schema.project(&proj))));
-            }
-            // One partition involved: probe inline, no thread overhead.
-            1 => {
-                let (p, keys) = &involved[0];
-                vec![probe(*p, keys)?]
-            }
-            _ => {
-                let results: Vec<Result<Chunk>> = std::thread::scope(|s| {
-                    let probe = &probe;
-                    let handles: Vec<_> = involved
-                        .iter()
-                        .map(|(p, keys)| s.spawn(move || probe(*p, keys)))
-                        .collect();
-                    handles.into_iter().map(join_isolated).collect()
-                });
-                results.into_iter().collect::<Result<_>>()?
-            }
-        };
+        if involved.is_empty() {
+            let proj: Vec<usize> =
+                projection.map_or_else(|| (0..self.schema.len()).collect(), <[usize]>::to_vec);
+            return Ok(Chunk::empty(&Arc::new(self.schema.project(&proj))));
+        }
+        let chunks = involved
+            .iter()
+            .map(|(p, keys)| {
+                catch_panics(|| {
+                    self.partitions[*p].lookup_chunk_multi_ctx(keys, projection, &[], query)
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         Chunk::concat(&chunks)
     }
 

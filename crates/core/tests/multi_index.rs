@@ -20,10 +20,23 @@
 //!   single-index table, pinned: checkpoint files and the scan path of a
 //!   one-index table see the same format as before indexes could share
 //!   rows.
+//! * `a_chunk_append_writes_what_row_appends_write` — seeded tables with
+//!   one to three indexes take a chunk (NULL keys, duplicate keys inside
+//!   it, keys already stored, more rows than one batch holds) through
+//!   `append_chunk`, and the same rows through `append_row` in the order
+//!   `append_chunk` stored them: the committed bytes and every per-key
+//!   lookup of every index are equal. Widened by `IDF_MULTI_INDEX_SEEDS`.
+//! * `a_publish_fault_at_row_k_leaves_k_rows_indexed` — the publish
+//!   failpoint armed at row `k` of a chunk's publish, as an error and as a
+//!   panic: exactly the first `k` rows of the chunk's stored order are
+//!   scan-visible, and each is found through every index.
+//!
+//! The last test arms a process-wide failpoint, so every test here runs
+//! under one lock.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use idf_core::prelude::*;
 use idf_engine::catalog::TableSource;
@@ -33,6 +46,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 type Row = Vec<Value>;
+
+/// Held by every test: one of them arms a failpoint, which is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `(k, a, b, seq)`: `k` is the primary key, `a`/`b` the secondary ones,
 /// `seq` names a row for the model.
@@ -317,6 +337,7 @@ fn seeds() -> std::ops::Range<u64> {
 
 #[test]
 fn lookups_equal_scans_and_the_model() {
+    let _serial = serial();
     for seed in seeds() {
         let mut case = Case::new(seed);
         let mut rng = StdRng::seed_from_u64(0x3317_0000 ^ (seed << 8));
@@ -329,6 +350,7 @@ fn lookups_equal_scans_and_the_model() {
 
 #[test]
 fn a_snapshot_finds_a_row_through_every_index_or_none() {
+    let _serial = serial();
     let schema = Arc::new(Schema::new(vec![
         Field::new("k", DataType::Int64),
         Field::new("a", DataType::Int64),
@@ -419,6 +441,7 @@ fn a_snapshot_finds_a_row_through_every_index_or_none() {
 
 #[test]
 fn single_index_rows_keep_their_bytes() {
+    let _serial = serial();
     let schema = Arc::new(Schema::new(vec![
         Field::new("k", DataType::Int64),
         Field::new("v", DataType::Utf8),
@@ -459,4 +482,242 @@ fn single_index_rows_keep_their_bytes() {
         }
     }
     assert_eq!(dump, include_str!("golden/single_index_batches.hex"));
+}
+
+/// A seeded table with one to three indexes, and the seeded rows that go
+/// into it: `stored` row by row, then `chunk` in one call.
+struct ChunkCase {
+    cols: Vec<usize>,
+    config: IndexConfig,
+    stored: Vec<Row>,
+    chunk: Vec<Row>,
+}
+
+impl ChunkCase {
+    fn new(seed: u64, partitions: usize) -> ChunkCase {
+        let mut rng = StdRng::seed_from_u64(0xC4C4_0000 ^ (seed << 8));
+        let cols = [0usize, 1, 2][..rng.gen_range(1..4usize)].to_vec();
+        let mut seq = 0i64;
+        let mut row = |rng: &mut StdRng| {
+            seq += 1;
+            vec![
+                random_k(rng),
+                random_a(rng),
+                random_b(rng),
+                Value::Int64(seq),
+            ]
+        };
+        // Nine primary keys: a chunk of 40 or more holds duplicates, and
+        // the rows stored before it hold keys it extends.
+        let stored: Vec<Row> = (0..rng.gen_range(0..25)).map(|_| row(&mut rng)).collect();
+        let chunk: Vec<Row> = (0..rng.gen_range(40..120)).map(|_| row(&mut rng)).collect();
+        ChunkCase {
+            cols,
+            config: IndexConfig {
+                num_partitions: partitions,
+                batch_size: 512,
+                max_row_size: 200,
+                ..Default::default()
+            },
+            stored,
+            chunk,
+        }
+    }
+
+    /// An empty table, then `stored` appended row by row.
+    fn table(&self) -> IndexedTable {
+        let table = IndexedTable::with_indexes(
+            schema(),
+            self.cols[0],
+            &self.cols[1..],
+            self.config.clone(),
+        )
+        .expect("valid table");
+        for row in &self.stored {
+            table.append_row(row).expect("append_row");
+        }
+        table
+    }
+
+    fn chunk(&self) -> Chunk {
+        Chunk::from_rows(&schema(), &self.chunk).expect("chunk")
+    }
+
+    /// Committed `(capacity, bytes)` of each batch, per partition.
+    fn bytes(table: &IndexedTable) -> Vec<Batches> {
+        table
+            .snapshot()
+            .partitions()
+            .iter()
+            .map(|p| {
+                p.export_batches()
+                    .into_iter()
+                    .map(|(cap, bytes)| (cap, bytes.to_vec()))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+type Batches = Vec<(usize, Vec<u8>)>;
+
+fn batch_count(bytes: &[Batches]) -> usize {
+    bytes.iter().map(Vec::len).sum()
+}
+
+/// Every row a scan of `table` returns whose `seq` is above `after`, per
+/// partition in the order its bytes lie.
+fn stored_after(table: &IndexedTable, after: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for p in table.snapshot().partitions() {
+        for chunk in p.scan_chunks(None, 64).expect("scan") {
+            rows.extend(
+                chunk
+                    .to_rows()
+                    .into_iter()
+                    .filter(|r| r[3] > Value::Int64(after as i64)),
+            );
+        }
+    }
+    rows
+}
+
+#[test]
+fn a_chunk_append_writes_what_row_appends_write() {
+    let _serial = serial();
+    for seed in seeds() {
+        let case = ChunkCase::new(seed, 1 + seed as usize % 3);
+        let at = format!("seed {seed}, indexes {:?}", case.cols);
+        let chunked = case.table();
+        let batches_before = batch_count(&ChunkCase::bytes(&chunked));
+        chunked.append_chunk(&case.chunk()).expect("append_chunk");
+        let chunk_bytes = ChunkCase::bytes(&chunked);
+        assert!(
+            batch_count(&chunk_bytes) > batches_before,
+            "{at}: the chunk crosses a batch rollover"
+        );
+        // The same rows, one at a time, in the order the chunk stored them.
+        let in_order = stored_after(&chunked, case.stored.len());
+        assert_eq!(
+            sorted(in_order.clone()),
+            sorted(case.chunk.clone()),
+            "{at}: the chunk's rows, each stored once"
+        );
+        let rowwise = case.table();
+        for row in &in_order {
+            rowwise.append_row(row).expect("append_row");
+        }
+        assert!(
+            ChunkCase::bytes(&rowwise) == chunk_bytes,
+            "{at}: committed bytes differ"
+        );
+        let all: Vec<&Row> = case.stored.iter().chain(&case.chunk).collect();
+        for (ordinal, &c) in case.cols.iter().enumerate() {
+            let (a, b) = (
+                chunked.index(c).expect("index"),
+                rowwise.index(c).expect("index"),
+            );
+            let mut keys: Vec<Value> = all.iter().map(|r| r[c].clone()).collect();
+            keys.sort();
+            keys.dedup();
+            keys.push(Value::Int64(1_000));
+            for key in &keys {
+                let got = a.lookup_chunk(key, None).expect("lookup").to_rows();
+                let want = b.lookup_chunk(key, None).expect("lookup").to_rows();
+                assert_eq!(got, want, "{at}: index {ordinal} key {key:?}");
+                let model = all
+                    .iter()
+                    .filter(|r| !key.is_null() && &r[c] == key)
+                    .count();
+                assert_eq!(got.len(), model, "{at}: index {ordinal} key {key:?}");
+            }
+            assert_eq!(
+                a.memory_stats().index_entries,
+                b.memory_stats().index_entries,
+                "{at}: index {ordinal} key count"
+            );
+        }
+    }
+}
+
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_publish_fault_at_row_k_leaves_k_rows_indexed() {
+    use idf_fail::{FailConfig, FailGuard};
+    let _serial = serial();
+    for seed in seeds() {
+        // One partition, so the chunk's publish is one call and row `k`
+        // is the k-th row of the chunk in key order.
+        let case = ChunkCase::new(seed, 1);
+        let mut rng = StdRng::seed_from_u64(0xFA17 ^ seed);
+        let k = rng.gen_range(0..case.chunk.len());
+        for fault in [
+            FailConfig::error("publish fault"),
+            FailConfig::panic("publish fault"),
+        ] {
+            let at = format!("seed {seed}, indexes {:?}, {fault:?} at row {k}", case.cols);
+            let table = case.table();
+            let err = {
+                // The first hit is the chunk's commit point, then one per row.
+                let _fault = FailGuard::new(
+                    idf_core::failpoints::APPEND_PUBLISH,
+                    fault.skip(1 + k as u64).times(1),
+                );
+                table.append_chunk(&case.chunk()).unwrap_err()
+            };
+            assert!(err.to_string().contains("publish fault"), "{at}: {err}");
+            let mut order: Vec<(Value, usize)> = case
+                .chunk
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r[0].clone(), i))
+                .collect();
+            order.sort();
+            let written: Vec<Row> = order[..k]
+                .iter()
+                .map(|(_, i)| case.chunk[*i].clone())
+                .collect();
+            assert_eq!(
+                stored_after(&table, case.stored.len()),
+                written,
+                "{at}: exactly the first k rows are scan-visible"
+            );
+            let model: Vec<&Row> = case.stored.iter().chain(&written).collect();
+            for (ordinal, &c) in case.cols.iter().enumerate() {
+                let handle = table.index(c).expect("index");
+                for row in &case.chunk {
+                    let key = &row[c];
+                    if key.is_null() {
+                        continue;
+                    }
+                    let got = handle.lookup_chunk(key, None).expect("lookup").to_rows();
+                    let want: Vec<Row> = model
+                        .iter()
+                        .filter(|r| &r[c] == key)
+                        .map(|r| (*r).clone())
+                        .collect();
+                    assert_eq!(
+                        sorted(got),
+                        sorted(want),
+                        "{at}: index {ordinal} key {key:?}"
+                    );
+                }
+            }
+            assert_eq!(table.row_count(), case.stored.len() + k, "{at}: row count");
+            // The partition takes appends again, and the rest of the chunk
+            // lands on the prefix the fault left.
+            let rest: Vec<Row> = order[k..]
+                .iter()
+                .map(|(_, i)| case.chunk[*i].clone())
+                .collect();
+            table
+                .append_chunk(&Chunk::from_rows(&schema(), &rest).expect("chunk"))
+                .expect("append after the fault");
+            assert_eq!(
+                sorted(stored_after(&table, case.stored.len())),
+                sorted(case.chunk.clone()),
+                "{at}: the whole chunk after a retry of the rest"
+            );
+        }
+    }
 }

@@ -285,8 +285,17 @@ mod tests {
     use std::sync::atomic::Ordering::SeqCst;
     use std::sync::{
         atomic::{AtomicBool, AtomicUsize as Counter},
-        Arc,
+        Arc, Mutex, MutexGuard, PoisonError,
     };
+
+    /// The registry is process-wide, so a test that pins while another
+    /// asserts on quiescence would keep the count above zero. Every test
+    /// here that pins takes this lock.
+    static PINNING: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        PINNING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn tag_roundtrip() {
@@ -304,6 +313,7 @@ mod tests {
 
     #[test]
     fn cas_success_and_failure() {
+        let _serial = serial();
         let g = pin();
         let a = Box::into_raw(Box::new(1u64)) as *const u64;
         let b = Box::into_raw(Box::new(2u64)) as *const u64;
@@ -327,6 +337,7 @@ mod tests {
 
     #[test]
     fn defer_waits_for_all_guards() {
+        let _serial = serial();
         let ran = Arc::new(AtomicBool::new(false));
         let outer = pin();
         {
