@@ -3,14 +3,18 @@
 //! ablation compares the lock-free cTrie against the persistent-HAMT
 //! reference and a mutex-guarded `HashMap` on the index's actual
 //! operations: insert, lookup, snapshot-then-read, and concurrent
-//! reader/writer mixes.
+//! reader/writer mixes. `abl_ctrie_readers_writer` times every lookup of
+//! one or two readers beside a writer that keeps overwriting keys, and
+//! prints reader lookups per second and the per-lookup p999.
 //!
 //! Run: `cargo bench -p idf-bench --bench abl_ctrie`
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idf_ctrie::{CTrie, Hamt};
 use parking_lot::Mutex;
 
@@ -146,6 +150,83 @@ fn bench_concurrent(c: &mut Criterion) {
     group.finish();
 }
 
+/// Keys in the trie the readers probe and the writer overwrites.
+const RW_KEYS: u64 = 200_000;
+/// Lookups per reader per iteration, each timed.
+const RW_LOOKUPS: usize = 50_000;
+
+/// `readers` threads each time `RW_LOOKUPS` lookups while one writer
+/// overwrites keys until they finish. Returns reader lookups per second
+/// (all readers' lookups over the slowest reader's time) and the p999 of
+/// every lookup.
+fn readers_beside_writer(t: &CTrie<u64, u64>, readers: usize) -> (f64, Duration) {
+    let stop = &AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut i = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                t.insert(i % RW_KEYS, i);
+                i = i.wrapping_add(7919);
+            }
+        });
+        let handles: Vec<_> = (0..readers as u64)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut lat = Vec::with_capacity(RW_LOOKUPS);
+                    let mut k = r * 104_729;
+                    let start = Instant::now();
+                    for _ in 0..RW_LOOKUPS {
+                        k = (k + 7919) % RW_KEYS;
+                        let t0 = Instant::now();
+                        black_box(t.lookup(&k));
+                        lat.push(t0.elapsed());
+                    }
+                    (start.elapsed(), lat)
+                })
+            })
+            .collect();
+        let done: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("reader"))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        let wall = done.iter().map(|(d, _)| *d).max().unwrap_or_default();
+        let mut lat: Vec<Duration> = done.into_iter().flat_map(|(_, l)| l).collect();
+        lat.sort_unstable();
+        let p999 = lat[lat.len() * 999 / 1000];
+        let rate = (readers * RW_LOOKUPS) as f64 / wall.as_secs_f64().max(1e-9);
+        (rate, p999)
+    })
+}
+
+fn bench_readers_beside_writer(c: &mut Criterion) {
+    let t: CTrie<u64, u64> = CTrie::new();
+    for i in 0..RW_KEYS {
+        t.insert(i, i);
+    }
+    let mut group = c.benchmark_group("abl_ctrie_readers_writer");
+    group.sample_size(10);
+    for readers in [1usize, 2] {
+        let mut runs: Vec<(f64, Duration)> = Vec::new();
+        let id = format!("{readers}r1w");
+        group.bench_with_input(BenchmarkId::new("ctrie", &id), &readers, |b, &readers| {
+            b.iter(|| runs.push(readers_beside_writer(&t, readers)))
+        });
+        let mut rates: Vec<f64> = runs.iter().map(|r| r.0).collect();
+        let mut p999s: Vec<Duration> = runs.iter().map(|r| r.1).collect();
+        rates.sort_by(f64::total_cmp);
+        p999s.sort_unstable();
+        if let (Some(rate), Some(p999)) = (rates.get(rates.len() / 2), p999s.get(p999s.len() / 2)) {
+            println!(
+                "{:<60} reader lookups/s {rate:>10.0}  lookup p999 {p999:>10?}  (medians of {} runs)",
+                format!("abl_ctrie_readers_writer/ctrie/{id}"),
+                runs.len()
+            );
+        }
+    }
+    group.finish();
+}
+
 /// Short measurement windows so `cargo bench --workspace` stays tractable
 /// on small machines; raise for more precision.
 fn quick() -> Criterion {
@@ -157,6 +238,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_insert, bench_lookup, bench_snapshot, bench_concurrent
+    targets = bench_insert, bench_lookup, bench_snapshot, bench_concurrent, bench_readers_beside_writer
 }
 criterion_main!(benches);

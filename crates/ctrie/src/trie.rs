@@ -499,12 +499,12 @@ where
 
     /// Bulk-load `entries` into an empty (or existing) trie.
     ///
-    /// Equivalent to calling [`CTrie::insert`] once per entry but pins the
-    /// epoch a single time for the whole load, which is what makes
-    /// checkpoint-restore (rebuilding a partition index from a serialized
-    /// key → pointer dump) markedly cheaper than replaying every append.
-    /// Later duplicates of a key overwrite earlier ones, matching the
-    /// sequential-insert semantics.
+    /// Equivalent to calling [`CTrie::insert`] once per entry, at about the
+    /// same cost per entry. It re-pins every 1 024 entries rather than
+    /// pinning once for the whole load, because a guard held across a load
+    /// keeps every node the load replaces from being reclaimed until the
+    /// load ends. Later duplicates of a key overwrite earlier ones, matching
+    /// the sequential-insert semantics.
     ///
     /// # Panics
     /// Panics if called on a read-only snapshot.
@@ -516,14 +516,17 @@ where
             !self.read_only,
             "from_entries on a read-only cTrie snapshot"
         );
-        let g = &epoch::pin();
-        for (key, value) in entries {
-            let hash = self.hash_key(&key);
-            loop {
-                let (_, root) = self.read_root(false, g);
-                match self.rec_insert(root, hash, &key, &value, 0, None, root.gen, g) {
-                    Op::Done(_) => break,
-                    Op::Restart => continue,
+        let mut entries = entries.into_iter().peekable();
+        while entries.peek().is_some() {
+            let g = &epoch::pin();
+            for (key, value) in entries.by_ref().take(1024) {
+                let hash = self.hash_key(&key);
+                loop {
+                    let (_, root) = self.read_root(false, g);
+                    match self.rec_insert(root, hash, &key, &value, 0, None, root.gen, g) {
+                        Op::Done(_) => break,
+                        Op::Restart => continue,
+                    }
                 }
             }
         }
