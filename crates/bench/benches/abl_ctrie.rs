@@ -5,7 +5,10 @@
 //! operations: insert, lookup, snapshot-then-read, and concurrent
 //! reader/writer mixes. `abl_ctrie_readers_writer` times every lookup of
 //! one or two readers beside a writer that keeps overwriting keys, and
-//! prints reader lookups per second and the per-lookup p999.
+//! prints reader lookups per second, the per-lookup p999 and the writer's
+//! inserts per second. Its `_snapshotting` case takes a read-only snapshot
+//! before each lookup: every snapshot swaps the root, so the writer must
+//! copy its path again before each insert.
 //!
 //! Run: `cargo bench -p idf-bench --bench abl_ctrie`
 
@@ -155,19 +158,34 @@ const RW_KEYS: u64 = 200_000;
 /// Lookups per reader per iteration, each timed.
 const RW_LOOKUPS: usize = 50_000;
 
+/// One run of readers beside a writer.
+struct RwRun {
+    /// Reader lookups per second: all readers' lookups over the slowest
+    /// reader's time.
+    lookups_per_s: f64,
+    /// p999 of every lookup, the snapshot included when the readers take
+    /// one.
+    p999: Duration,
+    /// Writer inserts per second over the same time.
+    inserts_per_s: f64,
+}
+
 /// `readers` threads each time `RW_LOOKUPS` lookups while one writer
-/// overwrites keys until they finish. Returns reader lookups per second
-/// (all readers' lookups over the slowest reader's time) and the p999 of
-/// every lookup.
-fn readers_beside_writer(t: &CTrie<u64, u64>, readers: usize) -> (f64, Duration) {
+/// overwrites keys until they finish. A `snapshotting` reader takes a
+/// read-only snapshot before each lookup and probes it, as a per-query
+/// trie snapshot would; otherwise it probes the live trie.
+fn readers_beside_writer(t: &CTrie<u64, u64>, readers: usize, snapshotting: bool) -> RwRun {
     let stop = &AtomicBool::new(false);
     std::thread::scope(|s| {
-        s.spawn(move || {
+        let writer = s.spawn(move || {
             let mut i = 0u64;
+            let mut inserts = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 t.insert(i % RW_KEYS, i);
                 i = i.wrapping_add(7919);
+                inserts += 1;
             }
+            inserts
         });
         let handles: Vec<_> = (0..readers as u64)
             .map(|r| {
@@ -178,7 +196,11 @@ fn readers_beside_writer(t: &CTrie<u64, u64>, readers: usize) -> (f64, Duration)
                     for _ in 0..RW_LOOKUPS {
                         k = (k + 7919) % RW_KEYS;
                         let t0 = Instant::now();
-                        black_box(t.lookup(&k));
+                        if snapshotting {
+                            black_box(t.read_only_snapshot().lookup(&k));
+                        } else {
+                            black_box(t.lookup(&k));
+                        }
                         lat.push(t0.elapsed());
                     }
                     (start.elapsed(), lat)
@@ -190,12 +212,16 @@ fn readers_beside_writer(t: &CTrie<u64, u64>, readers: usize) -> (f64, Duration)
             .map(|h| h.join().expect("reader"))
             .collect();
         stop.store(true, Ordering::Relaxed);
+        let inserts = writer.join().expect("writer");
         let wall = done.iter().map(|(d, _)| *d).max().unwrap_or_default();
         let mut lat: Vec<Duration> = done.into_iter().flat_map(|(_, l)| l).collect();
         lat.sort_unstable();
-        let p999 = lat[lat.len() * 999 / 1000];
-        let rate = (readers * RW_LOOKUPS) as f64 / wall.as_secs_f64().max(1e-9);
-        (rate, p999)
+        let secs = wall.as_secs_f64().max(1e-9);
+        RwRun {
+            lookups_per_s: (readers * RW_LOOKUPS) as f64 / secs,
+            p999: lat[lat.len() * 999 / 1000],
+            inserts_per_s: inserts as f64 / secs,
+        }
     })
 }
 
@@ -206,19 +232,29 @@ fn bench_readers_beside_writer(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("abl_ctrie_readers_writer");
     group.sample_size(10);
-    for readers in [1usize, 2] {
-        let mut runs: Vec<(f64, Duration)> = Vec::new();
-        let id = format!("{readers}r1w");
+    for (readers, snapshotting) in [(1usize, false), (2, false), (1, true)] {
+        let mut runs: Vec<RwRun> = Vec::new();
+        let id = format!(
+            "{readers}r1w{}",
+            if snapshotting { "_snapshotting" } else { "" }
+        );
         group.bench_with_input(BenchmarkId::new("ctrie", &id), &readers, |b, &readers| {
-            b.iter(|| runs.push(readers_beside_writer(&t, readers)))
+            b.iter(|| runs.push(readers_beside_writer(&t, readers, snapshotting)))
         });
-        let mut rates: Vec<f64> = runs.iter().map(|r| r.0).collect();
-        let mut p999s: Vec<Duration> = runs.iter().map(|r| r.1).collect();
-        rates.sort_by(f64::total_cmp);
+        let median = |mut xs: Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs.get(xs.len() / 2).copied()
+        };
+        let mut p999s: Vec<Duration> = runs.iter().map(|r| r.p999).collect();
         p999s.sort_unstable();
-        if let (Some(rate), Some(p999)) = (rates.get(rates.len() / 2), p999s.get(p999s.len() / 2)) {
+        if let (Some(rate), Some(inserts), Some(p999)) = (
+            median(runs.iter().map(|r| r.lookups_per_s).collect()),
+            median(runs.iter().map(|r| r.inserts_per_s).collect()),
+            p999s.get(p999s.len() / 2),
+        ) {
             println!(
-                "{:<60} reader lookups/s {rate:>10.0}  lookup p999 {p999:>10?}  (medians of {} runs)",
+                "{:<60} reader lookups/s {rate:>10.0}  lookup p999 {p999:>10?}  \
+                 writer inserts/s {inserts:>10.0}  (medians of {} runs)",
                 format!("abl_ctrie_readers_writer/ctrie/{id}"),
                 runs.len()
             );

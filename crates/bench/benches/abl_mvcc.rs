@@ -2,18 +2,24 @@
 //! lookups must stay fast *while the update stream mutates the data*
 //! ("low-latency joins and point lookups … on data that is moving all the
 //! time"). This ablation measures lookup latency on a quiescent table vs
-//! the same table under a continuous single-writer append stream.
+//! the same table under a paced single-writer append stream, and what
+//! taking a table snapshot costs.
 //!
 //! Run: `cargo bench -p idf-bench --bench abl_mvcc`
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use idf_core::prelude::*;
 use idf_engine::chunk::Chunk;
 use idf_engine::schema::{Field, Schema};
 use idf_engine::types::{DataType, Value};
+
+/// Rows per second the append stream is paced at (`benchmark/`'s
+/// `embedded-lookup` appender runs at the same rate).
+const APPEND_RATE: u64 = 10_000;
 
 fn table(rows: i64) -> Arc<IndexedTable> {
     let schema = Arc::new(Schema::new(vec![
@@ -54,8 +60,17 @@ fn bench_mvcc(c: &mut Criterion) {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                // Paced: chains grow at the same rate however much the
+                // reads slow the writer, so both sides of a comparison
+                // probe chains of the same length.
+                let start = Instant::now();
                 let mut i = 0i64;
                 while !stop.load(Ordering::Relaxed) {
+                    let due = Duration::from_micros(i as u64 * 1_000_000 / APPEND_RATE);
+                    if let Some(early) = due.checked_sub(start.elapsed()) {
+                        std::thread::sleep(early);
+                        continue;
+                    }
                     t.append_row(&[Value::Int64(i % 10_000), Value::Utf8(format!("live{i}"))])
                         .expect("append");
                     i += 1;

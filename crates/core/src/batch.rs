@@ -9,8 +9,8 @@
 //! committed-length watermark with `Release` ordering after writing row
 //! bytes; readers load it with `Acquire` and only ever dereference below
 //! it. This gives lock-free, wait-free reads concurrent with appends — the
-//! storage half of the paper's multi-version concurrency (the index half is
-//! the cTrie snapshot).
+//! storage half of the paper's multi-version concurrency (the other half is
+//! the partition's commit cursor, see [`crate::partition`]).
 //!
 //! Stored row format:
 //!
@@ -48,6 +48,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use idf_engine::error::{EngineError, Result};
 
@@ -358,6 +359,100 @@ impl std::fmt::Debug for RowBatch {
     }
 }
 
+/// Segments of a [`BatchList`]: segment `s` holds `2^s` slots, so 32 of
+/// them hold more batches than a [`RowPtr`] can name.
+const SEGMENTS: usize = 32;
+
+/// One segment's slots, each set once.
+type Segment = Box<[OnceLock<Arc<RowBatch>>]>;
+
+/// The row batches of one partition version, in order: append-only, and
+/// read without a lock while the partition's single writer appends. Batch
+/// `i` sits in segment `log2(i + 1)`, allocated when its first batch
+/// arrives, so a listed batch never moves and finding one costs two
+/// acquire loads. A reader can thus resolve any pointer the live tries
+/// hold, including one into a batch opened after it started.
+pub(crate) struct BatchList {
+    segments: [OnceLock<Segment>; SEGMENTS],
+    /// Batches listed. Raised only by [`BatchList::push`], after the slot
+    /// is set (Release); readers load it with Acquire.
+    len: AtomicUsize,
+}
+
+impl BatchList {
+    pub(crate) fn new() -> Self {
+        BatchList {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// `(segment, slot)` of batch `i`.
+    fn slot(i: usize) -> (usize, usize) {
+        let n = i + 1;
+        let segment = (usize::BITS - 1 - n.leading_zeros()) as usize;
+        (segment, n - (1 << segment))
+    }
+
+    /// Batch `i`, if listed.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<&RowBatch> {
+        let (segment, slot) = Self::slot(i);
+        self.segments
+            .get(segment)?
+            .get()?
+            .get(slot)?
+            .get()
+            .map(|b| &**b)
+    }
+
+    /// Batches listed.
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// The last batch and its index.
+    pub(crate) fn last(&self) -> Option<(usize, &RowBatch)> {
+        let i = self.len().checked_sub(1)?;
+        Some((i, self.get(i)?))
+    }
+
+    /// The batches in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &RowBatch> {
+        (0..self.len()).map_while(|i| self.get(i))
+    }
+
+    /// List `batch` after the others and return its index. Only the
+    /// partition's single writer calls this (append lock held), and the
+    /// partition keeps the count below [`crate::pointer::MAX_BATCHES`].
+    pub(crate) fn push(&self, batch: Arc<RowBatch>) -> usize {
+        // Relaxed: only this writer stores `len`.
+        let i = self.len.load(Ordering::Relaxed);
+        let (segment, slot) = Self::slot(i);
+        if let Some(cell) = self
+            .segments
+            .get(segment)
+            .map(|s| s.get_or_init(|| (0..1usize << segment).map(|_| OnceLock::new()).collect()))
+            .and_then(|s| s.get(slot))
+        {
+            // A fresh slot: `i` is one past every slot set so far.
+            let _ = cell.set(batch);
+        }
+        self.len.store(i + 1, Ordering::Release);
+        i
+    }
+}
+
+impl From<Vec<Arc<RowBatch>>> for BatchList {
+    fn from(batches: Vec<Arc<RowBatch>>) -> Self {
+        let list = BatchList::new();
+        for b in batches {
+            list.push(b);
+        }
+        list
+    }
+}
+
 /// Sequential row iterator over one batch (see [`RowBatch::iter_rows`]):
 /// one tight header walk over the committed slice.
 pub struct RowBatchIter<'a> {
@@ -594,6 +689,30 @@ mod tests {
         // A single-link batch has exactly the historical framing.
         assert_eq!(RowBatch::with_capacity(64).header(), ROW_HEADER);
         assert_eq!(ROW_HEADER, 10);
+    }
+
+    /// Batches keep their index across segment boundaries, and a slot
+    /// past the last batch is empty.
+    #[test]
+    fn batch_list_keeps_every_batch_in_place() {
+        let list = BatchList::new();
+        assert!(list.last().is_none());
+        for i in 0..40usize {
+            let batch = Arc::new(RowBatch::with_capacity(64 + i));
+            assert_eq!(list.push(batch), i);
+        }
+        assert_eq!(list.len(), 40);
+        for i in 0..40usize {
+            assert_eq!(
+                list.get(i).map(RowBatch::capacity),
+                Some(64 + i),
+                "batch {i}"
+            );
+        }
+        assert!(list.get(40).is_none());
+        assert_eq!(list.last().map(|(i, b)| (i, b.capacity())), Some((39, 103)));
+        let capacities: Vec<usize> = list.iter().map(RowBatch::capacity).collect();
+        assert_eq!(capacities, (64..104).collect::<Vec<_>>());
     }
 
     #[test]

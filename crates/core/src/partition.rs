@@ -7,33 +7,40 @@
 //!
 //! Append protocol (single writer per partition, concurrent readers). One
 //! publish call takes a slice of rows in which each key's rows are
-//! adjacent — a *run*; a chunk append sorts a partition's rows by key to
-//! make them so, and a single-row append is a run of one:
+//! adjacent — a *run*. A chunk append sorts a partition's rows by key to
+//! make them so, a DML statement puts each key's tombstone, survivors and
+//! new images together, and a single-row append is a run of one:
 //!
 //! 1. read the run's key's current head pointer from the cTrie, once;
 //! 2. write the run's rows into a batch, each with the row before it as
-//!    its backward link and the first with the head from step 1
-//!    (publishing each via the batch watermark);
-//! 3. once every run is written, point the cTrie at each run's last row.
+//!    its backward link and the first with the head from step 1;
+//! 3. once every run is written, point the cTrie at each run's last row,
+//!    and then store the partition's *commit cursor*: the position just
+//!    past the call's last row.
 //!
-//! A reader that snapshots the cTrie (O(1), non-blocking) therefore sees a
-//! consistent prefix: every pointer in the snapshot refers to fully
-//! published bytes, and chains never dangle. This is the paper's
-//! "multi-version concurrency". A run is one stretch of consecutive rows,
-//! so a later probe of its key reads neighbouring bytes, not one row per
-//! cache miss.
+//! A view ([`PartitionSnapshot`]) is the partition's current version — its
+//! batches and every index's trie — plus the cursor, read once. Its
+//! lookups probe the live tries and skip the chain rows at or above its
+//! cursor, which sit at the front of a newest-first chain; its scans stop
+//! at the cursor. So a view sees every row of a publish call or none of
+//! them, through every index and through scans alike, and taking one
+//! writes nothing a writer reads: the paper's "multi-version concurrency"
+//! with no trie snapshot. A run is one stretch of consecutive rows, so a
+//! later probe of its key reads neighbouring bytes, not one row per cache
+//! miss.
 //!
 //! A partition may carry more than one index over the same rows: one cTrie
 //! per index, and one backward pointer per index in every row header (see
 //! [`crate::batch`]). Index 0 is the *primary*: rows are routed by its
 //! column, and tombstones and DML live on its chains only. A row is written
 //! once; another index links it to the call's previous row with the same
-//! key in that column (found through a call-local map), and step 3 points
-//! every index at its heads inside one odd/even `generation` window, so a
-//! snapshot finds a row through all of its indexes or through none. A walk
-//! of another index follows that index's own link and, while
-//! the snapshot hides dead versions, keeps only the rows still visible on
-//! their primary chain.
+//! key in that column (found through a call-local map). A walk of another
+//! index follows that index's own link and, while the view hides dead
+//! versions, keeps only the rows still visible on their primary chain.
+//!
+//! A compaction writes the surviving rows into a new version with fresh
+//! tries and swaps it in. A view of the old version keeps reading it, and
+//! nothing writes to the old version again.
 
 #![cfg_attr(
     not(test),
@@ -48,6 +55,7 @@
 )]
 
 use std::borrow::Borrow;
+use std::cmp::Ordering as Cmp;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -60,7 +68,7 @@ use idf_engine::schema::SchemaRef;
 use idf_engine::types::Value;
 use parking_lot::{Mutex, RwLock};
 
-use crate::batch::{row_header, RowBatch};
+use crate::batch::{row_header, BatchList, RowBatch};
 use crate::config::IndexConfig;
 use crate::layout::{
     block_mask, compact_block, ColumnDecoder, RowLayout, SlotPredicate, MASK_ROWS,
@@ -71,7 +79,7 @@ use crate::sink::RowKind;
 /// Most indexes one table can carry (each costs every row 8 header bytes).
 pub const MAX_INDEXES: usize = 8;
 
-/// One index of a partition.
+/// One index of a partition version.
 struct PartitionIndex {
     /// The indexed column.
     col: usize,
@@ -79,52 +87,207 @@ struct PartitionIndex {
     trie: CTrie<Value, u64>,
     /// Distinct keys in `trie`. Maintained here because `CTrie::len()` is
     /// an O(n) traversal, and this count feeds planner statistics on every
-    /// query: a single writer appends (under `append_lock`) and only
-    /// compaction removes keys, so a counter bumped on first-insert and
-    /// reset by compaction stays exact.
+    /// query: a single writer appends (under `append_lock`) and only a
+    /// compaction builds a new trie, so a counter bumped on first-insert
+    /// stays exact.
     keys: AtomicUsize,
 }
 
 impl PartitionIndex {
-    fn new(col: usize) -> Self {
-        PartitionIndex {
+    /// An index over `entries` (distinct keys), bulk-loaded into a fresh
+    /// trie.
+    fn over(col: usize, entries: Vec<(Value, u64)>) -> Self {
+        let index = PartitionIndex {
             col,
             trie: CTrie::new(),
-            keys: AtomicUsize::new(0),
+            keys: AtomicUsize::new(entries.len()),
+        };
+        index.trie.from_entries(entries);
+        index
+    }
+}
+
+/// One version of a partition's rows and indexes. Appends grow it in
+/// place — rows, trie entries, the cursor — and only a compaction replaces
+/// it; a view holds the version it was taken from.
+///
+/// Every view updates the `Arc`'s reference count, so the version is
+/// aligned past it: the fields readers load on every row never share a
+/// cache line (or its adjacent-line prefetch pair) with the count,
+/// wherever the allocator puts the version.
+#[repr(align(128))]
+struct Version {
+    layout: RowLayout,
+    /// Framing bytes per stored row: one link per index.
+    header: usize,
+    batches: BatchList,
+    /// The indexes, primary first.
+    indexes: Vec<PartitionIndex>,
+    /// The [`Cursor`] of the last publish call: every row below it is
+    /// linked into every index. The call stores it once, after its links
+    /// (Release); a view loads it before anything else (Acquire).
+    cursor: AtomicU64,
+    /// Stored rows, tombstones included. Written only under `append_lock`.
+    rows: AtomicUsize,
+    /// Tombstone rows stored. Written only under `append_lock`.
+    tombstones: AtomicUsize,
+    /// Rows hidden below a tombstone (dead versions a compaction can
+    /// reclaim). Written only under `append_lock`; while it is zero a scan
+    /// has nothing to hide and skips building its kill set.
+    dead_rows: AtomicUsize,
+}
+
+impl Version {
+    /// A version over `batches`, its cursor past their last row.
+    fn new(layout: RowLayout, batches: BatchList, indexes: Vec<PartitionIndex>) -> Self {
+        let version = Version {
+            layout,
+            header: row_header(indexes.len()),
+            batches,
+            indexes,
+            cursor: AtomicU64::new(0),
+            rows: AtomicUsize::new(0),
+            tombstones: AtomicUsize::new(0),
+            dead_rows: AtomicUsize::new(0),
+        };
+        version.cursor.store(version.end().0, Ordering::Release);
+        version
+    }
+
+    /// Just past the last row written. Only the writer moves it.
+    fn end(&self) -> Cursor {
+        self.batches
+            .last()
+            .map_or(Cursor(0), |(b, batch)| Cursor::past(b, batch.len()))
+    }
+
+    fn primary(&self) -> &PartitionIndex {
+        // Every version is built with at least the primary.
+        &self.indexes[0]
+    }
+
+    /// `key`'s head pointer in index `link` (NULL when absent).
+    fn head_in(&self, link: usize, key: &Value) -> RowPtr {
+        self.indexes
+            .get(link)
+            .and_then(|ix| ix.trie.lookup(key))
+            .map_or(RowPtr::NULL, RowPtr::from_raw)
+    }
+
+    /// The keys a stored row joins the indexes after the primary with:
+    /// `(link, key)` per non-NULL key of a data row. A tombstone joins
+    /// none; with one index there are none (and nothing is allocated).
+    fn secondary_keys(&self, payload: &[u8], kind: RowKind) -> Result<Vec<(usize, Value)>> {
+        if kind == RowKind::Tombstone {
+            return Ok(Vec::new());
         }
+        let mut keys = Vec::new();
+        for (link, ix) in self.indexes.iter().enumerate().skip(1) {
+            let key = self.layout.decode_column(payload, ix.col)?;
+            if !key.is_null() {
+                keys.push((link, key));
+            }
+        }
+        Ok(keys)
+    }
+
+    /// Step 3: point every index at the heads one call wrote, count its
+    /// rows, and then move the cursor past them, which makes them visible
+    /// to new views through every index at once.
+    fn link(&self, heads: Heads<'_>) {
+        if heads.rows == 0 {
+            return;
+        }
+        for (key, head) in heads.runs.into_iter().chain(heads.run) {
+            self.link_key(0, key.clone(), head);
+        }
+        for (i, map) in heads.secondary.into_iter().enumerate() {
+            for (key, head) in map {
+                self.link_key(i + 1, key, head);
+            }
+        }
+        self.rows.fetch_add(heads.rows, Ordering::AcqRel);
+        self.cursor.store(self.end().0, Ordering::Release);
+        let m = idf_obs::global();
+        m.append_rows.add(heads.rows as u64);
+        m.append_bytes.add(heads.bytes as u64);
+    }
+
+    fn link_key(&self, link: usize, key: Value, head: Head) {
+        let ix = &self.indexes[link];
+        let old = ix.trie.insert(key, head.ptr.raw());
+        debug_assert_eq!(
+            old.map_or(RowPtr::NULL, RowPtr::from_raw),
+            head.was,
+            "single-writer invariant violated"
+        );
+        if head.was.is_null() {
+            ix.keys.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// How far a view reads: the position just past the last row of the last
+/// publish call before the view was taken, as
+/// [`physical_key`]`(batch, end offset)`. Rows are written in position
+/// order, so the rows below the cursor are exactly those of completed
+/// calls.
+#[derive(Clone, Copy)]
+struct Cursor(u64);
+
+impl Cursor {
+    fn past(batch: usize, end: usize) -> Cursor {
+        Cursor(physical_key(batch, end))
+    }
+
+    /// Whether the row at `ptr` lies below the cursor.
+    #[inline]
+    fn sees(self, ptr: RowPtr) -> bool {
+        physical_key(ptr.batch(), ptr.offset()) < self.0
+    }
+
+    fn batch(self) -> usize {
+        (self.0 >> 32) as usize
+    }
+
+    /// Committed bytes of batch `b` below the cursor: all of a batch before
+    /// the cursor's (no row is written to one once a later batch exists),
+    /// the cursor's offset in its own, none after it.
+    fn watermark(self, b: usize, batch: &RowBatch) -> usize {
+        match b.cmp(&self.batch()) {
+            Cmp::Less => batch.len(),
+            Cmp::Equal => (self.0 & u64::from(u32::MAX)) as usize,
+            Cmp::Greater => 0,
+        }
+    }
+
+    /// `(index, batch, watermark)` of every batch of `batches` the cursor
+    /// reaches, from batch `from` on.
+    fn batches(
+        self,
+        batches: &BatchList,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, &RowBatch, usize)> {
+        (from..=self.batch()).map_while(move |b| {
+            batches
+                .get(b)
+                .map(|batch| (b, batch, self.watermark(b, batch)))
+        })
     }
 }
 
 /// A single hash partition of an Indexed DataFrame.
 pub struct IndexedPartition {
-    layout: RowLayout,
     config: IndexConfig,
-    /// The partition's indexes, primary first.
-    indexes: Vec<PartitionIndex>,
-    /// Framing bytes per stored row: one link per index.
-    header: usize,
-    batches: RwLock<Vec<Arc<RowBatch>>>,
+    /// The current version, which also holds the row layout and the
+    /// indexed columns. A view holds the read lock for one `Arc` clone;
+    /// only a compaction swap writes it.
+    current: RwLock<Arc<Version>>,
     /// Serializes writers ("Spark transformations within a partition are
     /// sequentially executed on a single core" — paper, §2). Guards the
     /// row-encode scratch buffer, which is reused across appends so the
     /// steady-state append path performs no allocation.
     append_lock: Mutex<Vec<u8>>,
-    row_count: AtomicUsize,
-    /// Tombstone rows currently stored in the batches. Written only under
-    /// `append_lock`; compaction recomputes it.
-    tombstones: AtomicUsize,
-    /// Rows hidden below a tombstone (dead versions a compaction can
-    /// reclaim). Written only under `append_lock`, reset to zero by
-    /// compaction; while it is zero a scan has nothing to hide and skips
-    /// building its kill set.
-    dead_rows: AtomicUsize,
-    /// Swap epoch for the compaction gate protocol: even = stable, odd =
-    /// a batch/index swap is in progress. [`Self::snapshot`] retries until
-    /// it reads the same even value on both sides of its two reads, so a
-    /// snapshot can never pair a pre-swap index with post-swap batches.
-    /// With more than one index, every append publishes inside such a
-    /// window too.
-    generation: AtomicU64,
 }
 
 impl IndexedPartition {
@@ -138,30 +301,35 @@ impl IndexedPartition {
     pub fn with_indexes(schema: SchemaRef, key_cols: &[usize], config: IndexConfig) -> Self {
         debug_assert!(config.validate().is_ok());
         debug_assert!((1..=MAX_INDEXES).contains(&key_cols.len()));
+        let indexes = key_cols
+            .iter()
+            .map(|&c| PartitionIndex::over(c, Vec::new()))
+            .collect();
+        let version = Version::new(RowLayout::new(schema), BatchList::new(), indexes);
+        Self::over(config, version)
+    }
+
+    fn over(config: IndexConfig, version: Version) -> Self {
         IndexedPartition {
-            layout: RowLayout::new(schema),
             config,
-            indexes: key_cols.iter().map(|&c| PartitionIndex::new(c)).collect(),
-            header: row_header(key_cols.len()),
-            batches: RwLock::new(Vec::new()),
+            current: RwLock::new(Arc::new(version)),
             append_lock: Mutex::new(Vec::new()),
-            row_count: AtomicUsize::new(0),
-            tombstones: AtomicUsize::new(0),
-            dead_rows: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
         }
     }
 
-    fn primary(&self) -> &PartitionIndex {
-        // `with_indexes`/`restore` always build at least the primary.
-        &self.indexes[0]
+    /// The current version, for a caller that keeps it. A caller that
+    /// reads a counter reads it through the lock instead, which saves the
+    /// two shared reference-count updates.
+    fn version(&self) -> Arc<Version> {
+        Arc::clone(&self.current.read())
     }
 
     /// Rebuild a single-index partition from checkpointed state: restored row batches
     /// plus the dumped `key → packed pointer` index entries, bulk-loaded
-    /// into a fresh cTrie (one epoch pin for the whole load — far cheaper
-    /// than replaying every append). The partition is immediately
-    /// writable; new rows continue into the last restored batch.
+    /// into a fresh cTrie by [`CTrie::from_entries`] (which re-pins every
+    /// 1 024 entries; far cheaper than replaying every append). The
+    /// partition is immediately writable; new rows continue into the last
+    /// restored batch.
     ///
     /// # Errors
     /// Fails with a corrupt-state error when an index entry's pointer does
@@ -192,51 +360,49 @@ impl IndexedPartition {
                 )));
             }
         }
-        let layout = RowLayout::new(schema);
+        let index = PartitionIndex::over(key_col, index_entries);
+        let version = Version::new(
+            RowLayout::new(schema),
+            BatchList::from(batches),
+            vec![index],
+        );
         // Recount from the restored bytes: the kind flag lives in the
         // stored headers (checkpoints round-trip it bit-for-bit), so the
         // counters need no checkpoint-format extension.
-        let watermarks: Vec<usize> = batches.iter().map(|b| b.len()).collect();
-        let hidden = HiddenRows::find(&batches, &watermarks)?;
-        let (tombstones, dead_rows) = (hidden.tombstones, hidden.kill.keys.len());
-        let index = PartitionIndex::new(key_col);
-        index.keys.store(index_entries.len(), Ordering::Release);
-        index.trie.from_entries(index_entries);
-        Ok(IndexedPartition {
-            layout,
-            config,
-            indexes: vec![index],
-            header: row_header(1),
-            batches: RwLock::new(batches),
-            append_lock: Mutex::new(Vec::new()),
-            row_count: AtomicUsize::new(row_count),
-            tombstones: AtomicUsize::new(tombstones),
-            dead_rows: AtomicUsize::new(dead_rows),
-            generation: AtomicU64::new(0),
-        })
+        let hidden = HiddenRows::find(&version.batches, version.end())?;
+        version.rows.store(row_count, Ordering::Release);
+        version
+            .tombstones
+            .store(hidden.tombstones, Ordering::Release);
+        version
+            .dead_rows
+            .store(hidden.kill.keys.len(), Ordering::Release);
+        Ok(Self::over(config, version))
     }
 
     /// The row schema.
-    pub fn schema(&self) -> &SchemaRef {
-        self.layout.schema()
+    pub fn schema(&self) -> SchemaRef {
+        self.current.read().layout.schema().clone()
     }
 
     /// Primary index column position.
     pub fn key_col(&self) -> usize {
-        self.primary().col
+        self.current.read().primary().col
     }
 
     /// Distinct keys of index `index` (0 = primary) — the maintained
     /// counter, not an O(n) trie walk.
     pub fn key_count(&self, index: usize) -> usize {
-        self.indexes
+        self.current
+            .read()
+            .indexes
             .get(index)
             .map_or(0, |ix| ix.keys.load(Ordering::Acquire))
     }
 
     /// Rows appended so far.
     pub fn row_count(&self) -> usize {
-        self.row_count.load(Ordering::Acquire)
+        self.current.read().rows.load(Ordering::Acquire)
     }
 
     /// Append one row. Rows with a NULL key are stored (visible to scans)
@@ -248,10 +414,12 @@ impl IndexedPartition {
     pub fn append_row(&self, values: &[Value]) -> Result<()> {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
         let mut payload = self.append_lock.lock();
+        let v = self.version();
         payload.clear();
-        self.layout.encode(values, &mut payload)?;
-        self.check_row_size(&payload)?;
-        self.publish_locked(&[(&values[self.key_col()], payload.as_slice(), RowKind::Data)])
+        v.layout.encode(values, &mut payload)?;
+        self.check_row_size(&v, &payload)?;
+        let key = &values[v.primary().col];
+        self.publish_in(&v, &[(key, payload.as_slice(), RowKind::Data)])
     }
 
     /// Encode + validate one row without touching any shared state,
@@ -260,14 +428,15 @@ impl IndexedPartition {
     /// [`crate::table::IndexedTable`].
     pub fn encode_row(&self, values: &[Value]) -> Result<Vec<u8>> {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
+        let v = self.current.read();
         let mut payload = Vec::new();
-        self.layout.encode(values, &mut payload)?;
-        self.check_row_size(&payload)?;
+        v.layout.encode(values, &mut payload)?;
+        self.check_row_size(&v, &payload)?;
         Ok(payload)
     }
 
-    fn check_row_size(&self, payload: &[u8]) -> Result<()> {
-        let stored = self.header + payload.len();
+    fn check_row_size(&self, v: &Version, payload: &[u8]) -> Result<()> {
+        let stored = v.header + payload.len();
         if stored > self.config.max_row_size {
             return Err(EngineError::RowTooLarge {
                 size: stored,
@@ -284,7 +453,7 @@ impl IndexedPartition {
     /// # Errors
     /// Fails on a payload that does not match the partition's layout.
     pub fn decode_payload(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        self.layout.decode_row(payload)
+        self.current.read().layout.decode_row(payload)
     }
 
     /// Append rows pre-encoded by [`Self::encode_row`], in order, under one
@@ -299,8 +468,8 @@ impl IndexedPartition {
     /// [`crate::failpoints::APPEND_PUBLISH`] is checked before each row; a
     /// NULL-key tombstone, an oversized row or a full partition fail that
     /// row. On any error, and on a panic before it unwinds on, the rows
-    /// already written are still linked into every index, so the
-    /// partition holds a fully indexed prefix of `rows`.
+    /// already written are still linked into every index and published, so
+    /// the partition holds a fully indexed prefix of `rows`.
     pub(crate) fn append_encoded<K: Borrow<Value>, P: AsRef<[u8]>>(
         &self,
         rows: &[(K, P, RowKind)],
@@ -318,23 +487,18 @@ impl IndexedPartition {
 
     /// Decode the visible rows of `key`'s primary chain, latest first,
     /// against the live partition. The caller holds the append lock (via
-    /// [`Self::lock_appends`]), so the view is stable.
+    /// [`Self::lock_appends`]), so every row is published and the chain is
+    /// stable.
     pub(crate) fn visible_rows_locked(&self, key: &Value) -> Result<Vec<Vec<Value>>> {
-        let head = self
-            .primary()
-            .trie
-            .lookup(key)
-            .map(RowPtr::from_raw)
-            .unwrap_or(RowPtr::NULL);
-        let batches = self.batches.read();
+        let v = self.version();
         let mut out = Vec::new();
-        let mut next = head;
+        let mut next = v.head_in(0, key);
         while !next.is_null() {
-            let (_, prev, kind, payload) = chain_row(&batches, next)?;
+            let (_, prev, kind, payload) = chain_row(&v.batches, next)?;
             if kind == RowKind::Tombstone {
                 break;
             }
-            out.push(self.layout.decode_row(payload)?);
+            out.push(v.layout.decode_row(payload)?);
             next = prev;
         }
         Ok(out)
@@ -348,16 +512,15 @@ impl IndexedPartition {
     /// with the same key in its column through a call-local map, which
     /// allocates only at its first key. Step 3 then inserts each key's
     /// last row once per index — one trie lookup and one insert per
-    /// distinct key.
+    /// distinct key — and stores the cursor once.
     ///
     /// Publishing a tombstone makes every older row of its key's chain
     /// invisible: the tombstone becomes the chain head and readers stop
     /// there. The tombstone and dead-version counters grow as soon as it
-    /// is written, before any later row, so a snapshot whose watermarks
-    /// cover a row after it also sees the rows it hides counted (see
-    /// [`Self::snapshot_for`]). A tombstone joins no other index's chain;
-    /// a data row joins every index whose column it holds a non-NULL value
-    /// in.
+    /// is written, before the cursor moves past it, so a view whose cursor
+    /// covers it also sees the rows it hides counted. A tombstone joins no
+    /// other index's chain; a data row joins every index whose column it
+    /// holds a non-NULL value in.
     ///
     /// # Errors
     /// As [`Self::append_encoded`].
@@ -365,23 +528,33 @@ impl IndexedPartition {
         &self,
         rows: &[(K, P, RowKind)],
     ) -> Result<()> {
+        self.publish_in(&self.version(), rows)
+    }
+
+    /// [`Self::publish_locked`] into `v`, the current version.
+    fn publish_in<K: Borrow<Value>, P: AsRef<[u8]>>(
+        &self,
+        v: &Version,
+        rows: &[(K, P, RowKind)],
+    ) -> Result<()> {
         debug_assert!(keys_adjacent(rows), "a publish call's keys must form runs");
-        let mut heads = Heads::new(self.indexes.len());
+        let mut heads = Heads::new(v.indexes.len());
         // Rows already written are linked before an error returns and
         // before a panic (a failpoint, a bug) unwinds on, so no published
         // row is left outside its indexes.
         let written = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rows.iter().try_for_each(|(key, payload, kind)| {
-                self.write_linked(&mut heads, key.borrow(), payload.as_ref(), *kind)
+                self.write_linked(v, &mut heads, key.borrow(), payload.as_ref(), *kind)
             })
         }));
-        self.link(heads);
+        v.link(heads);
         written.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     /// Steps 1 and 2 for one row: its prev on every index, then its bytes.
     fn write_linked<'r>(
         &self,
+        v: &Version,
         heads: &mut Heads<'r>,
         key: &'r Value,
         payload: &[u8],
@@ -404,32 +577,33 @@ impl IndexedPartition {
         match run_head {
             Some(ptr) => prevs[0] = ptr,
             None if !key.is_null() => {
-                was[0] = self.head_in(0, key);
+                was[0] = v.head_in(0, key);
                 prevs[0] = was[0];
             }
             None => {}
         }
-        let secondary = self.secondary_keys(payload, kind)?;
+        let secondary = v.secondary_keys(payload, kind)?;
         for (link, k) in &secondary {
             prevs[*link] = match heads.latest(*link, k) {
                 Some(ptr) => ptr,
                 None => {
-                    was[*link] = self.head_in(*link, k);
+                    was[*link] = v.head_in(*link, k);
                     was[*link]
                 }
             };
         }
-        // 2. Write + publish the row bytes.
-        let stored = self.header + payload.len();
+        // 2. Write the row bytes.
+        let stored = v.header + payload.len();
+        let prevs = &prevs[..v.indexes.len()];
         let (batch_idx, offset) =
-            self.write_row_kind(&prevs[..self.indexes.len()], payload, kind)?;
+            append_to(&v.batches, self.config.batch_size, prevs, payload, kind)?;
         let ptr = RowPtr::new(batch_idx, offset, stored);
         if kind == RowKind::Tombstone {
             // The rows it hides, stopping at any older tombstone: those
             // below it were already counted dead.
-            let hidden = visible_chain_len(&self.batches.read(), prevs[0]);
-            self.tombstones.fetch_add(1, Ordering::AcqRel);
-            self.dead_rows.fetch_add(hidden, Ordering::AcqRel);
+            let hidden = visible_chain_len(&v.batches, prevs[0]);
+            v.tombstones.fetch_add(1, Ordering::AcqRel);
+            v.dead_rows.fetch_add(hidden, Ordering::AcqRel);
         }
         heads.rows += 1;
         heads.bytes += stored;
@@ -448,183 +622,23 @@ impl IndexedPartition {
         Ok(())
     }
 
-    /// `key`'s head pointer in index `link` (NULL when absent).
-    fn head_in(&self, link: usize, key: &Value) -> RowPtr {
-        self.indexes[link]
-            .trie
-            .lookup(key)
-            .map_or(RowPtr::NULL, RowPtr::from_raw)
-    }
-
-    /// Step 3: point every index at the heads one call wrote, and count its
-    /// rows. With more than one index the inserts go inside one odd/even
-    /// generation window, so a snapshot sees the call's rows in all of
-    /// their indexes or in none.
-    fn link(&self, heads: Heads<'_>) {
-        if heads.rows == 0 {
-            return;
-        }
-        let window = self.indexes.len() > 1;
-        if window {
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        for (key, head) in heads.runs.into_iter().chain(heads.run) {
-            self.link_key(0, key.clone(), head);
-        }
-        for (i, map) in heads.secondary.into_iter().enumerate() {
-            for (key, head) in map {
-                self.link_key(i + 1, key, head);
-            }
-        }
-        self.row_count.fetch_add(heads.rows, Ordering::AcqRel);
-        if window {
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        let m = idf_obs::global();
-        m.append_rows.add(heads.rows as u64);
-        m.append_bytes.add(heads.bytes as u64);
-    }
-
-    fn link_key(&self, link: usize, key: Value, head: Head) {
-        let ix = &self.indexes[link];
-        let old = ix.trie.insert(key, head.ptr.raw());
-        debug_assert_eq!(
-            old.map_or(RowPtr::NULL, RowPtr::from_raw),
-            head.was,
-            "single-writer invariant violated"
-        );
-        if head.was.is_null() {
-            ix.keys.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Write into the open batch, rolling over to a fresh batch when full.
-    fn write_row_kind(
-        &self,
-        prevs: &[RowPtr],
-        payload: &[u8],
-        kind: RowKind,
-    ) -> Result<(usize, usize)> {
-        // Fast path: room in the last batch.
-        {
-            let batches = self.batches.read();
-            if let Some(last) = batches.last() {
-                if let Some(offset) = last.append_row_kind(prevs, payload, kind) {
-                    return Ok((batches.len() - 1, offset));
-                }
-            }
-        }
-        // Roll over.
-        let mut batches = self.batches.write();
-        if batches.len() >= crate::pointer::MAX_BATCHES {
-            return Err(EngineError::exec("partition exceeded 2^31 row batches"));
-        }
-        let batch = Arc::new(self.new_batch());
-        let offset = batch.append_row_kind(prevs, payload, kind).ok_or(
-            // Only reachable if a row outgrows a whole batch, which
-            // `IndexConfig::validate` (max_row_size <= batch_size) rules
-            // out for vetted configs.
-            EngineError::RowTooLarge {
-                size: self.header + payload.len(),
-                max: self.config.batch_size,
-            },
-        )?;
-        batches.push(batch);
-        idf_obs::global().batch_seals.inc();
-        Ok((batches.len() - 1, offset))
-    }
-
-    /// The keys a stored row joins the indexes after the primary with:
-    /// `(link, key)` per non-NULL key of a data row. A tombstone joins
-    /// none; with one index there are none (and nothing is allocated).
-    fn secondary_keys(&self, payload: &[u8], kind: RowKind) -> Result<Vec<(usize, Value)>> {
-        if kind == RowKind::Tombstone {
-            return Ok(Vec::new());
-        }
-        let mut keys = Vec::new();
-        for (link, ix) in self.indexes.iter().enumerate().skip(1) {
-            let key = self.layout.decode_column(payload, ix.col)?;
-            if !key.is_null() {
-                keys.push((link, key));
-            }
-        }
-        Ok(keys)
-    }
-
-    fn new_batch(&self) -> RowBatch {
-        RowBatch::with_links(self.config.batch_size, self.indexes.len())
-    }
-
-    /// Take a consistent point-in-time read view (O(1), non-blocking on
-    /// the append path; spins only while a compaction swap — a handful of
-    /// pointer writes — or a multi-index publish is mid-flight). Its
-    /// lookups probe the primary index.
+    /// Take a consistent point-in-time read view: the current version and
+    /// its cursor. O(1), lock-free against the append path, and it writes
+    /// no trie. Its lookups probe the primary index (see
+    /// [`PartitionSnapshot::probing`]).
     pub fn snapshot(&self) -> PartitionSnapshot {
-        self.snapshot_of(0, false)
-    }
-
-    /// [`Self::snapshot`] whose lookups probe index `index` (0 = primary).
-    /// The view holds the primary index and the probed one.
-    pub fn snapshot_for(&self, index: usize) -> PartitionSnapshot {
-        self.snapshot_of(index, false)
-    }
-
-    /// [`Self::snapshot`] holding every index of the partition, for a
-    /// reader that probes more than one through the same view
-    /// ([`PartitionSnapshot::lookup_payloads_in`]).
-    pub fn snapshot_all(&self) -> PartitionSnapshot {
-        self.snapshot_of(0, true)
-    }
-
-    fn snapshot_of(&self, probe: usize, all: bool) -> PartitionSnapshot {
-        debug_assert!(probe < self.indexes.len(), "no index {probe}");
-        // Order matters twice over: within one attempt the indexes are
-        // snapshotted first, then the watermarks, so every pointer in the
-        // index views lands below its watermark; and the generation is read
-        // on both sides so an attempt that interleaved with a compaction
-        // swap (which replaces batches AND republishes the indexes) or a
-        // multi-index publish is thrown away instead of pairing old
-        // pointers with new batches or one index's state with another's.
-        // Each trie snapshot costs a root CAS and a few allocations, so a
-        // view takes only the tries it may read.
-        let (primary, secondary, batches, watermarks, dead_rows) = loop {
-            let g1 = self.generation.load(Ordering::Acquire);
-            if g1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let primary = self.primary().trie.read_only_snapshot();
-            let secondary: Vec<(usize, CTrie<Value, u64>)> = self
-                .indexes
-                .iter()
-                .enumerate()
-                .skip(1)
-                .filter(|&(i, _)| all || i == probe)
-                .map(|(i, ix)| (i, ix.trie.read_only_snapshot()))
-                .collect();
-            let batches: Vec<Arc<RowBatch>> = self.batches.read().clone();
-            let watermarks: Vec<usize> = batches.iter().map(|b| b.len()).collect();
-            // Read after the watermarks: a watermark that covers anything
-            // written after a tombstone also covers that tombstone's bump
-            // of this counter (same writer, Release/Acquire on the batch
-            // length), so zero here means the view hides nothing.
-            let dead_rows = self.dead_rows.load(Ordering::Acquire);
-            if self.generation.load(Ordering::Acquire) == g1 {
-                break (primary, secondary, batches, watermarks, dead_rows);
-            }
-        };
+        let version = self.version();
+        let cursor = Cursor(version.cursor.load(Ordering::Acquire));
+        // Read after the cursor: a tombstone's bump of this counter comes
+        // before the cursor moves past the tombstone, so zero here means
+        // the view hides nothing.
+        let dead_rows = version.dead_rows.load(Ordering::Acquire);
         let m = idf_obs::global();
         m.snapshots_taken.inc();
         PartitionSnapshot {
-            layout: self.layout.clone(),
-            primary_col: self.key_col(),
-            probe,
-            key_col: self.indexes.get(probe).map_or(self.key_col(), |ix| ix.col),
-            header: self.header,
-            primary,
-            secondary,
-            batches,
-            watermarks,
+            version,
+            cursor,
+            probe: 0,
             dead_rows,
             // The clock read is the expensive part of snapshot telemetry,
             // so only sampled snapshots carry a timestamp; the rest skip
@@ -637,14 +651,26 @@ impl IndexedPartition {
 
     /// Tombstone rows currently stored (compaction-policy signal).
     pub fn tombstone_count(&self) -> usize {
-        self.tombstones.load(Ordering::Acquire)
+        self.current.read().tombstones.load(Ordering::Acquire)
     }
 
     /// Rows hidden below tombstones (dead versions a compaction would
     /// reclaim; approximate only in that it excludes superseded
     /// tombstones themselves).
     pub fn dead_row_count(&self) -> usize {
-        self.dead_rows.load(Ordering::Acquire)
+        self.current.read().dead_rows.load(Ordering::Acquire)
+    }
+
+    /// The root generation of each index's trie, primary first. A trie
+    /// snapshot changes its trie's; nothing on the read path may.
+    #[doc(hidden)]
+    pub fn trie_generations(&self) -> Vec<u64> {
+        self.current
+            .read()
+            .indexes
+            .iter()
+            .map(|ix| ix.trie.root_generation())
+            .collect()
     }
 
     /// Rewrite this partition's batches, dropping every dead version
@@ -657,11 +683,11 @@ impl IndexedPartition {
     /// primary key), and loses the keys no surviving row holds.
     ///
     /// Runs under the append lock (writers block, readers do not): the
-    /// rewrite builds fresh batches and a fresh pointer set on the side,
-    /// `pre_swap` runs (the compactor's swap failpoint), and then the swap
-    /// publishes everything inside one odd/even generation window —
-    /// in-flight snapshots keep reading the old `Arc`ed batches, new
-    /// snapshots retry across the window and see only the compacted state.
+    /// rewrite builds fresh batches, and from them fresh tries, as a new
+    /// version on the side; `pre_swap` runs (the compactor's swap
+    /// failpoint); then one pointer swap makes the new version current.
+    /// Views taken before it keep reading the old version, which no writer
+    /// touches again; views taken after see only the compacted one.
     ///
     /// Not WAL-logged: recovery replays the original appends and DML
     /// records, which is logically equivalent; the next checkpoint
@@ -671,40 +697,42 @@ impl IndexedPartition {
     /// Any error (corrupt chain, injected fault, `pre_swap` veto) aborts
     /// before the swap with the partition untouched.
     pub fn compact(&self, pre_swap: &dyn Fn() -> Result<()>) -> Result<CompactStats> {
-        let _writer = self.append_lock.lock();
-        let batches_before: Vec<Arc<RowBatch>> = self.batches.read().clone();
-        let bytes_before: usize = batches_before.iter().map(|b| b.len()).sum();
-        let rows_before = self.row_count.load(Ordering::Acquire);
-        let stats_noop = CompactStats {
-            rows_before,
-            rows_after: rows_before,
-            bytes_before,
-            bytes_after: bytes_before,
-            batches_before: batches_before.len(),
-            batches_after: batches_before.len(),
-        };
+        let writer = self.append_lock.lock();
+        let old = self.version();
+        let bytes_before: usize = old.batches.iter().map(RowBatch::len).sum();
+        let batches_before = old.batches.len();
+        let rows_before = old.rows.load(Ordering::Acquire);
         // Without tombstones every stored row is visible and every chain
         // is already minimal: nothing to reclaim.
-        if self.tombstones.load(Ordering::Acquire) == 0 {
-            return Ok(stats_noop);
+        if old.tombstones.load(Ordering::Acquire) == 0 {
+            return Ok(CompactStats {
+                rows_before,
+                rows_after: rows_before,
+                bytes_before,
+                bytes_after: bytes_before,
+                batches_before,
+                batches_after: batches_before,
+            });
         }
-        let old_index = self.primary().trie.read_only_snapshot();
         let mut rewrite = Rewrite {
-            partition: self,
-            batches: Vec::new(),
-            heads: vec![HashMap::new(); self.indexes.len() - 1],
+            batch_size: self.config.batch_size,
+            old: &old,
+            batches: BatchList::new(),
+            heads: vec![HashMap::new(); old.indexes.len() - 1],
         };
         let mut new_entries: Vec<(Value, u64)> = Vec::new();
         let mut rows_after = 0usize;
         let mut tombstones_after = 0usize;
-        for (key, raw) in old_index.iter() {
+        // The key walk: a read-only snapshot of the primary trie, which no
+        // writer changes while the append lock is held.
+        for (key, raw) in old.primary().trie.read_only_snapshot().iter() {
             // Collect the visible chain (latest first); a head tombstone
             // means the key is fully deleted and keeps a sentinel.
             let mut visible: Vec<&[u8]> = Vec::new();
             let mut sentinel: Option<&[u8]> = None;
             let mut next = RowPtr::from_raw(raw);
             while !next.is_null() {
-                let (_, prev, kind, payload) = chain_row(&batches_before, next)?;
+                let (_, prev, kind, payload) = chain_row(&old.batches, next)?;
                 if kind == RowKind::Tombstone {
                     if visible.is_empty() {
                         sentinel = Some(payload);
@@ -731,13 +759,13 @@ impl IndexedPartition {
         }
         // NULL-key rows live outside every primary chain and are never
         // deleted; carry them over with a physical pass.
-        for b in &batches_before {
+        for b in old.batches.iter() {
             for row in b.iter_rows(b.len())? {
                 let (_, _, kind, payload) = row?;
                 if kind == RowKind::Data
-                    && self
+                    && old
                         .layout
-                        .decode_column(payload, self.key_col())?
+                        .decode_column(payload, old.primary().col)?
                         .is_null()
                 {
                     rewrite.append(RowPtr::NULL, payload, RowKind::Data)?;
@@ -745,49 +773,31 @@ impl IndexedPartition {
                 }
             }
         }
-        // Keys of the other indexes that no surviving row holds any more.
-        let stale: Vec<Vec<Value>> = self.indexes[1..]
-            .iter()
-            .zip(&rewrite.heads)
-            .map(|(ix, heads)| {
-                ix.trie
-                    .read_only_snapshot()
-                    .iter()
-                    .filter(|(k, _)| !heads.contains_key(k))
-                    .map(|(k, _)| k)
-                    .collect()
-            })
+        let Rewrite { batches, heads, .. } = rewrite;
+        let bytes_after: usize = batches.iter().map(RowBatch::len).sum();
+        let batches_after = batches.len();
+        let indexes = std::iter::once(PartitionIndex::over(old.primary().col, new_entries))
+            .chain(old.indexes[1..].iter().zip(heads).map(|(ix, heads)| {
+                let entries = heads.into_iter().map(|(k, ptr)| (k, ptr.raw())).collect();
+                PartitionIndex::over(ix.col, entries)
+            }))
             .collect();
+        let compacted = Version::new(old.layout.clone(), batches, indexes);
+        compacted.rows.store(rows_after, Ordering::Release);
+        compacted
+            .tombstones
+            .store(tombstones_after, Ordering::Release);
         pre_swap()?;
-        // Swap inside the generation gate: an odd value parks snapshot
-        // attempts, and an attempt that straddled the window retries.
-        // Everything in here is infallible, so the gate always closes.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        let bytes_after: usize = rewrite.batches.iter().map(|b| b.len()).sum();
-        let batches_after = rewrite.batches.len();
-        *self.batches.write() = rewrite.batches;
-        for (key, raw) in new_entries {
-            self.primary().trie.insert(key, raw);
-        }
-        for ((ix, heads), stale) in self.indexes[1..].iter().zip(rewrite.heads).zip(stale) {
-            for key in &stale {
-                ix.trie.remove(key);
-            }
-            ix.keys.store(heads.len(), Ordering::Release);
-            for (key, ptr) in heads {
-                ix.trie.insert(key, ptr.raw());
-            }
-        }
-        self.row_count.store(rows_after, Ordering::Release);
-        self.tombstones.store(tombstones_after, Ordering::Release);
-        self.dead_rows.store(0, Ordering::Release);
-        self.generation.fetch_add(1, Ordering::AcqRel);
+        *self.current.write() = Arc::new(compacted);
+        // `old` still holds the old version, so neither lock is held while
+        // it is freed: here, or by the last view that holds it.
+        drop(writer);
         Ok(CompactStats {
             rows_before,
             rows_after,
             bytes_before,
             bytes_after,
-            batches_before: batches_before.len(),
+            batches_before,
             batches_after,
         })
     }
@@ -795,19 +805,17 @@ impl IndexedPartition {
     /// Memory accounting for the paper's "low memory overhead" claim;
     /// `index_entries` counts the primary index.
     pub fn memory_stats(&self) -> PartitionMemory {
-        let batches = self.batches.read();
-        let data_bytes = batches.iter().map(|b| b.len()).sum();
-        let reserved_bytes = batches.iter().map(|b| b.capacity()).sum();
+        let v = self.current.read();
         PartitionMemory {
-            data_bytes,
-            reserved_bytes,
+            data_bytes: v.batches.iter().map(RowBatch::len).sum(),
+            reserved_bytes: v.batches.iter().map(RowBatch::capacity).sum(),
             // The maintained counter, NOT `trie.len()`: these stats feed
             // planner row estimates on every query, and the trie's own
             // `len()` is a full O(n) traversal.
-            index_entries: self.key_count(0),
-            rows: self.row_count(),
-            tombstones: self.tombstones.load(Ordering::Acquire),
-            dead_rows: self.dead_rows.load(Ordering::Acquire),
+            index_entries: v.primary().keys.load(Ordering::Acquire),
+            rows: v.rows.load(Ordering::Acquire),
+            tombstones: v.tombstones.load(Ordering::Acquire),
+            dead_rows: v.dead_rows.load(Ordering::Acquire),
         }
     }
 }
@@ -815,8 +823,10 @@ impl IndexedPartition {
 /// The side batches a compaction writes, with every chain after the
 /// primary re-threaded as the surviving rows land.
 struct Rewrite<'a> {
-    partition: &'a IndexedPartition,
-    batches: Vec<Arc<RowBatch>>,
+    batch_size: usize,
+    /// The version being rewritten.
+    old: &'a Version,
+    batches: BatchList,
     /// Per index after the primary: each key's latest rewritten row.
     heads: Vec<HashMap<Value, RowPtr>>,
 }
@@ -825,41 +835,55 @@ impl Rewrite<'_> {
     /// Append one surviving row whose primary link is `prev`; a data row
     /// also joins the chain of every other index it holds a key for.
     fn append(&mut self, prev: RowPtr, payload: &[u8], kind: RowKind) -> Result<RowPtr> {
-        let p = self.partition;
         let mut prevs = [RowPtr::NULL; MAX_INDEXES];
         prevs[0] = prev;
-        let keys = p.secondary_keys(payload, kind)?;
+        let keys = self.old.secondary_keys(payload, kind)?;
         for (link, key) in &keys {
             prevs[*link] = self.heads[link - 1]
                 .get(key)
                 .copied()
                 .unwrap_or(RowPtr::NULL);
         }
-        let prevs = &prevs[..p.indexes.len()];
-        let stored = p.header + payload.len();
-        let ptr = match self
-            .batches
-            .last()
-            .and_then(|b| b.append_row_kind(prevs, payload, kind))
-        {
-            Some(off) => RowPtr::new(self.batches.len() - 1, off, stored),
-            None => {
-                let batch = Arc::new(p.new_batch());
-                let off = batch.append_row_kind(prevs, payload, kind).ok_or(
-                    EngineError::RowTooLarge {
-                        size: stored,
-                        max: p.config.batch_size,
-                    },
-                )?;
-                self.batches.push(batch);
-                RowPtr::new(self.batches.len() - 1, off, stored)
-            }
-        };
+        let prevs = &prevs[..self.old.indexes.len()];
+        let (index, offset) = append_to(&self.batches, self.batch_size, prevs, payload, kind)?;
+        let ptr = RowPtr::new(index, offset, self.old.header + payload.len());
         for (link, key) in keys {
             self.heads[link - 1].insert(key, ptr);
         }
         Ok(ptr)
     }
+}
+
+/// Write a row linked to `prevs` (one per index) into the last of
+/// `batches`, rolling over to a fresh batch of `batch_size` bytes when it
+/// is full. Returns the row's batch and offset.
+fn append_to(
+    batches: &BatchList,
+    batch_size: usize,
+    prevs: &[RowPtr],
+    payload: &[u8],
+    kind: RowKind,
+) -> Result<(usize, usize)> {
+    if let Some((last, batch)) = batches.last() {
+        if let Some(offset) = batch.append_row_kind(prevs, payload, kind) {
+            return Ok((last, offset));
+        }
+    }
+    if batches.len() >= crate::pointer::MAX_BATCHES {
+        return Err(EngineError::exec("partition exceeded 2^31 row batches"));
+    }
+    let batch = Arc::new(RowBatch::with_links(batch_size, prevs.len()));
+    let offset = batch.append_row_kind(prevs, payload, kind).ok_or(
+        // Only reachable if a row outgrows a whole batch, which
+        // `IndexConfig::validate` (max_row_size <= batch_size) rules out
+        // for vetted configs.
+        EngineError::RowTooLarge {
+            size: row_header(prevs.len()) + payload.len(),
+            max: batch_size,
+        },
+    )?;
+    idf_obs::global().batch_seals.inc();
+    Ok((batches.push(batch), offset))
 }
 
 /// Where one publish call has taken a key's chain on one index.
@@ -931,11 +955,12 @@ fn keys_adjacent<K: Borrow<Value>, P>(rows: &[(K, P, RowKind)]) -> bool {
 
 impl std::fmt::Debug for IndexedPartition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.current.read();
         write!(
             f,
             "IndexedPartition(rows={}, batches={})",
-            self.row_count(),
-            self.batches.read().len()
+            v.rows.load(Ordering::Acquire),
+            v.batches.len()
         )
     }
 }
@@ -1008,7 +1033,7 @@ impl CompactStats {
 
 /// Walk the chain from `head`, counting rows until the first tombstone,
 /// a corrupt pointer, or the end of the chain — the *visible* length.
-fn visible_chain_len(batches: &[Arc<RowBatch>], head: RowPtr) -> usize {
+fn visible_chain_len(batches: &BatchList, head: RowPtr) -> usize {
     let mut n = 0usize;
     let mut next = head;
     while !next.is_null() {
@@ -1023,23 +1048,20 @@ fn visible_chain_len(batches: &[Arc<RowBatch>], head: RowPtr) -> usize {
     n
 }
 
-/// A frozen, consistent view of a partition and every one of its indexes;
-/// its lookups probe one of them (see [`IndexedPartition::snapshot_for`]).
+/// A consistent view of a partition: one version and a cursor into it
+/// (see [`IndexedPartition::snapshot`]). It reaches every index of the
+/// partition; its lookups probe one of them.
+///
+/// Lookups probe the live tries, so a probe reads, and skips, every row
+/// of its key published after the view was taken (see [`ChainIter`]): the
+/// longer a view is held while its keys grow, the more each probe reads.
 pub struct PartitionSnapshot {
-    layout: RowLayout,
-    primary_col: usize,
-    /// The index lookups probe (0 = primary) and its column.
+    version: Arc<Version>,
+    cursor: Cursor,
+    /// The index lookups probe (0 = primary).
     probe: usize,
-    key_col: usize,
-    /// Framing bytes per stored row.
-    header: usize,
-    primary: CTrie<Value, u64>,
-    /// The indexes after the primary this view holds, by position.
-    secondary: Vec<(usize, CTrie<Value, u64>)>,
-    batches: Vec<Arc<RowBatch>>,
-    watermarks: Vec<usize>,
-    /// Rows hidden below tombstones at snapshot time. While zero, scans
-    /// skip building their kill set (see [`HiddenRows`]).
+    /// Rows hidden below tombstones when the view was taken. While zero,
+    /// scans skip building their kill set (see [`HiddenRows`]).
     dead_rows: usize,
     /// When the snapshot was taken, feeding the snapshot-age histogram at
     /// probe time. `Some` only for 1-in-`idf_obs::SAMPLE_PERIOD` snapshots
@@ -1050,6 +1072,13 @@ pub struct PartitionSnapshot {
 }
 
 impl PartitionSnapshot {
+    /// This view with its lookups probing index `index` (0 = primary).
+    pub fn probing(mut self, index: usize) -> Self {
+        debug_assert!(index < self.version.indexes.len(), "no index {index}");
+        self.probe = index;
+        self
+    }
+
     /// Whether the probe sampler picked this snapshot to carry detailed
     /// telemetry (snapshot age, chain-walk length).
     #[cfg(feature = "obs")]
@@ -1058,9 +1087,13 @@ impl PartitionSnapshot {
         self.created_at.is_some()
     }
 
+    fn layout(&self) -> &RowLayout {
+        &self.version.layout
+    }
+
     /// The row schema.
     pub fn schema(&self) -> &SchemaRef {
-        self.layout.schema()
+        self.layout().schema()
     }
 
     /// Number of rows visible in this snapshot (tombstones and the
@@ -1085,11 +1118,12 @@ impl PartitionSnapshot {
     }
 
     /// [`Self::lookup_payloads`] through index `index` (0 = primary) of
-    /// this same view; an index the view does not hold (see
-    /// [`IndexedPartition::snapshot_all`]) finds nothing.
+    /// this same view; an index the partition does not carry finds
+    /// nothing.
     pub fn lookup_payloads_in(&self, index: usize, key: &Value) -> ChainIter<'_> {
-        let head = match self.trie(index) {
-            Some(trie) if !key.is_null() => trie
+        let head = match self.version.indexes.get(index) {
+            Some(ix) if !key.is_null() => ix
+                .trie
                 .lookup_with_borrowed(key, |raw| RowPtr::from_raw(*raw))
                 .unwrap_or(RowPtr::NULL),
             _ => RowPtr::NULL,
@@ -1109,26 +1143,25 @@ impl PartitionSnapshot {
             link: index,
             hit: !head.is_null(),
             walked: 0,
+            batch: None,
         }
     }
 
     /// Whether the row at `ptr` with `payload` is still visible on its
-    /// primary chain: no tombstone lies between the chain head and it.
-    /// Only rows a secondary walk reaches while the view hides dead
-    /// versions are asked.
+    /// primary chain: no tombstone below the cursor lies between the chain
+    /// head and it. Only rows a secondary walk reaches while the view
+    /// hides dead versions are asked.
     fn visible_on_primary(&self, ptr: RowPtr, payload: &[u8]) -> Result<bool> {
-        let key = self.layout.decode_column(payload, self.primary_col)?;
+        let v = &self.version;
+        let key = v.layout.decode_column(payload, v.primary().col)?;
         if key.is_null() {
             // Outside every primary chain, so never deleted.
             return Ok(true);
         }
-        let mut next = self
-            .primary
-            .lookup_with_borrowed(&key, |raw| RowPtr::from_raw(*raw))
-            .unwrap_or(RowPtr::NULL);
+        let mut next = v.head_in(0, &key);
         while !next.is_null() && next != ptr {
-            let (_, prev, kind, _) = chain_row(&self.batches, next)?;
-            if kind == RowKind::Tombstone {
+            let (_, prev, kind, _) = chain_row(&v.batches, next)?;
+            if kind == RowKind::Tombstone && self.cursor.sees(next) {
                 return Ok(false);
             }
             next = prev;
@@ -1206,7 +1239,7 @@ impl PartitionSnapshot {
     }
 
     fn projected_cols(&self, projection: Option<&[usize]>) -> Result<Vec<usize>> {
-        let width = self.layout.schema().len();
+        let width = self.layout().schema().len();
         match projection {
             Some(p) => match p.iter().find(|&&c| c >= width) {
                 Some(c) => Err(EngineError::internal(format!(
@@ -1226,7 +1259,7 @@ impl PartitionSnapshot {
         }
         let columns = cols
             .iter()
-            .map(|&c| Ok(Arc::new(self.layout.decode_column_batch(payloads, c)?)))
+            .map(|&c| Ok(Arc::new(self.layout().decode_column_batch(payloads, c)?)))
             .collect::<Result<_>>()?;
         Chunk::new(columns)
     }
@@ -1253,9 +1286,9 @@ impl PartitionSnapshot {
 
     /// Full scan, yielding chunks of at most `chunk_rows` rows lazily — the
     /// paper's `transformToRowRDD` fallback that lets regular operators run
-    /// over the indexed representation. Rows come in physical batch order;
-    /// tombstones and the versions they hide are skipped. An empty
-    /// partition yields one empty chunk.
+    /// over the indexed representation. Rows come in physical batch order
+    /// up to the view's cursor; tombstones and the versions they hide are
+    /// skipped. An empty partition yields one empty chunk.
     ///
     /// Under a query lifecycle token, cancellation/deadline is checked at
     /// every chunk boundary and the chunk in flight is billed to the
@@ -1297,15 +1330,13 @@ impl PartitionSnapshot {
         let kill = if self.dead_rows == 0 {
             KillSet::default()
         } else {
-            HiddenRows::find(&self.batches, &self.watermarks)?.kill
+            HiddenRows::find(&self.version.batches, self.cursor)?.kill
         };
         Ok(ScanIter {
-            layout: self.layout.clone(),
-            batches: self.batches.clone(),
-            watermarks: self.watermarks.clone(),
+            version: Arc::clone(&self.version),
+            cursor: self.cursor,
             cols: self.projected_cols(projection)?,
             preds: preds.to_vec(),
-            header: self.header,
             chunk_rows: chunk_rows.max(1),
             query,
             billed: 0,
@@ -1321,7 +1352,7 @@ impl PartitionSnapshot {
     /// # Errors
     /// Fails on a payload that does not match the partition's layout.
     pub fn decode_row(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        self.layout.decode_row(payload)
+        self.layout().decode_row(payload)
     }
 
     /// Decode the projected columns of one payload.
@@ -1330,7 +1361,7 @@ impl PartitionSnapshot {
     /// Fails on a payload that does not match the partition's layout.
     pub fn decode_projected(&self, payload: &[u8], cols: &[usize]) -> Result<Vec<Value>> {
         cols.iter()
-            .map(|&c| self.layout.decode_column(payload, c))
+            .map(|&c| self.layout().decode_column(payload, c))
             .collect()
     }
 
@@ -1339,7 +1370,7 @@ impl PartitionSnapshot {
     /// # Errors
     /// Fails on a payload that does not match the partition's layout.
     pub fn decode_value(&self, payload: &[u8], col: usize) -> Result<Value> {
-        self.layout.decode_column(payload, col)
+        self.layout().decode_column(payload, col)
     }
 
     /// Vectorized gather: decode one column across many payloads.
@@ -1351,51 +1382,48 @@ impl PartitionSnapshot {
         payloads: &[&[u8]],
         col: usize,
     ) -> Result<idf_engine::column::Column> {
-        self.layout.decode_column_batch(payloads, col)
+        self.layout().decode_column_batch(payloads, col)
     }
 
     /// The probed index's column position.
     pub fn key_col(&self) -> usize {
-        self.key_col
+        self.version
+            .indexes
+            .get(self.probe)
+            .map_or(self.version.primary().col, |ix| ix.col)
     }
 
-    /// Distinct keys in the probed index (an O(n) walk of its trie).
-    pub fn key_count(&self) -> usize {
-        self.key_count_in(self.probe)
-    }
-
-    /// Distinct keys in index `index` (0 = primary) of this view (an O(n)
-    /// walk of its trie; 0 for an index the view does not hold).
-    pub fn key_count_in(&self, index: usize) -> usize {
-        self.trie(index).map_or(0, CTrie::len)
-    }
-
-    fn trie(&self, index: usize) -> Option<&CTrie<Value, u64>> {
-        match index {
-            0 => Some(&self.primary),
-            i => self
-                .secondary
-                .iter()
-                .find_map(|(j, trie)| (*j == i).then_some(trie)),
-        }
-    }
-
-    /// The snapshot's row batches as `(capacity, committed_prefix)` pairs
-    /// for checkpoint serialization. The prefix is cut at the snapshot
-    /// watermark, so bytes appended after the snapshot never leak into a
-    /// checkpoint.
+    /// The view's row batches as `(capacity, committed_prefix)` pairs for
+    /// checkpoint serialization. Each prefix is cut at the view's cursor,
+    /// so bytes appended after the view never leak into a checkpoint.
     pub fn export_batches(&self) -> Vec<(usize, &[u8])> {
-        self.batches
-            .iter()
-            .zip(&self.watermarks)
-            .map(|(b, &w)| (b.capacity(), &b.committed_bytes()[..w]))
+        self.cursor
+            .batches(&self.version.batches, 0)
+            .map(|(_, b, w)| (b.capacity(), &b.committed_bytes()[..w]))
             .collect()
     }
 
-    /// The snapshot's primary index as `(key, packed pointer)` pairs for
+    /// The view's primary index as `(key, packed pointer)` pairs for
     /// checkpoint serialization; restored via [`IndexedPartition::restore`].
-    pub fn export_index(&self) -> Vec<(Value, u64)> {
-        self.primary.iter().collect()
+    /// It iterates a read-only snapshot of the live trie, and walks a head
+    /// at or above the cursor down to the first row below it; a key with
+    /// no row below the cursor is left out.
+    ///
+    /// # Errors
+    /// Fails on a chain pointer that does not resolve (a corrupt chain).
+    pub fn export_index(&self) -> Result<Vec<(Value, u64)>> {
+        let v = &self.version;
+        let mut entries = Vec::new();
+        for (key, raw) in v.primary().trie.read_only_snapshot().iter() {
+            let mut ptr = RowPtr::from_raw(raw);
+            while !ptr.is_null() && !self.cursor.sees(ptr) {
+                ptr = chain_row(&v.batches, ptr)?.1;
+            }
+            if !ptr.is_null() {
+                entries.push((key, ptr.raw()));
+            }
+        }
+        Ok(entries)
     }
 }
 
@@ -1485,15 +1513,15 @@ fn physical_key(batch: usize, offset: usize) -> u64 {
 struct HiddenRows {
     /// [`physical_key`]s of the hidden data rows, ascending.
     kill: KillSet,
-    /// Tombstones below the watermarks.
+    /// Tombstones below the cursor.
     tombstones: usize,
 }
 
 impl HiddenRows {
-    fn find(batches: &[Arc<RowBatch>], watermarks: &[usize]) -> Result<HiddenRows> {
+    fn find(batches: &BatchList, cursor: Cursor) -> Result<HiddenRows> {
         let mut kill = Vec::new();
         let mut tombstones = 0usize;
-        for (b, &w) in batches.iter().zip(watermarks) {
+        for (_, b, w) in cursor.batches(batches, 0) {
             for row in b.iter_rows(w)? {
                 let (_, prev, kind, _) = row?;
                 if kind != RowKind::Tombstone {
@@ -1547,8 +1575,9 @@ impl KillSet {
 }
 
 /// The batch a chain pointer names.
-fn batch_of(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<&RowBatch> {
-    batches.get(ptr.batch()).map(|b| &**b).ok_or_else(|| {
+#[inline]
+fn batch_of(batches: &BatchList, ptr: RowPtr) -> Result<&RowBatch> {
+    batches.get(ptr.batch()).ok_or_else(|| {
         EngineError::internal(format!(
             "chain pointer names batch {} of {}",
             ptr.batch(),
@@ -1558,14 +1587,8 @@ fn batch_of(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<&RowBatch> {
 }
 
 /// The stored row a chain pointer names.
-fn chain_row(batches: &[Arc<RowBatch>], ptr: RowPtr) -> Result<crate::batch::StoredRow<'_>> {
+fn chain_row(batches: &BatchList, ptr: RowPtr) -> Result<crate::batch::StoredRow<'_>> {
     batch_of(batches, ptr)?.row_at_full(ptr.offset())
-}
-
-/// The stored row a chain pointer names, as a walk along `link` reads it:
-/// `(that link's prev, payload)`.
-fn chain_link(batches: &[Arc<RowBatch>], ptr: RowPtr, link: usize) -> Result<(RowPtr, &[u8])> {
-    batch_of(batches, ptr)?.row_at_link(ptr.offset(), link)
 }
 
 enum ScanState {
@@ -1576,17 +1599,14 @@ enum ScanState {
 }
 
 /// Lazy full scan of one partition view (see [`PartitionSnapshot::scan`]).
-/// Owns its share of the snapshot (batch handles and watermarks), so it
-/// outlives the snapshot it was taken from.
+/// Holds the view's version and cursor, so it outlives the view it was
+/// taken from.
 pub struct ScanIter {
-    layout: RowLayout,
-    batches: Vec<Arc<RowBatch>>,
-    watermarks: Vec<usize>,
+    version: Arc<Version>,
+    cursor: Cursor,
     cols: Vec<usize>,
     /// Only rows that pass all of these are returned.
     preds: Vec<SlotPredicate>,
-    /// Framing bytes per stored row.
-    header: usize,
     chunk_rows: usize,
     query: Option<Arc<QueryContext>>,
     /// Bytes of the last chunk handed out, still charged to `query`.
@@ -1602,13 +1622,14 @@ impl ScanIter {
     /// Upper bound on the rows left to scan, from the bytes left and the
     /// smallest row the layout can store — exact for fixed-width schemas.
     fn rows_left_at_most(&self) -> usize {
+        let v = &self.version;
         let bytes: usize = self
-            .watermarks
-            .iter()
-            .skip(self.batch)
+            .cursor
+            .batches(&v.batches, self.batch)
+            .map(|(_, _, w)| w)
             .sum::<usize>()
             .saturating_sub(self.offset);
-        bytes / (self.header + self.layout.min_payload_len())
+        bytes / (v.header + v.layout.min_payload_len())
     }
 
     /// The next chunk. `SINGLE_LINK` is whether the partition's rows carry
@@ -1620,10 +1641,11 @@ impl ScanIter {
             q.release_memory(std::mem::take(&mut self.billed));
         }
         let capacity = self.chunk_rows.min(self.rows_left_at_most());
+        let version = &self.version;
         let mut decoders: Vec<ColumnDecoder> = self
             .cols
             .iter()
-            .map(|&c| self.layout.column_decoder(c, capacity))
+            .map(|&c| version.layout.column_decoder(c, capacity))
             .collect();
         // Visible rows waiting for the predicates. Never more than the
         // chunk still has room for, so every row of a block that passes
@@ -1632,13 +1654,11 @@ impl ScanIter {
         let mut room = DECODE_BLOCK_ROWS.min(self.chunk_rows);
         let mut rows = 0usize;
         let mut unchecked = 0usize;
-        while rows < self.chunk_rows && self.batch < self.batches.len() {
-            let (Some(batch), Some(&watermark)) = (
-                self.batches.get(self.batch),
-                self.watermarks.get(self.batch),
-            ) else {
+        while rows < self.chunk_rows && self.batch <= self.cursor.batch() {
+            let Some(batch) = version.batches.get(self.batch) else {
                 break;
             };
+            let watermark = self.cursor.watermark(self.batch, batch);
             let mut walk = batch.iter_rows_from(self.offset, watermark)?;
             while let Some(row) = walk.step::<SINGLE_LINK>() {
                 let (offset, _, kind, payload) = row?;
@@ -1694,7 +1714,7 @@ impl Iterator for ScanIter {
         if matches!(self.state, ScanState::Done) {
             return None;
         }
-        let chunk = if self.header == crate::batch::ROW_HEADER {
+        let chunk = if self.version.header == crate::batch::ROW_HEADER {
             self.next_chunk::<true>()
         } else {
             self.next_chunk::<false>()
@@ -1708,8 +1728,14 @@ impl Iterator for ScanIter {
     }
 }
 
-/// Iterator over a key's backward-pointer chain (latest row first).
-/// Fused: a corrupt pointer yields one `Err` and then terminates.
+/// Iterator over a key's backward-pointer chain (latest row first), from
+/// the first row below the view's cursor. Fused: a corrupt pointer yields
+/// one `Err` and then terminates.
+///
+/// The walk starts at the live trie's head, so it first reads the key's
+/// rows published after the view was taken, each decoded and skipped: its
+/// cost grows with the key's appends since then, not only with the rows
+/// it yields.
 ///
 /// On drop, a chain that started from a successful probe records how many
 /// rows it walked into the global chain-walk-length histogram.
@@ -1720,8 +1746,11 @@ pub struct ChainIter<'a> {
     link: usize,
     /// Whether the probe found a head (misses are not chain walks).
     hit: bool,
-    /// Rows yielded so far.
+    /// Rows read so far, those skipped above the cursor included.
     walked: u32,
+    /// The batch of the last row read, by index: a chain's rows mostly
+    /// share one, so a hop rarely looks a batch up.
+    batch: Option<(usize, &'a RowBatch)>,
 }
 
 impl<'a> Iterator for ChainIter<'a> {
@@ -1731,50 +1760,75 @@ impl<'a> Iterator for ChainIter<'a> {
         if self.link != 0 {
             return self.next_secondary();
         }
-        if self.next.is_null() {
-            return None;
-        }
-        let ptr = self.next;
-        match chain_row(&self.snapshot.batches, ptr) {
-            Ok((stored, prev, kind, payload)) => {
-                debug_assert_eq!(stored, ptr.size(), "pointer size must match stored row");
-                if kind == RowKind::Tombstone {
-                    // The visible chain ends here: every older version of
-                    // this key is deleted. Decoding the tombstone was
-                    // still a physical row read, so it counts toward the
-                    // walk length — this is exactly the hop a compaction
-                    // rewrite removes from every surviving key's probe.
+        let snapshot = self.snapshot;
+        while !self.next.is_null() {
+            let ptr = self.next;
+            match self.batch(ptr).and_then(|b| b.row_at_full(ptr.offset())) {
+                Ok((stored, prev, kind, payload)) => {
+                    debug_assert_eq!(stored, ptr.size(), "pointer size must match stored row");
                     self.walked += 1;
-                    self.next = RowPtr::NULL;
-                    return None;
+                    if !snapshot.cursor.sees(ptr) {
+                        // Published after the view was taken.
+                        self.next = prev;
+                        continue;
+                    }
+                    if kind == RowKind::Tombstone {
+                        // The visible chain ends here: every older version
+                        // of this key is deleted. Decoding the tombstone
+                        // was still a physical row read, so it counts
+                        // toward the walk length — this is exactly the hop
+                        // a compaction rewrite removes from every surviving
+                        // key's probe.
+                        self.next = RowPtr::NULL;
+                        return None;
+                    }
+                    self.next = prev;
+                    return Some(Ok(payload));
                 }
-                self.next = prev;
-                self.walked += 1;
-                Some(Ok(payload))
-            }
-            Err(e) => {
-                self.next = RowPtr::NULL;
-                Some(Err(e))
+                Err(e) => {
+                    self.next = RowPtr::NULL;
+                    return Some(Err(e));
+                }
             }
         }
+        None
     }
 }
 
 impl<'a> ChainIter<'a> {
+    /// The batch `ptr` names.
+    #[inline]
+    fn batch(&mut self, ptr: RowPtr) -> Result<&'a RowBatch> {
+        match self.batch {
+            Some((i, batch)) if i == ptr.batch() => Ok(batch),
+            _ => {
+                let batch = batch_of(&self.snapshot.version.batches, ptr)?;
+                self.batch = Some((ptr.batch(), batch));
+                Ok(batch)
+            }
+        }
+    }
+
     /// One step of a walk along a secondary link. Tombstones never join
-    /// these chains; while the view hides dead versions, a row counts only
-    /// if its primary chain still shows it.
+    /// these chains; a row counts only if it lies below the cursor and,
+    /// while the view hides dead versions, its primary chain still shows
+    /// it.
     fn next_secondary(&mut self) -> Option<Result<&'a [u8]>> {
         let snapshot = self.snapshot;
         while !self.next.is_null() {
             let ptr = self.next;
-            let step = chain_link(&snapshot.batches, ptr, self.link).and_then(|(prev, payload)| {
-                self.next = prev;
-                self.walked += 1;
-                let visible =
-                    snapshot.dead_rows == 0 || snapshot.visible_on_primary(ptr, payload)?;
-                Ok(visible.then_some(payload))
-            });
+            let link = self.link;
+            let step = self
+                .batch(ptr)
+                .and_then(|b| b.row_at_link(ptr.offset(), link))
+                .and_then(|(prev, payload)| {
+                    self.next = prev;
+                    self.walked += 1;
+                    let visible = snapshot.cursor.sees(ptr)
+                        && (snapshot.dead_rows == 0
+                            || snapshot.visible_on_primary(ptr, payload)?);
+                    Ok(visible.then_some(payload))
+                });
             match step {
                 Ok(Some(payload)) => return Some(Ok(payload)),
                 Ok(None) => {}
@@ -1853,7 +1907,7 @@ mod tests {
         assert_eq!(m.index_entries, 50);
         assert_eq!(
             m.index_entries,
-            p.primary().trie.len(),
+            p.version().primary().trie.len(),
             "counter drifted from trie"
         );
         assert_eq!(m.rows, 101);
@@ -1871,7 +1925,7 @@ mod tests {
             0,
             IndexConfig::default(),
             batches,
-            s.export_index(),
+            s.export_index().unwrap(),
             101,
         )
         .unwrap();
@@ -1937,7 +1991,7 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.lookup_count(&Value::Null).unwrap(), 0);
-        assert_eq!(s.key_count(), 1);
+        assert_eq!(p.key_count(0), 1);
     }
 
     #[test]
@@ -2121,9 +2175,15 @@ mod tests {
             .into_iter()
             .map(|(cap, bytes)| Arc::new(RowBatch::from_committed_bytes(cap, bytes).unwrap()))
             .collect();
-        let restored =
-            IndexedPartition::restore(schema(), 0, cfg, batches, s.export_index(), p.row_count())
-                .unwrap();
+        let restored = IndexedPartition::restore(
+            schema(),
+            0,
+            cfg,
+            batches,
+            s.export_index().unwrap(),
+            p.row_count(),
+        )
+        .unwrap();
         // All five sentinels are still physically present (key 15's new
         // row sits above its sentinel, it does not remove it).
         assert_eq!(restored.tombstone_count(), 5);
@@ -2230,8 +2290,8 @@ mod tests {
         for i in 0..table.num_partitions() {
             let s = table.partition(i).snapshot();
             let mut before: Option<(RowPtr, Value)> = None;
-            for (b, batch) in s.batches.iter().enumerate() {
-                for walked in batch.iter_rows(s.watermarks[b]).unwrap() {
+            for (b, batch, watermark) in s.cursor.batches(&s.version.batches, 0) {
+                for walked in batch.iter_rows(watermark).unwrap() {
                     let (offset, prev, _, payload) = walked.unwrap();
                     let key = s.decode_value(payload, 0).unwrap();
                     let here = RowPtr::new(b, offset, crate::batch::ROW_HEADER + payload.len());

@@ -330,7 +330,7 @@ impl IndexedTable {
     /// A snapshot of partition `i` whose lookups probe this handle's index
     /// (for the scan source and joins).
     pub fn partition_snapshot(&self, i: usize) -> PartitionSnapshot {
-        self.store.partitions[i].snapshot_for(self.index)
+        self.store.partitions[i].snapshot().probing(self.index)
     }
 
     /// Append one row.
@@ -586,9 +586,14 @@ impl IndexedTable {
     /// contract — a tombstone (hiding every existing version of the key),
     /// then re-appends the *survivors* (visible versions that did not
     /// match a delete row, oldest-first so chain order is preserved), then
-    /// the new images. Readers keep the plain MVCC contract: a snapshot
-    /// taken before the commit point never sees any of it; one taken after
-    /// sees all of it (per partition).
+    /// the key's new images. Each key's rows form one run, and each
+    /// partition's runs are published in one call, which moves that
+    /// partition's commit cursor once (see [`crate::partition`]). So per
+    /// partition a view taken before the statement publishes there sees
+    /// none of it, and one taken after sees all of it; the WAL record
+    /// holds the rows in the same order. Across partitions a view can
+    /// still see one partition's share without another's (see
+    /// [`TableSnapshot`]).
     ///
     /// Rows whose key is NULL are not reachable through the index and are
     /// therefore not DML-addressable: a delete naming one is a typed
@@ -645,12 +650,13 @@ impl IndexedTable {
             .map(|&p| self.store.partitions[p].lock_appends())
             .collect();
         // Phase 1: with the chains frozen, compute survivors and encode
-        // every payload. Nothing shared is touched; an error here leaves
-        // the table exactly as it was.
+        // every payload, as one run per key. Nothing shared is touched; an
+        // error here leaves the table exactly as it was.
         let mut rows_affected = 0usize;
         let mut ops: Vec<Vec<(Value, Vec<u8>, RowKind)>> = vec![Vec::new(); n];
         for &p in &touched {
             let partition = &self.store.partitions[p];
+            let runs = &mut ops[p];
             for (key, rows) in &del_groups[p] {
                 let visible = partition.visible_rows_locked(key)?;
                 let mut pending: Vec<&Vec<Value>> = rows.iter().collect();
@@ -675,15 +681,17 @@ impl IndexedTable {
                 let mut tomb_vals = vec![Value::Null; self.store.schema.len()];
                 tomb_vals[self.primary_col()] = key.clone();
                 let tomb = partition.encode_row(&tomb_vals)?;
-                ops[p].push((key.clone(), tomb, RowKind::Tombstone));
+                runs.push((key.clone(), tomb, RowKind::Tombstone));
                 for v in survivors.iter().rev() {
-                    ops[p].push((key.clone(), partition.encode_row(v)?, RowKind::Data));
+                    runs.push((key.clone(), partition.encode_row(v)?, RowKind::Data));
                 }
             }
             for row in &ins_groups[p] {
                 let payload = partition.encode_row(row)?;
-                ops[p].push((row[self.primary_col()].clone(), payload, RowKind::Data));
+                runs.push((row[self.primary_col()].clone(), payload, RowKind::Data));
             }
+            // A stable sort keeps statement order within each key.
+            runs.sort_by(|a, b| a.0.cmp(&b.0));
         }
         if ops.iter().all(Vec::is_empty) {
             return Ok(rows_affected);
@@ -708,13 +716,9 @@ impl IndexedTable {
             }
             None => None,
         };
-        // Phase 2: publish, partitions in ascending order, each
-        // partition's ops in statement order.
+        // Phase 2: publish, partitions in ascending order, one call each.
         for &p in &touched {
-            let partition = &self.store.partitions[p];
-            for op in &ops[p] {
-                partition.publish_locked(std::slice::from_ref(op))?;
-            }
+            self.store.partitions[p].publish_locked(&ops[p])?;
         }
         Ok(rows_affected)
     }
@@ -788,19 +792,23 @@ impl std::fmt::Debug for IndexedTable {
     }
 }
 
-/// A frozen view of every partition.
+/// A view of every partition.
 ///
 /// # Consistency contract
 ///
-/// Each [`PartitionSnapshot`] is individually consistent: it is an atomic
-/// point-in-time view of its partition (index and row bytes agree, chains
-/// never dangle, later appends to that partition are invisible). The
-/// *table* snapshot, however, is assembled by snapshotting partitions one
-/// after another **without pausing writers**, so it is per-partition
-/// consistent, not globally serializable: a multi-row append racing with
-/// `snapshot()` may be visible in a later-snapshotted partition while its
-/// sibling rows in an earlier-snapshotted partition are not. This mirrors
-/// the paper's Spark semantics, where each partition is an independently
+/// Each [`PartitionSnapshot`] is individually consistent: it holds its
+/// partition's version and commit cursor, so it sees every row of a
+/// publish call on that partition or none of them, through every index and
+/// through scans alike, and later appends to that partition are invisible.
+/// A chunk append publishes each partition's rows in one call, and a DML
+/// statement each partition's tombstones, survivors and new images, so
+/// both are observed atomically per partition. The *table* snapshot,
+/// however, is assembled by taking partition views one after another
+/// **without pausing writers**, so it is per-partition consistent, not
+/// globally serializable: a multi-row append or a statement racing with
+/// `snapshot()` may be visible in a later-viewed partition while its
+/// sibling rows in an earlier-viewed partition are not. This mirrors the
+/// paper's Spark semantics, where each partition is an independently
 /// versioned RDD block. Appends routed to a single partition (every row of
 /// one key, since routing hashes the key) are therefore always observed
 /// atomically; only *cross-partition* batches can be observed partially.

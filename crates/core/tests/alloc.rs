@@ -1,10 +1,11 @@
 //! Allocation accounting for the single-key lookup hot path.
 //!
 //! The paper's latency claims hinge on `getRows` staying off the
-//! allocator once the table is warm: the cTrie probe borrows the key, the
-//! chain walk yields borrowed payload slices, and fixed-width decoding
-//! produces inline `Value`s. This test proves it with a counting global
-//! allocator: after warm-up, a storm of single-key probes must perform
+//! allocator once the table is warm: taking a partition view shares the
+//! current version, the cTrie probe borrows the key, the chain walk yields
+//! borrowed payload slices, and fixed-width decoding produces inline
+//! `Value`s. This test proves it with a counting global allocator: after
+//! warm-up, a storm of views and of single-key probes must perform
 //! **zero** heap allocations.
 //!
 //! This file intentionally contains exactly one `#[test]` — integration
@@ -71,6 +72,21 @@ fn single_key_lookups_do_not_allocate() {
                 .expect("append");
         }
     }
+
+    // Taking a view is an `Arc` clone of the partition's current version
+    // and two atomic loads: no trie snapshot, no copied batch list.
+    for _ in 0..8 {
+        std::hint::black_box(part.snapshot());
+    }
+    let before = allocations();
+    for _ in 0..256 {
+        std::hint::black_box(part.snapshot());
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "taking 256 partition views allocated {delta} times"
+    );
 
     let snap = part.snapshot();
 

@@ -132,8 +132,10 @@ struct Case {
     cols: Vec<usize>,
     model: Vec<Row>,
     next_seq: i64,
-    /// Every primary key ever stored: the primary trie never drops one.
-    primary_keys: HashSet<Value>,
+    /// Per index, the `(partition, key)` pairs its tries hold: every key
+    /// stored, less, on an index after the primary, those no row held at
+    /// the last compaction. The primary trie never drops a key.
+    trie_keys: Vec<HashSet<(usize, Value)>>,
 }
 
 impl Case {
@@ -151,10 +153,10 @@ impl Case {
         Case {
             seed,
             table,
+            trie_keys: vec![HashSet::new(); cols.len()],
             cols,
             model: Vec::new(),
             next_seq: 0,
-            primary_keys: HashSet::new(),
         }
     }
 
@@ -170,8 +172,11 @@ impl Case {
 
     fn stored(&mut self, rows: &[Row]) {
         for r in rows {
-            if !r[0].is_null() {
-                self.primary_keys.insert(r[0].clone());
+            let p = self.table.partition_of(&r[0]);
+            for (keys, &c) in self.trie_keys.iter_mut().zip(&self.cols) {
+                if !r[c].is_null() {
+                    keys.insert((p, r[c].clone()));
+                }
             }
         }
         self.model.extend_from_slice(rows);
@@ -241,6 +246,13 @@ impl Case {
             }
             _ => {
                 self.table.compact().expect("compact");
+                for (keys, &c) in self.trie_keys.iter_mut().zip(&self.cols).skip(1) {
+                    keys.retain(|(p, k)| {
+                        self.model
+                            .iter()
+                            .any(|r| &r[c] == k && self.table.partition_of(&r[0]) == *p)
+                    });
+                }
                 "compact".into()
             }
         }
@@ -300,29 +312,14 @@ impl Case {
                 names[c]
             );
 
-            // The maintained counter is exact: it equals the trie.
-            let entries = handle.memory_stats().index_entries;
-            let in_tries: usize = (0..self.table.num_partitions())
-                .map(|p| self.table.partition(p).snapshot_all().key_count_in(ordinal))
-                .sum();
-            assert_eq!(entries, in_tries, "{at}: key count of {}", names[c]);
-            if ordinal == 0 {
-                assert_eq!(entries, self.primary_keys.len(), "{at}: primary keys");
-            } else if after == "compact" {
-                // A compaction drops the secondary keys no row holds.
-                let live: HashSet<(usize, &Value)> = self
-                    .model
-                    .iter()
-                    .filter(|r| !r[c].is_null())
-                    .map(|r| (self.table.partition_of(&r[0]), &r[c]))
-                    .collect();
-                assert_eq!(
-                    entries,
-                    live.len(),
-                    "{at}: {} keys after compaction",
-                    names[c]
-                );
-            }
+            // The maintained counter is exact: it counts the keys the
+            // tries hold.
+            assert_eq!(
+                handle.memory_stats().index_entries,
+                self.trie_keys[ordinal].len(),
+                "{at}: key count of {}",
+                names[c]
+            );
         }
     }
 }
@@ -408,9 +405,7 @@ fn a_snapshot_finds_a_row_through_every_index_or_none() {
                     let mut rng = StdRng::seed_from_u64(r);
                     while !stop.load(Ordering::SeqCst) {
                         let fresh = row(latest.load(Ordering::SeqCst));
-                        let snap = table
-                            .partition(table.partition_of(&fresh[0]))
-                            .snapshot_all();
+                        let snap = table.partition(table.partition_of(&fresh[0])).snapshot();
                         let probe = rng.gen_range(0..3usize);
                         for payload in snap.lookup_payloads_in(probe, &fresh[probe]) {
                             let found = snap.decode_row(payload.expect("walk")).expect("decode");
@@ -437,6 +432,65 @@ fn a_snapshot_finds_a_row_through_every_index_or_none() {
         let checked: usize = readers.into_iter().map(|r| r.join().expect("reader")).sum();
         assert!(checked > 0, "readers checked rows");
     });
+}
+
+/// Reads write no trie. Lookups through every index, batched lookups,
+/// pushed-down scans and full scans leave the root generation of every
+/// trie as it was; a trie snapshot, such as the one a checkpoint export
+/// iterates, is what moves it.
+#[test]
+fn reads_leave_every_trie_root_unchanged() {
+    let _serial = serial();
+    let config = IndexConfig {
+        num_partitions: 2,
+        ..Default::default()
+    };
+    let table = IndexedTable::with_indexes(schema(), 0, &[1, 2], config).expect("table");
+    let row = |i: i64| {
+        vec![
+            Value::Int64(i % 5),
+            Value::Int64(i % 7),
+            Value::Utf8(format!("b{}", i % 3)),
+            Value::Int64(i),
+        ]
+    };
+    for i in 0..200 {
+        table.append_row(&row(i)).expect("append");
+    }
+    // A dead row makes the secondary walks check their primary chains too.
+    table.apply_dml(&[row(3)], &[]).expect("delete");
+    let roots = |t: &IndexedTable| -> Vec<Vec<u64>> {
+        (0..t.num_partitions())
+            .map(|p| t.partition(p).trie_generations())
+            .collect()
+    };
+    let before = roots(&table);
+    for (c, name) in [(0usize, "k"), (1, "a"), (2, "b")] {
+        let keys: Vec<Value> = match c {
+            2 => ["b0", "b1", "b2"].map(|b| Value::Utf8(b.into())).to_vec(),
+            _ => (0..7).map(Value::Int64).collect(),
+        };
+        let handle = Arc::new(table.index(c).expect("handle"));
+        for key in &keys {
+            handle.lookup_chunk(key, None).expect("lookup");
+            pushed_scan(
+                &IndexedSource::live(Arc::clone(&handle)),
+                bound_eq(name, c, key),
+            );
+        }
+        handle.lookup_chunk_batch(&keys, None).expect("batch");
+        assert_eq!(handle.snapshot().row_count(), 199);
+    }
+    assert_eq!(scan_all(&table).len(), 199);
+    assert_eq!(roots(&table), before, "a read wrote a trie root");
+    table.snapshot().partitions()[0]
+        .export_index()
+        .expect("export");
+    assert_ne!(
+        roots(&table)[0][0],
+        before[0][0],
+        "an export snapshots the trie"
+    );
 }
 
 #[test]

@@ -769,7 +769,14 @@ mod scan_differential {
         let mut bytes = bytes.to_vec();
         damage(&mut bytes);
         let batch = Arc::new(RowBatch::from_committed_bytes(capacity, &bytes)?);
-        IndexedPartition::restore(schema, 0, config(), vec![batch], snap.export_index(), 20)
+        IndexedPartition::restore(
+            schema,
+            0,
+            config(),
+            vec![batch],
+            snap.export_index().expect("export"),
+            20,
+        )
     }
 
     #[test]

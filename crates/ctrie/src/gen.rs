@@ -22,6 +22,11 @@ impl Gen {
     pub(crate) fn fresh() -> Self {
         Gen(NEXT_GEN.fetch_add(1, Ordering::Relaxed))
     }
+
+    /// The token's number.
+    pub(crate) fn id(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]

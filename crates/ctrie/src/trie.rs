@@ -1007,6 +1007,15 @@ where
         }
     }
 
+    /// The root I-node's generation token. It changes when a snapshot
+    /// swaps the root and at no other time, so a test can pin that an
+    /// operation takes no snapshot.
+    #[doc(hidden)]
+    pub fn root_generation(&self) -> u64 {
+        let g = &epoch::pin();
+        self.read_root(false, g).1.gen.id()
+    }
+
     /// Number of bindings. O(n): walks a read-only snapshot.
     pub fn len(&self) -> usize {
         self.iter().count()

@@ -204,7 +204,7 @@ pub fn list_segment_ids(io: &dyn StorageIo, table_dir: &Path) -> Result<Vec<u64>
 // Snapshot write
 // ---------------------------------------------------------------------
 
-fn encode_table(snap: &TableSnapshot, config: &IndexConfig) -> Vec<u8> {
+fn encode_table(snap: &TableSnapshot, config: &IndexConfig) -> Result<Vec<u8>> {
     let schema = snap.schema();
     let mut body = Vec::new();
     put_u32(&mut body, schema.len() as u32);
@@ -234,14 +234,14 @@ fn encode_table(snap: &TableSnapshot, config: &IndexConfig) -> Vec<u8> {
             put_u64(&mut body, capacity as u64);
             put_bytes(&mut body, bytes);
         }
-        let entries = p.export_index();
+        let entries = p.export_index()?;
         put_u64(&mut body, entries.len() as u64);
         for (key, ptr) in entries {
             put_value(&mut body, &key);
             put_u64(&mut body, ptr);
         }
     }
-    body
+    Ok(body)
 }
 
 /// Serialize `snap` as checkpoint `id` of `table_dir` (atomic; the
@@ -255,7 +255,7 @@ pub fn write_snapshot(
     config: &IndexConfig,
 ) -> Result<()> {
     crate::failpoints::check(crate::failpoints::CHECKPOINT_WRITE)?;
-    let body = encode_table(snap, config);
+    let body = encode_table(snap, config)?;
     // Refuse before anything durable changes: an over-cap body would
     // wrap the u32 length prefix (or be rejected by the reader), leaving
     // a checkpoint that "succeeded" but can never be loaded.

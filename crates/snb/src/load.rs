@@ -203,14 +203,15 @@ mod tests {
         for store in [&t.person, &t.knows, &t.message] {
             let table = store.table();
             for p in 0..table.num_partitions() {
-                let view = table.partition(p).snapshot_all();
-                store_bytes += view
+                let partition = table.partition(p);
+                store_bytes += partition
+                    .snapshot()
                     .export_batches()
                     .iter()
                     .map(|(_, b)| b.len())
                     .sum::<usize>();
                 trie_entries += (0..table.index_cols().len())
-                    .map(|i| view.key_count_in(i))
+                    .map(|i| partition.key_count(i))
                     .sum::<usize>();
             }
         }

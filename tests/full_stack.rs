@@ -106,8 +106,9 @@ fn sql_and_dataframe_apis_agree() {
 
 #[test]
 fn ctrie_is_the_index_under_the_hood() {
-    // The index handles multi-version chains through cTrie snapshots:
-    // verify versions accumulate and snapshots isolate, end to end.
+    // The index handles multi-version chains through partition views (a
+    // commit cursor over the live cTrie): verify versions accumulate and
+    // snapshots isolate, end to end.
     let session = Session::new();
     let schema = std::sync::Arc::new(Schema::new(vec![
         Field::new("k", DataType::Int64),
