@@ -52,6 +52,7 @@ use std::sync::{Arc, OnceLock};
 
 use idf_engine::error::{EngineError, Result};
 
+use crate::layout::{corrupt, fixed, RowAccess};
 use crate::pointer::RowPtr;
 use crate::sink::RowKind;
 
@@ -454,13 +455,28 @@ impl From<Vec<Arc<RowBatch>>> for BatchList {
 }
 
 /// Sequential row iterator over one batch (see [`RowBatch::iter_rows`]):
-/// one tight header walk over the committed slice.
+/// one tight header walk over the committed slice. A scan drives the same
+/// walk a segment at a time (`RowBatchIter::gather`).
 pub struct RowBatchIter<'a> {
     /// The committed bytes below the snapshot watermark.
     visible: &'a [u8],
     offset: usize,
     /// Framing bytes per row (see [`RowBatch::header`]).
     header: usize,
+}
+
+/// How a scan's header pass finds the next row (DESIGN.md §16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowStep {
+    /// Every stored row, tombstones included, is exactly this many bytes
+    /// (a layout with no variable-width column): the pass advances by the
+    /// stride and only checks each row's stored length against it, so no
+    /// row's position waits on the load of the row before it.
+    Stride(usize),
+    /// Rows vary in length: the pass advances by each row's stored
+    /// length, which must be at least this many bytes (the header plus the
+    /// layout's fixed section).
+    AtLeast(usize),
 }
 
 impl<'a> RowBatchIter<'a> {
@@ -470,19 +486,172 @@ impl<'a> RowBatchIter<'a> {
         self.offset
     }
 
-    /// The next row. `SINGLE_LINK` parses with the one-link header fixed at
-    /// compile time — the scan of a single-index table then runs the loop
-    /// it ran before rows could carry more links, which a header read from
-    /// the iterator measurably slows (a zero-column scan of 233 716 `knows`
-    /// rows took 1.40 ms instead of 0.90 ms on a 2-vCPU VM). Only valid
-    /// when the batch's rows carry one link.
+    /// Whether the walk has passed every visible row.
+    pub(crate) fn at_end(&self) -> bool {
+        self.offset >= self.visible.len()
+    }
+
+    /// The walk's visible bytes, addressed by the payload starts
+    /// [`Self::gather`] finds under `step`.
+    pub(crate) fn rows(&self, step: RowStep) -> BatchRows<'a> {
+        let (RowStep::Stride(row) | RowStep::AtLeast(row)) = step;
+        BatchRows {
+            bytes: self.visible,
+            header: self.header,
+            fixed_len: row.saturating_sub(self.header),
+        }
+    }
+
+    /// The header pass of a scan segment: walk at most `walk` rows on from
+    /// [`Self::offset`] and push the payload start of every data row to
+    /// `starts`. Tombstones are walked, not pushed, and so is the row at
+    /// `hidden` (a row a tombstone hides; `usize::MAX` for none), after
+    /// which the pass stops so its caller can name the next hidden row.
+    /// Every start pushed belongs to a row whose stored length covers the
+    /// layout's fixed section, which is what lets the kernels read slots
+    /// through [`BatchRows`] without a per-row payload bound. Returns the
+    /// rows walked.
+    ///
+    /// # Errors
+    /// A stored length that breaks `step`, or a row running past the
+    /// visible bytes, is a typed error; the walk is fused after it.
     #[inline]
-    pub(crate) fn step<const SINGLE_LINK: bool>(&mut self) -> Option<Result<WalkedRow<'a>>> {
+    pub(crate) fn gather(
+        &mut self,
+        step: RowStep,
+        hidden: usize,
+        walk: usize,
+        starts: &mut Vec<u32>,
+    ) -> Result<usize> {
+        let walked = match step {
+            RowStep::Stride(stride) => self.gather_strided(stride, hidden, walk, starts),
+            RowStep::AtLeast(min) => self.gather_stored(min, hidden, walk, starts),
+        };
+        if walked.is_err() {
+            // Fuse: a malformed row makes every later offset suspect.
+            self.offset = self.visible.len();
+        }
+        walked
+    }
+
+    /// [`Self::gather`] by the stride rule. The rows in reach are counted
+    /// up front, so the loop has no exit but its count: each row's start is
+    /// written unconditionally and kept by advancing past it, and a stored
+    /// length off the stride is noted and reported after the loop.
+    #[inline]
+    fn gather_strided(
+        &mut self,
+        stride: usize,
+        hidden: usize,
+        walk: usize,
+        starts: &mut Vec<u32>,
+    ) -> Result<usize> {
+        let (visible, header, offset) = (self.visible, self.header, self.offset);
+        let rest = visible.get(offset..).unwrap_or_default();
+        let mut rows = (rest.len() / stride).min(walk);
+        if let Some(before) = hidden.checked_sub(offset) {
+            // Stop right after the hidden row.
+            rows = rows.min(before / stride + 1);
+        }
+        if rows == 0 && walk > 0 && !rest.is_empty() {
+            // What is left cannot hold a row.
+            return Err(bad_row(offset, stride, header, visible.len()));
+        }
+        let base = starts.len();
+        starts.resize(base + rows, 0);
+        let out = starts.get_mut(base..).unwrap_or_default();
+        let (mut kept, mut wrong) = (0usize, false);
+        let mut row_at = offset;
+        for row in rest.chunks_exact(stride).take(rows) {
+            let word = row.first_chunk().map_or(0, |&w| u16::from_le_bytes(w));
+            wrong |= stored_len(row) != stride;
+            // `kept` trails the row index, so the write is in bounds.
+            if let Some(start) = out.get_mut(kept) {
+                // Below the 8 MiB a packed pointer can address.
+                *start = (row_at + header) as u32;
+            }
+            kept += usize::from((word & KIND_TOMBSTONE_BIT == 0) & (row_at != hidden));
+            row_at += stride;
+        }
+        if wrong {
+            let rows = rest.chunks_exact(stride).map(stored_len);
+            let (i, len) = rows
+                .enumerate()
+                .find(|&(_, len)| len != stride)
+                .unwrap_or_default();
+            return Err(wrong_length(offset + i * stride, len, stride, true));
+        }
+        starts.truncate(base + kept);
+        self.offset = row_at;
+        Ok(rows)
+    }
+
+    /// [`Self::gather`] by each row's stored length.
+    #[inline]
+    fn gather_stored(
+        &mut self,
+        min: usize,
+        hidden: usize,
+        walk: usize,
+        starts: &mut Vec<u32>,
+    ) -> Result<usize> {
+        let (visible, header) = (self.visible, self.header);
+        let mut offset = self.offset;
+        let mut walked = 0usize;
+        starts.reserve(walk);
+        while walked < walk && offset < visible.len() {
+            let Some(&[lo, hi]) = visible.get(offset..).and_then(<[u8]>::first_chunk) else {
+                return Err(bad_row(offset, header, header, visible.len()));
+            };
+            let word = u16::from_le_bytes([lo, hi]);
+            let stored = usize::from(word & STORED_LEN_MASK);
+            if stored < min {
+                return Err(wrong_length(offset, stored, min, false));
+            }
+            if offset + stored > visible.len() {
+                return Err(bad_row(offset, stored, header, visible.len()));
+            }
+            if word & KIND_TOMBSTONE_BIT == 0 && offset != hidden {
+                // Below the 8 MiB a packed pointer can address.
+                starts.push((offset + header) as u32);
+            }
+            walked += 1;
+            let row = offset;
+            offset += stored;
+            if row == hidden {
+                break;
+            }
+        }
+        self.offset = offset;
+        Ok(walked)
+    }
+}
+
+/// The stored length in a row's length word (0 for a row too short to
+/// hold one).
+#[inline]
+fn stored_len(row: &[u8]) -> usize {
+    row.first_chunk()
+        .map_or(0, |&w| usize::from(u16::from_le_bytes(w) & STORED_LEN_MASK))
+}
+
+#[cold]
+fn wrong_length(offset: usize, len: usize, size: usize, strided: bool) -> EngineError {
+    let rule = if strided { "exactly" } else { "at least" };
+    EngineError::internal(format!(
+        "row at {offset} declares {len} stored bytes; its layout stores {rule} {size}"
+    ))
+}
+
+impl<'a> Iterator for RowBatchIter<'a> {
+    type Item = Result<WalkedRow<'a>>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
         if self.offset >= self.visible.len() {
             return None;
         }
-        let header = if SINGLE_LINK { ROW_HEADER } else { self.header };
-        match parse_row(self.visible, self.offset, header) {
+        match parse_row(self.visible, self.offset, self.header) {
             Ok((stored, prev, kind, payload)) => {
                 let offset = self.offset;
                 self.offset += stored;
@@ -497,12 +666,40 @@ impl<'a> RowBatchIter<'a> {
     }
 }
 
-impl<'a> Iterator for RowBatchIter<'a> {
-    type Item = Result<WalkedRow<'a>>;
+/// The rows of one batch walk, named by the payload starts its header
+/// pass found (see [`RowBatchIter::gather`]). The pass proved each row's
+/// stored length covers the layout's fixed section, so a row's fixed
+/// section is the same-length window at its start. The var section is
+/// bounded by the row's stored length, read back from its header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchRows<'a> {
+    bytes: &'a [u8],
+    header: usize,
+    /// Payload bytes every gathered row holds at least: the layout's null
+    /// bitmap and fixed section, as the walk's [`RowStep`] checked.
+    fixed_len: usize,
+}
+
+impl<'a> RowAccess<'a> for BatchRows<'a> {
+    type Row = u32;
 
     #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.step::<false>()
+    fn fixed_section(&self, start: u32) -> Option<&'a [u8]> {
+        let start = start as usize;
+        self.bytes.get(start..start + self.fixed_len)
+    }
+
+    #[inline]
+    fn payload(&self, start: u32) -> Result<&'a [u8]> {
+        let start = start as usize;
+        let row = start
+            .checked_sub(self.header)
+            .ok_or_else(|| corrupt("payload start inside the header"))?;
+        let [lo, hi] = fixed(self.bytes, row)?;
+        let end = row + usize::from(u16::from_le_bytes([lo, hi]) & STORED_LEN_MASK);
+        self.bytes
+            .get(start..end)
+            .ok_or_else(|| corrupt("payload past its row"))
     }
 }
 

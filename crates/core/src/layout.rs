@@ -35,6 +35,9 @@ use idf_engine::types::{DataType, Value};
 pub struct RowLayout {
     schema: SchemaRef,
     null_bytes: usize,
+    /// Whether the schema has no `Utf8` column, so every payload is
+    /// exactly [`RowLayout::min_payload_len`] bytes.
+    fixed_width: bool,
 }
 
 /// A payload that does not match the layout — truncated fixed section,
@@ -43,13 +46,13 @@ pub struct RowLayout {
 /// us arbitrary committed bytes, and that must surface as a typed error,
 /// never a slice panic that poisons the append mutex.
 #[cold]
-fn corrupt(what: &str) -> EngineError {
+pub(crate) fn corrupt(what: &str) -> EngineError {
     EngineError::internal(format!("corrupt row payload: {what}"))
 }
 
 /// Checked fixed-width read of `W` bytes at `at`.
 #[inline]
-fn fixed<const W: usize>(payload: &[u8], at: usize) -> Result<[u8; W]> {
+pub(crate) fn fixed<const W: usize>(payload: &[u8], at: usize) -> Result<[u8; W]> {
     at.checked_add(W)
         .and_then(|end| payload.get(at..end))
         .and_then(|s| s.try_into().ok())
@@ -69,7 +72,12 @@ impl RowLayout {
     /// Layout for `schema`.
     pub fn new(schema: SchemaRef) -> Self {
         let null_bytes = schema.len().div_ceil(8);
-        RowLayout { schema, null_bytes }
+        let fixed_width = schema.fields.iter().all(|f| f.data_type != DataType::Utf8);
+        RowLayout {
+            schema,
+            null_bytes,
+            fixed_width,
+        }
     }
 
     /// The row schema.
@@ -91,6 +99,13 @@ impl RowLayout {
     /// plus the fixed section, with an empty var section.
     pub fn min_payload_len(&self) -> usize {
         self.var_start()
+    }
+
+    /// The length of every payload this layout encodes when the schema has
+    /// no `Utf8` column (nothing then goes into the var section); `None`
+    /// when payloads vary in length.
+    pub fn fixed_width(&self) -> Option<usize> {
+        self.fixed_width.then(|| self.var_start())
     }
 
     /// Encode one row (appending to `out`, which the caller clears).
@@ -248,12 +263,47 @@ impl RowLayout {
     }
 }
 
-/// Rows one predicate mask covers: bit `i` of a [`RowMask`] is row `i` of
-/// a block.
-pub const MASK_ROWS: usize = 8;
+/// How a kernel reaches the payloads it reads. Chain lookups and the
+/// indexed join hand the kernels payload slices ([`Payloads`]); a scan
+/// hands them the payload starts its header pass found in one batch's
+/// bytes (`crate::batch::BatchRows`). Each predicate and column kernel has
+/// one body, generic over this.
+pub trait RowAccess<'a> {
+    /// How one row is named: a payload slice, or a payload start.
+    type Row: Copy;
 
-/// One bit per row of a block of at most [`MASK_ROWS`] payloads.
-pub type RowMask = u8;
+    /// The bytes of `row`'s payload a slot read may touch: the null bitmap
+    /// and the fixed section at least; `None` when the row cannot hold
+    /// them. Kernels fold a miss into one typed error after their loop, so
+    /// the loop itself has no early exit. A window of one length for every
+    /// row lets the compiler prove each slot read in bounds once per loop.
+    fn fixed_section(&self, row: Self::Row) -> Option<&'a [u8]>;
+
+    /// `row`'s whole payload, for the var section.
+    ///
+    /// # Errors
+    /// Fails when the row's framing does not hold it.
+    fn payload(&self, row: Self::Row) -> Result<&'a [u8]>;
+}
+
+/// Rows named by their payload slices: each read is bounded by its own
+/// payload.
+#[derive(Debug, Clone, Copy)]
+pub struct Payloads;
+
+impl<'a> RowAccess<'a> for Payloads {
+    type Row = &'a [u8];
+
+    #[inline]
+    fn fixed_section(&self, row: &'a [u8]) -> Option<&'a [u8]> {
+        Some(row)
+    }
+
+    #[inline]
+    fn payload(&self, row: &'a [u8]) -> Result<&'a [u8]> {
+        Ok(row)
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum SlotWidth {
@@ -284,77 +334,72 @@ pub struct SlotPredicate {
 }
 
 impl SlotPredicate {
-    /// The passing rows of `block` (at most [`MASK_ROWS`] payloads) as a
-    /// mask. Branch-free per row: the outcome of every row is computed and
-    /// OR-ed in, so a predicate that passes about half of randomly ordered
+    /// Keep the rows of `rows` that pass, in order. Branch-free per row:
+    /// every row is written back and the write position advances by its
+    /// outcome, so a predicate that passes about half of randomly ordered
     /// rows costs no mispredictions.
     ///
     /// # Errors
     /// Fails when a payload is too short for its slot or null bitmap — a
     /// typed `corrupt row payload` error.
+    pub fn retain<'a, A: RowAccess<'a>>(&self, access: &A, rows: &mut Vec<A::Row>) -> Result<()> {
+        match self.width {
+            SlotWidth::Four => self.retain_op(access, rows, |b| i64::from(i32::from_le_bytes(b))),
+            SlotWidth::Eight => self.retain_op(access, rows, i64::from_le_bytes),
+        }
+    }
+
+    /// [`Self::retain`] with the slot width fixed by `read`.
     #[inline]
-    pub fn mask(&self, block: &[&[u8]]) -> Result<RowMask> {
-        debug_assert!(block.len() <= MASK_ROWS);
+    fn retain_op<'a, A: RowAccess<'a>, const W: usize>(
+        &self,
+        access: &A,
+        rows: &mut Vec<A::Row>,
+        read: impl Fn([u8; W]) -> i64,
+    ) -> Result<()> {
         let c = self.value;
         match self.op {
-            CmpOp::Eq => self.mask_by(block, |v| v == c),
-            CmpOp::NotEq => self.mask_by(block, |v| v != c),
-            CmpOp::Lt => self.mask_by(block, |v| v < c),
-            CmpOp::LtEq => self.mask_by(block, |v| v <= c),
-            CmpOp::Gt => self.mask_by(block, |v| v > c),
-            CmpOp::GtEq => self.mask_by(block, |v| v >= c),
+            CmpOp::Eq => self.retain_by(access, rows, read, |v| v == c),
+            CmpOp::NotEq => self.retain_by(access, rows, read, |v| v != c),
+            CmpOp::Lt => self.retain_by(access, rows, read, |v| v < c),
+            CmpOp::LtEq => self.retain_by(access, rows, read, |v| v <= c),
+            CmpOp::Gt => self.retain_by(access, rows, read, |v| v > c),
+            CmpOp::GtEq => self.retain_by(access, rows, read, |v| v >= c),
         }
     }
 
+    /// The one predicate kernel: `read` widens the slot, `pass` compares.
     #[inline]
-    fn mask_by(&self, block: &[&[u8]], pass: impl Fn(i64) -> bool) -> Result<RowMask> {
+    fn retain_by<'a, A: RowAccess<'a>, const W: usize>(
+        &self,
+        access: &A,
+        rows: &mut Vec<A::Row>,
+        read: impl Fn([u8; W]) -> i64,
+        pass: impl Fn(i64) -> bool,
+    ) -> Result<()> {
         let at = self.at;
-        let mut mask: RowMask = 0;
-        for (i, p) in block.iter().enumerate() {
-            let v = match self.width {
-                SlotWidth::Four => i64::from(i32::from_le_bytes(fixed(p, at.slot)?)),
-                SlotWidth::Eight => i64::from_le_bytes(fixed(p, at.slot)?),
+        let (mut kept, mut short) = (0usize, false);
+        for i in 0..rows.len() {
+            let Some(&row) = rows.get(i) else { break };
+            let keep = match access.fixed_section(row).and_then(|f| at.read::<W>(f)) {
+                Some((slot, null)) => pass(read(slot)) & !null,
+                None => {
+                    short = true;
+                    false
+                }
             };
-            // The slot lies past the null bitmap, so its read proved the
-            // bitmap byte is there too.
-            let valid = p.get(at.null_byte).is_some_and(|b| b & at.null_mask == 0);
-            mask |= RowMask::from(pass(v) & valid) << i;
-        }
-        Ok(mask)
-    }
-}
-
-/// The rows of `block` (at most [`MASK_ROWS`] payloads) that pass every
-/// one of `preds`.
-///
-/// # Errors
-/// Fails when a payload does not match the layout.
-#[inline]
-pub fn block_mask(preds: &[SlotPredicate], block: &[&[u8]]) -> Result<RowMask> {
-    let rows = block.len().min(MASK_ROWS);
-    let mut mask = RowMask::try_from((1u16 << rows) - 1).unwrap_or(RowMask::MAX);
-    for p in preds {
-        mask &= p.mask(block)?;
-    }
-    Ok(mask)
-}
-
-/// Keep the rows of `block` whose bit is set in `mask`, in order. One
-/// unconditional copy per row and an index that advances by the row's
-/// bit: no branch on the outcome.
-#[inline]
-pub fn compact_block(block: &mut Vec<&[u8]>, mask: RowMask) {
-    let mut kept = 0usize;
-    for i in 0..block.len().min(MASK_ROWS) {
-        // `kept <= i`: both positions are in bounds.
-        if let Some(row) = block.get(i).copied() {
-            if let Some(slot) = block.get_mut(kept) {
+            // `kept <= i`: the write lands on a row already read.
+            if let Some(slot) = rows.get_mut(kept) {
                 *slot = row;
             }
+            kept += usize::from(keep);
         }
-        kept += usize::from((mask >> i) & 1);
+        if short {
+            return Err(corrupt("fixed slot out of bounds"));
+        }
+        rows.truncate(kept);
+        Ok(())
     }
-    block.truncate(kept);
 }
 
 fn prim_with_capacity<T>(capacity: usize) -> PrimVec<T> {
@@ -374,6 +419,15 @@ struct ColumnAt {
 }
 
 impl ColumnAt {
+    /// The slot's `W` bytes and whether the column is NULL, from a row's
+    /// fixed section (see [`RowAccess::fixed_section`]).
+    #[inline]
+    fn read<const W: usize>(&self, fixed: &[u8]) -> Option<([u8; W], bool)> {
+        let slot = fixed.get(self.slot..self.slot + W)?.try_into().ok()?;
+        let nulls = fixed.get(self.null_byte)?;
+        Some((slot, nulls & self.null_mask != 0))
+    }
+
     #[inline]
     fn is_null(&self, payload: &[u8]) -> Result<bool> {
         let byte = payload
@@ -405,39 +459,58 @@ impl ColumnAt {
             .map_err(|_| corrupt("string column is not valid utf8"))
     }
 
-    /// Fixed-width kernel: one checked slot read per row; a NULL row
-    /// stores `T::default()` and (lazily) a cleared validity bit.
+    /// Fixed-width kernel: one checked slot read per row, written into
+    /// values sized up front; a NULL row stores `T::default()` and
+    /// (lazily) a cleared validity bit.
     #[inline]
-    fn extend_fixed<T: Copy + Default, const W: usize>(
+    fn extend_fixed<'a, A: RowAccess<'a>, T: Copy + Default, const W: usize>(
         &self,
         v: &mut PrimVec<T>,
-        payloads: &[&[u8]],
+        access: &A,
+        rows: &[A::Row],
         from: impl Fn([u8; W]) -> T,
     ) -> Result<()> {
-        v.values.reserve(payloads.len());
-        for p in payloads {
-            let bytes = fixed::<W>(p, self.slot)?;
-            let null = self.is_null(p)?;
-            push_validity(&mut v.validity, v.values.len(), !null);
-            v.values.push(if null { T::default() } else { from(bytes) });
+        let at = *self;
+        let PrimVec { values, validity } = v;
+        let first = values.len();
+        values.resize(first + rows.len(), T::default());
+        let out = values.get_mut(first..).unwrap_or_default();
+        let mut short = false;
+        for (i, (value, &row)) in out.iter_mut().zip(rows).enumerate() {
+            let Some((bytes, null)) = access.fixed_section(row).and_then(|f| at.read::<W>(f))
+            else {
+                short = true;
+                continue;
+            };
+            push_validity(validity, first + i, !null);
+            *value = if null { T::default() } else { from(bytes) };
+        }
+        if short {
+            return Err(corrupt("fixed slot out of bounds"));
         }
         Ok(())
     }
 
-    /// String kernel: copy every value's bytes, then validate the block's
+    /// String kernel: copy every value's bytes, then validate the rows'
     /// bytes as UTF-8 once. A valid whole whose every value starts on a
     /// character boundary is valid value by value.
-    fn extend_utf8(&self, v: &mut StrVec, payloads: &[&[u8]]) -> Result<()> {
+    fn extend_utf8<'a, A: RowAccess<'a>>(
+        &self,
+        v: &mut StrVec,
+        access: &A,
+        rows: &[A::Row],
+    ) -> Result<()> {
         let first_row = v.len();
         let first_byte = v.bytes.len();
-        v.offsets.reserve(payloads.len());
-        for p in payloads {
-            let null = self.is_null(p)?;
+        v.offsets.reserve(rows.len());
+        for &row in rows {
+            let payload = access.payload(row)?;
+            let null = self.is_null(payload)?;
             if !null {
-                v.bytes.extend_from_slice(self.str_bytes(p)?);
+                v.bytes.extend_from_slice(self.str_bytes(payload)?);
             }
-            let rows = v.len();
-            push_validity(&mut v.validity, rows, !null);
+            let n = v.len();
+            push_validity(&mut v.validity, n, !null);
             v.offsets.push(v.bytes.len() as u32);
         }
         let not_utf8 = || corrupt("string column is not valid utf8");
@@ -455,11 +528,12 @@ impl ColumnAt {
     }
 }
 
-/// The one column kernel of the row format: decodes a column of many
-/// payloads in a typed loop, straight into the final vector — values into
-/// a pre-sized `Vec<T>`, validity created on the first NULL. Full scans
-/// feed it block by block; chain lookups and the indexed join's output
-/// gather feed it once per result.
+/// The one column kernel of the row format: decodes a column of many rows
+/// in a typed loop, straight into the final vector — values into a
+/// pre-sized `Vec<T>`, validity created on the first NULL. Scans feed it
+/// the payload starts that survive their predicates, segment by segment;
+/// chain lookups and the indexed join's output gather feed it payload
+/// slices once per result.
 #[derive(Debug)]
 pub struct ColumnDecoder {
     at: ColumnAt,
@@ -474,15 +548,24 @@ impl ColumnDecoder {
     /// out-of-range var pointer, or invalid UTF-8) — a typed
     /// `corrupt row payload` error.
     pub fn extend(&mut self, payloads: &[&[u8]]) -> Result<()> {
+        self.extend_rows(&Payloads, payloads)
+    }
+
+    /// Append this column's value of every row of `rows`, reached through
+    /// `access`, in order.
+    ///
+    /// # Errors
+    /// As [`Self::extend`].
+    pub fn extend_rows<'a, A: RowAccess<'a>>(&mut self, access: &A, rows: &[A::Row]) -> Result<()> {
         let at = self.at;
         match &mut self.out {
-            Column::Boolean(v) => at.extend_fixed(v, payloads, |[b]: [u8; 1]| b != 0),
-            Column::Int32(v) => at.extend_fixed(v, payloads, i32::from_le_bytes),
+            Column::Boolean(v) => at.extend_fixed(v, access, rows, |[b]: [u8; 1]| b != 0),
+            Column::Int32(v) => at.extend_fixed(v, access, rows, i32::from_le_bytes),
             Column::Int64(v) | Column::Timestamp(v) => {
-                at.extend_fixed(v, payloads, i64::from_le_bytes)
+                at.extend_fixed(v, access, rows, i64::from_le_bytes)
             }
-            Column::Float64(v) => at.extend_fixed(v, payloads, f64::from_le_bytes),
-            Column::Utf8(v) => at.extend_utf8(v, payloads),
+            Column::Float64(v) => at.extend_fixed(v, access, rows, f64::from_le_bytes),
+            Column::Utf8(v) => at.extend_utf8(v, access, rows),
         }
     }
 

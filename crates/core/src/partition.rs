@@ -68,11 +68,9 @@ use idf_engine::schema::SchemaRef;
 use idf_engine::types::Value;
 use parking_lot::{Mutex, RwLock};
 
-use crate::batch::{row_header, BatchList, RowBatch};
+use crate::batch::{row_header, BatchList, RowBatch, RowStep};
 use crate::config::IndexConfig;
-use crate::layout::{
-    block_mask, compact_block, ColumnDecoder, RowLayout, SlotPredicate, MASK_ROWS,
-};
+use crate::layout::{ColumnDecoder, Payloads, RowLayout, SlotPredicate};
 use crate::pointer::RowPtr;
 use crate::sink::RowKind;
 
@@ -1218,19 +1216,17 @@ impl PartitionSnapshot {
     ) -> Result<Chunk> {
         crate::failpoints::check(crate::failpoints::PARTITION_PROBE)?;
         let mut payloads: Vec<&[u8]> = Vec::new();
-        let mut block: Vec<&[u8]> = Vec::with_capacity(MASK_ROWS);
         for key in keys {
             if let Some(q) = query {
                 q.check()?;
             }
             for payload in self.lookup_payloads(key) {
-                block.push(payload?);
-                if block.len() == MASK_ROWS {
-                    keep_passing(preds, &mut block, &mut payloads)?;
-                }
+                payloads.push(payload?);
             }
         }
-        keep_passing(preds, &mut block, &mut payloads)?;
+        for p in preds {
+            p.retain(&Payloads, &mut payloads)?;
+        }
         let chunk = self.decode_chunk(&payloads, projection)?;
         if let Some(q) = query {
             q.charge_memory(chunk.byte_size())?;
@@ -1310,16 +1306,19 @@ impl PartitionSnapshot {
 
     /// [`Self::scan`] of only the rows that pass every one of `preds`.
     ///
-    /// The walk gathers the visible rows [`MASK_ROWS`] at a time, builds
-    /// one bit mask per predicate from the rows' own slots, and hands just
-    /// the rows that pass to the column decoders; a scan with no projected
-    /// column decodes nothing. Chunks still hold at most `chunk_rows` rows,
-    /// and because a selective predicate may walk far between two chunks,
-    /// the query is also checked every `COUNT_CHUNK_ROWS` walked rows.
+    /// The walk runs three passes over each segment of a batch (see
+    /// [`ScanIter`]): a header pass lists the starts of the visible rows,
+    /// each predicate narrows the list from the rows' own slots, and each
+    /// column decoder reads its slot at every start left; a scan with no
+    /// projected column decodes nothing. Chunks still hold at most
+    /// `chunk_rows` rows, and because a selective predicate may walk far
+    /// between two chunks, the query is also checked every
+    /// `COUNT_CHUNK_ROWS` walked rows.
     ///
     /// # Errors
-    /// As [`Self::scan`]; a payload too short for a predicate's slot fails
-    /// from the iterator with the layout's typed error.
+    /// As [`Self::scan`]; a stored length the layout cannot have, or a
+    /// payload too short for a predicate's slot, fails from the iterator
+    /// with a typed error.
     pub fn scan_where(
         &self,
         projection: Option<&[usize]>,
@@ -1332,6 +1331,11 @@ impl PartitionSnapshot {
         } else {
             HiddenRows::find(&self.version.batches, self.cursor)?.kill
         };
+        let v = &self.version;
+        let step = match v.layout.fixed_width() {
+            Some(payload) => RowStep::Stride(v.header + payload),
+            None => RowStep::AtLeast(v.header + v.layout.min_payload_len()),
+        };
         Ok(ScanIter {
             version: Arc::clone(&self.version),
             cursor: self.cursor,
@@ -1341,6 +1345,8 @@ impl PartitionSnapshot {
             query,
             billed: 0,
             kill,
+            step,
+            starts: Vec::new(),
             batch: 0,
             offset: 0,
             state: ScanState::Fresh,
@@ -1432,24 +1438,26 @@ impl PartitionSnapshot {
 /// costs the count one chunk, not the partition.
 const COUNT_CHUNK_ROWS: usize = 8192;
 
-/// Payloads gathered between two runs of the column decoders. Measured,
-/// not derived (233 716 `knows` rows of 35 B, 91 498 `message` rows of
-/// ≈190 B, single thread): the typed per-column loops need a few rows to
-/// amortise their dispatch — one row at a time scans all of `knows` in
-/// 4.5 ms, 8 rows in 2.6 ms, 512 rows in 2.4 ms — but on wide rows they
-/// must run while the walk is still within a few cache lines of the rows
-/// they read: one `message` column takes 1.3–1.7 ms at 8 rows and
-/// 1.9–2.5 ms from 16 rows up, where the column reads arrive as a second
-/// pass over memory the walk has already left.
-const DECODE_BLOCK_ROWS: usize = 8;
+/// Rows one header pass walks before the predicates and the column
+/// decoders run over the starts it found, when the stride finds each row:
+/// enough that each pass's typed loop amortises its dispatch, few enough
+/// that the later passes find the segment (35 KiB of `knows` rows) still
+/// in the L1 cache. Measured on 119 089 `knows` rows on a 2-vCPU VM: a
+/// zero-column walk costs 2.09 ns/row at 1 024 rows, 2.11 at 256 and
+/// 2.27 at 64.
+const SEGMENT_ROWS: usize = 1024;
 
-// A decode block is also the block one predicate mask covers.
-const _: () = assert!(DECODE_BLOCK_ROWS <= MASK_ROWS);
+/// [`SEGMENT_ROWS`] when each row's stored length finds the next. That
+/// walk waits on one load per row, and the later passes only hide in its
+/// shadow while they run within a few rows of it: over 45 854 `message`
+/// rows of ≈190 B on the same VM, `forum_id = x` costs 12.4 ns/row at 8
+/// rows and 16–17 ns/row at 16–128.
+const VARIABLE_SEGMENT_ROWS: usize = 8;
 
 /// Count `rows` more walked rows, and check `query` once every
 /// [`COUNT_CHUNK_ROWS`] of them: a walk that keeps few rows can go far
-/// between two chunk boundaries. Visible rows are counted a block at a
-/// time, so the hot path pays one compare per block.
+/// between two chunk boundaries. Rows are counted a segment at a time, so
+/// the hot path pays one compare per segment.
 #[inline]
 fn count_walked(unchecked: &mut usize, rows: usize, query: Option<&QueryContext>) -> Result<()> {
     *unchecked += rows;
@@ -1459,46 +1467,6 @@ fn count_walked(unchecked: &mut usize, rows: usize, query: Option<&QueryContext>
             q.check()?;
         }
     }
-    Ok(())
-}
-
-/// Run `block`'s rows that pass every one of `preds` through `decoders`,
-/// leaving `block` empty; returns how many passed. Without a decoder (a
-/// zero-column scan) the passing rows are only counted.
-#[inline]
-fn decode_passing(
-    preds: &[SlotPredicate],
-    block: &mut Vec<&[u8]>,
-    decoders: &mut [ColumnDecoder],
-) -> Result<usize> {
-    if !preds.is_empty() {
-        let mask = block_mask(preds, block)?;
-        if decoders.is_empty() {
-            block.clear();
-            return Ok(mask.count_ones() as usize);
-        }
-        compact_block(block, mask);
-    }
-    for d in decoders.iter_mut() {
-        d.extend(block)?;
-    }
-    let rows = block.len();
-    block.clear();
-    Ok(rows)
-}
-
-/// Move `block`'s rows that pass every one of `preds` to `out`, leaving
-/// `block` empty.
-fn keep_passing<'a>(
-    preds: &[SlotPredicate],
-    block: &mut Vec<&'a [u8]>,
-    out: &mut Vec<&'a [u8]>,
-) -> Result<()> {
-    if !preds.is_empty() {
-        let mask = block_mask(preds, block)?;
-        compact_block(block, mask);
-    }
-    out.append(block);
     Ok(())
 }
 
@@ -1556,21 +1524,20 @@ struct KillSet {
 }
 
 impl KillSet {
-    /// Whether the row at `key` is hidden. The walk asks in ascending key
-    /// order, so one cursor over the sorted keys answers every row; an
-    /// empty set costs one compare.
+    /// The offset in batch `batch` of the first hidden row at or after
+    /// `offset`, or `usize::MAX` when none is left in that batch. The walk
+    /// asks in ascending position order, so one cursor over the sorted
+    /// keys answers every ask; an empty set costs one compare.
     #[inline]
-    fn hides(&mut self, key: u64) -> bool {
-        while let Some(&k) = self.keys.get(self.pos) {
-            if k > key {
-                return false;
-            }
+    fn next_in(&mut self, batch: usize, offset: usize) -> usize {
+        let at = physical_key(batch, offset);
+        while self.keys.get(self.pos).is_some_and(|&k| k < at) {
             self.pos += 1;
-            if k == key {
-                return true;
-            }
         }
-        false
+        match self.keys.get(self.pos) {
+            Some(&k) if k >> 32 == batch as u64 => (k & u64::from(u32::MAX)) as usize,
+            _ => usize::MAX,
+        }
     }
 }
 
@@ -1601,6 +1568,13 @@ enum ScanState {
 /// Lazy full scan of one partition view (see [`PartitionSnapshot::scan`]).
 /// Holds the view's version and cursor, so it outlives the view it was
 /// taken from.
+///
+/// Each chunk is built a segment of at most `SEGMENT_ROWS` (or
+/// `VARIABLE_SEGMENT_ROWS`) walked rows at a time, in three passes over
+/// the batch's bytes: the header pass lists the payload starts of the
+/// segment's data rows, leaving out tombstones and the rows they hide;
+/// each predicate narrows the list; each column decoder reads its slot at
+/// every start left.
 pub struct ScanIter {
     version: Arc<Version>,
     cursor: Cursor,
@@ -1612,6 +1586,11 @@ pub struct ScanIter {
     /// Bytes of the last chunk handed out, still charged to `query`.
     billed: usize,
     kill: KillSet,
+    /// How the header pass finds the next row: by the layout's stride
+    /// when it has no variable-width column.
+    step: RowStep,
+    /// The current segment's payload starts (kept to reuse its buffer).
+    starts: Vec<u32>,
     /// Where the walk resumes.
     batch: usize,
     offset: usize,
@@ -1632,10 +1611,14 @@ impl ScanIter {
         bytes / (v.header + v.layout.min_payload_len())
     }
 
-    /// The next chunk. `SINGLE_LINK` is whether the partition's rows carry
-    /// one link: the walk then parses them with that header fixed at
-    /// compile time (see [`RowBatchIter::step`]).
-    fn next_chunk<const SINGLE_LINK: bool>(&mut self) -> Result<Option<Chunk>> {
+    /// How this scan's header pass finds rows: by the layout's stride, or
+    /// by each row's stored length.
+    pub fn row_step(&self) -> RowStep {
+        self.step
+    }
+
+    /// The next chunk.
+    fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         if let Some(q) = &self.query {
             q.check()?;
             q.release_memory(std::mem::take(&mut self.billed));
@@ -1647,11 +1630,11 @@ impl ScanIter {
             .iter()
             .map(|&c| version.layout.column_decoder(c, capacity))
             .collect();
-        // Visible rows waiting for the predicates. Never more than the
-        // chunk still has room for, so every row of a block that passes
-        // fits, and the walk resumes right after the last row gathered.
-        let mut block: Vec<&[u8]> = Vec::with_capacity(DECODE_BLOCK_ROWS);
-        let mut room = DECODE_BLOCK_ROWS.min(self.chunk_rows);
+        let starts = &mut self.starts;
+        let segment_rows = match self.step {
+            RowStep::Stride(_) => SEGMENT_ROWS,
+            RowStep::AtLeast(_) => VARIABLE_SEGMENT_ROWS,
+        };
         let mut rows = 0usize;
         let mut unchecked = 0usize;
         while rows < self.chunk_rows && self.batch <= self.cursor.batch() {
@@ -1660,29 +1643,30 @@ impl ScanIter {
             };
             let watermark = self.cursor.watermark(self.batch, batch);
             let mut walk = batch.iter_rows_from(self.offset, watermark)?;
-            while let Some(row) = walk.step::<SINGLE_LINK>() {
-                let (offset, _, kind, payload) = row?;
-                if kind == RowKind::Tombstone || self.kill.hides(physical_key(self.batch, offset)) {
-                    count_walked(&mut unchecked, 1, self.query.as_deref())?;
-                    continue;
+            while rows < self.chunk_rows && !walk.at_end() {
+                // A segment never walks more rows than the chunk has room
+                // for, so every row that passes fits, and the walk resumes
+                // right after the segment.
+                let hidden = self.kill.next_in(self.batch, walk.offset());
+                let room = segment_rows.min(self.chunk_rows - rows);
+                starts.clear();
+                let walked = walk.gather(self.step, hidden, room, starts)?;
+                count_walked(&mut unchecked, walked, self.query.as_deref())?;
+                let segment = walk.rows(self.step);
+                for p in &self.preds {
+                    p.retain(&segment, starts)?;
                 }
-                block.push(payload);
-                if block.len() == room {
-                    count_walked(&mut unchecked, room, self.query.as_deref())?;
-                    rows += decode_passing(&self.preds, &mut block, &mut decoders)?;
-                    room = DECODE_BLOCK_ROWS.min(self.chunk_rows - rows);
-                    if rows == self.chunk_rows {
-                        break;
-                    }
+                for d in &mut decoders {
+                    d.extend_rows(&segment, starts)?;
                 }
+                rows += starts.len();
             }
             self.offset = walk.offset();
-            if self.offset >= watermark {
+            if walk.at_end() {
                 self.batch += 1;
                 self.offset = 0;
             }
         }
-        rows += decode_passing(&self.preds, &mut block, &mut decoders)?;
         if rows == 0 && !matches!(self.state, ScanState::Fresh) {
             return Ok(None);
         }
@@ -1714,11 +1698,7 @@ impl Iterator for ScanIter {
         if matches!(self.state, ScanState::Done) {
             return None;
         }
-        let chunk = if self.version.header == crate::batch::ROW_HEADER {
-            self.next_chunk::<true>()
-        } else {
-            self.next_chunk::<false>()
-        };
+        let chunk = self.next_chunk();
         self.state = match &chunk {
             Ok(Some(_)) => ScanState::Running,
             // Fused: after an error every later position is suspect.

@@ -185,20 +185,28 @@ fn heavy_query_cancels_while_lookups_proceed() {
 
 /// A predicate no row passes keeps the scan walking a whole partition
 /// without producing a chunk, so the walk itself checks the query every
-/// `COUNT_CHUNK_ROWS` rows. The stop is the query's deadline (the same
-/// `QueryContext::check` a cancel trips), and a failpoint delay on the
-/// walk's second batch makes it certain the deadline passes mid-walk: the
-/// walk must stop in that batch, not run on to the partition's end.
+/// `COUNT_CHUNK_ROWS` (8 192) rows. The stop is the query's deadline (the
+/// same `QueryContext::check` a cancel trips), and the walk must stop in
+/// the batch it overran the deadline in, not run on to the partition's end.
+///
+/// The schedule holds by construction, however slow the machine. The
+/// first check arms the 50 ms deadline before batch 0 opens. A batch holds
+/// 6 144 rows, fewer than one check's worth, so no check falls inside
+/// batch 0 however long its walk takes. Opening batch 1 sleeps 100 ms, so
+/// the deadline has passed before any row of it is walked, and the walk's
+/// first check comes at its 8 192nd row, inside batch 1 (rows 6 144 to
+/// 12 287).
 #[test]
 fn never_true_walk_stops_mid_partition() {
     let _serial = serial();
-    // The million rows in two partitions (whatever the core count), so a
-    // partition spans several row batches.
+    const ROW_BYTES: usize = 10 + 1 + 3 * 8; // header, null bitmap, three slots
+    const BATCH_ROWS: usize = 6_144;
     let config = IndexConfig {
-        num_partitions: 2,
+        num_partitions: 1,
+        batch_size: BATCH_ROWS * ROW_BYTES,
         ..IndexConfig::default()
     };
-    let table = Arc::new(IndexedTable::from_chunk(schema(), 0, config, &rows(1_000_000)).unwrap());
+    let table = Arc::new(IndexedTable::from_chunk(schema(), 0, config, &rows(30_000)).unwrap());
     let snap = table.snapshot();
     let part = &snap.partitions()[0];
     assert!(

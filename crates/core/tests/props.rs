@@ -184,7 +184,7 @@ mod scan_differential {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
 
-    use idf_core::batch::{RowBatch, ROW_HEADER};
+    use idf_core::batch::{RowBatch, RowStep, ROW_HEADER};
     use idf_core::layout::SlotPredicate;
     use idf_core::partition::PartitionSnapshot;
     use idf_core::sink::RowKind;
@@ -207,15 +207,75 @@ mod scan_differential {
         DataType::Timestamp,
     ];
 
+    const FIXED_TYPES: [DataType; 5] = [
+        DataType::Boolean,
+        DataType::Int32,
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Timestamp,
+    ];
+
     /// An Int64 key column (nullable: NULL-key rows are scanned but not
-    /// indexed) followed by 0–7 columns drawn from all six types.
-    fn random_schema(rng: &mut StdRng) -> Arc<Schema> {
+    /// indexed) followed by 0–7 columns drawn from all six types — or,
+    /// when `fixed_width`, from the five fixed-width ones, so every stored
+    /// row has one length and the scan finds rows by stride.
+    fn random_schema(rng: &mut StdRng, fixed_width: bool) -> Arc<Schema> {
+        let types: &[DataType] = if fixed_width {
+            &FIXED_TYPES
+        } else {
+            &ALL_TYPES
+        };
         let mut fields = vec![Field::new("k", DataType::Int64)];
         for i in 0..rng.gen_range(0..8usize) {
-            let dt = ALL_TYPES[rng.gen_range(0..ALL_TYPES.len())];
+            let dt = types[rng.gen_range(0..types.len())];
             fields.push(Field::new(format!("c{i}"), dt));
         }
         Arc::new(Schema::new(fields))
+    }
+
+    /// What a sweep of seeds covered; each test asserts it covered every
+    /// case the scan's passes distinguish.
+    #[derive(Default)]
+    struct Coverage {
+        /// A scan found row starts by stride, and one by stored length.
+        strided: bool,
+        stored: bool,
+        /// Column types of the fixed-width schemas.
+        fixed_types: std::collections::BTreeSet<String>,
+        /// A scan ran while tombstones hid rows.
+        hidden_rows: bool,
+        /// A scanned partition held more than one batch.
+        several_batches: bool,
+    }
+
+    impl Coverage {
+        fn saw(&mut self, snap: &PartitionSnapshot) {
+            match snap.scan(Some(&[]), 8, None).expect("scan").row_step() {
+                RowStep::Stride(_) => {
+                    self.strided = true;
+                    for f in &snap.schema().fields {
+                        self.fixed_types.insert(f.data_type.to_string());
+                    }
+                }
+                RowStep::AtLeast(_) => self.stored = true,
+            }
+            self.several_batches |= snap.export_batches().len() > 1;
+        }
+
+        fn assert_complete(&self) {
+            assert!(
+                self.strided && self.stored,
+                "both ways of finding row starts ran"
+            );
+            assert_eq!(
+                self.fixed_types.len(),
+                5,
+                "fixed types: {:?}",
+                self.fixed_types
+            );
+            assert!(self.hidden_rows, "no scan ran while tombstones hid rows");
+            assert!(self.several_batches, "no partition spanned several batches");
+        }
     }
 
     /// A row over few distinct keys (so chains form), 1-in-10 with a NULL
@@ -334,10 +394,12 @@ mod scan_differential {
     fn chunk_sizes(rng: &mut StdRng, rows: usize) -> Vec<usize> {
         vec![
             1,
+            7,
             rng.gen_range(2..9usize),
             rng.gen_range(9..100usize),
             rows.max(1),
             rows + 1,
+            8192,
             usize::MAX,
         ]
     }
@@ -368,10 +430,10 @@ mod scan_differential {
 
     #[test]
     fn scans_match_the_oracle_fresh_after_dml_and_after_compaction() {
-        let mut saw_hidden_rows = false;
+        let mut covered = Coverage::default();
         for seed in 0..24u64 {
             let mut rng = StdRng::seed_from_u64(0x5ca9_0000 + seed);
-            let schema = random_schema(&mut rng);
+            let schema = random_schema(&mut rng, seed % 2 == 0);
             let layout = RowLayout::new(Arc::clone(&schema));
             let table = IndexedTable::new(Arc::clone(&schema), 0, config()).expect("table");
             let what = |stage: &str| format!("seed {seed}, {stage}");
@@ -386,10 +448,11 @@ mod scan_differential {
             let snap = table.snapshot();
             let part = &snap.partitions()[0];
             assert_eq!(physical_rows(part, &layout), model, "{}", what("oracle"));
+            covered.saw(part);
             check_scans(&mut rng, part, &model, true, &what("fresh"));
 
             model = random_dml(&mut rng, &table, model, &layout, &what("rows affected"));
-            saw_hidden_rows |= table.memory_stats().dead_rows > 0;
+            covered.hidden_rows |= table.memory_stats().dead_rows > 0;
             let snap = table.snapshot();
             let part = &snap.partitions()[0];
             check_scans(&mut rng, part, &model, false, &what("after DML"));
@@ -404,10 +467,7 @@ mod scan_differential {
             let stored = physical_rows(part, &layout);
             check_scans(&mut rng, part, &stored, true, &what("compacted order"));
         }
-        assert!(
-            saw_hidden_rows,
-            "no seed left a row hidden below a tombstone"
-        );
+        covered.assert_complete();
     }
 
     /// UPDATE/DELETE on a few keys: some of a key's rows go (each delete
@@ -641,9 +701,10 @@ mod scan_differential {
 
     #[test]
     fn walk_predicates_match_a_filter_above_the_scan() {
+        let mut covered = Coverage::default();
         for seed in walk_seeds() {
             let mut rng = StdRng::seed_from_u64(0x3a1c_0000 + seed);
-            let schema = random_schema(&mut rng);
+            let schema = random_schema(&mut rng, seed % 2 == 0);
             let layout = RowLayout::new(Arc::clone(&schema));
             let partitions = rng.gen_range(1..4usize);
             let sizes = [1, rng.gen_range(2..9), rng.gen_range(9..100), 8192];
@@ -666,6 +727,9 @@ mod scan_differential {
             }
             let fresh = model.clone();
             let frozen = IndexedSource::frozen(Arc::clone(&table));
+            for part in table.snapshot().partitions() {
+                covered.saw(part);
+            }
             check_walks(&mut rng, &table, &model, partitions == 1, &what("fresh"));
             check_source(
                 &mut rng,
@@ -681,6 +745,7 @@ mod scan_differential {
                 table.append_row(&row).expect("append");
                 model.push(row);
             }
+            covered.hidden_rows |= table.memory_stats().dead_rows > 0;
             check_walks(&mut rng, &table, &model, false, &what("after DML"));
             check_source(
                 &mut rng,
@@ -706,12 +771,13 @@ mod scan_differential {
             );
             check_source(&mut rng, &frozen, &fresh, &what("frozen before compaction"));
         }
+        covered.assert_complete();
     }
 
     #[test]
     fn rows_past_the_snapshot_watermark_never_appear() {
         let mut rng = StdRng::seed_from_u64(0x5ca9_1000);
-        let schema = random_schema(&mut rng);
+        let schema = random_schema(&mut rng, false);
         let layout = RowLayout::new(Arc::clone(&schema));
         let table = Arc::new(IndexedTable::new(Arc::clone(&schema), 0, config()).expect("table"));
         let before: Vec<Row> = (0..200)
@@ -828,6 +894,55 @@ mod scan_differential {
                 "got: {msg}"
             );
         }
+    }
+
+    /// A fixed-width row whose stored length is off the layout's stride.
+    /// A walk by stored length reads it and the row after it as one row;
+    /// the stride walk checks the length of every row it steps over, so
+    /// every scan of it fails with a typed error, after the rows before it.
+    #[test]
+    fn a_stored_length_off_the_stride_is_a_typed_error() {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("v", DataType::Timestamp),
+        ]));
+        let source = IndexedPartition::new(Arc::clone(&schema), 0, config());
+        for i in 0..20i64 {
+            source
+                .append_row(&[Value::Int64(i), Value::Timestamp(i)])
+                .expect("append");
+        }
+        let snap = source.snapshot();
+        let (capacity, bytes) = snap.export_batches()[0];
+        let stride = ROW_HEADER + 1 + 2 * 8;
+        let mut bytes = bytes.to_vec();
+        let doubled = u16::try_from(2 * stride).expect("a row length");
+        bytes[3 * stride..3 * stride + 2].copy_from_slice(&doubled.to_le_bytes());
+        let batch = Arc::new(RowBatch::from_committed_bytes(capacity, &bytes).expect("batch"));
+        let part = IndexedPartition::restore(
+            schema,
+            0,
+            config(),
+            vec![batch],
+            snap.export_index().expect("export"),
+            20,
+        )
+        .expect("a walk by stored length accepts the row");
+        let snap = part.snapshot();
+        let want = format!("row at {} declares {} stored bytes", 3 * stride, 2 * stride);
+        for projection in [None, Some(&[][..]), Some(&[1][..])] {
+            for chunk_rows in [1, 7, 8192] {
+                let err = snap.scan_chunks(projection, chunk_rows).unwrap_err();
+                assert!(err.to_string().contains(&want), "got: {err}");
+            }
+        }
+        let mut scan = snap.scan(Some(&[0]), 1, None).expect("scan");
+        for k in 0..3i64 {
+            let chunk = scan.next().expect("a row before it").expect("ok");
+            assert_eq!(chunk.value_at(0, 0), Value::Int64(k));
+        }
+        assert!(scan.next().expect("the error").is_err());
+        assert!(scan.next().is_none(), "a failed scan is fused");
     }
 
     #[test]

@@ -216,12 +216,36 @@ impl StrVec {
         Some(std::str::from_utf8(&self.bytes[start..end]).expect("column holds valid utf8"))
     }
 
+    /// The bytes of slot `i` (empty for a NULL slot).
+    ///
+    /// # Panics
+    /// When `i` is out of range, as [`StrVec::get`] does.
+    #[inline]
+    pub(crate) fn bytes_at(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Gather the slots at `indices`, copying each value's bytes as they
+    /// are: they came from a `StrVec`, so they are valid UTF-8 already.
     fn take(&self, indices: &[u32]) -> Self {
-        let mut out = StrVec::new();
-        for &i in indices {
-            out.push(self.get(i as usize));
+        let mut offsets = Vec::with_capacity(indices.len() + 1);
+        offsets.push(0);
+        let mut bytes = Vec::new();
+        let mut validity = None;
+        for (row, &i) in indices.iter().enumerate() {
+            let i = i as usize;
+            let valid = self.is_valid(i);
+            push_validity(&mut validity, row, valid);
+            if valid {
+                bytes.extend_from_slice(self.bytes_at(i));
+            }
+            offsets.push(bytes.len() as u32);
         }
-        out
+        StrVec {
+            offsets,
+            bytes,
+            validity,
+        }
     }
 
     fn concat(parts: &[&Self]) -> Self {
@@ -591,5 +615,29 @@ mod tests {
         let b = Column::Int64(PrimVec::from_options(vec![None, Some(4)]));
         let c = Column::concat(&[&a, &b]).unwrap();
         assert!(c.is_valid(0) && c.is_valid(1) && !c.is_valid(2) && c.is_valid(3));
+    }
+
+    /// A byte-range gather equals one that pushes every value again, as a
+    /// `Column`: offsets, bytes and validity, NULLs and repeats included.
+    #[test]
+    fn strvec_take_equals_a_push_per_value() {
+        let v = StrVec::from_options(&[Some("héllo"), None, Some(""), Some("wörld"), None]);
+        for indices in [
+            vec![],
+            vec![0, 2, 3],
+            vec![4, 1, 0, 0, 3, 2],
+            vec![1],
+            vec![3, 3, 3],
+        ] {
+            let mut pushed = StrVec::new();
+            for &i in &indices {
+                pushed.push(v.get(i as usize));
+            }
+            assert_eq!(
+                Column::Utf8(v.clone()).take(&indices),
+                Column::Utf8(pushed),
+                "{indices:?}"
+            );
+        }
     }
 }
