@@ -30,9 +30,12 @@ pub enum ProbeMode {
     /// Probe rows are hash-partitioned like the index — moved there by an
     /// exchange, or already there — and each partition probes locally.
     Partitioned,
-    /// The whole probe side is broadcast to every index partition; foreign
-    /// keys simply miss (each indexed row lives in exactly one partition,
-    /// so no duplicates arise — through a secondary index too).
+    /// The whole probe side is broadcast to every index partition. Through
+    /// the primary index a partition probes only the rows whose key routes
+    /// to it ([`IndexedTable::partition_of`]), since a key lives nowhere
+    /// else; through a secondary index every partition probes every row,
+    /// and keys it does not hold miss (each indexed row lives in exactly
+    /// one partition, so no duplicates arise).
     Broadcast,
 }
 
@@ -105,9 +108,12 @@ impl IndexedJoinExec {
     /// are decoded column-at-a-time (vectorized), the probe side with a
     /// columnar `take`, and the indexed *key* column is materialized from
     /// the probe keys directly (equal by definition of the equi-join).
+    /// `home` is `Some(partition)` when only keys that route to this
+    /// partition can match here.
     fn join_chunk(
         &self,
         snapshot: &PartitionSnapshot,
+        home: Option<usize>,
         probe_chunk: &Chunk,
         indexed_cols: &[usize],
     ) -> Result<Option<Chunk>> {
@@ -116,7 +122,7 @@ impl IndexedJoinExec {
         let mut matched: Vec<&[u8]> = Vec::new();
         for row in 0..probe_chunk.len() {
             let key = keys.value_at(row);
-            if key.is_null() {
+            if key.is_null() || home.is_some_and(|p| self.table.partition_of(&key) != p) {
                 continue;
             }
             // THE index probe: cTrie lookup + backward-pointer walk.
@@ -189,12 +195,16 @@ impl ExecutionPlan for IndexedJoinExec {
         };
         // The probe is the operator's work; running it under the context
         // puts its time in EXPLAIN ANALYZE and checks the lifecycle first.
+        // A broadcast probe of the primary index goes to the key's home
+        // partition only; a partitioned probe is already there.
+        let home =
+            (self.mode == ProbeMode::Broadcast && self.table.is_primary()).then_some(partition);
         let out = ctx.instrument_blocking(self, || {
             let snapshot = self.table.partition_snapshot(partition);
             let mut out = Vec::new();
             for chunk in self.probe_chunks(partition, ctx)? {
                 ctx.check_cancelled()?;
-                if let Some(joined) = self.join_chunk(&snapshot, &chunk, &indexed_cols)? {
+                if let Some(joined) = self.join_chunk(&snapshot, home, &chunk, &indexed_cols)? {
                     out.push(joined);
                 }
             }

@@ -421,16 +421,25 @@ impl IndexedPartition {
     }
 
     /// Encode + validate one row without touching any shared state,
-    /// returning the payload bytes for a later publish. This is phase 1 of
-    /// the two-phase (validate-all-then-publish) chunk-append protocol in
-    /// [`crate::table::IndexedTable`].
+    /// returning the payload bytes for a later publish (see
+    /// [`Self::encode_row_into`]).
     pub fn encode_row(&self, values: &[Value]) -> Result<Vec<u8>> {
+        let mut payload = Vec::new();
+        self.encode_row_into(values, &mut payload)?;
+        Ok(payload)
+    }
+
+    /// Encode + validate one row without touching any shared state,
+    /// appending its payload bytes to `out`. This is phase 1 of the
+    /// two-phase (validate-all-then-publish) chunk-append protocol in
+    /// [`crate::table::IndexedTable`], which encodes a partition's rows
+    /// back to back into one buffer.
+    pub fn encode_row_into(&self, values: &[Value], out: &mut Vec<u8>) -> Result<()> {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
         let v = self.current.read();
-        let mut payload = Vec::new();
-        v.layout.encode(values, &mut payload)?;
-        self.check_row_size(&v, &payload)?;
-        Ok(payload)
+        let start = out.len();
+        v.layout.encode(values, out)?;
+        self.check_row_size(&v, out.get(start..).unwrap_or_default())
     }
 
     fn check_row_size(&self, v: &Version, payload: &[u8]) -> Result<()> {

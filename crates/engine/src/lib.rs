@@ -15,7 +15,8 @@
 //!   paper's Figure 1 shows, including the extension seam the Indexed
 //!   DataFrame plugs into;
 //! * partition-parallel execution with hash **shuffles** and **broadcast**
-//!   joins ([`physical`]), driven by a thread pool.
+//!   joins ([`physical`]), each query on its share of the cores
+//!   ([`fanout`]).
 //!
 //! ```
 //! use idf_engine::prelude::*;
@@ -52,6 +53,7 @@ pub mod dataframe;
 pub mod error;
 pub mod expr;
 pub mod failpoints;
+pub mod fanout;
 pub mod logical;
 pub mod optimizer;
 pub mod physical;

@@ -417,6 +417,9 @@ struct IntTable {
     shift: u32,
     seed: u64,
     null_gid: u32,
+    /// The last non-NULL key assigned and its group (`NO_GROUP`: none
+    /// yet), across chunks: a key-clustered input probes once per run.
+    last: IntSlot,
 }
 
 impl IntTable {
@@ -431,6 +434,7 @@ impl IntTable {
             shift: 64 - 10,
             seed: table_seed(),
             null_gid: NO_GROUP,
+            last: Self::VACANT,
         }
     }
 
@@ -478,7 +482,8 @@ impl IntTable {
     }
 
     /// Group ids for a chunk's key values (`NULL` is a group of its own),
-    /// noting the first row of every new group.
+    /// noting the first row of every new group. A key equal to the last
+    /// non-NULL key reuses its group without a probe.
     fn assign<T: Copy + Into<i64>>(
         &mut self,
         v: &PrimVec<T>,
@@ -489,7 +494,14 @@ impl IntTable {
         for (row, &x) in v.values.iter().enumerate() {
             let before = *groups;
             let gid = if v.validity.as_ref().is_none_or(|valid| valid.get(row)) {
-                self.group_of(x.into(), groups)
+                let key = x.into();
+                if self.last.gid == NO_GROUP || self.last.key != key {
+                    self.last = IntSlot {
+                        key,
+                        gid: self.group_of(key, groups),
+                    };
+                }
+                self.last.gid
             } else {
                 if self.null_gid == NO_GROUP {
                     self.null_gid = *groups as u32;

@@ -3,9 +3,10 @@
 //! The execution model is partition-parallel pull (Volcano per partition,
 //! vectorized over [`Chunk`]s): [`execute`]`(plan, p)` returns an iterator
 //! of chunks for output partition `p`; the driver ([`execute_collect_partitions`])
-//! runs the output partitions on one scoped thread each — or one after
-//! another on the calling thread when there is a single partition or the
-//! plan only reads a few pruned rows. Pipeline breakers ([`ShuffleExec`], [`SortExec`],
+//! runs the output partitions on the query's share of the cores
+//! ([`crate::fanout`]), the calling thread included — or one after
+//! another on the calling thread alone when there is a single partition or
+//! the plan only reads a few pruned rows. Pipeline breakers ([`ShuffleExec`], [`SortExec`],
 //! [`HashAggregateExec`] and join build sides) materialize lazily and
 //! exactly once *per execution* behind [`ExecCache`]s, which is the
 //! single-process analogue of Spark's shuffle files and broadcast
@@ -61,7 +62,7 @@ pub use crate::catalog::ChunkIter;
 use crate::chunk::Chunk;
 use crate::column::{Column, ColumnRef};
 use crate::config::EngineConfig;
-use crate::error::{catch_panics, Result};
+use crate::error::Result;
 use crate::query::QueryContext;
 use crate::schema::SchemaRef;
 use crate::types::Value;
@@ -403,15 +404,17 @@ pub fn display_exec(plan: &dyn ExecutionPlan) -> String {
 /// Drain every output partition of `plan` and return the chunks per
 /// partition. This is the driver's "run the job" entry point.
 ///
-/// Partitions run on one scoped thread each, except when there is nothing
-/// to overlap: a single partition, or a plan whose leaves together read at
+/// The partitions run through [`fan_out`](crate::fanout::fan_out): on the
+/// calling thread plus however many helpers this execution's share of the
+/// cores allows, or on the calling thread alone when there is nothing to
+/// overlap — a single partition, or a plan whose leaves together read at
 /// most `broadcast_threshold_rows` rows ([`ExecutionPlan::bounded_input_rows`]
-/// — a key lookup, an indexed join over one). Those run one after another
-/// on the calling thread; spawning costs more than they do.
+/// — a key lookup, an indexed join over one); spawning costs more than
+/// those do.
 ///
-/// Every partition task runs inside [`catch_panics`], so a panicking
-/// operator (or injected fault) surfaces as an [`EngineError::Internal`]
-/// on this query instead of aborting the process.
+/// Every partition task runs inside [`catch_panics`](crate::error::catch_panics),
+/// so a panicking operator (or injected fault) surfaces as an
+/// [`EngineError::Internal`] on this query instead of aborting the process.
 ///
 /// [`EngineError::Internal`]: crate::error::EngineError::Internal
 pub fn execute_collect_partitions(
@@ -420,46 +423,16 @@ pub fn execute_collect_partitions(
 ) -> Result<Vec<Vec<Chunk>>> {
     ctx.check_cancelled()?;
     let n = plan.output_partitions();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let run_partition = |p: usize, ctx: &TaskContext| -> Result<Vec<Chunk>> {
-        catch_panics(|| {
-            crate::failpoints::check(crate::failpoints::WORKER_START)?;
-            execute(plan.as_ref(), p, ctx)?.collect()
-        })
-    };
-    let inline = n == 1
+    let bounded = n <= 1
         || plan
             .bounded_input_rows()
             .is_some_and(|rows| rows <= ctx.config.broadcast_threshold_rows);
-    if inline {
-        idf_obs::global().exec_inline.inc();
-        return (0..n).map(|p| run_partition(p, ctx)).collect();
-    }
-    idf_obs::global().exec_threads_spawned.add(n as u64);
-    let mut out: Vec<Result<Vec<Chunk>>> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|p| {
-                let ctx = ctx.clone();
-                let run = &run_partition;
-                s.spawn(move || run(p, &ctx))
-            })
-            .collect();
-        for h in handles {
-            // The body is already panic-isolated; a panicking *join* can
-            // only mean the unwind escaped `catch_unwind` (e.g. an abort),
-            // so treat it the same way instead of propagating.
-            out.push(h.join().unwrap_or_else(|payload| {
-                Err(crate::error::EngineError::Internal(format!(
-                    "partition task panicked: {}",
-                    crate::error::panic_message(payload.as_ref())
-                )))
-            }));
-        }
-    });
-    out.into_iter().collect()
+    crate::fanout::fan_out((0..n).collect(), bounded, |p| {
+        crate::failpoints::check(crate::failpoints::WORKER_START)?;
+        execute(plan.as_ref(), p, ctx)?.collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Drain every partition and concatenate into a single chunk.

@@ -7,7 +7,10 @@
 //! strings, one to three key columns, every aggregate function plus the
 //! zero-aggregate `DISTINCT` shape, chunk sizes from one row to more than
 //! the input, and 1/2/7 input partitions (one partition plans a single
-//! phase, more plan partial → shuffle/coalesce → final). Fixed seeds run in
+//! phase, more plan partial → shuffle/coalesce → final). A second sweep
+//! feeds key-clustered inputs (runs of one integer key, NULLs inside runs,
+//! runs across chunk boundaries), and a single-phase plan must list its
+//! groups in order of first appearance. Fixed seeds run in
 //! tier-1; `IDF_AGG_DIFF_SEEDS=<n>` widens the sweep (CI does). Every
 //! failure message names its seed.
 
@@ -276,49 +279,136 @@ fn seeds() -> std::ops::Range<u64> {
     0..n
 }
 
+/// Every plan shape over `case` — 1/2/7 partitions, chunks of 1 to 1000
+/// rows, grouped on each prefix of the keys, global and DISTINCT — equals
+/// the oracle. One partition runs a single phase, whose output lists the
+/// groups in order of first appearance.
+fn check_against_oracle(case: &Case, seed: &str) {
+    for partitions in [1usize, 2, 7] {
+        for chunk_rows in [1usize, 3, 64, 1000] {
+            let session = Session::with_config(EngineConfig {
+                target_partitions: 3,
+                ..Default::default()
+            });
+            session.register_table("t", table(case, partitions, chunk_rows));
+            let t = session.table("t").expect("table");
+            let at = format!("{seed}, {partitions} partitions, {chunk_rows}-row chunks");
+            for keys in 0..=case.key_count {
+                let group: Vec<Expr> = (0..keys).map(|i| col(&format!("k{i}"))).collect();
+                let aggs = AGGS.iter().map(|(f, a)| agg_expr(f, *a)).collect();
+                let df = t.aggregate(group, aggs).expect("aggregate");
+                let plan = df.explain().expect("explain");
+                assert_eq!(
+                    plan.contains("partial"),
+                    partitions > 1,
+                    "{at}: one partition is single-phase, more are two-phase\n{plan}"
+                );
+                let out = df.collect().expect("collect");
+                if partitions == 1 {
+                    let firsts = first_seen(case, keys);
+                    let order: Vec<Vec<Value>> = out
+                        .to_rows()
+                        .into_iter()
+                        .map(|r| r[..keys].to_vec())
+                        .collect();
+                    assert_eq!(order, firsts, "{at}, {keys} keys: group order");
+                }
+                assert_eq!(
+                    sorted_rows(&out),
+                    oracle(case, keys, &AGGS),
+                    "{at}, {keys} keys"
+                );
+            }
+            let key_names: Vec<String> = (0..case.key_count).map(|i| format!("k{i}")).collect();
+            let key_names: Vec<&str> = key_names.iter().map(String::as_str).collect();
+            let distinct = t
+                .select_columns(&key_names)
+                .and_then(|df| df.distinct())
+                .and_then(|df| df.collect())
+                .expect("distinct");
+            assert_eq!(
+                sorted_rows(&distinct),
+                oracle(case, case.key_count, &[]),
+                "{at}, DISTINCT"
+            );
+        }
+    }
+}
+
+/// The distinct first-`keys` prefixes of `case`'s rows, in order of first
+/// appearance (NULLs and NaNs compared as `Value` does). With no keys
+/// there is one group, rows or not.
+fn first_seen(case: &Case, keys: usize) -> Vec<Vec<Value>> {
+    if keys == 0 {
+        return vec![Vec::new()];
+    }
+    let mut seen = std::collections::HashSet::new();
+    case.rows
+        .iter()
+        .map(|r| r[..keys].to_vec())
+        .filter(|k| seen.insert(k.clone()))
+        .collect()
+}
+
 #[test]
 fn kernel_and_two_phase_plans_equal_the_scalar_oracle() {
     for seed in seeds() {
         let mut rng = StdRng::seed_from_u64(0xA66_0000 + seed);
-        let case = random_case(&mut rng);
-        for partitions in [1usize, 2, 7] {
-            for chunk_rows in [1usize, 3, 64, 1000] {
-                let session = Session::with_config(EngineConfig {
-                    target_partitions: 3,
-                    ..Default::default()
-                });
-                session.register_table("t", table(&case, partitions, chunk_rows));
-                let t = session.table("t").expect("table");
-                let at = format!("seed {seed}, {partitions} partitions, {chunk_rows}-row chunks");
-                // Grouped on every prefix of the key columns, global
-                // (no keys), and DISTINCT (no aggregates).
-                for keys in 0..=case.key_count {
-                    let group: Vec<Expr> = (0..keys).map(|i| col(&format!("k{i}"))).collect();
-                    let aggs = AGGS.iter().map(|(f, a)| agg_expr(f, *a)).collect();
-                    let df = t.aggregate(group, aggs).expect("aggregate");
-                    let plan = df.explain().expect("explain");
-                    assert_eq!(
-                        plan.contains("partial"),
-                        partitions > 1,
-                        "{at}: one partition is single-phase, more are two-phase\n{plan}"
-                    );
-                    let got = sorted_rows(&df.collect().expect("collect"));
-                    assert_eq!(got, oracle(&case, keys, &AGGS), "{at}, {keys} keys");
-                }
-                let key_names: Vec<String> = (0..case.key_count).map(|i| format!("k{i}")).collect();
-                let key_names: Vec<&str> = key_names.iter().map(String::as_str).collect();
-                let distinct = t
-                    .select_columns(&key_names)
-                    .and_then(|df| df.distinct())
-                    .and_then(|df| df.collect())
-                    .expect("distinct");
-                assert_eq!(
-                    sorted_rows(&distinct),
-                    oracle(&case, case.key_count, &[]),
-                    "{at}, DISTINCT"
-                );
+        check_against_oracle(&random_case(&mut rng), &format!("seed {seed}"));
+    }
+}
+
+/// A key-clustered input — what a scan of a store written in key runs
+/// reads: runs of one integer key, NULL keys inside a run, a key coming
+/// back after other runs, and runs longer than a chunk, so a run crosses
+/// chunk (and, round-robin, partition) boundaries.
+fn clustered_case(rng: &mut StdRng) -> Case {
+    const INT_KEYS: [DataType; 3] = [DataType::Int32, DataType::Int64, DataType::Timestamp];
+    let key_count = rng.gen_range(1..=2usize);
+    let mut fields = vec![Field::new("k0", INT_KEYS[rng.gen_range(0..INT_KEYS.len())])];
+    if key_count == 2 {
+        fields.push(Field::new("k1", TYPES[rng.gen_range(0..TYPES.len())]));
+    }
+    fields.extend(ARGS.iter().map(|(name, dt)| Field::new(*name, *dt)));
+    let total = rng.gen_range(0..400usize);
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(total);
+    let mut used: Vec<Value> = Vec::new();
+    while rows.len() < total {
+        let key = if !used.is_empty() && rng.gen_range(0..4) == 0 {
+            used[rng.gen_range(0..used.len())].clone()
+        } else {
+            let mut k = Value::Null;
+            while k.is_null() {
+                k = random_value(rng, fields[0].data_type);
             }
+            used.push(k.clone());
+            k
+        };
+        let second = (key_count == 2).then(|| random_value(rng, fields[1].data_type));
+        for _ in 0..rng.gen_range(1..=80usize) {
+            let k0 = if rng.gen_range(0..10) == 0 {
+                Value::Null
+            } else {
+                key.clone()
+            };
+            let mut row = vec![k0];
+            row.extend(second.clone());
+            row.extend(ARGS.iter().map(|(name, dt)| random_arg(rng, name, *dt)));
+            rows.push(row);
         }
+    }
+    Case {
+        schema: Arc::new(Schema::new(fields)),
+        key_count,
+        rows,
+    }
+}
+
+#[test]
+fn clustered_keys_equal_the_scalar_oracle() {
+    for seed in seeds() {
+        let mut rng = StdRng::seed_from_u64(0xC1A5_0000 + seed);
+        check_against_oracle(&clustered_case(&mut rng), &format!("clustered seed {seed}"));
     }
 }
 

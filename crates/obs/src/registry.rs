@@ -295,12 +295,12 @@ metrics! {
     /// Cached plans dropped because the catalog or rule set changed.
     Counter plan_cache_invalidations = "idf_plan_cache_invalidations_total",
         "Cached plans dropped because the catalog or rule set changed.";
-    /// Plan executions whose partitions ran on the calling thread.
+    /// Partition fan-outs that ran every partition on the calling thread.
     Counter exec_inline = "idf_exec_inline_total",
-        "Plan executions whose partitions ran on the calling thread.";
-    /// Partition tasks run on a spawned thread.
+        "Partition fan-outs that ran every partition on the calling thread.";
+    /// Helper threads spawned to run partitions beside the calling thread.
     Counter exec_threads_spawned = "idf_exec_threads_spawned_total",
-        "Partition tasks run on a spawned thread.";
+        "Helper threads spawned to run partitions beside the calling thread.";
 
     // Durability layer (WAL + checkpoints + recovery).
     /// WAL records appended (one per committed chunk).
