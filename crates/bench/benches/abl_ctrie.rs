@@ -10,6 +10,15 @@
 //! before each lookup: every snapshot swaps the root, so the writer must
 //! copy its path again before each insert.
 //!
+//! `abl_ctrie_build` times filling an empty trie with 4k, 45k and 200k
+//! keys (a small partition index, one of SNB's `message` partitions at
+//! scale 4, and the readers/writer trie): `from_entries`, which builds the
+//! trie bottom-up, against an `insert` per key, beside a `HashMap` filled
+//! the same way. Each time includes dropping the structure. Its elem/s
+//! column is entries per second. `abl_ctrie_probe` times one lookup per
+//! iteration in 200k-key tries built each way and in a `HashMap`: its mean
+//! is nanoseconds per probe.
+//!
 //! Run: `cargo bench -p idf-bench --bench abl_ctrie`
 
 use std::collections::HashMap;
@@ -17,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use idf_ctrie::{CTrie, Hamt};
 use parking_lot::Mutex;
 
@@ -84,6 +93,73 @@ fn bench_lookup(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 7919) % N;
             map.lock().get(&k).copied()
+        })
+    });
+    group.finish();
+}
+
+/// Keys in a build: a small partition index, a `message` partition at
+/// SNB scale 4, and the readers/writer trie.
+const BUILD_SIZES: [u64; 3] = [4_000, 45_000, 200_000];
+
+fn bench_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("abl_ctrie_build");
+    group.sample_size(10);
+    for n in BUILD_SIZES {
+        group.throughput(Throughput::Elements(n));
+        group.bench_with_input(BenchmarkId::new("from_entries", n), &n, |b, &n| {
+            b.iter(|| {
+                let t: CTrie<u64, u64> = CTrie::new();
+                t.from_entries((0..n).map(|i| (i, i)));
+                t
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("insert", n), &n, |b, &n| {
+            b.iter(|| {
+                let t: CTrie<u64, u64> = CTrie::new();
+                for i in 0..n {
+                    t.insert(i, i);
+                }
+                t
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("hashmap", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut m: HashMap<u64, u64> = HashMap::new();
+                for i in 0..n {
+                    m.insert(i, i);
+                }
+                m
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_probe(c: &mut Criterion) {
+    const KEYS: u64 = 200_000;
+    let built: CTrie<u64, u64> = CTrie::new();
+    built.from_entries((0..KEYS).map(|i| (i, i)));
+    let inserted: CTrie<u64, u64> = CTrie::new();
+    for i in 0..KEYS {
+        inserted.insert(i, i);
+    }
+    let map: HashMap<u64, u64> = (0..KEYS).map(|i| (i, i)).collect();
+    let mut group = c.benchmark_group("abl_ctrie_probe");
+    group.sample_size(10);
+    let mut k = 0u64;
+    for (name, trie) in [("ctrie_from_entries", &built), ("ctrie_insert", &inserted)] {
+        group.bench_with_input(BenchmarkId::new(name, KEYS), &KEYS, |b, _| {
+            b.iter(|| {
+                k = (k + 7919) % KEYS;
+                trie.lookup(&k)
+            })
+        });
+    }
+    group.bench_with_input(BenchmarkId::new("hashmap", KEYS), &KEYS, |b, _| {
+        b.iter(|| {
+            k = (k + 7919) % KEYS;
+            map.get(&k).copied()
         })
     });
     group.finish();
@@ -274,6 +350,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_insert, bench_lookup, bench_snapshot, bench_concurrent, bench_readers_beside_writer
+    targets = bench_insert, bench_build, bench_lookup, bench_probe, bench_snapshot,
+        bench_concurrent, bench_readers_beside_writer
 }
 criterion_main!(benches);

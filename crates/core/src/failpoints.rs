@@ -15,8 +15,10 @@ idf_fail::sites! {
     /// `lookup_chunk_multi`): hit once per probed partition.
     PARTITION_PROBE,
 
-    /// Row encoding/validation, before any shared state is touched: phase 1
-    /// of a chunk append and the start of a single-row append.
+    /// Row encoding/validation, before any shared state is touched: hit
+    /// once per partition in phase 1 of a chunk append (before it encodes
+    /// that partition's rows), and once per row encoded on its own (the
+    /// start of a single-row append, each row a DML statement encodes).
     APPEND_ENCODE,
 
     /// The append commit point: after every row of a chunk append has been

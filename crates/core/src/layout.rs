@@ -24,7 +24,7 @@
     )
 )]
 
-use idf_engine::column::{push_validity, Column, PrimVec, StrVec};
+use idf_engine::column::{push_validity, Column, ColumnRef, PrimVec, StrVec};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::expr::BinaryOp;
 use idf_engine::schema::SchemaRef;
@@ -152,6 +152,88 @@ impl RowLayout {
                         self.schema.field(col).name
                     )))
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Encode rows `rows` of `columns`, in that order, back to back onto
+    /// `out`, pushing the offset in `out` where each payload ends onto
+    /// `ends`. Each payload holds the bytes [`Self::encode`] writes for
+    /// that row's values, written a column at a time straight from the
+    /// typed vectors: the inverse of [`ColumnDecoder`].
+    ///
+    /// # Errors
+    /// Fails when there are not as many columns as fields, or when a
+    /// column of another type than its field holds a non-NULL value in
+    /// `rows` — with the error [`Self::encode`] gives for the first such
+    /// value. Nothing is written then.
+    pub fn encode_rows(
+        &self,
+        columns: &[ColumnRef],
+        rows: &[u32],
+        out: &mut Vec<u8>,
+        ends: &mut Vec<usize>,
+    ) -> Result<()> {
+        if columns.len() != self.schema.len() {
+            return Err(EngineError::internal(format!(
+                "row width {} vs schema width {}",
+                columns.len(),
+                self.schema.len()
+            )));
+        }
+        // A column of another type fits only where it is NULL, which makes
+        // it NULL in every row.
+        let mut all_null = vec![false; columns.len()];
+        for ((col, column), null) in columns.iter().enumerate().zip(&mut all_null) {
+            let field = self.schema.field(col);
+            if column.data_type() == field.data_type {
+                continue;
+            }
+            if let Some(&r) = rows.iter().find(|&&r| column.is_valid(r as usize)) {
+                return Err(EngineError::type_err(format!(
+                    "value {:?} does not fit {} column '{}'",
+                    column.value_at(r as usize),
+                    field.data_type,
+                    field.name
+                )));
+            }
+            *null = true;
+        }
+        let strings: Vec<&StrVec> = columns
+            .iter()
+            .zip(&all_null)
+            .filter_map(|(c, &null)| match c.as_ref() {
+                Column::Utf8(v) if !null => Some(v),
+                _ => None,
+            })
+            .collect();
+        let mut starts = Vec::with_capacity(rows.len());
+        let mut end = out.len();
+        ends.reserve(rows.len());
+        for &r in rows {
+            starts.push(end);
+            end += self.var_start();
+            end += strings.iter().map(|v| str_at(v, r).len()).sum::<usize>();
+            ends.push(end);
+        }
+        out.resize(end, 0);
+        // Bytes each row's var section holds so far.
+        let mut filled = vec![0u32; if strings.is_empty() { 0 } else { rows.len() }];
+        for ((col, column), null) in columns.iter().enumerate().zip(all_null) {
+            let at = self.column_at(col);
+            if null {
+                at.encode_nulls(out, &starts);
+                continue;
+            }
+            match column.as_ref() {
+                Column::Boolean(v) => at.encode_fixed(out, &starts, rows, v, |b| [u8::from(b)]),
+                Column::Int32(v) => at.encode_fixed(out, &starts, rows, v, i32::to_le_bytes),
+                Column::Int64(v) | Column::Timestamp(v) => {
+                    at.encode_fixed(out, &starts, rows, v, i64::to_le_bytes)
+                }
+                Column::Float64(v) => at.encode_fixed(out, &starts, rows, v, f64::to_le_bytes),
+                Column::Utf8(v) => at.encode_utf8(out, &starts, rows, v, &mut filled),
             }
         }
         Ok(())
@@ -402,6 +484,17 @@ impl SlotPredicate {
     }
 }
 
+/// The bytes of row `r` of `v`; none for a NULL.
+#[inline]
+fn str_at(v: &StrVec, r: u32) -> &[u8] {
+    let r = r as usize;
+    if v.is_valid(r) {
+        v.bytes_at(r)
+    } else {
+        &[]
+    }
+}
+
 fn prim_with_capacity<T>(capacity: usize) -> PrimVec<T> {
     PrimVec {
         values: Vec::with_capacity(capacity),
@@ -426,6 +519,64 @@ impl ColumnAt {
         let slot = fixed.get(self.slot..self.slot + W)?.try_into().ok()?;
         let nulls = fixed.get(self.null_byte)?;
         Some((slot, nulls & self.null_mask != 0))
+    }
+
+    /// Mark this column NULL in the rows starting at `starts`.
+    #[allow(clippy::indexing_slicing)] // rows `encode_rows` just sized
+    fn encode_nulls(&self, out: &mut [u8], starts: &[usize]) {
+        for &start in starts {
+            out[start + self.null_byte] |= self.null_mask;
+        }
+    }
+
+    /// Fixed-width encode kernel, the inverse of [`Self::extend_fixed`]:
+    /// row `rows[i]` of `v` into the slot of the row starting at
+    /// `starts[i]`, or its null bit.
+    #[allow(clippy::indexing_slicing)] // rows `encode_rows` just sized
+    fn encode_fixed<T: Copy + Default, const W: usize>(
+        &self,
+        out: &mut [u8],
+        starts: &[usize],
+        rows: &[u32],
+        v: &PrimVec<T>,
+        to: impl Fn(T) -> [u8; W],
+    ) {
+        for (&start, &r) in starts.iter().zip(rows) {
+            let r = r as usize;
+            if v.is_valid(r) {
+                let slot = start + self.slot;
+                out[slot..slot + W].copy_from_slice(&to(v.values[r]));
+            } else {
+                out[start + self.null_byte] |= self.null_mask;
+            }
+        }
+    }
+
+    /// String encode kernel: each value's bytes after what the row's var
+    /// section holds (`filled`), and their offset and length in the slot.
+    #[allow(clippy::indexing_slicing)] // rows `encode_rows` just sized
+    fn encode_utf8(
+        &self,
+        out: &mut [u8],
+        starts: &[usize],
+        rows: &[u32],
+        v: &StrVec,
+        filled: &mut [u32],
+    ) {
+        for ((&start, &r), filled) in starts.iter().zip(rows).zip(filled) {
+            if !v.is_valid(r as usize) {
+                out[start + self.null_byte] |= self.null_mask;
+                continue;
+            }
+            let bytes = str_at(v, r);
+            let len = bytes.len() as u32;
+            let var = start + self.var_start + *filled as usize;
+            out[var..var + bytes.len()].copy_from_slice(bytes);
+            let slot = start + self.slot;
+            out[slot..slot + 4].copy_from_slice(&filled.to_le_bytes());
+            out[slot + 4..slot + 8].copy_from_slice(&len.to_le_bytes());
+            *filled += len;
+        }
     }
 
     #[inline]
@@ -734,6 +885,82 @@ mod tests {
                 assert_eq!(whole.value_at(i), row[col], "col {col} row {i}");
             }
         }
+    }
+
+    #[test]
+    fn encode_rows_writes_what_encode_writes() {
+        let l = layout();
+        let rows = vec![
+            vec![
+                Value::Int64(7),
+                Value::Utf8("x".into()),
+                Value::Float64(-0.0),
+                Value::Boolean(false),
+                Value::Int32(3),
+                Value::Timestamp(9),
+            ],
+            vec![Value::Null; 6],
+            vec![
+                Value::Int64(-1),
+                Value::Utf8("héllo→wörld".into()),
+                Value::Null,
+                Value::Boolean(true),
+                Value::Null,
+                Value::Timestamp(i64::MIN),
+            ],
+            vec![
+                Value::Null,
+                Value::Utf8(String::new()),
+                Value::Float64(f64::NAN),
+                Value::Null,
+                Value::Int32(i32::MIN),
+                Value::Null,
+            ],
+        ];
+        let chunk = idf_engine::chunk::Chunk::from_rows(l.schema(), &rows).unwrap();
+        let order = [2u32, 0, 3, 1, 2];
+        let (mut out, mut ends) = (vec![0xAA], Vec::new());
+        l.encode_rows(chunk.columns(), &order, &mut out, &mut ends)
+            .unwrap();
+        let (mut want, mut want_ends) = (vec![0xAA], Vec::new());
+        for &r in &order {
+            l.encode(&rows[r as usize], &mut want).unwrap();
+            want_ends.push(want.len());
+        }
+        assert_eq!(out, want);
+        assert_eq!(ends, want_ends);
+    }
+
+    #[test]
+    fn encode_rows_takes_a_mistyped_column_only_when_null() {
+        let l = layout();
+        let row = vec![
+            Value::Utf8("not an int".into()),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ];
+        let nulls = vec![Value::Null; 6];
+        let schema = Arc::new(Schema::new(
+            std::iter::once(Field::new("id", DataType::Utf8))
+                .chain(l.schema().fields[1..].iter().cloned())
+                .collect(),
+        ));
+        let chunk =
+            idf_engine::chunk::Chunk::from_rows(&schema, &[nulls.clone(), row.clone()]).unwrap();
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        let err = l
+            .encode_rows(chunk.columns(), &[0, 1], &mut out, &mut ends)
+            .unwrap_err();
+        let mut buf = Vec::new();
+        assert_eq!(err, l.encode(&row, &mut buf).unwrap_err());
+        assert!(out.is_empty() && ends.is_empty());
+        // NULL in every row taken, the column fits as NULLs.
+        l.encode_rows(chunk.columns(), &[0], &mut out, &mut ends)
+            .unwrap();
+        assert_eq!(l.decode_row(&out).unwrap(), nulls);
     }
 
     #[test]

@@ -92,8 +92,8 @@ struct PartitionIndex {
 }
 
 impl PartitionIndex {
-    /// An index over `entries` (distinct keys), bulk-loaded into a fresh
-    /// trie.
+    /// An index over `entries` (distinct keys): a fresh trie, built
+    /// bottom-up by [`CTrie::from_entries`].
     fn over(col: usize, entries: Vec<(Value, u64)>) -> Self {
         let index = PartitionIndex {
             col,
@@ -191,18 +191,17 @@ impl Version {
 
     /// Step 3: point every index at the heads one call wrote, count its
     /// rows, and then move the cursor past them, which makes them visible
-    /// to new views through every index at once.
+    /// to new views through every index at once. Each index takes the
+    /// call's heads in one [`CTrie::from_entries`]: an empty trie (a first
+    /// load) is built bottom-up, a populated one takes an insert per key.
     fn link(&self, heads: Heads<'_>) {
         if heads.rows == 0 {
             return;
         }
-        for (key, head) in heads.runs.into_iter().chain(heads.run) {
-            self.link_key(0, key.clone(), head);
-        }
+        let runs = heads.runs.into_iter().chain(heads.run);
+        self.link_index(0, runs.map(|(key, head)| (key.clone(), head)));
         for (i, map) in heads.secondary.into_iter().enumerate() {
-            for (key, head) in map {
-                self.link_key(i + 1, key, head);
-            }
+            self.link_index(i + 1, map.into_iter());
         }
         self.rows.fetch_add(heads.rows, Ordering::AcqRel);
         self.cursor.store(self.end().0, Ordering::Release);
@@ -211,16 +210,23 @@ impl Version {
         m.append_bytes.add(heads.bytes as u64);
     }
 
-    fn link_key(&self, link: usize, key: Value, head: Head) {
+    /// Point index `link` at each `(key, head)` (distinct keys).
+    fn link_index(&self, link: usize, heads: impl Iterator<Item = (Value, Head)>) {
         let ix = &self.indexes[link];
-        let old = ix.trie.insert(key, head.ptr.raw());
-        debug_assert_eq!(
-            old.map_or(RowPtr::NULL, RowPtr::from_raw),
-            head.was,
-            "single-writer invariant violated"
-        );
-        if head.was.is_null() {
-            ix.keys.fetch_add(1, Ordering::AcqRel);
+        let mut new_keys = 0;
+        ix.trie.from_entries(heads.map(|(key, head)| {
+            debug_assert_eq!(
+                ix.trie.lookup(&key).map_or(RowPtr::NULL, RowPtr::from_raw),
+                head.was,
+                "single-writer invariant violated"
+            );
+            new_keys += usize::from(head.was.is_null());
+            (key, head.ptr.raw())
+        }));
+        // Only a new key writes the counter: it shares a cache line with
+        // the trie root every probe loads.
+        if new_keys > 0 {
+            ix.keys.fetch_add(new_keys, Ordering::AcqRel);
         }
     }
 }
@@ -323,11 +329,10 @@ impl IndexedPartition {
     }
 
     /// Rebuild a single-index partition from checkpointed state: restored row batches
-    /// plus the dumped `key → packed pointer` index entries, bulk-loaded
-    /// into a fresh cTrie by [`CTrie::from_entries`] (which re-pins every
-    /// 1 024 entries; far cheaper than replaying every append). The
-    /// partition is immediately writable; new rows continue into the last
-    /// restored batch.
+    /// plus the dumped `key → packed pointer` index entries, built into a
+    /// fresh cTrie bottom-up by [`CTrie::from_entries`] (far cheaper than
+    /// replaying every append). The partition is immediately writable;
+    /// new rows continue into the last restored batch.
     ///
     /// # Errors
     /// Fails with a corrupt-state error when an index entry's pointer does
@@ -415,35 +420,52 @@ impl IndexedPartition {
         let v = self.version();
         payload.clear();
         v.layout.encode(values, &mut payload)?;
-        self.check_row_size(&v, &payload)?;
+        self.check_row_size(&v, payload.len())?;
         let key = &values[v.primary().col];
         self.publish_in(&v, &[(key, payload.as_slice(), RowKind::Data)])
     }
 
     /// Encode + validate one row without touching any shared state,
-    /// returning the payload bytes for a later publish (see
-    /// [`Self::encode_row_into`]).
+    /// returning the payload bytes for a later publish.
     pub fn encode_row(&self, values: &[Value]) -> Result<Vec<u8>> {
+        crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
         let mut payload = Vec::new();
-        self.encode_row_into(values, &mut payload)?;
+        let v = self.current.read();
+        v.layout.encode(values, &mut payload)?;
+        self.check_row_size(&v, payload.len())?;
         Ok(payload)
     }
 
-    /// Encode + validate one row without touching any shared state,
-    /// appending its payload bytes to `out`. This is phase 1 of the
-    /// two-phase (validate-all-then-publish) chunk-append protocol in
-    /// [`crate::table::IndexedTable`], which encodes a partition's rows
-    /// back to back into one buffer.
-    pub fn encode_row_into(&self, values: &[Value], out: &mut Vec<u8>) -> Result<()> {
+    /// Encode + validate rows `rows` of `chunk`, in that order, without
+    /// touching any shared state: phase 1 of the two-phase
+    /// (validate-all-then-publish) chunk append in
+    /// [`crate::table::IndexedTable`]. The payloads go back to back onto
+    /// `out`, each one's end onto `ends` (see [`RowLayout::encode_rows`]).
+    ///
+    /// # Errors
+    /// A column that does not fit its field, or the first row (in `rows`
+    /// order) whose stored size exceeds the configured maximum.
+    pub(crate) fn encode_rows(
+        &self,
+        chunk: &Chunk,
+        rows: &[u32],
+        out: &mut Vec<u8>,
+        ends: &mut Vec<usize>,
+    ) -> Result<()> {
         crate::failpoints::check(crate::failpoints::APPEND_ENCODE)?;
-        let v = self.current.read();
-        let start = out.len();
-        v.layout.encode(values, out)?;
-        self.check_row_size(&v, out.get(start..).unwrap_or_default())
+        let v = self.version();
+        let first = ends.len();
+        let mut start = out.len();
+        v.layout.encode_rows(chunk.columns(), rows, out, ends)?;
+        for &end in ends.get(first..).unwrap_or_default() {
+            self.check_row_size(&v, end - start)?;
+            start = end;
+        }
+        Ok(())
     }
 
-    fn check_row_size(&self, v: &Version, payload: &[u8]) -> Result<()> {
-        let stored = v.header + payload.len();
+    fn check_row_size(&self, v: &Version, payload_len: usize) -> Result<()> {
+        let stored = v.header + payload_len;
         if stored > self.config.max_row_size {
             return Err(EngineError::RowTooLarge {
                 size: stored,
@@ -463,7 +485,8 @@ impl IndexedPartition {
         self.current.read().layout.decode_row(payload)
     }
 
-    /// Append rows pre-encoded by [`Self::encode_row`], in order, under one
+    /// Append rows pre-encoded by [`Self::encode_row`] or
+    /// [`Self::encode_rows`], in order, under one
     /// hold of the writer lock: phase 2 of a chunk append (a partition's
     /// rows sorted by key), and a single-row append through a sink or a
     /// DML replay (one row each). Each row is `(primary key, payload,

@@ -24,9 +24,10 @@
 use std::sync::Arc;
 
 use idf_engine::chunk::Chunk;
+use idf_engine::column::Column;
 use idf_engine::error::{catch_panics, EngineError, Result};
 use idf_engine::fanout::fan_out;
-use idf_engine::physical::hash_values;
+use idf_engine::physical::{hash_columns, hash_values};
 use idf_engine::query::QueryContext;
 use idf_engine::schema::SchemaRef;
 use idf_engine::types::Value;
@@ -405,15 +406,14 @@ impl IndexedTable {
             )));
         }
         let n = self.store.partitions.len();
-        // Route rows, keeping each row's key for the ordering below.
-        let key_col = chunk.column(self.primary_col());
-        let mut buckets: Vec<Vec<(Value, u32)>> = vec![Vec::new(); n];
-        for row in 0..chunk.len() {
-            let key = key_col.value_at(row);
-            let p = (hash_values(std::slice::from_ref(&key)) % n as u64) as usize;
-            buckets[p].push((key, row as u32));
+        // Route rows by their key's hash, computed on the typed column.
+        let keys = chunk.column(self.primary_col());
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let hashes = hash_columns(std::slice::from_ref(keys), chunk.len());
+        for (row, hash) in hashes.into_iter().enumerate() {
+            buckets[(hash % n as u64) as usize].push(row as u32);
         }
-        let involved: Vec<(usize, Vec<(Value, u32)>)> = buckets
+        let involved: Vec<(usize, Vec<u32>)> = buckets
             .into_iter()
             .enumerate()
             .filter(|(_, rows)| !rows.is_empty())
@@ -422,37 +422,25 @@ impl IndexedTable {
             return Ok(());
         }
         // Phase 1: order, encode + validate every partition's rows on this
-        // append's share of the cores, touching no shared state. A key
-        // column holds one type, so `Value`'s order puts equal keys next
-        // to each other, and the row index keeps each key's rows in input
-        // order.
-        let encoded: Vec<EncodedRows> = fan_out(
-            involved,
-            false,
-            |(p, mut rows): (usize, Vec<(Value, u32)>)| {
-                let partition = &self.store.partitions[p];
-                rows.sort_unstable();
-                let order: Vec<u32> = rows.iter().map(|&(_, r)| r).collect();
-                let sub = chunk.take(&order)?;
+        // append's share of the cores, touching no shared state.
+        let encoded: Vec<EncodedRows> =
+            fan_out(involved, false, |(p, mut rows): (usize, Vec<u32>)| {
                 let mut out = EncodedRows {
                     partition: p,
-                    keys: Vec::with_capacity(rows.len()),
+                    runs: key_runs(keys, &mut rows),
                     bytes: Vec::new(),
                     ends: Vec::with_capacity(rows.len()),
                 };
-                let mut values = Vec::with_capacity(sub.num_columns());
-                for (r, (key, _)) in rows.into_iter().enumerate() {
-                    values.clear();
-                    values.extend(sub.columns().iter().map(|c| c.value_at(r)));
-                    partition.encode_row_into(&values, &mut out.bytes)?;
-                    out.ends.push(out.bytes.len());
-                    out.keys.push(key);
-                }
+                self.store.partitions[p].encode_rows(
+                    chunk,
+                    &rows,
+                    &mut out.bytes,
+                    &mut out.ends,
+                )?;
                 Ok(out)
-            },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
         // Commit point: past here rows start becoming visible.
         let _window = CommitWindowScope::enter(&self.store);
         crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
@@ -472,8 +460,9 @@ impl IndexedTable {
         // Phase 2: publish per partition, one call each, on the same rule.
         fan_out(encoded.iter().collect(), false, |e: &EncodedRows| {
             let rows: Vec<(&Value, &[u8], RowKind)> = e
-                .keys
+                .runs
                 .iter()
+                .flat_map(|(key, rows)| std::iter::repeat_n(key, *rows))
                 .zip(e.payloads())
                 .map(|(key, payload)| (key, payload, RowKind::Data))
                 .collect();
@@ -763,7 +752,8 @@ impl IndexedTable {
 /// allocated from the same allocator arena.
 struct EncodedRows {
     partition: usize,
-    keys: Vec<Value>,
+    /// Each run's key and its number of rows, in stored order.
+    runs: Vec<(Value, usize)>,
     bytes: Vec<u8>,
     /// Row `i`'s payload ends at `ends[i]` and starts where row `i - 1`'s
     /// ends.
@@ -777,6 +767,64 @@ impl EncodedRows {
             .zip(&self.ends)
             .map(|(start, &end)| &self.bytes[start..end])
     }
+}
+
+/// Sort `rows` (ascending row numbers of `keys`) into the order
+/// `(key, row)` pairs sort in — NULL keys first, then [`Value`]'s order,
+/// each key's rows in row order — with a typed sort of the row numbers,
+/// and return each run of equal keys as its key and length.
+fn key_runs(keys: &Column, rows: &mut Vec<u32>) -> Vec<(Value, usize)> {
+    /// Append `rows` sorted by `(key(row), row)`.
+    fn by<K: Ord>(out: &mut Vec<u32>, rows: impl Iterator<Item = u32>, key: impl Fn(usize) -> K) {
+        let mut pairs: Vec<(K, u32)> = rows.map(|r| (key(r as usize), r)).collect();
+        pairs.sort_unstable();
+        out.extend(pairs.into_iter().map(|(_, r)| r));
+    }
+    let valid = |r: &u32| keys.is_valid(*r as usize);
+    let mut sorted = Vec::with_capacity(rows.len());
+    sorted.extend(rows.iter().filter(|r| !valid(r)));
+    let nulls = sorted.len();
+    let set = rows.iter().copied().filter(valid);
+    match keys {
+        Column::Boolean(v) => by(&mut sorted, set, |r| v.values[r]),
+        Column::Int32(v) => by(&mut sorted, set, |r| v.values[r]),
+        Column::Int64(v) | Column::Timestamp(v) => by(&mut sorted, set, |r| v.values[r]),
+        // `f64::total_cmp`'s order, as an integer.
+        Column::Float64(v) => by(&mut sorted, set, |r| {
+            let bits = v.values[r].to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        }),
+        Column::Utf8(v) => {
+            sorted.extend(set);
+            let utf8 = |r: u32| v.bytes_at(r as usize);
+            sorted[nulls..].sort_unstable_by(|&a, &b| utf8(a).cmp(utf8(b)).then(a.cmp(&b)));
+        }
+    }
+    *rows = sorted;
+    let same = |a: u32, b: u32| {
+        let (a, b) = (a as usize, b as usize);
+        match keys {
+            Column::Boolean(v) => v.values[a] == v.values[b],
+            Column::Int32(v) => v.values[a] == v.values[b],
+            Column::Int64(v) | Column::Timestamp(v) => v.values[a] == v.values[b],
+            Column::Float64(v) => v.values[a].to_bits() == v.values[b].to_bits(),
+            Column::Utf8(v) => v.bytes_at(a) == v.bytes_at(b),
+        }
+    };
+    let mut runs = Vec::new();
+    if nulls > 0 {
+        runs.push((Value::Null, nulls));
+    }
+    let mut start = nulls;
+    while let Some(&first) = rows.get(start) {
+        let len = rows[start..]
+            .iter()
+            .take_while(|&&r| same(first, r))
+            .count();
+        runs.push((keys.value_at(first as usize), len));
+        start += len;
+    }
+    runs
 }
 
 impl std::fmt::Debug for IndexedTable {

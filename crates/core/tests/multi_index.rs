@@ -21,11 +21,21 @@
 //!   one-index table see the same format as before indexes could share
 //!   rows.
 //! * `a_chunk_append_writes_what_row_appends_write` — seeded tables with
-//!   one to three indexes take a chunk (NULL keys, duplicate keys inside
-//!   it, keys already stored, more rows than one batch holds) through
-//!   `append_chunk`, and the same rows through `append_row` in the order
-//!   `append_chunk` stored them: the committed bytes and every per-key
-//!   lookup of every index are equal. Widened by `IDF_MULTI_INDEX_SEEDS`.
+//!   one to three indexes, the primary on a column of any type, take a
+//!   chunk (a column of every type, NULLs in each; NULL keys, duplicate
+//!   keys inside it, keys already stored, more rows than one batch holds)
+//!   through `append_chunk`, into an empty table and into a populated one,
+//!   and the same rows through `append_row` in the order `append_chunk`
+//!   stored them: the committed bytes and every per-key lookup of every
+//!   index are equal, and each partition stores the chunk's rows in
+//!   `(key, position in the chunk)` order. Widened by
+//!   `IDF_MULTI_INDEX_SEEDS`.
+//! * `a_mistyped_chunk_changes_nothing` — a chunk whose column does not
+//!   match its field fails with a type error, and rows, lookups and key
+//!   counts stay as they were.
+//! * `a_chunk_routes_every_row_to_its_key_partition` — for keys of each
+//!   routable type, NULL included, every row of a chunk lands in
+//!   `partition_of(key)`.
 //! * `a_publish_fault_at_row_k_leaves_k_rows_indexed` — the publish
 //!   failpoint armed at row `k` of a chunk's publish, as an error and as a
 //!   panic: exactly the first `k` rows of the chunk's stored order are
@@ -40,6 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use idf_core::prelude::*;
 use idf_engine::catalog::TableSource;
+use idf_engine::column::{Column, PrimVec};
 use idf_engine::expr::{col, Expr};
 use idf_engine::prelude::*;
 use rand::rngs::StdRng;
@@ -82,11 +93,36 @@ fn random_a(rng: &mut StdRng) -> Value {
 }
 
 fn random_b(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..6) {
         0 => Value::Null,
-        i => Value::Utf8(["x", "y", "zz", ""][i - 1].into()),
+        i => Value::Utf8(["x", "y", "zz", "", "é→"][i - 1].into()),
     }
 }
+
+/// `Some(v)` three times in four, else NULL.
+fn or_null(rng: &mut StdRng, v: Value) -> Value {
+    if rng.gen_range(0..4) == 0 {
+        Value::Null
+    } else {
+        v
+    }
+}
+
+/// [`schema`] and one more column of every other type, for chunk appends:
+/// `(k, a, b, seq, flag, small, score, ts)`.
+fn chunk_schema() -> SchemaRef {
+    let mut fields = schema().fields.clone();
+    fields.extend([
+        Field::new("flag", DataType::Boolean),
+        Field::new("small", DataType::Int32),
+        Field::new("score", DataType::Float64),
+        Field::new("ts", DataType::Timestamp),
+    ]);
+    Arc::new(Schema::new(fields))
+}
+
+/// The columns of [`chunk_schema`] a chunk test's primary index may key.
+const CHUNK_PRIMARIES: [usize; 6] = [0, 4, 5, 6, 7, 2];
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
@@ -554,11 +590,19 @@ impl ChunkCase {
         let mut seq = 0i64;
         let mut row = |rng: &mut StdRng| {
             seq += 1;
+            let flag = Value::Boolean(rng.gen_bool(0.5));
+            let small = Value::Int32(rng.gen_range(-3..3));
+            let score = [0.0, -0.0, 1.5, -2.25, f64::NAN][rng.gen_range(0..5usize)];
+            let ts = Value::Timestamp(rng.gen_range(-2..3i64) * 1_000);
             vec![
                 random_k(rng),
                 random_a(rng),
                 random_b(rng),
                 Value::Int64(seq),
+                or_null(rng, flag),
+                or_null(rng, small),
+                or_null(rng, Value::Float64(score)),
+                or_null(rng, ts),
             ]
         };
         // Nine primary keys: a chunk of 40 or more holds duplicates, and
@@ -578,10 +622,18 @@ impl ChunkCase {
         }
     }
 
+    /// The case with its primary index on column `primary`, which leaves
+    /// the other indexes.
+    fn keyed_on(mut self, primary: usize) -> ChunkCase {
+        self.cols.retain(|&c| c != primary);
+        self.cols.insert(0, primary);
+        self
+    }
+
     /// An empty table, then `stored` appended row by row.
     fn table(&self) -> IndexedTable {
         let table = IndexedTable::with_indexes(
-            schema(),
+            chunk_schema(),
             self.cols[0],
             &self.cols[1..],
             self.config.clone(),
@@ -594,7 +646,7 @@ impl ChunkCase {
     }
 
     fn chunk(&self) -> Chunk {
-        Chunk::from_rows(&schema(), &self.chunk).expect("chunk")
+        Chunk::from_rows(&chunk_schema(), &self.chunk).expect("chunk")
     }
 
     /// Committed `(capacity, bytes)` of each batch, per partition.
@@ -622,8 +674,14 @@ fn batch_count(bytes: &[Batches]) -> usize {
 /// Every row a scan of `table` returns whose `seq` is above `after`, per
 /// partition in the order its bytes lie.
 fn stored_after(table: &IndexedTable, after: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
+    partitions_after(table, after).concat()
+}
+
+/// [`stored_after`], one list per partition.
+fn partitions_after(table: &IndexedTable, after: usize) -> Vec<Vec<Row>> {
+    let mut partitions = Vec::new();
     for p in table.snapshot().partitions() {
+        let mut rows = Vec::new();
         for chunk in p.scan_chunks(None, 64).expect("scan") {
             rows.extend(
                 chunk
@@ -632,65 +690,184 @@ fn stored_after(table: &IndexedTable, after: usize) -> Vec<Row> {
                     .filter(|r| r[3] > Value::Int64(after as i64)),
             );
         }
+        partitions.push(rows);
     }
-    rows
+    partitions
 }
 
 #[test]
 fn a_chunk_append_writes_what_row_appends_write() {
     let _serial = serial();
     for seed in seeds() {
-        let case = ChunkCase::new(seed, 1 + seed as usize % 3);
-        let at = format!("seed {seed}, indexes {:?}", case.cols);
-        let chunked = case.table();
-        let batches_before = batch_count(&ChunkCase::bytes(&chunked));
-        chunked.append_chunk(&case.chunk()).expect("append_chunk");
-        let chunk_bytes = ChunkCase::bytes(&chunked);
-        assert!(
-            batch_count(&chunk_bytes) > batches_before,
-            "{at}: the chunk crosses a batch rollover"
+        let primary = CHUNK_PRIMARIES[seed as usize % CHUNK_PRIMARIES.len()];
+        let populated = ChunkCase::new(seed, 1 + seed as usize % 3).keyed_on(primary);
+        // The same chunk into an empty table: every trie is built bottom-up.
+        let empty = ChunkCase {
+            stored: Vec::new(),
+            cols: populated.cols.clone(),
+            config: populated.config.clone(),
+            chunk: populated.chunk.clone(),
+        };
+        for case in [populated, empty] {
+            let at = format!(
+                "seed {seed}, indexes {:?}, {} rows before",
+                case.cols,
+                case.stored.len()
+            );
+            chunk_matches_rows(&case, &at);
+        }
+    }
+}
+
+fn chunk_matches_rows(case: &ChunkCase, at: &str) {
+    let chunked = case.table();
+    let batches_before = batch_count(&ChunkCase::bytes(&chunked));
+    chunked.append_chunk(&case.chunk()).expect("append_chunk");
+    let chunk_bytes = ChunkCase::bytes(&chunked);
+    assert!(
+        batch_count(&chunk_bytes) > batches_before,
+        "{at}: the chunk crosses a batch rollover"
+    );
+    // Each partition holds its rows in (key, position in the chunk) order;
+    // `seq` numbers the chunk's rows in order.
+    let primary = case.cols[0];
+    for rows in partitions_after(&chunked, case.stored.len()) {
+        let order: Vec<(Value, Value)> = rows
+            .iter()
+            .map(|r| (r[primary].clone(), r[3].clone()))
+            .collect();
+        let mut want = order.clone();
+        want.sort();
+        assert_eq!(order, want, "{at}: a partition's rows in key order");
+    }
+    // The same rows, one at a time, in the order the chunk stored them.
+    let in_order = stored_after(&chunked, case.stored.len());
+    assert_eq!(
+        sorted(in_order.clone()),
+        sorted(case.chunk.clone()),
+        "{at}: the chunk's rows, each stored once"
+    );
+    let rowwise = case.table();
+    for row in &in_order {
+        rowwise.append_row(row).expect("append_row");
+    }
+    assert!(
+        ChunkCase::bytes(&rowwise) == chunk_bytes,
+        "{at}: committed bytes differ"
+    );
+    let all: Vec<&Row> = case.stored.iter().chain(&case.chunk).collect();
+    for (ordinal, &c) in case.cols.iter().enumerate() {
+        let (a, b) = (
+            chunked.index(c).expect("index"),
+            rowwise.index(c).expect("index"),
         );
-        // The same rows, one at a time, in the order the chunk stored them.
-        let in_order = stored_after(&chunked, case.stored.len());
+        let mut keys: Vec<Value> = all.iter().map(|r| r[c].clone()).collect();
+        keys.sort();
+        keys.dedup();
+        keys.push(Value::Int64(1_000));
+        for key in &keys {
+            let got = a.lookup_chunk(key, None).expect("lookup").to_rows();
+            let want = b.lookup_chunk(key, None).expect("lookup").to_rows();
+            assert_eq!(got, want, "{at}: index {ordinal} key {key:?}");
+            let model = all
+                .iter()
+                .filter(|r| !key.is_null() && &r[c] == key)
+                .count();
+            assert_eq!(got.len(), model, "{at}: index {ordinal} key {key:?}");
+        }
         assert_eq!(
-            sorted(in_order.clone()),
-            sorted(case.chunk.clone()),
-            "{at}: the chunk's rows, each stored once"
+            key_counts(&a, ordinal),
+            key_counts(&b, ordinal),
+            "{at}: index {ordinal} key counts"
         );
-        let rowwise = case.table();
-        for row in &in_order {
-            rowwise.append_row(row).expect("append_row");
-        }
-        assert!(
-            ChunkCase::bytes(&rowwise) == chunk_bytes,
-            "{at}: committed bytes differ"
-        );
-        let all: Vec<&Row> = case.stored.iter().chain(&case.chunk).collect();
-        for (ordinal, &c) in case.cols.iter().enumerate() {
-            let (a, b) = (
-                chunked.index(c).expect("index"),
-                rowwise.index(c).expect("index"),
-            );
-            let mut keys: Vec<Value> = all.iter().map(|r| r[c].clone()).collect();
-            keys.sort();
-            keys.dedup();
-            keys.push(Value::Int64(1_000));
-            for key in &keys {
-                let got = a.lookup_chunk(key, None).expect("lookup").to_rows();
-                let want = b.lookup_chunk(key, None).expect("lookup").to_rows();
-                assert_eq!(got, want, "{at}: index {ordinal} key {key:?}");
-                let model = all
-                    .iter()
-                    .filter(|r| !key.is_null() && &r[c] == key)
-                    .count();
-                assert_eq!(got.len(), model, "{at}: index {ordinal} key {key:?}");
+    }
+}
+
+/// Each partition's key count of index `ordinal`.
+fn key_counts(table: &IndexedTable, ordinal: usize) -> Vec<usize> {
+    (0..table.num_partitions())
+        .map(|p| table.partition(p).key_count(ordinal))
+        .collect()
+}
+
+#[test]
+fn a_mistyped_chunk_changes_nothing() {
+    let _serial = serial();
+    let case = ChunkCase::new(3, 2).keyed_on(0);
+    let table = case.table();
+    table.append_chunk(&case.chunk()).expect("append_chunk");
+    let state = |t: &IndexedTable| {
+        let lookups: Vec<Vec<Row>> = (0..9i64)
+            .map(|k| {
+                let key = Value::Int64(k);
+                t.lookup_chunk(&key, None).expect("lookup").to_rows()
+            })
+            .collect();
+        let counts: Vec<Vec<usize>> = (0..case.cols.len()).map(|i| key_counts(t, i)).collect();
+        (t.row_count(), sorted(scan_all(t)), lookups, counts)
+    };
+    let before = state(&table);
+    // `small` is Int32; an Int64 column with a value there does not fit.
+    let good = case.chunk();
+    let mut columns = good.columns().to_vec();
+    let rows = good.len();
+    columns[5] = Arc::new(Column::Int64(PrimVec::from_values(vec![7; rows])));
+    let bad = Chunk::new(columns).expect("chunk");
+    let err = table.append_chunk(&bad).unwrap_err();
+    assert!(matches!(err, EngineError::Type(_)), "{err:?}");
+    assert!(err.to_string().contains("small"), "{err}");
+    assert!(state(&table) == before, "a failed chunk left a trace");
+}
+
+#[test]
+fn a_chunk_routes_every_row_to_its_key_partition() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(0x2077);
+    let key = |data_type: DataType, i: i64| match data_type {
+        DataType::Int32 => Value::Int32(i as i32),
+        DataType::Timestamp => Value::Timestamp(i),
+        DataType::Utf8 => Value::Utf8(format!("key-{i}")),
+        _ => Value::Int64(i),
+    };
+    for data_type in [
+        DataType::Int64,
+        DataType::Int32,
+        DataType::Timestamp,
+        DataType::Utf8,
+    ] {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("key", data_type),
+            Field::new("seq", DataType::Int64),
+        ]));
+        let rows: Vec<Row> = (0..300i64)
+            .map(|seq| {
+                let k = rng.gen_range(-50..50i64);
+                vec![or_null(&mut rng, key(data_type, k)), Value::Int64(seq)]
+            })
+            .collect();
+        let config = IndexConfig {
+            num_partitions: 3,
+            ..Default::default()
+        };
+        let table = IndexedTable::new(Arc::clone(&schema), 0, config).expect("table");
+        table
+            .append_chunk(&Chunk::from_rows(&schema, &rows).expect("chunk"))
+            .expect("append_chunk");
+        let mut seen = 0;
+        for (p, snap) in table.snapshot().partitions().iter().enumerate() {
+            for chunk in snap.scan_chunks(None, 64).expect("scan") {
+                for row in chunk.to_rows() {
+                    assert_eq!(
+                        table.partition_of(&row[0]),
+                        p,
+                        "{data_type}: key {:?} stored in partition {p}",
+                        row[0]
+                    );
+                    seen += 1;
+                }
             }
-            assert_eq!(
-                a.memory_stats().index_entries,
-                b.memory_stats().index_entries,
-                "{at}: index {ordinal} key count"
-            );
         }
+        assert_eq!(seen, rows.len(), "{data_type}: every row stored once");
     }
 }
 
@@ -765,7 +942,7 @@ fn a_publish_fault_at_row_k_leaves_k_rows_indexed() {
                 .map(|(_, i)| case.chunk[*i].clone())
                 .collect();
             table
-                .append_chunk(&Chunk::from_rows(&schema(), &rest).expect("chunk"))
+                .append_chunk(&Chunk::from_rows(&chunk_schema(), &rest).expect("chunk"))
                 .expect("append after the fault");
             assert_eq!(
                 sorted(stored_after(&table, case.stored.len())),

@@ -19,7 +19,10 @@ use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
 // SeqCst throughout: the root RDCSS protocol (the CAS, the descriptor commit flag and snapshot
 // reads) needs one total order.
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicBool, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::Arc;
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Shared};
@@ -29,7 +32,8 @@ use crate::hash::FxBuildHasher;
 use crate::iter::Iter;
 use crate::node::{
     arc_clone_from_shared, arc_from_shared, arc_into_shared, defer_drop_arc, dual, Branch, CNode,
-    INode, MainKind, MainNode, SNode, SendPtr, PREV_FAILED, PREV_PENDING, ROOT_DESC, ROOT_INODE, W,
+    INode, LNode, MainKind, MainNode, SNode, SendPtr, BRANCH_FACTOR, HASH_BITS, LEVEL_MASK,
+    PREV_FAILED, PREV_PENDING, ROOT_DESC, ROOT_INODE, W,
 };
 use crate::{SnapshotMap, SnapshotReader};
 
@@ -38,6 +42,26 @@ enum Op<T> {
     Done(T),
     Restart,
 }
+
+/// Bottom-up loads that lost their root GCAS (see [`CTrie::from_entries`]).
+static BULK_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// `hash` with its per-level slots as digits, level 0's most significant:
+/// the order a depth-first walk of the trie visits the hashes in. Each of
+/// the 64 bits keeps one place, so equal orders are equal hashes.
+fn slot_order(hash: u64) -> u64 {
+    let mut order = 0u64;
+    let mut level = 0;
+    while level < HASH_BITS {
+        let bits = W.min(HASH_BITS - level);
+        order = (order << bits) | ((hash >> level) & ((1 << bits) - 1));
+        level += W;
+    }
+    order
+}
+
+/// A root I-node and its main node, read under one guard.
+type RootMain<'g, K, V> = (&'g INode<K, V>, Shared<'g, MainNode<K, V>>);
 
 /// RDCSS descriptor installed in the root cell (tagged [`ROOT_DESC`]).
 struct Descriptor<K, V> {
@@ -486,25 +510,34 @@ where
     /// Panics if called on a read-only snapshot.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         assert!(!self.read_only, "insert on a read-only cTrie snapshot");
-        let hash = self.hash_key(&key);
-        let g = &epoch::pin();
+        self.insert_pinned(&key, &value, &epoch::pin())
+    }
+
+    /// [`CTrie::insert`] under the caller's guard.
+    fn insert_pinned(&self, key: &K, value: &V, g: &Guard) -> Option<V> {
+        let hash = self.hash_key(key);
         loop {
             let (_, root) = self.read_root(false, g);
-            match self.rec_insert(root, hash, &key, &value, 0, None, root.gen, g) {
+            match self.rec_insert(root, hash, key, value, 0, None, root.gen, g) {
                 Op::Done(old) => return old,
                 Op::Restart => continue,
             }
         }
     }
 
-    /// Bulk-load `entries` into an empty (or existing) trie.
+    /// Bulk-load `entries`, with the semantics of calling
+    /// [`CTrie::insert`] once per entry: later duplicates of a key
+    /// overwrite earlier ones.
     ///
-    /// Equivalent to calling [`CTrie::insert`] once per entry, at about the
-    /// same cost per entry. It re-pins every 1 024 entries rather than
-    /// pinning once for the whole load, because a guard held across a load
-    /// keeps every node the load replaces from being reclaimed until the
-    /// load ends. Later duplicates of a key overwrite earlier ones, matching
-    /// the sequential-insert semantics.
+    /// Into an empty trie the load builds the trie bottom-up instead: it
+    /// hashes each key once, orders the entries by their per-level slots
+    /// (the trie's own order, level 0 first), allocates each node once at
+    /// its final width, and installs the root C-node with one GCAS, so a
+    /// reader sees all of the entries or none. Into a non-empty trie, or
+    /// when that GCAS loses to a concurrent snapshot or writer, it calls
+    /// [`CTrie::insert`] per entry. The build itself runs unpinned: a
+    /// guard held across a load would keep other threads' replaced nodes
+    /// from being reclaimed until the load ends.
     ///
     /// # Panics
     /// Panics if called on a read-only snapshot.
@@ -516,18 +549,173 @@ where
             !self.read_only,
             "from_entries on a read-only cTrie snapshot"
         );
-        let mut entries = entries.into_iter().peekable();
-        while entries.peek().is_some() {
-            let g = &epoch::pin();
-            for (key, value) in entries.by_ref().take(1024) {
-                let hash = self.hash_key(&key);
-                loop {
-                    let (_, root) = self.read_root(false, g);
-                    match self.rec_insert(root, hash, &key, &value, 0, None, root.gen, g) {
-                        Op::Done(_) => break,
-                        Op::Restart => continue,
+        let mut entries = entries.into_iter();
+        let Some((key, value)) = entries.next() else {
+            return;
+        };
+        let g = epoch::pin();
+        let Some((root, _)) = self.empty_root(&g) else {
+            // Populated: the first insert takes the pin the check took, so
+            // a one-key load costs what one insert does.
+            self.insert_pinned(&key, &value, &g);
+            drop(g);
+            return self.insert_each(entries);
+        };
+        let gen = root.gen;
+        drop(g);
+        let all = std::iter::once((key, value)).chain(entries).collect();
+        if let Err(built) = self.install_built(gen, all) {
+            BULK_FALLBACKS.fetch_add(1, Relaxed);
+            let mut bindings = Vec::new();
+            Self::bindings(&built, &mut bindings, &epoch::pin());
+            self.insert_each(bindings);
+        }
+    }
+
+    /// Loads into an empty trie whose bottom-up build lost its root GCAS
+    /// and fell back to per-entry inserts, process-wide. A test hook.
+    #[doc(hidden)]
+    pub fn bulk_fallbacks() -> u64 {
+        BULK_FALLBACKS.load(Relaxed)
+    }
+
+    /// [`CTrie::insert`] of each entry, each under its own pin: an unpin
+    /// is where this thread advances the epoch and reclaims what it
+    /// replaced, so the nodes an insert copies are freed while still warm
+    /// in cache.
+    fn insert_each(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        for (key, value) in entries {
+            self.insert(key, value);
+        }
+    }
+
+    /// The root I-node and its main node, when the trie holds no binding.
+    fn empty_root<'g>(&self, g: &'g Guard) -> Option<RootMain<'g, K, V>> {
+        let (_, root) = self.read_root(false, g);
+        let m = self.gcas_read(root, g);
+        // SAFETY: pinned by `g`.
+        let empty = matches!(&unsafe { m.deref() }.kind, MainKind::C(cn) if cn.bitmap == 0);
+        empty.then_some((root, m))
+    }
+
+    /// Build the trie of `entries` bottom-up in generation `gen` and
+    /// install its root C-node over the empty one with one GCAS. Returns
+    /// the built root main node when the trie is no longer empty, the root
+    /// generation moved on, or the GCAS lost.
+    fn install_built(&self, gen: Gen, entries: Vec<(K, V)>) -> Result<(), Arc<MainNode<K, V>>> {
+        let hashes: Vec<u64> = entries.iter().map(|(k, _)| self.hash_key(k)).collect();
+        let mut order: Vec<(u64, u32)> = hashes
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (slot_order(h), i as u32))
+            .collect();
+        // Equal slot orders are equal hashes; the index keeps duplicates
+        // in input order, so the last one wins below.
+        order.sort_unstable();
+        let mut entries: Vec<Option<(K, V)>> = entries.into_iter().map(Some).collect();
+        let mut sorted = Vec::with_capacity(order.len());
+        let mut nodes: Vec<Arc<SNode<K, V>>> = Vec::with_capacity(order.len());
+        // Start of the run of nodes whose full hash equals the last one.
+        let mut run = 0;
+        for &(_, i) in &order {
+            let hash = hashes[i as usize];
+            let Some((key, value)) = entries[i as usize].take() else {
+                continue;
+            };
+            let sn = Arc::new(SNode::new(hash, key, value));
+            if sorted.last() == Some(&hash) {
+                if let Some(same) = nodes[run..].iter_mut().find(|n| n.key == sn.key) {
+                    *same = sn;
+                    continue;
+                }
+            } else {
+                run = nodes.len();
+            }
+            sorted.push(hash);
+            nodes.push(sn);
+        }
+        drop(entries);
+        let built = MainNode::cnode(Self::build_cnode(&sorted, &mut nodes.into_iter(), 0, gen));
+        let g = &epoch::pin();
+        match self.empty_root(g) {
+            Some((root, m)) if root.gen == gen && self.gcas(root, m, Arc::clone(&built), g) => {
+                Ok(())
+            }
+            _ => Err(built),
+        }
+    }
+
+    /// The C-node at `level` over `hashes` (sorted in slot order, distinct
+    /// keys), taking one S-node per hash from `nodes` in that order. A
+    /// slot with one node holds it; a slot with more holds an I-node over
+    /// the next level, down to an L-node once the hash bits run out — the
+    /// shapes [`dual`] makes.
+    fn build_cnode(
+        hashes: &[u64],
+        nodes: &mut std::vec::IntoIter<Arc<SNode<K, V>>>,
+        level: u32,
+        gen: Gen,
+    ) -> CNode<K, V> {
+        // Each slot's run ends where the next slot's starts.
+        let mut runs = [(0u32, 0usize); BRANCH_FACTOR];
+        let mut width = 0;
+        let mut start = 0;
+        while let Some(&h) = hashes.get(start) {
+            let slot = (h >> level) & LEVEL_MASK;
+            let end = start
+                + hashes[start..]
+                    .iter()
+                    .take_while(|&&x| (x >> level) & LEVEL_MASK == slot)
+                    .count();
+            runs[width] = (slot as u32, end);
+            width += 1;
+            start = end;
+        }
+        let mut bitmap = 0u32;
+        let mut array = Vec::with_capacity(width);
+        let mut start = 0;
+        for &(slot, end) in &runs[..width] {
+            bitmap |= 1 << slot;
+            let run = &hashes[start..end];
+            array.push(if run.len() == 1 {
+                // The runs partition `hashes`, one node per hash.
+                #[allow(clippy::expect_used)]
+                Branch::S(nodes.next().expect("one node per hash"))
+            } else if level + W >= HASH_BITS {
+                let entries = nodes.by_ref().take(run.len()).collect();
+                let main = MainNode::lnode(LNode { entries });
+                Branch::I(Arc::new(INode::new(main, gen)))
+            } else {
+                let main = MainNode::cnode(Self::build_cnode(run, nodes, level + W, gen));
+                Branch::I(Arc::new(INode::new(main, gen)))
+            });
+            start = end;
+        }
+        CNode { bitmap, array, gen }
+    }
+
+    /// Clone every binding below `main` into `out`.
+    fn bindings(main: &MainNode<K, V>, out: &mut Vec<(K, V)>, g: &Guard) {
+        match &main.kind {
+            MainKind::C(cn) => {
+                for b in &cn.array {
+                    match b {
+                        Branch::S(sn) => out.push((sn.key.clone(), sn.value.clone())),
+                        Branch::I(i) => {
+                            let m = i.main.load(SeqCst, g);
+                            // SAFETY: a main cell is never null, and `g` pins it.
+                            Self::bindings(unsafe { m.deref() }, out, g);
+                        }
                     }
                 }
+            }
+            MainKind::T(sn) => out.push((sn.key.clone(), sn.value.clone())),
+            MainKind::L(ln) => {
+                out.extend(
+                    ln.entries
+                        .iter()
+                        .map(|sn| (sn.key.clone(), sn.value.clone())),
+                );
             }
         }
     }
@@ -1116,6 +1304,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::hash::Hasher;
 
     #[test]
@@ -1318,6 +1507,144 @@ mod tests {
             assert_eq!(t.remove(&i), Some(expect));
         }
         assert!(t.is_empty());
+    }
+
+    /// Hashes `k` to `(k % 5) | (k % 7) << 60`: keys share low slots by
+    /// fives, split (or not) only at the last level, and collide fully
+    /// when equal mod 35 — every depth of the trie, L-nodes included.
+    #[derive(Clone, Copy, Default)]
+    struct DeepCollide;
+    #[derive(Default)]
+    struct DeepHasher(u64);
+    impl Hasher for DeepHasher {
+        fn finish(&self) -> u64 {
+            (self.0 % 5) | ((self.0 % 7) << 60)
+        }
+        fn write(&mut self, _: &[u8]) {}
+        fn write_u64(&mut self, i: u64) {
+            self.0 = i;
+        }
+    }
+    impl BuildHasher for DeepCollide {
+        type Hasher = DeepHasher;
+        fn build_hasher(&self) -> DeepHasher {
+            DeepHasher::default()
+        }
+    }
+
+    /// Each node's bitmap and branches, depth first; L-node keys sorted.
+    fn shape<S>(t: &CTrie<u64, u64, S>) -> String
+    where
+        S: BuildHasher + Clone + Send + Sync + 'static,
+    {
+        fn walk<S>(t: &CTrie<u64, u64, S>, m: &MainNode<u64, u64>, out: &mut String)
+        where
+            S: BuildHasher + Clone + Send + Sync + 'static,
+        {
+            match &m.kind {
+                MainKind::C(cn) => {
+                    out.push_str(&format!("C{:x}[", cn.bitmap));
+                    for b in &cn.array {
+                        match b {
+                            Branch::S(sn) => out.push_str(&format!("{}={},", sn.key, sn.value)),
+                            Branch::I(i) => walk(t, &t.resolve_main(i), out),
+                        }
+                    }
+                    out.push(']');
+                }
+                MainKind::T(sn) => out.push_str(&format!("T{}", sn.key)),
+                MainKind::L(ln) => {
+                    let mut kv: Vec<_> = ln.entries.iter().map(|s| (s.key, s.value)).collect();
+                    kv.sort_unstable();
+                    out.push_str(&format!("L{kv:?}"));
+                }
+            }
+        }
+        let mut out = String::new();
+        walk(t, &t.root_main_arc(), &mut out);
+        out
+    }
+
+    /// `n` entries over `n / 2 + 1` keys, so most keys come twice.
+    fn with_duplicates(n: u64) -> Vec<(u64, u64)> {
+        (0..n).map(|i| ((i * 7919) % (n / 2 + 1), i)).collect()
+    }
+
+    fn built_like_inserts<S>(hasher: S, entries: &[(u64, u64)])
+    where
+        S: BuildHasher + Clone + Send + Sync + 'static,
+    {
+        let bulk = CTrie::with_hasher(hasher.clone());
+        let gen = bulk.root_generation();
+        let before = CTrie::<u64, u64, S>::bulk_fallbacks();
+        bulk.from_entries(entries.iter().copied());
+        let seq = CTrie::with_hasher(hasher);
+        for &(k, v) in entries {
+            seq.insert(k, v);
+        }
+        let n = entries.len();
+        assert_eq!(shape(&bulk), shape(&seq), "{n} entries");
+        assert_eq!(bulk.root_generation(), gen, "the build takes no snapshot");
+        assert_eq!(CTrie::<u64, u64, S>::bulk_fallbacks(), before);
+        for &(k, _) in entries {
+            assert_eq!(bulk.lookup(&k), seq.lookup(&k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn bottom_up_build_has_the_shape_of_inserts() {
+        let sizes: &[u64] = if cfg!(miri) {
+            &[1, 2, 40]
+        } else {
+            &[1, 2, 33, 40, 1000, 5000]
+        };
+        for &n in sizes {
+            let entries = with_duplicates(n);
+            built_like_inserts(FxBuildHasher, &entries);
+            built_like_inserts(DeepCollide, &entries);
+            built_like_inserts(CollideAll, &entries);
+        }
+    }
+
+    #[test]
+    fn a_built_collision_list_contracts_as_keys_leave() {
+        let t: CTrie<u64, u64, CollideAll> = CTrie::with_hasher(CollideAll);
+        t.from_entries(with_duplicates(24));
+        let mut live: HashMap<u64, u64> = with_duplicates(24).into_iter().collect();
+        assert_eq!(t.len(), live.len());
+        let mut keys: Vec<u64> = live.keys().copied().collect();
+        keys.sort_unstable();
+        let last = keys.pop().unwrap();
+        for k in keys {
+            assert_eq!(t.remove(&k), live.remove(&k), "remove {k}");
+            for (k, v) in &live {
+                assert_eq!(t.lookup(k), Some(*v), "key {k}");
+            }
+        }
+        // One key left: the L-node entombed it and the tomb contracted
+        // up into the root as a singleton.
+        assert_eq!(
+            shape(&t),
+            format!("C{:x}[{last}={},]", 1u32 << (42 & 31), live[&last])
+        );
+        assert_eq!(t.remove(&last), live.remove(&last));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn a_load_into_a_populated_trie_inserts_entry_by_entry() {
+        let t: CTrie<u64, u64> = CTrie::new();
+        t.insert(3, 30);
+        t.from_entries([(3, 31), (4, 40), (3, 32)]);
+        assert_eq!(t.lookup(&3), Some(32));
+        assert_eq!(t.lookup(&4), Some(40));
+        assert_eq!(t.len(), 2);
+        // Emptied again, the next load builds bottom-up.
+        t.remove(&3);
+        t.remove(&4);
+        t.from_entries([(5, 50), (6, 60)]);
+        assert_eq!(t.lookup(&5), Some(50));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -201,3 +201,95 @@ fn heavy_collision_chains_under_concurrency() {
         }
     }
 }
+
+/// A bulk load into an empty trie races a thread taking read-only
+/// snapshots and a thread probing the live trie. When the load's root GCAS
+/// wins, every snapshot holds all of its keys or none, and a reader that
+/// found one key never misses another afterwards. A snapshot that lands
+/// between the empty check and the GCAS sends the load to per-entry
+/// inserts; both outcomes must occur, and either way the trie ends holding
+/// every key.
+#[test]
+fn a_bulk_load_is_all_or_nothing_against_snapshots() {
+    const N: u64 = 4_000;
+    let load = || (0..N).map(|k| (k, k + 1));
+    // Uncontended, a load takes `alone`. Snapshots spaced up to four times
+    // that apart leave most loads' windows clear.
+    #[allow(clippy::disallowed_methods)] // paces a test thread, not a hot path
+    let clock = std::time::Instant::now();
+    CTrie::<u64, u64>::new().from_entries(load());
+    let alone = clock.elapsed();
+    let (mut built, mut fell_back) = (0, 0);
+    for round in 0..400u64 {
+        if built >= 5 && fell_back >= 5 {
+            break;
+        }
+        let t = Arc::new(CTrie::<u64, u64>::new());
+        let start = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        // Alternate rounds pause before each snapshot, so the load can win.
+        let paced = round % 2 == 1;
+        let snapshotter = {
+            let (t, start, done) = (Arc::clone(&t), Arc::clone(&start), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !start.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                let mut sizes = Vec::new();
+                let mut lcg = round;
+                while !done.load(Ordering::Acquire) {
+                    if paced {
+                        lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        std::thread::sleep(alone * ((lcg >> 33) % 64) as u32 / 16);
+                    }
+                    sizes.push(t.read_only_snapshot().len());
+                }
+                sizes
+            })
+        };
+        let reader = {
+            let (t, start, done) = (Arc::clone(&t), Arc::clone(&start), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !start.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                let (mut seen, mut missed_after) = (false, false);
+                let mut k = 0;
+                while !done.load(Ordering::Acquire) {
+                    let hit = t.lookup(&k) == Some(k + 1);
+                    missed_after |= seen && !hit;
+                    seen |= hit;
+                    k = (k + 37) % N;
+                }
+                missed_after
+            })
+        };
+        let before = CTrie::<u64, u64>::bulk_fallbacks();
+        start.store(true, Ordering::Release);
+        t.from_entries(load());
+        done.store(true, Ordering::Release);
+        let sizes = snapshotter.join().unwrap();
+        let missed_after = reader.join().unwrap();
+        if CTrie::<u64, u64>::bulk_fallbacks() == before {
+            built += 1;
+            for n in sizes {
+                assert!(
+                    n == 0 || n == N as usize,
+                    "round {round}: a snapshot saw {n} keys"
+                );
+            }
+            assert!(
+                !missed_after,
+                "round {round}: a reader lost keys it had seen"
+            );
+        } else {
+            fell_back += 1;
+        }
+        assert_eq!(t.len(), N as usize, "round {round}");
+        for k in (0..N).step_by(61) {
+            assert_eq!(t.lookup(&k), Some(k + 1), "round {round}: key {k}");
+        }
+    }
+    assert!(built > 0, "no load won its root GCAS");
+    assert!(fell_back > 0, "no load fell back to per-entry inserts");
+}

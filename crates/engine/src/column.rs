@@ -221,7 +221,7 @@ impl StrVec {
     /// # Panics
     /// When `i` is out of range, as [`StrVec::get`] does.
     #[inline]
-    pub(crate) fn bytes_at(&self, i: usize) -> &[u8] {
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
