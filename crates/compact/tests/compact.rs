@@ -274,6 +274,40 @@ mod chaos {
         );
     }
 
+    /// A compaction writes its rewrite through the append protocol's write
+    /// and link steps, but it is not an append: it crosses neither append
+    /// failpoint, and the append counters do not move.
+    #[test]
+    fn compact_is_not_an_append() {
+        let _guard = serial();
+        let (session, _compactor) = setup();
+        seed_table(&session, "t", 32);
+        sql(&session, "UPDATE t SET v = v + 1");
+        let table = table_handle(&session, "t");
+        assert!(table.memory_stats().dead_rows > 0);
+        let answer = rows_of(&sql(&session, "SELECT k, v FROM t"));
+        let m = idf_obs::global();
+        let counted = || (m.append_rows.get(), m.append_bytes.get());
+        let before = counted();
+        {
+            let _encode = FailGuard::new(
+                idf_core::failpoints::APPEND_ENCODE,
+                FailConfig::error("append encode"),
+            );
+            let _publish = FailGuard::new(
+                idf_core::failpoints::APPEND_PUBLISH,
+                FailConfig::error("append publish"),
+            );
+            sql(&session, "COMPACT t");
+        }
+        assert_eq!(counted(), before, "COMPACT counted as an append");
+        assert_eq!(table.memory_stats().dead_rows, 0);
+        assert_eq!(answer, rows_of(&sql(&session, "SELECT k, v FROM t")));
+        // The counters are live: an append moves them.
+        sql(&session, "INSERT INTO t VALUES (1000, 1)");
+        assert_eq!(counted() != before, idf_obs::enabled());
+    }
+
     /// A fault at any compaction site fails the statement, changes no
     /// answers, and a clean retry reclaims everything.
     #[test]

@@ -18,12 +18,15 @@ idf_fail::sites! {
     /// Row encoding/validation, before any shared state is touched: hit
     /// once per partition in phase 1 of a chunk append (before it encodes
     /// that partition's rows), and once per row encoded on its own (the
-    /// start of a single-row append, each row a DML statement encodes).
+    /// start of a single-row append, each tombstone and new image a DML
+    /// statement encodes). Nothing that keeps stored bytes hits it: a
+    /// DML statement's survivors, a compaction, a WAL replay.
     APPEND_ENCODE,
 
     /// The append commit point: after every row of a chunk append has been
     /// validated and before the first row becomes visible (also checked at
     /// the head of a single-row append). A fault here must leave the table
-    /// exactly as it was.
+    /// exactly as it was. Also hit before each row an append publishes; a
+    /// compaction's rewrite does not cross it.
     APPEND_PUBLISH,
 }

@@ -24,6 +24,9 @@
     )
 )]
 
+use std::sync::Arc;
+
+use idf_engine::chunk::Chunk;
 use idf_engine::column::{push_validity, Column, ColumnRef, PrimVec, StrVec};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::expr::BinaryOp;
@@ -283,6 +286,45 @@ impl RowLayout {
             .collect()
     }
 
+    /// Check that `payload` is what [`Self::encode`] writes for some row,
+    /// so equal payloads hold equal rows: slots in bounds, a NULL slot
+    /// zero, a Boolean or Int32 slot zero past its value, strings valid
+    /// UTF-8 and back to back in column order, nothing after the last, no
+    /// null bit past the last column.
+    ///
+    /// # Errors
+    /// A typed `corrupt row payload` error.
+    pub fn validate(&self, payload: &[u8]) -> Result<()> {
+        let mut var = 0usize;
+        for (col, field) in self.schema.fields.iter().enumerate() {
+            let at = self.column_at(col);
+            let word = u64::from_le_bytes(fixed(payload, at.slot)?);
+            let canonical = match (at.is_null(payload)?, field.data_type) {
+                (true, _) => word == 0,
+                (false, DataType::Boolean) => word <= 1,
+                (false, DataType::Int32) => word >> 32 == 0,
+                (false, DataType::Utf8) => {
+                    let in_place = word as u32 as usize == var;
+                    var += at.utf8(payload)?.len();
+                    in_place
+                }
+                (false, _) => true,
+            };
+            if !canonical {
+                return Err(corrupt("slot holds bytes no row encodes to"));
+            }
+        }
+        let used = self.schema.len() % 8;
+        let spare = used > 0
+            && payload
+                .get(self.null_bytes - 1)
+                .is_some_and(|b| b >> used != 0);
+        if spare || payload.len() != self.var_start() + var {
+            return Err(corrupt("bytes outside the row's columns"));
+        }
+        Ok(())
+    }
+
     /// Decode one column across many payloads into a column vector.
     ///
     /// # Errors
@@ -291,6 +333,23 @@ impl RowLayout {
         let mut decoder = self.column_decoder(col, payloads.len());
         decoder.extend(payloads)?;
         Ok(decoder.finish())
+    }
+
+    /// Columns `cols` (each below the schema's width) of `payloads` as one
+    /// chunk, a column at a time through [`ColumnDecoder`]. With no
+    /// columns the chunk has no columns and `payloads.len()` rows.
+    ///
+    /// # Errors
+    /// Fails when any payload does not match this layout.
+    pub fn decode_chunk(&self, payloads: &[&[u8]], cols: &[usize]) -> Result<Chunk> {
+        if cols.is_empty() {
+            return Ok(Chunk::new_empty_columns(payloads.len()));
+        }
+        let columns = cols
+            .iter()
+            .map(|&c| Ok(Arc::new(self.decode_column_batch(payloads, c)?)))
+            .collect::<Result<_>>()?;
+        Chunk::new(columns)
     }
 
     /// A typed decoder for column `col`, pre-sized for `capacity` rows.
@@ -748,6 +807,7 @@ mod tests {
         let mut buf = Vec::new();
         l.encode(&values, &mut buf).unwrap();
         assert_eq!(l.decode_row(&buf).unwrap(), values);
+        l.validate(&buf).unwrap();
     }
 
     #[test]
@@ -824,6 +884,28 @@ mod tests {
         assert_eq!(l.decode_column(&bad_utf8, 0).unwrap(), Value::Int64(1));
         assert!(l.decode_column_batch(&[&bad_utf8], 1).is_err());
         assert!(l.decode_column_batch(&[&buf[..3]], 0).is_err());
+
+        // `validate` takes exactly the payloads `encode` writes.
+        l.validate(&buf).unwrap();
+        for bad in [&[][..], &buf[..3], &evil, &bad_utf8] {
+            assert!(l.validate(bad).is_err());
+        }
+        // Bytes no row encodes to (column `c`'s slot starts at 1 + 8c).
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = buf.clone();
+            edit(&mut bad);
+            bad
+        };
+        for (what, bad) in [
+            ("a Boolean of 2", edited(&|b| b[25] = 2)),
+            ("an Int32's upper half", edited(&|b| b[37] = 1)),
+            ("a string out of place", edited(&|b| b[9] = 1)),
+            ("a spare null bit", edited(&|b| b[0] |= 0x40)),
+            ("a NULL slot not zero", edited(&|b| b[0] |= 1 << 2)),
+            ("a byte after the last string", edited(&|b| b.push(0))),
+        ] {
+            assert!(l.validate(&bad).is_err(), "{what}");
+        }
     }
 
     #[test]

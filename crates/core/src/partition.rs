@@ -38,9 +38,10 @@
 //! index follows that index's own link and, while the view hides dead
 //! versions, keeps only the rows still visible on their primary chain.
 //!
-//! A compaction writes the surviving rows into a new version with fresh
-//! tries and swaps it in. A view of the old version keeps reading it, and
-//! nothing writes to the old version again.
+//! A compaction publishes the surviving rows, as their stored bytes, into
+//! a new empty version by the same write and link steps, and swaps it in.
+//! A view of the old version keeps reading it, and nothing writes to the
+//! old version again.
 
 #![cfg_attr(
     not(test),
@@ -152,6 +153,13 @@ impl Version {
         version
     }
 
+    /// A version with no rows, indexing each of `key_cols` (primary
+    /// first).
+    fn empty(layout: RowLayout, key_cols: impl Iterator<Item = usize>) -> Self {
+        let indexes = key_cols.map(|c| PartitionIndex::over(c, Vec::new()));
+        Version::new(layout, BatchList::new(), indexes.collect())
+    }
+
     /// Just past the last row written. Only the writer moves it.
     fn end(&self) -> Cursor {
         self.batches
@@ -193,7 +201,8 @@ impl Version {
     /// rows, and then move the cursor past them, which makes them visible
     /// to new views through every index at once. Each index takes the
     /// call's heads in one [`CTrie::from_entries`]: an empty trie (a first
-    /// load) is built bottom-up, a populated one takes an insert per key.
+    /// load, a compaction) is built bottom-up, a populated one takes an
+    /// insert per key.
     fn link(&self, heads: Heads<'_>) {
         if heads.rows == 0 {
             return;
@@ -205,9 +214,6 @@ impl Version {
         }
         self.rows.fetch_add(heads.rows, Ordering::AcqRel);
         self.cursor.store(self.end().0, Ordering::Release);
-        let m = idf_obs::global();
-        m.append_rows.add(heads.rows as u64);
-        m.append_bytes.add(heads.bytes as u64);
     }
 
     /// Point index `link` at each `(key, head)` (distinct keys).
@@ -305,11 +311,7 @@ impl IndexedPartition {
     pub fn with_indexes(schema: SchemaRef, key_cols: &[usize], config: IndexConfig) -> Self {
         debug_assert!(config.validate().is_ok());
         debug_assert!((1..=MAX_INDEXES).contains(&key_cols.len()));
-        let indexes = key_cols
-            .iter()
-            .map(|&c| PartitionIndex::over(c, Vec::new()))
-            .collect();
-        let version = Version::new(RowLayout::new(schema), BatchList::new(), indexes);
+        let version = Version::empty(RowLayout::new(schema), key_cols.iter().copied());
         Self::over(config, version)
     }
 
@@ -422,7 +424,7 @@ impl IndexedPartition {
         v.layout.encode(values, &mut payload)?;
         self.check_row_size(&v, payload.len())?;
         let key = &values[v.primary().col];
-        self.publish_in(&v, &[(key, payload.as_slice(), RowKind::Data)])
+        self.publish_in(&v, &[(key, payload.as_slice(), RowKind::Data)], true)
     }
 
     /// Encode + validate one row without touching any shared state,
@@ -475,24 +477,27 @@ impl IndexedPartition {
         Ok(())
     }
 
-    /// Decode one encoded payload (as produced by [`Self::encode_row`])
-    /// back into scalars — the WAL replay path re-derives the typed rows
-    /// it feeds through the regular append protocol.
-    ///
-    /// # Errors
-    /// Fails on a payload that does not match the partition's layout.
-    pub fn decode_payload(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        self.current.read().layout.decode_row(payload)
+    /// Check a logged payload before replay stores it: one the layout
+    /// encodes ([`RowLayout::validate`], else `Corrupt`) within the row-size
+    /// limit (else `RowTooLarge`). Returns its primary key.
+    pub(crate) fn check_logged(&self, payload: &[u8]) -> Result<Value> {
+        let v = self.current.read();
+        v.layout
+            .validate(payload)
+            .map_err(|e| EngineError::corrupt(format!("logged row: {e}")))?;
+        self.check_row_size(&v, payload.len())?;
+        v.layout.decode_column(payload, v.primary().col)
     }
 
     /// Append rows pre-encoded by [`Self::encode_row`] or
     /// [`Self::encode_rows`], in order, under one
     /// hold of the writer lock: phase 2 of a chunk append (a partition's
-    /// rows sorted by key), and a single-row append through a sink or a
-    /// DML replay (one row each). Each row is `(primary key, payload,
-    /// kind)`, and rows sharing a primary key must be adjacent: each key's
-    /// rows form one run (see the module docs). The bytes written are those a row-at-a-time
-    /// append of the same rows in the same order writes.
+    /// rows sorted by key), a single-row append through a sink, and a
+    /// partition's share of a replayed WAL record. Each row is `(primary
+    /// key, payload, kind)`, and rows sharing a primary key must be
+    /// adjacent: each key's rows form one run (see the module docs). The
+    /// bytes written are those a row-at-a-time append of the same rows in
+    /// the same order writes.
     ///
     /// # Errors
     /// [`crate::failpoints::APPEND_PUBLISH`] is checked before each row; a
@@ -515,23 +520,43 @@ impl IndexedPartition {
         self.append_lock.lock()
     }
 
-    /// Decode the visible rows of `key`'s primary chain, latest first,
-    /// against the live partition. The caller holds the append lock (via
-    /// [`Self::lock_appends`]), so every row is published and the chain is
-    /// stable.
-    pub(crate) fn visible_rows_locked(&self, key: &Value) -> Result<Vec<Vec<Value>>> {
+    /// Match `deletes` against `key`'s visible primary chain, one chain
+    /// row per delete row, by bytes: each delete row is encoded once, and
+    /// [`RowLayout::encode`] writes one payload per row (a row that does
+    /// not encode matches nothing). Returns the number matched and the
+    /// stored bytes of the rest, oldest first. The caller holds the append
+    /// lock (via [`Self::lock_appends`]), so the chain is stable.
+    pub(crate) fn survivors_locked(
+        &self,
+        key: &Value,
+        deletes: &[Vec<Value>],
+    ) -> Result<(usize, Vec<Vec<u8>>)> {
         let v = self.version();
-        let mut out = Vec::new();
+        let mut pending: Vec<Vec<u8>> = deletes
+            .iter()
+            .filter_map(|row| {
+                let mut payload = Vec::new();
+                v.layout.encode(row, &mut payload).ok().map(|()| payload)
+            })
+            .collect();
+        let (mut matched, mut survivors) = (0, Vec::new());
         let mut next = v.head_in(0, key);
         while !next.is_null() {
             let (_, prev, kind, payload) = chain_row(&v.batches, next)?;
             if kind == RowKind::Tombstone {
                 break;
             }
-            out.push(v.layout.decode_row(payload)?);
+            match pending.iter().position(|d| d.as_slice() == payload) {
+                Some(i) => {
+                    pending.swap_remove(i);
+                    matched += 1;
+                }
+                None => survivors.push(payload.to_vec()),
+            }
             next = prev;
         }
-        Ok(out)
+        survivors.reverse();
+        Ok((matched, survivors))
     }
 
     /// [`Self::append_encoded`] for a caller that already holds
@@ -558,14 +583,18 @@ impl IndexedPartition {
         &self,
         rows: &[(K, P, RowKind)],
     ) -> Result<()> {
-        self.publish_in(&self.version(), rows)
+        self.publish_in(&self.version(), rows, true)
     }
 
-    /// [`Self::publish_locked`] into `v`, the current version.
+    /// [`Self::publish_locked`] into `v`: the current version for an
+    /// append, which checks [`crate::failpoints::APPEND_PUBLISH`] before
+    /// each row and counts what it wrote in the append metrics; a
+    /// compaction's new version otherwise.
     fn publish_in<K: Borrow<Value>, P: AsRef<[u8]>>(
         &self,
         v: &Version,
         rows: &[(K, P, RowKind)],
+        append: bool,
     ) -> Result<()> {
         debug_assert!(keys_adjacent(rows), "a publish call's keys must form runs");
         let mut heads = Heads::new(v.indexes.len());
@@ -574,10 +603,19 @@ impl IndexedPartition {
         // row is left outside its indexes.
         let written = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rows.iter().try_for_each(|(key, payload, kind)| {
+                if append {
+                    crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
+                }
                 self.write_linked(v, &mut heads, key.borrow(), payload.as_ref(), *kind)
             })
         }));
+        let (count, bytes) = (heads.rows, heads.bytes);
         v.link(heads);
+        if append {
+            let m = idf_obs::global();
+            m.append_rows.add(count as u64);
+            m.append_bytes.add(bytes as u64);
+        }
         written.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
@@ -590,7 +628,6 @@ impl IndexedPartition {
         payload: &[u8],
         kind: RowKind,
     ) -> Result<()> {
-        crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
         if kind == RowKind::Tombstone && key.is_null() {
             return Err(EngineError::exec(
                 "tombstones require a non-NULL key (NULL-key rows are not DML-addressable)",
@@ -679,18 +716,6 @@ impl IndexedPartition {
         }
     }
 
-    /// Tombstone rows currently stored (compaction-policy signal).
-    pub fn tombstone_count(&self) -> usize {
-        self.current.read().tombstones.load(Ordering::Acquire)
-    }
-
-    /// Rows hidden below tombstones (dead versions a compaction would
-    /// reclaim; approximate only in that it excludes superseded
-    /// tombstones themselves).
-    pub fn dead_row_count(&self) -> usize {
-        self.current.read().dead_rows.load(Ordering::Acquire)
-    }
-
     /// The root generation of each index's trie, primary first. A trie
     /// snapshot changes its trie's; nothing on the read path may.
     #[doc(hidden)]
@@ -712,12 +737,17 @@ impl IndexedPartition {
     /// the order they land (so its chains stay latest-first within each
     /// primary key), and loses the keys no surviving row holds.
     ///
-    /// Runs under the append lock (writers block, readers do not): the
-    /// rewrite builds fresh batches, and from them fresh tries, as a new
-    /// version on the side; `pre_swap` runs (the compactor's swap
-    /// failpoint); then one pointer swap makes the new version current.
-    /// Views taken before it keep reading the old version, which no writer
-    /// touches again; views taken after see only the compacted one.
+    /// The surviving rows are published, as their stored bytes, into a new
+    /// empty version by one call of the append protocol's write and link
+    /// steps (see the module docs): each key's survivors are one run,
+    /// oldest first, and every index's trie is built bottom-up once at the
+    /// end. It is not an append: no append failpoint or metric sees it.
+    ///
+    /// Runs under the append lock (writers block, readers do not).
+    /// `pre_swap` runs (the compactor's swap failpoint), then one pointer
+    /// swap makes the new version current. Views taken before it keep
+    /// reading the old version, which no writer touches again; views taken
+    /// after see only the compacted one.
     ///
     /// Not WAL-logged: recovery replays the original appends and DML
     /// records, which is logically equivalent; the next checkpoint
@@ -744,48 +774,29 @@ impl IndexedPartition {
                 batches_after: batches_before,
             });
         }
-        let mut rewrite = Rewrite {
-            batch_size: self.config.batch_size,
-            old: &old,
-            batches: BatchList::new(),
-            heads: vec![HashMap::new(); old.indexes.len() - 1],
-        };
-        let mut new_entries: Vec<(Value, u64)> = Vec::new();
-        let mut rows_after = 0usize;
-        let mut tombstones_after = 0usize;
         // The key walk: a read-only snapshot of the primary trie, which no
         // writer changes while the append lock is held.
-        for (key, raw) in old.primary().trie.read_only_snapshot().iter() {
-            // Collect the visible chain (latest first); a head tombstone
-            // means the key is fully deleted and keeps a sentinel.
-            let mut visible: Vec<&[u8]> = Vec::new();
-            let mut sentinel: Option<&[u8]> = None;
-            let mut next = RowPtr::from_raw(raw);
+        let keys: Vec<(Value, u64)> = old.primary().trie.read_only_snapshot().iter().collect();
+        let null = Value::Null;
+        let mut rows: Vec<(&Value, &[u8], RowKind)> = Vec::new();
+        for (key, raw) in &keys {
+            // The visible chain, latest first; a head tombstone means the
+            // key is fully deleted and stays as its sentinel.
+            let run = rows.len();
+            let mut next = RowPtr::from_raw(*raw);
             while !next.is_null() {
                 let (_, prev, kind, payload) = chain_row(&old.batches, next)?;
                 if kind == RowKind::Tombstone {
-                    if visible.is_empty() {
-                        sentinel = Some(payload);
+                    if rows.len() == run {
+                        rows.push((key, payload, kind));
                     }
                     break;
                 }
-                visible.push(payload);
+                rows.push((key, payload, kind));
                 next = prev;
             }
-            // Re-link contiguously, oldest first, so the rebuilt chain
-            // reads back in the same latest-first order.
-            let mut head = RowPtr::NULL;
-            for payload in visible.iter().rev() {
-                head = rewrite.append(head, payload, RowKind::Data)?;
-                rows_after += 1;
-            }
-            if let Some(payload) = sentinel {
-                head = rewrite.append(RowPtr::NULL, payload, RowKind::Tombstone)?;
-                rows_after += 1;
-                tombstones_after += 1;
-            }
-            debug_assert!(!head.is_null(), "indexed key lost its chain in compaction");
-            new_entries.push((key, head.raw()));
+            // Oldest first, so the new chain reads back latest first.
+            rows[run..].reverse();
         }
         // NULL-key rows live outside every primary chain and are never
         // deleted; carry them over with a physical pass.
@@ -798,38 +809,27 @@ impl IndexedPartition {
                         .decode_column(payload, old.primary().col)?
                         .is_null()
                 {
-                    rewrite.append(RowPtr::NULL, payload, RowKind::Data)?;
-                    rows_after += 1;
+                    rows.push((&null, payload, kind));
                 }
             }
         }
-        let Rewrite { batches, heads, .. } = rewrite;
-        let bytes_after: usize = batches.iter().map(RowBatch::len).sum();
-        let batches_after = batches.len();
-        let indexes = std::iter::once(PartitionIndex::over(old.primary().col, new_entries))
-            .chain(old.indexes[1..].iter().zip(heads).map(|(ix, heads)| {
-                let entries = heads.into_iter().map(|(k, ptr)| (k, ptr.raw())).collect();
-                PartitionIndex::over(ix.col, entries)
-            }))
-            .collect();
-        let compacted = Version::new(old.layout.clone(), batches, indexes);
-        compacted.rows.store(rows_after, Ordering::Release);
-        compacted
-            .tombstones
-            .store(tombstones_after, Ordering::Release);
+        let cols = old.indexes.iter().map(|ix| ix.col);
+        let compacted = Version::empty(old.layout.clone(), cols);
+        self.publish_in(&compacted, &rows, false)?;
         pre_swap()?;
+        let stats = CompactStats {
+            rows_before,
+            rows_after: rows.len(),
+            bytes_before,
+            bytes_after: compacted.batches.iter().map(RowBatch::len).sum(),
+            batches_before,
+            batches_after: compacted.batches.len(),
+        };
         *self.current.write() = Arc::new(compacted);
         // `old` still holds the old version, so neither lock is held while
         // it is freed: here, or by the last view that holds it.
         drop(writer);
-        Ok(CompactStats {
-            rows_before,
-            rows_after,
-            bytes_before,
-            bytes_after,
-            batches_before,
-            batches_after,
-        })
+        Ok(stats)
     }
 
     /// Memory accounting for the paper's "low memory overhead" claim;
@@ -847,40 +847,6 @@ impl IndexedPartition {
             tombstones: v.tombstones.load(Ordering::Acquire),
             dead_rows: v.dead_rows.load(Ordering::Acquire),
         }
-    }
-}
-
-/// The side batches a compaction writes, with every chain after the
-/// primary re-threaded as the surviving rows land.
-struct Rewrite<'a> {
-    batch_size: usize,
-    /// The version being rewritten.
-    old: &'a Version,
-    batches: BatchList,
-    /// Per index after the primary: each key's latest rewritten row.
-    heads: Vec<HashMap<Value, RowPtr>>,
-}
-
-impl Rewrite<'_> {
-    /// Append one surviving row whose primary link is `prev`; a data row
-    /// also joins the chain of every other index it holds a key for.
-    fn append(&mut self, prev: RowPtr, payload: &[u8], kind: RowKind) -> Result<RowPtr> {
-        let mut prevs = [RowPtr::NULL; MAX_INDEXES];
-        prevs[0] = prev;
-        let keys = self.old.secondary_keys(payload, kind)?;
-        for (link, key) in &keys {
-            prevs[*link] = self.heads[link - 1]
-                .get(key)
-                .copied()
-                .unwrap_or(RowPtr::NULL);
-        }
-        let prevs = &prevs[..self.old.indexes.len()];
-        let (index, offset) = append_to(&self.batches, self.batch_size, prevs, payload, kind)?;
-        let ptr = RowPtr::new(index, offset, self.old.header + payload.len());
-        for (link, key) in keys {
-            self.heads[link - 1].insert(key, ptr);
-        }
-        Ok(ptr)
     }
 }
 
@@ -969,7 +935,7 @@ impl Heads<'_> {
 
 /// Whether the non-NULL primary keys of `rows` form runs: no key comes
 /// back after another has followed it.
-fn keys_adjacent<K: Borrow<Value>, P>(rows: &[(K, P, RowKind)]) -> bool {
+pub(crate) fn keys_adjacent<K: Borrow<Value>, P>(rows: &[(K, P, RowKind)]) -> bool {
     let mut done: std::collections::HashSet<&Value> = std::collections::HashSet::new();
     let mut run: Option<&Value> = None;
     for key in rows.iter().map(|r| r.0.borrow()).filter(|k| !k.is_null()) {
@@ -1219,7 +1185,8 @@ impl PartitionSnapshot {
     pub fn lookup_chunk(&self, key: &Value, projection: Option<&[usize]>) -> Result<Chunk> {
         crate::failpoints::check(crate::failpoints::PARTITION_PROBE)?;
         let payloads: Vec<&[u8]> = self.lookup_payloads(key).collect::<Result<_>>()?;
-        self.decode_chunk(&payloads, projection)
+        self.layout()
+            .decode_chunk(&payloads, &self.projected_cols(projection)?)
     }
 
     /// All rows bound to *any* of `keys` as one chunk. Rows are grouped by
@@ -1259,7 +1226,9 @@ impl PartitionSnapshot {
         for p in preds {
             p.retain(&Payloads, &mut payloads)?;
         }
-        let chunk = self.decode_chunk(&payloads, projection)?;
+        let chunk = self
+            .layout()
+            .decode_chunk(&payloads, &self.projected_cols(projection)?)?;
         if let Some(q) = query {
             q.charge_memory(chunk.byte_size())?;
         }
@@ -1277,19 +1246,6 @@ impl PartitionSnapshot {
             },
             None => Ok((0..width).collect()),
         }
-    }
-
-    /// Gather the projected columns of `payloads` into one chunk.
-    fn decode_chunk(&self, payloads: &[&[u8]], projection: Option<&[usize]>) -> Result<Chunk> {
-        let cols = self.projected_cols(projection)?;
-        if cols.is_empty() {
-            return Ok(Chunk::new_empty_columns(payloads.len()));
-        }
-        let columns = cols
-            .iter()
-            .map(|&c| Ok(Arc::new(self.layout().decode_column_batch(payloads, c)?)))
-            .collect::<Result<_>>()?;
-        Chunk::new(columns)
     }
 
     /// Number of rows bound to `key`.
@@ -1383,32 +1339,6 @@ impl PartitionSnapshot {
             offset: 0,
             state: ScanState::Fresh,
         })
-    }
-
-    /// Decode one payload into scalars.
-    ///
-    /// # Errors
-    /// Fails on a payload that does not match the partition's layout.
-    pub fn decode_row(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        self.layout().decode_row(payload)
-    }
-
-    /// Decode the projected columns of one payload.
-    ///
-    /// # Errors
-    /// Fails on a payload that does not match the partition's layout.
-    pub fn decode_projected(&self, payload: &[u8], cols: &[usize]) -> Result<Vec<Value>> {
-        cols.iter()
-            .map(|&c| self.layout().decode_column(payload, c))
-            .collect()
-    }
-
-    /// Decode a single column of one payload without allocation overhead.
-    ///
-    /// # Errors
-    /// Fails on a payload that does not match the partition's layout.
-    pub fn decode_value(&self, payload: &[u8], col: usize) -> Result<Value> {
-        self.layout().decode_column(payload, col)
     }
 
     /// Vectorized gather: decode one column across many payloads.
@@ -1964,9 +1894,9 @@ mod tests {
             .lookup_payloads(&Value::Int64(7))
             .collect::<Result<_>>()
             .unwrap();
-        let first = s.decode_row(payloads[0]).unwrap();
+        let first = s.layout().decode_row(payloads[0]).unwrap();
         assert_eq!(first[1], Value::Utf8("v499".into()));
-        let last = s.decode_row(payloads[499]).unwrap();
+        let last = s.layout().decode_row(payloads[499]).unwrap();
         assert_eq!(last[1], Value::Utf8("v0".into()));
     }
 
@@ -2057,7 +1987,7 @@ mod tests {
                         last_total = total;
                         // every chain is readable end-to-end
                         for payload in s.lookup_payloads(&Value::Int64(0)) {
-                            let vals = s.decode_row(payload.unwrap()).unwrap();
+                            let vals = s.layout().decode_row(payload.unwrap()).unwrap();
                             assert_eq!(vals[0], Value::Int64(0));
                         }
                     }
@@ -2198,7 +2128,7 @@ mod tests {
         .unwrap();
         // All five sentinels are still physically present (key 15's new
         // row sits above its sentinel, it does not remove it).
-        assert_eq!(restored.tombstone_count(), 5);
+        assert_eq!(restored.memory_stats().tombstones, 5);
         let rs = restored.snapshot();
         assert_eq!(rs.lookup_count(&Value::Int64(0)).unwrap(), 2);
         assert_eq!(rs.lookup_count(&Value::Int64(16)).unwrap(), 0);
@@ -2305,7 +2235,7 @@ mod tests {
             for (b, batch, watermark) in s.cursor.batches(&s.version.batches, 0) {
                 for walked in batch.iter_rows(watermark).unwrap() {
                     let (offset, prev, _, payload) = walked.unwrap();
-                    let key = s.decode_value(payload, 0).unwrap();
+                    let key = s.layout().decode_column(payload, 0).unwrap();
                     let here = RowPtr::new(b, offset, crate::batch::ROW_HEADER + payload.len());
                     match &before {
                         Some((ptr, k)) if *k == key => {

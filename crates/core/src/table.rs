@@ -36,7 +36,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::config::IndexConfig;
 use crate::partition::{
-    CompactStats, IndexedPartition, PartitionMemory, PartitionSnapshot, MAX_INDEXES,
+    keys_adjacent, CompactStats, IndexedPartition, PartitionMemory, PartitionSnapshot, MAX_INDEXES,
 };
 use crate::sink::{AppendSink, RowKind, SinkStatus};
 
@@ -268,19 +268,6 @@ impl IndexedTable {
         match self.store.sink.read().as_ref() {
             Some(sink) => sink.status(),
             None => SinkStatus::Writable,
-        }
-    }
-
-    /// Decode an encoded row payload (as handed to the append sink) back
-    /// into scalars — the recovery path uses this to replay WAL records
-    /// through the regular typed append protocol.
-    ///
-    /// # Errors
-    /// Fails on a payload that does not match the table's row layout.
-    pub fn decode_payload(&self, payload: &[u8]) -> Result<Vec<Value>> {
-        match self.store.partitions.first() {
-            Some(p) => p.decode_payload(payload),
-            None => Err(EngineError::internal("table has no partitions")),
         }
     }
 
@@ -561,8 +548,9 @@ impl IndexedTable {
     /// atomic statement per the [`AppendSink::begin_commit_kinds`]
     /// contract — a tombstone (hiding every existing version of the key),
     /// then re-appends the *survivors* (visible versions that did not
-    /// match a delete row, oldest-first so chain order is preserved), then
-    /// the key's new images. Each key's rows form one run, and each
+    /// match a delete row by bytes, as their stored bytes, oldest-first so
+    /// chain order is preserved), then the key's new images. Each key's
+    /// rows form one run, and each
     /// partition's runs are published in one call, which moves that
     /// partition's commit cursor once (see [`crate::partition`]). So per
     /// partition a view taken before the statement publishes there sees
@@ -625,29 +613,16 @@ impl IndexedTable {
             .iter()
             .map(|&p| self.store.partitions[p].lock_appends())
             .collect();
-        // Phase 1: with the chains frozen, compute survivors and encode
-        // every payload, as one run per key. Nothing shared is touched; an
-        // error here leaves the table exactly as it was.
+        // Phase 1: with the chains frozen, find survivors and encode the
+        // tombstones and new images, as one run per key. Nothing shared is
+        // touched; an error here leaves the table exactly as it was.
         let mut rows_affected = 0usize;
         let mut ops: Vec<Vec<(Value, Vec<u8>, RowKind)>> = vec![Vec::new(); n];
         for &p in &touched {
             let partition = &self.store.partitions[p];
             let runs = &mut ops[p];
             for (key, rows) in &del_groups[p] {
-                let visible = partition.visible_rows_locked(key)?;
-                let mut pending: Vec<&Vec<Value>> = rows.iter().collect();
-                // `visible` is latest-first; survivors keep that order
-                // here and are re-appended oldest-first below.
-                let mut survivors: Vec<&Vec<Value>> = Vec::new();
-                let mut matched = 0usize;
-                for v in &visible {
-                    if let Some(i) = pending.iter().position(|r| *r == v) {
-                        pending.swap_remove(i);
-                        matched += 1;
-                    } else {
-                        survivors.push(v);
-                    }
-                }
+                let (matched, survivors) = partition.survivors_locked(key, rows)?;
                 if matched == 0 {
                     // Nothing to hide for this key (raced away or never
                     // there) — emitting a tombstone would only churn.
@@ -658,8 +633,8 @@ impl IndexedTable {
                 tomb_vals[self.primary_col()] = key.clone();
                 let tomb = partition.encode_row(&tomb_vals)?;
                 runs.push((key.clone(), tomb, RowKind::Tombstone));
-                for v in survivors.iter().rev() {
-                    runs.push((key.clone(), partition.encode_row(v)?, RowKind::Data));
+                for payload in survivors {
+                    runs.push((key.clone(), payload, RowKind::Data));
                 }
             }
             for row in &ins_groups[p] {
@@ -699,24 +674,46 @@ impl IndexedTable {
         Ok(rows_affected)
     }
 
-    /// Replay one DML statement's kind-tagged payloads from the WAL:
-    /// append each payload with its recorded kind, routed by its decoded
-    /// key. Replay happens before any sink is installed and before
-    /// concurrent writers exist, so the plain per-row append path
-    /// reproduces the original commit exactly.
-    pub fn replay_dml(&self, payloads: &[Vec<u8>], kinds: &[RowKind]) -> Result<()> {
-        if payloads.len() != kinds.len() {
+    /// Replay one WAL record as the bytes it logged, before any sink is
+    /// installed. `kinds` holds a [`RowKind`] byte per payload of a DML
+    /// record and is empty for an append. Each payload is checked, routed
+    /// by its primary key, and each partition's payloads are published in
+    /// record order by one call, as the live commit published them, so the
+    /// rows are written byte for byte as they were.
+    ///
+    /// # Errors
+    /// Before anything is published: `Corrupt` for a kind byte, a payload
+    /// or a row order no commit writes, `RowTooLarge` for a payload over
+    /// the row-size limit.
+    pub fn replay(&self, payloads: &[Vec<u8>], kinds: &[u8]) -> Result<()> {
+        if !kinds.is_empty() && kinds.len() != payloads.len() {
             return Err(EngineError::corrupt(format!(
-                "DML record has {} payloads but {} kinds",
+                "WAL record has {} payloads but {} kinds",
                 payloads.len(),
                 kinds.len()
             )));
         }
-        for (payload, kind) in payloads.iter().zip(kinds) {
-            let values = self.decode_payload(payload)?;
-            let key = &values[self.primary_col()];
-            let p = self.partition_of(key);
-            self.store.partitions[p].append_encoded(&[(key, payload, *kind)])?;
+        let mut routed: Vec<Vec<(Value, &[u8], RowKind)>> =
+            vec![Vec::new(); self.store.partitions.len()];
+        for (i, payload) in payloads.iter().enumerate() {
+            let kind = match kinds.get(i) {
+                None => RowKind::Data,
+                Some(&k) => RowKind::from_u8(k).ok_or_else(|| {
+                    EngineError::corrupt(format!("WAL record carries unknown row kind {k}"))
+                })?,
+            };
+            let key = self.store.partitions[0].check_logged(payload)?;
+            routed[self.partition_of(&key)].push((key, payload, kind));
+        }
+        if !routed.iter().all(|rows| keys_adjacent(rows)) {
+            return Err(EngineError::corrupt(
+                "WAL record interleaves the rows of two keys in one partition",
+            ));
+        }
+        for (p, rows) in routed.iter().enumerate() {
+            if !rows.is_empty() {
+                self.store.partitions[p].append_encoded(rows)?;
+            }
         }
         Ok(())
     }
@@ -1291,22 +1288,26 @@ mod tests {
 
     #[test]
     fn dml_roundtrips_through_replay() {
-        // Capture a DML statement through a recording sink, then replay
-        // the payload/kind stream into a fresh table: same answers.
-        struct Recorder(Mutex<Vec<(Vec<u8>, RowKind)>>);
+        // Capture every commit through a recording sink as the WAL logs
+        // it, then replay the records into a fresh table: same bytes.
+        type Record = (Vec<Vec<u8>>, Vec<u8>);
+        struct Recorder(Mutex<Vec<Record>>);
         impl AppendSink for Recorder {
             fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn crate::sink::CommitGuard>> {
-                self.begin_commit_kinds(rows, &vec![RowKind::Data; rows.len()])
+                self.0
+                    .lock()
+                    .push((rows.iter().map(|r| r.to_vec()).collect(), Vec::new()));
+                Ok(Box::new(crate::sink::NoopCommitGuard))
             }
             fn begin_commit_kinds(
                 &self,
                 rows: &[&[u8]],
                 kinds: &[RowKind],
             ) -> Result<Box<dyn crate::sink::CommitGuard>> {
-                let mut log = self.0.lock();
-                for (row, kind) in rows.iter().zip(kinds) {
-                    log.push((row.to_vec(), *kind));
-                }
+                self.0.lock().push((
+                    rows.iter().map(|r| r.to_vec()).collect(),
+                    kinds.iter().map(|k| k.to_u8()).collect(),
+                ));
                 Ok(Box::new(crate::sink::NoopCommitGuard))
             }
         }
@@ -1324,24 +1325,35 @@ mod tests {
                 .unwrap(),
             4
         );
-        // Replay the whole log into a fresh table.
+        // Replay the log into a fresh table.
         let replayed = IndexedTable::new(schema(), 0, cfg(4)).unwrap();
         let log = recorder.0.lock();
-        let payloads: Vec<Vec<u8>> = log.iter().map(|(p, _)| p.clone()).collect();
-        let kinds: Vec<RowKind> = log.iter().map(|(_, k)| *k).collect();
-        replayed.replay_dml(&payloads, &kinds).unwrap();
-        assert_eq!(replayed.snapshot().row_count(), t.snapshot().row_count());
-        for k in 0..6 {
-            let a = t.lookup_chunk(&Value::Int64(k), None).unwrap();
-            let b = replayed.lookup_chunk(&Value::Int64(k), None).unwrap();
-            assert_eq!(a.len(), b.len(), "key {k}");
-            for r in 0..a.len() {
-                assert_eq!(a.value_at(1, r), b.value_at(1, r), "key {k} row {r}");
-            }
+        for (payloads, kinds) in log.iter() {
+            replayed.replay(payloads, kinds).unwrap();
         }
-        assert!(replayed
-            .replay_dml(&payloads, &kinds[..1.min(kinds.len())])
-            .is_err());
+        assert_eq!(replayed.snapshot().row_count(), t.snapshot().row_count());
+        for p in 0..4 {
+            assert_eq!(
+                replayed.partition_snapshot(p).export_batches(),
+                t.partition_snapshot(p).export_batches(),
+                "partition {p}"
+            );
+        }
+        // A record whose kinds do not cover its rows, or whose rows of one
+        // key are split by another key's, is corrupt.
+        let (payloads, kinds) = &log[1];
+        let err = replayed.replay(payloads, &kinds[..1]).unwrap_err();
+        assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
+        let home = replayed.partition_of(&Value::Int64(1));
+        let other = (2..)
+            .find(|&k| replayed.partition_of(&Value::Int64(k)) == home)
+            .unwrap();
+        let split: Vec<Vec<u8>> = [row(1, 0), row(other, 0), row(1, 1)]
+            .iter()
+            .map(|r| replayed.partition(0).encode_row(r).unwrap())
+            .collect();
+        let err = replayed.replay(&split, &[]).unwrap_err();
+        assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -99,6 +99,7 @@ fn single_key_lookups_do_not_allocate() {
         );
     }
 
+    let layout = idf_core::layout::RowLayout::new(snap.schema().clone());
     let before = allocations();
     let mut checksum = 0i64;
     for round in 0..4 {
@@ -110,7 +111,7 @@ fn single_key_lookups_do_not_allocate() {
             // payloads are borrowed slices, values are inline.
             for payload in snap.lookup_payloads(&key) {
                 let payload = payload.expect("chain");
-                match snap.decode_value(payload, 1).expect("decode") {
+                match layout.decode_column(payload, 1).expect("decode") {
                     Value::Int64(v) => checksum ^= v,
                     other => panic!("unexpected value {other:?}"),
                 }

@@ -429,10 +429,11 @@ fn a_compacted_table_scans_sequentially_again() {
     // the NULL-key row no chain holds.
     let snap = table.snapshot();
     let part = &snap.partitions()[0];
+    let layout = idf_core::layout::RowLayout::new(part.schema().clone());
     let mut expected = vec![vec![Value::Null, Value::Int64(-1)]];
     for k in 0..20 {
         for payload in part.lookup_payloads(&Value::Int64(k)) {
-            expected.push(part.decode_row(payload.unwrap()).unwrap());
+            expected.push(layout.decode_row(payload.unwrap()).unwrap());
         }
     }
     assert_eq!(expected.len(), 39);

@@ -5,7 +5,12 @@
 //!   indexes (NULL keys in every indexed column, secondary keys that span
 //!   partitions) take random interleavings of `append_row`,
 //!   `append_chunk`, `apply_dml` (DELETE, and UPDATE that moves a row to
-//!   another key) and `compact`. After every step, for sampled hit and
+//!   another key or flips the sign bit of its float), SQL `DELETE` and
+//!   `UPDATE`, and `compact`. Rows hold `-0.0`, NaNs of both signs,
+//!   NULLs, `""` and multibyte strings, and some rows are *twins*: equal
+//!   but for the bits of their float or `""` against NULL, so only bytes
+//!   tell them apart. A DML statement must hide exactly the rows it names,
+//!   one stored row per named row. After every step, for sampled hit and
 //!   miss keys of every index: the handle's lookup, its pushed-down scan
 //!   over the partitions `prune` names, a filtered full scan and a naive
 //!   `Vec<Row>` model agree as multisets, and each index's maintained key
@@ -48,6 +53,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use idf_core::layout::RowLayout;
 use idf_core::prelude::*;
 use idf_engine::catalog::TableSource;
 use idf_engine::column::{Column, PrimVec};
@@ -65,14 +71,15 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `(k, a, b, seq)`: `k` is the primary key, `a`/`b` the secondary ones,
-/// `seq` names a row for the model.
+/// `(k, a, b, seq, f)`: `k` is the primary key, `a`/`b` the secondary ones,
+/// `seq` names a row and its twins for the model, `f` is a float.
 fn schema() -> SchemaRef {
     Arc::new(Schema::new(vec![
         Field::new("k", DataType::Int64),
         Field::new("a", DataType::Int64),
         Field::new("b", DataType::Utf8),
         Field::new("seq", DataType::Int64),
+        Field::new("f", DataType::Float64),
     ]))
 }
 
@@ -99,6 +106,20 @@ fn random_b(rng: &mut StdRng) -> Value {
     }
 }
 
+fn random_f(rng: &mut StdRng) -> Value {
+    let f = [0.0, -0.0, 1.5, f64::NAN, -f64::NAN][rng.gen_range(0..5usize)];
+    or_null(rng, Value::Float64(f))
+}
+
+/// `f` with its sign bit flipped (`0.0` and `-0.0`, the two NaNs); a NULL
+/// becomes `-0.0`.
+fn twin_f(f: &Value) -> Value {
+    match f {
+        Value::Float64(x) => Value::Float64(f64::from_bits(x.to_bits() ^ (1 << 63))),
+        _ => Value::Float64(-0.0),
+    }
+}
+
 /// `Some(v)` three times in four, else NULL.
 fn or_null(rng: &mut StdRng, v: Value) -> Value {
     if rng.gen_range(0..4) == 0 {
@@ -108,10 +129,10 @@ fn or_null(rng: &mut StdRng, v: Value) -> Value {
     }
 }
 
-/// [`schema`] and one more column of every other type, for chunk appends:
-/// `(k, a, b, seq, flag, small, score, ts)`.
+/// `(k, a, b, seq)` of [`schema`] and one more column of every other type,
+/// for chunk appends: `(k, a, b, seq, flag, small, score, ts)`.
 fn chunk_schema() -> SchemaRef {
-    let mut fields = schema().fields.clone();
+    let mut fields = schema().fields[..4].to_vec();
     fields.extend([
         Field::new("flag", DataType::Boolean),
         Field::new("small", DataType::Int32),
@@ -163,7 +184,9 @@ fn pushed_scan(source: &IndexedSource, filter: Expr) -> Vec<Row> {
 
 struct Case {
     seed: u64,
-    table: IndexedTable,
+    table: Arc<IndexedTable>,
+    /// A session with `table` registered as `t`, for SQL DML.
+    session: Session,
     /// Indexed columns, primary first.
     cols: Vec<usize>,
     model: Vec<Row>,
@@ -184,11 +207,15 @@ impl Case {
             max_row_size: 200,
             ..Default::default()
         };
-        let table =
-            IndexedTable::with_indexes(schema(), cols[0], &cols[1..], config).expect("valid table");
+        let table = Arc::new(
+            IndexedTable::with_indexes(schema(), cols[0], &cols[1..], config).expect("valid table"),
+        );
+        let session = Session::new();
+        IndexedDataFrame::from_table(session.clone(), Arc::clone(&table)).register("t");
         Case {
             seed,
             table,
+            session,
             trie_keys: vec![HashSet::new(); cols.len()],
             cols,
             model: Vec::new(),
@@ -196,14 +223,37 @@ impl Case {
         }
     }
 
+    /// A fresh row, or one time in five the twin of a stored row: its
+    /// float's sign bit flipped and, where `b` is `""` or NULL, the other.
     fn new_row(&mut self, rng: &mut StdRng) -> Row {
+        if !self.model.is_empty() && rng.gen_range(0..5) == 0 {
+            let mut twin = self.model[rng.gen_range(0..self.model.len())].clone();
+            twin[4] = twin_f(&twin[4]);
+            twin[2] = match &twin[2] {
+                Value::Null => Value::Utf8(String::new()),
+                Value::Utf8(s) if s.is_empty() => Value::Null,
+                b => b.clone(),
+            };
+            return twin;
+        }
         self.next_seq += 1;
         vec![
             random_k(rng),
             random_a(rng),
             random_b(rng),
             Value::Int64(self.next_seq),
+            random_f(rng),
         ]
+    }
+
+    /// Drop one model row equal to each of `rows`: a DML statement hides
+    /// one stored row per row it names.
+    fn forget(&mut self, rows: &[Row]) {
+        for row in rows {
+            if let Some(i) = self.model.iter().position(|r| r == row) {
+                self.model.swap_remove(i);
+            }
+        }
     }
 
     fn stored(&mut self, rows: &[Row]) {
@@ -226,7 +276,7 @@ impl Case {
     }
 
     fn step(&mut self, rng: &mut StdRng) -> String {
-        match rng.gen_range(0..10) {
+        match rng.gen_range(0..12) {
             0..=2 => {
                 let row = self.new_row(rng);
                 self.table.append_row(&row).expect("append_row");
@@ -254,7 +304,7 @@ impl Case {
                 let deletes: Vec<Row> = gone.iter().map(|&i| self.model[i].clone()).collect();
                 let affected = self.table.apply_dml(&deletes, &[]).expect("delete");
                 assert_eq!(affected, deletes.len(), "seed {}: delete", self.seed);
-                self.model.retain(|r| !deletes.contains(r));
+                self.forget(&deletes);
                 format!("delete({})", deletes.len())
             }
             7..=8 => {
@@ -265,20 +315,64 @@ impl Case {
                 let old = self.model[candidates[rng.gen_range(0..candidates.len())]].clone();
                 let mut new = old.clone();
                 // Move the row to another key of some index (the primary
-                // one moves it to another partition).
-                match rng.gen_range(0..3) {
+                // one moves it to another partition), or change only the
+                // bits of its float.
+                match rng.gen_range(0..4) {
                     0 => new[0] = Value::Int64(rng.gen_range(0..9i64)),
                     1 => new[1] = random_a(rng),
-                    _ => new[2] = random_b(rng),
+                    2 => new[2] = random_b(rng),
+                    _ => new[4] = twin_f(&new[4]),
                 }
                 let affected = self
                     .table
                     .apply_dml(std::slice::from_ref(&old), std::slice::from_ref(&new))
                     .expect("update");
                 assert_eq!(affected, 1, "seed {}: update", self.seed);
-                self.model.retain(|r| r != &old);
+                self.forget(&[old]);
                 self.stored(&[new]);
                 "update".into()
+            }
+            9..=10 => {
+                // SQL names a row and its twins by `seq`; the executor hands
+                // back the rows it scanned, decoded, to be matched by bytes.
+                let candidates = self.addressable();
+                if candidates.is_empty() {
+                    return "sql(none)".into();
+                }
+                let seq = self.model[candidates[rng.gen_range(0..candidates.len())]][3].clone();
+                let named: Vec<Row> = self
+                    .model
+                    .iter()
+                    .filter(|r| r[3] == seq && !r[0].is_null())
+                    .cloned()
+                    .collect();
+                let filter = format!("seq = {seq} AND k IS NOT NULL");
+                let (sql, images) = match rng.gen_range(0..2) {
+                    0 => (format!("DELETE FROM t WHERE {filter}"), Vec::new()),
+                    _ => {
+                        let a = rng.gen_range(0..5i64);
+                        let images: Vec<Row> = named
+                            .iter()
+                            .map(|r| {
+                                let mut r = r.clone();
+                                r[1] = Value::Int64(a);
+                                r
+                            })
+                            .collect();
+                        (format!("UPDATE t SET a = {a} WHERE {filter}"), images)
+                    }
+                };
+                let out = self.session.sql(&sql).and_then(|df| df.collect());
+                let out = out.unwrap_or_else(|e| panic!("seed {}: {sql}: {e}", self.seed));
+                assert_eq!(
+                    out.value_at(0, 0),
+                    Value::Int64(named.len() as i64),
+                    "seed {}: {sql}",
+                    self.seed
+                );
+                self.forget(&named);
+                self.stored(&images);
+                sql
             }
             _ => {
                 self.table.compact().expect("compact");
@@ -442,13 +536,14 @@ fn a_snapshot_finds_a_row_through_every_index_or_none() {
                     while !stop.load(Ordering::SeqCst) {
                         let fresh = row(latest.load(Ordering::SeqCst));
                         let snap = table.partition(table.partition_of(&fresh[0])).snapshot();
+                        let layout = RowLayout::new(snap.schema().clone());
                         let probe = rng.gen_range(0..3usize);
                         for payload in snap.lookup_payloads_in(probe, &fresh[probe]) {
-                            let found = snap.decode_row(payload.expect("walk")).expect("decode");
+                            let found = layout.decode_row(payload.expect("walk")).expect("decode");
                             for other in 0..3 {
                                 let seen = snap
                                     .lookup_payloads_in(other, &found[other])
-                                    .map(|p| snap.decode_row(p.expect("walk")).expect("decode"))
+                                    .map(|p| layout.decode_row(p.expect("walk")).expect("decode"))
                                     .any(|r| r == found);
                                 assert!(
                                     seen,
@@ -488,6 +583,7 @@ fn reads_leave_every_trie_root_unchanged() {
             Value::Int64(i % 7),
             Value::Utf8(format!("b{}", i % 3)),
             Value::Int64(i),
+            Value::Float64(-0.0),
         ]
     };
     for i in 0..200 {

@@ -30,10 +30,11 @@
 //! sealed row-batch bytes verbatim (cut at the snapshot watermark) plus a
 //! compact cTrie dump of `(key, packed pointer)` pairs that recovery
 //! loads with `from_entries`. Restore skips the row work a WAL replay
-//! does (no re-encoding, no chain linking), and each restored trie is
+//! does (no payload checks, no chain linking), and each restored trie is
 //! empty, so `from_entries` builds it bottom-up in one pass rather than
-//! inserting key by key. A replayed chunk append builds a fresh partition's
-//! trie the same way; a replayed row or statement inserts its keys.
+//! inserting key by key. A replayed record links each partition's keys
+//! in one `from_entries` call too: bottom-up while that partition's trie
+//! is still empty, key by key once it holds keys.
 //!
 //! Atomicity: snapshot and manifest are written to a temp file, fsynced,
 //! renamed into place, and the directory fsynced. The manifest flips last,

@@ -19,7 +19,8 @@
 //!    named by the new checkpoint id, retiring the covered one.
 //! 3. **Recovery** ([`DurableSession::open`]): the newest valid
 //!    checkpoint is restored (bulk cTrie load, no per-row work), the WAL
-//!    tail is replayed through the regular two-phase append path, and
+//!    tail's logged bytes are checked and published again through the
+//!    append protocol, and
 //!    corrupt manifests/segments surface as typed errors, never panics.
 //!
 //! [`TableSnapshot`]: idf_core::table::TableSnapshot

@@ -5,7 +5,8 @@
 //! validates (creating if absent) `EngineConfig::data_dir`, then for every
 //! table directory found there: restores the authoritative checkpoint,
 //! replays the contiguous WAL-segment chain at-or-after the manifest id
-//! through the ordinary two-phase append path (so PR-2's
+//! as the bytes each record logged, each partition's share of a record
+//! published by one call of the append protocol (so the
 //! no-partial-visibility invariant holds during recovery too), and
 //! registers the table for SQL — point lookups, indexed joins and scans
 //! work on the recovered data exactly as they did before the crash.
@@ -27,9 +28,8 @@ use std::time::Instant;
 
 use idf_core::api::IndexedDataFrame;
 use idf_core::config::IndexConfig;
-use idf_core::sink::{RowKind, SinkStatus};
+use idf_core::sink::SinkStatus;
 use idf_core::table::IndexedTable;
-use idf_engine::chunk::Chunk;
 use idf_engine::config::{DurabilityLevel, EngineConfig};
 use idf_engine::error::{EngineError, Result};
 use idf_engine::schema::SchemaRef;
@@ -485,36 +485,14 @@ fn recover_table(
         state.level,
     )?;
     records.extend(tail);
-    let schema = table.schema();
     let mut replayed = 0u64;
     for record in &records {
         crate::failpoints::check(crate::failpoints::RECOVERY_REPLAY)?;
-        if !record.kinds.is_empty() {
-            // DML record: replay each payload with its logged kind so
-            // tombstones land as tombstones and version order (the
-            // record's publish order) is preserved.
-            let kinds = record
-                .kinds
-                .iter()
-                .map(|&k| {
-                    RowKind::from_u8(k).ok_or_else(|| {
-                        EngineError::corrupt(format!("WAL DML record carries unknown row kind {k}"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            table.replay_dml(&record.rows, &kinds)?;
-            replayed += 1;
-            continue;
-        }
-        let mut rows = Vec::with_capacity(record.rows.len());
-        for payload in &record.rows {
-            rows.push(table.decode_payload(payload)?);
-        }
-        let chunk = Chunk::from_rows(&schema, &rows)?;
-        // Replaying through the regular append path re-runs routing,
-        // validation and the two-phase publish, so recovered state obeys
-        // every invariant live appends do.
-        table.append_chunk(&chunk)?;
+        // Each record's rows go back as the bytes it logged, with its
+        // kinds (tombstones land as tombstones), published per partition
+        // in record order through the regular append protocol, so
+        // recovered state obeys every invariant live commits do.
+        table.replay(&record.rows, &record.kinds)?;
         replayed += 1;
     }
     // Sink goes in only now: replayed records must not be re-logged.
@@ -937,5 +915,79 @@ mod tests {
             .create_table("t", people_schema(), 0, small_index())
             .unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
+    }
+
+    /// A WAL record whose frame and CRC are whole but whose payload no
+    /// commit writes fails the open with a typed error, not a panic: for
+    /// an append record and a DML record alike, invalid UTF-8 or a string
+    /// past the payload's end is `Corrupt`, a row over `max_row_size` is
+    /// `RowTooLarge`.
+    #[test]
+    fn a_logged_payload_no_commit_writes_fails_the_open() {
+        use idf_core::layout::RowLayout;
+        use idf_core::sink::RowKind;
+        let layout = RowLayout::new(people_schema());
+        let encode = |name: Value| {
+            let mut out = Vec::new();
+            layout.encode(&[Value::Int64(1), name], &mut out).unwrap();
+            out
+        };
+        // The `name` slot: after the null bitmap and the `id` slot.
+        let name_slot = 1 + 8;
+        let mut not_utf8 = encode(Value::Utf8("ab".into()));
+        let end = not_utf8.len();
+        not_utf8[end - 2..].copy_from_slice(&[0xff, 0xfe]);
+        let mut past_end = encode(Value::Utf8("ab".into()));
+        past_end[name_slot + 4..name_slot + 8].copy_from_slice(&100u32.to_le_bytes());
+        let too_large = encode(Value::Utf8("x".repeat(100)));
+        let tombstone = encode(Value::Null);
+        let index = IndexConfig {
+            max_row_size: 64,
+            ..small_index()
+        };
+        for (what, bad) in [
+            ("not utf8", &not_utf8),
+            ("past the end", &past_end),
+            ("too large", &too_large),
+        ] {
+            for dml in [false, true] {
+                let at = format!("{what}, dml record: {dml}");
+                let dir = TempDir::new("sess-bad-payload");
+                {
+                    let sess =
+                        DurableSession::open(cfg(dir.path(), DurabilityLevel::Sync)).unwrap();
+                    let df = sess
+                        .create_table("t", people_schema(), 0, index.clone())
+                        .unwrap();
+                    df.append_row(&[Value::Int64(1), Value::Utf8("a".into())])
+                        .unwrap();
+                }
+                let table_dir = dir.path().join("t");
+                let id = checkpoint::read_manifest(&OsIo, &table_dir)
+                    .unwrap()
+                    .unwrap();
+                let path = checkpoint::wal_path(&table_dir, id);
+                {
+                    let (wal, _) =
+                        TableWal::open(Arc::new(OsIo), &path, DurabilityLevel::Sync).unwrap();
+                    let rows = [tombstone.as_slice(), bad.as_slice()];
+                    let _ticket = if dml {
+                        wal.begin_commit_kinds(&rows, &[RowKind::Tombstone, RowKind::Data])
+                    } else {
+                        wal.begin_commit(&rows[1..])
+                    }
+                    .unwrap();
+                }
+                let err = match DurableSession::open(cfg(dir.path(), DurabilityLevel::Sync)) {
+                    Ok(_) => panic!("{at}: the open succeeded"),
+                    Err(e) => e,
+                };
+                let typed = match what {
+                    "too large" => matches!(err, EngineError::RowTooLarge { .. }),
+                    _ => matches!(err, EngineError::Corrupt(_)),
+                };
+                assert!(typed, "{at}: {err:?}");
+            }
+        }
     }
 }

@@ -43,7 +43,6 @@
 //! failed-and-absent, never "reported failed but durable".
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use idf_core::sink::{AppendSink, CommitGuard, RowKind, SinkStatus};
@@ -773,31 +772,18 @@ fn writer_loop(inner: &Arc<WalInner>) {
 /// flow into the table's WAL at the session's durability level.
 pub struct WalSink {
     wal: Arc<TableWal>,
-    /// WAL records this sink has logged (recovery-replayed records are
-    /// not re-logged because the sink is installed after replay).
-    records: AtomicU64,
 }
 
 impl WalSink {
     /// A sink logging into `wal`.
     pub fn new(wal: Arc<TableWal>) -> Self {
-        WalSink {
-            wal,
-            records: AtomicU64::new(0),
-        }
-    }
-
-    /// Records logged through this sink.
-    pub fn records_logged(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
+        WalSink { wal }
     }
 }
 
 impl AppendSink for WalSink {
     fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>> {
-        let ticket = self.wal.begin_commit(rows)?;
-        self.records.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(ticket))
+        Ok(Box::new(self.wal.begin_commit(rows)?))
     }
 
     fn begin_commit_kinds(
@@ -805,9 +791,7 @@ impl AppendSink for WalSink {
         rows: &[&[u8]],
         kinds: &[RowKind],
     ) -> Result<Box<dyn CommitGuard>> {
-        let ticket = self.wal.begin_commit_kinds(rows, kinds)?;
-        self.records.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(ticket))
+        Ok(Box::new(self.wal.begin_commit_kinds(rows, kinds)?))
     }
 
     fn status(&self) -> SinkStatus {

@@ -82,16 +82,12 @@ pub enum MaintenanceMode {
 pub struct ViewsConfig {
     /// Sync or async maintenance (default sync).
     pub mode: MaintenanceMode,
-    /// Bounded delta-queue capacity; a full queue blocks the append path
-    /// (backpressure). Default 64.
-    pub queue_capacity: usize,
 }
 
 impl Default for ViewsConfig {
     fn default() -> Self {
         ViewsConfig {
             mode: MaintenanceMode::Sync,
-            queue_capacity: 64,
         }
     }
 }
@@ -107,8 +103,6 @@ pub struct ViewsSystem {
 
 impl ViewsSystem {
     fn start(config: ViewsConfig) -> Arc<ViewsSystem> {
-        let mut config = config;
-        config.queue_capacity = config.queue_capacity.max(1);
         let mode = config.mode;
         let shared = maintain::Shared::new(config);
         let worker = (mode == MaintenanceMode::Async).then(|| {

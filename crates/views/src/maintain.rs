@@ -46,6 +46,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError, Weak
 use std::time::Instant;
 
 use idf_core::config::IndexConfig;
+use idf_core::layout::RowLayout;
 use idf_core::sink::{AppendSink, CommitGuard, NoopCommitGuard, RowKind};
 use idf_core::source::IndexedSource;
 use idf_core::strategy::IndexedJoinStrategy;
@@ -66,6 +67,9 @@ use crate::{failpoints, MaintenanceMode, ViewsConfig};
 /// view is declared stale. High enough to ride out any seeded fault
 /// storm the chaos suite configures.
 const MAX_APPLY_RETRIES: usize = 10_000;
+
+/// Deltas the queue holds before an append blocks on it (backpressure).
+const QUEUE_CAPACITY: usize = 64;
 
 /// Lock a std mutex, recovering the guard if a panicking holder poisoned
 /// it (injected panics unwind through these locks under chaos).
@@ -392,7 +396,7 @@ impl Shared {
     /// the backpressure into the append path.
     fn enqueue(&self, delta: Delta) {
         let mut q = lock(&self.queue);
-        while q.len() >= self.config.queue_capacity {
+        while q.len() >= QUEUE_CAPACITY {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -1061,13 +1065,13 @@ fn kind_bases(kind: &ViewKind) -> Vec<(String, Arc<IndexedTable>)> {
     }
 }
 
-/// Decode a delta's payloads back into a chunk with the base schema.
+/// Decode a delta's payloads into a chunk with the base schema, a column
+/// at a time.
 fn decode_delta(table: &IndexedTable, payloads: &[Vec<u8>]) -> Result<Chunk> {
-    let rows: Vec<Vec<Value>> = payloads
-        .iter()
-        .map(|p| table.decode_payload(p))
-        .collect::<Result<_>>()?;
-    Chunk::from_rows(&table.schema(), &rows)
+    let layout = RowLayout::new(table.schema());
+    let payloads: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let cols: Vec<usize> = (0..layout.schema().len()).collect();
+    layout.decode_chunk(&payloads, &cols)
 }
 
 /// (Re-)register the delta chunk in a private session under the base

@@ -13,13 +13,7 @@ use idf_views::{install, MaintenanceMode, ViewsConfig};
 fn setup(mode: MaintenanceMode) -> (Session, std::sync::Arc<idf_views::ViewsSystem>) {
     let session = Session::new();
     install_indexed_ddl(&session, IndexConfig::default());
-    let views = install(
-        &session,
-        ViewsConfig {
-            mode,
-            ..Default::default()
-        },
-    );
+    let views = install(&session, ViewsConfig { mode });
     (session, views)
 }
 

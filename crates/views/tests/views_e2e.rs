@@ -20,13 +20,7 @@ use idf_views::{install, MaintenanceMode, ViewsConfig, ViewsSystem};
 fn setup(mode: MaintenanceMode) -> (Session, Arc<ViewsSystem>) {
     let session = Session::new();
     install_indexed_ddl(&session, IndexConfig::default());
-    let views = install(
-        &session,
-        ViewsConfig {
-            mode,
-            ..Default::default()
-        },
-    );
+    let views = install(&session, ViewsConfig { mode });
     (session, views)
 }
 
