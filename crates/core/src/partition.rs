@@ -1137,6 +1137,7 @@ impl PartitionSnapshot {
             snapshot: self,
             next: head,
             link: index,
+            #[cfg(feature = "obs")]
             hit: !head.is_null(),
             walked: 0,
             batch: None,
@@ -1687,6 +1688,7 @@ pub struct ChainIter<'a> {
     /// The index whose link the walk follows (0 = primary).
     link: usize,
     /// Whether the probe found a head (misses are not chain walks).
+    #[cfg(feature = "obs")]
     hit: bool,
     /// Rows read so far, those skipped above the cursor included.
     walked: u32,

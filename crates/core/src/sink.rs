@@ -75,29 +75,14 @@ pub enum SinkStatus {
 
 /// Receiver for committed append payloads (the WAL, in practice).
 pub trait AppendSink: Send + Sync {
-    /// Log one committed append: `rows` are the encoded row payloads of
-    /// the whole chunk, in publish order. Blocks according to the sink's
-    /// durability level and returns a guard the caller holds until the
-    /// rows are published to memory.
-    fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>>;
-
-    /// Log one committed DML statement: `rows[i]` is the encoded payload
-    /// and `kinds[i]` its [`RowKind`], in publish order. The whole slice
-    /// is one atomic statement (a single WAL record), which is what bounds
-    /// a crash to at most one ambiguous in-flight DML commit.
-    ///
-    /// The default forwards to [`AppendSink::begin_commit`] — correct for
-    /// sinks that do not persist kinds (tests, taps that only count rows);
-    /// kind-aware sinks (the WAL, the views delta tap) override it.
-    fn begin_commit_kinds(
-        &self,
-        rows: &[&[u8]],
-        kinds: &[RowKind],
-    ) -> Result<Box<dyn CommitGuard>> {
-        debug_assert_eq!(rows.len(), kinds.len());
-        let _ = kinds;
-        self.begin_commit(rows)
-    }
+    /// Log one committed statement: `rows` are the encoded row payloads,
+    /// in publish order, and `kinds[i]` is the [`RowKind`] of `rows[i]` —
+    /// or `kinds` is empty, and every row is data (an append). The whole
+    /// slice is one atomic statement (a single WAL record), which is what
+    /// bounds a crash to at most one ambiguous in-flight commit. Blocks
+    /// according to the sink's durability level and returns a guard the
+    /// caller holds until the rows are published to memory.
+    fn begin_commit(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<Box<dyn CommitGuard>>;
 
     /// Current write status. Degradation (sticky fsync failure, ENOSPC)
     /// flips the sink to [`SinkStatus::ReadOnly`]; reads are unaffected.
@@ -137,22 +122,10 @@ impl FanoutSink {
 }
 
 impl AppendSink for FanoutSink {
-    fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>> {
+    fn begin_commit(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<Box<dyn CommitGuard>> {
         let mut guards = Vec::with_capacity(self.sinks.len());
         for sink in &self.sinks {
-            guards.push(sink.begin_commit(rows)?);
-        }
-        Ok(Box::new(FanoutCommitGuard { guards }))
-    }
-
-    fn begin_commit_kinds(
-        &self,
-        rows: &[&[u8]],
-        kinds: &[RowKind],
-    ) -> Result<Box<dyn CommitGuard>> {
-        let mut guards = Vec::with_capacity(self.sinks.len());
-        for sink in &self.sinks {
-            guards.push(sink.begin_commit_kinds(rows, kinds)?);
+            guards.push(sink.begin_commit(rows, kinds)?);
         }
         Ok(Box::new(FanoutCommitGuard { guards }))
     }

@@ -14,6 +14,12 @@
 //! evaluated inside that walk (or on a probe's chain rows), on the row
 //! bytes, before anything is decoded.
 //!
+//! A pushed filter must answer exactly as the engine's comparison kernels
+//! would above the scan. The trie finds a key by its `Value` bits, which
+//! agrees with SQL `=` for every key type but Float64 (`0.0 = -0.0` is
+//! TRUE, `NaN = NaN` is not), so nothing is claimed on a Float64 key: its
+//! filters stay a plain `Filter` over the scan, and prune nothing.
+//!
 //! The same key set answers [`IndexedSource::prune`] at plan time: through
 //! the primary index each key lives in exactly one hash partition, so a
 //! key-equality scan is planned over that partition alone; through any
@@ -149,7 +155,13 @@ impl IndexedSource {
     }
 
     /// The key set a pushed filter selects, if it has a pushable shape.
+    /// None on a Float64 key: the trie matches a key by its bits, a filter
+    /// by IEEE equality (`0.0 = -0.0`, `NaN <> NaN`), so such a filter
+    /// stays above the scan.
     fn key_set_of(&self, filter: &Expr) -> Option<Vec<Value>> {
+        if self.key_type() == DataType::Float64 {
+            return None;
+        }
         if let Some(k) = self.key_equality_literal(filter) {
             return Some(vec![k]);
         }

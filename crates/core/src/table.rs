@@ -21,6 +21,7 @@
     )
 )]
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use idf_engine::chunk::Chunk;
@@ -341,7 +342,7 @@ impl IndexedTable {
             // same ordering contract as `append_chunk`.
             Some(sink) => {
                 let payload = self.store.partitions[p].encode_row(values)?;
-                let _guard = sink.begin_commit(&[payload.as_slice()])?;
+                let _guard = sink.begin_commit(&[payload.as_slice()], &[])?;
                 self.store.partitions[p].append_encoded(&[(
                     &values[self.primary_col()],
                     payload.as_slice(),
@@ -440,7 +441,7 @@ impl IndexedTable {
         let _guard = match &sink {
             Some(sink) => {
                 let rows: Vec<&[u8]> = encoded.iter().flat_map(EncodedRows::payloads).collect();
-                Some(sink.begin_commit(&rows)?)
+                Some(sink.begin_commit(&rows, &[])?)
             }
             None => None,
         };
@@ -545,7 +546,7 @@ impl IndexedTable {
     /// # Protocol
     ///
     /// For every key touched by a delete, the commit appends — in one
-    /// atomic statement per the [`AppendSink::begin_commit_kinds`]
+    /// atomic statement per the [`AppendSink::begin_commit`]
     /// contract — a tombstone (hiding every existing version of the key),
     /// then re-appends the *survivors* (visible versions that did not
     /// match a delete row by bytes, as their stored bytes, oldest-first so
@@ -586,14 +587,19 @@ impl IndexedTable {
         }
         let n = self.store.partitions.len();
         // Group deletes per partition, per key (first-occurrence order so
-        // the commit is deterministic for a given statement).
+        // the commit is deterministic for a given statement), finding a
+        // key's group through `group_of`: a key has one partition.
         let mut del_groups: Vec<Vec<(Value, Vec<Vec<Value>>)>> = vec![Vec::new(); n];
+        let mut group_of: HashMap<&Value, usize> = HashMap::with_capacity(deletes.len());
         for row in deletes {
             let key = &row[self.primary_col()];
             let p = self.partition_of(key);
-            match del_groups[p].iter_mut().find(|(k, _)| k == key) {
-                Some((_, rows)) => rows.push(row.clone()),
-                None => del_groups[p].push((key.clone(), vec![row.clone()])),
+            match group_of.entry(key) {
+                Entry::Occupied(g) => del_groups[p][*g.get()].1.push(row.clone()),
+                Entry::Vacant(g) => {
+                    g.insert(del_groups[p].len());
+                    del_groups[p].push((key.clone(), vec![row.clone()]));
+                }
             }
         }
         let mut ins_groups: Vec<Vec<&Vec<Value>>> = vec![Vec::new(); n];
@@ -663,7 +669,7 @@ impl IndexedTable {
                         kinds.push(*kind);
                     }
                 }
-                Some(sink.begin_commit_kinds(&rows, &kinds)?)
+                Some(sink.begin_commit(&rows, &kinds)?)
             }
             None => None,
         };
@@ -1227,6 +1233,37 @@ mod tests {
         assert_eq!(t.apply_dml(&[row(999, 0)], &[]).unwrap(), 0);
     }
 
+    /// A statement naming tens of thousands of keys groups its delete rows
+    /// by key in one pass, and removes exactly the rows it names.
+    #[test]
+    fn delete_of_many_keys_removes_exactly_those_rows() {
+        const KEYS: i64 = 40_000;
+        // One row per key, and a second version of every fourth key.
+        let rows = (0..KEYS)
+            .map(|k| (k, k))
+            .chain((0..KEYS).step_by(4).map(|k| (k, k + KEYS)));
+        let t = IndexedTable::from_chunk(schema(), 0, cfg(4), &chunk(rows)).unwrap();
+        // Every version of every even key: 20 000 keys, 30 000 rows, the
+        // versions of one key apart in the statement.
+        let deletes: Vec<Vec<Value>> = (0..KEYS)
+            .step_by(2)
+            .map(|k| row(k, k))
+            .chain((0..KEYS).step_by(4).map(|k| row(k, k + KEYS)))
+            .collect();
+        assert_eq!(t.apply_dml(&deletes, &[]).unwrap(), 30_000);
+        let keys: Vec<Value> = (0..KEYS).map(Value::Int64).collect();
+        let left = t.snapshot().lookup_batch(&keys, None).unwrap();
+        let mut left: Vec<(Value, Value)> = (0..left.len())
+            .map(|r| (left.value_at(0, r), left.value_at(1, r)))
+            .collect();
+        left.sort();
+        let odd: Vec<(Value, Value)> = (1..KEYS)
+            .step_by(2)
+            .map(|k| (Value::Int64(k), Value::Int64(k)))
+            .collect();
+        assert_eq!(left, odd);
+    }
+
     #[test]
     fn update_replaces_versions() {
         let data = chunk((0..10).map(|i| (i, i)));
@@ -1293,13 +1330,7 @@ mod tests {
         type Record = (Vec<Vec<u8>>, Vec<u8>);
         struct Recorder(Mutex<Vec<Record>>);
         impl AppendSink for Recorder {
-            fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn crate::sink::CommitGuard>> {
-                self.0
-                    .lock()
-                    .push((rows.iter().map(|r| r.to_vec()).collect(), Vec::new()));
-                Ok(Box::new(crate::sink::NoopCommitGuard))
-            }
-            fn begin_commit_kinds(
+            fn begin_commit(
                 &self,
                 rows: &[&[u8]],
                 kinds: &[RowKind],

@@ -418,3 +418,65 @@ fn frozen_source_rejects_append_rows() {
     let err = live.append_rows(&bad).unwrap_err();
     assert!(matches!(err, EngineError::Type(_)), "{err}");
 }
+
+/// The trie matches a Float64 key by its bits, SQL by IEEE equality
+/// (`0.0 = -0.0`, NaN equals nothing). So `=` and `IN` on a Float64 key
+/// are not probed: the indexed table answers them exactly as the vanilla
+/// one does, from a filter over the scan.
+#[test]
+fn float_key_filters_answer_as_vanilla() {
+    let session = Session::new();
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("f", DataType::Float64),
+        Field::new("n", DataType::Int64),
+    ]));
+    let rows: Vec<Vec<Value>> = [0.0, -0.0, f64::NAN, 1.5, 2.0, 0.0, -0.0, 2.0]
+        .iter()
+        .zip(0..)
+        .map(|(&f, n)| vec![Value::Float64(f), Value::Int64(n)])
+        .collect();
+    let chunk = Chunk::from_rows(&schema, &rows).unwrap();
+    session.register_table(
+        "plain",
+        Arc::new(MemTable::from_chunk_partitioned(Arc::clone(&schema), chunk.clone(), 4).unwrap()),
+    );
+    session
+        .dataframe_from_chunk(schema, chunk)
+        .create_index("f")
+        .unwrap()
+        .cache()
+        .register("indexed");
+    let ns = |table: &str, predicate: &str| {
+        let out = session
+            .sql(&format!("SELECT n FROM {table} WHERE {predicate}"))
+            .unwrap()
+            .collect()
+            .unwrap();
+        let mut ns: Vec<Value> = (0..out.len()).map(|i| out.value_at(0, i)).collect();
+        ns.sort();
+        ns
+    };
+    for predicate in [
+        "f = 0.0",
+        "f = -0.0",
+        "-0.0 = f",
+        "f IN (0.0, 2.0)",
+        "f IN (-0.0, 1.5)",
+        "f NOT IN (0.0, 2.0)",
+        "f = 0.0 / 0.0",
+        "f = 2.0 AND f IN (2.0, 0.0)",
+    ] {
+        assert_eq!(
+            ns("indexed", predicate),
+            ns("plain", predicate),
+            "{predicate}"
+        );
+    }
+    assert_eq!(ns("indexed", "f = 0.0").len(), 4);
+    let plan = session
+        .sql("SELECT n FROM indexed WHERE f = 0.0")
+        .unwrap()
+        .explain()
+        .unwrap();
+    assert!(!plan.contains("pushed="), "{plan}");
+}

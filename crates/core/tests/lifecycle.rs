@@ -189,13 +189,14 @@ fn heavy_query_cancels_while_lookups_proceed() {
 /// same `QueryContext::check` a cancel trips), and the walk must stop in
 /// the batch it overran the deadline in, not run on to the partition's end.
 ///
-/// The schedule holds by construction, however slow the machine. The
-/// first check arms the 50 ms deadline before batch 0 opens. A batch holds
-/// 6 144 rows, fewer than one check's worth, so no check falls inside
-/// batch 0 however long its walk takes. Opening batch 1 sleeps 100 ms, so
-/// the deadline has passed before any row of it is walked, and the walk's
-/// first check comes at its 8 192nd row, inside batch 1 (rows 6 144 to
-/// 12 287).
+/// The schedule holds by construction, however slow the machine, and no
+/// assertion reads a clock. The first check arms the 50 ms deadline before
+/// batch 0 opens. A batch holds 6 144 rows, fewer than one check's worth,
+/// so no check falls inside batch 0 however long its walk takes. Opening
+/// batch 1 sleeps 100 ms, so the deadline has passed before any row of it
+/// is walked, and the walk's first check comes at its 8 192nd row, inside
+/// batch 1 (rows 6 144 to 12 287). That batch 2 is never opened is what
+/// shows the walk stopped there.
 #[test]
 fn never_true_walk_stops_mid_partition() {
     let _serial = serial();
@@ -228,7 +229,6 @@ fn never_true_walk_stops_mid_partition() {
     let query = QueryContext::builder()
         .timeout(Duration::from_millis(50))
         .build();
-    let started = Instant::now();
     let mut walk = part
         .scan_where(Some(&[]), &[never], usize::MAX, Some(query))
         .unwrap();
@@ -239,7 +239,6 @@ fn never_true_walk_stops_mid_partition() {
         Some(2),
         "the walk opened a batch past the one it overran its deadline in"
     );
-    assert!(started.elapsed() < Duration::from_secs(2));
     assert!(walk.next().is_none(), "a stopped walk is fused");
 }
 

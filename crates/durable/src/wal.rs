@@ -336,11 +336,12 @@ impl TableWal {
     /// Log one committed DML statement: the same staging/flush contract
     /// as [`TableWal::begin_commit`], but the record carries a
     /// [`RowKind`] byte per row so recovery can replay tombstones as
-    /// tombstones. A statement whose rows are all data (a plain append
-    /// routed through the kind-aware seam) uses the legacy record layout
-    /// — pre-DML segments and pure-insert workloads stay bit-compatible.
+    /// tombstones. A statement whose rows are all data (an empty `kinds`,
+    /// or a plain append routed through the kind-aware seam) uses the
+    /// append record layout — pre-DML segments and pure-insert workloads
+    /// stay bit-compatible.
     pub fn begin_commit_kinds(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<WalTicket> {
-        debug_assert_eq!(rows.len(), kinds.len());
+        debug_assert!(kinds.is_empty() || rows.len() == kinds.len());
         if kinds.iter().all(|&k| k == RowKind::Data) {
             return self.begin_commit(rows);
         }
@@ -782,15 +783,7 @@ impl WalSink {
 }
 
 impl AppendSink for WalSink {
-    fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>> {
-        Ok(Box::new(self.wal.begin_commit(rows)?))
-    }
-
-    fn begin_commit_kinds(
-        &self,
-        rows: &[&[u8]],
-        kinds: &[RowKind],
-    ) -> Result<Box<dyn CommitGuard>> {
+    fn begin_commit(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<Box<dyn CommitGuard>> {
         Ok(Box::new(self.wal.begin_commit_kinds(rows, kinds)?))
     }
 

@@ -1,9 +1,11 @@
 //! Constant folding and predicate simplification.
 
+use crate::chunk::Chunk;
 use crate::error::Result;
 use crate::expr::{BinaryOp, Expr};
 use crate::logical::LogicalPlan;
 use crate::optimizer::{map_children, OptimizerRule};
+use crate::physical::create_physical_expr;
 use crate::schema::Schema;
 use crate::types::{DataType, Value};
 
@@ -129,9 +131,16 @@ fn fold_typed(expr: &Expr, schema: Option<&Schema>) -> Expr {
             let l = fold_expr(left);
             let r = fold_expr(right);
             if let (Expr::Literal(lv), Expr::Literal(rv)) = (&l, &r) {
-                if let Some(v) = eval_binary_literal(lv, *op, rv) {
-                    return Expr::Literal(v);
+                // A comparison or arithmetic with a NULL operand is NULL.
+                if !op.is_logic() && (lv.is_null() || rv.is_null()) {
+                    return Expr::Literal(Value::Null);
                 }
+                let node = Expr::Binary {
+                    left: Box::new(l),
+                    op: *op,
+                    right: Box::new(r),
+                };
+                return evaluate_literal_node(&node).map_or(node, Expr::Literal);
             }
             // Boolean identities.
             match op {
@@ -234,18 +243,19 @@ fn fold_typed(expr: &Expr, schema: Option<&Schema>) -> Expr {
                 }
                 entries.push(e);
             }
-            // All-literal IN over a literal tested value folds completely.
-            if let Expr::Literal(v) = &tested {
-                let lits: Option<Vec<&Value>> = entries
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Literal(l) => Some(l),
-                        _ => None,
-                    })
-                    .collect();
-                if let Some(lits) = lits {
-                    return Expr::Literal(eval_in_list_literal(v, &lits, *negated));
-                }
+            // NULL IN (…) is NULL, whatever the entries.
+            if matches!(tested, Expr::Literal(Value::Null)) {
+                return Expr::Literal(Value::Null);
+            }
+            if matches!(tested, Expr::Literal(_))
+                && entries.iter().all(|e| matches!(e, Expr::Literal(_)))
+            {
+                let node = Expr::InList {
+                    expr: Box::new(tested),
+                    list: entries,
+                    negated: *negated,
+                };
+                return evaluate_literal_node(&node).map_or(node, Expr::Literal);
             }
             // `x IN (a)` ⇔ `x = a`, `x NOT IN (a)` ⇔ `x <> a` — exact
             // under three-valued logic, and it exposes the single-key
@@ -281,91 +291,15 @@ fn fold_typed(expr: &Expr, schema: Option<&Schema>) -> Expr {
     }
 }
 
-/// `v IN (entries)` under SQL three-valued logic (flip for `NOT IN`):
-/// NULL tested → NULL; a match → TRUE; no match but a NULL entry → NULL;
-/// otherwise FALSE. Mirrors the physical `InListExpr` exactly, including
-/// its strict `Value` equality.
-fn eval_in_list_literal(v: &Value, entries: &[&Value], negated: bool) -> Value {
-    if v.is_null() {
-        return Value::Null;
-    }
-    let mut saw_null = false;
-    for e in entries {
-        if e.is_null() {
-            saw_null = true;
-        } else if *e == v {
-            return Value::Boolean(!negated);
-        }
-    }
-    if saw_null {
-        return Value::Null;
-    }
-    Value::Boolean(negated)
-}
-
-fn eval_binary_literal(l: &Value, op: BinaryOp, r: &Value) -> Option<Value> {
-    use std::cmp::Ordering;
-    if l.is_null() || r.is_null() {
-        // NULL op x is NULL for comparisons/arithmetic; handled by
-        // execution anyway — fold to NULL only for comparisons where it is
-        // unambiguous.
-        return match op {
-            BinaryOp::And | BinaryOp::Or => None,
-            _ => Some(Value::Null),
-        };
-    }
-    if op.is_comparison() {
-        if l.data_type() != r.data_type() {
-            return None; // analyzer inserts casts; don't guess here
-        }
-        let ord = l.cmp(r);
-        let b = match op {
-            BinaryOp::Eq => ord == Ordering::Equal,
-            BinaryOp::NotEq => ord != Ordering::Equal,
-            BinaryOp::Lt => ord == Ordering::Less,
-            BinaryOp::LtEq => ord != Ordering::Greater,
-            BinaryOp::Gt => ord == Ordering::Greater,
-            BinaryOp::GtEq => ord != Ordering::Less,
-            _ => unreachable!(),
-        };
-        return Some(Value::Boolean(b));
-    }
-    if op.is_logic() {
-        let (Value::Boolean(a), Value::Boolean(b)) = (l, r) else {
-            return None;
-        };
-        return Some(Value::Boolean(match op {
-            BinaryOp::And => *a && *b,
-            BinaryOp::Or => *a || *b,
-            _ => unreachable!(),
-        }));
-    }
-    // Arithmetic on same-typed numerics.
-    match (l, r) {
-        (Value::Int64(a), Value::Int64(b)) => {
-            let v = match op {
-                BinaryOp::Plus => a.checked_add(*b),
-                BinaryOp::Minus => a.checked_sub(*b),
-                BinaryOp::Multiply => a.checked_mul(*b),
-                BinaryOp::Divide => a.checked_div(*b),
-                BinaryOp::Modulo => a.checked_rem(*b),
-                _ => None,
-            };
-            Some(v.map_or(Value::Null, Value::Int64))
-        }
-        (Value::Float64(a), Value::Float64(b)) => {
-            let v = match op {
-                BinaryOp::Plus => a + b,
-                BinaryOp::Minus => a - b,
-                BinaryOp::Multiply => a * b,
-                BinaryOp::Divide => a / b,
-                BinaryOp::Modulo => a % b,
-                _ => return None,
-            };
-            Some(Value::Float64(v))
-        }
-        _ => None,
-    }
+/// The value of `node`, whose operands are all literals, as execution
+/// computes it: compiled by the physical planner and evaluated over one
+/// row, so a folded comparison, IN-list or arithmetic answers exactly as
+/// the kernels do per row. `None` when a kernel rejects the operands: the
+/// node then stays as written.
+fn evaluate_literal_node(node: &Expr) -> Option<Value> {
+    let compiled = create_physical_expr(node, &Schema::new(Vec::new())).ok()?;
+    let out = compiled.evaluate(&Chunk::new_empty_columns(1)).ok()?;
+    Some(out.value_at(0))
 }
 
 #[cfg(test)]

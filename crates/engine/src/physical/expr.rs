@@ -141,9 +141,8 @@ pub fn create_physical_expr(expr: &Expr, schema: &Schema) -> Result<PhysicalExpr
             negated,
         } => {
             let tested = create_physical_expr(expr, schema)?;
-            // The analyzer guarantees list entries are literal-typed
-            // expressions of the tested type; evaluate constants eagerly
-            // when possible, falling back to runtime evaluation.
+            // The analyzer gives every entry the tested type (or makes it
+            // a NULL literal); literal entries stay scalars at evaluation.
             let entries = list
                 .iter()
                 .map(|e| create_physical_expr(e, schema))
@@ -462,49 +461,45 @@ impl PhysicalExpr for InListExpr {
         DataType::Boolean
     }
 
+    /// `tested = entry` for each entry through the comparison kernel,
+    /// combined under Kleene OR (and negated for NOT IN): a row matching
+    /// no entry is FALSE, or NULL when its tested value or an entry it was
+    /// compared with is NULL.
     fn evaluate(&self, chunk: &Chunk) -> Result<ColumnRef> {
         let tested = self.tested.evaluate(chunk)?;
-        let entry_cols = self
-            .entries
-            .iter()
-            .map(|e| e.evaluate(chunk))
-            .collect::<Result<Vec<_>>>()?;
         let len = chunk.len();
-        let mut values = Vec::with_capacity(len);
-        let mut validity = Bitmap::ones(len);
-        let mut any_null = false;
-        for row in 0..len {
-            let v = tested.value_at(row);
-            if v.is_null() {
-                // NULL IN (...) is NULL.
-                values.push(false);
-                validity.set(row, false);
-                any_null = true;
-                continue;
-            }
-            let mut found = false;
-            let mut saw_null_entry = false;
-            for c in &entry_cols {
-                let e = c.value_at(row);
-                if e.is_null() {
-                    saw_null_entry = true;
-                } else if e == v {
-                    found = true;
-                    break;
+        // Bits set in `truth` are TRUE, bits clear in `known` are NULL.
+        let mut truth = Bitmap::zeros(len);
+        let mut known = tested
+            .validity()
+            .cloned()
+            .unwrap_or_else(|| Bitmap::ones(len));
+        for entry in &self.entries {
+            let column;
+            let operand = match entry.literal() {
+                Some(v) => kernels::Operand::Scalar(v),
+                None => {
+                    column = entry.evaluate(chunk)?;
+                    kernels::Operand::Column(&column)
                 }
-            }
-            // SQL three-valued IN: no match but a NULL entry → NULL.
-            if !found && saw_null_entry {
-                values.push(false);
-                validity.set(row, false);
-                any_null = true;
+            };
+            let (eq, valid) =
+                kernels::compare(kernels::Operand::Column(&tested), BinaryOp::Eq, operand)?;
+            if let Some(valid) = &valid {
+                truth = truth.or(&eq.and(valid));
+                known = known.and(valid);
             } else {
-                values.push(found != self.negated);
+                truth = truth.or(&eq);
             }
+            // Kleene OR: a TRUE either side is known; else both must be.
+            known = known.or(&truth);
+        }
+        if self.negated {
+            truth = known.and(&truth.not());
         }
         Ok(Arc::new(Column::Boolean(PrimVec {
-            values,
-            validity: any_null.then_some(validity),
+            values: truth.to_bools(),
+            validity: (known.count_ones() < len).then_some(known),
         })))
     }
 }
@@ -936,16 +931,6 @@ pub(crate) mod kernels {
             }
         }
         Ok(Arc::new(b.finish()))
-    }
-
-    /// Cast helper used by string casts in the generic path.
-    #[allow(dead_code)]
-    fn utf8_from_iter<'a>(it: impl Iterator<Item = Option<&'a str>>) -> Column {
-        let mut v = StrVec::new();
-        for s in it {
-            v.push(s);
-        }
-        Column::Utf8(v)
     }
 }
 

@@ -18,7 +18,29 @@ fn schema() -> SchemaRef {
         Field::new("a", DataType::Int64),
         Field::new("b", DataType::Int64),
         Field::new("s", DataType::Utf8),
+        Field::new("f", DataType::Float64),
     ]))
+}
+
+/// The floats on which IEEE comparison and bit equality disagree, NULL,
+/// and a few ordinary values.
+const FLOATS: [Option<f64>; 7] = [
+    Some(0.0),
+    Some(-0.0),
+    Some(f64::NAN),
+    None,
+    Some(1.5),
+    Some(-2.0),
+    Some(7.0),
+];
+
+fn float_value(f: Option<f64>) -> Value {
+    f.map_or(Value::Null, Value::Float64)
+}
+
+/// A literal of `f`, NULL typed as DOUBLE so it fits any float operand.
+fn float_lit(f: Option<f64>) -> Expr {
+    Expr::Literal(float_value(f)).cast(DataType::Float64)
 }
 
 fn random_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
@@ -41,8 +63,9 @@ fn random_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
             )
         }
     };
+    let f = |rng: &mut StdRng| float_value(FLOATS[rng.gen_range(0..FLOATS.len())]);
     (0..rng.gen_range(1..60usize))
-        .map(|_| vec![int(rng), int(rng), s(rng)])
+        .map(|_| vec![int(rng), int(rng), s(rng), f(rng)])
         .collect()
 }
 
@@ -241,6 +264,205 @@ fn union_is_additive_and_sort_is_total() {
                 prev <= cur,
                 "seed {seed}: row {i} out of order: {prev:?} > {cur:?}"
             );
+        }
+    }
+}
+
+/// A random expression whose leaves are all literals, built twice: as
+/// written, and with leaf `i` read from column `c{i}` of a one-row table
+/// whose row is `leaves`. Float comparisons, arithmetic and IN-lists over
+/// ±0.0, NaN and NULL, combined by AND, OR and NOT.
+struct LiteralTree {
+    literal: Expr,
+    columns: Expr,
+    leaves: Vec<(DataType, Value)>,
+}
+
+impl LiteralTree {
+    fn leaf(&mut self, rng: &mut StdRng, dt: DataType) -> (Expr, Expr) {
+        let value = if dt == DataType::Float64 {
+            float_value(FLOATS[rng.gen_range(0..FLOATS.len())])
+        } else if rng.gen_bool(0.15) {
+            Value::Null
+        } else {
+            Value::Int64([i64::MIN, -1, 0, 1, i64::MAX][rng.gen_range(0..5usize)])
+        };
+        let column = col(&format!("c{}", self.leaves.len()));
+        self.leaves.push((dt, value.clone()));
+        (Expr::Literal(value).cast(dt), column)
+    }
+
+    fn number(&mut self, rng: &mut StdRng, dt: DataType, depth: usize) -> (Expr, Expr) {
+        if depth == 0 || rng.gen_bool(0.4) {
+            return self.leaf(rng, dt);
+        }
+        let op = [
+            BinaryOp::Plus,
+            BinaryOp::Minus,
+            BinaryOp::Multiply,
+            BinaryOp::Divide,
+            BinaryOp::Modulo,
+        ][rng.gen_range(0..5usize)];
+        let (l, lc) = self.number(rng, dt, depth - 1);
+        let (r, rc) = self.number(rng, dt, depth - 1);
+        (binary(l, op, r), binary(lc, op, rc))
+    }
+
+    fn predicate(&mut self, rng: &mut StdRng, depth: usize) -> (Expr, Expr) {
+        let dt = if rng.gen_bool(0.75) {
+            DataType::Float64
+        } else {
+            DataType::Int64
+        };
+        match rng.gen_range(0..if depth == 0 { 2 } else { 5 }) {
+            0 => {
+                let op = [
+                    BinaryOp::Eq,
+                    BinaryOp::NotEq,
+                    BinaryOp::Lt,
+                    BinaryOp::LtEq,
+                    BinaryOp::Gt,
+                    BinaryOp::GtEq,
+                ][rng.gen_range(0..6usize)];
+                let (l, lc) = self.number(rng, dt, 1);
+                let (r, rc) = self.number(rng, dt, 1);
+                (binary(l, op, r), binary(lc, op, rc))
+            }
+            1 => {
+                let (x, xc) = self.number(rng, dt, 1);
+                let (list, list_c): (Vec<Expr>, Vec<Expr>) = (0..rng.gen_range(2..5usize))
+                    .map(|_| self.leaf(rng, dt))
+                    .unzip();
+                if rng.gen_bool(0.5) {
+                    (x.in_list(list), xc.in_list(list_c))
+                } else {
+                    (x.not_in_list(list), xc.not_in_list(list_c))
+                }
+            }
+            2 => {
+                let (e, ec) = self.predicate(rng, depth - 1);
+                (e.not(), ec.not())
+            }
+            op => {
+                let (l, lc) = self.predicate(rng, depth - 1);
+                let (r, rc) = self.predicate(rng, depth - 1);
+                if op == 3 {
+                    (l.and(r), lc.and(rc))
+                } else {
+                    (l.or(r), lc.or(rc))
+                }
+            }
+        }
+    }
+
+    fn random(rng: &mut StdRng) -> Self {
+        let mut tree = LiteralTree {
+            literal: lit(true),
+            columns: lit(true),
+            leaves: Vec::new(),
+        };
+        let (literal, columns) = if rng.gen_bool(0.25) {
+            tree.number(rng, DataType::Float64, 3)
+        } else {
+            tree.predicate(rng, 2)
+        };
+        tree.literal = literal;
+        tree.columns = columns;
+        tree
+    }
+}
+
+fn binary(left: Expr, op: BinaryOp, right: Expr) -> Expr {
+    Expr::Binary {
+        left: Box::new(left),
+        op,
+        right: Box::new(right),
+    }
+}
+
+/// The one value of a single-row, single-column query.
+fn only_value(df: DataFrame) -> Value {
+    let out = df.collect().expect("collect");
+    assert_eq!((out.len(), out.num_columns()), (1, 1));
+    out.value_at(0, 0)
+}
+
+/// Constant folding answers as execution does: a literal-only expression
+/// (which the optimizer folds to one literal) and the same expression
+/// over columns holding those literals (which only execution can answer)
+/// give the same value, bit for bit.
+#[test]
+fn folding_equals_executing() {
+    let session = Session::new();
+    let one_row = session.create_dataframe(
+        Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)])),
+        vec![vec![Value::Int64(0)]],
+    );
+    for seed in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(0xf01d_0000 + seed);
+        let tree = LiteralTree::random(&mut rng);
+        let fields = (0..tree.leaves.len())
+            .map(|i| Field::new(format!("c{i}"), tree.leaves[i].0))
+            .collect();
+        let leaves = session.create_dataframe(
+            Arc::new(Schema::new(fields)),
+            vec![tree.leaves.iter().map(|(_, v)| v.clone()).collect()],
+        );
+        let folded = only_value(one_row.select(vec![tree.literal.clone()]).expect("plan"));
+        let executed = only_value(leaves.select(vec![tree.columns.clone()]).expect("plan"));
+        assert_eq!(
+            folded, executed,
+            "seed {seed}: {} over {:?}",
+            tree.literal, tree.leaves
+        );
+    }
+}
+
+/// `x IN (a, b, …)` is `x = a OR x = b OR …` row by row, and
+/// `x NOT IN (…)` is its negation, under three-valued logic: over a float
+/// column holding ±0.0, NaN and NULL, with literal entries (NULL among
+/// them) and column entries.
+#[test]
+fn in_list_equals_or_of_equalities() {
+    let schema = schema();
+    let entry = |rng: &mut StdRng| match rng.gen_range(0..4) {
+        0 => col("f"),
+        _ => float_lit(FLOATS[rng.gen_range(0..FLOATS.len())]),
+    };
+    for seed in 0..96u64 {
+        let mut rng = StdRng::seed_from_u64(0x1e_0000 + seed);
+        let rows = random_rows(&mut rng);
+        let chunk = Chunk::from_rows(&schema, &rows).expect("chunk");
+        let tested = if rng.gen_bool(0.8) {
+            col("f")
+        } else {
+            col("f").add(float_lit(Some(0.0)))
+        };
+        let list: Vec<Expr> = (0..rng.gen_range(1..5usize))
+            .map(|_| entry(&mut rng))
+            .collect();
+        let any_equal = list
+            .iter()
+            .map(|e| tested.clone().eq(e.clone()))
+            .reduce(Expr::or)
+            .expect("a non-empty list");
+        for (in_list, expected) in [
+            (tested.clone().in_list(list.clone()), any_equal.clone()),
+            (tested.clone().not_in_list(list.clone()), any_equal.not()),
+        ] {
+            let eval = |e: &Expr| {
+                let bound = resolve_expr(e, &schema).expect("analyzable");
+                let pe = create_physical_expr(&bound, &schema).expect("compile");
+                pe.evaluate(&chunk).expect("evaluate")
+            };
+            let (got, want) = (eval(&in_list), eval(&expected));
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    got.value_at(i),
+                    want.value_at(i),
+                    "seed {seed}: row {i} ({row:?}) under {in_list}"
+                );
+            }
         }
     }
 }

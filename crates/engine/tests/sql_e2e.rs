@@ -944,3 +944,49 @@ fn walk_predicates_and_derived_key_equalities_match_vanilla() {
     }
     agree("after DML");
 }
+
+/// A float comparison answers the same whether the optimizer folds it or
+/// a filter evaluates it per row, and an IN-list matches the rows its
+/// equalities match: `0.0 = -0.0` is TRUE, `-0.0 < 0.0` FALSE, and NaN
+/// equals nothing, itself included.
+#[test]
+fn float_comparisons_fold_as_they_execute() {
+    let s = Session::new();
+    let schema = Arc::new(Schema::new(vec![Field::new("f", DataType::Float64)]));
+    let rows: Vec<Vec<Value>> = [0.0, -0.0, f64::NAN, 1.5]
+        .iter()
+        .map(|&f| vec![Value::Float64(f)])
+        .collect();
+    let chunk = Chunk::from_rows(&schema, &rows).unwrap();
+    s.register_table(
+        "t",
+        Arc::new(MemTable::from_chunk_partitioned(schema, chunk, 2).unwrap()),
+    );
+    // The bits of every float a query returns, sorted.
+    let bits = |sql: &str| {
+        let out = s.sql(sql).unwrap().collect().unwrap();
+        let mut bits: Vec<u64> = (0..out.len())
+            .map(|i| match out.value_at(0, i) {
+                Value::Float64(f) => f.to_bits(),
+                other => panic!("{sql}: {other:?}"),
+            })
+            .collect();
+        bits.sort_unstable();
+        bits
+    };
+    let zeros = bits("SELECT f FROM t WHERE f = 0.0");
+    assert_eq!(zeros, vec![0.0f64.to_bits(), (-0.0f64).to_bits()]);
+    assert_eq!(bits("SELECT f FROM t WHERE f = -0.0"), zeros);
+    assert_eq!(bits("SELECT f FROM t WHERE 0.0 = -0.0").len(), 4);
+    assert_eq!(bits("SELECT f FROM t WHERE -0.0 < 0.0"), Vec::<u64>::new());
+    assert_eq!(bits("SELECT f FROM t WHERE f IN (0.0, 7.0)"), zeros);
+    assert_eq!(bits("SELECT f FROM t WHERE f IN (-0.0)"), zeros);
+    assert_eq!(
+        bits("SELECT f FROM t WHERE f NOT IN (0.0, 7.0)"),
+        bits("SELECT f FROM t WHERE f <> 0.0")
+    );
+    assert_eq!(
+        bits("SELECT f FROM t WHERE f IN (0.0 / 0.0, 1.5)"),
+        vec![1.5f64.to_bits()]
+    );
+}

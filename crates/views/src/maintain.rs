@@ -136,20 +136,12 @@ struct DeltaTap {
 }
 
 impl AppendSink for DeltaTap {
-    fn begin_commit(&self, rows: &[&[u8]]) -> Result<Box<dyn CommitGuard>> {
-        self.capture(rows, false)
-    }
-
-    /// Kind-aware capture. An all-`Data` statement is an ordinary append
-    /// delta; a tombstone-carrying UPDATE/DELETE commit is captured as a
-    /// DML barrier instead (see [`Delta::dml`]) — append-only delta rules
+    /// An all-`Data` statement is an ordinary append delta; a
+    /// tombstone-carrying UPDATE/DELETE commit is captured as a DML
+    /// barrier instead (see [`Delta::dml`]) — append-only delta rules
     /// cannot retract rows, so dependent views go stale rather than
     /// silently double-applying survivor re-appends.
-    fn begin_commit_kinds(
-        &self,
-        rows: &[&[u8]],
-        kinds: &[RowKind],
-    ) -> Result<Box<dyn CommitGuard>> {
+    fn begin_commit(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<Box<dyn CommitGuard>> {
         self.capture(rows, kinds.contains(&RowKind::Tombstone))
     }
 }
