@@ -89,8 +89,15 @@ struct PartitionIndex {
     /// query: a single writer appends (under `append_lock`) and only a
     /// compaction builds a new trie, so a counter bumped on first-insert
     /// stays exact.
-    keys: AtomicUsize,
+    keys: KeyCount,
 }
+
+/// [`PartitionIndex::keys`], aligned past the trie's root cell as
+/// [`Version`] is past its `Arc` count: every publish that adds a key
+/// writes it, and every probe of the index loads the root, so the two
+/// never share a cache line (or its adjacent-line prefetch pair).
+#[repr(align(128))]
+struct KeyCount(AtomicUsize);
 
 impl PartitionIndex {
     /// An index over `entries` (distinct keys): a fresh trie, built
@@ -99,7 +106,7 @@ impl PartitionIndex {
         let index = PartitionIndex {
             col,
             trie: CTrie::new(),
-            keys: AtomicUsize::new(entries.len()),
+            keys: KeyCount(AtomicUsize::new(entries.len())),
         };
         index.trie.from_entries(entries);
         index
@@ -229,10 +236,9 @@ impl Version {
             new_keys += usize::from(head.was.is_null());
             (key, head.ptr.raw())
         }));
-        // Only a new key writes the counter: it shares a cache line with
-        // the trie root every probe loads.
+        // Only a new key writes the counter.
         if new_keys > 0 {
-            ix.keys.fetch_add(new_keys, Ordering::AcqRel);
+            ix.keys.0.fetch_add(new_keys, Ordering::AcqRel);
         }
     }
 }
@@ -402,7 +408,7 @@ impl IndexedPartition {
             .read()
             .indexes
             .get(index)
-            .map_or(0, |ix| ix.keys.load(Ordering::Acquire))
+            .map_or(0, |ix| ix.keys.0.load(Ordering::Acquire))
     }
 
     /// Rows appended so far.
@@ -842,7 +848,7 @@ impl IndexedPartition {
             // The maintained counter, NOT `trie.len()`: these stats feed
             // planner row estimates on every query, and the trie's own
             // `len()` is a full O(n) traversal.
-            index_entries: v.primary().keys.load(Ordering::Acquire),
+            index_entries: v.primary().keys.0.load(Ordering::Acquire),
             rows: v.rows.load(Ordering::Acquire),
             tombstones: v.tombstones.load(Ordering::Acquire),
             dead_rows: v.dead_rows.load(Ordering::Acquire),

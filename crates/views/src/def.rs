@@ -108,13 +108,11 @@ pub(crate) enum ViewKind {
 }
 
 impl ViewKind {
-    /// Catalog names of every base table, FROM side first.
-    pub fn base_names(&self) -> Vec<String> {
+    /// Every base table, FROM side first.
+    pub fn bases(&self) -> Vec<&BaseInfo> {
         match self {
-            ViewKind::FilterProject { base } | ViewKind::Aggregate { base, .. } => {
-                vec![base.name.clone()]
-            }
-            ViewKind::Join { left, right, .. } => vec![left.name.clone(), right.name.clone()],
+            ViewKind::FilterProject { base } | ViewKind::Aggregate { base, .. } => vec![base],
+            ViewKind::Join { left, right, .. } => vec![left, right],
         }
     }
 }
@@ -238,7 +236,7 @@ fn classify_join(
         }
     }
     let right = resolve_base(session, &join.table)?;
-    if left.name == right.name {
+    if left.name == right.name || Arc::ptr_eq(&left.table, &right.table) {
         return Err(unsupported("self-joins are not supported"));
     }
     let SqlExpr::Binary {

@@ -10,7 +10,8 @@
 //!
 //! * **Delta capture** hooks the two-phase commit seam
 //!   ([`idf_core::sink::AppendSink`]): each committed chunk becomes a
-//!   delta on a bounded queue (backpressure into the append path).
+//!   delta that the committing thread applies before its append returns,
+//!   so a view read after an append always sees it (read-your-writes).
 //! * **Delta rules**: filter/project views append π(σ(Δ)); aggregate
 //!   views merge Δ-partials into persistent per-group accumulators;
 //!   join views probe the other side's shared arrangement
@@ -26,10 +27,6 @@
 //!   `SELECT … FROM <view>` plans through the normal physical layer —
 //!   EXPLAIN, the memory governor, cancellation and the service layer
 //!   all work unchanged.
-//!
-//! Maintenance runs [`MaintenanceMode::Sync`] (applied before the append
-//! returns) or [`MaintenanceMode::Async`] (a bounded background worker),
-//! mirroring the durability layer's sync/async split.
 //!
 //! ```
 //! use idf_engine::session::Session;
@@ -55,87 +52,40 @@ pub mod state;
 mod def;
 mod maintain;
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use idf_engine::error::Result;
 use idf_engine::session::{Session, SessionExtension};
 use idf_engine::sql::SelectStmt;
 
-/// When delta application runs relative to the append that produced it
-/// (mirrors the durability layer's `DurabilityLevel` split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenanceMode {
-    /// Apply the delta on the appending thread before the append call
-    /// returns: a subsequent view read on the same thread always sees
-    /// the append.
-    Sync,
-    /// Queue the delta for a bounded background worker: appends return
-    /// sooner, view reads may lag by the queue depth (the lag is
-    /// recorded in the `idf_views_maintenance_lag_ns` histogram).
-    Async,
-}
-
-/// Configuration for [`install`].
-#[derive(Debug, Clone)]
-pub struct ViewsConfig {
-    /// Sync or async maintenance (default sync).
-    pub mode: MaintenanceMode,
-}
-
-impl Default for ViewsConfig {
-    fn default() -> Self {
-        ViewsConfig {
-            mode: MaintenanceMode::Sync,
-        }
-    }
-}
+/// Configuration for [`install`]. It has no fields: maintenance has one
+/// mode, applied by the commit that made the delta. The type stays only
+/// so that `install`'s signature, which callers outside this crate use,
+/// does not change.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ViewsConfig {}
 
 /// The installed views subsystem. Returned by [`install`]; the session
 /// holds it as an installed extension, so it lives as long as the session
-/// (or any user clone). Dropping the last handle shuts the maintenance
-/// worker down and degrades the append-path taps to no-ops.
+/// (or any user clone). Once the last handle drops, the append-path taps
+/// (which hold the subsystem weakly) degrade to no-ops.
 pub struct ViewsSystem {
     shared: Arc<maintain::Shared>,
-    worker: Option<JoinHandle<()>>,
 }
 
 impl ViewsSystem {
-    fn start(config: ViewsConfig) -> Arc<ViewsSystem> {
-        let mode = config.mode;
-        let shared = maintain::Shared::new(config);
-        let worker = (mode == MaintenanceMode::Async).then(|| {
-            let worker_shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("idf-views-maint".to_string())
-                .spawn(move || worker_shared.worker_loop())
-                .expect("spawn view-maintenance worker")
-        });
-        Arc::new(ViewsSystem { shared, worker })
-    }
-
-    /// Block until every queued delta is applied. Async-mode callers use
-    /// this to observe a maintenance-quiescent state (tests, benches);
-    /// in sync mode it returns immediately once the queue is empty.
+    /// Block until no commit on a table with views is still applying its
+    /// delta. Every append applies its own delta before it returns, so
+    /// this waits only for applies that other threads are still running
+    /// (tests and benches use it to observe a quiet state).
     pub fn wait_idle(&self) {
-        self.shared.drain_pending(true);
+        self.shared.wait_idle();
     }
 
     /// Names of views whose maintenance was poisoned and now serve their
     /// last consistent state until a `REFRESH MATERIALIZED VIEW`.
     pub fn stale_views(&self) -> Vec<String> {
         self.shared.stale_views()
-    }
-}
-
-impl Drop for ViewsSystem {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.notify_shutdown();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -160,8 +110,10 @@ impl SessionExtension for ViewsSystem {
 /// Install the materialized-view subsystem on `session`: from then on
 /// `CREATE/DROP/REFRESH MATERIALIZED VIEW` dispatch here, and committed
 /// appends to base tables with views are captured as maintenance deltas.
-pub fn install(session: &Session, config: ViewsConfig) -> Arc<ViewsSystem> {
-    let system = ViewsSystem::start(config);
+pub fn install(session: &Session, _config: ViewsConfig) -> Arc<ViewsSystem> {
+    let system = Arc::new(ViewsSystem {
+        shared: maintain::Shared::new(),
+    });
     session.install_extension(Arc::clone(&system) as Arc<dyn SessionExtension>);
     system
 }

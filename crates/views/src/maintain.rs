@@ -1,34 +1,36 @@
 //! Incremental maintenance: delta capture at the commit point, the
-//! bounded maintenance queue, the gate/quiesce protocol that makes view
-//! creation and refresh snapshot-consistent, and the per-operator delta
-//! application rules (DESIGN.md §13).
+//! gate/quiesce protocol that makes view creation and refresh
+//! snapshot-consistent, and the per-operator delta application rules
+//! (DESIGN.md §13).
 //!
 //! # Delta capture
 //!
-//! Each base table gets one [`TapState`] whose [`DeltaTap`] is composed
+//! Each base table gets one [`TapState`], found by the table's identity
+//! (`Arc::ptr_eq`, never its catalog name), whose [`DeltaTap`] is composed
 //! onto the table's append sink (after the WAL, so a rejected commit is
 //! never observed). The tap captures the committed row payloads at the
-//! commit point and, when the append publishes to memory, enqueues them
-//! as one [`Delta`] on a bounded queue — a full queue blocks the append
-//! path, which is the backpressure policy. One tap serves every view
-//! over the table: a single delta pass fans out to all maintainers.
+//! commit point; once the append has published to memory, the commit's
+//! [`TapGuard`] drops and applies them on the committing thread, under
+//! `apply_lock`, before the append returns. That apply is the only
+//! backpressure: a writer waits for its own delta. One tap serves every
+//! view over the table: a single delta pass fans out to all maintainers.
 //!
 //! # Consistent seeding (gates + quiesce)
 //!
 //! `CREATE`/`REFRESH` must compute a base snapshot that lines up exactly
 //! with the delta stream: every commit is either in the snapshot or will
-//! arrive as a delta, never both, never neither. The protocol:
+//! arrive as a delta, never both, never neither. The protocol, serialized
+//! with all other DDL on `ddl_lock`:
 //!
 //! 1. close the gates of every base table (new commits park at the gate);
-//! 2. quiesce: drain the queue and wait until each gate shows
-//!    `inflight == 0` (every tap-captured commit has enqueued) and
+//! 2. quiesce, *without* holding `apply_lock` (the commits waited for
+//!    need it to apply their deltas): wait until each gate shows
+//!    `inflight == 0` (every tap-captured commit has applied) and
 //!    `commit_window() == waiting` (every append inside the table's
 //!    commit window is one parked at our gate — this waits out commits
 //!    that raced the tap install and would otherwise publish unseen);
-//! 3. seed from the now-stable base, register the view, reopen.
-//!
-//! Gates close in sorted name order, and all DDL serializes on the
-//! apply lock, so two concurrent creates cannot deadlock.
+//! 3. take `apply_lock`, seed from the now-stable base, register the
+//!    view, reopen.
 //!
 //! # Exactly-once application
 //!
@@ -40,10 +42,10 @@
 //! the arrangement (and its dependent views) stale rather than retrying;
 //! `REFRESH` rebuilds stale state from the base.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError, Weak};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::time::{Duration, Instant};
 
 use idf_core::config::IndexConfig;
 use idf_core::layout::RowLayout;
@@ -59,17 +61,14 @@ use idf_engine::session::Session;
 use idf_engine::sql::{binder, SelectStmt};
 use idf_engine::types::{DataType, Value};
 
-use crate::def::{classify, AccKind, AggDef, OutCol, ViewKind};
+use crate::def::{classify, AccKind, AggDef, BaseInfo, OutCol, ViewKind};
+use crate::failpoints;
 use crate::state::ViewSource;
-use crate::{failpoints, MaintenanceMode, ViewsConfig};
 
 /// Retry budget for retryable (pre-mutation) apply faults before the
 /// view is declared stale. High enough to ride out any seeded fault
 /// storm the chaos suite configures.
 const MAX_APPLY_RETRIES: usize = 10_000;
-
-/// Deltas the queue holds before an append blocks on it (backpressure).
-const QUEUE_CAPACITY: usize = 64;
 
 /// Lock a std mutex, recovering the guard if a panicking holder poisoned
 /// it (injected panics unwind through these locks under chaos).
@@ -77,32 +76,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One committed append, captured at the commit point.
-struct Delta {
-    /// Catalog name of the base table the commit landed on.
-    table: String,
-    /// Encoded row payloads, in publish order. Empty for DML barriers.
-    payloads: Vec<Vec<u8>>,
-    /// Commit time, for the maintenance-lag histogram (`Some` only when
-    /// the `obs` feature is compiled in).
-    created: Option<Instant>,
-    /// A tombstone-carrying DML statement committed on the table. Its
-    /// effect cannot be replayed as an append-only delta, so instead of
-    /// payloads to apply this delta is a barrier: every dependent view
-    /// (and every arrangement over the table) goes stale, and `REFRESH`
-    /// rebuilds from the post-DML base. Riding the ordinary queue keeps
-    /// the gate/quiesce accounting exact — a seed either predates the
-    /// DML commit or sees its staleness, never a half-applied mix.
-    dml: bool,
-}
-
 /// Gate state of one base table's tap.
+#[derive(Default)]
 struct Gate {
     /// Closed while a CREATE/REFRESH over this table seeds; new commits
     /// park at the gate until it reopens.
     closed: bool,
-    /// Commits the tap has captured whose append has not yet published
-    /// (their deltas may not be enqueued yet).
+    /// Commits the tap has captured whose delta is not yet applied.
     inflight: usize,
     /// Appends currently parked at the closed gate. Each holds the
     /// table's commit window, so quiesce compares `commit_window()`
@@ -113,14 +93,14 @@ struct Gate {
 /// Per-base-table delta-capture state, shared by every view over the
 /// table.
 struct TapState {
-    /// Catalog name of the base table.
-    name: String,
-    /// The base table itself (payload decode, commit-window polling).
-    table: Arc<IndexedTable>,
+    /// The base table itself: the tap's identity, payload decode and
+    /// commit-window polling. Weak, because the table's sink holds the
+    /// tap: a strong count would keep a dropped table alive for good.
+    table: Weak<IndexedTable>,
     /// Gate state.
     gate: Mutex<Gate>,
     /// Signals gate reopen (parked appenders) and inflight changes
-    /// (quiesce pollers).
+    /// ([`Shared::wait_idle`]).
     cv: Condvar,
     /// Number of registered views over this table. Zero means the tap
     /// fast-paths to a no-op guard and captures nothing.
@@ -136,26 +116,16 @@ struct DeltaTap {
 }
 
 impl AppendSink for DeltaTap {
-    /// An all-`Data` statement is an ordinary append delta; a
-    /// tombstone-carrying UPDATE/DELETE commit is captured as a DML
-    /// barrier instead (see [`Delta::dml`]) — append-only delta rules
-    /// cannot retract rows, so dependent views go stale rather than
-    /// silently double-applying survivor re-appends.
+    /// Park at the gate, count the commit in-flight, and hand back the
+    /// guard whose drop applies the delta. An all-`Data` statement is an
+    /// ordinary append delta; a tombstone-carrying UPDATE/DELETE commit is
+    /// captured as a DML barrier instead (see [`TapGuard::dml`]) —
+    /// append-only delta rules cannot retract rows, so dependent views go
+    /// stale rather than silently double-applying survivor re-appends.
     fn begin_commit(&self, rows: &[&[u8]], kinds: &[RowKind]) -> Result<Box<dyn CommitGuard>> {
-        self.capture(rows, kinds.contains(&RowKind::Tombstone))
-    }
-}
-
-impl DeltaTap {
-    /// Shared capture path: park at the gate, count the commit in-flight,
-    /// and hand back the guard whose drop enqueues the delta.
-    fn capture(&self, rows: &[&[u8]], dml: bool) -> Result<Box<dyn CommitGuard>> {
         let Some(shared) = self.shared.upgrade() else {
             return Ok(Box::new(NoopCommitGuard));
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(Box::new(NoopCommitGuard));
-        }
         let mut gate = lock(&self.tap.gate);
         while gate.closed {
             gate.waiting += 1;
@@ -165,9 +135,6 @@ impl DeltaTap {
                 .wait(gate)
                 .unwrap_or_else(PoisonError::into_inner);
             gate.waiting -= 1;
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Ok(Box::new(NoopCommitGuard));
-            }
         }
         // Checked under the gate lock so it serializes against a CREATE
         // (which closes the gate before registering): either this commit
@@ -178,9 +145,9 @@ impl DeltaTap {
         }
         gate.inflight += 1;
         drop(gate);
-        let created = idf_obs::enabled().then(Instant::now);
+        let dml = kinds.contains(&RowKind::Tombstone);
         Ok(Box::new(TapGuard {
-            tap: Arc::clone(&self.tap),
+            inflight: Inflight(Arc::clone(&self.tap)),
             shared,
             // A DML barrier carries no payloads — nothing is applied,
             // only staleness is propagated.
@@ -189,21 +156,35 @@ impl DeltaTap {
             } else {
                 rows.iter().map(|r| r.to_vec()).collect()
             },
-            created,
+            created: idf_obs::enabled().then(Instant::now),
             dml,
         }))
     }
 }
 
-/// In-flight commit marker: dropped by the append path once the rows are
-/// published to memory, at which point the delta is enqueued (so a
-/// quiesced seed never misses a published commit).
+/// One captured commit, held by the append path until its rows are
+/// published to memory. Dropping it applies the delta on the committing
+/// thread, so the append returns only once every view over the table
+/// reflects it.
 struct TapGuard {
-    tap: Arc<TapState>,
+    /// Released after the apply in [`Drop::drop`] (fields drop after it,
+    /// on a panic too): once a quiescing DDL reads `inflight == 0`, every
+    /// captured commit's delta is applied.
+    inflight: Inflight,
     shared: Arc<Shared>,
+    /// Encoded row payloads, in publish order. Empty for a DML barrier.
     payloads: Vec<Vec<u8>>,
+    /// Commit time, for the maintenance-lag histogram (`Some` only when
+    /// the `obs` feature is compiled in).
     created: Option<Instant>,
-    /// Tombstone-carrying commit: enqueue a staleness barrier, not rows.
+    /// A tombstone-carrying DML statement committed on the table. Its
+    /// effect cannot be replayed as an append-only delta, so instead of
+    /// payloads to apply this delta is a barrier: every dependent view
+    /// (and every arrangement over the table) goes stale, and `REFRESH`
+    /// rebuilds from the post-DML base. Counting it in-flight like any
+    /// commit keeps the gate/quiesce accounting exact — a seed either
+    /// predates the DML commit or sees its staleness, never a
+    /// half-applied mix.
     dml: bool,
 }
 
@@ -211,33 +192,29 @@ impl CommitGuard for TapGuard {}
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
-        // Enqueue BEFORE decrementing inflight: once a quiescer observes
-        // `inflight == 0`, every captured commit's delta is in the queue.
-        self.shared.enqueue(Delta {
-            table: self.tap.name.clone(),
-            payloads: std::mem::take(&mut self.payloads),
-            created: self.created.take(),
-            dml: self.dml,
-        });
-        {
-            let mut gate = lock(&self.tap.gate);
-            gate.inflight -= 1;
-        }
+        let _apply = lock(&self.shared.apply_lock);
+        self.shared.apply_delta(self);
+    }
+}
+
+/// One in-flight count on a tap, released (and announced) on drop.
+struct Inflight(Arc<TapState>);
+
+impl Drop for Inflight {
+    fn drop(&mut self) {
+        lock(&self.0.gate).inflight -= 1;
         // Notify after unlock: `inflight` was decremented under `gate` above.
-        self.tap.cv.notify_all();
-        if self.shared.config.mode == MaintenanceMode::Sync {
-            // Non-blocking drain: if DDL (or another drainer) holds the
-            // apply lock it will drain the whole queue itself before
-            // releasing, and every drainer re-checks the queue after
-            // releasing, so no delta is ever stranded.
-            self.shared.drain_pending(false);
-        }
+        self.0.cv.notify_all();
     }
 }
 
 /// A keyed copy of one base table, shared by every join view that probes
 /// the table on the same key (one arrangement per `(table, key)`).
 struct Arrangement {
+    /// The base table it mirrors, by identity.
+    base: Arc<IndexedTable>,
+    /// Join column index into the base schema.
+    key: usize,
     /// The indexed copy, keyed on the join column.
     table: Arc<IndexedTable>,
     /// Set when a delta append into the arrangement failed partway — its
@@ -313,62 +290,39 @@ struct ViewEntry {
     stale: AtomicBool,
 }
 
-/// State shared by the session extension, the taps, and the maintenance
-/// worker.
+/// State shared by the session extension and the taps.
 ///
-/// Lock order: `apply_lock` → `views` → `maint` → `queue` → `taps` →
+/// Lock order: `ddl_lock` → `apply_lock` → `views` → `maint` → `taps` →
 /// `gate` → `arrangements`.
 pub(crate) struct Shared {
-    config: ViewsConfig,
-    /// Handed to taps so they can reach the queue without a cycle.
+    /// Handed to taps so they can reach the shared state without a cycle.
     self_weak: Weak<Shared>,
-    /// Serializes all delta application and all view DDL. Sync-mode
-    /// drains take it with `try_lock` (never block the append path);
-    /// the worker and DDL take it blocking.
+    /// Serializes view DDL. A DDL waits for in-flight commits while it
+    /// holds this lock, never while it holds `apply_lock`.
+    ddl_lock: Mutex<()>,
+    /// Serializes all delta application and every change to view state.
+    /// A committing thread takes it to apply its own delta; DDL takes it
+    /// once its gated tables are quiet.
     apply_lock: Mutex<()>,
-    /// Bounded delta queue; a full queue blocks the append path
-    /// (backpressure).
-    queue: Mutex<VecDeque<Delta>>,
-    /// Signals consumers (the async worker) that a delta arrived.
-    queue_cv: Condvar,
-    /// Signals producers that queue space freed up.
-    space_cv: Condvar,
     /// Registered views by name.
     views: parking_lot::RwLock<HashMap<String, Arc<ViewEntry>>>,
-    /// One tap per base table.
-    taps: Mutex<HashMap<String, Arc<TapState>>>,
-    /// Shared join arrangements by `(table, key column)`.
-    arrangements: Mutex<HashMap<(String, usize), Arc<Arrangement>>>,
-    /// Set on drop of the owning system; taps degrade to no-ops.
-    pub(crate) shutdown: AtomicBool,
+    /// One tap per base table, found by table identity.
+    taps: Mutex<Vec<Arc<TapState>>>,
+    /// Shared join arrangements, one per `(base table, key column)`.
+    arrangements: Mutex<Vec<Arc<Arrangement>>>,
 }
 
 impl Shared {
     /// Build the shared state (cyclically, so taps can hold it weakly).
-    pub(crate) fn new(config: ViewsConfig) -> Arc<Shared> {
+    pub(crate) fn new() -> Arc<Shared> {
         Arc::new_cyclic(|w| Shared {
-            config,
             self_weak: w.clone(),
+            ddl_lock: Mutex::new(()),
             apply_lock: Mutex::new(()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            space_cv: Condvar::new(),
             views: parking_lot::RwLock::new(HashMap::new()),
-            taps: Mutex::new(HashMap::new()),
-            arrangements: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
+            taps: Mutex::new(Vec::new()),
+            arrangements: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Wake every parked thread so shutdown can proceed.
-    pub(crate) fn notify_shutdown(&self) {
-        // No lock needed: `shutdown` is a SeqCst flag that every waiter
-        // re-checks inside its wait loop.
-        self.queue_cv.notify_all();
-        self.space_cv.notify_all();
-        for tap in lock(&self.taps).values() {
-            tap.cv.notify_all();
-        }
     }
 
     /// Names of views currently flagged stale.
@@ -384,78 +338,16 @@ impl Shared {
         names
     }
 
-    /// Enqueue a delta, blocking while the queue is at capacity — this is
-    /// the backpressure into the append path.
-    fn enqueue(&self, delta: Delta) {
-        let mut q = lock(&self.queue);
-        while q.len() >= QUEUE_CAPACITY {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
+    /// Block until no captured commit on any tap is still being applied.
+    /// A commit applies its delta before its append returns, so this only
+    /// waits for applies other threads are still running.
+    pub(crate) fn wait_idle(&self) {
+        let taps = lock(&self.taps).clone();
+        for tap in &taps {
+            let mut gate = lock(&tap.gate);
+            while gate.inflight > 0 {
+                gate = tap.cv.wait(gate).unwrap_or_else(PoisonError::into_inner);
             }
-            q = self
-                .space_cv
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        q.push_back(delta);
-        drop(q);
-        self.queue_cv.notify_all();
-    }
-
-    /// Pop one delta, signalling producers that space freed up.
-    fn pop(&self) -> Option<Delta> {
-        let delta = lock(&self.queue).pop_front();
-        if delta.is_some() {
-            self.space_cv.notify_all();
-        }
-        delta
-    }
-
-    /// Drain and apply every queued delta. `block` controls how the
-    /// apply lock is taken: the worker blocks; sync-mode append-path
-    /// drains use `try_lock` and bail if contended (the current holder
-    /// drains the queue itself, and the post-release re-check below
-    /// closes the race where a delta lands between its final pop and the
-    /// lock release).
-    pub(crate) fn drain_pending(&self, block: bool) {
-        loop {
-            {
-                let _apply = if block {
-                    lock(&self.apply_lock)
-                } else {
-                    match self.apply_lock.try_lock() {
-                        Ok(g) => g,
-                        Err(TryLockError::Poisoned(e)) => e.into_inner(),
-                        Err(TryLockError::WouldBlock) => return,
-                    }
-                };
-                while let Some(delta) = self.pop() {
-                    self.apply_delta(&delta);
-                }
-            }
-            if lock(&self.queue).is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Async maintenance worker: sleep until deltas arrive, drain, repeat
-    /// until shutdown with an empty queue.
-    pub(crate) fn worker_loop(&self) {
-        loop {
-            {
-                let mut q = lock(&self.queue);
-                while q.is_empty() && !self.shutdown.load(Ordering::SeqCst) {
-                    q = self
-                        .queue_cv
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                if q.is_empty() {
-                    return; // shutdown with nothing left to do
-                }
-            }
-            self.drain_pending(true);
         }
     }
 
@@ -463,39 +355,43 @@ impl Shared {
     // Delta application (caller holds the apply lock).
     // ------------------------------------------------------------------
 
-    /// Apply one delta: decode once, maintain every arrangement keyed on
-    /// the table, then fan the delta out to every dependent view.
-    fn apply_delta(&self, delta: &Delta) {
+    /// Apply one captured commit: decode once, maintain every arrangement
+    /// of the table, then fan the delta out to every dependent view.
+    fn apply_delta(&self, delta: &TapGuard) {
+        // A commit in flight holds its table; a dead one has no views.
+        let Some(table) = delta.inflight.0.table.upgrade() else {
+            return;
+        };
         let mut dependents: Vec<Arc<ViewEntry>> = self
             .views
             .read()
             .values()
-            .filter(|e| e.kind.base_names().contains(&delta.table))
+            .filter(|e| e.kind.bases().iter().any(|b| Arc::ptr_eq(&b.table, &table)))
             .cloned()
             .collect();
         if dependents.is_empty() {
             return;
         }
         dependents.sort_by(|a, b| a.name.cmp(&b.name));
+        let arrangements: Vec<Arc<Arrangement>> = lock(&self.arrangements)
+            .iter()
+            .filter(|arr| Arc::ptr_eq(&arr.base, &table))
+            .cloned()
+            .collect();
         if delta.dml {
             // A DML barrier: the statement's tombstones cannot be applied
             // as appends. Poison every arrangement over the table (its
             // mirror of the base has diverged) and flag each dependent
             // stale; REFRESH rebuilds both from the post-DML base.
-            for ((table, _), arr) in lock(&self.arrangements).iter() {
-                if *table == delta.table {
-                    arr.stale.store(true, Ordering::SeqCst);
-                }
+            for arr in &arrangements {
+                arr.stale.store(true, Ordering::SeqCst);
             }
             for entry in &dependents {
                 entry.stale.store(true, Ordering::SeqCst);
             }
             return;
         }
-        let Some(tap) = lock(&self.taps).get(&delta.table).cloned() else {
-            return;
-        };
-        let chunk = match decode_delta(&tap.table, &delta.payloads) {
+        let chunk = match decode_delta(&table, &delta.payloads) {
             Ok(c) => c,
             Err(_) => {
                 // A payload the base table itself produced failed to
@@ -514,11 +410,8 @@ impl Shared {
         // before any view output is computed (a view's delta output
         // probes the *other* side's arrangement, so this ordering cannot
         // double-count).
-        for ((table, _), arr) in lock(&self.arrangements).iter() {
-            if *table == delta.table
-                && !arr.stale.load(Ordering::SeqCst)
-                && arr.table.append_chunk(&chunk).is_err()
-            {
+        for arr in &arrangements {
+            if !arr.stale.load(Ordering::SeqCst) && arr.table.append_chunk(&chunk).is_err() {
                 // A partial arrangement publish cannot be retried
                 // without double-appending; poison it instead.
                 arr.stale.store(true, Ordering::SeqCst);
@@ -528,7 +421,7 @@ impl Shared {
             if entry.stale.load(Ordering::SeqCst) {
                 continue;
             }
-            self.apply_to_view(entry, &delta.table, &chunk, delta.created);
+            self.apply_to_view(entry, &table, &chunk, delta.created);
         }
     }
 
@@ -537,7 +430,7 @@ impl Shared {
     fn apply_to_view(
         &self,
         entry: &Arc<ViewEntry>,
-        table: &str,
+        table: &Arc<IndexedTable>,
         chunk: &Chunk,
         created: Option<Instant>,
     ) {
@@ -569,7 +462,7 @@ impl Shared {
         &self,
         entry: &Arc<ViewEntry>,
         maint: &mut Maint,
-        table: &str,
+        table: &Arc<IndexedTable>,
         chunk: &Chunk,
     ) -> std::result::Result<(), ApplyError> {
         catch_panics(|| failpoints::check(failpoints::MAINTAIN_APPLY))
@@ -633,7 +526,7 @@ impl Shared {
                 // arrangement under its name, then run the defining
                 // query — the indexed-join strategy probes the
                 // arrangement with the delta rows.
-                let (delta_base, probe_base, probe_arr) = if table == left_base.name {
+                let (delta_base, probe_base, probe_arr) = if Arc::ptr_eq(table, &left_base.table) {
                     (left_base, right_base, &*right)
                 } else {
                     (right_base, left_base, &*left)
@@ -657,70 +550,41 @@ impl Shared {
     // Gates and quiesce.
     // ------------------------------------------------------------------
 
-    /// Get or install the tap of every base, sorted by table name.
-    fn ensure_taps(&self, bases: &[(String, Arc<IndexedTable>)]) -> Vec<Arc<TapState>> {
+    /// Get, or install, the tap of every base table of `kind`, found by
+    /// table identity: a table dropped and re-created under the same name
+    /// is another table and gets a tap of its own.
+    fn taps_of(&self, kind: &ViewKind) -> Vec<Arc<TapState>> {
         let mut taps = lock(&self.taps);
-        let mut out: Vec<Arc<TapState>> = bases
-            .iter()
-            .map(|(name, table)| {
-                Arc::clone(taps.entry(name.clone()).or_insert_with(|| {
-                    let tap = Arc::new(TapState {
-                        name: name.clone(),
-                        table: Arc::clone(table),
-                        gate: Mutex::new(Gate {
-                            closed: false,
-                            inflight: 0,
-                            waiting: 0,
-                        }),
-                        cv: Condvar::new(),
-                        active_views: AtomicUsize::new(0),
-                    });
-                    table.add_append_sink(Arc::new(DeltaTap {
-                        tap: Arc::clone(&tap),
-                        shared: self.self_weak.clone(),
-                    }));
-                    tap
-                }))
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    /// Wait (holding the apply lock) until every gated table is stable:
-    /// the queue holds no gated delta, no captured commit is unpublished,
-    /// and every append inside a gated table's commit window is parked at
-    /// the gate itself. After this returns, a base read is an exact seed
-    /// point for the delta stream.
-    fn quiesce(&self, taps: &[Arc<TapState>]) {
-        loop {
-            // Drain unconditionally each round — a producer blocked on a
-            // full queue may be holding `inflight`, so space must keep
-            // freeing up for the gate counters to settle.
-            while let Some(delta) = self.pop() {
-                self.apply_delta(&delta);
-            }
-            let gates_ok = taps.iter().all(|t| {
-                let gate = lock(&t.gate);
-                gate.inflight == 0 && t.table.commit_window() == gate.waiting
-            });
-            if gates_ok {
-                // With gates closed and inflight at zero no NEW gated
-                // delta can ever be enqueued, so this check is stable.
-                let queue = lock(&self.queue);
-                let pending_gated = queue.iter().any(|d| taps.iter().any(|t| t.name == d.table));
-                if !pending_gated {
-                    return;
+        taps.retain(|t| t.table.strong_count() > 0);
+        kind.bases()
+            .into_iter()
+            .map(|base| {
+                if let Some(tap) = taps
+                    .iter()
+                    .find(|t| t.table.as_ptr() == Arc::as_ptr(&base.table))
+                {
+                    return Arc::clone(tap);
                 }
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
+                let tap = Arc::new(TapState {
+                    table: Arc::downgrade(&base.table),
+                    gate: Mutex::new(Gate::default()),
+                    cv: Condvar::new(),
+                    active_views: AtomicUsize::new(0),
+                });
+                base.table.add_append_sink(Arc::new(DeltaTap {
+                    tap: Arc::clone(&tap),
+                    shared: self.self_weak.clone(),
+                }));
+                taps.push(Arc::clone(&tap));
+                tap
+            })
+            .collect()
     }
 
     /// Drop arrangements no longer referenced by any view (the registry
     /// holds the only remaining `Arc`).
     fn sweep_arrangements(&self) {
-        lock(&self.arrangements).retain(|_, arr| Arc::strong_count(arr) > 1);
+        lock(&self.arrangements).retain(|arr| Arc::strong_count(arr) > 1);
     }
 
     // ------------------------------------------------------------------
@@ -737,19 +601,17 @@ impl Shared {
     ) -> Result<()> {
         let kind = classify(session, stmt)?;
         let out_schema = strip_qualifiers(&binder::bind(session, stmt)?.schema());
-        let apply = lock(&self.apply_lock);
+        let _ddl = lock(&self.ddl_lock);
         if self.views.read().contains_key(name) {
             return Err(EngineError::ViewAlreadyExists(name.to_string()));
         }
         if session.catalog().get(name).is_ok() {
             return Err(EngineError::TableAlreadyExists(name.to_string()));
         }
-        let bases = kind_bases(&kind);
-        let taps = self.ensure_taps(&bases);
-        let closer = GateCloser::close(&taps);
-        // Quiesce under `apply_lock`: DDL must stay serialized, and with the gates closed the
-        // drain spin is short and bounded.
-        self.quiesce(&taps);
+        let taps = self.taps_of(&kind);
+        let _gates = GateCloser::close(&taps);
+        quiesce(&taps);
+        let _apply = lock(&self.apply_lock);
         let (source, maint) = match self.seed(session, stmt, &kind, &out_schema) {
             Ok(seeded) => seeded,
             Err(e) => {
@@ -776,20 +638,13 @@ impl Shared {
             tap.active_views.fetch_add(1, Ordering::SeqCst);
         }
         idf_obs::global().views_registered.add(1);
-        drop(closer);
-        // Apply anything that queued for other tables while we held the
-        // lock, then release and re-check (drain_pending's contract).
-        while let Some(delta) = self.pop() {
-            self.apply_delta(&delta);
-        }
-        drop(apply);
-        self.drain_pending(false);
         Ok(())
     }
 
     /// `DROP MATERIALIZED VIEW`: unregister the view and the catalog
     /// entry (only if it is still ours), release shared state.
     pub(crate) fn drop_view(&self, session: &Session, name: &str) -> Result<()> {
+        let _ddl = lock(&self.ddl_lock);
         let _apply = lock(&self.apply_lock);
         let entry = self
             .views
@@ -805,13 +660,8 @@ impl Shared {
                 session.catalog().deregister(name);
             }
         }
-        {
-            let taps = lock(&self.taps);
-            for base in entry.kind.base_names() {
-                if let Some(tap) = taps.get(&base) {
-                    tap.active_views.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
+        for tap in self.taps_of(&entry.kind) {
+            tap.active_views.fetch_sub(1, Ordering::SeqCst);
         }
         drop(entry);
         self.sweep_arrangements();
@@ -824,19 +674,17 @@ impl Shared {
     /// A fault at the refresh failpoint fails the statement and leaves
     /// the previous state untouched (gates reopen via RAII).
     pub(crate) fn refresh_view(&self, session: &Session, name: &str) -> Result<()> {
-        let apply = lock(&self.apply_lock);
+        let _ddl = lock(&self.ddl_lock);
         let entry = self
             .views
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| EngineError::ViewNotFound(name.to_string()))?;
-        let bases = kind_bases(&entry.kind);
-        let taps = self.ensure_taps(&bases);
-        let closer = GateCloser::close(&taps);
-        // Quiesce under `apply_lock`: DDL must stay serialized, and with the gates closed the
-        // drain spin is short and bounded.
-        self.quiesce(&taps);
+        let taps = self.taps_of(&entry.kind);
+        let _gates = GateCloser::close(&taps);
+        quiesce(&taps);
+        let _apply = lock(&self.apply_lock);
         let started = idf_obs::enabled().then(Instant::now);
         failpoints::check(failpoints::REFRESH)?;
         self.recompute(session, &entry)?;
@@ -846,12 +694,6 @@ impl Shared {
                 .view_refresh_ns
                 .record(started.elapsed().as_nanos() as u64);
         }
-        drop(closer);
-        while let Some(delta) = self.pop() {
-            self.apply_delta(&delta);
-        }
-        drop(apply);
-        self.drain_pending(false);
         Ok(())
     }
 
@@ -895,9 +737,8 @@ impl Shared {
                 left_key,
                 right_key,
             } => {
-                let arr_left = self.arrangement(session, &left.name, &left.schema, *left_key)?;
-                let arr_right =
-                    self.arrangement(session, &right.name, &right.schema, *right_key)?;
+                let arr_left = self.arrangement(session, left, *left_key)?;
+                let arr_right = self.arrangement(session, right, *right_key)?;
                 let sess = Session::new();
                 sess.register_strategy(Arc::new(IndexedJoinStrategy));
                 sess.register_table(
@@ -954,10 +795,8 @@ impl Shared {
                 // exactly (every delta appends to it), so `arrangement`
                 // reuses it; a stale one is rebuilt from the base and
                 // replaces the registry entry.
-                let arr_left =
-                    self.arrangement(session, &left_base.name, &left_base.schema, *left_key)?;
-                let arr_right =
-                    self.arrangement(session, &right_base.name, &right_base.schema, *right_key)?;
+                let arr_left = self.arrangement(session, left_base, *left_key)?;
+                let arr_right = self.arrangement(session, right_base, *right_key)?;
                 sess.register_table(
                     &left_base.name,
                     Arc::new(IndexedSource::live(Arc::clone(&arr_left.table))),
@@ -978,31 +817,35 @@ impl Shared {
         Ok(())
     }
 
-    /// Get the shared arrangement for `(table, key)`, or build one from
+    /// Get the shared arrangement of `base` on `key`, or build one from
     /// the (quiesced) base if none exists or the existing one is stale.
     fn arrangement(
         &self,
         session: &Session,
-        table: &str,
-        schema: &SchemaRef,
+        base: &BaseInfo,
         key: usize,
     ) -> Result<Arc<Arrangement>> {
-        let slot = (table.to_string(), key);
-        if let Some(arr) = lock(&self.arrangements).get(&slot).cloned() {
+        let mirrors =
+            |arr: &Arc<Arrangement>| Arc::ptr_eq(&arr.base, &base.table) && arr.key == key;
+        if let Some(arr) = lock(&self.arrangements).iter().find(|arr| mirrors(arr)) {
             if !arr.stale.load(Ordering::SeqCst) {
-                return Ok(arr);
+                return Ok(Arc::clone(arr));
             }
         }
-        let data = session.table(table)?.collect()?;
-        let built = IndexedTable::new(Arc::clone(schema), key, IndexConfig::default())?;
+        let data = session.table(&base.name)?.collect()?;
+        let built = IndexedTable::new(Arc::clone(&base.schema), key, IndexConfig::default())?;
         if !data.is_empty() {
             built.append_chunk(&data)?;
         }
         let arr = Arc::new(Arrangement {
+            base: Arc::clone(&base.table),
+            key,
             table: Arc::new(built),
             stale: AtomicBool::new(false),
         });
-        lock(&self.arrangements).insert(slot, Arc::clone(&arr));
+        let mut registry = lock(&self.arrangements);
+        registry.retain(|old| !mirrors(old));
+        registry.push(Arc::clone(&arr));
         Ok(arr)
     }
 }
@@ -1044,16 +887,20 @@ impl Drop for GateCloser<'_> {
     }
 }
 
-/// Base tables of a view as owned `(name, table)` pairs.
-fn kind_bases(kind: &ViewKind) -> Vec<(String, Arc<IndexedTable>)> {
-    match kind {
-        ViewKind::FilterProject { base } | ViewKind::Aggregate { base, .. } => {
-            vec![(base.name.clone(), Arc::clone(&base.table))]
-        }
-        ViewKind::Join { left, right, .. } => vec![
-            (left.name.clone(), Arc::clone(&left.table)),
-            (right.name.clone(), Arc::clone(&right.table)),
-        ],
+/// Wait, without holding `apply_lock`, until every gated table is
+/// stable: no captured commit is still unapplied, and every append inside
+/// a gated table's commit window is parked at the gate itself. With the
+/// gates closed this holds until they reopen, so a base read after it is
+/// an exact seed point for the delta stream.
+fn quiesce(taps: &[Arc<TapState>]) {
+    while !taps.iter().all(|t| {
+        let gate = lock(&t.gate);
+        gate.inflight == 0
+            && t.table
+                .upgrade()
+                .is_none_or(|table| table.commit_window() == gate.waiting)
+    }) {
+        std::thread::sleep(Duration::from_micros(50));
     }
 }
 

@@ -8,12 +8,12 @@
 use idf_core::prelude::*;
 use idf_engine::chunk::Chunk;
 use idf_engine::session::Session;
-use idf_views::{install, MaintenanceMode, ViewsConfig};
+use idf_views::{install, ViewsConfig};
 
-fn setup(mode: MaintenanceMode) -> (Session, std::sync::Arc<idf_views::ViewsSystem>) {
+fn setup() -> (Session, std::sync::Arc<idf_views::ViewsSystem>) {
     let session = Session::new();
     install_indexed_ddl(&session, IndexConfig::default());
-    let views = install(&session, ViewsConfig { mode });
+    let views = install(&session, ViewsConfig::default());
     (session, views)
 }
 
@@ -27,7 +27,7 @@ fn sql(session: &Session, query: &str) -> Chunk {
 
 #[test]
 fn view_metrics_reach_the_prometheus_exposition() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views) = setup();
     idf_obs::global().reset();
     sql(&session, "CREATE TABLE o (k BIGINT, v BIGINT)");
     sql(

@@ -1,27 +1,40 @@
 //! End-to-end materialized-view coverage through the SQL front end:
 //! CREATE/DROP/REFRESH, incremental maintenance for all three view
 //! classes (filter/project, aggregate, join), snapshot consistency under
-//! concurrent appends, sync and async maintenance modes, typed errors,
-//! and planning through the normal physical layer (EXPLAIN).
+//! concurrent appends, read-your-writes while another commit's delta is
+//! applying, views over dropped and re-created tables, typed errors, and
+//! planning through the normal physical layer (EXPLAIN).
 //!
 //! The core invariant asserted everywhere: a view's contents are
 //! bit-for-bit equal to re-running its defining query at the same
 //! snapshot.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use idf_core::prelude::*;
 use idf_engine::chunk::Chunk;
 use idf_engine::error::EngineError;
 use idf_engine::session::Session;
 use idf_engine::types::Value;
-use idf_views::{install, MaintenanceMode, ViewsConfig, ViewsSystem};
+use idf_views::{install, ViewsConfig, ViewsSystem};
 
-fn setup(mode: MaintenanceMode) -> (Session, Arc<ViewsSystem>) {
+/// Failpoints are process-wide, so the one test here that arms a site
+/// takes this lock alone, and every other test holds it shared: an armed
+/// site meets only the apply it is aimed at.
+static FAILPOINT: RwLock<()> = RwLock::new(());
+
+fn views_session() -> (Session, Arc<ViewsSystem>) {
     let session = Session::new();
     install_indexed_ddl(&session, IndexConfig::default());
-    let views = install(&session, ViewsConfig { mode });
+    let views = install(&session, ViewsConfig::default());
     (session, views)
+}
+
+/// A session with views, and a shared hold on [`FAILPOINT`] for the test.
+fn setup() -> (Session, Arc<ViewsSystem>, RwLockReadGuard<'static, ()>) {
+    let shared = FAILPOINT.read().unwrap_or_else(PoisonError::into_inner);
+    let (session, views) = views_session();
+    (session, views, shared)
 }
 
 fn sql(session: &Session, query: &str) -> Chunk {
@@ -47,6 +60,13 @@ fn rows_of(chunk: &Chunk) -> Vec<Vec<Value>> {
     rows
 }
 
+/// The live table behind an indexed catalog entry.
+fn indexed_table(session: &Session, name: &str) -> Arc<IndexedTable> {
+    let source = session.catalog().get(name).unwrap();
+    let indexed = source.as_any().downcast_ref::<IndexedSource>().unwrap();
+    Arc::clone(indexed.table())
+}
+
 /// Assert `SELECT * FROM <view>` equals re-running the defining query.
 fn assert_matches_query(session: &Session, view: &str, defining: &str) {
     let view_rows = rows_of(&sql(session, &format!("SELECT * FROM {view}")));
@@ -56,7 +76,7 @@ fn assert_matches_query(session: &Session, view: &str, defining: &str) {
 
 #[test]
 fn filter_project_view_maintains_incrementally() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
     sql(&session, "INSERT INTO t VALUES (1, 5), (2, 50), (3, 7)");
     sql(
@@ -76,7 +96,7 @@ fn filter_project_view_maintains_incrementally() {
 
 #[test]
 fn aggregate_view_maintains_all_accumulators() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE m (g BIGINT, x BIGINT)");
     sql(
         &session,
@@ -102,7 +122,7 @@ fn aggregate_view_maintains_all_accumulators() {
 
 #[test]
 fn global_aggregate_view_without_group_by() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE g (x BIGINT)");
     let defining = "SELECT count(*), sum(x) FROM g";
     sql(
@@ -119,7 +139,7 @@ fn global_aggregate_view_without_group_by() {
 
 #[test]
 fn join_view_probes_the_arrangement() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE person (id BIGINT, city BIGINT)");
     sql(&session, "CREATE TABLE msg (author BIGINT, len BIGINT)");
     sql(&session, "INSERT INTO person VALUES (1, 10), (2, 20)");
@@ -147,7 +167,7 @@ fn join_view_probes_the_arrangement() {
 
 #[test]
 fn join_view_with_filter_and_aliases() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE a (id BIGINT, v BIGINT)");
     sql(&session, "CREATE TABLE b (rid BIGINT, w BIGINT)");
     sql(&session, "INSERT INTO a VALUES (1, 1), (2, 2)");
@@ -164,7 +184,7 @@ fn join_view_with_filter_and_aliases() {
 
 #[test]
 fn multiple_views_share_one_delta_pass() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
     sql(&session, "INSERT INTO t VALUES (1, 1), (2, 2)");
     sql(
@@ -182,7 +202,7 @@ fn multiple_views_share_one_delta_pass() {
 
 #[test]
 fn concurrent_appends_never_observe_half_applied_state() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE c (k BIGINT, v BIGINT)");
     sql(
         &session,
@@ -246,28 +266,64 @@ fn concurrent_appends_never_observe_half_applied_state() {
     assert_eq!(total, writers as i64 * per_writer, "no lost deltas");
 }
 
+/// Read-your-writes under contention: while another commit's delta is
+/// held inside its apply, a second writer's append returns only once its
+/// own delta is applied, so its next view read sees the row.
+#[cfg(feature = "failpoints")]
 #[test]
-fn async_mode_catches_up_on_wait_idle() {
-    let (session, views) = setup(MaintenanceMode::Async);
-    sql(&session, "CREATE TABLE q (k BIGINT, v BIGINT)");
+fn an_append_is_applied_before_it_returns_while_another_apply_is_held() {
+    use idf_fail::{FailConfig, FailGuard};
+    use idf_views::failpoints::MAINTAIN_APPLY;
+
+    let _alone = FAILPOINT.write().unwrap_or_else(PoisonError::into_inner);
+    let (session, views) = views_session();
+    sql(&session, "CREATE TABLE a (k BIGINT, v BIGINT)");
+    sql(&session, "CREATE TABLE b (k BIGINT, v BIGINT)");
     sql(
         &session,
-        "CREATE MATERIALIZED VIEW qv AS SELECT k, sum(v) FROM q GROUP BY k",
+        "CREATE MATERIALIZED VIEW av AS SELECT k, v FROM a WHERE v > 0",
     );
-    for i in 0..40 {
-        sql(
-            &session,
-            &format!("INSERT INTO q VALUES ({}, {})", i % 4, i),
-        );
+    sql(
+        &session,
+        "CREATE MATERIALIZED VIEW bv AS SELECT k, v FROM b WHERE v > 0",
+    );
+    // Arm the site once and wait until an apply is held there: the site
+    // counts its hit before it sleeps, so from then on writer A's apply
+    // holds `apply_lock` for 300 ms.
+    fn hold_next_apply<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        session: &Session,
+        insert: &'static str,
+    ) -> FailGuard {
+        let held = FailGuard::new(MAINTAIN_APPLY, FailConfig::delay(300).times(1));
+        let writer_a = session.clone();
+        scope.spawn(move || sql(&writer_a, insert));
+        while idf_fail::hit_count(MAINTAIN_APPLY).unwrap_or(0) == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        held
     }
-    views.wait_idle();
-    assert_matches_query(&session, "qv", "SELECT k, sum(v) FROM q GROUP BY k");
-    assert!(views.stale_views().is_empty());
+    std::thread::scope(|scope| {
+        let _held = hold_next_apply(scope, &session, "INSERT INTO a VALUES (1, 1)");
+        sql(&session, "INSERT INTO b VALUES (2, 2)");
+        assert_eq!(
+            sql(&session, "SELECT * FROM bv").len(),
+            1,
+            "the writer must read its own append through the view"
+        );
+    });
+    // `wait_idle` waits for an apply another thread is still running.
+    std::thread::scope(|scope| {
+        let _held = hold_next_apply(scope, &session, "INSERT INTO a VALUES (3, 3)");
+        views.wait_idle();
+        assert_eq!(sql(&session, "SELECT * FROM av").len(), 2);
+    });
+    assert_matches_query(&session, "av", "SELECT k, v FROM a WHERE v > 0");
 }
 
 #[test]
 fn refresh_recomputes_and_matches() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE r (k BIGINT, v BIGINT)");
     sql(&session, "INSERT INTO r VALUES (1, 1), (2, 2)");
     sql(
@@ -284,7 +340,7 @@ fn refresh_recomputes_and_matches() {
 
 #[test]
 fn drop_view_unregisters_and_allows_recreate() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE d (k BIGINT, v BIGINT)");
     sql(
         &session,
@@ -302,9 +358,90 @@ fn drop_view_unregisters_and_allows_recreate() {
     assert_matches_query(&session, "dv", "SELECT k FROM d WHERE v > 2");
 }
 
+/// A table dropped and re-created under the same name is another table:
+/// a view over the new one gets its own tap and tracks its appends.
+#[test]
+fn a_view_over_a_recreated_table_tracks_its_appends() {
+    let (session, views, _fp) = setup();
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    sql(
+        &session,
+        "CREATE MATERIALIZED VIEW v1 AS SELECT k, v FROM t WHERE v > 0",
+    );
+    sql(&session, "DROP MATERIALIZED VIEW v1");
+    sql(&session, "DROP TABLE t");
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    let defining = "SELECT k, v FROM t WHERE v > 0";
+    sql(
+        &session,
+        &format!("CREATE MATERIALIZED VIEW v2 AS {defining}"),
+    );
+    sql(&session, "INSERT INTO t VALUES (1, 1), (2, 2)");
+    assert_eq!(sql(&session, "SELECT * FROM v2").len(), 2);
+    assert_matches_query(&session, "v2", defining);
+    assert!(views.stale_views().is_empty());
+}
+
+/// A view keeps following the table it was defined over after its name
+/// passes to a new table: neither view receives the other table's
+/// deltas.
+#[test]
+fn a_view_over_a_dropped_table_receives_none_of_its_successors_deltas() {
+    let (session, views, _fp) = setup();
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    sql(&session, "INSERT INTO t VALUES (1, 1)");
+    sql(
+        &session,
+        "CREATE MATERIALIZED VIEW old_v AS SELECT k, v FROM t WHERE v > 0",
+    );
+    let old_table = indexed_table(&session, "t");
+    sql(&session, "DROP TABLE t");
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    let defining = "SELECT k, v FROM t WHERE v > 0";
+    sql(
+        &session,
+        &format!("CREATE MATERIALIZED VIEW new_v AS {defining}"),
+    );
+    sql(&session, "INSERT INTO t VALUES (2, 2), (3, 3)");
+    // The dropped table is still live for a holder of its handle.
+    old_table
+        .append_row(&[Value::Int64(4), Value::Int64(4)])
+        .unwrap();
+    assert_eq!(
+        rows_of(&sql(&session, "SELECT * FROM old_v")),
+        vec![
+            vec![Value::Int64(1), Value::Int64(1)],
+            vec![Value::Int64(4), Value::Int64(4)],
+        ]
+    );
+    assert_matches_query(&session, "new_v", defining);
+    assert_eq!(sql(&session, "SELECT * FROM new_v").len(), 2);
+    assert!(views.stale_views().is_empty());
+}
+
+/// A tap holds its table weakly: once its views and its catalog entry are
+/// gone, a dropped table is freed.
+#[test]
+fn a_dropped_table_is_freed_once_its_views_are_dropped() {
+    let (session, _views, _fp) = setup();
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    let table = Arc::downgrade(&indexed_table(&session, "t"));
+    sql(
+        &session,
+        "CREATE MATERIALIZED VIEW tv AS SELECT k, v FROM t WHERE v > 0",
+    );
+    sql(&session, "INSERT INTO t VALUES (1, 1)");
+    sql(&session, "DROP MATERIALIZED VIEW tv");
+    sql(&session, "DROP TABLE t");
+    assert!(
+        table.upgrade().is_none(),
+        "the dropped table is still alive"
+    );
+}
+
 #[test]
 fn ddl_errors_are_typed() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE e (k BIGINT, v BIGINT)");
     sql(
         &session,
@@ -332,7 +469,7 @@ fn ddl_errors_are_typed() {
 
 #[test]
 fn unsupported_defining_queries_are_rejected_with_reasons() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     sql(&session, "CREATE TABLE u (k BIGINT, v BIGINT)");
     sql(&session, "CREATE TABLE u2 (k BIGINT, w BIGINT)");
     let rejected = [
@@ -376,7 +513,7 @@ fn views_require_the_subsystem() {
 
 #[test]
 fn view_over_plain_table_is_rejected() {
-    let (session, _views) = setup(MaintenanceMode::Sync);
+    let (session, _views, _fp) = setup();
     // A non-indexed source (no indexed DDL factory behind it).
     let schema = Arc::new(idf_engine::schema::Schema::new(vec![
         idf_engine::schema::Field::new("x", idf_engine::types::DataType::Int64),
@@ -395,7 +532,7 @@ fn view_over_plain_table_is_rejected() {
 
 #[test]
 fn dml_on_base_marks_views_stale_and_refresh_recovers() {
-    let (session, views) = setup(MaintenanceMode::Sync);
+    let (session, views, _fp) = setup();
     sql(&session, "CREATE TABLE d (k BIGINT, v BIGINT)");
     sql(&session, "INSERT INTO d VALUES (1, 10), (2, 20), (3, 30)");
     let defining = "SELECT k, v FROM d WHERE v > 5";
@@ -435,7 +572,7 @@ fn dml_on_base_marks_views_stale_and_refresh_recovers() {
 
 #[test]
 fn dml_poisons_join_arrangements_until_refresh() {
-    let (session, views) = setup(MaintenanceMode::Sync);
+    let (session, views, _fp) = setup();
     sql(&session, "CREATE TABLE l (k BIGINT, a BIGINT)");
     sql(&session, "CREATE TABLE r2 (k BIGINT, b BIGINT)");
     sql(&session, "INSERT INTO l VALUES (1, 10), (2, 20)");
@@ -460,22 +597,4 @@ fn dml_poisons_join_arrangements_until_refresh() {
     sql(&session, "INSERT INTO r2 VALUES (3, 300)");
     assert!(views.stale_views().is_empty());
     assert_matches_query(&session, "jv", defining);
-}
-
-#[test]
-fn dml_stale_barrier_works_in_async_mode() {
-    let (session, views) = setup(MaintenanceMode::Async);
-    sql(&session, "CREATE TABLE ad (k BIGINT, v BIGINT)");
-    sql(&session, "INSERT INTO ad VALUES (1, 1), (2, 2)");
-    let defining = "SELECT k, v FROM ad WHERE v > 0";
-    sql(
-        &session,
-        &format!("CREATE MATERIALIZED VIEW adv AS {defining}"),
-    );
-    sql(&session, "DELETE FROM ad WHERE k = 1");
-    views.wait_idle();
-    assert_eq!(views.stale_views(), ["adv"]);
-    sql(&session, "REFRESH MATERIALIZED VIEW adv");
-    assert_matches_query(&session, "adv", defining);
-    assert_eq!(sql(&session, "SELECT k FROM adv").len(), 1);
 }
