@@ -14,8 +14,9 @@
 //! 3. [`AppendSink::begin_commit`] logs the encoded rows (honouring the
 //!    configured durability level: `Sync` waits for the group-commit
 //!    fsync, `Async` returns once staged);
-//! 4. phase 2 publishes to memory; the returned [`CommitGuard`] is
-//!    dropped only after publish completes, which is what lets a
+//! 4. phase 2 publishes to memory; once every row is published the
+//!    returned [`CommitGuard`] is told so ([`CommitGuard::published`]),
+//!    and it is dropped only after publish ends, which is what lets a
 //!    checkpoint quiesce the WAL: it waits for every guard to drop before
 //!    snapshotting, so the snapshot covers every logged-and-acknowledged
 //!    commit and the covered WAL segment can be retired safely.
@@ -91,9 +92,16 @@ pub trait AppendSink: Send + Sync {
     }
 }
 
-/// Marker for an in-flight commit; dropping it tells the sink the rows
-/// are visible in memory (see module docs for why checkpoints need this).
-pub trait CommitGuard: Send {}
+/// An in-flight commit; dropping it tells the sink the statement is over
+/// (see module docs for why checkpoints need this).
+pub trait CommitGuard: Send {
+    /// The statement's rows are all published to memory. The append path
+    /// calls this once, after its last publish and before the guard
+    /// drops; a guard dropped without it belongs to a statement whose
+    /// publish failed, possibly partway, so an observer must not treat
+    /// the logged rows as the rows the table now holds.
+    fn published(&mut self) {}
+}
 
 /// Guard for sinks with no quiesce bookkeeping (tests, no-op sinks).
 pub struct NoopCommitGuard;
@@ -140,11 +148,17 @@ impl AppendSink for FanoutSink {
     }
 }
 
-/// Composite guard: dropping it drops every inner guard (front-to-back),
-/// signalling all fanned-out sinks that the rows are published.
+/// Composite guard: `published` reaches every inner guard, and dropping
+/// it drops them all (front-to-back), signalling every fanned-out sink
+/// that the statement is over.
 struct FanoutCommitGuard {
-    #[allow(dead_code)] // held only for its Drop
     guards: Vec<Box<dyn CommitGuard>>,
 }
 
-impl CommitGuard for FanoutCommitGuard {}
+impl CommitGuard for FanoutCommitGuard {
+    fn published(&mut self) {
+        for guard in &mut self.guards {
+            guard.published();
+        }
+    }
+}

@@ -342,12 +342,14 @@ impl IndexedTable {
             // same ordering contract as `append_chunk`.
             Some(sink) => {
                 let payload = self.store.partitions[p].encode_row(values)?;
-                let _guard = sink.begin_commit(&[payload.as_slice()], &[])?;
+                let mut guard = sink.begin_commit(&[payload.as_slice()], &[])?;
                 self.store.partitions[p].append_encoded(&[(
                     &values[self.primary_col()],
                     payload.as_slice(),
                     RowKind::Data,
-                )])
+                )])?;
+                guard.published();
+                Ok(())
             }
         }
     }
@@ -438,7 +440,7 @@ impl IndexedTable {
         // held through phase 2 so a checkpoint cannot truncate the WAL
         // under a commit that is logged but not yet published.
         let sink = self.store.sink.read().clone();
-        let _guard = match &sink {
+        let mut guard = match &sink {
             Some(sink) => {
                 let rows: Vec<&[u8]> = encoded.iter().flat_map(EncodedRows::payloads).collect();
                 Some(sink.begin_commit(&rows, &[])?)
@@ -458,6 +460,9 @@ impl IndexedTable {
         })
         .into_iter()
         .collect::<Result<Vec<()>>>()?;
+        if let Some(guard) = &mut guard {
+            guard.published();
+        }
         Ok(())
     }
 
@@ -659,7 +664,7 @@ impl IndexedTable {
         let _window = CommitWindowScope::enter(&self.store);
         crate::failpoints::check(crate::failpoints::APPEND_PUBLISH)?;
         let sink = self.store.sink.read().clone();
-        let _guard = match &sink {
+        let mut guard = match &sink {
             Some(sink) => {
                 let mut rows: Vec<&[u8]> = Vec::new();
                 let mut kinds: Vec<RowKind> = Vec::new();
@@ -676,6 +681,9 @@ impl IndexedTable {
         // Phase 2: publish, partitions in ascending order, one call each.
         for &p in &touched {
             self.store.partitions[p].publish_locked(&ops[p])?;
+        }
+        if let Some(guard) = &mut guard {
+            guard.published();
         }
         Ok(rows_affected)
     }

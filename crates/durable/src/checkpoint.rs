@@ -36,6 +36,14 @@
 //! in one `from_entries` call too: bottom-up while that partition's trie
 //! is still empty, key by key once it holds keys.
 //!
+//! The body is written from the batches' own bytes. Sealed batches are
+//! append-only and immutable, so the writer encodes only the schema, the
+//! partition and batch headers and the index dumps into one small buffer,
+//! references each batch's committed bytes where they lie, computes the
+//! frame's length and CRC over that list of pieces, and hands the whole
+//! file to one [`StorageIo::write`]. It is still one frame: the file is
+//! byte for byte `SNAP_MAGIC` plus the frame of the concatenated body.
+//!
 //! Atomicity: snapshot and manifest are written to a temp file, fsynced,
 //! renamed into place, and the directory fsynced. The manifest flips last,
 //! so a crash anywhere mid-checkpoint leaves the previous
@@ -57,8 +65,8 @@ use idf_engine::error::{EngineError, Result};
 use idf_engine::schema::{Field, Schema, SchemaRef};
 
 use crate::codec::{
-    check_frame_len, frame, put_bytes, put_data_type, put_u32, put_u64, put_value, read_frame,
-    Cursor, FrameRead, MAX_SNAPSHOT_FRAME,
+    check_frame_len, frame_header, put_bytes, put_data_type, put_u32, put_u64, put_value,
+    read_frame, Cursor, FrameRead, MAX_SNAPSHOT_FRAME,
 };
 use crate::io::StorageIo;
 
@@ -111,12 +119,12 @@ fn file_id(name: &str) -> Option<u64> {
     rest.and_then(|id| id.parse::<u64>().ok())
 }
 
-/// Write `bytes` to `dir/name` atomically: temp file, fsync, rename,
-/// directory fsync.
-fn write_atomic(io: &dyn StorageIo, dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
+/// Write `pieces`, concatenated, to `dir/name` atomically: temp file
+/// (one [`StorageIo::write`]), fsync, rename, directory fsync.
+fn write_atomic(io: &dyn StorageIo, dir: &Path, name: &str, pieces: &[&[u8]]) -> Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     let dst = dir.join(name);
-    io.write(&tmp, bytes)
+    io.write(&tmp, pieces)
         .map_err(|e| io_err("writing", &tmp, &e))?;
     io.sync_file(&tmp)
         .map_err(|e| io_err("syncing", &tmp, &e))?;
@@ -135,9 +143,12 @@ fn write_atomic(io: &dyn StorageIo, dir: &Path, name: &str, bytes: &[u8]) -> Res
 pub fn write_manifest(io: &dyn StorageIo, table_dir: &Path, id: u64) -> Result<()> {
     let mut body = Vec::with_capacity(8);
     put_u64(&mut body, id);
-    let mut bytes = MANIFEST_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&body)?);
-    write_atomic(io, table_dir, "MANIFEST", &bytes)
+    write_atomic(
+        io,
+        table_dir,
+        "MANIFEST",
+        &[MANIFEST_MAGIC, &frame_header(&[&body])?, &body],
+    )
 }
 
 /// The authoritative checkpoint id, or `None` when no manifest exists.
@@ -207,49 +218,84 @@ pub fn list_segment_ids(io: &dyn StorageIo, table_dir: &Path) -> Result<Vec<u64>
 // Snapshot write
 // ---------------------------------------------------------------------
 
-fn encode_table(snap: &TableSnapshot, config: &IndexConfig) -> Result<Vec<u8>> {
+/// A snapshot body as the pieces it is written from: runs of `meta` (the
+/// schema, the configuration, each partition's and each batch's header,
+/// and the index dumps) with each sealed batch's committed bytes spliced
+/// in where the body holds them. The batches are referenced, not copied.
+struct SnapshotBody<'a> {
+    meta: Vec<u8>,
+    /// `(offset into meta, batch bytes)`: the bytes follow `meta[..offset]`.
+    batches: Vec<(usize, &'a [u8])>,
+}
+
+impl SnapshotBody<'_> {
+    /// The body's pieces, in file order.
+    fn pieces(&self) -> Vec<&[u8]> {
+        let mut pieces = Vec::with_capacity(2 * self.batches.len() + 1);
+        let mut at = 0;
+        for &(offset, bytes) in &self.batches {
+            pieces.push(&self.meta[at..offset]);
+            pieces.push(bytes);
+            at = offset;
+        }
+        pieces.push(&self.meta[at..]);
+        pieces
+    }
+}
+
+fn encode_table<'a>(snap: &'a TableSnapshot, config: &IndexConfig) -> Result<SnapshotBody<'a>> {
     let schema = snap.schema();
-    let mut body = Vec::new();
-    put_u32(&mut body, schema.len() as u32);
+    let mut meta = Vec::new();
+    let mut spliced = Vec::new();
+    put_u32(&mut meta, schema.len() as u32);
     for f in &schema.fields {
-        put_bytes(&mut body, f.name.as_bytes());
-        put_data_type(&mut body, f.data_type);
-        body.push(u8::from(f.nullable));
+        put_bytes(&mut meta, f.name.as_bytes());
+        put_data_type(&mut meta, f.data_type);
+        meta.push(u8::from(f.nullable));
         match &f.qualifier {
             Some(q) => {
-                body.push(1);
-                put_bytes(&mut body, q.as_bytes());
+                meta.push(1);
+                put_bytes(&mut meta, q.as_bytes());
             }
-            None => body.push(0),
+            None => meta.push(0),
         }
     }
-    put_u32(&mut body, snap.key_col() as u32);
-    put_u64(&mut body, config.batch_size as u64);
-    put_u64(&mut body, config.max_row_size as u64);
-    put_u64(&mut body, config.num_partitions as u64);
-    put_u64(&mut body, config.scan_chunk_rows as u64);
-    put_u32(&mut body, snap.partitions().len() as u32);
+    put_u32(&mut meta, snap.key_col() as u32);
+    put_u64(&mut meta, config.batch_size as u64);
+    put_u64(&mut meta, config.max_row_size as u64);
+    put_u64(&mut meta, config.num_partitions as u64);
+    put_u64(&mut meta, config.scan_chunk_rows as u64);
+    put_u32(&mut meta, snap.partitions().len() as u32);
     for p in snap.partitions() {
-        put_u64(&mut body, p.row_count() as u64);
+        put_u64(&mut meta, p.row_count() as u64);
         let batches = p.export_batches();
-        put_u32(&mut body, batches.len() as u32);
+        put_u32(&mut meta, batches.len() as u32);
         for (capacity, bytes) in batches {
-            put_u64(&mut body, capacity as u64);
-            put_bytes(&mut body, bytes);
+            put_u64(&mut meta, capacity as u64);
+            // `put_bytes` without the copy: the length here, the bytes
+            // spliced in after it.
+            put_u32(&mut meta, bytes.len() as u32);
+            spliced.push((meta.len(), bytes));
         }
         let entries = p.export_index()?;
-        put_u64(&mut body, entries.len() as u64);
+        put_u64(&mut meta, entries.len() as u64);
         for (key, ptr) in entries {
-            put_value(&mut body, &key);
-            put_u64(&mut body, ptr);
+            put_value(&mut meta, &key);
+            put_u64(&mut meta, ptr);
         }
     }
-    Ok(body)
+    Ok(SnapshotBody {
+        meta,
+        batches: spliced,
+    })
 }
 
 /// Serialize `snap` as checkpoint `id` of `table_dir` (atomic; the
 /// manifest is *not* flipped — the caller does that once the snapshot is
-/// durable).
+/// durable). The file is `SNAP_MAGIC | len | crc | body` written by one
+/// [`StorageIo::write`] from the body's pieces: the sealed batches go to
+/// the file from their own bytes, and the frame's length and CRC are
+/// computed over the pieces where they lie.
 pub fn write_snapshot(
     io: &dyn StorageIo,
     table_dir: &Path,
@@ -259,13 +305,18 @@ pub fn write_snapshot(
 ) -> Result<()> {
     crate::failpoints::check(crate::failpoints::CHECKPOINT_WRITE)?;
     let body = encode_table(snap, config)?;
+    let pieces = body.pieces();
     // Refuse before anything durable changes: an over-cap body would
     // wrap the u32 length prefix (or be rejected by the reader), leaving
     // a checkpoint that "succeeded" but can never be loaded.
-    check_frame_len(body.len(), MAX_SNAPSHOT_FRAME, "checkpoint snapshot")?;
-    let mut bytes = SNAP_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&body)?);
-    write_atomic(io, table_dir, &format!("ckpt-{id}.snap"), &bytes)
+    let len = pieces.iter().map(|p| p.len()).sum();
+    check_frame_len(len, MAX_SNAPSHOT_FRAME, "checkpoint snapshot")?;
+    let header = frame_header(&pieces)?;
+    let mut file: Vec<&[u8]> = Vec::with_capacity(2 + pieces.len());
+    file.push(SNAP_MAGIC);
+    file.push(&header);
+    file.extend(pieces);
+    write_atomic(io, table_dir, &format!("ckpt-{id}.snap"), &file)
 }
 
 /// Best-effort sweep of generations older than the previous one: keeps
@@ -387,6 +438,7 @@ pub fn load_table(io: &dyn StorageIo, table_dir: &Path, id: u64) -> Result<Index
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::frame;
     use crate::io::OsIo;
     use crate::TempDir;
     use idf_engine::types::{DataType, Value};
@@ -438,6 +490,117 @@ mod tests {
                 .len(),
             6
         );
+    }
+
+    /// The snapshot body as one buffer, every batch's bytes copied in:
+    /// the layout the streamed writer must reproduce byte for byte.
+    fn copied_body(snap: &TableSnapshot, config: &IndexConfig) -> Vec<u8> {
+        let mut body = Vec::new();
+        let schema = snap.schema();
+        put_u32(&mut body, schema.len() as u32);
+        for f in &schema.fields {
+            put_bytes(&mut body, f.name.as_bytes());
+            put_data_type(&mut body, f.data_type);
+            body.push(u8::from(f.nullable));
+            match &f.qualifier {
+                Some(q) => {
+                    body.push(1);
+                    put_bytes(&mut body, q.as_bytes());
+                }
+                None => body.push(0),
+            }
+        }
+        put_u32(&mut body, snap.key_col() as u32);
+        for v in [
+            config.batch_size,
+            config.max_row_size,
+            config.num_partitions,
+            config.scan_chunk_rows,
+        ] {
+            put_u64(&mut body, v as u64);
+        }
+        put_u32(&mut body, snap.partitions().len() as u32);
+        for p in snap.partitions() {
+            put_u64(&mut body, p.row_count() as u64);
+            let batches = p.export_batches();
+            put_u32(&mut body, batches.len() as u32);
+            for (capacity, bytes) in batches {
+                put_u64(&mut body, capacity as u64);
+                put_bytes(&mut body, bytes);
+            }
+            let entries = p.export_index().unwrap();
+            put_u64(&mut body, entries.len() as u64);
+            for (key, ptr) in entries {
+                put_value(&mut body, &key);
+                put_u64(&mut body, ptr);
+            }
+        }
+        body
+    }
+
+    /// A snapshot written from the batches' own bytes is byte for byte
+    /// `SNAP_MAGIC` plus the frame of the copied body, over a table with
+    /// `Utf8` keys, three partitions of several sealed batches each and a
+    /// partly filled last batch, and DML tombstones; and it restores.
+    #[test]
+    fn snapshot_byte_pin_streams_the_framed_body() {
+        let dir = TempDir::new("ckpt-pin");
+        let schema = Arc::new(Schema::new(vec![
+            Field::required("k", DataType::Utf8),
+            Field::required("n", DataType::Int64),
+            Field::new("note", DataType::Utf8),
+        ]));
+        let config = IndexConfig {
+            num_partitions: 3,
+            batch_size: 4096,
+            ..IndexConfig::default()
+        };
+        let table = IndexedTable::new(schema, 0, config).unwrap();
+        let row = |i: i64| {
+            vec![
+                Value::Utf8(format!("key-{}", i % 97)),
+                Value::Int64(i),
+                if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Utf8("x".repeat((i % 40) as usize))
+                },
+            ]
+        };
+        for i in 0..1500 {
+            table.append_row(&row(i)).unwrap();
+        }
+        // An UPDATE and a DELETE: tombstones, survivors and new images.
+        let deletes: Vec<Vec<Value>> = (0..1500).step_by(7).map(row).collect();
+        let inserts: Vec<Vec<Value>> = (0..1500).step_by(14).map(|i| row(i + 2000)).collect();
+        assert!(table.apply_dml(&deletes, &inserts).unwrap() > 0);
+        table.append_row(&row(5000)).unwrap();
+
+        let snap = table.snapshot();
+        for p in snap.partitions() {
+            let batches = p.export_batches();
+            assert!(batches.len() >= 3, "{} batches", batches.len());
+            let (capacity, last) = batches[batches.len() - 1];
+            assert!(last.len() < capacity, "last batch partly filled");
+        }
+        write_snapshot(&IO, dir.path(), 1, &snap, table.config()).unwrap();
+        let expected = [
+            SNAP_MAGIC.as_slice(),
+            &frame(&copied_body(&snap, table.config())).unwrap(),
+        ]
+        .concat();
+        assert_eq!(std::fs::read(snap_path(dir.path(), 1)).unwrap(), expected);
+
+        let restored = load_table(&IO, dir.path(), 1).unwrap();
+        assert_eq!(restored.snapshot().row_count(), snap.row_count());
+        for i in [0i64, 7, 14, 96, 5000 % 97] {
+            let key = Value::Utf8(format!("key-{i}"));
+            let mut before = table.lookup_chunk(&key, None).unwrap().to_rows();
+            let mut after = restored.lookup_chunk(&key, None).unwrap().to_rows();
+            before.sort();
+            after.sort();
+            assert_eq!(before, after, "key {key:?}");
+        }
     }
 
     #[test]

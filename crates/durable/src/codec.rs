@@ -13,7 +13,7 @@
 use idf_engine::error::{EngineError, Result};
 use idf_engine::types::{DataType, Value};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 
 /// Hard cap on one frame body (64 MiB for WAL records; checkpoints use
 /// [`MAX_SNAPSHOT_FRAME`]). Enforced symmetrically: writers refuse to
@@ -60,20 +60,50 @@ pub fn check_frame_len(len: usize, max_body: usize, what: &str) -> Result<()> {
     Ok(())
 }
 
-/// Frame `body` for appending to a segment: length, checksum, body.
-/// Errors when the body cannot be represented by the `u32` length prefix
-/// (callers normally reject far earlier via [`check_frame_len`]).
-pub fn frame(body: &[u8]) -> Result<Vec<u8>> {
-    let len = u32::try_from(body.len()).map_err(|_| {
+/// Bytes of a frame header: `u32 body_len | u32 crc32(body)`.
+pub const FRAME_HEADER: usize = 8;
+
+/// The header of a frame whose body is `pieces` concatenated, computed
+/// over the pieces where they lie (the length summed, the CRC continued
+/// from piece to piece), so a body need never be gathered into one buffer
+/// to be framed. Errors when the body cannot be represented by the `u32`
+/// length prefix (callers normally reject far earlier via
+/// [`check_frame_len`]).
+pub fn frame_header(pieces: &[&[u8]]) -> Result<[u8; FRAME_HEADER]> {
+    let total: usize = pieces.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(total).map_err(|_| {
         EngineError::durability(format!(
-            "frame body of {} bytes overflows the u32 length prefix",
-            body.len()
+            "frame body of {total} bytes overflows the u32 length prefix"
         ))
     })?;
-    let mut out = Vec::with_capacity(8 + body.len());
-    put_u32(&mut out, len);
-    put_u32(&mut out, crc32(body));
+    let crc = pieces.iter().fold(0, |crc, p| crc32_update(crc, p));
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(header)
+}
+
+/// Seal a frame encoded in place: `framed` is a reserved
+/// [`FRAME_HEADER`]-byte slot followed by the body, and this fills the
+/// slot in. A writer that reserves the slot first and encodes its body
+/// right after it frames a record without copying the body.
+pub fn seal_frame(framed: &mut [u8]) -> Result<()> {
+    let Some((header, body)) = framed.split_at_mut_checked(FRAME_HEADER) else {
+        return Err(EngineError::internal(format!(
+            "a frame of {} bytes has no room for its header",
+            framed.len()
+        )));
+    };
+    header.copy_from_slice(&frame_header(&[body])?);
+    Ok(())
+}
+
+/// Frame `body` for appending to a segment: length, checksum, body.
+pub fn frame(body: &[u8]) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     out.extend_from_slice(body);
+    seal_frame(&mut out)?;
     Ok(out)
 }
 
@@ -372,6 +402,24 @@ mod tests {
         // The snapshot cap itself must fit the u32 length prefix, so a
         // cap-respecting body can never wrap it.
         assert!(MAX_SNAPSHOT_FRAME <= u32::MAX as usize);
+    }
+
+    /// A header over pieces, a frame sealed in place and `frame` of the
+    /// concatenated body are the same bytes.
+    #[test]
+    fn frame_header_over_pieces_matches_the_framed_body() {
+        let body: Vec<u8> = (0..1000u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        let framed = frame(&body).unwrap();
+        for cuts in [[0, 0], [1, 999], [128, 512], [500, 500], [1000, 1000]] {
+            let pieces = [&body[..cuts[0]], &body[cuts[0]..cuts[1]], &body[cuts[1]..]];
+            assert_eq!(frame_header(&pieces).unwrap(), framed[..FRAME_HEADER]);
+        }
+        let mut in_place = vec![0u8; FRAME_HEADER];
+        in_place.extend_from_slice(&body);
+        seal_frame(&mut in_place).unwrap();
+        assert_eq!(in_place, framed);
+        assert_eq!(frame(b"").unwrap(), [0u8; FRAME_HEADER]);
+        assert!(seal_frame(&mut [0u8; FRAME_HEADER - 1]).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `EngineError`s at the boundary, exactly as the pre-seam code did.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// An open append stream (a WAL segment). Writes buffer in the OS page
@@ -45,10 +45,12 @@ pub trait StorageIo: Send + Sync {
     /// Read the whole file at `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Create-or-truncate `path` with `bytes`. **Not** durable until
-    /// [`StorageIo::sync_file`] (content) and [`StorageIo::sync_dir`]
-    /// (entry, for new files) are called.
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Create-or-truncate `path` with `pieces` concatenated, in order:
+    /// a file is one write however many buffers its bytes lie in (a
+    /// snapshot writes its sealed batches from where they are). **Not**
+    /// durable until [`StorageIo::sync_file`] (content) and
+    /// [`StorageIo::sync_dir`] (entry, for new files) are called.
+    fn write(&self, path: &Path, pieces: &[&[u8]]) -> io::Result<()>;
 
     /// Open `path` for appending, creating it if absent. A freshly
     /// created entry is not durable until its directory is synced.
@@ -87,6 +89,9 @@ pub trait StorageIo: Send + Sync {
     fn file_len(&self, path: &Path) -> io::Result<u64>;
 }
 
+/// Buffer [`OsIo::write`] gathers small pieces in.
+const WRITE_BUFFER: usize = 64 << 10;
+
 /// The real filesystem: thin wrappers over `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OsIo;
@@ -106,8 +111,14 @@ impl StorageIo for OsIo {
         std::fs::read(path)
     }
 
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        std::fs::write(path, bytes)
+    fn write(&self, path: &Path, pieces: &[&[u8]]) -> io::Result<()> {
+        // Small pieces (headers between batches) coalesce in the buffer;
+        // a piece larger than it goes to the file directly.
+        let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(path)?);
+        for piece in pieces {
+            file.write_all(piece)?;
+        }
+        file.flush()
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn AppendFile>> {
@@ -183,7 +194,7 @@ mod tests {
         let io = OsIo;
         let a = dir.path().join("a");
         let b = dir.path().join("b");
-        io.write(&a, b"hello").unwrap();
+        io.write(&a, &[b"hel".as_slice(), b"", b"lo"]).unwrap();
         io.sync_file(&a).unwrap();
         assert_eq!(io.read(&a).unwrap(), b"hello");
         assert_eq!(io.file_len(&a).unwrap(), 5);

@@ -543,7 +543,7 @@ fn validate_data_dir(io: &dyn StorageIo, dir: &Path) -> Result<()> {
         EngineError::durability(format!("creating data_dir {}: {e}", dir.display()))
     })?;
     let probe = dir.join(".idf-write-probe");
-    io.write(&probe, b"ok").map_err(|e| {
+    io.write(&probe, &[b"ok".as_slice()]).map_err(|e| {
         EngineError::durability(format!("data_dir {} is not writable: {e}", dir.display()))
     })?;
     let _ = io.remove_file(&probe);

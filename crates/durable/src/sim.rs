@@ -512,7 +512,8 @@ impl StorageIo for SimIo {
         Ok(bytes)
     }
 
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn write(&self, path: &Path, pieces: &[&[u8]]) -> io::Result<()> {
+        let len: usize = pieces.iter().map(|p| p.len()).sum();
         let mut st = lock(&self.state);
         st.stats.writes += 1;
         let p = st.profile.write_error;
@@ -521,13 +522,13 @@ impl StorageIo for SimIo {
         }
         if let Some(cap) = st.profile.capacity {
             let others = st.used_bytes() - st.files.get(path).map_or(0, |f| f.live.len() as u64);
-            if others + bytes.len() as u64 > cap {
+            if others + len as u64 > cap {
                 st.stats.faults_injected += 1;
                 return Err(enospc(path));
             }
         }
         let entry = st.files.entry(path.to_path_buf()).or_default();
-        entry.live = bytes.to_vec();
+        entry.live = pieces.concat();
         Ok(())
     }
 
@@ -758,11 +759,11 @@ mod tests {
         let d = Path::new("/d");
         io.create_dir_all(d).unwrap();
         // Durable original destination.
-        io.write(Path::new("/d/dst"), b"old").unwrap();
+        io.write(Path::new("/d/dst"), &[b"old".as_slice()]).unwrap();
         io.sync_file(Path::new("/d/dst")).unwrap();
         io.sync_dir(d).unwrap();
         // Replacement staged the atomic way, minus the final dir sync.
-        io.write(Path::new("/d/tmp"), b"new").unwrap();
+        io.write(Path::new("/d/tmp"), &[b"new".as_slice()]).unwrap();
         io.sync_file(Path::new("/d/tmp")).unwrap();
         io.rename(Path::new("/d/tmp"), Path::new("/d/dst")).unwrap();
         assert_eq!(io.read(Path::new("/d/dst")).unwrap(), b"new");
@@ -773,7 +774,8 @@ mod tests {
             "rename without dir sync rolls back"
         );
         // Same dance with the dir sync: survives.
-        io.write(Path::new("/d/tmp"), b"new2").unwrap();
+        io.write(Path::new("/d/tmp"), &[b"new2".as_slice()])
+            .unwrap();
         io.sync_file(Path::new("/d/tmp")).unwrap();
         io.rename(Path::new("/d/tmp"), Path::new("/d/dst")).unwrap();
         io.sync_dir(d).unwrap();
@@ -798,11 +800,37 @@ mod tests {
         assert_eq!(io.file_len(p).unwrap(), 10);
     }
 
+    /// A file written from several pieces is one write: one operation
+    /// (so a seeded fault schedule does not see the pieces), the pieces
+    /// concatenated, and the capacity check on their summed length.
+    #[test]
+    fn a_write_of_pieces_is_one_operation_on_their_total() {
+        let io = quiet();
+        io.create_dir_all(Path::new("/d")).unwrap();
+        let p = Path::new("/d/f");
+        let pieces = [b"head".as_slice(), b"", b"body", b"tail"];
+        io.write(p, &pieces).unwrap();
+        assert_eq!(io.stats().writes, 1);
+        assert_eq!(io.read(p).unwrap(), b"headbodytail");
+        // Rewriting the file frees its old bytes first: 12 fit in 12.
+        io.set_capacity(Some(12));
+        io.write(p, &pieces).unwrap();
+        let err = io
+            .write(p, &[b"headbody".as_slice(), b"tail!"])
+            .unwrap_err();
+        assert!(err.to_string().contains("ENOSPC"), "{err}");
+        assert_eq!(
+            io.read(p).unwrap(),
+            b"headbodytail",
+            "a refused write changes nothing"
+        );
+    }
+
     #[test]
     fn sticky_fsync_fails_until_cleared() {
         let io = quiet();
         io.create_dir_all(Path::new("/d")).unwrap();
-        io.write(Path::new("/d/f"), b"x").unwrap();
+        io.write(Path::new("/d/f"), &[b"x".as_slice()]).unwrap();
         io.set_sticky_fsync(true);
         assert!(io.sync_file(Path::new("/d/f")).is_err());
         assert!(io.sync_dir(Path::new("/d")).is_err());
@@ -814,7 +842,7 @@ mod tests {
     fn corrupt_flips_a_stored_bit() {
         let io = quiet();
         io.create_dir_all(Path::new("/d")).unwrap();
-        io.write(Path::new("/d/f"), b"AAAA").unwrap();
+        io.write(Path::new("/d/f"), &[b"AAAA".as_slice()]).unwrap();
         io.sync_file(Path::new("/d/f")).unwrap();
         io.sync_dir(Path::new("/d")).unwrap(); // make the entry durable too
         io.corrupt(Path::new("/d/f"), 2);

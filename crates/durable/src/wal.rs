@@ -1,9 +1,11 @@
 //! Per-table write-ahead log with a group-commit writer thread.
 //!
-//! Commit path: the appender frames its encoded rows (one checksummed,
-//! length-prefixed record per committed chunk), stages the frame on the
-//! writer's queue, and — at `DurabilityLevel::Sync` — blocks until the
-//! writer reports the frame durable. The writer drains whatever has
+//! Commit path: the appender encodes its rows into one checksummed,
+//! length-prefixed record per committed statement, straight after the
+//! frame header's reserved slot (the body is never copied to be framed),
+//! stages the frame on the writer's queue, and — at
+//! `DurabilityLevel::Sync` — blocks until the writer reports the frame
+//! durable. The writer drains whatever has
 //! accumulated, writes it in one pass, and issues **one** `fsync` for the
 //! whole batch, so N concurrent committers pay one disk flush between
 //! them (the classic group commit).
@@ -50,7 +52,8 @@ use idf_engine::config::DurabilityLevel;
 use idf_engine::error::{EngineError, Result};
 
 use crate::codec::{
-    check_frame_len, frame, put_bytes, put_u32, read_frame, Cursor, FrameRead, MAX_WAL_FRAME,
+    check_frame_len, put_bytes, put_u32, read_frame, seal_frame, Cursor, FrameRead, FRAME_HEADER,
+    MAX_WAL_FRAME,
 };
 use crate::io::{AppendFile, StorageIo};
 
@@ -127,6 +130,14 @@ pub(crate) fn decode_record(body: &[u8]) -> Result<WalRecord> {
         rows,
         kinds: Vec::new(),
     })
+}
+
+/// A record buffer with the frame header's slot reserved: the body is
+/// encoded straight after it and [`seal_frame`] fills the slot in.
+fn frame_slot(body_len: usize) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(FRAME_HEADER + body_len);
+    framed.extend_from_slice(&[0; FRAME_HEADER]);
+    framed
 }
 
 struct WalState {
@@ -325,12 +336,13 @@ impl TableWal {
         crate::failpoints::check(crate::failpoints::WAL_APPEND)?;
         let body_len = 4 + rows.iter().map(|r| r.len() + 4).sum::<usize>();
         check_frame_len(body_len, MAX_WAL_FRAME, "WAL record")?;
-        let mut body = Vec::with_capacity(body_len);
-        put_u32(&mut body, rows.len() as u32);
+        let mut framed = frame_slot(body_len);
+        put_u32(&mut framed, rows.len() as u32);
         for r in rows {
-            put_bytes(&mut body, r);
+            put_bytes(&mut framed, r);
         }
-        self.stage(frame(&body)?)
+        seal_frame(&mut framed)?;
+        self.stage(framed)
     }
 
     /// Log one committed DML statement: the same staging/flush contract
@@ -349,14 +361,15 @@ impl TableWal {
         crate::failpoints::check(crate::failpoints::WAL_DML_FRAME)?;
         let body_len = 8 + rows.iter().map(|r| r.len() + 5).sum::<usize>();
         check_frame_len(body_len, MAX_WAL_FRAME, "WAL DML record")?;
-        let mut body = Vec::with_capacity(body_len);
-        put_u32(&mut body, DML_SENTINEL);
-        put_u32(&mut body, rows.len() as u32);
+        let mut framed = frame_slot(body_len);
+        put_u32(&mut framed, DML_SENTINEL);
+        put_u32(&mut framed, rows.len() as u32);
         for (r, k) in rows.iter().zip(kinds) {
-            body.push(k.to_u8());
-            put_bytes(&mut body, r);
+            framed.push(k.to_u8());
+            put_bytes(&mut framed, r);
         }
-        self.stage(frame(&body)?)
+        seal_frame(&mut framed)?;
+        self.stage(framed)
     }
 
     /// Stage one framed record on the writer queue and block per the
@@ -874,6 +887,64 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, records) = open(&path, DurabilityLevel::Sync);
         assert_eq!(records.len(), 1, "torn second record dropped");
+    }
+
+    /// The bytes every record is pinned to: the body built on its own,
+    /// then framed by [`frame`](crate::codec::frame). An append body is
+    /// `count | (len | payload)*`; a DML body is `DML_SENTINEL | count |
+    /// (kind | len | payload)*`.
+    fn framed_reference(rows: &[&[u8]], kinds: &[RowKind]) -> Vec<u8> {
+        let mut body = Vec::new();
+        if kinds.iter().all(|&k| k == RowKind::Data) {
+            put_u32(&mut body, rows.len() as u32);
+            for r in rows {
+                put_bytes(&mut body, r);
+            }
+        } else {
+            put_u32(&mut body, DML_SENTINEL);
+            put_u32(&mut body, rows.len() as u32);
+            for (r, k) in rows.iter().zip(kinds) {
+                body.push(k.to_u8());
+                put_bytes(&mut body, r);
+            }
+        }
+        crate::codec::frame(&body).unwrap()
+    }
+
+    /// Records encoded in place after their header slot are byte for
+    /// byte the framed bodies: short records (sliced CRC), a record past
+    /// the folding kernel's threshold, an empty payload, a DML record and
+    /// an all-data statement through the kind-aware path.
+    #[test]
+    fn wal_byte_pin_records_are_framed_bodies() {
+        let dir = TempDir::new("wal-pin");
+        let path = dir.path().join("wal.log");
+        let long = vec![0x5Au8; 3 * crate::crc::FOLD_MIN + 7];
+        let rows: Vec<&[u8]> = vec![b"row-0", b"", &long, b"row-3"];
+        let tomb = [
+            RowKind::Tombstone,
+            RowKind::Data,
+            RowKind::Tombstone,
+            RowKind::Data,
+        ];
+        let all_data = [RowKind::Data; 4];
+        let statements: [(&[&[u8]], &[RowKind]); 4] = [
+            (&rows, &[]),
+            (&rows[..1], &[]),
+            (&rows, &tomb),
+            (&rows, &all_data),
+        ];
+        {
+            let (wal, _) = open(&path, DurabilityLevel::Sync);
+            for (rows, kinds) in statements {
+                let _t = wal.begin_commit_kinds(rows, kinds).unwrap();
+            }
+        }
+        let expected: Vec<u8> = statements
+            .iter()
+            .flat_map(|(rows, kinds)| framed_reference(rows, kinds))
+            .collect();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
     }
 
     #[test]

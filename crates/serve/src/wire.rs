@@ -355,19 +355,24 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
 // Stream framing
 // ---------------------------------------------------------------------
 
-/// Frame `body` and write it to `w`. The durability-flavored framing
-/// errors from [`codec::frame`] cannot occur for capped bodies.
+/// Frame `body` and write it to `w` in one write. The durability-flavored
+/// framing errors from [`codec::frame_header`] cannot occur for capped
+/// bodies.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
-    let framed = codec::frame(body)?;
+    let mut framed = Vec::with_capacity(codec::FRAME_HEADER + body.len());
+    append_frame(&mut framed, body)?;
     w.write_all(&framed)
         .map_err(|e| EngineError::exec(format!("wire write: {e}")))?;
     Ok(())
 }
 
-/// Frame `body` and append it to `out`: the bytes [`write_frame`] would
-/// write, for a sender that assembles several frames into one write.
+/// Frame `body` and append it to `out`: its header, computed over `body`
+/// where it lies, then the body. These are the bytes [`write_frame`]
+/// writes; a sender that assembles several frames into one write calls
+/// this directly.
 pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) -> Result<()> {
-    out.extend_from_slice(&codec::frame(body)?);
+    out.extend_from_slice(&codec::frame_header(&[body])?);
+    out.extend_from_slice(body);
     Ok(())
 }
 
@@ -521,6 +526,23 @@ mod tests {
         idf_durable::codec::put_u32(&mut body, 9999);
         idf_durable::codec::put_bytes(&mut body, b"x");
         assert!(decode_response(&body).is_err());
+    }
+
+    /// Both framing entry points write the durable codec's frame bytes,
+    /// for a short body and one long enough for the folding CRC kernel.
+    #[test]
+    fn framing_matches_the_codec_frame() {
+        let long: Vec<u8> = (0..5000u32).map(|i| (i * 131) as u8).collect();
+        let mut appended = Vec::new();
+        for body in [b"hello".as_slice(), &long, b""] {
+            let expected = codec::frame(body).unwrap();
+            let mut written = Vec::new();
+            write_frame(&mut written, body).unwrap();
+            assert_eq!(written, expected);
+            let before = appended.len();
+            append_frame(&mut appended, body).unwrap();
+            assert_eq!(appended[before..], expected);
+        }
     }
 
     #[test]

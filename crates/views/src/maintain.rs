@@ -11,7 +11,8 @@
 //! never observed). The tap captures the committed row payloads at the
 //! commit point; once the append has published to memory, the commit's
 //! [`TapGuard`] drops and applies them on the committing thread, under
-//! `apply_lock`, before the append returns. That apply is the only
+//! `apply_lock`, before the append returns. A commit whose publish failed
+//! applies nothing and marks its dependents stale. That apply is the only
 //! backpressure: a writer waits for its own delta. One tap serves every
 //! view over the table: a single delta pass fans out to all maintainers.
 //!
@@ -158,6 +159,7 @@ impl AppendSink for DeltaTap {
             },
             created: idf_obs::enabled().then(Instant::now),
             dml,
+            published: false,
         }))
     }
 }
@@ -186,9 +188,18 @@ struct TapGuard {
     /// predates the DML commit or sees its staleness, never a
     /// half-applied mix.
     dml: bool,
+    /// Every row of the commit reached the base table. A guard dropped
+    /// without it (the publish failed, possibly partway) applies nothing:
+    /// the base holds an unknown part of the rows, so, as for a DML
+    /// barrier, every dependent view and arrangement goes stale.
+    published: bool,
 }
 
-impl CommitGuard for TapGuard {}
+impl CommitGuard for TapGuard {
+    fn published(&mut self) {
+        self.published = true;
+    }
+}
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
@@ -378,11 +389,12 @@ impl Shared {
             .filter(|arr| Arc::ptr_eq(&arr.base, &table))
             .cloned()
             .collect();
-        if delta.dml {
+        if delta.dml || !delta.published {
             // A DML barrier: the statement's tombstones cannot be applied
-            // as appends. Poison every arrangement over the table (its
-            // mirror of the base has diverged) and flag each dependent
-            // stale; REFRESH rebuilds both from the post-DML base.
+            // as appends. An unpublished commit: the base holds an unknown
+            // part of its rows. Either way poison every arrangement over
+            // the table (its mirror of the base has diverged) and flag each
+            // dependent stale; REFRESH rebuilds both from the base.
             for arr in &arrangements {
                 arr.stale.store(true, Ordering::SeqCst);
             }

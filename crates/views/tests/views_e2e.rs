@@ -321,6 +321,82 @@ fn an_append_is_applied_before_it_returns_while_another_apply_is_held() {
     assert_matches_query(&session, "av", "SELECT k, v FROM a WHERE v > 0");
 }
 
+/// A commit whose publish fails partway applies nothing to its views:
+/// the base holds only part of the statement, so the views over it and
+/// the join's arrangement of it go stale, keep serving their last good
+/// state, and `REFRESH` rebuilds them from what the base holds.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_publish_that_fails_partway_applies_nothing_and_marks_views_stale() {
+    use idf_core::failpoints::APPEND_PUBLISH;
+    use idf_fail::{FailConfig, FailGuard};
+
+    let _alone = FAILPOINT.write().unwrap_or_else(PoisonError::into_inner);
+    let session = Session::new();
+    // One partition, so the statement's rows publish in order on one
+    // thread and the fault lands after exactly one of them.
+    let config = IndexConfig {
+        num_partitions: 1,
+        ..IndexConfig::default()
+    };
+    install_indexed_ddl(&session, config);
+    let views = install(&session, ViewsConfig::default());
+    sql(&session, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    sql(&session, "CREATE TABLE u (k BIGINT, w BIGINT)");
+    sql(&session, "INSERT INTO t VALUES (1, 10)");
+    sql(
+        &session,
+        "INSERT INTO u VALUES (1, 100), (2, 200), (3, 300)",
+    );
+    let filter = "SELECT k, v FROM t WHERE v > 0";
+    let join = "SELECT t.v, u.w FROM t JOIN u ON t.k = u.k";
+    sql(
+        &session,
+        &format!("CREATE MATERIALIZED VIEW fv AS {filter}"),
+    );
+    sql(&session, &format!("CREATE MATERIALIZED VIEW jv AS {join}"));
+
+    // The statement's first hit is its commit point, then one per
+    // published row: pass the commit point and the first row, fail the
+    // second.
+    {
+        let _fault = FailGuard::new(
+            APPEND_PUBLISH,
+            FailConfig::error("publish fault").skip(2).times(1),
+        );
+        let insert = "INSERT INTO t VALUES (2, 20), (3, 30), (4, 40)";
+        let outcome = session.sql(insert).and_then(|df| df.collect());
+        assert!(
+            outcome.is_err(),
+            "the injected publish fault must fail the INSERT"
+        );
+    }
+    assert_eq!(
+        sql(&session, "SELECT k FROM t").len(),
+        2,
+        "the base got one row of the three"
+    );
+    assert_eq!(views.stale_views(), ["fv", "jv"]);
+    assert_eq!(
+        rows_of(&sql(&session, "SELECT * FROM fv")),
+        [[Value::Int64(1), Value::Int64(10)]],
+        "nothing of the failed commit is applied"
+    );
+    assert_eq!(sql(&session, "SELECT * FROM jv").len(), 1);
+
+    sql(&session, "REFRESH MATERIALIZED VIEW fv");
+    sql(&session, "REFRESH MATERIALIZED VIEW jv");
+    assert!(views.stale_views().is_empty());
+    assert_matches_query(&session, "fv", filter);
+    assert_matches_query(&session, "jv", join);
+    // Maintenance resumes on the next commit.
+    sql(&session, "INSERT INTO t VALUES (3, 31)");
+    assert!(views.stale_views().is_empty());
+    assert_matches_query(&session, "fv", filter);
+    assert_matches_query(&session, "jv", join);
+    assert_eq!(sql(&session, "SELECT * FROM jv").len(), 3);
+}
+
 #[test]
 fn refresh_recomputes_and_matches() {
     let (session, _views, _fp) = setup();
