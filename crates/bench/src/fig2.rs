@@ -13,12 +13,20 @@ use idf_engine::error::Result;
 use crate::workload::{compare_sql, Workload};
 use crate::Comparison;
 
-/// The six operators, as (label, SQL) pairs parameterized by a key.
+/// The six operators and the foreign-key join, as (label, SQL) pairs
+/// parameterized by a key.
 pub fn operator_queries(key: i64, date_cutoff: i64) -> Vec<(&'static str, String)> {
     vec![
         (
             "Join",
             "SELECT count(*) FROM knows k JOIN person p ON k.person1_id = p.id"
+                .to_string(),
+        ),
+        // The foreign-key direction: `person`'s index probed by every
+        // `knows` row, many rows per distinct key.
+        (
+            "Join (FK)",
+            "SELECT count(*) FROM knows k JOIN person p ON k.person2_id = p.id"
                 .to_string(),
         ),
         (
@@ -64,12 +72,12 @@ mod tests {
     fn all_operators_run_and_agree() {
         let w = Workload::new(0.05).unwrap();
         let rows = run(&w, 1).unwrap();
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 7);
         for c in &rows {
             assert!(c.indexed_ms > 0.0 && c.vanilla_ms > 0.0, "{c:?}");
         }
         // The join output must equal the knows row count (FK integrity).
-        let join = &rows[0];
-        assert_eq!(join.label, "Join");
+        assert_eq!(rows[0].label, "Join");
+        assert_eq!(rows[1].label, "Join (FK)");
     }
 }

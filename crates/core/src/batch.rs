@@ -281,8 +281,9 @@ impl RowBatch {
     }
 
     /// Decode the stored row at `offset` with its kind:
-    /// `(stored_size, prev, kind, payload)` — the random-access read of a
-    /// chain walk.
+    /// `(stored_size, prev, kind, payload)` — a random-access read, which
+    /// checks the fault site and loads the committed length for this one
+    /// row (a chain walk reads through [`RowBatch::chain_batch`]).
     ///
     /// # Errors
     /// Fails when `offset` does not point at a committed, well-formed row —
@@ -293,31 +294,28 @@ impl RowBatch {
         parse_row(self.committed_bytes(), offset, self.header)
     }
 
-    /// Decode the stored row at `offset` as a walk along link `link` sees
-    /// it: `(that link's prev, payload)` — the random-access read of a
-    /// secondary-index chain walk.
+    /// This batch's committed rows as a chain walk that enters it reads
+    /// them: the `BATCH_READ` check and the committed-length load are paid
+    /// here, once per batch a walk enters, not once per row. A walk only
+    /// moves to older rows, so every row it reaches in this batch after
+    /// entering it lies below the length read here.
     ///
     /// # Errors
-    /// Fails when `offset` does not point at a committed, well-formed row
-    /// or the batch's rows carry no such link.
-    pub fn row_at_link(&self, offset: usize, link: usize) -> Result<(RowPtr, &[u8])> {
+    /// Fails only at an injected fault.
+    #[inline]
+    pub fn chain_batch(&self) -> Result<ChainBatch<'_>> {
         crate::failpoints::check(crate::failpoints::BATCH_READ)?;
-        let committed = self.committed_bytes();
-        let (_, _, _, payload) = parse_row(committed, offset, self.header)?;
-        let at = 2 + 8 * link;
-        // The parse validated the whole header, so only a link the rows do
-        // not carry can miss here.
-        let word = committed
-            .get(offset + at..offset + at + 8)
-            .filter(|_| at < self.header)
-            .and_then(|w| <[u8; 8]>::try_from(w).ok())
-            .ok_or_else(|| {
-                EngineError::internal(format!(
-                    "link {link} of a row with a {}-byte header",
-                    self.header
-                ))
-            })?;
-        Ok((RowPtr::from_raw(u64::from_le_bytes(word)), payload))
+        Ok(ChainBatch {
+            committed: self.committed_bytes(),
+            header: self.header,
+        })
+    }
+
+    /// Ask the CPU to start loading the row at `offset` into the cache.
+    /// Only a hint: any offset is harmless, a wrong one wastes a load.
+    #[inline]
+    pub fn prefetch_row(&self, offset: usize) {
+        prefetch(self.buf.as_ptr().cast::<u8>().wrapping_add(offset));
     }
 
     /// Iterate rows sequentially up to `watermark` committed bytes (a
@@ -358,6 +356,75 @@ impl std::fmt::Debug for RowBatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "RowBatch({} / {} bytes)", self.len(), self.capacity())
     }
+}
+
+/// The committed rows of one batch as a chain walk reads them (see
+/// [`RowBatch::chain_batch`]): each hop parses one row of a slice taken
+/// when the walk entered the batch.
+#[derive(Clone, Copy)]
+pub struct ChainBatch<'a> {
+    committed: &'a [u8],
+    header: usize,
+}
+
+impl<'a> ChainBatch<'a> {
+    /// The stored row at `offset`: `(stored_size, prev, kind, payload)`.
+    ///
+    /// # Errors
+    /// Fails when `offset` does not point at a well-formed row below the
+    /// length read when the walk entered the batch — a corrupt pointer
+    /// must surface as a query error, not a panic.
+    #[inline]
+    pub fn row(&self, offset: usize) -> Result<StoredRow<'a>> {
+        parse_row(self.committed, offset, self.header)
+    }
+
+    /// The stored row at `offset` as a walk along link `link` sees it:
+    /// `(that link's prev, payload)` — the read of a secondary-index chain
+    /// walk.
+    ///
+    /// # Errors
+    /// As [`ChainBatch::row`], and when the batch's rows carry no such
+    /// link.
+    pub fn row_link(&self, offset: usize, link: usize) -> Result<(RowPtr, &'a [u8])> {
+        let (_, _, _, payload) = self.row(offset)?;
+        let at = 2 + 8 * link;
+        // The parse validated the whole header, so only a link the rows do
+        // not carry can miss here.
+        let word = self
+            .committed
+            .get(offset + at..offset + at + 8)
+            .filter(|_| at < self.header)
+            .and_then(|w| <[u8; 8]>::try_from(w).ok())
+            .ok_or_else(|| {
+                EngineError::internal(format!(
+                    "link {link} of a row with a {}-byte header",
+                    self.header
+                ))
+            })?;
+        Ok((RowPtr::from_raw(u64::from_le_bytes(word)), payload))
+    }
+
+    /// [`RowBatch::prefetch_row`] of this batch.
+    #[inline]
+    pub fn prefetch_row(&self, offset: usize) {
+        prefetch(self.committed.as_ptr().wrapping_add(offset));
+    }
+}
+
+/// A software prefetch of the cache line at `addr` into every cache level;
+/// nothing on targets other than x86_64.
+#[inline(always)]
+fn prefetch(addr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that reads nothing the program observes
+    // and never faults, whatever the address, and SSE (which provides it)
+    // is part of the x86_64 baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(addr.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
 }
 
 /// Segments of a [`BatchList`]: segment `s` holds `2^s` slots, so 32 of
@@ -872,10 +939,12 @@ mod tests {
             (stored, prev, kind, payload),
             (row_header(3) + 4, p, RowKind::Data, &b"two!"[..])
         );
-        assert_eq!(b.row_at_link(off, 0).unwrap(), (p, &b"two!"[..]));
-        assert_eq!(b.row_at_link(off, 1).unwrap(), (RowPtr::NULL, &b"two!"[..]));
-        assert_eq!(b.row_at_link(off, 2).unwrap(), (q, &b"two!"[..]));
-        let err = b.row_at_link(off, 3).unwrap_err();
+        let walk = b.chain_batch().unwrap();
+        assert_eq!(walk.row(off).unwrap(), (stored, prev, kind, payload));
+        assert_eq!(walk.row_link(off, 0).unwrap(), (p, &b"two!"[..]));
+        assert_eq!(walk.row_link(off, 1).unwrap(), (RowPtr::NULL, &b"two!"[..]));
+        assert_eq!(walk.row_link(off, 2).unwrap(), (q, &b"two!"[..]));
+        let err = walk.row_link(off, 3).unwrap_err();
         assert!(err.to_string().contains("link 3"), "got: {err}");
         let payloads: Vec<&[u8]> = b
             .iter_rows(b.len())

@@ -5,10 +5,12 @@
 pub use idf_engine::failpoints::check;
 
 idf_fail::sites! {
-    /// A read of committed rows from a row batch: hit once per row on
-    /// chain walks (`RowBatch::row_at_full`, every point lookup) and once
-    /// per opened walk on scans (`RowBatch::iter_rows_from`: one per batch
-    /// per produced chunk).
+    /// A read of committed rows from a row batch: hit once per batch a
+    /// chain walk enters (`RowBatch::chain_batch`, every point lookup),
+    /// once per opened walk on scans (`RowBatch::iter_rows_from`: one per
+    /// batch per produced chunk), and once per row on random-access reads
+    /// (`RowBatch::row_at_full`: DML survivors, compaction, the rows
+    /// tombstones hide).
     BATCH_READ,
 
     /// Entry of a partition probe (`PartitionSnapshot::lookup_chunk` /

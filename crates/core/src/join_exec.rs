@@ -17,9 +17,13 @@ use std::sync::Arc;
 
 use idf_engine::catalog::ChunkIter;
 use idf_engine::chunk::Chunk;
+use idf_engine::column::{Column, ColumnRef};
 use idf_engine::error::{EngineError, Result};
-use idf_engine::physical::{ExecCache, ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext};
+use idf_engine::physical::{
+    hash_columns, ExecCache, ExecPlanRef, ExecutionPlan, PhysicalExprRef, TaskContext,
+};
 use idf_engine::schema::SchemaRef;
+use idf_engine::types::Value;
 
 use crate::partition::PartitionSnapshot;
 use crate::table::IndexedTable;
@@ -103,13 +107,16 @@ impl IndexedJoinExec {
 
     /// Join one probe chunk against one partition's index.
     ///
-    /// Two phases: (1) probe — cTrie lookups and backward-pointer walks
-    /// collect the matched payload slices; (2) gather — matched payloads
-    /// are decoded column-at-a-time (vectorized), the probe side with a
-    /// columnar `take`, and the indexed *key* column is materialized from
-    /// the probe keys directly (equal by definition of the equi-join).
-    /// `home` is `Some(partition)` when only keys that route to this
-    /// partition can match here.
+    /// Three phases: (1) group — each distinct non-NULL key of the chunk
+    /// that can match here is listed once ([`group_keys`]); (2) probe —
+    /// one cTrie lookup and backward-pointer walk per listed key, all
+    /// walked together ([`PartitionSnapshot::walk_chains`]), and each
+    /// matched row decoded once, column-at-a-time; (3) fan out — each
+    /// probe row takes its key's rows, latest first, by a columnar `take`
+    /// on both sides. The indexed *key* column is taken from the probe
+    /// keys directly (equal by definition of the equi-join). `home` is
+    /// `Some(partition)` when only keys that route to this partition can
+    /// match here.
     fn join_chunk(
         &self,
         snapshot: &PartitionSnapshot,
@@ -118,30 +125,54 @@ impl IndexedJoinExec {
         indexed_cols: &[usize],
     ) -> Result<Option<Chunk>> {
         let keys = self.probe_key.evaluate(probe_chunk)?;
-        let mut probe_rows: Vec<u32> = Vec::new();
-        let mut matched: Vec<&[u8]> = Vec::new();
-        for row in 0..probe_chunk.len() {
-            let key = keys.value_at(row);
-            if key.is_null() || home.is_some_and(|p| self.table.partition_of(&key) != p) {
-                continue;
+        let (firsts, mut key_of) = group_keys(&keys);
+        // The distinct keys that can match here, and each probe row's
+        // key's place among them (`NONE`: NULL, or a key that cannot).
+        let mut distinct: Vec<Value> = Vec::with_capacity(firsts.len());
+        let places: Vec<u32> = firsts
+            .iter()
+            .map(|&row| {
+                let key = keys.value_at(row as usize);
+                if home.is_some_and(|p| self.table.partition_of(&key) != p) {
+                    return NONE;
+                }
+                distinct.push(key);
+                distinct.len() as u32 - 1
+            })
+            .collect();
+        for place in &mut key_of {
+            if *place != NONE {
+                *place = places[*place as usize];
             }
-            // THE index probe: cTrie lookup + backward-pointer walk.
-            for payload in snapshot.lookup_payloads(&key) {
-                matched.push(payload?);
-                probe_rows.push(row as u32);
+        }
+        // THE index probe: cTrie lookups + backward-pointer walks.
+        let found = snapshot.walk_chains(&distinct, None)?;
+        // Which matched row each output row takes, when a column other
+        // than the key is decoded from them.
+        let key_col = self.table.key_col();
+        let decodes = indexed_cols.iter().any(|&c| c != key_col);
+        let mut probe_rows: Vec<u32> = Vec::with_capacity(found.payloads.len());
+        let mut matched: Vec<u32> = Vec::new();
+        for (row, &place) in key_of.iter().enumerate() {
+            if place != NONE {
+                let rows = found.of_key(place as usize);
+                probe_rows.extend(std::iter::repeat_n(row as u32, rows.len()));
+                if decodes {
+                    matched.extend(rows.map(|at| at as u32));
+                }
             }
         }
         if probe_rows.is_empty() {
             return Ok(None);
         }
-        let key_col = self.table.key_col();
-        let indexed_part: Vec<Arc<idf_engine::column::Column>> = indexed_cols
+        let indexed_part: Vec<Arc<Column>> = indexed_cols
             .iter()
             .map(|&c| {
                 if c == key_col {
                     Ok(Arc::new(keys.take(&probe_rows)))
                 } else {
-                    Ok(Arc::new(snapshot.decode_column_batch(&matched, c)?))
+                    let rows = snapshot.decode_column_batch(&found.payloads, c)?;
+                    Ok(Arc::new(rows.take(&matched)))
                 }
             })
             .collect::<Result<_>>()?;
@@ -155,6 +186,59 @@ impl IndexedJoinExec {
             columns.extend(indexed_part);
         }
         Ok(Some(Chunk::new(columns)?))
+    }
+}
+
+/// No place: a NULL key, or one that cannot match.
+const NONE: u32 = u32::MAX;
+
+/// The distinct non-NULL values of `keys`: the row each is first seen at,
+/// and per row its value's position among them (`NONE` for a NULL). The
+/// rows are hashed on the typed column as a shuffle hashes them and equal
+/// values are found by comparing slots (floats by their bits, as `Value`
+/// compares them), so no `Value` is built per row.
+fn group_keys(keys: &ColumnRef) -> (Vec<u32>, Vec<u32>) {
+    let rows = keys.len();
+    let hashes = hash_columns(std::slice::from_ref(keys), rows);
+    // Open addressing at most half full: each slot holds a position in
+    // `firsts`.
+    let mask = (rows * 2).next_power_of_two() - 1;
+    let mut slots = vec![NONE; mask + 1];
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut places = Vec::with_capacity(rows);
+    for (row, &hash) in hashes.iter().enumerate() {
+        if !keys.is_valid(row) {
+            places.push(NONE);
+            continue;
+        }
+        let mut at = hash as usize & mask;
+        let place = loop {
+            let seen = slots[at];
+            if seen == NONE {
+                slots[at] = firsts.len() as u32;
+                firsts.push(row as u32);
+                break slots[at];
+            }
+            let first = firsts[seen as usize] as usize;
+            if hashes[first] == hash && same_value(keys, first, row) {
+                break seen;
+            }
+            at = (at + 1) & mask;
+        };
+        places.push(place);
+    }
+    (firsts, places)
+}
+
+/// Whether rows `a` and `b` of `column`, both valid, hold the same value.
+fn same_value(column: &Column, a: usize, b: usize) -> bool {
+    match column {
+        Column::Boolean(v) => v.values[a] == v.values[b],
+        Column::Int32(v) => v.values[a] == v.values[b],
+        Column::Int64(v) => v.values[a] == v.values[b],
+        Column::Float64(v) => v.values[a].to_bits() == v.values[b].to_bits(),
+        Column::Utf8(v) => v.bytes_at(a) == v.bytes_at(b),
+        Column::Timestamp(v) => v.values[a] == v.values[b],
     }
 }
 

@@ -396,8 +396,9 @@ fn chaos_round(seed: u64, rounds: usize) {
 /// used to take "any tombstone stored" as its cue to walk every chain, so
 /// one DELETE left a table on that path forever, compacted or not. The
 /// scan is now one sequential walk whatever the table has seen: counted
-/// here through `BATCH_READ`, which a chain walk hits once per row and a
-/// scan once per batch walk it opens.
+/// here through `BATCH_READ`, which a chain walk hits once per batch it
+/// enters and a scan once per batch walk it opens, so walking every chain
+/// of this one-batch table would hit it once per key, not once.
 #[test]
 fn a_compacted_table_scans_sequentially_again() {
     let _serial = serial();

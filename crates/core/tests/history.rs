@@ -266,7 +266,6 @@ impl Read {
                     config(),
                     batches,
                     view.export_index().expect("export"),
-                    0,
                 )
                 .expect("restore");
                 let view = restored.snapshot();

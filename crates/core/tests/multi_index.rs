@@ -45,9 +45,22 @@
 //!   failpoint armed at row `k` of a chunk's publish, as an error and as a
 //!   panic: exactly the first `k` rows of the chunk's stored order are
 //!   scan-visible, and each is found through every index.
+//! * `many_key_walks_equal_per_key_walks` — the many-key walk
+//!   (`lookup_chunk_multi`, several chains walked at once and their rows
+//!   put back in key order) equals one `lookup_payloads` walk per key, row
+//!   for row and in order: keys that repeat, miss or are NULL, `Int64` and
+//!   `Utf8` primaries, secondary indexes, one to three partitions, after a
+//!   chunk load, scattered appends, DML before and after a compaction, and
+//!   on a view whose cursor trails later appends. Widened by
+//!   `IDF_MULTI_INDEX_SEEDS`.
+//! * `indexed_joins_equal_vanilla_on_repeated_keys` — the indexed join
+//!   (one walk per distinct key of a probe chunk, fanned out per probe
+//!   row) returns what the vanilla hash join returns, partitioned and
+//!   broadcast, through a primary and a secondary index, in both
+//!   directions of a foreign key. Widened by `IDF_MULTI_INDEX_SEEDS`.
 //!
-//! The last test arms a process-wide failpoint, so every test here runs
-//! under one lock.
+//! `a_publish_fault_at_row_k_leaves_k_rows_indexed` arms a process-wide
+//! failpoint, so every test here runs under one lock.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -55,6 +68,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use idf_core::layout::RowLayout;
 use idf_core::prelude::*;
+use idf_core::table::TableSnapshot;
 use idf_engine::catalog::TableSource;
 use idf_engine::column::{Column, PrimVec};
 use idf_engine::expr::{col, Expr};
@@ -1045,6 +1059,291 @@ fn a_publish_fault_at_row_k_leaves_k_rows_indexed() {
                 sorted(case.chunk.clone()),
                 "{at}: the whole chunk after a retry of the rest"
             );
+        }
+    }
+}
+
+/// Keys for a many-key walk of index column `c`: keys `rows` hold, some
+/// of them twice, a key no row holds and a NULL, shuffled.
+fn walk_keys(rng: &mut StdRng, rows: &[Row], c: usize) -> Vec<Value> {
+    let mut keys: Vec<Value> = (0..rng.gen_range(1..12))
+        .filter_map(|_| {
+            let r = rows.get(rng.gen_range(0..rows.len().max(1)))?;
+            Some(r[c].clone()).filter(|v| !v.is_null())
+        })
+        .collect();
+    if let Some(again) = keys.first().cloned() {
+        keys.push(again);
+    }
+    keys.push(match c {
+        2 => Value::Utf8("miss".into()),
+        _ => Value::Int64(1_000),
+    });
+    keys.push(Value::Null);
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    keys
+}
+
+/// Each partition view of `view` answers a many-key lookup with exactly
+/// the rows of one `lookup_payloads` walk per key, key by key in the
+/// order given, each chain latest-first.
+fn walks_match(at: &str, view: &TableSnapshot, keys: &[Value], projection: &[usize]) {
+    for (p, part) in view.partitions().iter().enumerate() {
+        let got = part
+            .lookup_chunk_multi(keys, Some(projection))
+            .unwrap_or_else(|e| panic!("{at}: partition {p}: {e}"));
+        let mut payloads: Vec<&[u8]> = Vec::new();
+        for key in keys {
+            for payload in part.lookup_payloads(key) {
+                payloads.push(payload.expect("chain row"));
+            }
+        }
+        let want = RowLayout::new(schema())
+            .decode_chunk(&payloads, projection)
+            .expect("decode");
+        assert_eq!(
+            got.to_rows(),
+            want.to_rows(),
+            "{at}: partition {p}, keys {keys:?}"
+        );
+    }
+}
+
+/// A fresh row of [`schema`] with sequence number `seq`.
+fn walk_row(rng: &mut StdRng, seq: i64) -> Row {
+    vec![
+        random_k(rng),
+        random_a(rng),
+        random_b(rng),
+        Value::Int64(seq),
+        random_f(rng),
+    ]
+}
+
+/// The many-key walk (`lookup_chunk_multi`: walks in flight, rows put back
+/// in key order) equals one per-key walk after another, row for row and in
+/// order, through every index of seeded tables: the primary on an `Int64`
+/// or a `Utf8` column, one or two more indexes, one to three partitions,
+/// batches small enough that chains cross them. Checked after a chunk
+/// load, after scattered single-row appends, on a view whose cursor trails
+/// later appends, after DML (tombstones, and secondary chains with dead
+/// rows), after a compaction and after DML on top of it.
+#[test]
+fn many_key_walks_equal_per_key_walks() {
+    let _serial = serial();
+    for seed in seeds() {
+        let mut rng = StdRng::seed_from_u64(0x4545_0000 ^ seed);
+        let primary = if seed % 2 == 0 { 0 } else { 2 };
+        let mut secondaries: Vec<usize> = [0usize, 1, 2]
+            .into_iter()
+            .filter(|&c| c != primary && rng.gen_range(0..3) != 0)
+            .collect();
+        if secondaries.is_empty() {
+            secondaries.push(1);
+        }
+        let config = IndexConfig {
+            num_partitions: rng.gen_range(1..4usize),
+            batch_size: rng.gen_range(512..2048usize),
+            max_row_size: 200,
+            ..Default::default()
+        };
+        let table = IndexedTable::with_indexes(schema(), primary, &secondaries, config)
+            .expect("valid table");
+        let cols: Vec<usize> = table.index_cols().to_vec();
+        let mut seq = 0;
+        let mut next_row = |rng: &mut StdRng| {
+            seq += 1;
+            walk_row(rng, seq)
+        };
+        let at = |step: &str| format!("seed {seed}, indexes {cols:?}, {step}");
+        let check = |rng: &mut StdRng, step: &str, views: &[TableSnapshot]| {
+            let rows = scan_all(&table);
+            for (view, &c) in views.iter().zip(&cols) {
+                let keys = walk_keys(rng, &rows, c);
+                walks_match(&at(step), view, &keys, &[0, 1, 2, 3, 4]);
+                walks_match(&at(step), view, &keys, &[3]);
+            }
+        };
+        let views = |table: &IndexedTable| -> Vec<TableSnapshot> {
+            cols.iter()
+                .map(|&c| table.index(c).expect("index").snapshot())
+                .collect()
+        };
+
+        let load: Vec<Row> = (0..rng.gen_range(40..160))
+            .map(|_| next_row(&mut rng))
+            .collect();
+        let chunk = Chunk::from_rows(&schema(), &load).expect("chunk");
+        table.append_chunk(&chunk).expect("append_chunk");
+        check(&mut rng, "chunk load", &views(&table));
+
+        for _ in 0..rng.gen_range(30..90) {
+            table.append_row(&next_row(&mut rng)).expect("append_row");
+        }
+        check(&mut rng, "scattered appends", &views(&table));
+
+        let trailing = views(&table);
+        for _ in 0..rng.gen_range(10..40) {
+            table.append_row(&next_row(&mut rng)).expect("append_row");
+        }
+        check(&mut rng, "a view that trails appends", &trailing);
+
+        let dml = |rng: &mut StdRng, seq: &mut i64| {
+            let rows: Vec<Row> = scan_all(&table)
+                .into_iter()
+                .filter(|r| !r[primary].is_null())
+                .collect();
+            let mut named: Vec<Row> = (0..rng.gen_range(1..8))
+                .filter_map(|_| rows.get(rng.gen_range(0..rows.len().max(1))).cloned())
+                .collect();
+            named.sort();
+            named.dedup();
+            let (deletes, updates) = named.split_at(named.len() / 2);
+            table.apply_dml(deletes, &[]).expect("delete");
+            let images: Vec<Row> = updates
+                .iter()
+                .map(|r| {
+                    *seq += 1;
+                    let mut image = r.clone();
+                    image[1] = random_a(rng);
+                    image[3] = Value::Int64(*seq);
+                    image
+                })
+                .collect();
+            table.apply_dml(updates, &images).expect("update");
+        };
+        dml(&mut rng, &mut 10_000);
+        let dead = views(&table);
+        assert!(table.memory_stats().tombstones > 0, "{}", at("after DML"));
+        check(&mut rng, "DML", &dead);
+
+        table.compact().expect("compact");
+        check(&mut rng, "compaction", &views(&table));
+        check(&mut rng, "a view from before the compaction", &dead);
+
+        for _ in 0..rng.gen_range(5..30) {
+            table.append_row(&next_row(&mut rng)).expect("append_row");
+        }
+        dml(&mut rng, &mut 20_000);
+        check(&mut rng, "DML after compaction", &views(&table));
+    }
+}
+
+/// A table keyed `(id, name)`, one row per id in `ids`.
+fn dimension(ids: std::ops::Range<i64>) -> (SchemaRef, Vec<Row>) {
+    let schema: SchemaRef = Arc::new(Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("name", DataType::Utf8),
+    ]));
+    let rows = ids
+        .map(|i| vec![Value::Int64(i), Value::Utf8(format!("d{i}"))])
+        .collect();
+    (schema, rows)
+}
+
+/// The indexed join (one probe and walk per distinct key of a probe
+/// chunk, its rows fanned out per probe row) returns what the vanilla
+/// hash join returns, for probe sides whose keys repeat, with NULL and
+/// missing keys: partitioned and broadcast, through the primary index and
+/// a secondary one, in both directions of a foreign key — the index on
+/// the many side probed by the one side (long chains, distinct probe
+/// keys) and the index on the one side probed by the many side (short
+/// chains, each key probed by many rows).
+#[test]
+fn indexed_joins_equal_vanilla_on_repeated_keys() {
+    let _serial = serial();
+    for seed in seeds() {
+        let mut rng = StdRng::seed_from_u64(0x4546_0000 ^ seed);
+        let partitions = rng.gen_range(1..4usize);
+        let config = IndexConfig {
+            num_partitions: partitions,
+            batch_size: 1024,
+            max_row_size: 200,
+            ..Default::default()
+        };
+        // `t` is the many side: `k` (and `a`) reference `d.id`.
+        let t = Arc::new(
+            IndexedTable::with_indexes(schema(), 0, &[1], config.clone()).expect("valid table"),
+        );
+        let load: Vec<Row> = (0..rng.gen_range(60..200))
+            .map(|seq| walk_row(&mut rng, seq))
+            .collect();
+        t.append_chunk(&Chunk::from_rows(&schema(), &load).expect("chunk"))
+            .expect("append_chunk");
+        for seq in 1_000..1_000 + rng.gen_range(20..60) {
+            t.append_row(&walk_row(&mut rng, seq)).expect("append_row");
+        }
+        let gone: Vec<Row> = scan_all(&t)
+            .into_iter()
+            .filter(|r| !r[0].is_null())
+            .take(rng.gen_range(1..6))
+            .collect();
+        t.apply_dml(&gone, &[]).expect("delete");
+        // Every `k` but 0 and every `a` but 0 has its `d` row; ids 9..12
+        // are referenced by no `k`, ids 5..12 by no `a`.
+        let (d_schema, d_rows) = dimension(1..12);
+        let d = Arc::new(IndexedTable::new(Arc::clone(&d_schema), 0, config).expect("valid table"));
+        d.append_chunk(&Chunk::from_rows(&d_schema, &d_rows).expect("chunk"))
+            .expect("append_chunk");
+        let t_rows = scan_all(&t);
+        for (threshold, mode) in [(0, "Partitioned"), (usize::MAX, "Broadcast")] {
+            let session = Session::with_config(EngineConfig {
+                broadcast_threshold_rows: threshold,
+                ..EngineConfig::default()
+            });
+            let t_frame = IndexedDataFrame::from_table(session.clone(), Arc::clone(&t));
+            t_frame.register("t");
+            t_frame.index("a").expect("index").register("t_by_a");
+            IndexedDataFrame::from_table(session.clone(), Arc::clone(&d)).register("d");
+            let plain = |name: &str, schema: &SchemaRef, rows: &[Row]| {
+                let chunk = Chunk::from_rows(schema, rows).expect("chunk");
+                let table = MemTable::from_chunk_partitioned(Arc::clone(schema), chunk, 2);
+                session.register_table(name, Arc::new(table.expect("table")));
+            };
+            plain("t_plain", &schema(), &t_rows);
+            plain("d_plain", &d_schema, &d_rows);
+            for (sql, vanilla, secondary) in [
+                // The many side's index, probed by the one side.
+                (
+                    "SELECT t.seq, t.b, d.name FROM t JOIN d_plain d ON t.k = d.id",
+                    "SELECT t.seq, t.b, d.name FROM t_plain t JOIN d_plain d ON t.k = d.id",
+                    false,
+                ),
+                (
+                    "SELECT x.seq, x.k, d.name FROM t_by_a x JOIN d_plain d ON x.a = d.id",
+                    "SELECT x.seq, x.k, d.name FROM t_plain x JOIN d_plain d ON x.a = d.id",
+                    true,
+                ),
+                // The one side's index, probed by the many side.
+                (
+                    "SELECT d.name, t.seq, t.f FROM d JOIN t_plain t ON d.id = t.k",
+                    "SELECT d.name, t.seq, t.f FROM d_plain d JOIN t_plain t ON d.id = t.k",
+                    false,
+                ),
+                (
+                    "SELECT d.name, x.seq FROM d JOIN t_plain x ON d.id = x.a",
+                    "SELECT d.name, x.seq FROM d_plain d JOIN t_plain x ON d.id = x.a",
+                    false,
+                ),
+            ] {
+                let at = format!("seed {seed}, {partitions} partitions, {mode}: {sql}");
+                let df = session.sql(sql).unwrap_or_else(|e| panic!("{at}: {e}"));
+                let plan = df.explain().expect("explain");
+                let want_mode = if secondary { "Broadcast" } else { mode };
+                assert!(
+                    plan.contains("IndexedJoin") && plan.contains(&format!("probe {want_mode}")),
+                    "{at}:\n{plan}"
+                );
+                let got = df.collect().unwrap_or_else(|e| panic!("{at}: {e}"));
+                let want = session
+                    .sql(vanilla)
+                    .and_then(|df| df.collect())
+                    .unwrap_or_else(|e| panic!("{at}: {vanilla}: {e}"));
+                assert!(!want.is_empty(), "{at}: no rows to compare");
+                assert_eq!(sorted(got.to_rows()), sorted(want.to_rows()), "{at}");
+            }
         }
     }
 }

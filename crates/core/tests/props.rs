@@ -841,7 +841,6 @@ mod scan_differential {
             config(),
             vec![batch],
             snap.export_index().expect("export"),
-            20,
         )
     }
 
@@ -925,7 +924,6 @@ mod scan_differential {
             config(),
             vec![batch],
             snap.export_index().expect("export"),
-            20,
         )
         .expect("a walk by stored length accepts the row");
         let snap = part.snapshot();

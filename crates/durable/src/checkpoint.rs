@@ -407,7 +407,9 @@ pub fn load_table(io: &dyn StorageIo, table_dir: &Path, id: u64) -> Result<Index
     }
     let mut partitions = Vec::with_capacity(nparts.min(1 << 16));
     for _ in 0..nparts {
-        let row_count = c.u64()? as usize;
+        // The visible-row count the snapshot still carries; restore
+        // recounts the stored rows from the batches' row headers.
+        let _visible_rows = c.u64()?;
         let nbatches = c.u32()? as usize;
         let mut batches = Vec::with_capacity(nbatches.min(1 << 16));
         for _ in 0..nbatches {
@@ -428,7 +430,6 @@ pub fn load_table(io: &dyn StorageIo, table_dir: &Path, id: u64) -> Result<Index
             config.clone(),
             batches,
             entries,
-            row_count,
         )?));
     }
     c.expect_end()?;

@@ -208,3 +208,56 @@ fn sql_checkpoint_roundtrip() {
         .unwrap();
     assert_eq!(out.to_rows()[0][0], Value::Int64(25));
 }
+
+/// A restored table counts its rows as the live table did: every stored
+/// row, tombstones and the versions they hide included. After DML leaves
+/// both, `CHECKPOINT` and a reopen give the same `row_count()` and
+/// `memory_stats()` as the live table, and the same visible rows.
+#[test]
+fn a_restored_table_counts_its_rows_as_the_live_one() {
+    let _s = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    idf_fail::reset();
+    let dir = TempDir::new("e2e-rowcount");
+    let count = |sess: &DurableSession| {
+        sess.sql("SELECT COUNT(*) FROM person")
+            .unwrap()
+            .collect()
+            .unwrap()
+            .to_rows()
+    };
+    let (live_rows, live_stats, live_visible);
+    {
+        let sess = DurableSession::open(config(dir.path())).unwrap();
+        let person = sess
+            .create_table("person", person_schema(), 0, index())
+            .unwrap();
+        for i in 0..240i64 {
+            person
+                .append_row(&[
+                    Value::Int64(i % 60),
+                    Value::Utf8(format!("p{i}")),
+                    Value::Int64(i),
+                ])
+                .unwrap();
+        }
+        sess.sql("DELETE FROM person WHERE id < 12")
+            .unwrap()
+            .collect()
+            .unwrap();
+        sess.sql("UPDATE person SET age = 0 WHERE id >= 50")
+            .unwrap()
+            .collect()
+            .unwrap();
+        sess.sql("CHECKPOINT").unwrap().collect().unwrap();
+        live_rows = person.row_count();
+        live_stats = person.memory_stats();
+        live_visible = count(&sess);
+        assert!(live_stats.tombstones > 0 && live_stats.dead_rows > 0);
+        assert_eq!(live_visible, vec![vec![Value::Int64(48 * 4)]]);
+    }
+    let sess = DurableSession::open(config(dir.path())).unwrap();
+    let person = sess.dataframe("person").unwrap();
+    assert_eq!(person.row_count(), live_rows, "stored rows");
+    assert_eq!(person.memory_stats(), live_stats);
+    assert_eq!(count(&sess), live_visible);
+}
