@@ -110,11 +110,11 @@ impl IndexedJoinExec {
     /// Three phases: (1) group — each distinct non-NULL key of the chunk
     /// that can match here is listed once ([`group_keys`]); (2) probe —
     /// one cTrie lookup and backward-pointer walk per listed key, all
-    /// walked together ([`PartitionSnapshot::walk_chains`]), and each
-    /// matched row decoded once, column-at-a-time; (3) fan out — each
-    /// probe row takes its key's rows, latest first, by a columnar `take`
-    /// on both sides. The indexed *key* column is taken from the probe
-    /// keys directly (equal by definition of the equi-join). `home` is
+    /// walked together ([`PartitionSnapshot::walk_chains`]); (3) gather —
+    /// each probe row takes its key's matched payloads, latest first, and
+    /// those are decoded column-at-a-time, the probe side with a columnar
+    /// `take`. The indexed *key* column is taken from the probe keys
+    /// directly (equal by definition of the equi-join). `home` is
     /// `Some(partition)` when only keys that route to this partition can
     /// match here.
     fn join_chunk(
@@ -147,32 +147,26 @@ impl IndexedJoinExec {
         }
         // THE index probe: cTrie lookups + backward-pointer walks.
         let found = snapshot.walk_chains(&distinct, None)?;
-        // Which matched row each output row takes, when a column other
-        // than the key is decoded from them.
-        let key_col = self.table.key_col();
-        let decodes = indexed_cols.iter().any(|&c| c != key_col);
         let mut probe_rows: Vec<u32> = Vec::with_capacity(found.payloads.len());
-        let mut matched: Vec<u32> = Vec::new();
+        let mut matched: Vec<&[u8]> = Vec::with_capacity(found.payloads.len());
         for (row, &place) in key_of.iter().enumerate() {
             if place != NONE {
-                let rows = found.of_key(place as usize);
+                let rows = &found.payloads[found.of_key(place as usize)];
                 probe_rows.extend(std::iter::repeat_n(row as u32, rows.len()));
-                if decodes {
-                    matched.extend(rows.map(|at| at as u32));
-                }
+                matched.extend_from_slice(rows);
             }
         }
         if probe_rows.is_empty() {
             return Ok(None);
         }
+        let key_col = self.table.key_col();
         let indexed_part: Vec<Arc<Column>> = indexed_cols
             .iter()
             .map(|&c| {
                 if c == key_col {
                     Ok(Arc::new(keys.take(&probe_rows)))
                 } else {
-                    let rows = snapshot.decode_column_batch(&found.payloads, c)?;
-                    Ok(Arc::new(rows.take(&matched)))
+                    Ok(Arc::new(snapshot.decode_column_batch(&matched, c)?))
                 }
             })
             .collect::<Result<_>>()?;
